@@ -7,7 +7,7 @@ use std::hint::black_box;
 
 use mpvar_extract::{extract_track, RelativeVariation};
 use mpvar_litho::{apply_draw, sample_draw, Draw};
-use mpvar_spice::{MosfetModel, Netlist, SparseMatrix, Transient};
+use mpvar_spice::{CsrMatrix, MosfetModel, Netlist, SymbolicLu, Transient};
 use mpvar_sram::{simulate_read, BitcellGeometry, ReadConfig};
 use mpvar_stats::RngStream;
 use mpvar_tech::{preset::n10, PatterningOption, VariationBudget};
@@ -15,21 +15,31 @@ use mpvar_tech::{preset::n10, PatterningOption, VariationBudget};
 fn sparse_ladder_solve(c: &mut Criterion) {
     let mut group = c.benchmark_group("sparse_ladder_solve");
     for n in [256usize, 1024, 4096] {
-        let mut m = SparseMatrix::new(n);
+        let mut entries = Vec::new();
         for i in 0..n {
-            m.add(i, i, 2.5);
+            entries.push((i, i, 2.5));
             if i > 0 {
-                m.add(i, i - 1, -1.0);
-                m.add(i - 1, i, -1.0);
+                entries.push((i, i - 1, -1.0));
+                entries.push((i - 1, i, -1.0));
             }
         }
+        let coords: Vec<(usize, usize)> = entries.iter().map(|&(r, c, _)| (r, c)).collect();
+        let (mut m, slots) = CsrMatrix::from_coords(n, &coords);
+        for (&slot, &(_, _, v)) in slots.iter().zip(&entries) {
+            m.values_mut()[slot as usize] += v;
+        }
+        let sym = SymbolicLu::analyze(&m).expect("nonsingular");
+        let mut ws = sym.workspace();
         let b = vec![1.0; n];
-        group.bench_with_input(BenchmarkId::new("factor_solve", n), &n, |bench, _| {
-            bench.iter(|| m.factor().expect("nonsingular").solve(black_box(&b)))
+        group.bench_with_input(BenchmarkId::new("refactor_solve", n), &n, |bench, _| {
+            bench.iter(|| {
+                sym.refactor(black_box(&m), &mut ws).expect("nonsingular");
+                sym.solve(&ws, black_box(&b))
+            })
         });
-        let factors = m.factor().expect("nonsingular");
-        group.bench_with_input(BenchmarkId::new("resolve_only", n), &n, |bench, _| {
-            bench.iter(|| factors.solve(black_box(&b)))
+        sym.refactor(&m, &mut ws).expect("nonsingular");
+        group.bench_with_input(BenchmarkId::new("solve_only", n), &n, |bench, _| {
+            bench.iter(|| sym.solve(&ws, black_box(&b)))
         });
     }
     group.finish();

@@ -3,7 +3,8 @@
 //!
 //! [`run_check`] regenerates the experiment matrix once (sharing the
 //! expensive corner-search and simulation stages exactly like
-//! [`crate::run_all`]), then renders three families of named
+//! [`Study::run_all`](mpvar_study::Study::run_all)), then renders three
+//! families of named
 //! [`CheckItem`]s:
 //!
 //! 1. **Golden gate** (`golden.<id>`): each freshly rendered CSV is

@@ -1,13 +1,13 @@
 //! Reproduction harness for every table and figure of the paper.
 //!
-//! Since the `Study` redesign, the artifact-graph engine in
-//! [`mpvar_study`] is the single entry point for evaluating
-//! experiments: the `repro` binary, the `check` verdict pass, and the
-//! Criterion benches all drive a [`Study`] session, which memoizes
-//! shared prework (the Table I corner search, the Fig. 4 simulations)
-//! in a content-keyed cache and reports per-node timings. The free
-//! functions here ([`run`], [`run_all`]) remain as thin deprecated
-//! shims so older callers keep compiling.
+//! The artifact-graph engine in [`mpvar_study`] is the single entry
+//! point for evaluating experiments: the `repro` binary, the `check`
+//! verdict pass, and the Criterion benches all drive a
+//! [`Study`](mpvar_study::Study) session, which memoizes shared prework
+//! (the Table I corner search, the Fig. 4 simulations) in a
+//! content-keyed cache and reports per-node timings. This crate adds
+//! the CLI around it and the timing workloads behind the
+//! `BENCH_parallel.json` snapshot.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -20,14 +20,12 @@ use mpvar_core::{
     SpiceMcOptions,
 };
 use mpvar_spice::{MosfetModel, Netlist, NodeId, SolverKernel, Transient, Waveform};
-use mpvar_study::Study;
 use mpvar_tech::PatterningOption;
 
 pub use mpvar_study::Artifact;
 
 /// Fixed trapezoidal step count of the solver-kernel workload: the
-/// `h = 1024` fixed-step-equivalent transient the compiled-kernel
-/// speedup is measured on.
+/// `h = 1024` fixed-step-equivalent transient.
 pub const SOLVER_BENCH_STEPS: usize = 1024;
 
 /// Simulated window of the solver-kernel workload, seconds.
@@ -89,13 +87,17 @@ fn solver_bench_circuit() -> (Netlist, Vec<(NodeId, f64)>, NodeId) {
     (net, uic, near)
 }
 
-/// Runs the `h = 1024` fixed-step solver workload once with `kernel`,
-/// returning the final near-end bit-line voltage (consume it so the
-/// run cannot be optimized away).
+/// Runs the `h = 1024` fixed-step solver workload once, returning the
+/// final near-end bit-line voltage (consume it so the run cannot be
+/// optimized away).
+///
+/// The compiled kernel is the only [`SolverKernel`], so `kernel` selects
+/// nothing; the parameter stays because the `examples/benchmark` solver
+/// probe calls `solver_workload_once(SolverKernel::Compiled)`.
 pub fn solver_workload_once(kernel: SolverKernel) -> f64 {
+    let SolverKernel::Compiled = kernel;
     let (net, uic, probe) = solver_bench_circuit();
     let mut tran = Transient::new(&net).expect("workload builds");
-    tran.set_kernel(kernel);
     for &(node, v) in &uic {
         tran.set_initial_voltage(node, v);
     }
@@ -343,33 +345,6 @@ pub const EXPERIMENT_IDS: [&str; 19] = [
     "write_yield",
 ];
 
-/// Runs one experiment (or `"all"`) and returns the artefacts.
-///
-/// Thin shim over a fresh [`Study`] session; prefer driving a `Study`
-/// directly so repeated requests share the memoized artifact cache.
-///
-/// # Errors
-///
-/// * [`CoreError::InvalidParameter`] for an unknown id;
-/// * propagated experiment failures.
-#[deprecated(note = "drive a `mpvar_study::Study` session instead")]
-pub fn run(id: &str, ctx: &ExperimentContext) -> Result<Vec<Artifact>, CoreError> {
-    Study::new(ctx.clone()).run_named(id)
-}
-
-/// Runs every experiment, sharing the expensive common stages.
-///
-/// Thin shim over a fresh [`Study`] session; prefer driving a `Study`
-/// directly so repeated requests share the memoized artifact cache.
-///
-/// # Errors
-///
-/// Propagates the first experiment failure.
-#[deprecated(note = "drive a `mpvar_study::Study` session instead")]
-pub fn run_all(ctx: &ExperimentContext) -> Result<Vec<Artifact>, CoreError> {
-    Study::new(ctx.clone()).run_all()
-}
-
 /// Measures Monte-Carlo trial throughput at 1, 2, and all-cores worker
 /// threads and renders the `BENCH_parallel.json` snapshot the `repro`
 /// binary emits, so the perf trajectory is tracked across PRs.
@@ -387,10 +362,7 @@ pub fn run_all(ctx: &ExperimentContext) -> Result<Vec<Artifact>, CoreError> {
 /// delta is reported as `overhead_percent` — the number the `<2%`
 /// hot-path budget is tracked against.
 ///
-/// A `solver` section records the compiled-LU-kernel speedup over the
-/// legacy row-map kernel on the `h = 1024` fixed-step workload (see
-/// [`solver_workload_once`]); the compiled kernel's acceptance floor
-/// is 3x. A `batch` section records the batched SoA trial solver's
+/// A `batch` section records the batched SoA trial solver's
 /// speedup over the per-trial scalar path on the SPICE-backed Fig. 5
 /// Monte-Carlo workload (see [`spice_batch_bench`]); its acceptance
 /// floor is 3x, and CI smoke-tests a 2x floor on the reduced workload.
@@ -483,22 +455,6 @@ pub fn parallel_bench_snapshot(ctx: &ExperimentContext) -> Result<String, CoreEr
     };
     let overhead_percent = (traced_s / untraced_s - 1.0) * 100.0;
 
-    // Solver-kernel speedup: legacy row-map LU vs the compiled
-    // symbolic-reuse kernel on the same single-thread workload.
-    let _ = solver_workload_once(SolverKernel::Compiled); // warm-up
-    let mut legacy_s = f64::INFINITY;
-    let mut compiled_s = f64::INFINITY;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        let v_legacy = solver_workload_once(SolverKernel::Legacy);
-        legacy_s = legacy_s.min(t0.elapsed().as_secs_f64());
-        let t0 = Instant::now();
-        let v_compiled = solver_workload_once(SolverKernel::Compiled);
-        compiled_s = compiled_s.min(t0.elapsed().as_secs_f64());
-        debug_assert!((v_legacy - v_compiled).abs() < 1e-9);
-    }
-    let solver_speedup = legacy_s / compiled_s;
-
     // Batched SoA trial solver: scalar vs batched SPICE-backed MC,
     // single thread, bit-identity asserted inside the bench. SPICE
     // trials are ~100x the cost of formula trials, so the count is
@@ -572,12 +528,6 @@ pub fn parallel_bench_snapshot(ctx: &ExperimentContext) -> Result<String, CoreEr
     );
     let _ = writeln!(
         json,
-        "  \"solver\": {{ \"workload\": \"6T read discharge, 16-seg bit line, \
-         {SOLVER_BENCH_STEPS} trapezoidal steps\", \"legacy_seconds\": {legacy_s:.6}, \
-         \"compiled_seconds\": {compiled_s:.6}, \"speedup\": {solver_speedup:.2} }},"
-    );
-    let _ = writeln!(
-        json,
         "  \"batch\": {{ \"workload\": \"SPICE-backed Fig. 5 MC read, n = {}\", \
          \"trials\": {}, \"batch_width\": {}, \"scalar_seconds\": {:.6}, \
          \"batched_seconds\": {:.6}, \"scalar_trials_per_sec\": {:.1}, \
@@ -637,10 +587,8 @@ pub fn parallel_bench_snapshot(ctx: &ExperimentContext) -> Result<String, CoreEr
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the shims themselves are under test
-
     use super::*;
-    use mpvar_study::ArtifactId;
+    use mpvar_study::{ArtifactId, Study};
 
     #[test]
     fn experiment_ids_mirror_the_artifact_graph() {
@@ -664,14 +612,14 @@ mod tests {
 
     #[test]
     fn unknown_id_rejected() {
-        let ctx = ExperimentContext::quick().unwrap();
-        assert!(run("tableX", &ctx).is_err());
+        let study = Study::new(ExperimentContext::quick().unwrap());
+        assert!(study.run_named("tableX").is_err());
     }
 
     #[test]
     fn table1_artifact() {
-        let ctx = ExperimentContext::quick().unwrap();
-        let arts = run("table1", &ctx).unwrap();
+        let study = Study::new(ExperimentContext::quick().unwrap());
+        let arts = study.run_named("table1").unwrap();
         assert_eq!(arts.len(), 1);
         assert!(arts[0].text.contains("LELELE"));
         assert!(arts[0].csv.starts_with("option,"));
@@ -681,8 +629,9 @@ mod tests {
     fn cheap_experiments_run_quick() {
         let mut ctx = ExperimentContext::quick().unwrap();
         ctx.mc.trials = 300;
+        let study = Study::new(ctx);
         for id in ["table4", "ablation-bl-width", "ablation-sadp-vss"] {
-            let arts = run(id, &ctx).unwrap();
+            let arts = study.run_named(id).unwrap();
             assert_eq!(arts[0].id, id);
             assert!(!arts[0].text.is_empty());
         }

@@ -1,11 +1,10 @@
-//! End-to-end smoke test of the reproduction harness: `run_all` on a
-//! tiny context must produce every artefact with sane content.
+//! End-to-end smoke test of the reproduction harness: a `Study` run of
+//! every artefact on a tiny context must produce sane content.
 
-#![allow(deprecated)] // the compatibility shims are part of the surface under test
-
-use mpvar_bench::{run, run_all, EXPERIMENT_IDS};
+use mpvar_bench::EXPERIMENT_IDS;
 use mpvar_core::experiments::ExperimentContext;
 use mpvar_core::montecarlo::McConfig;
+use mpvar_study::Study;
 
 fn tiny_ctx() -> ExperimentContext {
     let mut ctx = ExperimentContext::quick().expect("context builds");
@@ -17,7 +16,7 @@ fn tiny_ctx() -> ExperimentContext {
 #[test]
 fn run_all_produces_every_artifact() {
     let ctx = tiny_ctx();
-    let artifacts = run_all(&ctx).expect("harness runs");
+    let artifacts = Study::new(ctx).run_all().expect("harness runs");
     assert_eq!(artifacts.len(), EXPERIMENT_IDS.len());
     for (artifact, &id) in artifacts.iter().zip(EXPERIMENT_IDS.iter()) {
         assert_eq!(artifact.id, id);
@@ -30,10 +29,10 @@ fn run_all_produces_every_artifact() {
 
 #[test]
 fn individual_runs_match_run_all_ids() {
-    let ctx = tiny_ctx();
+    let study = Study::new(tiny_ctx());
     // Spot-check the cheapest single-artefact paths.
     for id in ["table1", "table4", "extension-le2"] {
-        let arts = run(id, &ctx).expect("single run works");
+        let arts = study.run_named(id).expect("single run works");
         assert_eq!(arts.len(), 1);
         assert_eq!(arts[0].id, id);
     }
@@ -42,7 +41,7 @@ fn individual_runs_match_run_all_ids() {
 #[test]
 fn headline_numbers_visible_in_reports() {
     let ctx = tiny_ctx();
-    let artifacts = run_all(&ctx).expect("harness runs");
+    let artifacts = Study::new(ctx).run_all().expect("harness runs");
     let by_id = |id: &str| -> &str {
         &artifacts
             .iter()

@@ -236,7 +236,7 @@ enum TrialResolution {
 }
 
 /// The outcome of evaluating one trial index.
-type TrialOutcome = Result<TrialResolution, CoreError>;
+type TrialResult = Result<TrialResolution, CoreError>;
 
 /// In-order merge state for the round-based trial farm.
 struct Farm {
@@ -276,7 +276,7 @@ fn farm_trials<F>(
     eval_chunk: F,
 ) -> Result<(Vec<f64>, usize, usize), CoreError>
 where
-    F: Fn(std::ops::Range<usize>) -> Vec<TrialOutcome> + Sync,
+    F: Fn(std::ops::Range<usize>) -> Vec<TrialResult> + Sync,
 {
     // Hard stop so a pathological budget cannot loop forever: trial
     // indices beyond this bound mean the budget shorts essentially
@@ -302,7 +302,7 @@ where
                 (farm.trials - farm.consumed()).max(farm.threads)
             }
         },
-        |range| Ok::<Vec<TrialOutcome>, std::convert::Infallible>(eval_chunk(range)),
+        |range| Ok::<Vec<TrialResult>, std::convert::Infallible>(eval_chunk(range)),
         |farm, outcome| {
             match outcome {
                 Ok(TrialResolution::Sample(s)) => farm.samples.push(s),
@@ -414,7 +414,7 @@ fn penalty_distribution_with(
     let base = RngStream::from_seed(config.seed);
     // Trial k consumes substream k: a sample, a shorted draw (yield
     // loss, skipped), or a hard error.
-    let eval = |k: u64| -> TrialOutcome {
+    let eval = |k: u64| -> TrialResult {
         let mut rng = base.substream(k);
         let draw = sample_draw(option, budget, &mut rng)?;
         let printed = match apply_draw(window.stack(), &draw) {
@@ -484,7 +484,7 @@ impl Default for SpiceMcOptions {
 
 /// Classifies one SPICE read result as a trial outcome: a `tdp` sample,
 /// a shorted-draw exclusion, or a hard error.
-fn read_to_outcome(r: Result<ReadOutcome, SramError>, td_nom_s: f64) -> TrialOutcome {
+fn read_to_outcome(r: Result<ReadOutcome, SramError>, td_nom_s: f64) -> TrialResult {
     match r {
         Ok(o) => Ok(TrialResolution::Sample((o.td_s / td_nom_s - 1.0) * 100.0)),
         // A shorted print is a yield loss — excluded and counted, the
@@ -552,9 +552,9 @@ pub fn tdp_distribution_spice(
     // One worker chunk of global trial indices: sample draws by
     // substream index, run them in `batch_width`-wide sub-batches
     // through one reusable workspace.
-    let eval_chunk = |range: std::ops::Range<usize>| -> Vec<TrialOutcome> {
+    let eval_chunk = |range: std::ops::Range<usize>| -> Vec<TrialResult> {
         let width = opts.batch_width;
-        let mut outcomes: Vec<TrialOutcome> = Vec::with_capacity(range.len());
+        let mut outcomes: Vec<TrialResult> = Vec::with_capacity(range.len());
         if width == 0 {
             for i in range {
                 let mut rng = base.substream(i as u64);

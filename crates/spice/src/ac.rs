@@ -9,7 +9,7 @@
 //! [ ωC   G ] [x_im] = [b_im]
 //! ```
 //!
-//! which reuses the sparse real solver. MOSFETs are stamped as their
+//! which reuses the compiled sparse real solver. MOSFETs are stamped as their
 //! (gm, gds) linearization at the operating point; capacitors become
 //! susceptances; independent sources are AC grounds unless given an AC
 //! magnitude via [`AcAnalysis::set_ac_magnitude`].
@@ -18,9 +18,8 @@ use std::collections::HashMap;
 
 use crate::complex::Complex;
 use crate::error::SpiceError;
-use crate::mna::{NewtonStats, OperatingPoint, GMIN};
+use crate::mna::{CompiledLu, MatrixSink, NewtonStats, OperatingPoint, StampRecorder, GMIN};
 use crate::netlist::{Element, Netlist, NodeId};
-use crate::sparse::{CsrMatrix, LuWorkspace, SparseMatrix, SymbolicLu};
 
 /// A configured AC sweep over a netlist.
 #[derive(Debug, Clone)]
@@ -103,44 +102,30 @@ impl<'a> AcAnalysis<'a> {
                 .collect(),
         };
 
-        // The real-equivalent pattern is the same at every nonzero
-        // frequency, so the symbolic analysis from the first point is
-        // reused — only the numeric refactor runs per frequency. The
-        // one wrinkle is ω = 0: susceptance entries are skipped there,
-        // so a sweep starting at DC grows its pattern at the second
-        // point and rebuilds the analysis once.
+        // The real-equivalent stamp stream is structural — susceptance
+        // stamps are recorded even at ω = 0, where their value is zero —
+        // so one compiled pattern and one symbolic analysis serve the
+        // whole sweep; only the numeric refactor runs per frequency.
         let mut stats = NewtonStats::default();
-        let mut compiled: Option<(CsrMatrix, SymbolicLu, LuWorkspace)> = None;
+        let mut lu = CompiledLu::default();
+        let mut rhs = vec![0.0; 2 * m];
         let mut x = Vec::new();
         for (fi, &f) in frequencies.iter().enumerate() {
             let omega = 2.0 * std::f64::consts::PI * f;
-            let (matrix, rhs) = self.assemble(&op, omega, m)?;
-            let reused = match &mut compiled {
-                Some((csr, _, _)) => csr.try_gather(&matrix),
-                None => false,
-            };
-            if reused {
-                stats.lu_symbolic_reuses += 1;
+            rhs.fill(0.0);
+            if let Some(mut rep) = lu.replayer() {
+                self.assemble(&op, omega, m, &mut rep, &mut rhs);
+                rep.finish();
             } else {
-                let csr = CsrMatrix::from_sparse(&matrix);
-                let sym = match SymbolicLu::analyze(&csr) {
-                    Ok(sym) => sym,
-                    Err(e) => {
-                        stats.emit();
-                        return Err(e);
-                    }
-                };
-                let ws = sym.workspace();
-                stats.lu_symbolic_builds += 1;
-                compiled = Some((csr, sym, ws));
+                let mut rec = StampRecorder::default();
+                self.assemble(&op, omega, m, &mut rec, &mut rhs);
+                lu.compile(2 * m, rec);
             }
-            let (csr, sym, ws) = compiled.as_mut().expect("compiled above");
-            stats.lu_refactors += 1;
-            if let Err(e) = sym.refactor(csr, ws) {
+            if let Err(e) = lu.factor(&mut stats) {
                 stats.emit();
                 return Err(e);
             }
-            sym.solve_into(ws, &rhs, &mut x);
+            lu.solve_into(&rhs, &mut x);
             for node in 1..nn {
                 result.phasors[node][fi] = Complex::new(x[node - 1], x[m + node - 1]);
             }
@@ -149,17 +134,19 @@ impl<'a> AcAnalysis<'a> {
         Ok(result)
     }
 
-    /// Assembles the real-equivalent `2m x 2m` system at `omega`.
-    fn assemble(
+    /// Assembles the real-equivalent `2m x 2m` system at `omega` into
+    /// `a` and the caller-zeroed `rhs`. The sequence of `add` calls
+    /// depends only on topology, never on `omega` or device values.
+    fn assemble<S: MatrixSink>(
         &self,
         op: &OperatingPoint,
         omega: f64,
         m: usize,
-    ) -> Result<(SparseMatrix, Vec<f64>), SpiceError> {
+        a: &mut S,
+        rhs: &mut [f64],
+    ) {
         let net = self.net;
         let nn = net.num_nodes();
-        let mut a = SparseMatrix::new(2 * m);
-        let mut rhs = vec![0.0; 2 * m];
 
         let idx = |node: NodeId| -> Option<usize> {
             if node.is_ground() {
@@ -169,34 +156,23 @@ impl<'a> AcAnalysis<'a> {
             }
         };
         // Conductance pattern into both diagonal blocks.
-        let mut stamp_g = |a: &mut SparseMatrix, i: Option<usize>, j: Option<usize>, g: f64| {
-            if let Some(i) = i {
-                if let Some(j) = j {
-                    a.add(i, j, g);
-                    a.add(m + i, m + j, g);
-                }
+        let stamp_g = |a: &mut S, i: Option<usize>, j: Option<usize>, g: f64| {
+            if let (Some(i), Some(j)) = (i, j) {
+                a.add(i, j, g);
+                a.add(m + i, m + j, g);
             }
         };
         // Susceptance pattern into the off-diagonal blocks.
-        let stamp_b = |a: &mut SparseMatrix, i: Option<usize>, j: Option<usize>, b: f64| {
+        let stamp_b = |a: &mut S, i: Option<usize>, j: Option<usize>, b: f64| {
             if let (Some(i), Some(j)) = (i, j) {
                 a.add(i, m + j, -b);
                 a.add(m + i, j, b);
             }
         };
-        /// A stamp closure: (matrix, row, col, value).
-        type Stamp<'s> = &'s mut dyn FnMut(&mut SparseMatrix, Option<usize>, Option<usize>, f64);
-        let two_terminal_g =
-            |a: &mut SparseMatrix, stamp: Stamp<'_>, p: Option<usize>, q: Option<usize>, g: f64| {
-                stamp(a, p, p, g);
-                stamp(a, q, q, g);
-                stamp(a, p, q, -g);
-                stamp(a, q, p, -g);
-            };
 
         for node in 1..nn {
             let i = Some(node - 1);
-            stamp_g(&mut a, i, i, GMIN);
+            stamp_g(a, i, i, GMIN);
         }
 
         let mut vsrc = 0usize;
@@ -205,8 +181,9 @@ impl<'a> AcAnalysis<'a> {
                 Element::Resistor {
                     a: na, b: nb, ohms, ..
                 } => {
-                    let (p, q) = (idx(*na), idx(*nb));
-                    two_terminal_g(&mut a, &mut stamp_g, p, q, 1.0 / ohms);
+                    two_terminal(idx(*na), idx(*nb), 1.0 / ohms, |i, j, y| {
+                        stamp_g(a, i, j, y);
+                    });
                 }
                 Element::Capacitor {
                     a: na,
@@ -214,13 +191,9 @@ impl<'a> AcAnalysis<'a> {
                     farads,
                     ..
                 } => {
-                    let b = omega * farads;
-                    let (p, q) = (idx(*na), idx(*nb));
-                    // Susceptance two-terminal pattern.
-                    stamp_b(&mut a, p, p, b);
-                    stamp_b(&mut a, q, q, b);
-                    stamp_b(&mut a, p, q, -b);
-                    stamp_b(&mut a, q, p, -b);
+                    two_terminal(idx(*na), idx(*nb), omega * farads, |i, j, y| {
+                        stamp_b(a, i, j, y);
+                    });
                 }
                 Element::VSource { name, p, n, .. } => {
                     let row = nn - 1 + vsrc;
@@ -252,17 +225,30 @@ impl<'a> AcAnalysis<'a> {
                     let ss = model.evaluate(vgs, vds);
                     let (di, gi, si) = (idx(*d), idx(*g), idx(*s));
                     // id = gm vgs + gds vds around the OP.
-                    stamp_g(&mut a, di, di, ss.gds);
-                    stamp_g(&mut a, di, gi, ss.gm);
-                    stamp_g(&mut a, di, si, -(ss.gm + ss.gds));
-                    stamp_g(&mut a, si, si, ss.gm + ss.gds);
-                    stamp_g(&mut a, si, gi, -ss.gm);
-                    stamp_g(&mut a, si, di, -ss.gds);
+                    stamp_g(a, di, di, ss.gds);
+                    stamp_g(a, di, gi, ss.gm);
+                    stamp_g(a, di, si, -(ss.gm + ss.gds));
+                    stamp_g(a, si, si, ss.gm + ss.gds);
+                    stamp_g(a, si, gi, -ss.gm);
+                    stamp_g(a, si, di, -ss.gds);
                 }
             }
         }
-        Ok((a, rhs))
     }
+}
+
+/// Stamps a two-terminal admittance `y` between `p` and `q` (either may
+/// be ground) through `stamp`.
+fn two_terminal(
+    p: Option<usize>,
+    q: Option<usize>,
+    y: f64,
+    mut stamp: impl FnMut(Option<usize>, Option<usize>, f64),
+) {
+    stamp(p, p, y);
+    stamp(q, q, y);
+    stamp(p, q, -y);
+    stamp(q, p, -y);
 }
 
 /// Phasor results of an AC sweep.
@@ -431,6 +417,73 @@ mod tests {
             assert!((z.re - 1.5).abs() < 1e-6, "gain {z}");
             assert!(z.im.abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn sweep_from_dc_matches_dense_oracle_per_frequency() {
+        use crate::mosfet::MosfetModel;
+        use crate::sparse::DenseMatrix;
+        use mpvar_tech::preset::n10;
+        // A common-source stage driving a three-segment RC ladder with a
+        // coupling capacitor across it.
+        let tech = n10();
+        let mut net = Netlist::new();
+        let vdd = net.node("vdd");
+        let gate = net.node("gate");
+        let out = net.node("out");
+        net.add_vsource("VDD", vdd, Netlist::GROUND, Waveform::dc(0.7))
+            .unwrap();
+        net.add_vsource("VG", gate, Netlist::GROUND, Waveform::dc(0.45))
+            .unwrap();
+        net.add_resistor("RL", vdd, out, 50e3).unwrap();
+        net.add_mosfet(
+            "M1",
+            out,
+            gate,
+            Netlist::GROUND,
+            MosfetModel::new(*tech.nmos()),
+        )
+        .unwrap();
+        let mut prev = out;
+        let mut ladder = Vec::new();
+        for k in 1..=3 {
+            let node = net.node(&format!("n{k}"));
+            net.add_resistor(&format!("R{k}"), prev, node, 1e3).unwrap();
+            net.add_capacitor(&format!("C{k}"), node, Netlist::GROUND, 10e-15)
+                .unwrap();
+            ladder.push(node);
+            prev = node;
+        }
+        net.add_capacitor("CC", ladder[0], ladder[2], 2e-15)
+            .unwrap();
+
+        let mut ac = AcAnalysis::new(&net).unwrap();
+        ac.set_ac_magnitude("VG", 1.0).unwrap();
+        let mut freqs = vec![0.0];
+        freqs.extend(AcResult::log_frequencies(1e6, 1e12, 13).unwrap());
+        let result = ac.sweep(&freqs).unwrap();
+
+        let op = OperatingPoint::solve(&net).unwrap();
+        let nn = net.num_nodes();
+        let m = nn - 1 + net.num_vsources();
+        for (fi, &f) in freqs.iter().enumerate() {
+            let mut dense = DenseMatrix::new(2 * m);
+            let mut rhs = vec![0.0; 2 * m];
+            ac.assemble(&op, 2.0 * std::f64::consts::PI * f, m, &mut dense, &mut rhs);
+            let x = dense.solve(&rhs).unwrap();
+            let scale = x.iter().fold(0.0f64, |a, v| a.max(v.abs()));
+            for node in 1..nn {
+                let z = result.phasor(NodeId(node), fi);
+                let (re, im) = (x[node - 1], x[m + node - 1]);
+                assert!(
+                    (z.re - re).abs() <= 1e-9 * scale && (z.im - im).abs() <= 1e-9 * scale,
+                    "f = {f:e}, node {node}: {z} vs {re} + {im}j"
+                );
+            }
+        }
+        // The ladder's far end rolls off: the sweep is not trivially flat.
+        let far = result.phasors(ladder[2]);
+        assert!(far[freqs.len() - 1].abs() < 0.1 * far[0].abs());
     }
 
     #[test]

@@ -9,7 +9,6 @@
 use crate::error::SpiceError;
 use crate::mna::{solve_nonlinear_ws, system_size, MnaWorkspace, OperatingPoint, ReactivePolicy};
 use crate::netlist::{Element, Netlist, NodeId};
-use crate::transient::SolverKernel;
 use crate::waveform::Waveform;
 
 /// Result of a DC sweep: one operating point per swept value.
@@ -117,7 +116,7 @@ pub fn dc_sweep(net: &Netlist, source: &str, values: &[f64]) -> Result<DcSweepRe
     // source only changes stamp *values*, never the matrix structure,
     // so the symbolic analysis from the first point is reused by all
     // later points.
-    let mut ws = MnaWorkspace::new(&working, SolverKernel::Compiled);
+    let mut ws = MnaWorkspace::new(&working);
 
     for &v in values {
         set_vsource_dc(&mut working, source, v);

@@ -11,8 +11,9 @@
 //! * [`mosfet`] — the Sakurai–Newton alpha-power-law compact model
 //!   (saturation exponent `alpha`, channel-length modulation, smooth
 //!   subthreshold turn-on for Newton robustness);
-//! * [`sparse`] — a sparse row-map matrix with partial-pivoting LU-style
-//!   elimination, plus a dense reference solver for cross-checks;
+//! * [`sparse`] — the compiled sparse LU kernel (frozen CSR pattern, one
+//!   symbolic analysis, numeric-only refactors), plus a dense reference
+//!   solver for cross-checks;
 //! * [`mna`] — modified nodal analysis assembly and the Newton–Raphson
 //!   DC operating-point solver;
 //! * [`transient`] — backward-Euler / trapezoidal transient analysis with
@@ -75,7 +76,7 @@ pub use measure::{
 pub use mna::OperatingPoint;
 pub use mosfet::{MosfetModel, SmallSignal};
 pub use netlist::{Element, Netlist, NodeId};
-pub use sparse::{CsrMatrix, DenseMatrix, LuWorkspace, SparseMatrix, SymbolicLu};
+pub use sparse::{CsrMatrix, DenseMatrix, LuWorkspace, SymbolicLu};
 pub use transient::{Method, SolverKernel, Transient, TransientResult};
 pub use waveform::Waveform;
 

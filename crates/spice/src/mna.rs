@@ -10,8 +10,7 @@ use std::collections::HashMap;
 
 use crate::error::SpiceError;
 use crate::netlist::{Element, Netlist, NodeId};
-use crate::sparse::{CsrMatrix, LuFactors, LuWorkspace, SparseMatrix, SymbolicLu};
-use crate::transient::SolverKernel;
+use crate::sparse::{CsrMatrix, LuWorkspace, SymbolicLu};
 
 /// Conductance added from every node to ground for numerical robustness
 /// (keeps gates and capacitor-only nodes from making the matrix singular).
@@ -52,7 +51,7 @@ pub(crate) struct NewtonStats {
 impl NewtonStats {
     /// Flushes the batch into the trace counters (no-op when tracing
     /// is disabled or nothing happened). Zero-valued counters are
-    /// skipped so e.g. a legacy-kernel run emits no symbolic metrics.
+    /// skipped, so a run that never factored emits no LU metrics.
     pub(crate) fn emit(&self) {
         if *self == Self::default() || !mpvar_trace::enabled() {
             return;
@@ -200,7 +199,7 @@ pub(crate) fn solve_nonlinear(
     x: Vec<f64>,
     stats: &mut NewtonStats,
 ) -> Result<Vec<f64>, SpiceError> {
-    let mut ws = MnaWorkspace::new(net, SolverKernel::Compiled);
+    let mut ws = MnaWorkspace::new(net);
     solve_nonlinear_ws(net, t, policy, x, stats, &mut ws)
 }
 
@@ -259,65 +258,33 @@ pub(crate) fn solve_nonlinear_ws(
     })
 }
 
-/// Per-analysis solver state for one netlist structure: the compiled
-/// stamp program, the frozen CSR matrix, the symbolic LU analysis, and
-/// the preallocated numeric buffers. Everything is plain owned data —
-/// one workspace per analysis (and hence per `mpvar-exec` worker
-/// closure), so parallel trials never alias buffers.
+/// Per-analysis solver state for one netlist structure: the right-hand
+/// side plus the [`CompiledLu`] holding the stamp program, the frozen CSR
+/// matrix, the symbolic LU analysis, and the preallocated numeric
+/// buffers. Everything is plain owned data — one workspace per analysis
+/// (and hence per `mpvar-exec` worker closure), so parallel trials never
+/// alias buffers.
 pub(crate) struct MnaWorkspace {
     size: usize,
     rhs: Vec<f64>,
-    kernel: KernelState,
-}
-
-/// Kernel-specific storage behind [`MnaWorkspace`].
-enum KernelState {
-    /// Reference path: per-factor map-based assembly + pivoted
-    /// elimination, exactly the pre-compiled-kernel behavior.
-    Legacy {
-        m: SparseMatrix,
-        factors: Option<LuFactors>,
-    },
-    /// Compiled path; `None` until the first assembly records the
-    /// stamp program. Boxed so the idle variant stays pointer-sized.
-    Compiled(Option<Box<CompiledMna>>),
-}
-
-/// The compiled assembly + factorization state (built on first use).
-struct CompiledMna {
-    csr: CsrMatrix,
-    /// Value-slot per recorded `add` call, in call order.
-    program: Vec<u32>,
-    /// Coordinate per recorded call, for debug-build desync checks.
-    #[cfg(debug_assertions)]
-    coords: Vec<(usize, usize)>,
-    /// `None` until the first [`MnaWorkspace::factor`] runs the
-    /// analysis (so a failed assembly never pays for it).
-    symbolic: Option<(SymbolicLu, LuWorkspace)>,
+    lu: CompiledLu,
 }
 
 impl MnaWorkspace {
     /// Creates an empty workspace for `net`'s system size.
-    pub(crate) fn new(net: &Netlist, kernel: SolverKernel) -> Self {
+    pub(crate) fn new(net: &Netlist) -> Self {
         let size = system_size(net);
         Self {
             size,
             rhs: vec![0.0; size],
-            kernel: match kernel {
-                SolverKernel::Legacy => KernelState::Legacy {
-                    m: SparseMatrix::new(size),
-                    factors: None,
-                },
-                SolverKernel::Compiled => KernelState::Compiled(None),
-            },
+            lu: CompiledLu::default(),
         }
     }
 
     /// Assembles the linearized system around `x` at time `t` into this
-    /// workspace's matrix storage and right-hand side. On the compiled
-    /// path the first call records the stamp program and runs the
-    /// symbolic analysis lazily in [`MnaWorkspace::factor`]; subsequent
-    /// calls replay slots into the frozen CSR values.
+    /// workspace's matrix storage and right-hand side: the first call
+    /// records the stamp program, later calls replay it into the frozen
+    /// CSR values.
     pub(crate) fn assemble(
         &mut self,
         net: &Netlist,
@@ -326,92 +293,19 @@ impl MnaWorkspace {
         x: &[f64],
     ) {
         self.rhs.fill(0.0);
-        match &mut self.kernel {
-            KernelState::Legacy { m, factors: _ } => {
-                // Existing factors are kept: the linear fast path
-                // re-assembles an identical matrix per step and decides
-                // itself when a refactor is due.
-                m.clear();
-                assemble_into(net, t, policy, x, m, &mut self.rhs);
-            }
-            KernelState::Compiled(state @ None) => {
-                let mut rec = StampRecorder {
-                    coords: Vec::new(),
-                    vals: Vec::new(),
-                };
-                assemble_into(net, t, policy, x, &mut rec, &mut self.rhs);
-                let (mut csr, program) = CsrMatrix::from_coords(self.size, &rec.coords);
-                {
-                    let vals = csr.values_mut();
-                    for (&slot, &v) in program.iter().zip(&rec.vals) {
-                        vals[slot as usize] += v;
-                    }
-                }
-                *state = Some(Box::new(CompiledMna {
-                    csr,
-                    program,
-                    #[cfg(debug_assertions)]
-                    coords: rec.coords,
-                    symbolic: None,
-                }));
-            }
-            KernelState::Compiled(Some(c)) => {
-                c.csr.zero_values();
-                let mut rep = StampReplayer {
-                    slots: &c.program,
-                    #[cfg(debug_assertions)]
-                    coords: &c.coords,
-                    vals: c.csr.values_mut(),
-                    cursor: 0,
-                };
-                assemble_into(net, t, policy, x, &mut rep, &mut self.rhs);
-                assert_eq!(
-                    rep.cursor,
-                    c.program.len(),
-                    "stamp program desync: assembly is not structural"
-                );
-            }
+        if let Some(mut rep) = self.lu.replayer() {
+            assemble_into(net, t, policy, x, &mut rep, &mut self.rhs);
+            rep.finish();
+        } else {
+            let mut rec = StampRecorder::default();
+            assemble_into(net, t, policy, x, &mut rec, &mut self.rhs);
+            self.lu.compile(self.size, rec);
         }
     }
 
-    /// Factors the assembled matrix. Compiled path: numeric-only
-    /// refactor under the frozen symbolic analysis; when a pivot has
-    /// drifted below tolerance the analysis is rebuilt once with the
-    /// current values (counted as a symbolic build) before giving up.
+    /// Factors the assembled matrix (see [`CompiledLu::factor`]).
     pub(crate) fn factor(&mut self, stats: &mut NewtonStats) -> Result<(), SpiceError> {
-        match &mut self.kernel {
-            KernelState::Legacy { m, factors } => {
-                *factors = Some(m.factor()?);
-                Ok(())
-            }
-            KernelState::Compiled(None) => unreachable!("assemble() before factor()"),
-            KernelState::Compiled(Some(c)) => {
-                if c.symbolic.is_none() {
-                    let sym = SymbolicLu::analyze(&c.csr)?;
-                    let ws = sym.workspace();
-                    c.symbolic = Some((sym, ws));
-                    stats.lu_symbolic_builds += 1;
-                } else {
-                    stats.lu_symbolic_reuses += 1;
-                }
-                stats.lu_refactors += 1;
-                {
-                    let (sym, lu) = c.symbolic.as_mut().expect("just ensured");
-                    if sym.refactor(&c.csr, lu).is_ok() {
-                        return Ok(());
-                    }
-                }
-                // Pivot drift under the frozen order: one re-analysis
-                // with the current values, then hard failure.
-                let sym = SymbolicLu::analyze(&c.csr)?;
-                let mut lu = sym.workspace();
-                stats.lu_symbolic_builds += 1;
-                stats.lu_refactors += 1;
-                let result = sym.refactor(&c.csr, &mut lu);
-                c.symbolic = Some((sym, lu));
-                result
-            }
-        }
+        self.lu.factor(stats)
     }
 
     /// Back-substitutes the workspace right-hand side through the last
@@ -421,19 +315,116 @@ impl MnaWorkspace {
     ///
     /// Panics if called before a successful [`MnaWorkspace::factor`].
     pub(crate) fn solve_into(&self, out: &mut Vec<f64>) {
-        match &self.kernel {
-            KernelState::Legacy { factors, .. } => {
-                *out = factors
-                    .as_ref()
-                    .expect("factor() before solve")
-                    .solve(&self.rhs);
-            }
-            KernelState::Compiled(Some(c)) => {
-                let (sym, lu) = c.symbolic.as_ref().expect("factor() before solve");
-                sym.solve_into(lu, &self.rhs, out);
-            }
-            KernelState::Compiled(None) => unreachable!("assemble() before solve"),
+        self.lu.solve_into(&self.rhs, out);
+    }
+}
+
+/// The compile step of every scalar analysis (MNA Newton solves and AC
+/// sweeps): the first assembly's stamp stream is recorded and frozen
+/// into a [`CsrMatrix`] plus a replayable slot program, later
+/// assemblies replay the program into the frozen values, the symbolic
+/// LU analysis runs on the first factor and is reused by numeric-only
+/// refactors, and a pivot that drifts below tolerance under the frozen
+/// order triggers exactly one re-analysis.
+#[derive(Default)]
+pub(crate) struct CompiledLu {
+    /// `None` until the first assembly is compiled. Boxed so the idle
+    /// state stays pointer-sized.
+    state: Option<Box<CompiledState>>,
+}
+
+/// The compiled assembly + factorization state (built on first use).
+struct CompiledState {
+    csr: CsrMatrix,
+    /// Value-slot per recorded `add` call, in call order.
+    program: Vec<u32>,
+    /// Coordinate per recorded call, for debug-build desync checks.
+    #[cfg(debug_assertions)]
+    coords: Vec<(usize, usize)>,
+    /// `None` until the first [`CompiledLu::factor`] runs the analysis
+    /// (so a failed assembly never pays for it).
+    symbolic: Option<(SymbolicLu, LuWorkspace)>,
+}
+
+impl CompiledLu {
+    /// The sink for the next assembly, with the frozen values zeroed, or
+    /// `None` while nothing is compiled yet — the caller then assembles
+    /// into a [`StampRecorder`] and hands it to [`CompiledLu::compile`].
+    pub(crate) fn replayer(&mut self) -> Option<StampReplayer<'_>> {
+        let c = self.state.as_mut()?;
+        c.csr.zero_values();
+        Some(StampReplayer {
+            slots: &c.program,
+            #[cfg(debug_assertions)]
+            coords: &c.coords,
+            vals: c.csr.values_mut(),
+            cursor: 0,
+        })
+    }
+
+    /// Freezes the first assembly of an `n x n` system — its pattern,
+    /// slot program, and values.
+    pub(crate) fn compile(&mut self, n: usize, rec: StampRecorder) {
+        let (mut csr, program) = CsrMatrix::from_coords(n, &rec.coords);
+        let vals = csr.values_mut();
+        for (&slot, &v) in program.iter().zip(&rec.vals) {
+            vals[slot as usize] += v;
         }
+        self.state = Some(Box::new(CompiledState {
+            csr,
+            program,
+            #[cfg(debug_assertions)]
+            coords: rec.coords,
+            symbolic: None,
+        }));
+    }
+
+    /// Factors the assembled matrix: a numeric-only refactor under the
+    /// frozen symbolic analysis; when a pivot has drifted below
+    /// tolerance the analysis is rebuilt once with the current values
+    /// (counted as a symbolic build) before giving up.
+    ///
+    /// # Panics
+    ///
+    /// Panics if nothing has been assembled yet.
+    pub(crate) fn factor(&mut self, stats: &mut NewtonStats) -> Result<(), SpiceError> {
+        let c = self.state.as_mut().expect("assemble before factor");
+        if c.symbolic.is_none() {
+            let sym = SymbolicLu::analyze(&c.csr)?;
+            let ws = sym.workspace();
+            c.symbolic = Some((sym, ws));
+            stats.lu_symbolic_builds += 1;
+        } else {
+            stats.lu_symbolic_reuses += 1;
+        }
+        stats.lu_refactors += 1;
+        {
+            let (sym, lu) = c.symbolic.as_mut().expect("just ensured");
+            if sym.refactor(&c.csr, lu).is_ok() {
+                return Ok(());
+            }
+        }
+        // Pivot drift under the frozen order: one re-analysis with the
+        // current values, then hard failure.
+        let sym = SymbolicLu::analyze(&c.csr)?;
+        let mut lu = sym.workspace();
+        stats.lu_symbolic_builds += 1;
+        stats.lu_refactors += 1;
+        let result = sym.refactor(&c.csr, &mut lu);
+        c.symbolic = Some((sym, lu));
+        result
+    }
+
+    /// Back-substitutes `rhs` through the last computed factors into
+    /// `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before a successful [`CompiledLu::factor`].
+    pub(crate) fn solve_into(&self, rhs: &[f64], out: &mut Vec<f64>) {
+        let c = self.state.as_ref().expect("assemble before solve");
+        let (sym, lu) = c.symbolic.as_ref().expect("factor before solve");
+        sym.solve_into(lu, rhs, out);
     }
 }
 
@@ -445,8 +436,8 @@ pub(crate) fn is_linear(net: &Netlist) -> bool {
 }
 
 /// Where assembled matrix entries go: the discovery pass targets a
-/// [`SparseMatrix`] (or a pattern recorder), the hot path replays into
-/// frozen CSR slots. The *sequence* of `add` calls for a given netlist
+/// pattern recorder, the hot path replays into frozen CSR slots, and
+/// tests feed the [`DenseMatrix`](crate::sparse::DenseMatrix) oracle. The *sequence* of `add` calls for a given netlist
 /// is structural — every branch in [`assemble_into`] depends only on
 /// topology (ground-ness of nodes, element order), never on values or
 /// time — which is what makes the recorded stamp program replayable.
@@ -455,9 +446,10 @@ pub(crate) trait MatrixSink {
     fn add(&mut self, r: usize, c: usize, v: f64);
 }
 
-impl MatrixSink for SparseMatrix {
+#[cfg(test)]
+impl MatrixSink for crate::sparse::DenseMatrix {
     fn add(&mut self, r: usize, c: usize, v: f64) {
-        SparseMatrix::add(self, r, c, v);
+        crate::sparse::DenseMatrix::add(self, r, c, v);
     }
 }
 
@@ -481,7 +473,7 @@ impl MatrixSink for StampRecorder {
 
 /// Hot-path sink: replays a recorded stamp program into the frozen CSR
 /// value array by cursor — no maps, no search, no allocation.
-struct StampReplayer<'a> {
+pub(crate) struct StampReplayer<'a> {
     slots: &'a [u32],
     #[cfg(debug_assertions)]
     coords: &'a [(usize, usize)],
@@ -502,6 +494,22 @@ impl MatrixSink for StampReplayer<'_> {
         let _ = (r, c);
         self.vals[self.slots[self.cursor] as usize] += v;
         self.cursor += 1;
+    }
+}
+
+impl StampReplayer<'_> {
+    /// Ends one replayed assembly.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the assembly made fewer `add` calls than the
+    /// recorded program: its stamp sequence was not structural.
+    pub(crate) fn finish(self) {
+        assert_eq!(
+            self.cursor,
+            self.slots.len(),
+            "stamp program desync: assembly is not structural"
+        );
     }
 }
 
@@ -795,6 +803,102 @@ mod tests {
             OperatingPoint::solve(&net),
             Err(SpiceError::SingularMatrix { .. })
         ));
+    }
+
+    /// Newton-solves one system exactly like [`solve_nonlinear`], but
+    /// assembles the identical stamp stream into the [`DenseMatrix`]
+    /// oracle and solves it densely.
+    fn dense_newton(net: &Netlist, policy: ReactivePolicy<'_>, mut x: Vec<f64>) -> Vec<f64> {
+        use crate::sparse::DenseMatrix;
+        let n = system_size(net);
+        for _ in 0..MAX_ITERS {
+            let mut m = DenseMatrix::new(n);
+            let mut rhs = vec![0.0; n];
+            assemble_into(net, 0.0, policy, &x, &mut m, &mut rhs);
+            let x_new = m.solve(&rhs).unwrap();
+            let max_delta = x
+                .iter()
+                .zip(&x_new)
+                .map(|(a, b)| (a - b).abs())
+                .fold(0.0, f64::max);
+            if max_delta <= VTOL {
+                return x_new;
+            }
+            let scale = if max_delta > VSTEP_MAX {
+                VSTEP_MAX / max_delta
+            } else {
+                1.0
+            };
+            for (xi, xn) in x.iter_mut().zip(&x_new) {
+                *xi += scale * (xn - *xi);
+            }
+        }
+        panic!("dense Newton did not converge");
+    }
+
+    #[test]
+    fn compiled_newton_matches_dense_oracle_on_mosfet_netlist() {
+        // A resistively precharged two-segment bit line discharging
+        // through a pass gate and pull-down, with the storage node
+        // driving a resistor-loaded inverter.
+        let tech = n10();
+        let nmos = || MosfetModel::new(*tech.nmos());
+        let mut net = Netlist::new();
+        let vdd = net.node("vdd");
+        let wl = net.node("wl");
+        let bl0 = net.node("bl0");
+        let bl1 = net.node("bl1");
+        let q = net.node("q");
+        let out = net.node("out");
+        net.add_vsource("VDD", vdd, Netlist::GROUND, Waveform::dc(0.7))
+            .unwrap();
+        net.add_vsource("VWL", wl, Netlist::GROUND, Waveform::dc(0.7))
+            .unwrap();
+        net.add_resistor("RPRE", vdd, bl0, 20e3).unwrap();
+        net.add_resistor("RBL", bl0, bl1, 500.0).unwrap();
+        net.add_capacitor("C0", bl0, Netlist::GROUND, 5e-15)
+            .unwrap();
+        net.add_capacitor("C1", bl1, Netlist::GROUND, 5e-15)
+            .unwrap();
+        net.add_mosfet("MPG", bl1, wl, q, nmos()).unwrap();
+        net.add_mosfet("MPD", q, vdd, Netlist::GROUND, nmos())
+            .unwrap();
+        net.add_resistor("RL", vdd, out, 100e3).unwrap();
+        net.add_mosfet("MINV", out, q, Netlist::GROUND, nmos())
+            .unwrap();
+        let n = system_size(&net);
+        let assert_close = |compiled: &[f64], dense: &[f64], what: &str| {
+            for (i, (a, b)) in compiled.iter().zip(dense).enumerate() {
+                assert!((a - b).abs() < 1e-9, "{what}: unknown {i}: {a} vs {b}");
+            }
+        };
+
+        // DC operating point.
+        let mut stats = NewtonStats::default();
+        let dc = solve_nonlinear(&net, 0.0, ReactivePolicy::Dc, vec![0.0; n], &mut stats).unwrap();
+        assert!(stats.iterations > 1, "the netlist must exercise Newton");
+        assert_close(
+            &dc,
+            &dense_newton(&net, ReactivePolicy::Dc, vec![0.0; n]),
+            "dc",
+        );
+
+        // One backward-Euler step from a fully precharged bit line.
+        let mut prev_v = vec![0.0; net.num_nodes()];
+        prev_v[1..].copy_from_slice(&dc[..net.num_nodes() - 1]);
+        prev_v[bl0.index()] = 0.7;
+        prev_v[bl1.index()] = 0.7;
+        let policy = ReactivePolicy::BackwardEuler {
+            dt: 1e-12,
+            prev_v: &prev_v,
+        };
+        let x0: Vec<f64> = dc.clone();
+        let step = solve_nonlinear(&net, 0.0, policy, x0.clone(), &mut stats).unwrap();
+        assert_close(
+            &step,
+            &dense_newton(&net, policy, x0),
+            "backward-Euler step",
+        );
     }
 
     #[test]

@@ -1,25 +1,21 @@
-//! Sparse and dense linear solvers for MNA systems.
+//! The sparse LU kernel behind every MNA solve, and a dense reference.
 //!
 //! The MNA matrices of SRAM-column netlists are large (thousands of
 //! unknowns for a 1024-cell bit line) but extremely sparse and nearly
-//! banded when nodes are numbered along the wire. [`SparseMatrix`] stores
-//! rows as ordered maps and factors with partial-pivoted Gaussian
-//! elimination, tracking column occupancy so pivot search and elimination
-//! touch only structural nonzeros. The resulting [`LuFactors`] can be
-//! reused across right-hand sides — transient analysis of a linear
-//! circuit factors once and back-substitutes per step.
-//!
-//! For the hot paths — Newton iterations, transient timesteps, Monte-
-//! Carlo trials — the *compiled* kernel avoids rebuilding that map
-//! structure per solve: [`CsrMatrix`] freezes the assembly pattern into
-//! compressed-sparse-row arrays, [`SymbolicLu`] runs the pivot search
-//! and fill-in analysis **once** per netlist structure, and numeric-only
+//! banded when nodes are numbered along the wire. Newton iterations,
+//! transient timesteps and Monte-Carlo trials re-solve the *same*
+//! structure with fresh values, so the kernel is *compiled*:
+//! [`CsrMatrix`] freezes the assembly pattern into compressed-sparse-row
+//! arrays, [`SymbolicLu`] runs the pivot search and fill-in analysis
+//! **once** per netlist structure, and numeric-only
 //! [`SymbolicLu::refactor`] calls reuse the static pattern with fresh
 //! values in a preallocated [`LuWorkspace`]. MC trials perturb values,
-//! never structure, so the symbolic phase amortizes across every trial.
+//! never structure, so the symbolic phase amortizes across every trial;
+//! one factorization serves any number of right-hand sides, so a linear
+//! circuit at a fixed step factors once and back-substitutes per step.
 //!
-//! [`DenseMatrix`] is the O(n³) reference implementation used in tests
-//! and for tiny systems.
+//! [`DenseMatrix`] is the O(n³) reference solver: tests feed it the same
+//! stamp stream as the compiled kernel and compare solutions.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -29,267 +25,6 @@ use crate::error::SpiceError;
 /// assembled entry is treated as structural singularity.
 const PIVOT_RTOL: f64 = 1e-13;
 
-/// A square sparse matrix assembled by accumulation.
-///
-/// # Example
-///
-/// ```
-/// use mpvar_spice::SparseMatrix;
-///
-/// // [2 1][x]   [3]      x = 1, y = 1
-/// // [1 3][y] = [4]
-/// let mut m = SparseMatrix::new(2);
-/// m.add(0, 0, 2.0);
-/// m.add(0, 1, 1.0);
-/// m.add(1, 0, 1.0);
-/// m.add(1, 1, 3.0);
-/// let x = m.factor()?.solve(&[3.0, 4.0]);
-/// assert!((x[0] - 1.0).abs() < 1e-12);
-/// assert!((x[1] - 1.0).abs() < 1e-12);
-/// # Ok::<(), mpvar_spice::SpiceError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct SparseMatrix {
-    n: usize,
-    rows: Vec<BTreeMap<usize, f64>>,
-    max_abs: f64,
-}
-
-impl SparseMatrix {
-    /// Creates an `n x n` zero matrix.
-    pub fn new(n: usize) -> Self {
-        Self {
-            n,
-            rows: vec![BTreeMap::new(); n],
-            max_abs: 0.0,
-        }
-    }
-
-    /// Matrix dimension.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
-    /// Accumulates `v` into entry `(r, c)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` or `c` is out of range.
-    pub fn add(&mut self, r: usize, c: usize, v: f64) {
-        assert!(r < self.n && c < self.n, "index out of range");
-        if v == 0.0 {
-            return;
-        }
-        let entry = self.rows[r].entry(c).or_insert(0.0);
-        *entry += v;
-        let a = entry.abs();
-        if a > self.max_abs {
-            self.max_abs = a;
-        }
-    }
-
-    /// Reads entry `(r, c)` (zero when structurally absent).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` or `c` is out of range.
-    pub fn get(&self, r: usize, c: usize) -> f64 {
-        assert!(r < self.n && c < self.n, "index out of range");
-        self.rows[r].get(&c).copied().unwrap_or(0.0)
-    }
-
-    /// Resets all entries to zero, keeping the dimension.
-    pub fn clear(&mut self) {
-        for row in &mut self.rows {
-            row.clear();
-        }
-        self.max_abs = 0.0;
-    }
-
-    /// Number of structural nonzeros.
-    pub fn nnz(&self) -> usize {
-        self.rows.iter().map(BTreeMap::len).sum()
-    }
-
-    /// Computes `y = A x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != dim()`.
-    pub fn multiply(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.n, "dimension mismatch");
-        self.rows
-            .iter()
-            .map(|row| row.iter().map(|(&c, &v)| v * x[c]).sum())
-            .collect()
-    }
-
-    /// Factors the matrix with partial-pivoted elimination.
-    ///
-    /// # Errors
-    ///
-    /// [`SpiceError::SingularMatrix`] when no acceptable pivot exists in
-    /// some column (floating node, ideal-source loop, or an exactly
-    /// singular system).
-    pub fn factor(&self) -> Result<LuFactors, SpiceError> {
-        let n = self.n;
-        let mut rows = self.rows.clone();
-        // Column occupancy: cols[c] = set of rows with a structural
-        // nonzero in column c.
-        let mut cols: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
-        for (r, row) in rows.iter().enumerate() {
-            for &c in row.keys() {
-                cols[c].insert(r);
-            }
-        }
-
-        let tol = (self.max_abs * PIVOT_RTOL).max(f64::MIN_POSITIVE);
-        // swap_at[k] = row swapped with k at elimination step k, if any.
-        // Swaps interleave with the multiplier updates, so solve() must
-        // replay them in step order, not up front.
-        let mut swap_at: Vec<Option<usize>> = vec![None; n];
-        let mut lower: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
-
-        for k in 0..n {
-            // Pivot search: the row >= k with the largest |a[r][k]|.
-            let mut pivot_row = usize::MAX;
-            let mut pivot_mag = tol;
-            for &r in cols[k].range(k..) {
-                let mag = rows[r].get(&k).map(|v| v.abs()).unwrap_or(0.0);
-                if mag > pivot_mag {
-                    pivot_mag = mag;
-                    pivot_row = r;
-                }
-            }
-            if pivot_row == usize::MAX {
-                return Err(SpiceError::SingularMatrix { row: k });
-            }
-            if pivot_row != k {
-                // Physical row swap; update occupancy for both rows.
-                for &c in rows[k].keys() {
-                    cols[c].remove(&k);
-                }
-                for &c in rows[pivot_row].keys() {
-                    cols[c].remove(&pivot_row);
-                }
-                rows.swap(k, pivot_row);
-                for &c in rows[k].keys() {
-                    cols[c].insert(k);
-                }
-                for &c in rows[pivot_row].keys() {
-                    cols[c].insert(pivot_row);
-                }
-                swap_at[k] = Some(pivot_row);
-            }
-
-            let piv = *rows[k].get(&k).expect("pivot present by construction");
-            // Snapshot pivot-row tail (columns > k) for the updates.
-            let tail: Vec<(usize, f64)> = rows[k].range(k + 1..).map(|(&c, &v)| (c, v)).collect();
-
-            // Eliminate every row below k that has column k occupied.
-            let below: Vec<usize> = cols[k].range(k + 1..).copied().collect();
-            for i in below {
-                let aik = match rows[i].remove(&k) {
-                    Some(v) => v,
-                    None => continue,
-                };
-                cols[k].remove(&i);
-                let m = aik / piv;
-                if m != 0.0 {
-                    lower[k].push((i, m));
-                    for &(c, v) in &tail {
-                        let entry = rows[i].entry(c).or_insert_with(|| {
-                            cols[c].insert(i);
-                            0.0
-                        });
-                        *entry -= m * v;
-                    }
-                }
-            }
-        }
-
-        // Extract U rows (cols >= diagonal).
-        let upper: Vec<Vec<(usize, f64)>> = rows
-            .into_iter()
-            .enumerate()
-            .map(|(k, row)| row.into_iter().filter(|&(c, _)| c >= k).collect())
-            .collect();
-
-        Ok(LuFactors {
-            n,
-            swap_at,
-            lower,
-            upper,
-        })
-    }
-
-    /// Convenience: factor and solve in one call.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SparseMatrix::factor`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != dim()`.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, SpiceError> {
-        Ok(self.factor()?.solve(b))
-    }
-}
-
-/// Reusable LU factors of a [`SparseMatrix`].
-#[derive(Debug, Clone)]
-pub struct LuFactors {
-    n: usize,
-    swap_at: Vec<Option<usize>>,
-    lower: Vec<Vec<(usize, f64)>>,
-    upper: Vec<Vec<(usize, f64)>>,
-}
-
-impl LuFactors {
-    /// System dimension.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
-    /// Solves `A x = b` using the stored factors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != dim()`.
-    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        assert_eq!(b.len(), self.n, "dimension mismatch");
-        let mut x = b.to_vec();
-        // Forward phase: replay the elimination sequence — swap for step
-        // k (if any) and then the step-k multiplier updates, in order.
-        for k in 0..self.n {
-            if let Some(p) = self.swap_at[k] {
-                x.swap(k, p);
-            }
-            let xk = x[k];
-            if xk != 0.0 {
-                for &(i, m) in &self.lower[k] {
-                    x[i] -= m * xk;
-                }
-            }
-        }
-        // Backward substitution with U.
-        for k in (0..self.n).rev() {
-            let mut acc = x[k];
-            let mut diag = 0.0;
-            for &(c, v) in &self.upper[k] {
-                if c == k {
-                    diag = v;
-                } else {
-                    acc -= v * x[c];
-                }
-            }
-            x[k] = acc / diag;
-        }
-        x
-    }
-}
-
 /// A square sparse matrix with a **frozen** nonzero pattern in
 /// compressed-sparse-row form.
 ///
@@ -297,9 +32,9 @@ impl LuFactors {
 /// only the value array changes afterwards. This is the assembly target
 /// for the compiled MNA path: the stamp sequence of a netlist is
 /// structural, so every re-assembly writes the same slots. Entries whose
-/// value happens to be `0.0` stay **structurally present** — unlike
-/// [`SparseMatrix::add`], nothing is dropped — which is what lets a
-/// [`SymbolicLu`] analysis remain valid when values change.
+/// value happens to be `0.0` stay **structurally present** — nothing is
+/// dropped — which is what lets a [`SymbolicLu`] analysis remain valid
+/// when values change.
 #[derive(Debug, Clone)]
 pub struct CsrMatrix {
     n: usize,
@@ -351,27 +86,6 @@ impl CsrMatrix {
         )
     }
 
-    /// Freezes the pattern **and** current values of a [`SparseMatrix`].
-    pub fn from_sparse(m: &SparseMatrix) -> Self {
-        let mut row_ptr = Vec::with_capacity(m.n + 1);
-        let mut cols = Vec::with_capacity(m.nnz());
-        let mut vals = Vec::with_capacity(m.nnz());
-        row_ptr.push(0);
-        for row in &m.rows {
-            for (&c, &v) in row {
-                cols.push(c);
-                vals.push(v);
-            }
-            row_ptr.push(cols.len());
-        }
-        Self {
-            n: m.n,
-            row_ptr,
-            cols,
-            vals,
-        }
-    }
-
     /// Matrix dimension.
     pub fn dim(&self) -> usize {
         self.n
@@ -391,36 +105,6 @@ impl CsrMatrix {
     /// from [`CsrMatrix::from_coords`].
     pub fn values_mut(&mut self) -> &mut [f64] {
         &mut self.vals
-    }
-
-    /// Refills the values from `m`, keeping this pattern. Returns
-    /// `false` (leaving the values unspecified) when `m` holds an entry
-    /// **outside** the frozen pattern — the caller must then rebuild the
-    /// pattern and its symbolic analysis. Entries of the pattern absent
-    /// from `m` become zero, which is the ω = 0 case of an AC sweep.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m.dim() != dim()`.
-    pub fn try_gather(&mut self, m: &SparseMatrix) -> bool {
-        assert_eq!(m.n, self.n, "dimension mismatch");
-        self.vals.fill(0.0);
-        for r in 0..self.n {
-            let lo = self.row_ptr[r];
-            let hi = self.row_ptr[r + 1];
-            let mut p = lo;
-            for (&c, &v) in &m.rows[r] {
-                while p < hi && self.cols[p] < c {
-                    p += 1;
-                }
-                if p == hi || self.cols[p] != c {
-                    return false;
-                }
-                self.vals[p] = v;
-                p += 1;
-            }
-        }
-        true
     }
 
     /// Computes `y = A x` (used by tests to check residuals).
@@ -456,14 +140,14 @@ impl CsrMatrix {
 /// # Example
 ///
 /// ```
-/// use mpvar_spice::{CsrMatrix, SparseMatrix, SymbolicLu};
+/// use mpvar_spice::{CsrMatrix, SymbolicLu};
 ///
-/// let mut m = SparseMatrix::new(2);
-/// m.add(0, 0, 2.0);
-/// m.add(0, 1, 1.0);
-/// m.add(1, 0, 1.0);
-/// m.add(1, 1, 3.0);
-/// let csr = CsrMatrix::from_sparse(&m);
+/// // [2 1][x]   [3]      x = 1, y = 1
+/// // [1 3][y] = [4]
+/// let (mut csr, slots) = CsrMatrix::from_coords(2, &[(0, 0), (0, 1), (1, 0), (1, 1)]);
+/// for (&slot, v) in slots.iter().zip([2.0, 1.0, 1.0, 3.0]) {
+///     csr.values_mut()[slot as usize] += v;
+/// }
 /// let sym = SymbolicLu::analyze(&csr)?;
 /// let mut ws = sym.workspace();
 /// sym.refactor(&csr, &mut ws)?;
@@ -970,8 +654,9 @@ impl LuBatchWorkspace {
 
 /// A dense reference matrix with naive partial-pivoted elimination.
 ///
-/// Exists so sparse results can be cross-checked in tests; use
-/// [`SparseMatrix`] for anything sized like a real netlist.
+/// The oracle the compiled kernel is cross-checked against in tests;
+/// anything sized like a real netlist goes through [`CsrMatrix`] and
+/// [`SymbolicLu`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct DenseMatrix {
     n: usize,
@@ -1070,7 +755,28 @@ impl DenseMatrix {
 mod tests {
     use super::*;
 
-    fn residual_norm(m: &SparseMatrix, x: &[f64], b: &[f64]) -> f64 {
+    /// Assembles `entries` (duplicates accumulate) into the compiled
+    /// kernel's [`CsrMatrix`] and the [`DenseMatrix`] oracle alike.
+    fn build(n: usize, entries: &[(usize, usize, f64)]) -> (CsrMatrix, DenseMatrix) {
+        let coords: Vec<(usize, usize)> = entries.iter().map(|&(r, c, _)| (r, c)).collect();
+        let (mut csr, slots) = CsrMatrix::from_coords(n, &coords);
+        let mut dense = DenseMatrix::new(n);
+        for (&slot, &(r, c, v)) in slots.iter().zip(entries) {
+            csr.values_mut()[slot as usize] += v;
+            dense.add(r, c, v);
+        }
+        (csr, dense)
+    }
+
+    /// Analyzes, refactors and solves `a x = b` on the compiled kernel.
+    fn compiled_solve(a: &CsrMatrix, b: &[f64]) -> Result<Vec<f64>, SpiceError> {
+        let sym = SymbolicLu::analyze(a)?;
+        let mut ws = sym.workspace();
+        sym.refactor(a, &mut ws)?;
+        Ok(sym.solve(&ws, b))
+    }
+
+    fn residual_norm(m: &CsrMatrix, x: &[f64], b: &[f64]) -> f64 {
         m.multiply(x)
             .iter()
             .zip(b)
@@ -1078,72 +784,116 @@ mod tests {
             .fold(0.0, f64::max)
     }
 
+    /// Solves on both kernels and checks they agree entry by entry.
+    fn assert_matches_dense(entries: &[(usize, usize, f64)], n: usize, b: &[f64], tol: f64) {
+        let (csr, dense) = build(n, entries);
+        let xs = compiled_solve(&csr, b).unwrap();
+        let xd = dense.solve(b).unwrap();
+        for (a, bb) in xs.iter().zip(&xd) {
+            assert!((a - bb).abs() < tol, "n={n}: {a} vs {bb}");
+        }
+        assert!(residual_norm(&csr, &xs, b) < tol);
+    }
+
+    /// Xorshift values in [-0.5, 0.5).
+    fn xorshift(mut seed: u64) -> impl FnMut() -> f64 {
+        move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        }
+    }
+
+    /// An `n`-node arrow matrix: a full first row and column over a
+    /// diagonal, which fills in completely when eliminated top-down.
+    fn arrow(n: usize, diag: impl Fn(usize) -> f64, edge: f64) -> Vec<(usize, usize, f64)> {
+        let mut e = Vec::new();
+        for i in 0..n {
+            e.push((i, i, diag(i)));
+            if i > 0 {
+                e.push((0, i, edge));
+                e.push((i, 0, edge));
+            }
+        }
+        e
+    }
+
+    /// An `n`-node `[-1, diag, -1]` tridiagonal (an RC ladder's shape).
+    fn tridiagonal(n: usize, diag: f64) -> Vec<(usize, usize, f64)> {
+        let mut e = Vec::new();
+        for i in 0..n {
+            e.push((i, i, diag));
+            if i > 0 {
+                e.push((i, i - 1, -1.0));
+                e.push((i - 1, i, -1.0));
+            }
+        }
+        e
+    }
+
     #[test]
     fn solves_2x2() {
-        let mut m = SparseMatrix::new(2);
-        m.add(0, 0, 2.0);
-        m.add(0, 1, 1.0);
-        m.add(1, 0, 1.0);
-        m.add(1, 1, 3.0);
-        let x = m.solve(&[3.0, 4.0]).unwrap();
+        let e = [(0, 0, 2.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 3.0)];
+        let (csr, _) = build(2, &e);
+        let x = compiled_solve(&csr, &[3.0, 4.0]).unwrap();
         assert!((x[0] - 1.0).abs() < 1e-12);
         assert!((x[1] - 1.0).abs() < 1e-12);
+        assert_matches_dense(&e, 2, &[3.0, 4.0], 1e-12);
     }
 
     #[test]
     fn pivoting_handles_zero_diagonal() {
         // [0 1][x] = [2] -> x = 3, y = 2
         // [1 0][y]   [3]
-        let mut m = SparseMatrix::new(2);
-        m.add(0, 1, 1.0);
-        m.add(1, 0, 1.0);
-        let x = m.solve(&[2.0, 3.0]).unwrap();
+        let e = [(0, 1, 1.0), (1, 0, 1.0)];
+        let (csr, _) = build(2, &e);
+        let x = compiled_solve(&csr, &[2.0, 3.0]).unwrap();
         assert!((x[0] - 3.0).abs() < 1e-12);
         assert!((x[1] - 2.0).abs() < 1e-12);
+        assert_matches_dense(&e, 2, &[2.0, 3.0], 1e-12);
     }
 
     #[test]
-    fn detects_singular() {
-        let mut m = SparseMatrix::new(2);
-        m.add(0, 0, 1.0);
-        m.add(0, 1, 2.0);
-        m.add(1, 0, 2.0);
-        m.add(1, 1, 4.0);
+    fn detects_singular_and_empty_columns() {
+        let (csr, dense) = build(2, &[(0, 0, 1.0), (0, 1, 2.0), (1, 0, 2.0), (1, 1, 4.0)]);
         assert!(matches!(
-            m.solve(&[1.0, 2.0]),
+            SymbolicLu::analyze(&csr),
             Err(SpiceError::SingularMatrix { .. })
         ));
+        assert!(dense.solve(&[1.0, 2.0]).is_err());
         // Empty column.
-        let mut m2 = SparseMatrix::new(2);
-        m2.add(0, 0, 1.0);
-        assert!(m2.solve(&[1.0, 0.0]).is_err());
+        let (csr, dense) = build(2, &[(0, 0, 1.0)]);
+        assert!(matches!(
+            SymbolicLu::analyze(&csr),
+            Err(SpiceError::SingularMatrix { row: 1 })
+        ));
+        assert!(dense.solve(&[1.0, 0.0]).is_err());
     }
 
     #[test]
-    fn accumulation_sums_entries() {
-        let mut m = SparseMatrix::new(1);
-        m.add(0, 0, 1.5);
-        m.add(0, 0, 2.5);
-        assert_eq!(m.get(0, 0), 4.0);
-        assert_eq!(m.nnz(), 1);
-        m.clear();
-        assert_eq!(m.nnz(), 0);
-        assert_eq!(m.get(0, 0), 0.0);
+    fn duplicate_coordinates_accumulate_into_one_slot() {
+        let (mut csr, slots) = CsrMatrix::from_coords(1, &[(0, 0), (0, 0)]);
+        assert_eq!(slots, vec![0, 0]);
+        assert_eq!(csr.nnz(), 1);
+        csr.values_mut()[0] += 1.5;
+        csr.values_mut()[0] += 2.5;
+        assert_eq!(csr.multiply(&[1.0]), vec![4.0]);
+        csr.zero_values();
+        assert_eq!(csr.multiply(&[1.0]), vec![0.0]);
     }
 
     #[test]
-    fn matches_dense_on_random_band_systems() {
-        // Pseudo-random banded diagonally-dominant systems.
-        let mut seed = 0x9E3779B97F4A7C15u64;
-        let mut next = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            (seed >> 11) as f64 / (1u64 << 53) as f64 - 0.5
-        };
+    fn multiply_works() {
+        let (csr, _) = build(2, &[(0, 0, 1.0), (0, 1, 2.0), (1, 1, 3.0)]);
+        assert_eq!(csr.multiply(&[1.0, 1.0]), vec![3.0, 3.0]);
+    }
+
+    #[test]
+    fn compiled_kernel_matches_dense_on_random_band_systems() {
+        let mut next = xorshift(0xA5A5_5A5A_1234_5678);
         for n in [1usize, 3, 10, 40] {
-            let mut s = SparseMatrix::new(n);
-            let mut d = DenseMatrix::new(n);
+            let mut e = Vec::new();
             for r in 0..n {
                 for off in -2i64..=2 {
                     let c = r as i64 + off;
@@ -1151,129 +901,58 @@ mod tests {
                         continue;
                     }
                     let v = if off == 0 { 8.0 + next() } else { next() };
-                    s.add(r, c as usize, v);
-                    d.add(r, c as usize, v);
+                    e.push((r, c as usize, v));
                 }
             }
             let b: Vec<f64> = (0..n).map(|_| next() * 10.0).collect();
-            let xs = s.solve(&b).unwrap();
-            let xd = d.solve(&b).unwrap();
-            for (a, bb) in xs.iter().zip(&xd) {
-                assert!((a - bb).abs() < 1e-9, "n={n}: {a} vs {bb}");
-            }
-            assert!(residual_norm(&s, &xs, &b) < 1e-9);
-        }
-    }
-
-    #[test]
-    fn factors_reusable_across_rhs() {
-        let mut m = SparseMatrix::new(3);
-        m.add(0, 0, 4.0);
-        m.add(0, 1, 1.0);
-        m.add(1, 0, 1.0);
-        m.add(1, 1, 3.0);
-        m.add(1, 2, 1.0);
-        m.add(2, 1, 1.0);
-        m.add(2, 2, 2.0);
-        let f = m.factor().unwrap();
-        for b in [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [3.0, -1.0, 2.0]] {
-            let x = f.solve(&b);
-            assert!(residual_norm(&m, &x, &b) < 1e-12);
+            assert_matches_dense(&e, n, &b, 1e-9);
         }
     }
 
     #[test]
     fn fill_in_is_handled() {
-        // An arrow matrix generates fill-in when eliminated top-down.
         let n = 20;
-        let mut m = SparseMatrix::new(n);
+        let e = arrow(n, |_| 4.0, 1.0);
+        assert_matches_dense(&e, n, &vec![1.0; n], 1e-10);
+    }
+
+    #[test]
+    fn compiled_matches_dense_on_fill_heavy_matrix() {
+        let n = 30;
+        let mut e = Vec::new();
         for i in 0..n {
-            m.add(i, i, 4.0);
+            e.push((i, i, 5.0 + (i % 3) as f64));
             if i > 0 {
-                m.add(0, i, 1.0);
-                m.add(i, 0, 1.0);
+                e.push((0, i, 1.0 + 0.01 * i as f64));
+                e.push((i, 0, 1.0 - 0.01 * i as f64));
+                e.push((i, i - 1, -1.0));
             }
         }
-        let b = vec![1.0; n];
-        let x = m.solve(&b).unwrap();
-        assert!(residual_norm(&m, &x, &b) < 1e-10);
+        let b: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
+        assert_matches_dense(&e, n, &b, 1e-9);
     }
 
     #[test]
-    fn multiply_works() {
-        let mut m = SparseMatrix::new(2);
-        m.add(0, 0, 1.0);
-        m.add(0, 1, 2.0);
-        m.add(1, 1, 3.0);
-        assert_eq!(m.multiply(&[1.0, 1.0]), vec![3.0, 3.0]);
-    }
-
-    #[test]
-    fn dense_singular_detection() {
-        let mut d = DenseMatrix::new(2);
-        d.add(0, 0, 1.0);
-        d.add(1, 0, 1.0);
-        assert!(d.solve(&[1.0, 1.0]).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "index out of range")]
-    fn out_of_range_panics() {
-        let mut m = SparseMatrix::new(2);
-        m.add(2, 0, 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "dimension mismatch")]
-    fn rhs_length_checked() {
-        let mut m = SparseMatrix::new(2);
-        m.add(0, 0, 1.0);
-        m.add(1, 1, 1.0);
-        let _ = m.solve(&[1.0]);
-    }
-
-    fn csr_residual_norm(m: &CsrMatrix, x: &[f64], b: &[f64]) -> f64 {
-        m.multiply(x)
-            .iter()
-            .zip(b)
-            .map(|(ax, bb)| (ax - bb).abs())
-            .fold(0.0, f64::max)
-    }
-
-    #[test]
-    fn compiled_kernel_matches_dense_on_random_band_systems() {
-        let mut seed = 0xA5A5_5A5A_1234_5678u64;
-        let mut next = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            (seed >> 11) as f64 / (1u64 << 53) as f64 - 0.5
-        };
-        for n in [1usize, 3, 10, 40] {
-            let mut s = SparseMatrix::new(n);
-            let mut d = DenseMatrix::new(n);
-            for r in 0..n {
-                for off in -2i64..=2 {
-                    let c = r as i64 + off;
-                    if c < 0 || c >= n as i64 {
-                        continue;
-                    }
-                    let v = if off == 0 { 8.0 + next() } else { next() };
-                    s.add(r, c as usize, v);
-                    d.add(r, c as usize, v);
-                }
+    fn factors_reusable_across_rhs() {
+        let e = [
+            (0, 0, 4.0),
+            (0, 1, 1.0),
+            (1, 0, 1.0),
+            (1, 1, 3.0),
+            (1, 2, 1.0),
+            (2, 1, 1.0),
+            (2, 2, 2.0),
+        ];
+        let (csr, dense) = build(3, &e);
+        let sym = SymbolicLu::analyze(&csr).unwrap();
+        let mut ws = sym.workspace();
+        sym.refactor(&csr, &mut ws).unwrap();
+        for b in [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [3.0, -1.0, 2.0]] {
+            let x = sym.solve(&ws, &b);
+            assert!(residual_norm(&csr, &x, &b) < 1e-12);
+            for (a, bb) in x.iter().zip(&dense.solve(&b).unwrap()) {
+                assert!((a - bb).abs() < 1e-12, "{a} vs {bb}");
             }
-            let csr = CsrMatrix::from_sparse(&s);
-            let sym = SymbolicLu::analyze(&csr).unwrap();
-            let mut ws = sym.workspace();
-            sym.refactor(&csr, &mut ws).unwrap();
-            let b: Vec<f64> = (0..n).map(|_| next() * 10.0).collect();
-            let xs = sym.solve(&ws, &b);
-            let xd = d.solve(&b).unwrap();
-            for (a, bb) in xs.iter().zip(&xd) {
-                assert!((a - bb).abs() < 1e-9, "n={n}: {a} vs {bb}");
-            }
-            assert!(csr_residual_norm(&csr, &xs, &b) < 1e-9);
         }
     }
 
@@ -1282,14 +961,10 @@ mod tests {
         // Same arrow structure, three different value sets — one
         // analysis, three numeric refactors, all checked by residual.
         let n = 20;
-        let mut coords = Vec::new();
-        for i in 0..n {
-            coords.push((i, i));
-            if i > 0 {
-                coords.push((0, i));
-                coords.push((i, 0));
-            }
-        }
+        let coords: Vec<(usize, usize)> = arrow(n, |_| 0.0, 0.0)
+            .iter()
+            .map(|&(r, c, _)| (r, c))
+            .collect();
         let (mut csr, slots) = CsrMatrix::from_coords(n, &coords);
         let mut sym = None;
         for trial in 0..3 {
@@ -1309,10 +984,7 @@ mod tests {
             sym.refactor(&csr, &mut ws).unwrap();
             let b = vec![1.0; n];
             let x = sym.solve(&ws, &b);
-            assert!(
-                csr_residual_norm(&csr, &x, &b) < 1e-9,
-                "trial {trial} residual"
-            );
+            assert!(residual_norm(&csr, &x, &b) < 1e-9, "trial {trial} residual");
         }
     }
 
@@ -1336,73 +1008,28 @@ mod tests {
         sym.refactor(&csr, &mut ws).unwrap();
         let b = [1.0, -2.0, 0.5];
         let x = sym.solve(&ws, &b);
-        assert!(csr_residual_norm(&csr, &x, &b) < 1e-12);
+        assert!(residual_norm(&csr, &x, &b) < 1e-12);
     }
 
     #[test]
     fn refactor_detects_pivot_drift() {
-        let mut m = SparseMatrix::new(2);
-        m.add(0, 0, 1.0);
-        m.add(0, 1, 2.0);
-        m.add(1, 0, 3.0);
-        m.add(1, 1, 4.0);
-        let mut csr = CsrMatrix::from_sparse(&m);
+        let (mut csr, slots) = CsrMatrix::from_coords(2, &[(0, 0), (0, 1), (1, 0), (1, 1)]);
+        let set = |csr: &mut CsrMatrix, vs: [f64; 4]| {
+            for (&slot, v) in slots.iter().zip(vs) {
+                csr.values_mut()[slot as usize] = v;
+            }
+        };
+        set(&mut csr, [1.0, 2.0, 3.0, 4.0]);
         let sym = SymbolicLu::analyze(&csr).unwrap();
         let mut ws = sym.workspace();
         sym.refactor(&csr, &mut ws).unwrap();
         // Make the matrix exactly singular; the frozen order must
         // report the drifted pivot instead of dividing by ~0.
-        let mut sing = SparseMatrix::new(2);
-        sing.add(0, 0, 1.0);
-        sing.add(0, 1, 2.0);
-        sing.add(1, 0, 2.0);
-        sing.add(1, 1, 4.0);
-        assert!(csr.try_gather(&sing));
+        set(&mut csr, [1.0, 2.0, 2.0, 4.0]);
         assert!(matches!(
             sym.refactor(&csr, &mut ws),
             Err(SpiceError::SingularMatrix { .. })
         ));
-    }
-
-    #[test]
-    fn gather_rejects_out_of_pattern_entries() {
-        let mut m = SparseMatrix::new(2);
-        m.add(0, 0, 1.0);
-        m.add(1, 1, 1.0);
-        let mut csr = CsrMatrix::from_sparse(&m);
-        let mut wider = SparseMatrix::new(2);
-        wider.add(0, 0, 1.0);
-        wider.add(0, 1, 5.0);
-        wider.add(1, 1, 1.0);
-        assert!(!csr.try_gather(&wider));
-        // A *subset* is fine: missing entries become zero.
-        let mut subset = SparseMatrix::new(2);
-        subset.add(1, 1, 3.0);
-        assert!(csr.try_gather(&subset));
-    }
-
-    #[test]
-    fn compiled_matches_legacy_factor_on_fill_heavy_matrix() {
-        let n = 30;
-        let mut m = SparseMatrix::new(n);
-        for i in 0..n {
-            m.add(i, i, 5.0 + (i % 3) as f64);
-            if i > 0 {
-                m.add(0, i, 1.0 + 0.01 * i as f64);
-                m.add(i, 0, 1.0 - 0.01 * i as f64);
-                m.add(i, i - 1, -1.0);
-            }
-        }
-        let b: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-        let legacy = m.factor().unwrap().solve(&b);
-        let csr = CsrMatrix::from_sparse(&m);
-        let sym = SymbolicLu::analyze(&csr).unwrap();
-        let mut ws = sym.workspace();
-        sym.refactor(&csr, &mut ws).unwrap();
-        let compiled = sym.solve(&ws, &b);
-        for (a, bb) in compiled.iter().zip(&legacy) {
-            assert!((a - bb).abs() < 1e-9, "{a} vs {bb}");
-        }
     }
 
     #[test]
@@ -1411,16 +1038,16 @@ mod tests {
         // differently, so lanes exercise genuinely distinct arithmetic.
         let n = 24;
         let lanes = 5;
-        let mut m = SparseMatrix::new(n);
+        let mut e = Vec::new();
         for i in 0..n {
-            m.add(i, i, 4.0 + (i % 5) as f64);
+            e.push((i, i, 4.0 + (i % 5) as f64));
             if i > 0 {
-                m.add(0, i, 0.5 + 0.02 * i as f64);
-                m.add(i, 0, 0.4 - 0.01 * i as f64);
-                m.add(i, i - 1, -1.25);
+                e.push((0, i, 0.5 + 0.02 * i as f64));
+                e.push((i, 0, 0.4 - 0.01 * i as f64));
+                e.push((i, i - 1, -1.25));
             }
         }
-        let csr = CsrMatrix::from_sparse(&m);
+        let (csr, _) = build(n, &e);
         let sym = SymbolicLu::analyze(&csr).unwrap();
         let nnz = csr.nnz();
 
@@ -1482,22 +1109,12 @@ mod tests {
     fn batched_refactor_flags_singular_lane_without_poisoning_others() {
         let n = 6;
         let lanes = 3;
-        let mut m = SparseMatrix::new(n);
-        for i in 0..n {
-            m.add(i, i, 2.0);
-            if i > 0 {
-                m.add(i, i - 1, -1.0);
-                m.add(i - 1, i, -1.0);
-            }
-        }
-        let csr = CsrMatrix::from_sparse(&m);
+        let (csr, _) = build(n, &tridiagonal(n, 2.0));
         let sym = SymbolicLu::analyze(&csr).unwrap();
         let nnz = csr.nnz();
 
-        // Lane 1 is exactly singular: a tridiagonal with every row
-        // summing to zero after elimination (all rows [-1, 2, -1] and a
-        // degenerate last pivot). Easiest reliable construction: scale
-        // lane 1's values to zero so every pivot sits below tolerance.
+        // Lane 1 is all zeros, so every one of its pivots sits below
+        // tolerance; lanes 0 and 2 are healthy scalings.
         let mut soa = vec![0.0f64; nnz * lanes];
         for (slot, v) in csr.vals.iter().enumerate() {
             soa[slot * lanes] = *v;
@@ -1539,17 +1156,32 @@ mod tests {
     fn large_tridiagonal_performance_smoke() {
         // 2000-node RC-ladder-like system must solve quickly and accurately.
         let n = 2000;
-        let mut m = SparseMatrix::new(n);
-        for i in 0..n {
-            m.add(i, i, 2.0);
-            if i > 0 {
-                m.add(i, i - 1, -1.0);
-                m.add(i - 1, i, -1.0);
-            }
-        }
-        m.add(n - 1, n - 1, 1.0); // make it nonsingular at the end
+        let mut e = tridiagonal(n, 2.0);
+        e.push((n - 1, n - 1, 1.0)); // make it nonsingular at the end
+        let (csr, _) = build(n, &e);
         let b = vec![1.0; n];
-        let x = m.solve(&b).unwrap();
-        assert!(residual_norm(&m, &x, &b) < 1e-8);
+        let x = compiled_solve(&csr, &b).unwrap();
+        assert!(residual_norm(&csr, &x, &b) < 1e-8);
+    }
+
+    #[test]
+    fn dense_singular_detection() {
+        let mut d = DenseMatrix::new(2);
+        d.add(0, 0, 1.0);
+        d.add(1, 0, 1.0);
+        assert!(d.solve(&[1.0, 1.0]).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of range")]
+    fn out_of_range_panics() {
+        let _ = CsrMatrix::from_coords(2, &[(2, 0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "dimension mismatch")]
+    fn rhs_length_checked() {
+        let (csr, _) = build(2, &[(0, 0, 1.0), (1, 1, 1.0)]);
+        let _ = compiled_solve(&csr, &[1.0]);
     }
 }

@@ -44,18 +44,16 @@ pub enum Method {
     Trapezoidal,
 }
 
-/// Which linear-algebra kernel backs the per-step solves.
+/// The linear-algebra kernel behind the per-step solves. The compiled
+/// CSR kernel is the only one: stamp-program assembly plus one symbolic
+/// LU analysis reused by numeric-only refactors across every Newton
+/// iteration and timestep. The enum remains because the
+/// `examples/benchmark` solver probe names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverKernel {
-    /// The compiled CSR kernel: stamp-program assembly plus one
-    /// symbolic LU analysis reused by numeric-only refactors across
-    /// every Newton iteration and timestep (the default).
+    /// The compiled CSR kernel.
     #[default]
     Compiled,
-    /// The map-based reference kernel (full pivoted factorization per
-    /// solve). Kept as the differential-testing baseline and for the
-    /// `solver` bench's before/after comparison.
-    Legacy,
 }
 
 /// A configured transient analysis over a netlist.
@@ -65,7 +63,6 @@ pub enum SolverKernel {
 pub struct Transient<'a> {
     net: &'a Netlist,
     method: Method,
-    kernel: SolverKernel,
     initial: HashMap<NodeId, f64>,
     uic: bool,
 }
@@ -85,7 +82,6 @@ impl<'a> Transient<'a> {
         Ok(Self {
             net,
             method: Method::default(),
-            kernel: SolverKernel::default(),
             initial: HashMap::new(),
             uic: false,
         })
@@ -94,14 +90,6 @@ impl<'a> Transient<'a> {
     /// Selects the integration method (default: trapezoidal).
     pub fn set_method(&mut self, method: Method) {
         self.method = method;
-    }
-
-    /// Selects the linear-algebra kernel (default: compiled). The
-    /// legacy kernel exists for differential testing and benchmarking;
-    /// results agree to solver tolerance, not bit-exactly, because the
-    /// two kernels order floating-point operations differently.
-    pub fn set_kernel(&mut self, kernel: SolverKernel) {
-        self.kernel = kernel;
     }
 
     /// Sets an initial node voltage and switches to UIC mode.
@@ -176,7 +164,7 @@ impl<'a> Transient<'a> {
         let nn = net.num_nodes();
         let size = system_size(net);
         let linear = is_linear(net);
-        let mut ws = MnaWorkspace::new(net, self.kernel);
+        let mut ws = MnaWorkspace::new(net);
 
         // --- Initial state -------------------------------------------------
         let mut node_v = vec![0.0; nn];
@@ -353,7 +341,7 @@ impl<'a> Transient<'a> {
 
         let caps = collect_caps(net);
         let mut state = self.initial_state(&caps)?;
-        let mut ws = MnaWorkspace::new(net, self.kernel);
+        let mut ws = MnaWorkspace::new(net);
 
         let mut result = TransientResult {
             times: Vec::new(),

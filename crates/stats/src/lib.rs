@@ -14,8 +14,7 @@
 //!   used to regenerate the paper's Fig. 5;
 //! * [`percentile`] — quantile estimation with linear interpolation;
 //! * [`correlation`] — covariance / Pearson correlation, used by the
-//!   SADP R_bl/R_VSS anti-correlation ablation;
-//! * [`montecarlo`] — a deterministic, optionally parallel trial runner.
+//!   SADP R_bl/R_VSS anti-correlation ablation.
 //!
 //! # Example
 //!
@@ -40,7 +39,6 @@ pub mod error;
 pub mod histogram;
 pub mod importance;
 pub mod kstest;
-pub mod montecarlo;
 pub mod percentile;
 pub mod rng;
 pub mod sampler;
@@ -53,7 +51,6 @@ pub use error::StatsError;
 pub use histogram::Histogram;
 pub use importance::{FailureEstimate, Proposal, RoundAccumulator, ZDomain};
 pub use kstest::{ks_test_fitted, ks_test_gaussian, KsTest};
-pub use montecarlo::{MonteCarlo, TrialOutcome};
 pub use percentile::{median, quantile};
 pub use rng::RngStream;
 pub use sampler::{
@@ -70,7 +67,6 @@ pub mod prelude {
     pub use crate::histogram::Histogram;
     pub use crate::importance::{FailureEstimate, Proposal, RoundAccumulator, ZDomain};
     pub use crate::kstest::{ks_test_fitted, ks_test_gaussian, KsTest};
-    pub use crate::montecarlo::{MonteCarlo, TrialOutcome};
     pub use crate::percentile::{median, quantile};
     pub use crate::rng::RngStream;
     pub use crate::sampler::{

@@ -13,13 +13,9 @@
 //! count, so a value computed at 1 thread is the value at 8 threads.
 //! (The cache-equivalence tests in this crate pin that assumption.)
 
-use std::sync::Arc;
-
 use mpvar_core::experiments::ExperimentContext;
 
 use crate::graph::ArtifactId;
-use crate::store::{ArtifactStore, MemoryStore, StoreStats};
-use crate::value::ArtifactValue;
 
 /// A stable 64-bit content key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -71,73 +67,6 @@ pub fn node_key(ctx_fingerprint: u64, id: ArtifactId, dep_keys: &[CacheKey]) -> 
         state = fnv1a_step(&dep.0.to_le_bytes(), state);
     }
     CacheKey(state)
-}
-
-/// The pre-redesign in-memory artifact cache, now a thin shim over
-/// [`MemoryStore`].
-///
-/// Existing callsites (`Study::with_cache(ctx, Arc<StudyCache>)`,
-/// `Arc::clone(study.cache())`) keep compiling: the shim implements
-/// [`ArtifactStore`], and `Arc<StudyCache>` unsize-coerces to
-/// `Arc<dyn ArtifactStore>` wherever the new API expects a store.
-#[deprecated(note = "use `MemoryStore` (or `DiskStore`) with `Study::with_store`; \
-            `StudyCache` is now a shim over `MemoryStore`")]
-#[derive(Debug, Default)]
-pub struct StudyCache {
-    inner: MemoryStore,
-}
-
-#[allow(deprecated)]
-impl StudyCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Looks up a value by key.
-    pub fn get(&self, key: CacheKey) -> Option<Arc<ArtifactValue>> {
-        self.inner.get(key)
-    }
-
-    /// Stores a value under `key`, returning the canonical entry (the
-    /// first value stored wins, so concurrent producers converge on one
-    /// allocation).
-    pub fn insert(&self, key: CacheKey, value: Arc<ArtifactValue>) -> Arc<ArtifactValue> {
-        self.inner.put(key, value)
-    }
-
-    /// Number of memoized artifacts.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// `true` when nothing has been memoized yet.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-}
-
-#[allow(deprecated)]
-impl ArtifactStore for StudyCache {
-    fn get(&self, key: CacheKey) -> Option<Arc<ArtifactValue>> {
-        self.inner.get(key)
-    }
-
-    fn put(&self, key: CacheKey, value: Arc<ArtifactValue>) -> Arc<ArtifactValue> {
-        self.inner.put(key, value)
-    }
-
-    fn contains(&self, key: CacheKey) -> bool {
-        self.inner.contains(key)
-    }
-
-    fn evict(&self, key: CacheKey) -> bool {
-        self.inner.evict(key)
-    }
-
-    fn stats(&self) -> StoreStats {
-        self.inner.stats()
-    }
 }
 
 #[cfg(test)]

@@ -24,8 +24,7 @@
 //!   cache hits), and the session bumps `study.cache_hits` /
 //!   `study.cache_misses` / `study.memo_bytes` metrics; per-node
 //!   wall-clock / cache-hit counters remain available via
-//!   [`Study::timings`]. (The legacy [`StudyObserver`] callback trait
-//!   is deprecated in favour of the trace bus.)
+//!   [`Study::timings`].
 //!
 //! Determinism is inherited, not re-proven: every producer is
 //! bit-identical for any thread count (the `mpvar-exec` contract), so a
@@ -50,20 +49,14 @@ pub mod codec;
 pub mod disk;
 mod error;
 pub mod graph;
-pub mod observer;
 pub mod session;
 pub mod store;
 pub mod value;
 
-#[allow(deprecated)]
-pub use cache::StudyCache;
 pub use cache::{context_fingerprint, node_key, CacheKey};
 pub use codec::{decode_value, encode_value, CodecError, CODEC_VERSION};
 pub use disk::{DiskStore, WriteFault};
 pub use graph::{plan, ArtifactId};
-#[allow(deprecated)]
-pub use observer::StudyObserver;
-pub use observer::{NodeOutcome, RecordingObserver};
 pub use session::{NodeStats, Study};
 pub use store::{ArtifactStore, MemoryStore, StoreStats};
 pub use value::{Artifact, ArtifactData, ArtifactValue, SensitivityMatrix, TypedArtifact};

@@ -5,17 +5,11 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use mpvar_core::experiments::ExperimentContext;
-use mpvar_core::report::TextTable;
 use mpvar_core::CoreError;
-use mpvar_trace::{names, SpanGuard};
-
-use mpvar_trace::FieldValue;
+use mpvar_trace::{names, FieldValue, SpanGuard, SpanRecord};
 
 use crate::cache::{context_fingerprint, node_key, CacheKey};
 use crate::graph::{plan, ArtifactId};
-#[allow(deprecated)]
-use crate::observer::StudyObserver;
-use crate::observer::{encode_event, NodeOutcome};
 use crate::store::{ArtifactStore, MemoryStore, StoreStats};
 use crate::value::{produce, Artifact, ArtifactData, ArtifactValue, TypedArtifact};
 
@@ -29,6 +23,30 @@ pub struct NodeStats {
     pub cache_hits: usize,
     /// Total producer wall-clock across runs.
     pub wall: Duration,
+}
+
+/// How a node's value was obtained.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum NodeOutcome {
+    /// The producer ran; the wall-clock time it took.
+    Computed(Duration),
+    /// The value came from the content-keyed cache.
+    CacheHit,
+}
+
+/// Encodes one evaluation event as a synthetic `study_node` span: an
+/// `artifact` field naming the node, an `outcome` field of `"computed"`
+/// or `"cache_hit"`, and the producer wall-clock as the duration.
+fn encode_event(id: ArtifactId, outcome: NodeOutcome) -> SpanRecord {
+    let (label, wall) = match outcome {
+        NodeOutcome::Computed(wall) => ("computed", wall),
+        NodeOutcome::CacheHit => ("cache_hit", Duration::ZERO),
+    };
+    SpanRecord::completed(
+        names::SPAN_STUDY_NODE,
+        vec![("artifact", id.name().into()), ("outcome", label.into())],
+        wall,
+    )
 }
 
 /// A memoized, instrumented evaluation session over the artifact graph.
@@ -64,8 +82,6 @@ pub struct Study {
     fingerprint: u64,
     store: Arc<dyn ArtifactStore>,
     span_label: Option<String>,
-    #[allow(deprecated)]
-    observers: Vec<Arc<dyn StudyObserver>>,
     stats: Mutex<BTreeMap<ArtifactId, NodeStats>>,
 }
 
@@ -74,7 +90,6 @@ impl std::fmt::Debug for Study {
         f.debug_struct("Study")
             .field("fingerprint", &self.fingerprint)
             .field("cached_artifacts", &self.store.len())
-            .field("observers", &self.observers.len())
             .finish_non_exhaustive()
     }
 }
@@ -100,15 +115,8 @@ impl Study {
             fingerprint,
             store,
             span_label: None,
-            observers: Vec::new(),
             stats: Mutex::new(BTreeMap::new()),
         }
-    }
-
-    /// A session over `ctx` sharing an existing cache.
-    #[deprecated(note = "use `Study::with_store` (any `Arc<impl ArtifactStore>` coerces)")]
-    pub fn with_cache(ctx: ExperimentContext, cache: Arc<dyn ArtifactStore>) -> Self {
-        Self::with_store(ctx, cache)
     }
 
     /// Tags every `study_materialize` / `study_node` span this session
@@ -125,20 +133,6 @@ impl Study {
         self
     }
 
-    /// Attaches an event observer (chainable).
-    #[allow(deprecated)]
-    #[must_use]
-    pub fn with_observer(mut self, observer: Arc<dyn StudyObserver>) -> Self {
-        self.observers.push(observer);
-        self
-    }
-
-    /// Attaches an event observer.
-    #[allow(deprecated)]
-    pub fn add_observer(&mut self, observer: Arc<dyn StudyObserver>) {
-        self.observers.push(observer);
-    }
-
     /// The session's experiment context.
     pub fn context(&self) -> &ExperimentContext {
         &self.ctx
@@ -152,12 +146,6 @@ impl Study {
     /// Population and traffic counters of the session's store.
     pub fn store_stats(&self) -> StoreStats {
         self.store.stats()
-    }
-
-    /// The session's content-keyed cache (shareable).
-    #[deprecated(note = "use `Study::store`")]
-    pub fn cache(&self) -> &Arc<dyn ArtifactStore> {
-        &self.store
     }
 
     /// The stable fingerprint of this session's context knobs.
@@ -202,15 +190,12 @@ impl Study {
             // Serve memoized nodes, keep the rest for the parallel pass.
             let missing: Vec<ArtifactId> = wave
                 .into_iter()
-                .filter(|&id| {
-                    self.notify_start(id);
-                    match self.store.get(self.key_of(id)) {
-                        Some(_) => {
-                            self.record(id, NodeOutcome::CacheHit);
-                            false
-                        }
-                        None => true,
+                .filter(|&id| match self.store.get(self.key_of(id)) {
+                    Some(_) => {
+                        self.record(id, NodeOutcome::CacheHit);
+                        false
                     }
+                    None => true,
                 })
                 .collect();
             if missing.is_empty() {
@@ -365,47 +350,6 @@ impl Study {
         total
     }
 
-    /// Renders the legacy `--timings` report: producer runs, cache
-    /// hits, and wall-clock per node, plus the cache population.
-    #[deprecated(
-        note = "superseded by mpvar-trace: install a `Collector` with a `RecordingSink` and \
-                render with `mpvar_trace::sink::render_tree` / `render_metrics`"
-    )]
-    pub fn timings_report(&self) -> String {
-        let stats = self.timings();
-        let mut t = TextTable::new(
-            "Study timings: producer runs, cache hits, wall-clock per artifact",
-            &["artifact", "computed", "cache hits", "wall [s]"],
-        );
-        let mut total_wall = Duration::ZERO;
-        let mut total_hits = 0usize;
-        for (id, s) in &stats {
-            total_wall += s.wall;
-            total_hits += s.cache_hits;
-            t.row(&[
-                id.name(),
-                &s.computed.to_string(),
-                &s.cache_hits.to_string(),
-                &format!("{:.3}", s.wall.as_secs_f64()),
-            ]);
-        }
-        format!(
-            "{}\ntotal: {} artifacts cached, {} cache hits, {:.3} s computing\n",
-            t.render(),
-            self.store.len(),
-            total_hits,
-            total_wall.as_secs_f64()
-        )
-    }
-
-    #[allow(deprecated)]
-    fn notify_start(&self, id: ArtifactId) {
-        for obs in &self.observers {
-            obs.on_node_start(id);
-        }
-    }
-
-    #[allow(deprecated)]
     fn record(&self, id: ArtifactId, outcome: NodeOutcome) {
         {
             let mut stats = self.stats.lock().expect("study stats lock poisoned");
@@ -433,9 +377,6 @@ impl Study {
                     record.emit();
                 }
             }
-        }
-        for obs in &self.observers {
-            obs.on_node_done(id, outcome);
         }
     }
 }

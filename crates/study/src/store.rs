@@ -5,8 +5,7 @@
 //! content keys ([`CacheKey`]) to artifact values. Two implementations
 //! ship with the workspace:
 //!
-//! * [`MemoryStore`] — the in-process map the old `StudyCache` was
-//!   (and which it now deprecates into); entries die with the process.
+//! * [`MemoryStore`] — an in-process map; entries die with the process.
 //! * [`DiskStore`](crate::DiskStore) — a content-addressed on-disk
 //!   store with a versioned binary envelope, integrity checksums,
 //!   corrupt-entry quarantine, and atomic write-then-rename, so a
@@ -97,8 +96,7 @@ pub trait ArtifactStore: Send + Sync + std::fmt::Debug {
 /// The in-memory [`ArtifactStore`]: a mutex-guarded map, entries die
 /// with the process.
 ///
-/// This is what the deprecated `StudyCache` always was; sessions built
-/// via [`crate::Study::new`] use one implicitly.
+/// Sessions built via [`crate::Study::new`] use one implicitly.
 #[derive(Debug, Default)]
 pub struct MemoryStore {
     entries: Mutex<HashMap<u64, Arc<ArtifactValue>>>,

@@ -13,10 +13,7 @@ use std::sync::Arc;
 
 use mpvar_core::experiments::{fig4, table1, table3, ExperimentContext};
 use mpvar_core::ExecConfig;
-use mpvar_study::{
-    context_fingerprint, ArtifactId, ArtifactStore, DiskStore, NodeOutcome, RecordingObserver,
-    Study,
-};
+use mpvar_study::{context_fingerprint, ArtifactId, ArtifactStore, DiskStore, Study};
 
 /// A deliberately tiny context so the full dependency chain (table1 →
 /// fig4 → table3) runs in well under a second.
@@ -62,23 +59,19 @@ fn warm_run_is_bit_identical_and_never_recomputes() {
         .run(&[ArtifactId::Table3])
         .expect("cold table3 evaluates");
 
-    let events = Arc::new(RecordingObserver::default());
-    let warm = Study::with_store(ctx, Arc::clone(cold.store()))
-        .with_observer(Arc::clone(&events) as Arc<_>);
+    let warm = Study::with_store(ctx, Arc::clone(cold.store()));
     let second = warm
         .run(&[ArtifactId::Table3])
         .expect("warm table3 evaluates");
 
     assert_eq!(first, second, "rendered artifacts must be bit-identical");
-    for (id, outcome) in events.events() {
-        assert!(
-            matches!(outcome, NodeOutcome::CacheHit),
-            "{id} recomputed on the warm run"
-        );
+    let timings = warm.timings();
+    for (id, s) in &timings {
+        assert_eq!(s.computed, 0, "{id} recomputed on the warm run");
     }
     assert!(
-        warm.timings().values().all(|s| s.computed == 0),
-        "warm session ran a producer"
+        timings[&ArtifactId::Table3].cache_hits >= 1,
+        "warm table3 served from the store"
     );
 }
 
@@ -98,16 +91,12 @@ fn perturbed_context_misses_the_cache() {
         "seed must be part of the fingerprint"
     );
 
-    let events = Arc::new(RecordingObserver::default());
-    let miss = Study::with_store(reseeded, Arc::clone(study.store()))
-        .with_observer(Arc::clone(&events) as Arc<_>);
+    let miss = Study::with_store(reseeded, Arc::clone(study.store()));
     miss.run(&[ArtifactId::Table1])
         .expect("perturbed run evaluates");
-    assert!(
-        events
-            .events()
-            .iter()
-            .any(|(id, o)| *id == ArtifactId::Table1 && !o.is_hit()),
+    assert_eq!(
+        miss.timings()[&ArtifactId::Table1].computed,
+        1,
         "perturbed context served a stale cache entry"
     );
 }
@@ -161,23 +150,19 @@ fn disk_warm_restart_is_hit_only_and_bit_identical() {
     // the memory layer starts empty, so every artifact must be decoded
     // from its envelope — no producer may run.
     let store = Arc::new(DiskStore::open(&root).expect("reopen"));
-    let events = Arc::new(RecordingObserver::default());
-    let warm = Study::with_store(tiny_ctx(2), Arc::clone(&store) as Arc<dyn ArtifactStore>)
-        .with_observer(Arc::clone(&events) as Arc<_>);
+    let warm = Study::with_store(tiny_ctx(2), Arc::clone(&store) as Arc<dyn ArtifactStore>);
     let second = warm
         .run(&[ArtifactId::Table3])
         .expect("warm table3 evaluates");
 
     assert_eq!(first, second, "disk-warm render must be bit-identical");
-    for (id, outcome) in events.events() {
-        assert!(
-            matches!(outcome, NodeOutcome::CacheHit),
-            "{id} recomputed on the disk-warm run"
-        );
+    let timings = warm.timings();
+    for (id, s) in &timings {
+        assert_eq!(s.computed, 0, "{id} recomputed on the disk-warm run");
     }
     assert!(
-        warm.timings().values().all(|s| s.computed == 0),
-        "disk-warm session ran a producer"
+        timings[&ArtifactId::Table3].cache_hits >= 1,
+        "disk-warm table3 served from the store"
     );
     let stats = warm.store_stats();
     assert!(
@@ -199,16 +184,12 @@ fn disk_store_rejects_perturbed_seed() {
 
     let mut reseeded = base;
     reseeded.mc.seed += 1;
-    let events = Arc::new(RecordingObserver::default());
-    let miss = Study::with_store(reseeded, Arc::clone(&store) as Arc<dyn ArtifactStore>)
-        .with_observer(Arc::clone(&events) as Arc<_>);
+    let miss = Study::with_store(reseeded, Arc::clone(&store) as Arc<dyn ArtifactStore>);
     miss.run(&[ArtifactId::Table1])
         .expect("perturbed run evaluates");
-    assert!(
-        events
-            .events()
-            .iter()
-            .any(|(id, o)| *id == ArtifactId::Table1 && !o.is_hit()),
+    assert_eq!(
+        miss.timings()[&ArtifactId::Table1].computed,
+        1,
         "perturbed context served a stale persisted entry"
     );
     assert_eq!(

@@ -6,7 +6,7 @@
 //! documented in [`crate::schema`]), and [`NullSink`] discards
 //! everything (overhead measurement). [`render_tree`] and
 //! [`render_metrics`] turn recorded data into the human-readable
-//! report that supersedes `Study::timings_report`.
+//! report behind `repro --timings`.
 
 use std::collections::BTreeMap;
 use std::io::Write as _;
@@ -254,7 +254,7 @@ fn write_json_f64(out: &mut String, v: f64) {
 }
 
 /// Renders recorded spans as an indented aggregate tree — the
-/// human-readable successor of `Study::timings_report`.
+/// human-readable `repro --timings` report.
 ///
 /// Sibling spans sharing a name and `label` field collapse into one
 /// line with a repeat count, total, and mean wall time. A per-thread

@@ -7,7 +7,8 @@
 //! See the individual crates for subsystem documentation:
 //!
 //! * [`exec`] — deterministic parallel execution (thread-count knob);
-//! * [`stats`] — RNG streams, samplers, Monte-Carlo engine;
+//! * [`stats`] — RNG streams, samplers, summary statistics, importance
+//!   sampling;
 //! * [`geometry`] — nm-unit layout database;
 //! * [`tech`] — technology description and the N10 preset;
 //! * [`spice`] — circuit simulator (MNA, transient, MOSFET model);
@@ -85,13 +86,9 @@ pub mod prelude {
     };
     pub use mpvar_litho::Draw;
     pub use mpvar_sram::{simulate_read, BitcellGeometry, FormulaParams, ReadConfig};
-    #[allow(deprecated)]
-    pub use mpvar_study::StudyCache;
-    #[allow(deprecated)]
-    pub use mpvar_study::StudyObserver;
     pub use mpvar_study::{
-        Artifact, ArtifactId, ArtifactStore, ArtifactValue, DiskStore, MemoryStore, NodeOutcome,
-        RecordingObserver, StoreStats, Study,
+        Artifact, ArtifactId, ArtifactStore, ArtifactValue, DiskStore, MemoryStore, StoreStats,
+        Study,
     };
     pub use mpvar_tech::preset::{n10, n7};
     pub use mpvar_tech::{PatterningOption, TechDb, VariationBudget};

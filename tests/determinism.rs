@@ -2,9 +2,7 @@
 //! results regardless of repetition or thread count.
 
 use mpvar::core::prelude::*;
-use mpvar::litho::sample_draw;
 use mpvar::sram::BitcellGeometry;
-use mpvar::stats::{MonteCarlo, RngStream};
 use mpvar::tech::{preset::n10, PatterningOption, VariationBudget};
 
 #[test]
@@ -49,29 +47,6 @@ fn different_seeds_give_different_samples_same_statistics() {
     // Statistics converge to the same distribution.
     let rel = (a.sigma_percent() - b.sigma_percent()).abs() / a.sigma_percent();
     assert!(rel < 0.10, "sigma mismatch {rel}");
-}
-
-#[test]
-fn stats_engine_thread_count_invariance_carries_to_draws() {
-    // The generic Monte-Carlo engine guarantees substream-per-trial;
-    // spot-check with a trial body that samples litho draws.
-    let budget = VariationBudget::paper_default(PatterningOption::Le3, 8.0).expect("budget");
-    let trial = |rng: &mut RngStream| match sample_draw(PatterningOption::Le3, &budget, rng)
-        .expect("samples")
-    {
-        mpvar::litho::Draw::Le3(d) => d.overlay_nm[1] + d.cd_nm[0],
-        _ => unreachable!(),
-    };
-    let serial = MonteCarlo::new(512)
-        .expect("trials > 0")
-        .with_seed(7)
-        .run(trial);
-    let parallel = MonteCarlo::new(512)
-        .expect("trials > 0")
-        .with_seed(7)
-        .with_threads(4)
-        .run(trial);
-    assert_eq!(serial.samples(), parallel.samples());
 }
 
 #[test]

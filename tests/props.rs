@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use mpvar::extract::{coupling_cap_f_per_m, extract_track, wire_resistance_ohm};
 use mpvar::geometry::{Nm, Track, TrackStack};
 use mpvar::litho::{apply_draw, Draw, EuvDraw, Le3Draw, SadpDraw};
-use mpvar::spice::{DenseMatrix, SparseMatrix};
+use mpvar::spice::{CsrMatrix, DenseMatrix, SymbolicLu};
 use mpvar::sram::{BitcellGeometry, FormulaParams};
 use mpvar::stats::{Histogram, Summary};
 use mpvar::tech::preset::n10;
@@ -124,8 +124,8 @@ proptest! {
         prop_assert!(s.resistance_ohm() < n.resistance_ohm());
     }
 
-    /// Sparse LU agrees with the dense reference on random diagonally-
-    /// dominant systems, including asymmetric patterns.
+    /// The compiled sparse LU agrees with the dense reference on random
+    /// diagonally-dominant systems, including asymmetric patterns.
     #[test]
     fn sparse_matches_dense(seed in 0u64..5000, n in 2usize..25) {
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
@@ -135,24 +135,28 @@ proptest! {
             state ^= state << 17;
             (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
         };
-        let mut s = SparseMatrix::new(n);
+        let mut entries = Vec::new();
         let mut d = DenseMatrix::new(n);
         for r in 0..n {
             for c in 0..n {
                 // ~40% fill, strong diagonal.
                 let v = next();
-                if r == c {
-                    let diag = 5.0 + v;
-                    s.add(r, c, diag);
-                    d.add(r, c, diag);
-                } else if v > 0.1 {
-                    s.add(r, c, v);
+                let v = if r == c { 5.0 + v } else { v };
+                if r == c || v > 0.1 {
+                    entries.push((r, c));
                     d.add(r, c, v);
                 }
             }
         }
+        let (mut s, slots) = CsrMatrix::from_coords(n, &entries);
+        for (&slot, &(r, c)) in slots.iter().zip(&entries) {
+            s.values_mut()[slot as usize] = d.get(r, c);
+        }
         let b: Vec<f64> = (0..n).map(|_| next() * 4.0).collect();
-        let xs = s.solve(&b).expect("diagonally dominant");
+        let sym = SymbolicLu::analyze(&s).expect("diagonally dominant");
+        let mut ws = sym.workspace();
+        sym.refactor(&s, &mut ws).expect("diagonally dominant");
+        let xs = sym.solve(&ws, &b);
         let xd = d.solve(&b).expect("diagonally dominant");
         for (a, bb) in xs.iter().zip(&xd) {
             prop_assert!((a - bb).abs() < 1e-8, "{a} vs {bb}");

@@ -108,7 +108,7 @@ fn traced_run_is_bit_identical_and_emits_valid_jsonl() {
         );
 
         // Node spans carry the artifact / outcome fields the tree
-        // report and the RecordingObserver decode.
+        // report and the trace analytics key on.
         assert!(log
             .spans_named(names::SPAN_STUDY_NODE)
             .all(|s| s.fields.contains_key("artifact") && s.fields.contains_key("outcome")));
