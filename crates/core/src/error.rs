@@ -22,6 +22,17 @@ pub enum CoreError {
         /// The option being searched.
         option: String,
     },
+    /// A Monte-Carlo study hit its draw-attempt cap because too many
+    /// draws printed shorted or collapsed lines to fill its trial
+    /// budget.
+    ShortedDrawsExhausted {
+        /// The option being sampled.
+        option: String,
+        /// Draws sampled before giving up.
+        attempts: u64,
+        /// Trials evaluated (non-shorted draws) by then.
+        evaluated: usize,
+    },
     /// Propagated SRAM-layer failure.
     Sram(String),
     /// Propagated litho-layer failure.
@@ -47,6 +58,14 @@ impl fmt::Display for CoreError {
             CoreError::NoFeasibleCorner { option } => {
                 write!(f, "no feasible corner for option `{option}`")
             }
+            CoreError::ShortedDrawsExhausted {
+                option,
+                attempts,
+                evaluated,
+            } => write!(
+                f,
+                "option `{option}`: {attempts} draws left only {evaluated} non-shorted trials"
+            ),
             CoreError::Sram(m) => write!(f, "sram error: {m}"),
             CoreError::Litho(m) => write!(f, "litho error: {m}"),
             CoreError::Extract(m) => write!(f, "extraction error: {m}"),

@@ -18,8 +18,7 @@
 //! shared counters.
 
 use mpvar_exec::ExecConfig;
-use mpvar_extract::{extract_track, RelativeVariation};
-use mpvar_litho::{apply_draw, sample_draw, Draw};
+use mpvar_litho::{sample_draw, Draw};
 use mpvar_sram::{
     simulate_read, simulate_read_batch_in, BitcellGeometry, ReadBatchScratch, ReadConfig,
     ReadOutcome, SramError,
@@ -417,15 +416,10 @@ fn penalty_distribution_with(
     let eval = |k: u64| -> TrialResult {
         let mut rng = base.substream(k);
         let draw = sample_draw(option, budget, &mut rng)?;
-        let printed = match apply_draw(window.stack(), &draw) {
-            Ok(p) => p,
-            Err(_) => return Ok(TrialResolution::Shorted),
-        };
-        let parasitics = extract_track(&printed, window.bl_index(), window.metal())?;
-        let var = RelativeVariation::between(window.nominal(), &parasitics);
-        Ok(TrialResolution::Sample(
-            model.tdp_percent(n, var.r_var, var.c_var),
-        ))
+        Ok(match window.variation(&draw)? {
+            Some(var) => TrialResolution::Sample(model.tdp_percent(n, var.r_var, var.c_var)),
+            None => TrialResolution::Shorted,
+        })
     };
 
     let threads = config.exec.effective_threads();
@@ -488,7 +482,8 @@ fn read_to_outcome(r: Result<ReadOutcome, SramError>, td_nom_s: f64) -> TrialRes
     match r {
         Ok(o) => Ok(TrialResolution::Sample((o.td_s / td_nom_s - 1.0) * 100.0)),
         // A shorted print is a yield loss — excluded and counted, the
-        // same screening the formula path applies at `apply_draw`.
+        // same screening the formula path applies in
+        // `NominalWindow::variation`.
         Err(SramError::Litho(_)) => Ok(TrialResolution::Shorted),
         // A sense that never trips is a *measured failure* of this one
         // trial — recorded, not escalated, so the rest of the wave's

@@ -10,9 +10,9 @@
 //! experiment matrix — trials, corners, and cells all reuse the same
 //! precomputed window.
 
-use mpvar_extract::{extract_track, WireParasitics};
+use mpvar_extract::{extract_edges, extract_track, RelativeVariation, WireParasitics};
 use mpvar_geometry::TrackStack;
-use mpvar_litho::{apply_draw, Draw};
+use mpvar_litho::{apply_draw, print_track, Draw, LithoError};
 use mpvar_sram::BitcellGeometry;
 use mpvar_tech::{MetalSpec, PatterningOption, TechDb};
 
@@ -103,6 +103,35 @@ impl<'t> NominalWindow<'t> {
     /// The nominal bit-line parasitics.
     pub fn nominal(&self) -> &WireParasitics {
         &self.nominal
+    }
+
+    /// The bit line's `R_var`/`C_var` under `draw`, or `None` when the
+    /// draw prints a shorted or collapsed line anywhere in the window
+    /// (a hard yield loss).
+    ///
+    /// This is the formula route's per-trial kernel: it prints and
+    /// extracts only the bit line and its two gaps, allocates nothing
+    /// on the `Some` path, and equals [`apply_draw`] +
+    /// [`extract_track`] + [`RelativeVariation::between`] bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Litho`] for a non-finite draw;
+    /// [`CoreError::Extract`] when the printed bit line is outside the
+    /// R/C models' domain.
+    pub fn variation(&self, draw: &Draw) -> Result<Option<RelativeVariation>, CoreError> {
+        let edges = match print_track(&self.stack, draw, self.bl_index) {
+            Ok(edges) => edges,
+            Err(LithoError::ShortedLines { .. } | LithoError::CollapsedLine { .. }) => {
+                return Ok(None)
+            }
+            Err(e) => return Err(e.into()),
+        };
+        let (resistance_ohm, c_total_f) = extract_edges(self.m1, &edges)?;
+        Ok(Some(RelativeVariation {
+            r_var: resistance_ohm / self.nominal.resistance_ohm(),
+            c_var: c_total_f / self.nominal.c_total_f(),
+        }))
     }
 }
 

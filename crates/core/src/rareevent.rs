@@ -22,8 +22,7 @@
 //! event the MC path screens out) or its read-time penalty exceeds the
 //! margin.
 
-use mpvar_extract::{extract_track, RelativeVariation};
-use mpvar_litho::{apply_draw, Draw, TRUNCATION_SIGMAS};
+use mpvar_litho::{Draw, EuvDraw, Le2Draw, Le3Draw, SadpDraw, TRUNCATION_SIGMAS};
 use mpvar_sram::{
     simulate_read, simulate_read_batch_in, simulate_write, simulate_write_batch_in,
     ReadBatchScratch, ReadConfig, SramError, WriteBatchScratch, WriteConfig,
@@ -55,6 +54,9 @@ pub struct ZMap {
     option: PatterningOption,
     /// `(parameter name, sigma_nm)` per active dimension.
     entries: Vec<(&'static str, f64)>,
+    /// Per active dimension, the parameter's position in
+    /// [`Draw::parameters`] order.
+    slots: Vec<usize>,
 }
 
 impl ZMap {
@@ -101,7 +103,21 @@ impl ZMap {
                 constraint: "option has no active variation parameter",
             });
         }
-        Ok(Self { option, entries })
+        let names = Draw::nominal(option).parameters();
+        let slots = entries
+            .iter()
+            .map(|(name, _)| {
+                names
+                    .iter()
+                    .position(|(n, _)| n == name)
+                    .expect("every z-map name is a parameter of its option's draw")
+            })
+            .collect();
+        Ok(Self {
+            option,
+            entries,
+            slots,
+        })
     }
 
     /// The option this map belongs to.
@@ -132,17 +148,27 @@ impl ZMap {
     /// Materializes one `z` vector (length [`ZMap::dims`]) as a draw.
     pub fn draw_from_z(&self, z: &[f64]) -> Draw {
         debug_assert_eq!(z.len(), self.dims());
-        let mut draw = Draw::nominal(self.option);
-        for ((name, sigma), zi) in self.entries.iter().zip(z) {
-            let ok = draw.set_parameter(name, zi * sigma);
-            debug_assert!(ok, "unknown parameter {name}");
+        // Parameters in `Draw::parameters` order; inactive ones stay 0.
+        let mut p = [0.0; 6];
+        for ((&slot, (_, sigma)), zi) in self.slots.iter().zip(&self.entries).zip(z) {
+            p[slot] = zi * sigma;
         }
-        draw
+        match self.option {
+            PatterningOption::Le3 => Draw::Le3(Le3Draw {
+                cd_nm: [p[0], p[1], p[2]],
+                overlay_nm: [p[3], p[4], p[5]],
+            }),
+            PatterningOption::Sadp => Draw::Sadp(SadpDraw {
+                core_cd_nm: p[0],
+                spacer_nm: p[1],
+            }),
+            PatterningOption::Euv => Draw::Euv(EuvDraw { cd_nm: p[0] }),
+            PatterningOption::Le2 => Draw::Le2(Le2Draw {
+                cd_nm: [p[0], p[1]],
+                overlay_nm: p[2],
+            }),
+        }
     }
-}
-
-fn nominal_draw_for_z(map: &ZMap, z: &[f64]) -> Draw {
-    map.draw_from_z(z)
 }
 
 /// Formula-route failure predicate: a trial fails when its draw prints
@@ -204,20 +230,17 @@ impl FailureProblem for FormulaYieldProblem<'_> {
         }
         let mut out = Vec::with_capacity(zs.len() / dims);
         for z in zs.chunks_exact(dims) {
-            let draw = nominal_draw_for_z(&self.map, z);
-            let printed = match apply_draw(self.window.stack(), &draw) {
-                Ok(p) => p,
-                // Shorted print: a hard read failure, not an error.
-                Err(_) => {
-                    out.push(true);
-                    continue;
+            let var = self
+                .window
+                .variation(&self.map.draw_from_z(z))
+                .map_err(|e| YieldError::Problem(Box::new(e)))?;
+            out.push(match var {
+                Some(var) => {
+                    self.model.tdp_percent(self.n, var.r_var, var.c_var) > self.margin_percent
                 }
-            };
-            let parasitics = extract_track(&printed, self.window.bl_index(), self.window.metal())
-                .map_err(|e| YieldError::Problem(Box::new(CoreError::from(e))))?;
-            let var = RelativeVariation::between(self.window.nominal(), &parasitics);
-            let tdp = self.model.tdp_percent(self.n, var.r_var, var.c_var);
-            out.push(tdp > self.margin_percent);
+                // Shorted print: a hard read failure, not an error.
+                None => true,
+            });
         }
         Ok(out)
     }
@@ -278,7 +301,7 @@ impl FailureProblem for SpiceYieldProblem<'_> {
         }
         let draws: Vec<Draw> = zs
             .chunks_exact(dims)
-            .map(|z| nominal_draw_for_z(&self.map, z))
+            .map(|z| self.map.draw_from_z(z))
             .collect();
         let mut scratch = ReadBatchScratch::new();
         let lanes = simulate_read_batch_in(
@@ -365,7 +388,7 @@ impl FailureProblem for SpiceWriteYieldProblem<'_> {
         }
         let draws: Vec<Draw> = zs
             .chunks_exact(dims)
-            .map(|z| nominal_draw_for_z(&self.map, z))
+            .map(|z| self.map.draw_from_z(z))
             .collect();
         let mut scratch = WriteBatchScratch::new();
         let lanes = simulate_write_batch_in(
@@ -809,6 +832,27 @@ mod tests {
                 assert_eq!(d.overlay_nm[0], 0.0);
             }
             _ => unreachable!(),
+        }
+    }
+
+    #[test]
+    fn draw_from_z_slots_match_named_parameters() {
+        for option in PatterningOption::ALL_WITH_EXTENSIONS {
+            let budget = VariationBudget::paper_default(option, 8.0).unwrap();
+            let map = ZMap::build(option, &budget).unwrap();
+            let z: Vec<f64> = (0..map.dims()).map(|i| 0.7 - 0.9 * i as f64).collect();
+            let mut named = Draw::nominal(option);
+            for ((name, sigma), zi) in map.entries.iter().zip(&z) {
+                assert!(named.set_parameter(name, zi * sigma), "{option}: {name}");
+            }
+            let slotted = map.draw_from_z(&z);
+            let bits = |d: &Draw| -> Vec<(&'static str, u64)> {
+                d.parameters()
+                    .into_iter()
+                    .map(|(n, v)| (n, v.to_bits()))
+                    .collect()
+            };
+            assert_eq!(bits(&slotted), bits(&named), "{option}");
         }
     }
 

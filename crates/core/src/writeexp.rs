@@ -28,7 +28,7 @@
 //! profile — so the artifacts are profile-invariant and their golden
 //! CSVs are compared strictly in both `repro check` profiles.
 
-use mpvar_extract::{extract_track, RelativeVariation};
+use mpvar_extract::extract_track;
 use mpvar_litho::{apply_draw, sample_draw, Draw};
 use mpvar_sram::{simulate_write, FormulaParams, WriteConfig};
 use mpvar_stats::sampler::standard_normal;
@@ -343,6 +343,10 @@ pub struct SenseMargin {
     pub rows: Vec<(PatterningOption, f64, f64, f64)>,
 }
 
+/// Draws [`sense_margin`] may sample per requested trial before it gives
+/// up on a budget whose prints keep shorting.
+const SENSE_ATTEMPTS_PER_TRIAL: usize = 64;
+
 /// Runs the sense-margin Monte-Carlo: per trial, the MP draw fixes the
 /// bit-line RC (so the differential developed inside the fixed sense
 /// window), the offset is an independent Gaussian, and the read fails
@@ -353,7 +357,9 @@ pub struct SenseMargin {
 ///
 /// # Errors
 ///
-/// Propagates sampling/extraction/model failures.
+/// [`CoreError::ShortedDrawsExhausted`] when an option's draws print
+/// shorted lines so often that 64 draws per trial do not fill the trial
+/// budget; otherwise propagates sampling/extraction/model failures.
 pub fn sense_margin(ctx: &ExperimentContext) -> Result<SenseMargin, CoreError> {
     let s = &ctx.write_settings;
     let n = s.margin_n;
@@ -376,19 +382,25 @@ pub fn sense_margin(ctx: &ExperimentContext) -> Result<SenseMargin, CoreError> {
         let mut failures = 0usize;
         let mut consumed = 0usize;
         let mut k = 0u64;
+        let max_attempts = s.sense_trials.saturating_mul(SENSE_ATTEMPTS_PER_TRIAL) as u64;
         // Shorted prints are screened out (they are hard yield losses,
         // counted by the read/write yield studies, not sense failures);
-        // the trial budget counts evaluated columns.
+        // the trial budget counts evaluated columns, and the attempt cap
+        // turns a budget that (nearly) always shorts into an error.
         while consumed < s.sense_trials {
+            if k == max_attempts {
+                return Err(CoreError::ShortedDrawsExhausted {
+                    option: option.to_string(),
+                    attempts: k,
+                    evaluated: consumed,
+                });
+            }
             let mut rng = base.substream(k);
             k += 1;
             let draw = sample_draw(option, &budget, &mut rng)?;
-            let printed = match apply_draw(window.stack(), &draw) {
-                Ok(p) => p,
-                Err(_) => continue,
+            let Some(var) = window.variation(&draw)? else {
+                continue;
             };
-            let parasitics = extract_track(&printed, window.bl_index(), window.metal())?;
-            let var = RelativeVariation::between(window.nominal(), &parasitics);
             let tau_s = model.td_s(n, var.r_var, var.c_var) / a;
             let dv_v = ctx.read_config.vdd_v * (1.0 - (-window_s / tau_s).exp());
             let offset_v = s.sense_offset_sigma_v * standard_normal(&mut rng);
@@ -765,6 +777,26 @@ mod tests {
             assert!(*frac < 0.5, "{option}: failure fraction {frac}");
         }
         assert!(sm.report().render().contains("failure fraction"));
+    }
+
+    #[test]
+    fn sense_margin_gives_up_on_an_always_shorting_budget() {
+        let mut c = ctx();
+        c.write_settings.sense_trials = 50;
+        // A 1 mm overlay 3σ shorts LE3's bit line on every draw.
+        c.write_settings.le3_overlay_nm = 1e6;
+        match sense_margin(&c) {
+            Err(CoreError::ShortedDrawsExhausted {
+                option,
+                attempts,
+                evaluated,
+            }) => {
+                assert_eq!(option, PatterningOption::Le3.to_string());
+                assert_eq!(attempts, 50 * SENSE_ATTEMPTS_PER_TRIAL as u64);
+                assert!(evaluated < 50, "evaluated {evaluated}");
+            }
+            other => panic!("expected ShortedDrawsExhausted, got {other:?}"),
+        }
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub use deck::{emit_rc_deck, RcDeck, RcDeckSpec};
 pub use drc::{check_layout, check_printed_stack, DrcViolation, DrcViolationKind};
 pub use error::ExtractError;
 pub use resistance::{cross_section_area_nm2, wire_resistance_ohm};
-pub use wire::{extract_stack, extract_track, RelativeVariation, WireParasitics};
+pub use wire::{extract_edges, extract_stack, extract_track, RelativeVariation, WireParasitics};
 
 /// Convenient glob-import surface for downstream crates.
 pub mod prelude {
@@ -60,5 +60,7 @@ pub mod prelude {
     pub use crate::deck::{emit_rc_deck, RcDeck, RcDeckSpec};
     pub use crate::error::ExtractError;
     pub use crate::resistance::wire_resistance_ohm;
-    pub use crate::wire::{extract_stack, extract_track, RelativeVariation, WireParasitics};
+    pub use crate::wire::{
+        extract_edges, extract_stack, extract_track, RelativeVariation, WireParasitics,
+    };
 }

@@ -1,6 +1,6 @@
 //! Per-track parasitic rollup and relative-variation helpers.
 
-use mpvar_litho::PerturbedStack;
+use mpvar_litho::{PerturbedStack, TrackEdges};
 use mpvar_tech::MetalSpec;
 
 use crate::capacitance::capacitance_breakdown;
@@ -139,19 +139,89 @@ pub fn extract_track(
         });
     }
     let t = stack.track(index);
-    let length_m_factor = t.length_nm() * 1e-9;
-
-    let resistance_ohm = wire_resistance_ohm(spec, t.width_nm(), t.length_nm())?;
-    let breakdown = capacitance_breakdown(
+    let rc = wire_rc(
         spec,
         t.width_nm(),
+        t.length_nm(),
         stack.gap_below_nm(index),
         stack.gap_above_nm(index),
     )?;
-
     Ok(WireParasitics {
         net: t.net().to_string(),
         length_nm: t.length_nm(),
+        resistance_ohm: rc.resistance_ohm,
+        c_ground_f: rc.c_ground_f,
+        c_couple_below_f: rc.c_couple_below_f,
+        c_couple_above_f: rc.c_couple_above_f,
+    })
+}
+
+/// Resistance and total capacitance `(R Ω, C F)` of one printed track
+/// from [`mpvar_litho::print_track`] — the allocation-free twin of
+/// [`extract_track`] followed by [`WireParasitics::c_total_f`], equal
+/// to it bit for bit.
+///
+/// # Errors
+///
+/// The geometry-validity errors of the R/C models.
+///
+/// # Example
+///
+/// ```
+/// use mpvar_extract::{extract_edges, extract_track};
+/// use mpvar_geometry::{Nm, Track, TrackStack};
+/// use mpvar_litho::{apply_draw, print_track, Draw, EuvDraw};
+/// use mpvar_tech::preset::n10;
+///
+/// let tech = n10();
+/// let m1 = tech.metal(1).expect("n10 has metal1");
+/// let drawn = TrackStack::new(vec![
+///     Track::new("VSS", Nm(0),  Nm(24), Nm(0), Nm(1000))?,
+///     Track::new("BL",  Nm(48), Nm(26), Nm(0), Nm(1000))?,
+///     Track::new("VDD", Nm(96), Nm(24), Nm(0), Nm(1000))?,
+/// ])?;
+/// let draw = Draw::Euv(EuvDraw { cd_nm: 2.0 });
+/// let (r, c) = extract_edges(m1, &print_track(&drawn, &draw, 1)?)?;
+/// let full = extract_track(&apply_draw(&drawn, &draw)?, 1, m1)?;
+/// assert_eq!(r, full.resistance_ohm());
+/// assert_eq!(c, full.c_total_f());
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+pub fn extract_edges(spec: &MetalSpec, edges: &TrackEdges) -> Result<(f64, f64), ExtractError> {
+    let rc = wire_rc(
+        spec,
+        edges.width_nm(),
+        edges.length_nm,
+        edges.gap_below_nm,
+        edges.gap_above_nm,
+    )?;
+    Ok((
+        rc.resistance_ohm,
+        rc.c_ground_f + rc.c_couple_below_f + rc.c_couple_above_f,
+    ))
+}
+
+/// R and the three capacitance components of one wire.
+struct WireRc {
+    resistance_ohm: f64,
+    c_ground_f: f64,
+    c_couple_below_f: f64,
+    c_couple_above_f: f64,
+}
+
+/// The one copy of the per-track R/C arithmetic behind
+/// [`extract_track`] and [`extract_edges`].
+fn wire_rc(
+    spec: &MetalSpec,
+    width_nm: f64,
+    length_nm: f64,
+    gap_below_nm: Option<f64>,
+    gap_above_nm: Option<f64>,
+) -> Result<WireRc, ExtractError> {
+    let length_m_factor = length_nm * 1e-9;
+    let resistance_ohm = wire_resistance_ohm(spec, width_nm, length_nm)?;
+    let breakdown = capacitance_breakdown(spec, width_nm, gap_below_nm, gap_above_nm)?;
+    Ok(WireRc {
         resistance_ohm,
         c_ground_f: breakdown.ground_f_per_m * length_m_factor,
         c_couple_below_f: breakdown.couple_below_f_per_m * length_m_factor,

@@ -140,12 +140,20 @@ impl Draw {
     ///
     /// [`LithoError::NonFiniteDraw`] naming the offending parameter.
     pub fn validate(&self) -> Result<(), LithoError> {
-        for (name, value) in self.parameters() {
-            if !value.is_finite() {
-                return Err(LithoError::NonFiniteDraw { name, value });
-            }
+        let finite = match self {
+            Draw::Le3(d) => d.cd_nm.iter().chain(&d.overlay_nm).all(|v| v.is_finite()),
+            Draw::Sadp(d) => d.core_cd_nm.is_finite() && d.spacer_nm.is_finite(),
+            Draw::Euv(d) => d.cd_nm.is_finite(),
+            Draw::Le2(d) => d.cd_nm.iter().all(|v| v.is_finite()) && d.overlay_nm.is_finite(),
+        };
+        if finite {
+            return Ok(());
         }
-        Ok(())
+        // Error path only: name the first non-finite parameter.
+        match self.parameters().into_iter().find(|(_, v)| !v.is_finite()) {
+            Some((name, value)) => Err(LithoError::NonFiniteDraw { name, value }),
+            None => Ok(()),
+        }
     }
 }
 

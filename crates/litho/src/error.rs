@@ -48,6 +48,13 @@ pub enum LithoError {
         /// Offending value.
         value: f64,
     },
+    /// A single-track print asked for a track the stack does not have.
+    TrackOutOfRange {
+        /// Requested index.
+        index: usize,
+        /// Number of tracks in the stack.
+        len: usize,
+    },
 }
 
 impl fmt::Display for LithoError {
@@ -72,6 +79,12 @@ impl fmt::Display for LithoError {
             }
             LithoError::NonFiniteDraw { name, value } => {
                 write!(f, "draw parameter `{name}` is not finite: {value}")
+            }
+            LithoError::TrackOutOfRange { index, len } => {
+                write!(
+                    f,
+                    "track index {index} out of range for a {len}-track stack"
+                )
             }
         }
     }

@@ -53,22 +53,24 @@ pub mod perturbed;
 pub mod sampling;
 
 pub use apply::apply_draw;
+pub use apply::print_track;
 pub use corners::{corner_draws, CornerSpec};
 pub use decompose::{le3_mask_of, sadp_role_of, Le3Mask, SadpRole};
 pub use draw::{Draw, EuvDraw, Le2Draw, Le3Draw, SadpDraw};
 pub use error::LithoError;
 pub use ler::LerModel;
-pub use perturbed::{PerturbedStack, PerturbedTrack};
+pub use perturbed::{PerturbedStack, PerturbedTrack, TrackEdges};
 pub use sampling::{sample_draw, TRUNCATION_SIGMAS};
 
 /// Convenient glob-import surface for downstream crates.
 pub mod prelude {
     pub use crate::apply::apply_draw;
+    pub use crate::apply::print_track;
     pub use crate::corners::{corner_draws, CornerSpec};
     pub use crate::decompose::{le3_mask_of, sadp_role_of, Le3Mask, SadpRole};
     pub use crate::draw::{Draw, EuvDraw, Le2Draw, Le3Draw, SadpDraw};
     pub use crate::error::LithoError;
     pub use crate::ler::LerModel;
-    pub use crate::perturbed::{PerturbedStack, PerturbedTrack};
+    pub use crate::perturbed::{PerturbedStack, PerturbedTrack, TrackEdges};
     pub use crate::sampling::{sample_draw, TRUNCATION_SIGMAS};
 }

@@ -29,27 +29,7 @@ impl PerturbedTrack {
         length_nm: f64,
     ) -> Result<Self, LithoError> {
         let net = net.into();
-        for (name, v) in [
-            ("bottom_nm", bottom_nm),
-            ("top_nm", top_nm),
-            ("length_nm", length_nm),
-        ] {
-            if !v.is_finite() {
-                return Err(LithoError::NonFiniteDraw { name, value: v });
-            }
-        }
-        if top_nm <= bottom_nm {
-            return Err(LithoError::CollapsedLine {
-                net,
-                width_nm: top_nm - bottom_nm,
-            });
-        }
-        if length_nm <= 0.0 {
-            return Err(LithoError::CollapsedLine {
-                net,
-                width_nm: length_nm,
-            });
-        }
+        check_edges(&net, bottom_nm, top_nm, length_nm)?;
         Ok(Self {
             net,
             bottom_nm,
@@ -89,6 +69,83 @@ impl PerturbedTrack {
     }
 }
 
+/// The validity checks of one printed track: finite edges and length,
+/// positive width and length. Allocates only to build the error.
+pub(crate) fn check_edges(
+    net: &str,
+    bottom_nm: f64,
+    top_nm: f64,
+    length_nm: f64,
+) -> Result<(), LithoError> {
+    let finite = bottom_nm.is_finite() && top_nm.is_finite() && length_nm.is_finite();
+    if finite && top_nm > bottom_nm && length_nm > 0.0 {
+        Ok(())
+    } else {
+        Err(edges_error(net, bottom_nm, top_nm, length_nm))
+    }
+}
+
+/// The error of a track that failed [`check_edges`], naming the first
+/// failed check.
+#[cold]
+fn edges_error(net: &str, bottom_nm: f64, top_nm: f64, length_nm: f64) -> LithoError {
+    for (name, v) in [
+        ("bottom_nm", bottom_nm),
+        ("top_nm", top_nm),
+        ("length_nm", length_nm),
+    ] {
+        if !v.is_finite() {
+            return LithoError::NonFiniteDraw { name, value: v };
+        }
+    }
+    let width_nm = if top_nm <= bottom_nm {
+        top_nm - bottom_nm
+    } else {
+        length_nm
+    };
+    LithoError::CollapsedLine {
+        net: net.to_string(),
+        width_nm,
+    }
+}
+
+/// The short check between adjacent printed tracks: a non-positive gap
+/// is a short. Allocates only to build the error.
+pub(crate) fn check_gap(lower: &str, upper: &str, gap_nm: f64) -> Result<(), LithoError> {
+    if gap_nm <= 0.0 {
+        return Err(LithoError::ShortedLines {
+            lower: lower.to_string(),
+            upper: upper.to_string(),
+            gap_nm,
+        });
+    }
+    Ok(())
+}
+
+/// One printed track and the gaps to its printed neighbours — what
+/// [`print_track`](crate::print_track) keeps of a printed stack. Each
+/// value equals the matching [`PerturbedStack`] query bit for bit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TrackEdges {
+    /// Bottom edge, nm.
+    pub bottom_nm: f64,
+    /// Top edge, nm.
+    pub top_nm: f64,
+    /// Wire length along the track, nm.
+    pub length_nm: f64,
+    /// Gap to the lower neighbour, nm; `None` for the bottom track.
+    pub gap_below_nm: Option<f64>,
+    /// Gap to the upper neighbour, nm; `None` for the top track.
+    pub gap_above_nm: Option<f64>,
+}
+
+impl TrackEdges {
+    /// Printed linewidth, nm.
+    pub fn width_nm(&self) -> f64 {
+        self.top_nm - self.bottom_nm
+    }
+}
+
 /// An ordered stack of printed tracks (bottom to top).
 ///
 /// # Example
@@ -120,14 +177,7 @@ impl PerturbedStack {
     /// overlap.
     pub fn new(tracks: Vec<PerturbedTrack>) -> Result<Self, LithoError> {
         for w in tracks.windows(2) {
-            let gap = w[1].bottom_nm() - w[0].top_nm();
-            if gap <= 0.0 {
-                return Err(LithoError::ShortedLines {
-                    lower: w[0].net().to_string(),
-                    upper: w[1].net().to_string(),
-                    gap_nm: gap,
-                });
-            }
+            check_gap(w[0].net(), w[1].net(), w[1].bottom_nm() - w[0].top_nm())?;
         }
         Ok(Self { tracks })
     }

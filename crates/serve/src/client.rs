@@ -66,6 +66,8 @@ impl Client {
     /// Connection failures.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> std::io::Result<Client> {
         let writer = TcpStream::connect(addr)?;
+        // Requests are small single writes; do not hold them for ACKs.
+        writer.set_nodelay(true)?;
         let reader = BufReader::new(writer.try_clone()?);
         Ok(Client { reader, writer })
     }

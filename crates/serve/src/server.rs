@@ -105,6 +105,9 @@ impl Server {
 /// One connection: reader loop on the calling thread, writer thread
 /// serializing all outbound lines, a forwarder thread per request.
 fn serve_connection(stream: TcpStream, dispatcher: &Arc<Dispatcher>, stop: &Arc<AtomicBool>) {
+    // Each answer is an `ack` then a `result` write; without this the
+    // second waits on the peer's delayed ACK (~40 ms per answer).
+    let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
         return;
     };

@@ -51,6 +51,9 @@ const REJECTION_BUDGET: usize = 100_000;
 pub struct ZDomain {
     dims: usize,
     truncation: Option<f64>,
+    /// `log` of the per-dimension truncation mass `P[|Z| ≤ t] =
+    /// erf(t/√2)`, computed once at construction; `0.0` when unbounded.
+    log_trunc_mass: f64,
 }
 
 impl ZDomain {
@@ -67,6 +70,7 @@ impl ZDomain {
         Ok(Self {
             dims,
             truncation: None,
+            log_trunc_mass: 0.0,
         })
     }
 
@@ -94,6 +98,7 @@ impl ZDomain {
         Ok(Self {
             dims,
             truncation: Some(truncation),
+            log_trunc_mass: erf(truncation / std::f64::consts::SQRT_2).ln(),
         })
     }
 
@@ -112,15 +117,6 @@ impl ZDomain {
         match self.truncation {
             None => true,
             Some(t) => z.iter().all(|zi| zi.abs() <= t),
-        }
-    }
-
-    /// `log` of the per-dimension truncation mass `P[|Z| ≤ t] = erf(t/√2)`;
-    /// `0.0` for an unbounded domain.
-    fn log_trunc_mass_per_dim(&self) -> f64 {
-        match self.truncation {
-            None => 0.0,
-            Some(t) => erf(t / std::f64::consts::SQRT_2).ln(),
         }
     }
 }
@@ -238,7 +234,7 @@ impl Proposal {
         z: &mut Vec<f64>,
     ) -> Result<f64, StatsError> {
         z.clear();
-        let log_zt = domain.log_trunc_mass_per_dim();
+        let log_zt = domain.log_trunc_mass;
         match self {
             Proposal::BruteForce => {
                 for _ in 0..domain.dims() {
@@ -274,9 +270,10 @@ impl Proposal {
                 // For s ≥ 1 the quadratic coefficient is ≤ 0, so the
                 // total is bounded above by dims·(log s − log Zt).
                 let coeff = 0.5 / (s * s) - 0.5;
+                let ln_s = s.ln();
                 let mut log_w = 0.0;
                 for zi in z.iter() {
-                    log_w += s.ln() + zi * zi * coeff - log_zt;
+                    log_w += ln_s + zi * zi * coeff - log_zt;
                 }
                 Ok(log_w)
             }
