@@ -30,7 +30,8 @@ use mpvar_sram::{
 use mpvar_stats::normal_tail;
 use mpvar_tech::{PatterningOption, TechDb, VariationBudget};
 use mpvar_yield::{
-    resume_yield, run_yield, FailureProblem, Proposal, YieldConfig, YieldError, YieldRun, ZDomain,
+    resume_yield, run_yield, run_yields, FailureProblem, Proposal, YieldConfig, YieldError,
+    YieldRun, ZDomain,
 };
 
 use crate::error::CoreError;
@@ -173,18 +174,22 @@ impl ZMap {
 
 /// Formula-route failure predicate: a trial fails when its draw prints
 /// shorted geometry or its analytical `tdp` exceeds the margin.
+///
+/// One problem may hold several criteria — `(model, margin)` pairs
+/// judged on the same printed bit line — so that
+/// [`mpvar_yield::run_yields`] evaluates each trial once for all of
+/// them.
 #[derive(Debug)]
 pub struct FormulaYieldProblem<'a> {
     window: &'a NominalWindow<'a>,
     map: ZMap,
-    model: AnalyticalModel,
     n: usize,
-    margin_percent: f64,
+    criteria: Vec<(AnalyticalModel, f64)>,
 }
 
 impl<'a> FormulaYieldProblem<'a> {
-    /// Builds the predicate for `window`'s option at array height `n`
-    /// and the given timing margin.
+    /// Builds the one-criterion predicate for `window`'s option at
+    /// array height `n` and the given timing margin.
     ///
     /// # Errors
     ///
@@ -196,12 +201,34 @@ impl<'a> FormulaYieldProblem<'a> {
         n: usize,
         margin_percent: f64,
     ) -> Result<Self, CoreError> {
+        Self::with_criteria(window, budget, n, vec![(model, margin_percent)])
+    }
+
+    /// Builds a predicate judging every `(model, margin_percent)`
+    /// criterion on each trial, in the given order.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidParameter`] for an empty criteria list;
+    /// propagates map construction.
+    pub fn with_criteria(
+        window: &'a NominalWindow<'a>,
+        budget: &VariationBudget,
+        n: usize,
+        criteria: Vec<(AnalyticalModel, f64)>,
+    ) -> Result<Self, CoreError> {
+        if criteria.is_empty() {
+            return Err(CoreError::InvalidParameter {
+                name: "criteria",
+                value: 0.0,
+                constraint: "at least one (model, margin) criterion",
+            });
+        }
         Ok(Self {
             map: ZMap::build(window.option(), budget)?,
             window,
-            model,
             n,
-            margin_percent,
+            criteria,
         })
     }
 
@@ -209,16 +236,15 @@ impl<'a> FormulaYieldProblem<'a> {
     pub fn map(&self) -> &ZMap {
         &self.map
     }
-
-    /// The timing margin (percent `tdp`) defining failure.
-    pub fn margin_percent(&self) -> f64 {
-        self.margin_percent
-    }
 }
 
 impl FailureProblem for FormulaYieldProblem<'_> {
     fn dims(&self) -> usize {
         self.map.dims()
+    }
+
+    fn criteria(&self) -> usize {
+        self.criteria.len()
     }
 
     fn evaluate_batch(&self, zs: &[f64]) -> Result<Vec<bool>, YieldError> {
@@ -228,19 +254,20 @@ impl FailureProblem for FormulaYieldProblem<'_> {
                 reason: format!("batch length {} not a multiple of dims {dims}", zs.len()),
             });
         }
-        let mut out = Vec::with_capacity(zs.len() / dims);
+        let mut out = Vec::with_capacity(zs.len() / dims * self.criteria.len());
         for z in zs.chunks_exact(dims) {
             let var = self
                 .window
                 .variation(&self.map.draw_from_z(z))
                 .map_err(|e| YieldError::Problem(Box::new(e)))?;
-            out.push(match var {
-                Some(var) => {
-                    self.model.tdp_percent(self.n, var.r_var, var.c_var) > self.margin_percent
-                }
-                // Shorted print: a hard read failure, not an error.
-                None => true,
-            });
+            match var {
+                Some(var) => out.extend(self.criteria.iter().map(|(model, margin)| {
+                    model.tdp_percent(self.n, var.r_var, var.c_var) > *margin
+                })),
+                // Shorted print: a hard read failure under every
+                // criterion, not an error.
+                None => out.extend(self.criteria.iter().map(|_| true)),
+            }
         }
         Ok(out)
     }
@@ -621,6 +648,10 @@ fn row_from_run(
 /// [`YieldSettings::agreement_option`] — a brute-force/IS agreement
 /// pair at the shallow [`YieldSettings::agreement_margin_percent`].
 ///
+/// An option's scaled-sigma runs share one draw stream through
+/// [`mpvar_yield::run_yields`] (each bit-identical to its run alone);
+/// the brute-force run draws its own.
+///
 /// Runs are deterministic and bit-identical at any thread count; the
 /// settings (not the context's MC knobs) fix every budget and seed, so
 /// the result is profile-independent and its golden CSV can be
@@ -667,72 +698,65 @@ pub fn yield_6sigma(ctx: &ExperimentContext) -> Result<YieldTable, CoreError> {
             }
         };
 
-        let run_margin = |margin: f64,
-                          proposal: Proposal,
-                          estimator: &'static str,
-                          max_trials: usize|
-         -> Result<YieldRow, CoreError> {
-            let problem = FormulaYieldProblem::new(window, &budget, model, n, margin)?;
-            let cfg = YieldConfig::new(problem.map().domain()?, proposal)
+        let domain = ZMap::build(option, &budget)?.domain()?;
+        let cfg = |proposal: Proposal, max_trials: usize| {
+            YieldConfig::new(domain, proposal)
                 .seed(s.seed)
                 .confidence(s.confidence)
                 .target_rel_half_width(s.target_rel_half_width)
                 .min_failures(s.min_failures)
                 .base_round(s.base_round)
                 .max_trials(max_trials)
-                .exec(inner);
-            let run = run_yield(&problem, &cfg)?;
+                .exec(inner)
+        };
+        let row = |estimator: &'static str, margin: f64, run: &YieldRun| {
             row_from_run(
                 option,
                 estimator,
                 margin,
-                &run,
+                run,
                 s.confidence,
                 fit_tail(margin),
             )
         };
-        let scaled = Proposal::ScaledSigma {
-            scale: s.sigma_scale,
-        };
 
-        let mut rows = Vec::new();
-        // Per-option tail probe: margins at fit mean + k·σ.
-        for &k in &s.sigma_margins {
-            let margin = mean + k * sigma;
-            rows.push(run_margin(
-                margin,
-                scaled.clone(),
-                "scaled-sigma",
-                s.max_trials,
-            )?);
+        // Every scaled-sigma margin shares one draw stream: the
+        // per-option tail probe at fit mean + k·σ, the cross-option
+        // ordering rows at fixed absolute margins and, on the agreement
+        // option, the importance-sampled half of the agreement pair.
+        let agreement = option == s.agreement_option;
+        let mut margins: Vec<f64> = s.sigma_margins.iter().map(|k| mean + k * sigma).collect();
+        margins.extend_from_slice(&s.common_margins_percent);
+        if agreement {
+            margins.push(s.agreement_margin_percent);
         }
-        // Cross-option ordering rows at fixed absolute margins.
-        for &margin in &s.common_margins_percent {
-            rows.push(run_margin(
-                margin,
-                scaled.clone(),
-                "scaled-sigma",
-                s.max_trials,
-            )?);
+        let mut rows = Vec::with_capacity(margins.len() + 1);
+        if !margins.is_empty() {
+            let problem = FormulaYieldProblem::with_criteria(
+                window,
+                &budget,
+                n,
+                margins.iter().map(|&m| (model, m)).collect(),
+            )?;
+            let scaled = Proposal::ScaledSigma {
+                scale: s.sigma_scale,
+            };
+            let runs = run_yields(&problem, &cfg(scaled, s.max_trials))?;
+            for (&margin, run) in margins.iter().zip(&runs) {
+                rows.push(row("scaled-sigma", margin, run)?);
+            }
         }
 
         // Agreement pair at the shallow margin: brute force samples the
         // target itself (weights exactly 1), so overlapping CIs here
-        // certify the IS weighting end-to-end on the real circuit.
-        if option == s.agreement_option {
+        // certify the IS weighting end-to-end on the real circuit. Its
+        // proposal differs, so it draws its own stream; its row goes
+        // just before the scaled-sigma half of the pair.
+        if agreement {
             let margin = s.agreement_margin_percent;
-            rows.push(run_margin(
-                margin,
-                Proposal::BruteForce,
-                "brute-force",
-                s.brute_max_trials,
-            )?);
-            rows.push(run_margin(
-                margin,
-                scaled.clone(),
-                "scaled-sigma",
-                s.max_trials,
-            )?);
+            let problem = FormulaYieldProblem::new(window, &budget, model, n, margin)?;
+            let run = run_yield(&problem, &cfg(Proposal::BruteForce, s.brute_max_trials))?;
+            rows.insert(rows.len() - 1, row("brute-force", margin, &run)?);
         }
         Ok::<Vec<YieldRow>, CoreError>(rows)
     })?;

@@ -34,7 +34,7 @@ use mpvar_sram::{simulate_write, FormulaParams, WriteConfig};
 use mpvar_stats::sampler::standard_normal;
 use mpvar_stats::RngStream;
 use mpvar_tech::{PatterningOption, VariationBudget};
-use mpvar_yield::{run_yield, Proposal, YieldConfig};
+use mpvar_yield::{run_yields, Proposal, YieldConfig};
 
 use crate::error::CoreError;
 use crate::experiments::{ExperimentContext, Table1};
@@ -605,7 +605,9 @@ pub struct WriteYieldTable {
 /// (failure = shorted print OR write-time penalty above the margin)
 /// through the same [`FormulaYieldProblem`] machinery the read yield
 /// uses, plus a read-model run at the same margin for the side-by-side
-/// column.
+/// column. All of an option's write and read runs share one draw stream
+/// through [`mpvar_yield::run_yields`]; each run is bit-identical to the
+/// run it would be alone.
 ///
 /// Runs are deterministic and bit-identical at any thread count.
 ///
@@ -628,24 +630,31 @@ pub fn write_yield(ctx: &ExperimentContext) -> Result<WriteYieldTable, CoreError
     let per_option = mpvar_exec::try_par_map_indexed(&options, outer, |_, &option| {
         let window = cache.window(option)?;
         let budget = s.budget(option)?;
-        let run_model = |model: AnalyticalModel, margin: f64| {
-            let problem = FormulaYieldProblem::new(window, &budget, model, n, margin)?;
-            let cfg = YieldConfig::new(
-                problem.map().domain()?,
-                Proposal::ScaledSigma {
-                    scale: s.sigma_scale,
-                },
-            )
-            .seed(s.seed)
-            .base_round(s.yield_base_round)
-            .max_trials(s.yield_max_trials)
-            .exec(inner);
-            Ok::<_, CoreError>(run_yield(&problem, &cfg)?)
-        };
-        let mut rows = Vec::new();
-        for &margin in &s.yield_margins_percent {
-            let write_run = run_model(w_model, margin)?;
-            let read_run = run_model(r_model, margin)?;
+        // One shared draw stream per option: criterion `2i` is the
+        // write model at margin `i`, criterion `2i + 1` the read model.
+        let criteria = s
+            .yield_margins_percent
+            .iter()
+            .flat_map(|&margin| [(w_model, margin), (r_model, margin)])
+            .collect::<Vec<_>>();
+        let mut rows = Vec::with_capacity(s.yield_margins_percent.len());
+        if criteria.is_empty() {
+            return Ok(rows);
+        }
+        let problem = FormulaYieldProblem::with_criteria(window, &budget, n, criteria)?;
+        let cfg = YieldConfig::new(
+            problem.map().domain()?,
+            Proposal::ScaledSigma {
+                scale: s.sigma_scale,
+            },
+        )
+        .seed(s.seed)
+        .base_round(s.yield_base_round)
+        .max_trials(s.yield_max_trials)
+        .exec(inner);
+        let runs = run_yields(&problem, &cfg)?;
+        for (&margin, pair) in s.yield_margins_percent.iter().zip(runs.chunks_exact(2)) {
+            let (write_run, read_run) = (&pair[0], &pair[1]);
             let est = write_run.estimate(0.95)?;
             rows.push(WriteYieldRow {
                 option,

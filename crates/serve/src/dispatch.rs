@@ -24,10 +24,12 @@
 //! near-zero cost — dedupe and batching save redundant *in-flight*
 //! work; the store saves redundant *repeated* work.
 
+use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use mpvar_core::experiments::ExperimentContext;
@@ -200,13 +202,11 @@ impl Dispatcher {
         std::thread::Builder::new()
             .name(label.clone())
             .spawn(move || {
+                let _guard = WaveThreadGuard {
+                    dispatcher: &dispatcher,
+                    fingerprint,
+                };
                 dispatcher.run_waves(fingerprint, ctx, label);
-                let mut active = dispatcher
-                    .active
-                    .lock()
-                    .expect("dispatcher active lock poisoned");
-                *active -= 1;
-                dispatcher.idle.notify_all();
             })
             .expect("spawn wave thread");
 
@@ -274,6 +274,69 @@ impl Dispatcher {
         format!("wave-{}", self.wave_seq.fetch_add(1, Ordering::Relaxed))
     }
 
+    /// Materializes and renders one wave's artifacts, classifying the
+    /// wave for telemetry: a wave that computed nothing was answered
+    /// entirely by the store (warm), anything else is cold. Dedupe
+    /// joiners are tagged on their waiter instead.
+    fn materialize(
+        &self,
+        ctx: &ExperimentContext,
+        label: &str,
+        artifacts: &[ArtifactId],
+    ) -> (
+        Result<BTreeMap<ArtifactId, RenderedArtifact>, String>,
+        RequestOutcome,
+    ) {
+        let study = Study::with_store(ctx.clone(), Arc::clone(&self.store)).with_span_label(label);
+        let rendered = study
+            .materialize(artifacts)
+            .map(|values| {
+                artifacts
+                    .iter()
+                    .zip(values)
+                    .map(|(id, value)| {
+                        let art = value.render();
+                        (
+                            *id,
+                            RenderedArtifact {
+                                id: art.id,
+                                text: art.text,
+                                csv: art.csv,
+                            },
+                        )
+                    })
+                    .collect()
+            })
+            .map_err(|e| e.to_string());
+        let outcome = if study.session_stats().computed == 0 {
+            RequestOutcome::WarmHit
+        } else {
+            RequestOutcome::Cold
+        };
+        (rendered, outcome)
+    }
+
+    /// Drops `fingerprint`'s wave state and answers every waiter, running
+    /// or pending, with an error: the wave thread serving them is gone.
+    /// Runs inside a `Drop` during unwinding, so it must not panic: it
+    /// leaves the dead wave's progress route in place rather than take
+    /// the router's lock, whose poisoning would abort the process.
+    fn abandon(&self, fingerprint: u64) {
+        let state = self
+            .waves
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&fingerprint);
+        let Some(state) = state else { return };
+        let running = state.running.into_iter().flat_map(|r| r.waiters);
+        for waiter in running.chain(state.pending.into_iter().map(|job| job.waiter)) {
+            self.telemetry.record_error();
+            let _ = waiter
+                .tx
+                .send(JobEvent::Done(Err("wave thread panicked".to_string())));
+        }
+    }
+
     /// Runs the claimed wave, then keeps promoting the pending wave of
     /// the same fingerprint until none is left.
     fn run_waves(&self, fingerprint: u64, mut ctx: ExperimentContext, mut label: String) {
@@ -292,37 +355,19 @@ impl Dispatcher {
                 running.artifacts.iter().copied().collect()
             };
 
-            let study = Study::with_store(ctx.clone(), Arc::clone(&self.store))
-                .with_span_label(label.clone());
-            let rendered = study
-                .materialize(&artifacts)
-                .map(|values| {
-                    artifacts
-                        .iter()
-                        .zip(values)
-                        .map(|(id, value)| {
-                            let art = value.render();
-                            (
-                                *id,
-                                RenderedArtifact {
-                                    id: art.id,
-                                    text: art.text,
-                                    csv: art.csv,
-                                },
-                            )
-                        })
-                        .collect::<BTreeMap<ArtifactId, RenderedArtifact>>()
-                })
-                .map_err(|e| e.to_string());
-
-            // Classify the wave for telemetry: a wave that computed
-            // nothing was answered entirely by the store (warm),
-            // anything else is cold. Dedupe joiners are tagged on
-            // their waiter instead.
-            let wave_outcome = if study.session_stats().computed == 0 {
-                RequestOutcome::WarmHit
-            } else {
-                RequestOutcome::Cold
+            // A panicking materialization answers this wave's waiters
+            // with an error instead of taking the wave thread down.
+            let (rendered, wave_outcome) = match catch_unwind(AssertUnwindSafe(|| {
+                self.materialize(&ctx, &label, &artifacts)
+            })) {
+                Ok(done) => done,
+                Err(payload) => (
+                    Err(format!(
+                        "wave panicked: {}",
+                        panic_message(payload.as_ref())
+                    )),
+                    RequestOutcome::Cold,
+                ),
             };
 
             // Drain this wave's waiters and promote the pending wave
@@ -395,12 +440,84 @@ impl Dispatcher {
     }
 }
 
+/// Held by a wave thread for its whole life: on the way out, however
+/// the thread ends, it decrements the active-wave count. A thread that
+/// is unwinding also abandons its fingerprint's wave state, so no
+/// waiter, later request or [`Dispatcher::wait_idle`] waits on a wave
+/// that will never finish.
+struct WaveThreadGuard<'a> {
+    dispatcher: &'a Dispatcher,
+    fingerprint: u64,
+}
+
+impl Drop for WaveThreadGuard<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.dispatcher.abandon(self.fingerprint);
+        }
+        let mut active = self
+            .dispatcher
+            .active
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        *active -= 1;
+        self.dispatcher.idle.notify_all();
+    }
+}
+
+/// The message of a caught panic payload.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::protocol::{ContextSpec, Preset};
-    use mpvar_study::MemoryStore;
+    use mpvar_study::{ArtifactValue, CacheKey, MemoryStore, StoreStats};
+    use std::sync::atomic::AtomicBool;
     use std::sync::mpsc::RecvTimeoutError;
+    use std::sync::Barrier;
+
+    /// A memory store whose first `put` panics, standing in for any
+    /// panic inside a wave's materialization. That `put` first meets the
+    /// test at `release`, so the test can queue waiters behind the wave.
+    #[derive(Debug)]
+    struct PanicOnFirstPut {
+        inner: MemoryStore,
+        tripped: AtomicBool,
+        release: Barrier,
+    }
+
+    impl ArtifactStore for PanicOnFirstPut {
+        fn get(&self, key: CacheKey) -> Option<Arc<ArtifactValue>> {
+            self.inner.get(key)
+        }
+
+        fn put(&self, key: CacheKey, value: Arc<ArtifactValue>) -> Arc<ArtifactValue> {
+            if !self.tripped.swap(true, Ordering::SeqCst) {
+                self.release.wait();
+                panic!("store put failed");
+            }
+            self.inner.put(key, value)
+        }
+
+        fn contains(&self, key: CacheKey) -> bool {
+            self.inner.contains(key)
+        }
+
+        fn evict(&self, key: CacheKey) -> bool {
+            self.inner.evict(key)
+        }
+
+        fn stats(&self) -> StoreStats {
+            self.inner.stats()
+        }
+    }
 
     fn quick_request(id: &str, artifacts: Vec<ArtifactId>) -> AnalysisRequest {
         AnalysisRequest {
@@ -464,6 +581,48 @@ mod tests {
         assert!(dispatcher.wait_idle(Duration::from_secs(60)));
         let stats = dispatcher.stats_snapshot();
         assert_eq!(stats[names::SERVE_REQUESTS], 2);
+    }
+
+    #[test]
+    fn a_panicking_wave_answers_with_an_error_and_frees_its_fingerprint() {
+        let store = Arc::new(PanicOnFirstPut {
+            inner: MemoryStore::new(),
+            tripped: AtomicBool::new(false),
+            release: Barrier::new(2),
+        });
+        let dispatcher = Arc::new(Dispatcher::new(
+            Arc::clone(&store) as Arc<dyn ArtifactStore>,
+            Arc::new(ProgressRouter::new()),
+        ));
+        let first = dispatcher
+            .submit(&quick_request("first", vec![ArtifactId::Table1]))
+            .expect("submit first");
+        let joiner = dispatcher
+            .submit(&quick_request("joiner", vec![ArtifactId::Table1]))
+            .expect("submit joiner");
+        let pending = dispatcher
+            .submit(&quick_request("pending", vec![ArtifactId::Table3]))
+            .expect("submit pending");
+        store.release.wait();
+
+        let err = done_of(&first).expect_err("the panicking wave must answer with an error");
+        assert!(err.contains("store put failed"), "{err}");
+        assert!(
+            done_of(&joiner).is_err(),
+            "a deduped waiter shares the error"
+        );
+        // The pending wave behind it is promoted and runs normally.
+        assert_eq!(done_of(&pending).expect("pending succeeds")[0].id, "table3");
+        assert!(dispatcher.wait_idle(Duration::from_secs(60)));
+        assert_eq!(dispatcher.stats_snapshot()[names::SERVE_DEDUPED], 1);
+
+        // The fingerprint is free again: a retry runs a fresh wave.
+        let retry = dispatcher
+            .submit(&quick_request("retry", vec![ArtifactId::Table1]))
+            .expect("submit retry");
+        let got = done_of(&retry).expect("the retry succeeds");
+        assert_eq!(got[0].id, "table1");
+        assert!(dispatcher.wait_idle(Duration::from_secs(60)));
     }
 
     #[test]

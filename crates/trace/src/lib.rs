@@ -157,8 +157,13 @@ pub mod names {
     pub const SPAN_YIELD_ROUND: &str = "yield_round";
     /// Counter: convergence-driven rounds dispatched by yield runs.
     pub const YIELD_ROUNDS: &str = "yield.rounds";
-    /// Counter: importance-sampling trials consumed by yield runs.
+    /// Counter: importance-sampling trials consumed by yield runs,
+    /// counted once per criterion that folds them.
     pub const YIELD_TRIALS: &str = "yield.trials";
+    /// Counter: importance-sampling trials drawn and evaluated, once
+    /// per shared draw stream however many criteria fold them (so it
+    /// reads below `yield.trials` when runs share a stream).
+    pub const YIELD_EVALUATED_TRIALS: &str = "yield.evaluated_trials";
     /// Counter: proposal draws that landed outside the truncated target
     /// support (weight exactly zero, so the simulation was skipped).
     pub const YIELD_ZERO_WEIGHT: &str = "yield.zero_weight_trials";

@@ -271,7 +271,11 @@ pub fn brute_force_trials_for(
     Ok(z * z * (1.0 - p) / (p * rel_half_width * rel_half_width))
 }
 
-/// Controller state folded between rounds.
+/// Most criteria one run can fold: a trial's flags travel through the
+/// round dispatcher packed one bit per criterion into a `u64`.
+const MAX_CRITERIA: usize = 64;
+
+/// Controller state of one criterion, folded between rounds.
 struct Controller<'a> {
     cfg: &'a YieldConfig,
     /// Finalized rounds, including any resumed prefix (the prefix is
@@ -280,6 +284,9 @@ struct Controller<'a> {
     /// The round currently being filled by `consume`.
     current: RoundAccumulator,
     converged: bool,
+    /// `true` once this criterion's stopping rule, budget or estimator
+    /// error ended it; a stopped criterion folds no further trials.
+    stopped: bool,
     /// Deferred estimator error (stopping rule only; surfaced after
     /// dispatch so the round loop itself stays infallible).
     stats_error: Option<StatsError>,
@@ -326,8 +333,8 @@ impl Controller<'_> {
 /// # Errors
 ///
 /// [`YieldError::InvalidConfig`] / [`YieldError::Stats`] for a bad
-/// config; [`YieldError::Problem`] when the problem's batch evaluation
-/// fails.
+/// config or a problem with more than one criterion;
+/// [`YieldError::Problem`] when the problem's batch evaluation fails.
 pub fn run_yield<P: FailureProblem>(
     problem: &P,
     cfg: &YieldConfig,
@@ -351,9 +358,58 @@ pub fn resume_yield<P: FailureProblem>(
     cfg: &YieldConfig,
     prior: &YieldRun,
 ) -> Result<YieldRun, YieldError> {
+    if problem.criteria() != 1 {
+        return Err(YieldError::InvalidConfig {
+            reason: format!(
+                "run_yield needs a one-criterion problem, got {} criteria (use run_yields)",
+                problem.criteria()
+            ),
+        });
+    }
     cfg.validate(problem.dims())?;
     if prior.converged() {
         return Ok(prior.clone());
+    }
+    let mut runs = drive(problem, cfg, prior)?;
+    Ok(runs.remove(0))
+}
+
+/// Runs the adaptive controller once for every criterion of `problem`,
+/// sharing one draw stream: trial `k` is drawn and evaluated once, and
+/// its flags fold into every criterion still running. Run `c` of the
+/// result is bit-identical to [`run_yield`] on a one-criterion problem
+/// holding criterion `c` alone.
+///
+/// # Errors
+///
+/// As [`run_yield`]; [`YieldError::InvalidConfig`] also for a problem
+/// with no criteria or more than 64.
+pub fn run_yields<P: FailureProblem>(
+    problem: &P,
+    cfg: &YieldConfig,
+) -> Result<Vec<YieldRun>, YieldError> {
+    cfg.validate(problem.dims())?;
+    drive(problem, cfg, &YieldRun::empty())
+}
+
+/// The one controller loop: every criterion of `problem` starts from
+/// `prior` and stops on its own rule, while the round dispatcher draws
+/// each trial once for all of them.
+///
+/// Each criterion's run stays the run it would be alone because trial
+/// `k` draws from substream `k` whatever the criteria, round `r`'s size
+/// is the same for every criterion active at round `r`, and a
+/// criterion stops on its own rounds only.
+fn drive<P: FailureProblem>(
+    problem: &P,
+    cfg: &YieldConfig,
+    prior: &YieldRun,
+) -> Result<Vec<YieldRun>, YieldError> {
+    let criteria = problem.criteria();
+    if criteria == 0 || criteria > MAX_CRITERIA {
+        return Err(YieldError::InvalidConfig {
+            reason: format!("problem has {criteria} criteria, expected 1..={MAX_CRITERIA}"),
+        });
     }
     let offset = prior.consumed();
     let threads = cfg.exec.effective_threads();
@@ -363,19 +419,24 @@ pub fn resume_yield<P: FailureProblem>(
         names::SPAN_YIELD_RUN,
         estimator = cfg.proposal.label(),
         dims = dims,
+        criteria = criteria,
         seed = cfg.seed,
         target_rel_half_width = cfg.target_rel_half_width,
         resumed_trials = offset
     );
 
-    let mut state = Controller {
-        cfg,
-        rounds: prior.rounds().to_vec(),
-        current: RoundAccumulator::new(),
-        converged: false,
-        stats_error: None,
-    };
+    let mut state: Vec<Controller> = (0..criteria)
+        .map(|_| Controller {
+            cfg,
+            rounds: prior.rounds().to_vec(),
+            current: RoundAccumulator::new(),
+            converged: false,
+            stopped: false,
+            stats_error: None,
+        })
+        .collect();
     let base_stream = RngStream::from_seed(cfg.seed);
+    let mut drawn = 0usize;
 
     // The dispatcher's hard `limit` is unbounded: the budget is
     // enforced (softly) inside the size callback so that no round is
@@ -385,9 +446,25 @@ pub fn resume_yield<P: FailureProblem>(
         names::SPAN_YIELD_ROUND,
         usize::MAX,
         threads,
-        |state, _round, consumed| state.next_round_size(offset + consumed as u64),
-        |range| -> Result<Vec<(f64, bool)>, YieldError> {
-            let mut out: Vec<(f64, bool)> = Vec::with_capacity(range.len());
+        |state, _round, consumed| {
+            drawn = consumed;
+            // Every active criterion has run every round so far, so all
+            // of them ask for the same next size.
+            let mut next = 0;
+            for c in state.iter_mut().filter(|c| !c.stopped) {
+                match c.next_round_size(offset + consumed as u64) {
+                    0 => c.stopped = true,
+                    size => {
+                        debug_assert!(next == 0 || next == size, "criteria out of step");
+                        next = size;
+                    }
+                }
+            }
+            next
+        },
+        |range| -> Result<Vec<(f64, u64)>, YieldError> {
+            // Per trial: its weight and its flags, one bit per criterion.
+            let mut out: Vec<(f64, u64)> = Vec::with_capacity(range.len());
             let mut zs: Vec<f64> = Vec::new();
             let mut pending: Vec<usize> = Vec::new();
             let mut z: Vec<f64> = Vec::with_capacity(dims);
@@ -399,47 +476,58 @@ pub fn resume_yield<P: FailureProblem>(
                 if w > 0.0 {
                     pending.push(out.len());
                     zs.extend_from_slice(&z);
-                    out.push((w, false));
+                    out.push((w, 0));
                 } else {
                     // Out-of-support draw: weight 0, simulation skipped.
-                    out.push((0.0, false));
+                    out.push((0.0, 0));
                 }
             }
             if !pending.is_empty() {
                 let failed = problem.evaluate_batch(&zs)?;
-                if failed.len() != pending.len() {
+                if failed.len() != pending.len() * criteria {
                     return Err(YieldError::InvalidConfig {
                         reason: format!(
-                            "problem returned {} flags for {} trials",
+                            "problem returned {} flags for {} trials of {criteria} criteria",
                             failed.len(),
                             pending.len()
                         ),
                     });
                 }
-                for (slot, f) in pending.into_iter().zip(failed) {
-                    out[slot].1 = f;
+                for (slot, flags) in pending.into_iter().zip(failed.chunks_exact(criteria)) {
+                    out[slot].1 = flags
+                        .iter()
+                        .enumerate()
+                        .fold(0, |bits, (c, &f)| bits | (u64::from(f) << c));
                 }
             }
             Ok(out)
         },
-        |state, (w, failed)| {
-            state.current.push(w, failed);
+        |state, (w, bits)| {
+            for (c, ctl) in state.iter_mut().enumerate().filter(|(_, c)| !c.stopped) {
+                ctl.current.push(w, bits >> c & 1 == 1);
+            }
             ControlFlow::Continue(())
         },
     )?;
+    mpvar_trace::counter_add(names::YIELD_EVALUATED_TRIALS, drawn as u64);
 
-    if let Some(e) = state.stats_error {
-        return Err(YieldError::Stats(e));
-    }
-    debug_assert_eq!(state.current.trials(), 0, "round left unfinalized");
-    let run = YieldRun {
-        rounds: state.rounds,
-        converged: state.converged,
-    };
-    if let Ok(est) = run.estimate(cfg.confidence) {
-        mpvar_trace::gauge_set(names::YIELD_ESS, est.ess);
-    }
-    Ok(run)
+    state
+        .into_iter()
+        .map(|c| {
+            if let Some(e) = c.stats_error {
+                return Err(YieldError::Stats(e));
+            }
+            debug_assert_eq!(c.current.trials(), 0, "round left unfinalized");
+            let run = YieldRun {
+                rounds: c.rounds,
+                converged: c.converged,
+            };
+            if let Ok(est) = run.estimate(cfg.confidence) {
+                mpvar_trace::gauge_set(names::YIELD_ESS, est.ess);
+            }
+            Ok(run)
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -34,12 +34,26 @@
 //! [`YieldRun::merge`]) reproduces the uninterrupted run exactly —
 //! float-for-float, not just statistically.
 //!
+//! The same three properties let runs that differ only in their
+//! failure criterion share one draw stream. A problem reporting
+//! [`FailureProblem::criteria`] > 1 (several margins, or a write and a
+//! read model) goes through [`run_yields`]: each trial is drawn and
+//! evaluated once, its flags fold into every criterion still running,
+//! and each criterion stops on its own rounds by its own rule and
+//! budget. Round `r` has the same size for every criterion active at
+//! round `r`, so run `c` is bit-identical to [`run_yield`] on criterion
+//! `c` alone. [`run_yield`] and [`resume_yield`] are the one-criterion
+//! case of the same loop.
+//!
 //! # Telemetry
 //!
 //! With an `mpvar-trace` collector installed, a run emits a
-//! `yield_run` span with one `yield_round` child per round, counters
-//! `yield.rounds` / `yield.trials` / `yield.zero_weight_trials`, and a
-//! final `yield.ess` gauge.
+//! `yield_run` span (its `criteria` field counts the criteria sharing
+//! the stream) with one `yield_round` child per round. The counters
+//! `yield.rounds` / `yield.trials` / `yield.zero_weight_trials` count
+//! per criterion, exactly as separate runs would; `yield.evaluated_trials`
+//! counts each shared trial once. A final `yield.ess` gauge holds the
+//! last criterion's effective sample size.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -47,7 +61,9 @@
 mod controller;
 mod problem;
 
-pub use controller::{brute_force_trials_for, resume_yield, run_yield, YieldConfig, YieldRun};
+pub use controller::{
+    brute_force_trials_for, resume_yield, run_yield, run_yields, YieldConfig, YieldRun,
+};
 pub use problem::{FailureProblem, PlantedThreshold};
 
 // Re-export the estimator vocabulary so downstream crates need only

@@ -17,8 +17,16 @@ pub trait FailureProblem: Sync {
     /// Number of `z` coordinates per trial.
     fn dims(&self) -> usize;
 
-    /// Evaluates `zs.len() / dims()` trials and returns one failure
-    /// flag per trial, in order.
+    /// Number of failure criteria judged per trial (margins, models).
+    /// [`run_yields`](crate::run_yields) returns one run per criterion;
+    /// [`run_yield`](crate::run_yield) needs exactly one.
+    fn criteria(&self) -> usize {
+        1
+    }
+
+    /// Evaluates `zs.len() / dims()` trials and returns `criteria()`
+    /// failure flags per trial, trial-major (trial `i`'s flag for
+    /// criterion `c` at index `i * criteria() + c`).
     ///
     /// # Errors
     ///
