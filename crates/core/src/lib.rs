@@ -51,7 +51,6 @@ pub mod nominal;
 pub mod rareevent;
 pub mod report;
 pub mod sensitivity;
-pub mod timing_yield;
 pub mod worst_case;
 pub mod writeexp;
 
@@ -70,7 +69,6 @@ pub use rareevent::{
     YieldSettings, YieldTable, ZMap,
 };
 pub use sensitivity::{sensitivity_profile, SensitivityProfile};
-pub use timing_yield::{yield_curve, YieldCurve};
 pub use worst_case::{find_worst_case, find_worst_case_with, WorstCase};
 pub use writeexp::{
     sense_margin, wl_delay, write_margin, write_time, write_yield, SenseMargin, WlDelay,
@@ -94,7 +92,6 @@ pub mod prelude {
         YieldSettings, YieldTable, ZMap,
     };
     pub use crate::sensitivity::{sensitivity_profile, SensitivityProfile};
-    pub use crate::timing_yield::{yield_curve, YieldCurve};
     pub use crate::worst_case::{find_worst_case, find_worst_case_with, WorstCase};
     pub use crate::writeexp::{
         sense_margin, wl_delay, write_margin, write_time, write_yield, SenseMargin, WlDelay,

@@ -42,14 +42,12 @@
 
 pub mod capacitance;
 pub mod deck;
-pub mod drc;
 pub mod error;
 pub mod resistance;
 pub mod wire;
 
 pub use capacitance::{coupling_cap_f_per_m, ground_cap_f_per_m, CapacitanceBreakdown};
 pub use deck::{emit_rc_deck, RcDeck, RcDeckSpec};
-pub use drc::{check_layout, check_printed_stack, DrcViolation, DrcViolationKind};
 pub use error::ExtractError;
 pub use resistance::{cross_section_area_nm2, wire_resistance_ohm};
 pub use wire::{extract_edges, extract_stack, extract_track, RelativeVariation, WireParasitics};

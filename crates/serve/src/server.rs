@@ -7,8 +7,8 @@
 //! dedupe and batching work across clients, not just across requests
 //! on one socket.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
@@ -18,6 +18,12 @@ use std::time::Duration;
 use crate::dispatch::{Dispatcher, JobHandle};
 use crate::progress::JobEvent;
 use crate::protocol::{ClientMessage, ServerMessage};
+
+/// Longest client line the reader buffers, newline included. The
+/// largest real request (every artifact plus a full size list) is well
+/// under 1 KiB, so this leaves a wide margin while keeping a peer that
+/// never sends `\n` from growing server memory without limit.
+const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// A running serve endpoint. Dropping the handle does **not** stop the
 /// server; call [`Server::stop`] (or send a `shutdown` message) and
@@ -126,13 +132,36 @@ fn serve_connection(stream: TcpStream, dispatcher: &Arc<Dispatcher>, stop: &Arc<
         })
         .expect("spawn writer thread");
 
-    let reader = BufReader::new(read_half);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    let mut reader = BufReader::new(read_half);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        let limit = MAX_LINE_BYTES as u64 + 1;
+        match (&mut reader).take(limit).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        if buf.len() > MAX_LINE_BYTES {
+            send(
+                &out,
+                &ServerMessage::Error {
+                    id: String::new(),
+                    message: format!(
+                        "request line exceeds the {MAX_LINE_BYTES}-byte limit; closing connection"
+                    ),
+                },
+            );
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            break;
+        };
+        let line = line.strip_suffix('\n').unwrap_or(line);
+        let line = line.strip_suffix('\r').unwrap_or(line);
         if line.trim().is_empty() {
             continue;
         }
-        match ClientMessage::parse(&line) {
+        match ClientMessage::parse(line) {
             Err(message) => send(
                 &out,
                 &ServerMessage::Error {
@@ -173,6 +202,10 @@ fn serve_connection(stream: TcpStream, dispatcher: &Arc<Dispatcher>, stop: &Arc<
     }
     drop(out);
     let _ = writer.join();
+    // End the stream after the last answer: unread input (the rest of
+    // an oversized line) would otherwise turn the close into a reset
+    // that can beat the answer to the peer.
+    let _ = reader.get_ref().shutdown(Shutdown::Write);
 }
 
 /// Pumps one job's events into the connection's outbox until `Done`.

@@ -46,10 +46,7 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod ac;
 pub mod batch;
-pub mod complex;
-pub mod dcsweep;
 pub mod error;
 pub mod measure;
 pub mod mna;
@@ -61,13 +58,10 @@ pub mod transient;
 pub mod value;
 pub mod waveform;
 
-pub use ac::{AcAnalysis, AcResult};
 pub use batch::{
     run_transient_batch, BatchLaneOutcome, BatchTransientResult, BatchTransientSpec,
     BatchedMnaWorkspace, LaneFalloutReason,
 };
-pub use complex::Complex;
-pub use dcsweep::{dc_sweep, DcSweepResult};
 pub use error::SpiceError;
 pub use measure::{
     cross_differential, cross_differential_series, cross_threshold, cross_threshold_series,

@@ -258,79 +258,20 @@ pub(crate) fn solve_nonlinear_ws(
     })
 }
 
-/// Per-analysis solver state for one netlist structure: the right-hand
-/// side plus the [`CompiledLu`] holding the stamp program, the frozen CSR
-/// matrix, the symbolic LU analysis, and the preallocated numeric
-/// buffers. Everything is plain owned data — one workspace per analysis
-/// (and hence per `mpvar-exec` worker closure), so parallel trials never
-/// alias buffers.
+/// Per-analysis solver state for one netlist structure. The first
+/// assembly's stamp stream is recorded and frozen into a [`CsrMatrix`]
+/// plus a replayable slot program; later assemblies replay the program
+/// into the frozen values. The symbolic LU analysis runs on the first
+/// factor and is reused by numeric-only refactors, and a pivot that
+/// drifts below tolerance under the frozen order triggers exactly one
+/// re-analysis. Everything is plain owned data — one workspace per
+/// analysis (and hence per `mpvar-exec` worker closure), so parallel
+/// trials never alias buffers.
 pub(crate) struct MnaWorkspace {
     size: usize,
     rhs: Vec<f64>,
-    lu: CompiledLu,
-}
-
-impl MnaWorkspace {
-    /// Creates an empty workspace for `net`'s system size.
-    pub(crate) fn new(net: &Netlist) -> Self {
-        let size = system_size(net);
-        Self {
-            size,
-            rhs: vec![0.0; size],
-            lu: CompiledLu::default(),
-        }
-    }
-
-    /// Assembles the linearized system around `x` at time `t` into this
-    /// workspace's matrix storage and right-hand side: the first call
-    /// records the stamp program, later calls replay it into the frozen
-    /// CSR values.
-    pub(crate) fn assemble(
-        &mut self,
-        net: &Netlist,
-        t: f64,
-        policy: ReactivePolicy<'_>,
-        x: &[f64],
-    ) {
-        self.rhs.fill(0.0);
-        if let Some(mut rep) = self.lu.replayer() {
-            assemble_into(net, t, policy, x, &mut rep, &mut self.rhs);
-            rep.finish();
-        } else {
-            let mut rec = StampRecorder::default();
-            assemble_into(net, t, policy, x, &mut rec, &mut self.rhs);
-            self.lu.compile(self.size, rec);
-        }
-    }
-
-    /// Factors the assembled matrix (see [`CompiledLu::factor`]).
-    pub(crate) fn factor(&mut self, stats: &mut NewtonStats) -> Result<(), SpiceError> {
-        self.lu.factor(stats)
-    }
-
-    /// Back-substitutes the workspace right-hand side through the last
-    /// computed factors into `out`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before a successful [`MnaWorkspace::factor`].
-    pub(crate) fn solve_into(&self, out: &mut Vec<f64>) {
-        self.lu.solve_into(&self.rhs, out);
-    }
-}
-
-/// The compile step of every scalar analysis (MNA Newton solves and AC
-/// sweeps): the first assembly's stamp stream is recorded and frozen
-/// into a [`CsrMatrix`] plus a replayable slot program, later
-/// assemblies replay the program into the frozen values, the symbolic
-/// LU analysis runs on the first factor and is reused by numeric-only
-/// refactors, and a pivot that drifts below tolerance under the frozen
-/// order triggers exactly one re-analysis.
-#[derive(Default)]
-pub(crate) struct CompiledLu {
-    /// `None` until the first assembly is compiled. Boxed so the idle
-    /// state stays pointer-sized.
-    state: Option<Box<CompiledState>>,
+    /// `None` until the first assembly is compiled.
+    compiled: Option<CompiledState>,
 }
 
 /// The compiled assembly + factorization state (built on first use).
@@ -341,42 +282,61 @@ struct CompiledState {
     /// Coordinate per recorded call, for debug-build desync checks.
     #[cfg(debug_assertions)]
     coords: Vec<(usize, usize)>,
-    /// `None` until the first [`CompiledLu::factor`] runs the analysis
+    /// `None` until the first [`MnaWorkspace::factor`] runs the analysis
     /// (so a failed assembly never pays for it).
     symbolic: Option<(SymbolicLu, LuWorkspace)>,
 }
 
-impl CompiledLu {
-    /// The sink for the next assembly, with the frozen values zeroed, or
-    /// `None` while nothing is compiled yet — the caller then assembles
-    /// into a [`StampRecorder`] and hands it to [`CompiledLu::compile`].
-    pub(crate) fn replayer(&mut self) -> Option<StampReplayer<'_>> {
-        let c = self.state.as_mut()?;
-        c.csr.zero_values();
-        Some(StampReplayer {
-            slots: &c.program,
-            #[cfg(debug_assertions)]
-            coords: &c.coords,
-            vals: c.csr.values_mut(),
-            cursor: 0,
-        })
+impl MnaWorkspace {
+    /// Creates an empty workspace for `net`'s system size.
+    pub(crate) fn new(net: &Netlist) -> Self {
+        let size = system_size(net);
+        Self {
+            size,
+            rhs: vec![0.0; size],
+            compiled: None,
+        }
     }
 
-    /// Freezes the first assembly of an `n x n` system — its pattern,
-    /// slot program, and values.
-    pub(crate) fn compile(&mut self, n: usize, rec: StampRecorder) {
-        let (mut csr, program) = CsrMatrix::from_coords(n, &rec.coords);
-        let vals = csr.values_mut();
-        for (&slot, &v) in program.iter().zip(&rec.vals) {
-            vals[slot as usize] += v;
+    /// Assembles the linearized system around `x` at time `t` into this
+    /// workspace's matrix storage and right-hand side: the first call
+    /// records the stamp program and freezes its pattern, slot program
+    /// and values; later calls replay it into the frozen CSR values.
+    pub(crate) fn assemble(
+        &mut self,
+        net: &Netlist,
+        t: f64,
+        policy: ReactivePolicy<'_>,
+        x: &[f64],
+    ) {
+        self.rhs.fill(0.0);
+        if let Some(c) = self.compiled.as_mut() {
+            c.csr.zero_values();
+            let mut rep = StampReplayer {
+                slots: &c.program,
+                #[cfg(debug_assertions)]
+                coords: &c.coords,
+                vals: c.csr.values_mut(),
+                cursor: 0,
+            };
+            assemble_into(net, t, policy, x, &mut rep, &mut self.rhs);
+            rep.finish();
+        } else {
+            let mut rec = StampRecorder::default();
+            assemble_into(net, t, policy, x, &mut rec, &mut self.rhs);
+            let (mut csr, program) = CsrMatrix::from_coords(self.size, &rec.coords);
+            let vals = csr.values_mut();
+            for (&slot, &v) in program.iter().zip(&rec.vals) {
+                vals[slot as usize] += v;
+            }
+            self.compiled = Some(CompiledState {
+                csr,
+                program,
+                #[cfg(debug_assertions)]
+                coords: rec.coords,
+                symbolic: None,
+            });
         }
-        self.state = Some(Box::new(CompiledState {
-            csr,
-            program,
-            #[cfg(debug_assertions)]
-            coords: rec.coords,
-            symbolic: None,
-        }));
     }
 
     /// Factors the assembled matrix: a numeric-only refactor under the
@@ -388,7 +348,7 @@ impl CompiledLu {
     ///
     /// Panics if nothing has been assembled yet.
     pub(crate) fn factor(&mut self, stats: &mut NewtonStats) -> Result<(), SpiceError> {
-        let c = self.state.as_mut().expect("assemble before factor");
+        let c = self.compiled.as_mut().expect("assemble before factor");
         if c.symbolic.is_none() {
             let sym = SymbolicLu::analyze(&c.csr)?;
             let ws = sym.workspace();
@@ -415,16 +375,16 @@ impl CompiledLu {
         result
     }
 
-    /// Back-substitutes `rhs` through the last computed factors into
-    /// `out`.
+    /// Back-substitutes the workspace right-hand side through the last
+    /// computed factors into `out`.
     ///
     /// # Panics
     ///
-    /// Panics if called before a successful [`CompiledLu::factor`].
-    pub(crate) fn solve_into(&self, rhs: &[f64], out: &mut Vec<f64>) {
-        let c = self.state.as_ref().expect("assemble before solve");
+    /// Panics if called before a successful [`MnaWorkspace::factor`].
+    pub(crate) fn solve_into(&self, out: &mut Vec<f64>) {
+        let c = self.compiled.as_ref().expect("assemble before solve");
         let (sym, lu) = c.symbolic.as_ref().expect("factor before solve");
-        sym.solve_into(lu, rhs, out);
+        sym.solve_into(lu, &self.rhs, out);
     }
 }
 

@@ -29,55 +29,6 @@ use crate::netlist::{Element, Netlist};
 use crate::value::{format_value, parse_value};
 use crate::waveform::Waveform;
 
-/// A `.dc source start stop step` directive.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DcDirective {
-    /// Source to sweep.
-    pub source: String,
-    /// Sweep start value.
-    pub start: f64,
-    /// Sweep stop value (inclusive within rounding).
-    pub stop: f64,
-    /// Sweep increment (sign-corrected to the sweep direction).
-    pub step: f64,
-}
-
-impl DcDirective {
-    /// Expands the directive into the concrete sweep values.
-    pub fn values(&self) -> Vec<f64> {
-        let step = if (self.stop - self.start).signum() == self.step.signum() {
-            self.step
-        } else {
-            -self.step
-        };
-        let n = ((self.stop - self.start) / step).round() as usize;
-        (0..=n).map(|k| self.start + step * k as f64).collect()
-    }
-}
-
-/// An `.ac dec points fstart fstop` directive (decade sweep).
-#[derive(Debug, Clone, PartialEq)]
-pub struct AcDirective {
-    /// Points per decade.
-    pub points_per_decade: usize,
-    /// Start frequency, Hz.
-    pub f_start: f64,
-    /// Stop frequency, Hz.
-    pub f_stop: f64,
-}
-
-impl AcDirective {
-    /// Expands the directive into the concrete frequency list.
-    pub fn frequencies(&self) -> Vec<f64> {
-        let decades = (self.f_stop / self.f_start).log10();
-        let count = ((decades * self.points_per_decade as f64).ceil() as usize).max(1) + 1;
-        let (l0, l1) = (self.f_start.ln(), self.f_stop.ln());
-        (0..count)
-            .map(|i| (l0 + (l1 - l0) * i as f64 / (count - 1) as f64).exp())
-            .collect()
-    }
-}
-
 /// A parsed deck: the netlist plus analysis directives.
 #[derive(Debug, Clone)]
 pub struct Deck {
@@ -85,10 +36,6 @@ pub struct Deck {
     pub netlist: Netlist,
     /// `.tran step stop`, if present.
     pub tran: Option<(f64, f64)>,
-    /// `.dc` sweep directive, if present.
-    pub dc: Option<DcDirective>,
-    /// `.ac` sweep directive, if present.
-    pub ac: Option<AcDirective>,
     /// `.ic` initial conditions as `(node_name, volts)` pairs.
     pub initial_conditions: Vec<(String, f64)>,
     /// Title from the first line when it is a comment.
@@ -128,8 +75,6 @@ pub fn parse_deck(text: &str, models: &HashMap<String, MosfetModel>) -> Result<D
     let mut deck = Deck {
         netlist: Netlist::new(),
         tran: None,
-        dc: None,
-        ac: None,
         initial_conditions: Vec::new(),
         title: None,
     };
@@ -163,63 +108,6 @@ pub fn parse_deck(text: &str, models: &HashMap<String, MosfetModel>) -> Result<D
             let stop = parse_value(toks[2])
                 .map_err(|_| perr(lineno, format!("bad .tran stop `{}`", toks[2])))?;
             deck.tran = Some((step, stop));
-            continue;
-        }
-        if upper.starts_with(".DC") {
-            let toks: Vec<&str> = trimmed.split_whitespace().collect();
-            if toks.len() < 5 {
-                return Err(perr(
-                    lineno,
-                    ".dc needs <source> <start> <stop> <step>".into(),
-                ));
-            }
-            let mut nums = [0.0f64; 3];
-            for (slot, t) in nums.iter_mut().zip(&toks[2..5]) {
-                *slot = parse_value(t).map_err(|_| perr(lineno, format!("bad .dc value `{t}`")))?;
-            }
-            if nums[2] == 0.0 {
-                return Err(perr(lineno, ".dc step must be nonzero".into()));
-            }
-            deck.dc = Some(DcDirective {
-                source: toks[1].to_string(),
-                start: nums[0],
-                stop: nums[1],
-                step: nums[2],
-            });
-            continue;
-        }
-        if upper.starts_with(".AC") {
-            let toks: Vec<&str> = trimmed.split_whitespace().collect();
-            // Accept ".ac dec N fstart fstop" and ".ac N fstart fstop".
-            let args: Vec<&str> = if toks.len() >= 5 && toks[1].eq_ignore_ascii_case("dec") {
-                toks[2..5].to_vec()
-            } else if toks.len() >= 4 {
-                toks[1..4].to_vec()
-            } else {
-                return Err(perr(
-                    lineno,
-                    ".ac needs [dec] <points> <fstart> <fstop>".into(),
-                ));
-            };
-            let points: usize = args[0]
-                .parse()
-                .map_err(|_| perr(lineno, format!("bad .ac point count `{}`", args[0])))?;
-            let f_start = parse_value(args[1])
-                .map_err(|_| perr(lineno, format!("bad .ac fstart `{}`", args[1])))?;
-            let f_stop = parse_value(args[2])
-                .map_err(|_| perr(lineno, format!("bad .ac fstop `{}`", args[2])))?;
-            let valid = points >= 1 && f_start > 0.0 && f_stop > f_start;
-            if !valid {
-                return Err(perr(
-                    lineno,
-                    ".ac needs points >= 1 and 0 < fstart < fstop".into(),
-                ));
-            }
-            deck.ac = Some(AcDirective {
-                points_per_decade: points,
-                f_start,
-                f_stop,
-            });
             continue;
         }
         if upper.starts_with(".IC") {
@@ -611,58 +499,24 @@ mod tests {
     }
 
     #[test]
-    fn dc_directive_parses_and_expands() {
-        let deck = "* dc\nV1 a 0 DC 0\nR1 a 0 1k\n.dc V1 0 0.7 0.1\n.end\n";
-        let d = parse_deck(deck, &models()).unwrap();
-        let dc = d.dc.expect("dc parsed");
-        assert_eq!(dc.source, "V1");
-        let vals = dc.values();
-        assert_eq!(vals.len(), 8);
-        assert!((vals[7] - 0.7).abs() < 1e-12);
-        // Reverse sweep corrects the step sign.
-        let rev = DcDirective {
-            source: "V1".into(),
-            start: 0.7,
-            stop: 0.0,
-            step: 0.1,
-        };
-        let vals = rev.values();
-        assert!((vals[0] - 0.7).abs() < 1e-12);
-        assert!(vals[7].abs() < 1e-12);
-        // It drives a real sweep.
-        let sweep = crate::dcsweep::dc_sweep(&d.netlist, &dc.source, &dc.values()).unwrap();
-        assert_eq!(sweep.len(), 8);
-    }
-
-    #[test]
-    fn ac_directive_parses_and_expands() {
-        let deck = "* ac\nV1 a 0 DC 0\nR1 a b 1k\nC1 b 0 100f\n.ac dec 10 1meg 1g\n.end\n";
-        let d = parse_deck(deck, &models()).unwrap();
-        let ac = d.ac.expect("ac parsed");
-        assert_eq!(ac.points_per_decade, 10);
-        let freqs = ac.frequencies();
-        assert!(freqs.len() >= 31);
-        assert!((freqs[0] - 1e6).abs() < 1.0);
-        assert!((freqs.last().unwrap() - 1e9).abs() < 1e3);
-        // Geometric spacing.
-        let r1 = freqs[1] / freqs[0];
-        let r2 = freqs[2] / freqs[1];
-        assert!((r1 - r2).abs() < 1e-9);
-        // Shorthand without `dec`.
-        let d2 = parse_deck("* ac\nR1 a 0 1k\n.ac 5 1k 1meg\n.end\n", &models()).unwrap();
-        assert_eq!(d2.ac.unwrap().points_per_decade, 5);
-    }
-
-    #[test]
     fn bad_directives_rejected() {
+        // Decks written for the DC-sweep and AC analyses get a named error
+        // on the directive's line, never a silent skip.
         for deck in [
-            "* x\n.dc V1 0 1\n.end\n",
-            "* x\n.dc V1 0 1 0\n.end\n",
-            "* x\n.ac dec 0 1k 1meg\n.end\n",
-            "* x\n.ac dec 10 1meg 1k\n.end\n",
+            "* x\n.dc V1 0 1 0.1\n.end\n",
+            "* x\n.DC V1 0 1\n.end\n",
+            "* x\n.ac dec 10 1k 1meg\n.end\n",
             "* x\n.ac\n.end\n",
         ] {
-            assert!(parse_deck(deck, &models()).is_err(), "{deck}");
+            match parse_deck(deck, &models()) {
+                Err(SpiceError::Parse { line: 2, message }) => {
+                    assert!(
+                        message.contains("unsupported directive"),
+                        "{deck:?}: {message}"
+                    )
+                }
+                other => panic!("expected a line-2 parse error for {deck:?}, got {other:?}"),
+            }
         }
     }
 

@@ -50,7 +50,6 @@ pub mod cell;
 pub mod error;
 pub mod params;
 pub mod readout;
-pub mod snm;
 pub mod writepath;
 
 pub use array::SramArray;
@@ -61,7 +60,6 @@ pub use readout::{
     simulate_read, simulate_read_batch, simulate_read_batch_in, ReadBatchScratch, ReadConfig,
     ReadOutcome,
 };
-pub use snm::{half_cell_vtc, static_noise_margin, SnmMode, SnmResult};
 pub use writepath::{
     simulate_write, simulate_write_batch, simulate_write_batch_in, WriteBatchScratch, WriteConfig,
     WriteOutcome,
@@ -77,7 +75,6 @@ pub mod prelude {
         simulate_read, simulate_read_batch, simulate_read_batch_in, ReadBatchScratch, ReadConfig,
         ReadOutcome,
     };
-    pub use crate::snm::{half_cell_vtc, static_noise_margin, SnmMode, SnmResult};
     pub use crate::writepath::{
         simulate_write, simulate_write_batch, simulate_write_batch_in, WriteBatchScratch,
         WriteConfig, WriteOutcome,

@@ -1,8 +1,8 @@
 //! One-sample Kolmogorov–Smirnov test against a Gaussian.
 //!
-//! Used to decide when the Gaussian timing-yield fit is trustworthy:
-//! SADP/EUV tdp distributions are near-normal, LE3's is right-skewed
-//! (gap closing is convex), and the KS statistic quantifies that.
+//! Quantifies how Gaussian a tdp distribution is: SADP/EUV are
+//! near-normal, LE3's is right-skewed (gap closing is convex). The
+//! testkit invariants use it through `ks_test_fitted`.
 
 use crate::error::StatsError;
 use crate::sampler::Gaussian;

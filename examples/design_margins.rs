@@ -1,30 +1,19 @@
-//! Design-margin analysis: sensitivities, timing yield, and the LELE
-//! extension — what a memory designer does with the paper's results.
+//! Design-margin analysis: which variation parameter a memory designer
+//! must control, per patterning option, including the LELE extension.
 //!
 //! ```text
 //! cargo run --release --example design_margins
 //! ```
 
 use mpvar::prelude::*;
-use mpvar::sram::{static_noise_margin, DeviceSizing, SnmMode};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let tech = n10();
     let cell = BitcellGeometry::n10_hd(&tech)?;
     let n = 64;
 
-    // 0. Cell stability baseline: the butterfly margins of the 6T cell
-    //    itself (paper Fig. 1a, in DC).
-    let read = static_noise_margin(&tech, &DeviceSizing::default(), SnmMode::Read, 0.7)?;
-    let hold = static_noise_margin(&tech, &DeviceSizing::default(), SnmMode::Hold, 0.7)?;
-    println!(
-        "cell stability at 0.7V: read SNM {:.0} mV, hold SNM {:.0} mV\n",
-        read.snm_v * 1e3,
-        hold.snm_v * 1e3
-    );
-
-    // 1. Which variation parameter matters? (the paper's §IV claim,
-    //    quantified)
+    // Which variation parameter matters? (the paper's §IV claim,
+    // quantified)
     println!("per-parameter tdp sensitivities at 10x{n}:\n");
     for option in PatterningOption::ALL_WITH_EXTENSIONS {
         let profile = sensitivity_profile(&tech, &cell, option, n, 0.25)?;
@@ -36,31 +25,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          between its neighbours) — this is why LE3's spread dominates.\n"
     );
 
-    // 2. Timing yield: what margin does each option need?
-    let mc = McConfig::builder().trials(8_000).seed(2015).build();
-    let margins: Vec<f64> = (0..48).map(|k| 0.25 * k as f64).collect();
-    println!("timing margin needed for 99.7% yield at 10x{n}:\n");
-    for option in PatterningOption::ALL_WITH_EXTENSIONS {
-        let budget = VariationBudget::paper_default(option, 8.0)?;
-        let dist = tdp_distribution(&tech, &cell, option, &budget, n, &mc)?;
-        let curve = yield_curve(&dist, &margins)?;
-        match curve.margin_for(0.997) {
-            Some(m) => println!(
-                "  {:<8} sigma {:.2}%  -> margin {:+.2}% tdp",
-                option.paper_label(),
-                dist.sigma_percent(),
-                m
-            ),
-            None => println!(
-                "  {:<8} sigma {:.2}%  -> margin beyond the evaluated range",
-                option.paper_label(),
-                dist.sigma_percent()
-            ),
-        }
-    }
-
     println!(
-        "\n(the full LELE-vs-paper comparison table:\n \
+        "(the full LELE-vs-paper comparison table:\n \
          `cargo run --release -p mpvar-bench --bin repro -- extension-le2`)"
     );
     Ok(())

@@ -80,9 +80,8 @@ pub mod prelude {
     pub use mpvar_core::experiments::{ExperimentContext, ExperimentContextBuilder};
     pub use mpvar_core::montecarlo::{McConfig, McConfigBuilder};
     pub use mpvar_core::{
-        find_worst_case, sensitivity_profile, tdp_distribution, yield_6sigma, yield_curve,
-        AnalyticalModel, CoreError, ExecConfig, TdpDistribution, WorstCase, YieldSettings,
-        YieldTable,
+        find_worst_case, sensitivity_profile, tdp_distribution, yield_6sigma, AnalyticalModel,
+        CoreError, ExecConfig, TdpDistribution, WorstCase, YieldSettings, YieldTable,
     };
     pub use mpvar_litho::Draw;
     pub use mpvar_sram::{simulate_read, BitcellGeometry, FormulaParams, ReadConfig};

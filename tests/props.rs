@@ -1,11 +1,14 @@
 //! Property-based tests over the core invariants, spanning crates.
 
+use std::collections::HashMap;
+
 use proptest::prelude::*;
 
 use mpvar::extract::{coupling_cap_f_per_m, extract_track, wire_resistance_ohm};
 use mpvar::geometry::{Nm, Track, TrackStack};
 use mpvar::litho::{apply_draw, Draw, EuvDraw, Le3Draw, SadpDraw};
-use mpvar::spice::{CsrMatrix, DenseMatrix, SymbolicLu};
+use mpvar::spice::parser::{parse_deck, write_deck, Deck};
+use mpvar::spice::{CsrMatrix, DenseMatrix, Element, MosfetModel, Netlist, SymbolicLu, Waveform};
 use mpvar::sram::{BitcellGeometry, FormulaParams};
 use mpvar::stats::{Histogram, Summary};
 use mpvar::tech::preset::n10;
@@ -19,6 +22,131 @@ fn sram_stack() -> TrackStack {
         Track::new("VSS2", Nm(192), Nm(24), Nm(0), Nm(1300)).expect("track"),
     ])
     .expect("stack")
+}
+
+/// Seeded xorshift source for the generated deck netlists.
+struct DeckGen(u64);
+
+impl DeckGen {
+    fn unit(&mut self) -> f64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        (self.0 >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    fn index(&mut self, n: usize) -> usize {
+        ((self.unit() * n as f64) as usize).min(n - 1)
+    }
+
+    /// A positive value `m * 10^e` with `e` in `lo..=hi`. The mantissa
+    /// stays in `[1, 9.9)`, away from the point where the writer's
+    /// 6-decimal rounding could carry into the next engineering suffix.
+    fn value(&mut self, lo: i32, hi: i32) -> f64 {
+        let e = lo + self.index((hi - lo + 1) as usize) as i32;
+        (1.0 + 8.9 * self.unit()) * 10f64.powi(e)
+    }
+
+    /// A source level: zero or a signed value in millivolts to volts.
+    fn level(&mut self) -> f64 {
+        match self.index(3) {
+            0 => 0.0,
+            1 => self.value(-3, 0),
+            _ => -self.value(-3, 0),
+        }
+    }
+}
+
+fn deck_models() -> HashMap<String, MosfetModel> {
+    let tech = n10();
+    HashMap::from([
+        ("nmos".to_string(), MosfetModel::new(*tech.nmos())),
+        ("pmos".to_string(), MosfetModel::new(*tech.pmos())),
+    ])
+}
+
+/// A deck of `n_elems` R, C, V (DC / PULSE / PWL) and MOSFET cards over
+/// a small node pool, plus `.ic` assignments and maybe a `.tran` card.
+fn random_deck(g: &mut DeckGen, n_elems: usize, models: &HashMap<String, MosfetModel>) -> Deck {
+    const NODES: [&str; 6] = ["0", "bl", "blb", "wl", "vdd", "x_1"];
+    let mut net = Netlist::new();
+    let pair = |g: &mut DeckGen, net: &mut Netlist| {
+        let a = g.index(NODES.len());
+        let b = (a + 1 + g.index(NODES.len() - 1)) % NODES.len();
+        (net.node(NODES[a]), net.node(NODES[b]))
+    };
+    for k in 0..n_elems {
+        let (a, b) = pair(g, &mut net);
+        match g.index(4) {
+            0 => net.add_resistor(&format!("R{k}"), a, b, g.value(0, 6)),
+            1 => net.add_capacitor(&format!("C{k}"), a, b, g.value(-15, -12)),
+            2 => {
+                let waveform = match g.index(3) {
+                    0 => Waveform::dc(g.level()),
+                    1 => Waveform::pulse(
+                        g.level(),
+                        g.level(),
+                        g.value(-12, -9),
+                        g.value(-12, -11),
+                        g.value(-12, -11),
+                        g.value(-12, -11),
+                        g.value(-9, -8),
+                    )
+                    .expect("period exceeds rise + width + fall"),
+                    _ => {
+                        let mut times: Vec<f64> =
+                            (0..1 + g.index(5)).map(|_| g.value(-12, -9)).collect();
+                        times.sort_by(f64::total_cmp);
+                        times.dedup();
+                        Waveform::pwl(times.into_iter().map(|t| (t, g.level())).collect())
+                            .expect("times strictly increase")
+                    }
+                };
+                net.add_vsource(&format!("V{k}"), a, b, waveform)
+            }
+            _ => {
+                let s = net.node(NODES[g.index(NODES.len())]);
+                let model = models[["nmos", "pmos"][g.index(2)]];
+                net.add_mosfet(&format!("M{k}"), a, b, s, model)
+            }
+        }
+        .expect("generated card is valid");
+    }
+    let tran = (g.index(2) == 0).then(|| (g.value(-13, -11), g.value(-10, -8)));
+    let initial_conditions = (0..g.index(3))
+        .map(|_| (NODES[1 + g.index(NODES.len() - 1)].to_string(), g.level()))
+        .collect();
+    Deck {
+        netlist: net,
+        tran,
+        initial_conditions,
+        title: Some("generated deck".to_string()),
+    }
+}
+
+fn close(a: f64, b: f64) -> bool {
+    (a - b).abs() <= 1e-6 * a.abs()
+}
+
+/// The numbers a deck card carries, in card order.
+fn card_values(e: &Element) -> Vec<f64> {
+    match e {
+        Element::Resistor { ohms: v, .. } | Element::Capacitor { farads: v, .. } => vec![*v],
+        Element::VSource { waveform, .. } | Element::ISource { waveform, .. } => match waveform {
+            Waveform::Dc(v) => vec![*v],
+            Waveform::Pulse {
+                v0,
+                v1,
+                delay,
+                rise,
+                fall,
+                width,
+                period,
+            } => vec![*v0, *v1, *delay, *rise, *fall, *width, *period],
+            Waveform::Pwl(points) => points.iter().flat_map(|&(t, v)| [t, v]).collect(),
+        },
+        Element::Mosfet { .. } => Vec::new(),
+    }
 }
 
 proptest! {
@@ -206,5 +334,46 @@ proptest! {
         let var = data.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
         prop_assert!((s.mean() - mean).abs() <= 1e-9 * mean.abs().max(1.0));
         prop_assert!((s.variance() - var).abs() <= 1e-6 * var.abs().max(1.0));
+    }
+    /// Writing a deck, parsing it back and writing again reproduces the
+    /// text byte for byte; the parsed circuit keeps every element name,
+    /// node and value (values to 1e-6 relative, the writer's precision).
+    #[test]
+    fn deck_roundtrip(seed in 1u64..1_000_000, n_elems in 1usize..24) {
+        let models = deck_models();
+        let deck = random_deck(&mut DeckGen(seed), n_elems, &models);
+        let write = |d: &Deck| {
+            write_deck(&d.netlist, "generated deck", d.tran, &d.initial_conditions)
+        };
+        let text = write(&deck);
+        let parsed = parse_deck(&text, &models).expect("written deck parses");
+        prop_assert_eq!(&write(&parsed), &text);
+        prop_assert_eq!(&parsed.title, &deck.title);
+
+        let (net, back) = (&deck.netlist, &parsed.netlist);
+        prop_assert_eq!(back.elements().len(), net.elements().len());
+        for (e, f) in net.elements().iter().zip(back.elements()) {
+            prop_assert_eq!(e.name(), f.name());
+            let nodes = |n: &Netlist, el: &Element| -> Vec<String> {
+                el.nodes().iter().map(|&id| n.node_name(id).to_string()).collect()
+            };
+            prop_assert_eq!(nodes(net, e), nodes(back, f));
+            if let (Element::Mosfet { model: m, .. }, Element::Mosfet { model: n, .. }) = (e, f) {
+                prop_assert_eq!(m, n);
+            }
+            let (x, y) = (card_values(e), card_values(f));
+            let same = x.len() == y.len() && x.iter().zip(&y).all(|(a, b)| close(*a, *b));
+            prop_assert!(same, "{e:?} vs {f:?}");
+        }
+        match (deck.tran, parsed.tran) {
+            (Some((s0, t0)), Some((s1, t1))) => prop_assert!(close(s0, s1) && close(t0, t1)),
+            (a, b) => prop_assert_eq!(a, b),
+        }
+        let (ics, back_ics) = (&deck.initial_conditions, &parsed.initial_conditions);
+        prop_assert_eq!(ics.len(), back_ics.len());
+        for ((n0, v0), (n1, v1)) in ics.iter().zip(back_ics) {
+            prop_assert_eq!(n0, n1);
+            prop_assert!(close(*v0, *v1), "{v0} vs {v1}");
+        }
     }
 }
