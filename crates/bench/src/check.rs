@@ -40,6 +40,7 @@ use mpvar_testkit::invariants;
 use mpvar_testkit::oracle::{run_delay_oracles, OracleConfig};
 use mpvar_testkit::write_oracle::{run_write_oracles, WriteOracleConfig};
 use mpvar_testkit::{CheckItem, CheckReport};
+use mpvar_trace::names;
 
 /// Maximum simulation-vs-formula tdp gap (percentage points) asserted
 /// by the Table III methods-agree invariant. The golden gap peaks at
@@ -385,12 +386,34 @@ pub fn run_check(opts: &CheckOptions) -> Result<CheckReport, CoreError> {
 /// cache hits — visible in the session's `timings()` counters and, with
 /// a trace collector installed, as zero-duration `study_node` spans.
 ///
+/// The differential oracles share nothing with the matrix, so they run
+/// alongside it on a thread of their own (under a `check_oracles` root
+/// span), on `opts.exec`'s workers. Their items still come last, in
+/// the same order, so the report does not depend on the overlap.
+///
 /// # Errors
 ///
 /// Propagates experiment-runner failures.
 pub fn run_check_in(opts: &CheckOptions, study: &Study) -> Result<CheckReport, CoreError> {
-    let ctx = study.context().clone();
-    let mut report = CheckReport::new();
+    let ctx = study.context();
+    std::thread::scope(|scope| {
+        let oracles = scope.spawn(|| oracle_items(opts, ctx));
+        let matrix = matrix_items(opts, study);
+        let oracles = oracles
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        let mut report = CheckReport::new();
+        report.extend(matrix?);
+        report.extend(oracles);
+        Ok(report)
+    })
+}
+
+/// Regenerates the experiment matrix and renders the golden-gate and
+/// shape-invariant items.
+fn matrix_items(opts: &CheckOptions, study: &Study) -> Result<Vec<CheckItem>, CoreError> {
+    let ctx = study.context();
+    let mut report = Vec::new();
 
     // Regenerate the matrix once; the artifact graph shares the
     // expensive stages through the content-keyed cache.
@@ -464,15 +487,32 @@ pub fn run_check_in(opts: &CheckOptions, study: &Study) -> Result<CheckReport, C
     report.extend(invariants::sense_margin_invariants(&sm));
     report.extend(invariants::wl_delay_invariants(&wl));
     report.extend(invariants::write_yield_invariants(&wy));
+    Ok(report)
+}
+
+/// Runs both differential oracles and renders their items.
+fn oracle_items(opts: &CheckOptions, ctx: &ExperimentContext) -> Vec<CheckItem> {
+    let _root = mpvar_trace::span!(names::SPAN_CHECK_ORACLES, cases = opts.oracle_cases);
+    let mut items = Vec::new();
 
     // Differential delay oracles on randomized arrays.
     let oracle_cfg = OracleConfig {
         cases: opts.oracle_cases,
         ..OracleConfig::default()
     };
-    match run_delay_oracles(&ctx.tech, &ctx.cell, &ctx.read_config, &oracle_cfg) {
-        Ok(oracle_report) => report.extend(oracle_report.items()),
-        Err(e) => report.push(CheckItem::fail("oracle.run", e.to_string())),
+    let delay = {
+        let _span = mpvar_trace::span!(names::SPAN_ORACLE_DELAY, cases = oracle_cfg.cases);
+        run_delay_oracles(
+            &ctx.tech,
+            &ctx.cell,
+            &ctx.read_config,
+            &oracle_cfg,
+            opts.exec,
+        )
+    };
+    match delay {
+        Ok(oracle_report) => items.extend(oracle_report.items()),
+        Err(e) => items.push(CheckItem::fail("oracle.run", e.to_string())),
     }
 
     // The write-side mirror: formula vs scalar vs batched write
@@ -481,12 +521,21 @@ pub fn run_check_in(opts: &CheckOptions, study: &Study) -> Result<CheckReport, C
         cases: (opts.oracle_cases * 3 / 4).max(1),
         ..WriteOracleConfig::default()
     };
-    match run_write_oracles(&ctx.tech, &ctx.cell, &WriteConfig::default(), &write_cfg) {
-        Ok(write_report) => report.extend(write_report.items()),
-        Err(e) => report.push(CheckItem::fail("write_oracle.run", e.to_string())),
+    let write = {
+        let _span = mpvar_trace::span!(names::SPAN_ORACLE_WRITE, cases = write_cfg.cases);
+        run_write_oracles(
+            &ctx.tech,
+            &ctx.cell,
+            &WriteConfig::default(),
+            &write_cfg,
+            opts.exec,
+        )
+    };
+    match write {
+        Ok(write_report) => items.extend(write_report.items()),
+        Err(e) => items.push(CheckItem::fail("write_oracle.run", e.to_string())),
     }
-
-    Ok(report)
+    items
 }
 
 #[cfg(test)]
@@ -541,6 +590,28 @@ mod tests {
             .columns
             .iter()
             .any(|c| matches!(c.policy, Policy::Numeric { rel, .. } if rel >= 0.01)));
+    }
+
+    #[test]
+    fn check_is_thread_invariant_with_oracle_items_last() {
+        let opts = |exec: ExecConfig| CheckOptions {
+            exec,
+            trials: Some(400),
+            oracle_cases: 8,
+            ..CheckOptions::new(true)
+        };
+        let serial = run_check(&opts(ExecConfig::SERIAL)).unwrap();
+        let four = run_check(&opts(ExecConfig::with_threads(4))).unwrap();
+        assert_eq!(serial.render(), four.render());
+        // The oracles overlap the matrix but still report last, delay
+        // oracle first.
+        let names: Vec<&str> = serial.items.iter().map(|i| i.name.as_str()).collect();
+        let first_oracle = names.len() - 10;
+        assert_eq!(names[first_oracle], "oracle.coverage");
+        assert_eq!(names[first_oracle + 5], "write_oracle.coverage");
+        assert!(names[..first_oracle]
+            .iter()
+            .all(|n| !n.starts_with("oracle.") && !n.starts_with("write_oracle.")));
     }
 
     #[test]

@@ -73,6 +73,13 @@ impl std::fmt::Display for TestkitError {
 
 impl std::error::Error for TestkitError {}
 
+/// Wraps a propagated analysis failure.
+pub(crate) fn analysis(e: impl std::fmt::Display) -> TestkitError {
+    TestkitError::Analysis {
+        message: e.to_string(),
+    }
+}
+
 impl From<mpvar_core::CoreError> for TestkitError {
     fn from(e: mpvar_core::CoreError) -> Self {
         TestkitError::Analysis {

@@ -5,7 +5,10 @@
 //! 1. the paper's analytical lumped-RC formula (eqs. 1–5,
 //!    [`mpvar_core::formula`]);
 //! 2. the distributed Elmore refinement ([`mpvar_core::elmore`]);
-//! 3. the SPICE transient testbench ([`mpvar_sram::simulate_read`]).
+//! 3. the SPICE transient testbench, run as one batched read per
+//!    array height ([`mpvar_sram::simulate_read_batch`]), which is
+//!    bit-identical to the scalar [`mpvar_sram::simulate_read`] by
+//!    contract (`tests/batch_differential.rs`).
 //!
 //! None of them shares code below the extracted parasitics, so they
 //! cross-validate each other: on randomized small arrays (random
@@ -25,17 +28,19 @@
 //!   within a per-case bound in percentage points (default 15pp, the
 //!   paper's Table III worst observed gap plus margin).
 
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
 use mpvar_core::{AnalyticalModel, ElmoreModel, NominalWindow};
+use mpvar_exec::ExecConfig;
 use mpvar_extract::{extract_track, RelativeVariation};
 use mpvar_litho::{apply_draw, sample_draw, Draw};
-use mpvar_sram::{simulate_read, BitcellGeometry, FormulaParams, ReadConfig};
+use mpvar_sram::{simulate_read_batch, BitcellGeometry, FormulaParams, ReadConfig};
 use mpvar_stats::RngStream;
 use mpvar_tech::{PatterningOption, TechDb, VariationBudget};
 
 use crate::report::CheckItem;
-use crate::TestkitError;
+use crate::{analysis, TestkitError};
 
 /// Configuration of the randomized differential study.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -173,6 +178,136 @@ impl OracleReport {
     }
 }
 
+/// One sampled case of a randomized oracle study.
+pub(crate) struct Case {
+    pub(crate) option: PatterningOption,
+    pub(crate) n: usize,
+    pub(crate) draw: Draw,
+    pub(crate) var: RelativeVariation,
+    /// The RNG substream the case was drawn from (its label).
+    pub(crate) substream: u64,
+}
+
+/// Samples the case set of a randomized oracle study.
+///
+/// Case `k` consumes RNG substream `k` of `seed`: pick an option
+/// round-robin, a height uniformly in `heights`, and a draw from the
+/// option's budget, print the one-cell window, and extract
+/// `R_var`/`C_var`. Shorted draws are skipped and replaced (up to
+/// `4 · cases + 64` attempts). Returns the cases and the number of
+/// shorted draws skipped.
+pub(crate) fn sample_cases(
+    tech: &TechDb,
+    cell: &BitcellGeometry,
+    seed: u64,
+    cases: usize,
+    heights: (usize, usize),
+    overlay_nm: f64,
+) -> Result<(Vec<Case>, usize), TestkitError> {
+    let options = PatterningOption::ALL;
+    let mut windows = Vec::with_capacity(options.len());
+    for &option in &options {
+        windows.push(NominalWindow::build(tech, cell, option)?);
+    }
+    let (n_min, n_max) = heights;
+    let base = RngStream::from_seed(seed);
+    let mut out = Vec::with_capacity(cases);
+    let mut shorted = 0usize;
+    let attempt_limit = 4 * cases as u64 + 64;
+    let mut k = 0u64;
+    while out.len() < cases && k < attempt_limit {
+        let mut rng = base.substream(k);
+        let slot = k as usize % options.len();
+        k += 1;
+        let option = options[slot];
+        let span = (n_max - n_min + 1) as f64;
+        let n = n_min + ((rng.next_f64() * span) as usize).min(n_max - n_min);
+        let budget = VariationBudget::paper_default(option, overlay_nm).map_err(analysis)?;
+        let window = &windows[slot];
+        let draw = sample_draw(option, &budget, &mut rng)?;
+        let Ok(printed) = apply_draw(window.stack(), &draw) else {
+            shorted += 1;
+            continue;
+        };
+        let parasitics =
+            extract_track(&printed, window.bl_index(), window.metal()).map_err(analysis)?;
+        out.push(Case {
+            option,
+            n,
+            draw,
+            var: RelativeVariation::between(window.nominal(), &parasitics),
+            substream: k - 1,
+        });
+    }
+    Ok((out, shorted))
+}
+
+/// The indices of `cases` grouped by height, heights ascending.
+pub(crate) fn group_by_height(cases: &[Case]) -> Vec<(usize, Vec<usize>)> {
+    let mut by_n: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+    for (i, case) in cases.iter().enumerate() {
+        by_n.entry(case.n).or_default().push(i);
+    }
+    by_n.into_iter().collect()
+}
+
+/// Deals height groups, costliest (`n × lanes`) first, round-robin
+/// across the `threads` contiguous chunks of [`mpvar_exec::chunk_ranges`],
+/// so every worker gets a similar share of the work. Ascending heights
+/// would hand every tall group to the last worker.
+fn deal_by_cost(mut groups: Vec<(usize, Vec<usize>)>, threads: usize) -> Vec<(usize, Vec<usize>)> {
+    groups.sort_by_key(|(n, lanes)| Reverse(n * (lanes.len() + 1)));
+    let chunks = threads.clamp(1, groups.len().max(1));
+    let mut dealt: Vec<Vec<(usize, Vec<usize>)>> = (0..chunks).map(|_| Vec::new()).collect();
+    for (i, group) in groups.into_iter().enumerate() {
+        dealt[i % chunks].push(group);
+    }
+    dealt.into_iter().flatten().collect()
+}
+
+/// A per-case or per-height simulation result.
+type Td = Result<f64, TestkitError>;
+
+/// SPICE `td` of every case, and the nominal `td` of every height the
+/// cases use: one batched read per distinct height (lane 0 the nominal
+/// EUV draw, then the height's cases), the heights spread over
+/// `threads` workers.
+fn spice_tds(
+    tech: &TechDb,
+    cell: &BitcellGeometry,
+    read_config: &ReadConfig,
+    cases: &[Case],
+    threads: usize,
+) -> (Vec<Td>, BTreeMap<usize, Td>) {
+    let groups = deal_by_cost(group_by_height(cases), threads);
+    let per_group = mpvar_exec::par_map_indexed(&groups, threads, |_, (n, indices)| {
+        let draws: Vec<Draw> = std::iter::once(Draw::nominal(PatterningOption::Euv))
+            .chain(indices.iter().map(|&i| cases[i].draw))
+            .collect();
+        match simulate_read_batch(tech, cell, read_config, *n, &draws) {
+            Ok(lanes) => lanes
+                .into_iter()
+                .map(|lane| lane.map(|out| out.td_s).map_err(analysis))
+                .collect(),
+            Err(e) => vec![Err(analysis(e)); draws.len()],
+        }
+    });
+    let mut case_td: Vec<Option<Td>> = vec![None; cases.len()];
+    let mut nominal_td = BTreeMap::new();
+    for ((n, indices), tds) in groups.iter().zip(per_group) {
+        let mut tds = tds.into_iter();
+        nominal_td.insert(*n, tds.next().expect("lane 0 is the nominal"));
+        for (&i, td) in indices.iter().zip(tds) {
+            case_td[i] = Some(td);
+        }
+    }
+    let case_td = case_td
+        .into_iter()
+        .map(|td| td.expect("every case has a lane"))
+        .collect();
+    (case_td, nominal_td)
+}
+
 /// Runs the randomized differential study.
 ///
 /// Per case: pick an option round-robin, sample a draw from its
@@ -180,8 +315,13 @@ impl OracleReport {
 /// compute `td` through the formula, the Elmore model, and the SPICE
 /// transient on a random-height column, and check every mutual bound.
 ///
+/// The cases are sampled first, in one sequential loop; the SPICE
+/// reads then run as one batch per distinct height on `exec`'s
+/// workers, and the verdicts fold in case order.
+///
 /// Deterministic: case `k` consumes RNG substream `k` of `cfg.seed`,
-/// and no state leaks between cases.
+/// no state leaks between cases, and the report is bit-identical at
+/// every thread count.
 ///
 /// # Errors
 ///
@@ -192,6 +332,7 @@ pub fn run_delay_oracles(
     cell: &BitcellGeometry,
     read_config: &ReadConfig,
     cfg: &OracleConfig,
+    exec: ExecConfig,
 ) -> Result<OracleReport, TestkitError> {
     if cfg.cases == 0 || cfg.n_min == 0 || cfg.n_max < cfg.n_min {
         return Err(TestkitError::Analysis {
@@ -201,96 +342,36 @@ pub fn run_delay_oracles(
             ),
         });
     }
-    let params = FormulaParams::derive(tech, cell, read_config.vdd_v).map_err(|e| {
-        TestkitError::Analysis {
-            message: e.to_string(),
-        }
-    })?;
+    let params = FormulaParams::derive(tech, cell, read_config.vdd_v).map_err(analysis)?;
     let level = read_config.sense_dv_v / read_config.vdd_v;
     let lumped = AnalyticalModel::new(params, level)?;
     let elmore = ElmoreModel::new(params, level)?;
 
-    let options = PatterningOption::ALL;
-    let mut windows = Vec::with_capacity(options.len());
-    for &option in &options {
-        windows.push(NominalWindow::build(tech, cell, option)?);
-    }
+    let (cases, shorted) = sample_cases(
+        tech,
+        cell,
+        cfg.seed,
+        cfg.cases,
+        (cfg.n_min, cfg.n_max),
+        cfg.overlay_nm,
+    )?;
+    let (spice_td, nominal_td) =
+        spice_tds(tech, cell, read_config, &cases, exec.effective_threads());
 
-    // Nominal SPICE td per height, shared across cases.
-    let mut nominal_td: BTreeMap<usize, f64> = BTreeMap::new();
-    let mut nominal_of = |n: usize| -> Result<f64, TestkitError> {
-        if let Some(&td) = nominal_td.get(&n) {
-            return Ok(td);
-        }
-        let td = simulate_read(
-            tech,
-            cell,
-            read_config,
-            n,
-            &Draw::nominal(PatterningOption::Euv),
-        )
-        .map_err(|e| TestkitError::Analysis {
-            message: e.to_string(),
-        })?
-        .td_s;
-        nominal_td.insert(n, td);
-        Ok(td)
-    };
-
-    let base = RngStream::from_seed(cfg.seed);
     let mut violations = Vec::new();
     let mut sf_range = (f64::INFINITY, f64::NEG_INFINITY);
     let mut se_range = (f64::INFINITY, f64::NEG_INFINITY);
     let mut el_range = (f64::INFINITY, f64::NEG_INFINITY);
     let mut max_gap = 0.0f64;
-    let mut evaluated = 0usize;
-    let mut shorted = 0usize;
 
-    let attempt_limit = 4 * cfg.cases as u64 + 64;
-    let mut k = 0u64;
-    while evaluated < cfg.cases && k < attempt_limit {
-        let mut rng = base.substream(k);
-        k += 1;
-        let option = options[(k - 1) as usize % options.len()];
-        let span = (cfg.n_max - cfg.n_min + 1) as f64;
-        let n = cfg.n_min + ((rng.next_f64() * span) as usize).min(cfg.n_max - cfg.n_min);
-
-        let budget = VariationBudget::paper_default(option, cfg.overlay_nm).map_err(|e| {
-            TestkitError::Analysis {
-                message: e.to_string(),
-            }
-        })?;
-        let window = &windows[options
-            .iter()
-            .position(|&o| o == option)
-            .expect("option in ALL")];
-        let draw = sample_draw(option, &budget, &mut rng)?;
-        let printed = match apply_draw(window.stack(), &draw) {
-            Ok(p) => p,
-            Err(_) => {
-                shorted += 1;
-                continue;
-            }
-        };
-        let parasitics =
-            extract_track(&printed, window.bl_index(), window.metal()).map_err(|e| {
-                TestkitError::Analysis {
-                    message: e.to_string(),
-                }
-            })?;
-        let var = RelativeVariation::between(window.nominal(), &parasitics);
-
+    for (case, td_spice) in cases.iter().zip(spice_td) {
+        let (n, var) = (case.n, case.var);
         let td_formula = lumped.td_s(n, var.r_var, var.c_var);
         let td_elmore = elmore.td_s(n, var.r_var, var.c_var);
-        let td_spice = simulate_read(tech, cell, read_config, n, &draw)
-            .map_err(|e| TestkitError::Analysis {
-                message: e.to_string(),
-            })?
-            .td_s;
-        let td_nominal = nominal_of(n)?;
-        evaluated += 1;
+        let td_spice = td_spice?;
+        let td_nominal = nominal_td[&n].clone()?;
 
-        let case = format!("case {k_prev} ({option}, n={n})", k_prev = k - 1);
+        let case = format!("case {} ({}, n={n})", case.substream, case.option);
         let el = td_elmore / td_formula;
         el_range = (el_range.0.min(el), el_range.1.max(el));
         if el < cfg.elmore_lumped_band.0 || el > cfg.elmore_lumped_band.1 {
@@ -318,7 +399,7 @@ pub fn run_delay_oracles(
     }
 
     Ok(OracleReport {
-        cases_evaluated: evaluated,
+        cases_evaluated: cases.len(),
         shorted_skipped: shorted,
         spice_formula_range: sf_range,
         spice_elmore_range: se_range,
@@ -348,7 +429,14 @@ mod tests {
             n_max: 12,
             ..OracleConfig::default()
         };
-        let report = run_delay_oracles(&tech, &cell, &ReadConfig::default(), &cfg).unwrap();
+        let report = run_delay_oracles(
+            &tech,
+            &cell,
+            &ReadConfig::default(),
+            &cfg,
+            ExecConfig::SERIAL,
+        )
+        .unwrap();
         assert_eq!(report.cases_evaluated, 24);
         for item in report.items() {
             assert!(item.passed, "{}: {}", item.name, item.detail);
@@ -366,8 +454,22 @@ mod tests {
             n_max: 8,
             ..OracleConfig::default()
         };
-        let a = run_delay_oracles(&tech, &cell, &ReadConfig::default(), &cfg).unwrap();
-        let b = run_delay_oracles(&tech, &cell, &ReadConfig::default(), &cfg).unwrap();
+        let a = run_delay_oracles(
+            &tech,
+            &cell,
+            &ReadConfig::default(),
+            &cfg,
+            ExecConfig::SERIAL,
+        )
+        .unwrap();
+        let b = run_delay_oracles(
+            &tech,
+            &cell,
+            &ReadConfig::default(),
+            &cfg,
+            ExecConfig::SERIAL,
+        )
+        .unwrap();
         assert_eq!(a, b);
     }
 
@@ -385,7 +487,14 @@ mod tests {
                 ..OracleConfig::default()
             },
         ] {
-            assert!(run_delay_oracles(&tech, &cell, &ReadConfig::default(), &cfg).is_err());
+            assert!(run_delay_oracles(
+                &tech,
+                &cell,
+                &ReadConfig::default(),
+                &cfg,
+                ExecConfig::SERIAL
+            )
+            .is_err());
         }
     }
 
@@ -398,7 +507,14 @@ mod tests {
             spice_formula_band: (0.999, 1.001),
             ..OracleConfig::default()
         };
-        let report = run_delay_oracles(&tech, &cell, &ReadConfig::default(), &cfg).unwrap();
+        let report = run_delay_oracles(
+            &tech,
+            &cell,
+            &ReadConfig::default(),
+            &cfg,
+            ExecConfig::SERIAL,
+        )
+        .unwrap();
         let items = report.items();
         let sf = items
             .iter()

@@ -25,19 +25,19 @@
 //! * the worst-case *penalty* (`twp`) of SPICE and formula agree
 //!   within a per-case bound in percentage points (default 20pp).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-use mpvar_core::{AnalyticalModel, NominalWindow};
-use mpvar_extract::{extract_track, RelativeVariation};
-use mpvar_litho::{apply_draw, sample_draw, Draw};
+use mpvar_core::AnalyticalModel;
+use mpvar_exec::ExecConfig;
+use mpvar_litho::Draw;
 use mpvar_sram::{
     simulate_write, simulate_write_batch, BitcellGeometry, FormulaParams, WriteConfig,
 };
-use mpvar_stats::RngStream;
-use mpvar_tech::{PatterningOption, TechDb, VariationBudget};
+use mpvar_tech::{PatterningOption, TechDb};
 
+use crate::oracle::{group_by_height, sample_cases, Case};
 use crate::report::CheckItem;
-use crate::TestkitError;
+use crate::{analysis, TestkitError};
 
 /// Configuration of the randomized differential write study.
 #[derive(Debug, Clone, PartialEq)]
@@ -174,15 +174,6 @@ impl WriteOracleReport {
     }
 }
 
-/// One sampled case of the study.
-struct Case {
-    option: PatterningOption,
-    n: usize,
-    draw: Draw,
-    var: RelativeVariation,
-    substream: u64,
-}
-
 /// Evaluates every case's batched flip time, grouped by height so each
 /// group shares one symbolic analysis, with `threads` outer workers.
 fn batched_flip_times(
@@ -192,11 +183,7 @@ fn batched_flip_times(
     cases: &[Case],
     threads: usize,
 ) -> Result<Vec<f64>, TestkitError> {
-    let mut by_n: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for (i, case) in cases.iter().enumerate() {
-        by_n.entry(case.n).or_default().push(i);
-    }
-    let groups: Vec<(usize, Vec<usize>)> = by_n.into_iter().collect();
+    let groups = group_by_height(cases);
     let per_group = mpvar_exec::try_par_map_indexed(&groups, threads, |_, (n, indices)| {
         let draws: Vec<Draw> = indices.iter().map(|&i| cases[i].draw).collect();
         let lanes = simulate_write_batch(tech, cell, wc, *n, &draws).map_err(|e| {
@@ -232,6 +219,10 @@ fn batched_flip_times(
 /// and check every bound. Deterministic: case `k` consumes RNG
 /// substream `k` of `cfg.seed`.
 ///
+/// The scalar reference route runs on `exec`'s workers; the batched
+/// route runs at both of `cfg.thread_counts`, since its thread
+/// invariance is one of the contracts under test.
+///
 /// # Errors
 ///
 /// Propagates hard analysis failures (model construction, extraction,
@@ -241,6 +232,7 @@ pub fn run_write_oracles(
     cell: &BitcellGeometry,
     write_config: &WriteConfig,
     cfg: &WriteOracleConfig,
+    exec: ExecConfig,
 ) -> Result<WriteOracleReport, TestkitError> {
     if cfg.cases == 0 || cfg.n_min == 0 || cfg.n_max < cfg.n_min {
         return Err(TestkitError::Analysis {
@@ -252,60 +244,18 @@ pub fn run_write_oracles(
     }
     let params =
         FormulaParams::derive_write(tech, cell, write_config.vdd_v, write_config.driver_strength)
-            .map_err(|e| TestkitError::Analysis {
-            message: e.to_string(),
-        })?;
+            .map_err(analysis)?;
     let model = AnalyticalModel::new(params, write_config.flip_fraction)?;
 
-    let options = PatterningOption::ALL;
-    let mut windows = Vec::with_capacity(options.len());
-    for &option in &options {
-        windows.push(NominalWindow::build(tech, cell, option)?);
-    }
-
     // Sample the case set first; the same set feeds every route.
-    let base = RngStream::from_seed(cfg.seed);
-    let mut cases: Vec<Case> = Vec::with_capacity(cfg.cases);
-    let mut shorted = 0usize;
-    let attempt_limit = 4 * cfg.cases as u64 + 64;
-    let mut k = 0u64;
-    while cases.len() < cfg.cases && k < attempt_limit {
-        let mut rng = base.substream(k);
-        k += 1;
-        let option = options[(k - 1) as usize % options.len()];
-        let span = (cfg.n_max - cfg.n_min + 1) as f64;
-        let n = cfg.n_min + ((rng.next_f64() * span) as usize).min(cfg.n_max - cfg.n_min);
-        let budget = VariationBudget::paper_default(option, cfg.overlay_nm).map_err(|e| {
-            TestkitError::Analysis {
-                message: e.to_string(),
-            }
-        })?;
-        let window = &windows[options
-            .iter()
-            .position(|&o| o == option)
-            .expect("option in ALL")];
-        let draw = sample_draw(option, &budget, &mut rng)?;
-        let printed = match apply_draw(window.stack(), &draw) {
-            Ok(p) => p,
-            Err(_) => {
-                shorted += 1;
-                continue;
-            }
-        };
-        let parasitics =
-            extract_track(&printed, window.bl_index(), window.metal()).map_err(|e| {
-                TestkitError::Analysis {
-                    message: e.to_string(),
-                }
-            })?;
-        cases.push(Case {
-            option,
-            n,
-            draw,
-            var: RelativeVariation::between(window.nominal(), &parasitics),
-            substream: k - 1,
-        });
-    }
+    let (cases, shorted) = sample_cases(
+        tech,
+        cell,
+        cfg.seed,
+        cfg.cases,
+        (cfg.n_min, cfg.n_max),
+        cfg.overlay_nm,
+    )?;
 
     // Batched route at both thread counts: bit-identity is the claim.
     let batch_a = batched_flip_times(tech, cell, write_config, &cases, cfg.thread_counts.0)?;
@@ -315,43 +265,35 @@ pub fn run_write_oracles(
         .zip(&batch_b)
         .all(|(a, b)| a.to_bits() == b.to_bits());
 
-    // Nominal SPICE flip time per height, shared across cases.
-    let mut nominal_t: BTreeMap<usize, f64> = BTreeMap::new();
-    let mut nominal_of = |n: usize| -> Result<f64, TestkitError> {
-        if let Some(&t) = nominal_t.get(&n) {
-            return Ok(t);
-        }
-        let t = simulate_write(
-            tech,
-            cell,
-            write_config,
-            n,
-            &Draw::nominal(PatterningOption::Euv),
-        )
-        .map_err(|e| TestkitError::Analysis {
-            message: e.to_string(),
-        })?
-        .t_write_s;
-        nominal_t.insert(n, t);
-        Ok(t)
-    };
+    // Scalar reference route on `exec`'s workers: every case, then the
+    // nominal flip time of each distinct height, placed by index.
+    let heights: BTreeSet<usize> = cases.iter().map(|case| case.n).collect();
+    let nominal = Draw::nominal(PatterningOption::Euv);
+    let jobs: Vec<(usize, &Draw)> = cases
+        .iter()
+        .map(|case| (case.n, &case.draw))
+        .chain(heights.iter().map(|&n| (n, &nominal)))
+        .collect();
+    let scalar = mpvar_exec::par_map_indexed(&jobs, exec.effective_threads(), |_, &(n, draw)| {
+        simulate_write(tech, cell, write_config, n, draw)
+            .map(|out| out.t_write_s)
+            .map_err(analysis)
+    });
+    let (scalar_t, nominal_t) = scalar.split_at(cases.len());
+    let nominal_t: BTreeMap<usize, &Result<f64, TestkitError>> =
+        heights.into_iter().zip(nominal_t).collect();
 
     let mut violations = Vec::new();
     let mut batch_mismatches = Vec::new();
     let mut sf_range = (f64::INFINITY, f64::NEG_INFINITY);
     let mut max_gap = 0.0f64;
 
-    for (i, case) in cases.iter().enumerate() {
-        let t_scalar = simulate_write(tech, cell, write_config, case.n, &case.draw)
-            .map_err(|e| TestkitError::Analysis {
-                message: e.to_string(),
-            })?
-            .t_write_s;
+    for ((case, t_scalar), t_batch) in cases.iter().zip(scalar_t).zip(&batch_a) {
+        let t_scalar = t_scalar.clone()?;
         let label = format!("case {} ({}, n={})", case.substream, case.option, case.n);
-        if t_scalar.to_bits() != batch_a[i].to_bits() {
+        if t_scalar.to_bits() != t_batch.to_bits() {
             batch_mismatches.push(format!(
-                "{label}: scalar {t_scalar:.6e}s vs batched {:.6e}s",
-                batch_a[i]
+                "{label}: scalar {t_scalar:.6e}s vs batched {t_batch:.6e}s"
             ));
         }
         let t_formula = model.td_s(case.n, case.var.r_var, case.var.c_var);
@@ -360,7 +302,7 @@ pub fn run_write_oracles(
         if sf < cfg.spice_formula_band.0 || sf > cfg.spice_formula_band.1 {
             violations.push(format!("spice-formula {label}: ratio {sf:.4}"));
         }
-        let twp_spice_pp = (t_scalar / nominal_of(case.n)? - 1.0) * 100.0;
+        let twp_spice_pp = (t_scalar / nominal_t[&case.n].clone()? - 1.0) * 100.0;
         let twp_formula_pp = model.tdp_percent(case.n, case.var.r_var, case.var.c_var);
         let gap = (twp_spice_pp - twp_formula_pp).abs();
         max_gap = max_gap.max(gap);
@@ -402,7 +344,14 @@ mod tests {
             n_max: 10,
             ..WriteOracleConfig::default()
         };
-        let report = run_write_oracles(&tech, &cell, &WriteConfig::default(), &cfg).unwrap();
+        let report = run_write_oracles(
+            &tech,
+            &cell,
+            &WriteConfig::default(),
+            &cfg,
+            ExecConfig::SERIAL,
+        )
+        .unwrap();
         assert_eq!(report.cases_evaluated, 18);
         for item in report.items() {
             assert!(item.passed, "{}: {}", item.name, item.detail);
@@ -419,8 +368,22 @@ mod tests {
             n_max: 8,
             ..WriteOracleConfig::default()
         };
-        let a = run_write_oracles(&tech, &cell, &WriteConfig::default(), &cfg).unwrap();
-        let b = run_write_oracles(&tech, &cell, &WriteConfig::default(), &cfg).unwrap();
+        let a = run_write_oracles(
+            &tech,
+            &cell,
+            &WriteConfig::default(),
+            &cfg,
+            ExecConfig::SERIAL,
+        )
+        .unwrap();
+        let b = run_write_oracles(
+            &tech,
+            &cell,
+            &WriteConfig::default(),
+            &cfg,
+            ExecConfig::SERIAL,
+        )
+        .unwrap();
         assert_eq!(a, b);
     }
 
@@ -438,7 +401,14 @@ mod tests {
                 ..WriteOracleConfig::default()
             },
         ] {
-            assert!(run_write_oracles(&tech, &cell, &WriteConfig::default(), &cfg).is_err());
+            assert!(run_write_oracles(
+                &tech,
+                &cell,
+                &WriteConfig::default(),
+                &cfg,
+                ExecConfig::SERIAL
+            )
+            .is_err());
         }
     }
 
@@ -451,7 +421,14 @@ mod tests {
             spice_formula_band: (0.999, 1.001),
             ..WriteOracleConfig::default()
         };
-        let report = run_write_oracles(&tech, &cell, &WriteConfig::default(), &cfg).unwrap();
+        let report = run_write_oracles(
+            &tech,
+            &cell,
+            &WriteConfig::default(),
+            &cfg,
+            ExecConfig::SERIAL,
+        )
+        .unwrap();
         let items = report.items();
         let sf = items
             .iter()

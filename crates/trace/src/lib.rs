@@ -92,6 +92,13 @@ pub mod names {
     pub const SPAN_STUDY_MATERIALIZE: &str = "study_materialize";
     /// Span: one artifact-graph node evaluation (or cache fetch).
     pub const SPAN_STUDY_NODE: &str = "study_node";
+    /// Span: the differential-oracle phase of a `check` pass (a root:
+    /// it runs on its own thread alongside the experiment matrix).
+    pub const SPAN_CHECK_ORACLES: &str = "check_oracles";
+    /// Span: the differential delay oracle, under `check_oracles`.
+    pub const SPAN_ORACLE_DELAY: &str = "oracle_delay";
+    /// Span: the differential write oracle, under `check_oracles`.
+    pub const SPAN_ORACLE_WRITE: &str = "oracle_write";
 
     /// Counter: Monte-Carlo samples accepted into distributions.
     pub const MC_TRIALS: &str = "mc.trials";
