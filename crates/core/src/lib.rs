@@ -64,10 +64,7 @@ pub use montecarlo::{
 };
 pub use mpvar_exec::ExecConfig;
 pub use nominal::{NominalCache, NominalWindow};
-pub use rareevent::{
-    yield_6sigma, FormulaYieldProblem, SpiceWriteYieldProblem, SpiceYieldProblem, YieldRow,
-    YieldSettings, YieldTable, ZMap,
-};
+pub use rareevent::{yield_6sigma, FormulaYieldProblem, YieldRow, YieldSettings, YieldTable, ZMap};
 pub use sensitivity::{sensitivity_profile, SensitivityProfile};
 pub use worst_case::{find_worst_case, find_worst_case_with, WorstCase};
 pub use writeexp::{
@@ -88,8 +85,7 @@ pub mod prelude {
     };
     pub use crate::nominal::{NominalCache, NominalWindow};
     pub use crate::rareevent::{
-        yield_6sigma, FormulaYieldProblem, SpiceWriteYieldProblem, SpiceYieldProblem, YieldRow,
-        YieldSettings, YieldTable, ZMap,
+        yield_6sigma, FormulaYieldProblem, YieldRow, YieldSettings, YieldTable, ZMap,
     };
     pub use crate::sensitivity::{sensitivity_profile, SensitivityProfile};
     pub use crate::worst_case::{find_worst_case, find_worst_case_with, WorstCase};

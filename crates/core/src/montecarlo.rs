@@ -467,7 +467,7 @@ pub struct SpiceMcOptions {
 }
 
 impl Default for SpiceMcOptions {
-    /// Default read testbench with 8-wide solver batches.
+    /// Default read testbench with 16-wide solver batches.
     fn default() -> Self {
         Self {
             read: ReadConfig::default(),

@@ -4,14 +4,14 @@
 //! ~1e-4 failure probability; array sign-off needs the deep tail. This
 //! module maps the MP-variability parameter space onto the
 //! `mpvar-yield` engine's standardized `z`-domain and runs its adaptive
-//! importance-sampling controller against the analytical-formula (and
-//! optionally full-SPICE) read model:
+//! importance-sampling controller against the analytical-formula read
+//! model:
 //!
 //! * [`ZMap`] — the fixed ordering of an option's *active* variation
 //!   parameters (budget 3σ > 0) onto i.i.d. standard-normal
 //!   coordinates, truncated at ±3.5σ exactly like the litho sampler;
-//! * [`FormulaYieldProblem`] / [`SpiceYieldProblem`] — batch failure
-//!   predicates (`shorted print` OR `tdp > margin`) over that domain;
+//! * [`FormulaYieldProblem`] — the batch failure predicate
+//!   (`shorted print` OR `tdp > margin`) over that domain;
 //! * [`yield_6sigma`] — the experiment: per option and timing margin,
 //!   a scaled-sigma importance-sampled failure probability with CI,
 //!   cross-checked against a Gaussian-fit extrapolation and (at a
@@ -23,12 +23,8 @@
 //! margin.
 
 use mpvar_litho::{Draw, EuvDraw, Le2Draw, Le3Draw, SadpDraw, TRUNCATION_SIGMAS};
-use mpvar_sram::{
-    simulate_read, simulate_read_batch_in, simulate_write, simulate_write_batch_in,
-    ReadBatchScratch, ReadConfig, SramError, WriteBatchScratch, WriteConfig,
-};
 use mpvar_stats::normal_tail;
-use mpvar_tech::{PatterningOption, TechDb, VariationBudget};
+use mpvar_tech::{PatterningOption, VariationBudget};
 use mpvar_yield::{
     resume_yield, run_yield, run_yields, FailureProblem, Proposal, YieldConfig, YieldError,
     YieldRun, ZDomain,
@@ -270,174 +266,6 @@ impl FailureProblem for FormulaYieldProblem<'_> {
             }
         }
         Ok(out)
-    }
-}
-
-/// SPICE-route failure predicate: like [`FormulaYieldProblem`] but each
-/// trial is a full read simulation through the batched SoA solver.
-#[derive(Debug)]
-pub struct SpiceYieldProblem<'a> {
-    tech: &'a TechDb,
-    cell: &'a mpvar_sram::BitcellGeometry,
-    read: ReadConfig,
-    map: ZMap,
-    n_cells: usize,
-    margin_percent: f64,
-    td_nom_s: f64,
-}
-
-impl<'a> SpiceYieldProblem<'a> {
-    /// Builds the predicate, running the nominal reference read once.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the nominal read and map construction.
-    pub fn new(
-        tech: &'a TechDb,
-        cell: &'a mpvar_sram::BitcellGeometry,
-        read: ReadConfig,
-        option: PatterningOption,
-        budget: &VariationBudget,
-        n_cells: usize,
-        margin_percent: f64,
-    ) -> Result<Self, CoreError> {
-        let td_nom_s = simulate_read(tech, cell, &read, n_cells, &Draw::nominal(option))?.td_s;
-        Ok(Self {
-            tech,
-            cell,
-            read,
-            map: ZMap::build(option, budget)?,
-            n_cells,
-            margin_percent,
-            td_nom_s,
-        })
-    }
-}
-
-impl FailureProblem for SpiceYieldProblem<'_> {
-    fn dims(&self) -> usize {
-        self.map.dims()
-    }
-
-    fn evaluate_batch(&self, zs: &[f64]) -> Result<Vec<bool>, YieldError> {
-        let dims = self.map.dims();
-        if !zs.len().is_multiple_of(dims) {
-            return Err(YieldError::InvalidConfig {
-                reason: format!("batch length {} not a multiple of dims {dims}", zs.len()),
-            });
-        }
-        let draws: Vec<Draw> = zs
-            .chunks_exact(dims)
-            .map(|z| self.map.draw_from_z(z))
-            .collect();
-        let mut scratch = ReadBatchScratch::new();
-        let lanes = simulate_read_batch_in(
-            self.tech,
-            self.cell,
-            &self.read,
-            self.n_cells,
-            &draws,
-            &mut scratch,
-        )
-        .map_err(|e| YieldError::Problem(Box::new(CoreError::from(e))))?;
-        lanes
-            .into_iter()
-            .map(|lane| match lane {
-                Ok(o) => Ok((o.td_s / self.td_nom_s - 1.0) * 100.0 > self.margin_percent),
-                // Shorted print: a read failure, same as the formula path.
-                Err(SramError::Litho(_)) => Ok(true),
-                Err(e) => Err(YieldError::Problem(Box::new(CoreError::from(e)))),
-            })
-            .collect()
-    }
-}
-
-/// SPICE-route *write*-failure predicate: like [`SpiceYieldProblem`]
-/// but each trial is a full write transient through the batched SoA
-/// solver — a trial fails when its draw prints shorted geometry, its
-/// cell never flips, or its write-time penalty exceeds the margin.
-#[derive(Debug)]
-pub struct SpiceWriteYieldProblem<'a> {
-    tech: &'a TechDb,
-    cell: &'a mpvar_sram::BitcellGeometry,
-    write: WriteConfig,
-    map: ZMap,
-    n_cells: usize,
-    margin_percent: f64,
-    t_write_nom_s: f64,
-}
-
-impl<'a> SpiceWriteYieldProblem<'a> {
-    /// Builds the predicate, running the nominal reference write once.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the nominal write and map construction.
-    pub fn new(
-        tech: &'a TechDb,
-        cell: &'a mpvar_sram::BitcellGeometry,
-        write: WriteConfig,
-        option: PatterningOption,
-        budget: &VariationBudget,
-        n_cells: usize,
-        margin_percent: f64,
-    ) -> Result<Self, CoreError> {
-        let t_write_nom_s =
-            simulate_write(tech, cell, &write, n_cells, &Draw::nominal(option))?.t_write_s;
-        Ok(Self {
-            tech,
-            cell,
-            write,
-            map: ZMap::build(option, budget)?,
-            n_cells,
-            margin_percent,
-            t_write_nom_s,
-        })
-    }
-
-    /// The nominal reference flip time, s.
-    pub fn t_write_nom_s(&self) -> f64 {
-        self.t_write_nom_s
-    }
-}
-
-impl FailureProblem for SpiceWriteYieldProblem<'_> {
-    fn dims(&self) -> usize {
-        self.map.dims()
-    }
-
-    fn evaluate_batch(&self, zs: &[f64]) -> Result<Vec<bool>, YieldError> {
-        let dims = self.map.dims();
-        if !zs.len().is_multiple_of(dims) {
-            return Err(YieldError::InvalidConfig {
-                reason: format!("batch length {} not a multiple of dims {dims}", zs.len()),
-            });
-        }
-        let draws: Vec<Draw> = zs
-            .chunks_exact(dims)
-            .map(|z| self.map.draw_from_z(z))
-            .collect();
-        let mut scratch = WriteBatchScratch::new();
-        let lanes = simulate_write_batch_in(
-            self.tech,
-            self.cell,
-            &self.write,
-            self.n_cells,
-            &draws,
-            &mut scratch,
-        )
-        .map_err(|e| YieldError::Problem(Box::new(CoreError::from(e))))?;
-        lanes
-            .into_iter()
-            .map(|lane| match lane {
-                Ok(o) => Ok((o.t_write_s / self.t_write_nom_s - 1.0) * 100.0 > self.margin_percent),
-                // Shorted print: a hard write failure, as on the read path.
-                Err(SramError::Litho(_)) => Ok(true),
-                // A cell that never flips is the definitional write failure.
-                Err(SramError::WriteNeverFlipped { .. }) => Ok(true),
-                Err(e) => Err(YieldError::Problem(Box::new(CoreError::from(e)))),
-            })
-            .collect()
     }
 }
 
@@ -893,49 +721,6 @@ mod tests {
                 .unwrap();
         let problem = FormulaYieldProblem::new(&window, &budget, model, 64, 5.0).unwrap();
         // Nominal z passes; an extreme all-up corner fails.
-        let nominal = vec![0.0; problem.dims()];
-        let corner = vec![3.4; problem.dims()];
-        let flags = problem.evaluate_batch(&[nominal, corner].concat()).unwrap();
-        assert_eq!(flags, vec![false, true]);
-    }
-
-    #[test]
-    fn spice_write_problem_passes_nominal_and_flags_deep_corners() {
-        let ctx = quick_ctx(1);
-        let option = PatterningOption::Le3;
-        let budget = ctx.budget(option).unwrap();
-        let problem = SpiceWriteYieldProblem::new(
-            &ctx.tech,
-            &ctx.cell,
-            mpvar_sram::WriteConfig::default(),
-            option,
-            &budget,
-            8,
-            3.0,
-        )
-        .unwrap();
-        assert!(problem.t_write_nom_s() > 0.0);
-        let nominal = vec![0.0; problem.dims()];
-        let corner = vec![3.4; problem.dims()];
-        let flags = problem.evaluate_batch(&[nominal, corner].concat()).unwrap();
-        assert_eq!(flags, vec![false, true]);
-    }
-
-    #[test]
-    fn spice_problem_agrees_with_formula_on_sign() {
-        let ctx = quick_ctx(1);
-        let option = PatterningOption::Le3;
-        let budget = ctx.budget(option).unwrap();
-        let problem = SpiceYieldProblem::new(
-            &ctx.tech,
-            &ctx.cell,
-            ctx.read_config,
-            option,
-            &budget,
-            8,
-            5.0,
-        )
-        .unwrap();
         let nominal = vec![0.0; problem.dims()];
         let corner = vec![3.4; problem.dims()];
         let flags = problem.evaluate_batch(&[nominal, corner].concat()).unwrap();

@@ -1,7 +1,7 @@
 //! The bit-line read testbench (paper §II.C).
 //!
 //! Builds and simulates the circuit of one read access in a 10-pair
-//! array window:
+//! array window, on the column it shares with [`crate::writepath`]:
 //!
 //! * the active pair's BL and BLB become distributed RC ladders with one
 //!   π-segment per cell (emitted by `mpvar-extract`);
@@ -16,17 +16,18 @@
 //! * both bit lines start precharged to `vdd` (UIC), the word line
 //!   rises after `wl_delay`, and `td` is the time from the WL mid-edge to
 //!   `V(blb) − V(bl) ≥ 70mV` at the near (sense-amp) end.
+//!
+//! This module adds only the accessed cell and the sense criterion. The
+//! column, the window-retry loop and the batched driver with its
+//! per-lane scalar fallback live in the private `column` module
+//! (`column.rs`), shared with the write path.
 
-use mpvar_extract::{emit_rc_deck, RcDeck, RcDeckSpec};
-use mpvar_litho::{apply_draw, Draw};
-use mpvar_spice::{
-    cross_differential, cross_differential_series, cross_threshold, cross_threshold_series,
-    run_transient_batch, BatchLaneOutcome, BatchTransientSpec, BatchedMnaWorkspace, CrossDirection,
-    Method, MosfetModel, Netlist, NodeId, Transient, Waveform,
-};
+use mpvar_litho::Draw;
+use mpvar_spice::{MosfetModel, Netlist};
 use mpvar_tech::TechDb;
 
-use crate::cell::{BitcellGeometry, INACTIVE_PREFIX};
+use crate::cell::BitcellGeometry;
+use crate::column::{self, invalid, Column, ColumnScratch, ColumnSpec, Crossing, Testbench, Timed};
 use crate::error::SramError;
 use crate::params::FormulaParams;
 
@@ -70,6 +71,21 @@ impl Default for ReadConfig {
     }
 }
 
+impl ReadConfig {
+    fn column_spec(&self) -> ColumnSpec {
+        ColumnSpec {
+            span: mpvar_trace::names::SPAN_SRAM_READ,
+            vdd_v: self.vdd_v,
+            wl_delay_s: self.wl_delay_s,
+            wl_rise_s: self.wl_rise_s,
+            steps: self.steps,
+            window_scale: self.window_scale,
+            max_retries: self.max_retries,
+            lte_tol_v: self.lte_tol_v,
+        }
+    }
+}
+
 /// Result of one read simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReadOutcome {
@@ -81,6 +97,21 @@ pub struct ReadOutcome {
     /// Simulated window that produced the measurement, s.
     pub window_s: f64,
 }
+
+impl From<Timed> for ReadOutcome {
+    fn from(t: Timed) -> Self {
+        Self {
+            td_s: t.t_s,
+            t_wl_s: t.t_wl_s,
+            window_s: t.window_s,
+        }
+    }
+}
+
+/// Reusable solver and measurement buffers for
+/// [`simulate_read_batch_in`]; the same type as
+/// [`crate::WriteBatchScratch`]. Hold one per worker thread.
+pub type ReadBatchScratch = ColumnScratch;
 
 /// Simulates one read of an `n_cells`-deep column printed under `draw`,
 /// returning the discharge time `td`.
@@ -97,260 +128,16 @@ pub fn simulate_read(
     n_cells: usize,
     draw: &Draw,
 ) -> Result<ReadOutcome, SramError> {
-    if n_cells == 0 {
-        return Err(SramError::InvalidStructure {
-            message: "column needs at least one cell".to_string(),
-        });
-    }
-    let _span = mpvar_trace::span!(mpvar_trace::names::SPAN_SRAM_READ, n_cells = n_cells);
-    let tb = build_read_testbench(tech, cell, config, n_cells, draw)?;
-
-    let mut tran = Transient::new(tb.deck.netlist())?;
-    for &(node, v) in &tb.initial {
-        tran.set_initial_voltage(node, v);
-    }
-
-    let mut window = tb.window0_s;
-    let mut searched = window;
-    for _attempt in 0..=config.max_retries {
-        searched = window;
-        let dt = window / config.steps as f64;
-        let result = match config.lte_tol_v {
-            Some(tol) => tran.run_adaptive(dt, window, tol)?,
-            None => tran.run(dt, window)?,
-        };
-        let t_wl = cross_threshold(
-            &result,
-            tb.wl,
-            config.vdd_v / 2.0,
-            CrossDirection::Rising,
-            0.0,
-        )
-        .map_err(|e| SramError::Spice(e.to_string()))?;
-        match cross_differential(
-            &result,
-            tb.blb_near,
-            tb.bl_near,
-            config.sense_dv_v,
-            CrossDirection::Rising,
-            t_wl,
-        ) {
-            Ok(t_sense) => {
-                return Ok(ReadOutcome {
-                    td_s: t_sense - t_wl,
-                    t_wl_s: t_wl,
-                    window_s: window,
-                });
-            }
-            Err(_) => {
-                window *= 2.0;
-            }
-        }
-    }
-    // Report the largest window actually simulated, not the next
-    // (never-run) doubling the retry loop left behind.
-    Err(SramError::SenseNeverTripped { window_s: searched })
-}
-
-/// One built read testbench: the extracted deck with the accessed cell
-/// and precharge devices attached, plus the node handles, UIC initial
-/// conditions, and first simulation window the measurement needs.
-struct ReadTestbench {
-    deck: RcDeck,
-    wl: NodeId,
-    bl_near: NodeId,
-    blb_near: NodeId,
-    initial: Vec<(NodeId, f64)>,
-    window0_s: f64,
-}
-
-/// Builds the §II.C read testbench for one printed draw. Shared
-/// verbatim by the scalar and batched paths, so both simulate exactly
-/// the same circuit — element order included, since MNA stamp order is
-/// accumulation-order-sensitive at the f64 level.
-fn build_read_testbench(
-    tech: &TechDb,
-    cell: &BitcellGeometry,
-    config: &ReadConfig,
-    n_cells: usize,
-    draw: &Draw,
-) -> Result<ReadTestbench, SramError> {
-    let m1 = tech.metal(1).ok_or_else(|| SramError::IncompleteTech {
-        missing: "metal1 spec".to_string(),
-    })?;
-
-    // ---- printed geometry and RC ladders --------------------------------
-    let stack = cell.column_stack(crate::array::PAPER_BL_PAIRS, 5, n_cells)?;
-    let printed = apply_draw(&stack, draw)?;
-    let deck_spec = RcDeckSpec {
-        segments: n_cells,
-        rail_prefixes: vec![
-            "VSS".to_string(),
-            "VDD".to_string(),
-            INACTIVE_PREFIX.to_string(),
-        ],
-    };
-    let mut deck = emit_rc_deck(&printed, m1, &deck_spec)?;
-
-    let sizing = cell.sizing();
-    let nmos = *tech.nmos();
-    let pmos = *tech.pmos();
-
-    let bl_near = deck.tap("BL", 0).expect("BL ladder emitted");
-    let bl_far = deck.tap("BL", n_cells).expect("BL far tap");
-    let blb_near = deck.tap("BLB", 0).expect("BLB ladder emitted");
-    let blb_far = deck.tap("BLB", n_cells).expect("BLB far tap");
-
-    let net = deck.netlist_mut();
-
-    // ---- supplies and word line -----------------------------------------
-    let vdd = net.node("vdd");
-    net.add_vsource("VDD", vdd, Netlist::GROUND, Waveform::dc(config.vdd_v))?;
-    let wl = net.node("wl");
-    net.add_vsource(
-        "VWL",
-        wl,
-        Netlist::GROUND,
-        Waveform::pulse(
-            0.0,
-            config.vdd_v,
-            config.wl_delay_s,
-            config.wl_rise_s,
-            config.wl_rise_s,
-            1.0, // stays up for the whole window
-            0.0,
-        )?,
-    )?;
-
-    // ---- per-cell pass-gate junction load on both bit lines --------------
-    let cfe = nmos.c_drain_f() * sizing.pass_gate;
-    for (net_name, _far) in [("BL", bl_far), ("BLB", blb_far)] {
-        for k in 1..=n_cells {
-            let tap = deck_tap(&deck, net_name, k)?;
-            deck.netlist_mut().add_capacitor(
-                &format!("Cfe_{net_name}_{k}"),
-                tap,
-                Netlist::GROUND,
-                cfe,
-            )?;
-        }
-    }
-
-    let net = deck.netlist_mut();
-
-    // ---- accessed cell at the far end ------------------------------------
-    let q = net.node("q");
-    let pass = MosfetModel::new(nmos.scaled(sizing.pass_gate).map_err(|e| {
-        SramError::InvalidStructure {
-            message: e.to_string(),
-        }
-    })?);
-    let pull_down = MosfetModel::new(nmos.scaled(sizing.pull_down).map_err(|e| {
-        SramError::InvalidStructure {
-            message: e.to_string(),
-        }
-    })?);
-    net.add_mosfet("Mpass", bl_far, wl, q, pass)?;
-    net.add_mosfet("Mpd", q, vdd, Netlist::GROUND, pull_down)?;
-    // Internal-node load: both inverter gate caps plus two junctions.
-    net.add_capacitor(
-        "Cq",
-        q,
-        Netlist::GROUND,
-        2.0 * nmos.c_gate_f() + 2.0 * nmos.c_drain_f(),
-    )?;
-
-    // BLB side: pass-gate into the complementary node held high.
-    let qb = net.node("qb");
-    let pull_up =
-        MosfetModel::new(
-            pmos.scaled(sizing.pull_up)
-                .map_err(|e| SramError::InvalidStructure {
-                    message: e.to_string(),
-                })?,
-        );
-    net.add_mosfet("Mpass_b", blb_far, wl, qb, pass)?;
-    // Gate at ground keeps the PMOS on, holding qb at vdd (the stored 1).
-    net.add_mosfet("Mpu_b", qb, Netlist::GROUND, vdd, pull_up)?;
-    net.add_capacitor(
-        "Cqb",
-        qb,
-        Netlist::GROUND,
-        2.0 * nmos.c_gate_f() + 2.0 * nmos.c_drain_f(),
-    )?;
-
-    // ---- precharge loads at the near end ---------------------------------
-    let pre_strength = sizing.precharge_per_cell * n_cells as f64;
-    let precharge =
-        MosfetModel::new(
-            pmos.scaled(pre_strength)
-                .map_err(|e| SramError::InvalidStructure {
-                    message: e.to_string(),
-                })?,
-        );
-    // Gate at vdd: off during the read; the device contributes its
-    // (size-scaled) junction capacitance.
-    net.add_mosfet("Mpre_bl", bl_near, vdd, vdd, precharge)?;
-    net.add_mosfet("Mpre_blb", blb_near, vdd, vdd, precharge)?;
-    let cpre = pmos.c_drain_f() * pre_strength;
-    net.add_capacitor("Cpre_bl", bl_near, Netlist::GROUND, cpre)?;
-    net.add_capacitor("Cpre_blb", blb_near, Netlist::GROUND, cpre)?;
-
-    // ---- initial conditions: precharged bit lines, settled cell ----------
-    let mut initial = Vec::new();
-    for net_name in ["BL", "BLB"] {
-        for k in 0..=n_cells {
-            let tap = deck_tap(&deck, net_name, k)?;
-            initial.push((tap, config.vdd_v));
-        }
-    }
-    initial.push((vdd, config.vdd_v));
-    initial.push((q, 0.0));
-    initial.push((qb, config.vdd_v));
-
-    // ---- first-window estimate (trial-invariant by construction) ---------
-    let fp = FormulaParams::derive(tech, cell, config.vdd_v)?;
-    let n = n_cells as f64;
-    let est =
-        0.105 * (n * fp.rbl_ohm + fp.rfe_ohm) * (n * (fp.cbl_f + fp.cfe_f) + fp.cpre_f(n_cells));
-    let window0_s = config.wl_delay_s + config.wl_rise_s + config.window_scale * est;
-
-    Ok(ReadTestbench {
-        deck,
-        wl,
-        bl_near,
-        blb_near,
-        initial,
-        window0_s,
+    let spec = config.column_spec();
+    column::simulate(&spec, n_cells, draw, |d| {
+        build_read_testbench(tech, cell, config, &spec, n_cells, d)
     })
+    .map(ReadOutcome::from)
 }
 
-/// Reusable solver and measurement buffers for
-/// [`simulate_read_batch_in`]. Hold one per worker thread: consecutive
-/// batches over the same column structure then allocate nothing in the
-/// solve loop (the gauge behind `spice.batch_workspace_bytes` stays
-/// flat across Monte-Carlo waves).
-#[derive(Debug, Default)]
-pub struct ReadBatchScratch {
-    ws: BatchedMnaWorkspace,
-    diff: Vec<f64>,
-}
-
-impl ReadBatchScratch {
-    /// Creates an empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Capacity bytes currently held across all buffers.
-    pub fn bytes(&self) -> usize {
-        self.ws.bytes() + 8 * self.diff.capacity()
-    }
-}
-
-/// Simulates one read per draw through the batched trial solver: one
-/// shared symbolic analysis and stamp program, with the draws as
-/// vector-friendly value lanes ([`mpvar_spice::run_transient_batch`]).
+/// Simulates one read per draw through the batched trial solver, with
+/// caller-owned scratch buffers for workers that run many batches back
+/// to back.
 ///
 /// Per-draw results are **bit-identical** to calling [`simulate_read`]
 /// on each draw individually: lanes the batch cannot carry — shorted
@@ -364,19 +151,6 @@ impl ReadBatchScratch {
 /// The outer `Err` is structural (a zero-cell column). Per-draw
 /// failures (shorted geometry, [`SramError::SenseNeverTripped`]) come
 /// back inside the per-lane results, in draw order.
-pub fn simulate_read_batch(
-    tech: &TechDb,
-    cell: &BitcellGeometry,
-    config: &ReadConfig,
-    n_cells: usize,
-    draws: &[Draw],
-) -> Result<Vec<Result<ReadOutcome, SramError>>, SramError> {
-    let mut scratch = ReadBatchScratch::new();
-    simulate_read_batch_in(tech, cell, config, n_cells, draws, &mut scratch)
-}
-
-/// [`simulate_read_batch`] with caller-owned scratch buffers, for
-/// Monte-Carlo workers that run many batches back to back.
 pub fn simulate_read_batch_in(
     tech: &TechDb,
     cell: &BitcellGeometry,
@@ -385,156 +159,57 @@ pub fn simulate_read_batch_in(
     draws: &[Draw],
     scratch: &mut ReadBatchScratch,
 ) -> Result<Vec<Result<ReadOutcome, SramError>>, SramError> {
-    if n_cells == 0 {
-        return Err(SramError::InvalidStructure {
-            message: "column needs at least one cell".to_string(),
-        });
-    }
-    if draws.is_empty() {
-        return Ok(Vec::new());
-    }
-    // LTE-adaptive stepping has no batched counterpart: its step grid is
-    // value-dependent and so per-lane. Run the scalar path per draw.
-    if config.lte_tol_v.is_some() {
-        return Ok(draws
-            .iter()
-            .map(|d| simulate_read(tech, cell, config, n_cells, d))
-            .collect());
-    }
-    let _span = mpvar_trace::span!(
-        mpvar_trace::names::SPAN_SRAM_READ,
-        n_cells = n_cells,
-        lanes = draws.len()
-    );
-
-    // Build one testbench per draw; shorted prints and other per-draw
-    // build failures stay in their lane without occupying a solver slot.
-    let mut out: Vec<Option<Result<ReadOutcome, SramError>>> = Vec::with_capacity(draws.len());
-    let mut benches: Vec<Option<ReadTestbench>> = Vec::with_capacity(draws.len());
-    for draw in draws {
-        match build_read_testbench(tech, cell, config, n_cells, draw) {
-            Ok(tb) => {
-                benches.push(Some(tb));
-                out.push(None);
-            }
-            Err(e) => {
-                benches.push(None);
-                out.push(Some(Err(e)));
-            }
-        }
-    }
-
-    let solver_lanes: Vec<usize> = (0..draws.len()).filter(|&i| benches[i].is_some()).collect();
-    if let Some(first) = benches.iter().flatten().next() {
-        // Structurally identical builds intern identical node ids, so one
-        // lane's handles address every lane; a lane that disagrees falls
-        // out of the batch as a structure mismatch and re-runs scalar.
-        let probes = [first.wl, first.blb_near, first.bl_near];
-        let window = first.window0_s;
-        let nets: Vec<&Netlist> = solver_lanes
-            .iter()
-            .map(|&i| benches[i].as_ref().expect("lane built").deck.netlist())
-            .collect();
-        let spec = BatchTransientSpec {
-            method: Method::Trapezoidal,
-            dt: window / config.steps as f64,
-            t_stop: window,
-            initial: &first.initial,
-            probes: &probes,
-        };
-        match run_transient_batch(&nets, &spec, &mut scratch.ws) {
-            Ok(batch) => {
-                for (slot, &i) in solver_lanes.iter().enumerate() {
-                    out[i] = Some(measure_batch_lane(
-                        tech,
-                        cell,
-                        config,
-                        n_cells,
-                        &draws[i],
-                        &batch.times,
-                        &batch.lanes[slot],
-                        window,
-                        &mut scratch.diff,
-                    ));
-                }
-            }
-            Err(_) => {
-                // Spec-level failure (step-count overflow and the like):
-                // the scalar path hits the same condition per lane and
-                // owns the error text.
-                for &i in &solver_lanes {
-                    out[i] = Some(simulate_read(tech, cell, config, n_cells, &draws[i]));
-                }
-            }
-        }
-    }
-
-    Ok(out
+    let spec = config.column_spec();
+    let lanes = column::simulate_batch(&spec, n_cells, draws, scratch, |d| {
+        build_read_testbench(tech, cell, config, &spec, n_cells, d)
+    })?;
+    Ok(lanes
         .into_iter()
-        .map(|o| o.expect("every lane resolved"))
+        .map(|lane| lane.map(ReadOutcome::from))
         .collect())
 }
 
-/// Extracts `td` from one completed batch lane, or resolves the lane
-/// through the scalar path when the batch could not finish it: a
-/// fall-out, a word line that never rose, or a differential that needs
-/// the window-doubling retry loop (re-running a longer window inside the
-/// batch would re-pivot with different companion conductances, so the
-/// scalar path — which reuses its first symbolic analysis across
-/// retries — is the bit-exact reference for retried reads).
-#[allow(clippy::too_many_arguments)]
-fn measure_batch_lane(
+/// Builds the §II.C read testbench for one printed draw: the shared
+/// column with the accessed cell (pass gate and pull-down on BL, pass
+/// gate and pull-up on BLB) at the far end.
+fn build_read_testbench(
     tech: &TechDb,
     cell: &BitcellGeometry,
     config: &ReadConfig,
+    spec: &ColumnSpec,
     n_cells: usize,
     draw: &Draw,
-    times: &[f64],
-    lane: &BatchLaneOutcome,
-    window: f64,
-    diff: &mut Vec<f64>,
-) -> Result<ReadOutcome, SramError> {
-    let probes = match lane {
-        BatchLaneOutcome::Completed { probes } => probes,
-        BatchLaneOutcome::FellOut { .. } => {
-            return simulate_read(tech, cell, config, n_cells, draw);
-        }
-    };
-    let Some(t_wl) = cross_threshold_series(
-        times,
-        &probes[0],
-        config.vdd_v / 2.0,
-        CrossDirection::Rising,
-        0.0,
-    ) else {
-        return simulate_read(tech, cell, config, n_cells, draw);
-    };
-    match cross_differential_series(
-        times,
-        &probes[1],
-        &probes[2],
-        config.sense_dv_v,
-        CrossDirection::Rising,
-        t_wl,
-        diff,
-    ) {
-        Some(t_sense) => Ok(ReadOutcome {
-            td_s: t_sense - t_wl,
-            t_wl_s: t_wl,
-            window_s: window,
-        }),
-        None => simulate_read(tech, cell, config, n_cells, draw),
-    }
-}
+) -> Result<Testbench, SramError> {
+    let mut col = Column::print(tech, cell, spec, n_cells, draw)?;
+    let sizing = cell.sizing();
+    let nmos = *tech.nmos();
+    let (vdd, wl, bl_far, blb_far) = (col.vdd, col.wl, col.bl_far, col.blb_far);
+    let net = col.deck.netlist_mut();
 
-fn deck_tap(
-    deck: &mpvar_extract::RcDeck,
-    net: &str,
-    k: usize,
-) -> Result<mpvar_spice::NodeId, SramError> {
-    deck.tap(net, k).ok_or_else(|| SramError::InvalidStructure {
-        message: format!("missing tap {k} on {net}"),
-    })
+    let q = net.node("q");
+    let pass = MosfetModel::new(nmos.scaled(sizing.pass_gate).map_err(invalid)?);
+    let pull_down = MosfetModel::new(nmos.scaled(sizing.pull_down).map_err(invalid)?);
+    net.add_mosfet("Mpass", bl_far, wl, q, pass)?;
+    net.add_mosfet("Mpd", q, vdd, Netlist::GROUND, pull_down)?;
+    // Internal-node load: both inverter gate caps plus two junctions.
+    let cint = 2.0 * nmos.c_gate_f() + 2.0 * nmos.c_drain_f();
+    net.add_capacitor("Cq", q, Netlist::GROUND, cint)?;
+
+    // BLB side: pass-gate into the complementary node held high.
+    let qb = net.node("qb");
+    let pull_up = MosfetModel::new(tech.pmos().scaled(sizing.pull_up).map_err(invalid)?);
+    net.add_mosfet("Mpass_b", blb_far, wl, qb, pass)?;
+    // Gate at ground keeps the PMOS on, holding qb at vdd (the stored 1).
+    net.add_mosfet("Mpu_b", qb, Netlist::GROUND, vdd, pull_up)?;
+    net.add_capacitor("Cqb", qb, Netlist::GROUND, cint)?;
+
+    let sense = Crossing::Differential {
+        a: col.blb_near,
+        b: col.bl_near,
+        dv: config.sense_dv_v,
+    };
+    let fp = FormulaParams::derive(tech, cell, config.vdd_v)?;
+    col.finish([(q, 0.0), (qb, config.vdd_v)], sense, 0.105, &fp)
 }
 
 #[cfg(test)]
@@ -740,16 +415,27 @@ mod tests {
             ..ReadConfig::default()
         };
         let adaptive_scalar = simulate_read(&tech, &cell, &cfg, 12, &d[0]).unwrap();
-        let adaptive_batch = simulate_read_batch(&tech, &cell, &cfg, 12, &d).unwrap();
+        let adaptive_batch =
+            simulate_read_batch_in(&tech, &cell, &cfg, 12, &d, &mut ReadBatchScratch::new())
+                .unwrap();
         match &adaptive_batch[0] {
             Ok(o) => assert_eq!(o.td_s.to_bits(), adaptive_scalar.td_s.to_bits()),
             Err(e) => panic!("adaptive lane failed: {e}"),
         }
-        assert!(simulate_read_batch(&tech, &cell, &cfg, 12, &[])
-            .unwrap()
-            .is_empty());
+        assert!(
+            simulate_read_batch_in(&tech, &cell, &cfg, 12, &[], &mut ReadBatchScratch::new())
+                .unwrap()
+                .is_empty()
+        );
         assert!(matches!(
-            simulate_read_batch(&tech, &cell, &ReadConfig::default(), 0, &d),
+            simulate_read_batch_in(
+                &tech,
+                &cell,
+                &ReadConfig::default(),
+                0,
+                &d,
+                &mut ReadBatchScratch::new()
+            ),
             Err(SramError::InvalidStructure { .. })
         ));
     }
@@ -792,7 +478,9 @@ mod tests {
             ..base
         };
         let scalar_err = simulate_read(&tech, &cell, &cfg, 8, &d).unwrap_err();
-        let batch = simulate_read_batch(&tech, &cell, &cfg, 8, &[d]).unwrap();
+        let batch =
+            simulate_read_batch_in(&tech, &cell, &cfg, 8, &[d], &mut ReadBatchScratch::new())
+                .unwrap();
         match &batch[0] {
             Err(e) => assert_eq!(e.to_string(), scalar_err.to_string()),
             Ok(o) => panic!("batch lane unexpectedly tripped: {o:?}"),

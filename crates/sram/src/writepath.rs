@@ -1,8 +1,8 @@
 //! The write-path testbench: write driver through the access transistor
 //! flipping the cell.
 //!
-//! Builds and simulates one write access in the same 10-pair array
-//! window as [`crate::readout`]:
+//! Builds and simulates one write access on the same column as
+//! [`crate::readout`] (both come from the private `column` module):
 //!
 //! * the active pair's BL and BLB are the identical distributed RC
 //!   ladders (one π-segment per cell) the read testbench extracts, so
@@ -20,21 +20,18 @@
 //! * write time `t_write` is measured from the WL mid-edge to the
 //!   internal node `q` **falling** through the flip threshold.
 //!
-//! The scalar and batched paths share one testbench builder verbatim
-//! (element order included), and the batched path resolves any lane it
-//! cannot finish through the scalar path, so batched results are
-//! bit-identical to scalar at any width.
+//! This module adds only the driver, the latch and the flip criterion.
+//! The column, the window-retry loop and the batched driver with its
+//! per-lane scalar fallback live in the private `column` module
+//! (`column.rs`), so batched results are bit-identical to scalar at any
+//! width.
 
-use mpvar_extract::{emit_rc_deck, RcDeck, RcDeckSpec};
-use mpvar_litho::{apply_draw, Draw};
-use mpvar_spice::{
-    cross_threshold, cross_threshold_series, run_transient_batch, BatchLaneOutcome,
-    BatchTransientSpec, BatchedMnaWorkspace, CrossDirection, Method, MosfetModel, Netlist, NodeId,
-    Transient, Waveform,
-};
+use mpvar_litho::Draw;
+use mpvar_spice::{MosfetModel, Netlist};
 use mpvar_tech::TechDb;
 
-use crate::cell::{BitcellGeometry, INACTIVE_PREFIX};
+use crate::cell::BitcellGeometry;
+use crate::column::{self, invalid, Column, ColumnScratch, ColumnSpec, Crossing, Testbench, Timed};
 use crate::error::SramError;
 use crate::params::FormulaParams;
 
@@ -83,6 +80,19 @@ impl WriteConfig {
     pub fn flip_threshold_v(&self) -> f64 {
         self.flip_fraction * self.vdd_v
     }
+
+    fn column_spec(&self) -> ColumnSpec {
+        ColumnSpec {
+            span: mpvar_trace::names::SPAN_SRAM_WRITE,
+            vdd_v: self.vdd_v,
+            wl_delay_s: self.wl_delay_s,
+            wl_rise_s: self.wl_rise_s,
+            steps: self.steps,
+            window_scale: self.window_scale,
+            max_retries: self.max_retries,
+            lte_tol_v: None,
+        }
+    }
 }
 
 /// Result of one write simulation.
@@ -96,6 +106,20 @@ pub struct WriteOutcome {
     /// Simulated window that produced the measurement, s.
     pub window_s: f64,
 }
+
+impl From<Timed> for WriteOutcome {
+    fn from(t: Timed) -> Self {
+        Self {
+            t_write_s: t.t_s,
+            t_wl_s: t.t_wl_s,
+            window_s: t.window_s,
+        }
+    }
+}
+
+/// Reusable solver buffers for [`simulate_write_batch_in`]; the same
+/// type as [`crate::ReadBatchScratch`]. Hold one per worker thread.
+pub type WriteBatchScratch = ColumnScratch;
 
 /// Simulates one write into an `n_cells`-deep column printed under
 /// `draw`, returning the flip time.
@@ -112,174 +136,77 @@ pub fn simulate_write(
     n_cells: usize,
     draw: &Draw,
 ) -> Result<WriteOutcome, SramError> {
-    if n_cells == 0 {
-        return Err(SramError::InvalidStructure {
-            message: "column needs at least one cell".to_string(),
-        });
-    }
-    let _span = mpvar_trace::span!(mpvar_trace::names::SPAN_SRAM_WRITE, n_cells = n_cells);
-    let tb = build_write_testbench(tech, cell, config, n_cells, draw)?;
-
-    let mut tran = Transient::new(tb.deck.netlist())?;
-    for &(node, v) in &tb.initial {
-        tran.set_initial_voltage(node, v);
-    }
-
-    let mut window = tb.window0_s;
-    let mut searched = window;
-    for _attempt in 0..=config.max_retries {
-        searched = window;
-        let dt = window / config.steps as f64;
-        let result = tran.run(dt, window)?;
-        let t_wl = cross_threshold(
-            &result,
-            tb.wl,
-            config.vdd_v / 2.0,
-            CrossDirection::Rising,
-            0.0,
-        )
-        .map_err(|e| SramError::Spice(e.to_string()))?;
-        match cross_threshold(
-            &result,
-            tb.q,
-            config.flip_threshold_v(),
-            CrossDirection::Falling,
-            t_wl,
-        ) {
-            Ok(t_flip) => {
-                return Ok(WriteOutcome {
-                    t_write_s: t_flip - t_wl,
-                    t_wl_s: t_wl,
-                    window_s: window,
-                });
-            }
-            Err(_) => {
-                window *= 2.0;
-            }
-        }
-    }
-    // Report the largest window actually simulated (same contract as the
-    // read path's SenseNeverTripped).
-    Err(SramError::WriteNeverFlipped { window_s: searched })
+    let spec = config.column_spec();
+    column::simulate(&spec, n_cells, draw, |d| {
+        build_write_testbench(tech, cell, config, &spec, n_cells, d)
+    })
+    .map(WriteOutcome::from)
 }
 
-/// One built write testbench: the extracted deck with the accessed
-/// latch, write driver, and precharge devices attached, plus the node
-/// handles, UIC initial conditions, and first simulation window.
-struct WriteTestbench {
-    deck: RcDeck,
-    wl: NodeId,
-    q: NodeId,
-    initial: Vec<(NodeId, f64)>,
-    window0_s: f64,
-}
-
-/// Builds the write testbench for one printed draw. Shared verbatim by
-/// the scalar and batched paths, so both simulate exactly the same
-/// circuit — element order included, since MNA stamp order is
-/// accumulation-order-sensitive at the f64 level.
-fn build_write_testbench(
+/// Simulates one write per draw through the batched trial solver, with
+/// caller-owned scratch buffers for workers that run many batches back
+/// to back.
+///
+/// Per-draw results are **bit-identical** to calling [`simulate_write`]
+/// on each draw individually: lanes the batch cannot carry — shorted
+/// prints, structural divergence, pivot drift, Newton non-convergence,
+/// or a write that needs the window-doubling retry loop — are resolved
+/// through the scalar path instead.
+///
+/// # Errors
+///
+/// The outer `Err` is structural (a zero-cell column). Per-draw
+/// failures (shorted geometry, [`SramError::WriteNeverFlipped`]) come
+/// back inside the per-lane results, in draw order.
+pub fn simulate_write_batch_in(
     tech: &TechDb,
     cell: &BitcellGeometry,
     config: &WriteConfig,
     n_cells: usize,
-    draw: &Draw,
-) -> Result<WriteTestbench, SramError> {
-    let m1 = tech.metal(1).ok_or_else(|| SramError::IncompleteTech {
-        missing: "metal1 spec".to_string(),
+    draws: &[Draw],
+    scratch: &mut WriteBatchScratch,
+) -> Result<Vec<Result<WriteOutcome, SramError>>, SramError> {
+    let spec = config.column_spec();
+    let lanes = column::simulate_batch(&spec, n_cells, draws, scratch, |d| {
+        build_write_testbench(tech, cell, config, &spec, n_cells, d)
     })?;
+    Ok(lanes
+        .into_iter()
+        .map(|lane| lane.map(WriteOutcome::from))
+        .collect())
+}
 
-    // ---- printed geometry and RC ladders --------------------------------
-    let stack = cell.column_stack(crate::array::PAPER_BL_PAIRS, 5, n_cells)?;
-    let printed = apply_draw(&stack, draw)?;
-    let deck_spec = RcDeckSpec {
-        segments: n_cells,
-        rail_prefixes: vec![
-            "VSS".to_string(),
-            "VDD".to_string(),
-            INACTIVE_PREFIX.to_string(),
-        ],
-    };
-    let mut deck = emit_rc_deck(&printed, m1, &deck_spec)?;
-
+/// Builds the write testbench for one printed draw: the shared column
+/// with the write driver at the near end and a cross-coupled latch
+/// storing a 1 at the far end.
+fn build_write_testbench(
+    tech: &TechDb,
+    cell: &BitcellGeometry,
+    config: &WriteConfig,
+    spec: &ColumnSpec,
+    n_cells: usize,
+    draw: &Draw,
+) -> Result<Testbench, SramError> {
+    let mut col = Column::print(tech, cell, spec, n_cells, draw)?;
     let sizing = cell.sizing();
     let nmos = *tech.nmos();
     let pmos = *tech.pmos();
+    let (vdd, wl, bl_near) = (col.vdd, col.wl, col.bl_near);
+    let (bl_far, blb_far) = (col.bl_far, col.blb_far);
+    let net = col.deck.netlist_mut();
 
-    let bl_near = deck.tap("BL", 0).expect("BL ladder emitted");
-    let bl_far = deck.tap("BL", n_cells).expect("BL far tap");
-    let blb_near = deck.tap("BLB", 0).expect("BLB ladder emitted");
-    let blb_far = deck.tap("BLB", n_cells).expect("BLB far tap");
-
-    let net = deck.netlist_mut();
-
-    // ---- supplies and word line -----------------------------------------
-    let vdd = net.node("vdd");
-    net.add_vsource("VDD", vdd, Netlist::GROUND, Waveform::dc(config.vdd_v))?;
-    let wl = net.node("wl");
-    net.add_vsource(
-        "VWL",
-        wl,
-        Netlist::GROUND,
-        Waveform::pulse(
-            0.0,
-            config.vdd_v,
-            config.wl_delay_s,
-            config.wl_rise_s,
-            config.wl_rise_s,
-            1.0, // stays up for the whole window
-            0.0,
-        )?,
-    )?;
-
-    // ---- per-cell pass-gate junction load on both bit lines --------------
-    let cfe = nmos.c_drain_f() * sizing.pass_gate;
-    for net_name in ["BL", "BLB"] {
-        for k in 1..=n_cells {
-            let tap = deck_tap(&deck, net_name, k)?;
-            deck.netlist_mut().add_capacitor(
-                &format!("Cfe_{net_name}_{k}"),
-                tap,
-                Netlist::GROUND,
-                cfe,
-            )?;
-        }
-    }
-
-    let net = deck.netlist_mut();
-
-    // ---- write driver at the near end ------------------------------------
     // Gate tied to the word line: the column write pulse fires with the
     // row select, so the bit-line discharge races the cell flip through
     // the full multiple-patterned RC ladder. BLB carries the
     // complementary 1 and simply stays at precharge.
-    let driver = MosfetModel::new(nmos.scaled(config.driver_strength).map_err(|e| {
-        SramError::InvalidStructure {
-            message: e.to_string(),
-        }
-    })?);
+    let driver = MosfetModel::new(nmos.scaled(config.driver_strength).map_err(invalid)?);
     net.add_mosfet("Mdrv", bl_near, wl, Netlist::GROUND, driver)?;
 
-    // ---- accessed cell at the far end: a real cross-coupled latch --------
     let q = net.node("q");
     let qb = net.node("qb");
-    let pass = MosfetModel::new(nmos.scaled(sizing.pass_gate).map_err(|e| {
-        SramError::InvalidStructure {
-            message: e.to_string(),
-        }
-    })?);
-    let pull_down = MosfetModel::new(nmos.scaled(sizing.pull_down).map_err(|e| {
-        SramError::InvalidStructure {
-            message: e.to_string(),
-        }
-    })?);
-    let pull_up =
-        MosfetModel::new(
-            pmos.scaled(sizing.pull_up)
-                .map_err(|e| SramError::InvalidStructure {
-                    message: e.to_string(),
-                })?,
-        );
+    let pass = MosfetModel::new(nmos.scaled(sizing.pass_gate).map_err(invalid)?);
+    let pull_down = MosfetModel::new(nmos.scaled(sizing.pull_down).map_err(invalid)?);
+    let pull_up = MosfetModel::new(pmos.scaled(sizing.pull_up).map_err(invalid)?);
     net.add_mosfet("Mpass", bl_far, wl, q, pass)?;
     net.add_mosfet("Mpass_b", blb_far, wl, qb, pass)?;
     // q-side inverter, gated by qb (initially 0: PU on, PD off → q = vdd).
@@ -293,241 +220,15 @@ fn build_write_testbench(
     net.add_capacitor("Cq", q, Netlist::GROUND, cint)?;
     net.add_capacitor("Cqb", qb, Netlist::GROUND, cint)?;
 
-    // ---- precharge loads at the near end ---------------------------------
-    let pre_strength = sizing.precharge_per_cell * n_cells as f64;
-    let precharge =
-        MosfetModel::new(
-            pmos.scaled(pre_strength)
-                .map_err(|e| SramError::InvalidStructure {
-                    message: e.to_string(),
-                })?,
-        );
-    // Gate at vdd: off during the write; the device contributes its
-    // (size-scaled) junction capacitance.
-    net.add_mosfet("Mpre_bl", bl_near, vdd, vdd, precharge)?;
-    net.add_mosfet("Mpre_blb", blb_near, vdd, vdd, precharge)?;
-    let cpre = pmos.c_drain_f() * pre_strength;
-    net.add_capacitor("Cpre_bl", bl_near, Netlist::GROUND, cpre)?;
-    net.add_capacitor("Cpre_blb", blb_near, Netlist::GROUND, cpre)?;
-
-    // ---- initial conditions: precharged bit lines, cell storing a 1 ------
-    let mut initial = Vec::new();
-    for net_name in ["BL", "BLB"] {
-        for k in 0..=n_cells {
-            let tap = deck_tap(&deck, net_name, k)?;
-            initial.push((tap, config.vdd_v));
-        }
-    }
-    initial.push((vdd, config.vdd_v));
-    initial.push((q, config.vdd_v));
-    initial.push((qb, 0.0));
-
-    // ---- first-window estimate (trial-invariant by construction) ---------
+    let flip = Crossing::Falling {
+        node: q,
+        v: config.flip_threshold_v(),
+    };
     let fp = FormulaParams::derive_write(tech, cell, config.vdd_v, config.driver_strength)?;
-    let n = n_cells as f64;
     // a = −ln(1 − flip_fraction): the RC step-response constant of the
     // same eq. 2 family, at the flip level instead of the sense level.
     let a = -(1.0 - config.flip_fraction.clamp(0.05, 0.95)).ln();
-    let est = a * (n * fp.rbl_ohm + fp.rfe_ohm) * (n * (fp.cbl_f + fp.cfe_f) + fp.cpre_f(n_cells));
-    let window0_s = config.wl_delay_s + config.wl_rise_s + config.window_scale * est;
-
-    Ok(WriteTestbench {
-        deck,
-        wl,
-        q,
-        initial,
-        window0_s,
-    })
-}
-
-/// Reusable solver buffers for [`simulate_write_batch_in`]. Hold one per
-/// worker thread: consecutive batches over the same column structure
-/// then allocate nothing in the solve loop.
-#[derive(Debug, Default)]
-pub struct WriteBatchScratch {
-    ws: BatchedMnaWorkspace,
-}
-
-impl WriteBatchScratch {
-    /// Creates an empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Capacity bytes currently held across all buffers.
-    pub fn bytes(&self) -> usize {
-        self.ws.bytes()
-    }
-}
-
-/// Simulates one write per draw through the batched trial solver: one
-/// shared symbolic analysis and stamp program, with the draws as
-/// vector-friendly value lanes ([`mpvar_spice::run_transient_batch`]).
-///
-/// Per-draw results are **bit-identical** to calling [`simulate_write`]
-/// on each draw individually: lanes the batch cannot carry — shorted
-/// prints, structural divergence, pivot drift, Newton non-convergence,
-/// or a write that needs the window-doubling retry loop — are resolved
-/// through the scalar path instead.
-///
-/// # Errors
-///
-/// The outer `Err` is structural (a zero-cell column). Per-draw
-/// failures (shorted geometry, [`SramError::WriteNeverFlipped`]) come
-/// back inside the per-lane results, in draw order.
-pub fn simulate_write_batch(
-    tech: &TechDb,
-    cell: &BitcellGeometry,
-    config: &WriteConfig,
-    n_cells: usize,
-    draws: &[Draw],
-) -> Result<Vec<Result<WriteOutcome, SramError>>, SramError> {
-    let mut scratch = WriteBatchScratch::new();
-    simulate_write_batch_in(tech, cell, config, n_cells, draws, &mut scratch)
-}
-
-/// [`simulate_write_batch`] with caller-owned scratch buffers, for
-/// Monte-Carlo workers that run many batches back to back.
-pub fn simulate_write_batch_in(
-    tech: &TechDb,
-    cell: &BitcellGeometry,
-    config: &WriteConfig,
-    n_cells: usize,
-    draws: &[Draw],
-    scratch: &mut WriteBatchScratch,
-) -> Result<Vec<Result<WriteOutcome, SramError>>, SramError> {
-    if n_cells == 0 {
-        return Err(SramError::InvalidStructure {
-            message: "column needs at least one cell".to_string(),
-        });
-    }
-    if draws.is_empty() {
-        return Ok(Vec::new());
-    }
-    let _span = mpvar_trace::span!(
-        mpvar_trace::names::SPAN_SRAM_WRITE,
-        n_cells = n_cells,
-        lanes = draws.len()
-    );
-
-    // Build one testbench per draw; shorted prints and other per-draw
-    // build failures stay in their lane without occupying a solver slot.
-    let mut out: Vec<Option<Result<WriteOutcome, SramError>>> = Vec::with_capacity(draws.len());
-    let mut benches: Vec<Option<WriteTestbench>> = Vec::with_capacity(draws.len());
-    for draw in draws {
-        match build_write_testbench(tech, cell, config, n_cells, draw) {
-            Ok(tb) => {
-                benches.push(Some(tb));
-                out.push(None);
-            }
-            Err(e) => {
-                benches.push(None);
-                out.push(Some(Err(e)));
-            }
-        }
-    }
-
-    let solver_lanes: Vec<usize> = (0..draws.len()).filter(|&i| benches[i].is_some()).collect();
-    if let Some(first) = benches.iter().flatten().next() {
-        // Structurally identical builds intern identical node ids, so one
-        // lane's handles address every lane; a lane that disagrees falls
-        // out of the batch as a structure mismatch and re-runs scalar.
-        let probes = [first.wl, first.q];
-        let window = first.window0_s;
-        let nets: Vec<&Netlist> = solver_lanes
-            .iter()
-            .map(|&i| benches[i].as_ref().expect("lane built").deck.netlist())
-            .collect();
-        let spec = BatchTransientSpec {
-            method: Method::Trapezoidal,
-            dt: window / config.steps as f64,
-            t_stop: window,
-            initial: &first.initial,
-            probes: &probes,
-        };
-        match run_transient_batch(&nets, &spec, &mut scratch.ws) {
-            Ok(batch) => {
-                for (slot, &i) in solver_lanes.iter().enumerate() {
-                    out[i] = Some(measure_batch_lane(
-                        tech,
-                        cell,
-                        config,
-                        n_cells,
-                        &draws[i],
-                        &batch.times,
-                        &batch.lanes[slot],
-                        window,
-                    ));
-                }
-            }
-            Err(_) => {
-                // Spec-level failure: the scalar path hits the same
-                // condition per lane and owns the error text.
-                for &i in &solver_lanes {
-                    out[i] = Some(simulate_write(tech, cell, config, n_cells, &draws[i]));
-                }
-            }
-        }
-    }
-
-    Ok(out
-        .into_iter()
-        .map(|o| o.expect("every lane resolved"))
-        .collect())
-}
-
-/// Extracts the flip time from one completed batch lane, or resolves the
-/// lane through the scalar path when the batch could not finish it.
-#[allow(clippy::too_many_arguments)]
-fn measure_batch_lane(
-    tech: &TechDb,
-    cell: &BitcellGeometry,
-    config: &WriteConfig,
-    n_cells: usize,
-    draw: &Draw,
-    times: &[f64],
-    lane: &BatchLaneOutcome,
-    window: f64,
-) -> Result<WriteOutcome, SramError> {
-    let probes = match lane {
-        BatchLaneOutcome::Completed { probes } => probes,
-        BatchLaneOutcome::FellOut { .. } => {
-            return simulate_write(tech, cell, config, n_cells, draw);
-        }
-    };
-    let Some(t_wl) = cross_threshold_series(
-        times,
-        &probes[0],
-        config.vdd_v / 2.0,
-        CrossDirection::Rising,
-        0.0,
-    ) else {
-        return simulate_write(tech, cell, config, n_cells, draw);
-    };
-    match cross_threshold_series(
-        times,
-        &probes[1],
-        config.flip_threshold_v(),
-        CrossDirection::Falling,
-        t_wl,
-    ) {
-        Some(t_flip) => Ok(WriteOutcome {
-            t_write_s: t_flip - t_wl,
-            t_wl_s: t_wl,
-            window_s: window,
-        }),
-        None => simulate_write(tech, cell, config, n_cells, draw),
-    }
-}
-
-fn deck_tap(
-    deck: &mpvar_extract::RcDeck,
-    net: &str,
-    k: usize,
-) -> Result<mpvar_spice::NodeId, SramError> {
-    deck.tap(net, k).ok_or_else(|| SramError::InvalidStructure {
-        message: format!("missing tap {k} on {net}"),
-    })
+    col.finish([(q, config.vdd_v), (qb, 0.0)], flip, a, &fp)
 }
 
 #[cfg(test)]
@@ -644,6 +345,32 @@ mod tests {
         let w1 = window_at(1);
         assert!(w0 > 0.0);
         assert_eq!(w1.to_bits(), (2.0 * w0).to_bits());
+
+        // The batched path resolves a never-flipping lane through the
+        // scalar fallback, next to a shorted lane that never reaches the
+        // solver: every lane reports exactly the scalar error.
+        let cfg = WriteConfig {
+            max_retries: 1,
+            ..base
+        };
+        let draws = [
+            Draw::nominal(PatterningOption::Euv),
+            Draw::Euv(EuvDraw { cd_nm: 30.0 }),
+            Draw::Euv(EuvDraw { cd_nm: 2.0 }),
+        ];
+        let batch =
+            simulate_write_batch_in(&tech, &cell, &cfg, 4, &draws, &mut WriteBatchScratch::new())
+                .unwrap();
+        assert_eq!(batch.len(), draws.len());
+        for (d, lane) in draws.iter().zip(&batch) {
+            let scalar = simulate_write(&tech, &cell, &cfg, 4, d).unwrap_err();
+            match lane {
+                Err(e) => assert_eq!(e.to_string(), scalar.to_string()),
+                Ok(o) => panic!("batch lane unexpectedly flipped: {o:?}"),
+            }
+        }
+        assert!(matches!(batch[0], Err(SramError::WriteNeverFlipped { .. })));
+        assert!(matches!(batch[1], Err(SramError::Litho(_))));
     }
 
     #[test]
@@ -655,7 +382,14 @@ mod tests {
             Err(SramError::InvalidStructure { .. })
         ));
         assert!(matches!(
-            simulate_write_batch(&tech, &cell, &WriteConfig::default(), 0, &[d]),
+            simulate_write_batch_in(
+                &tech,
+                &cell,
+                &WriteConfig::default(),
+                0,
+                &[d],
+                &mut WriteBatchScratch::new()
+            ),
             Err(SramError::InvalidStructure { .. })
         ));
     }
@@ -712,11 +446,16 @@ mod tests {
     #[test]
     fn empty_batch_is_empty() {
         let (tech, cell) = setup();
-        assert!(
-            simulate_write_batch(&tech, &cell, &WriteConfig::default(), 12, &[])
-                .unwrap()
-                .is_empty()
-        );
+        assert!(simulate_write_batch_in(
+            &tech,
+            &cell,
+            &WriteConfig::default(),
+            12,
+            &[],
+            &mut WriteBatchScratch::new()
+        )
+        .unwrap()
+        .is_empty());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!    [`mpvar_core::formula`]);
 //! 2. the distributed Elmore refinement ([`mpvar_core::elmore`]);
 //! 3. the SPICE transient testbench, run as one batched read per
-//!    array height ([`mpvar_sram::simulate_read_batch`]), which is
+//!    array height ([`mpvar_sram::simulate_read_batch_in`]), which is
 //!    bit-identical to the scalar [`mpvar_sram::simulate_read`] by
 //!    contract (`tests/batch_differential.rs`).
 //!
@@ -35,7 +35,9 @@ use mpvar_core::{AnalyticalModel, ElmoreModel, NominalWindow};
 use mpvar_exec::ExecConfig;
 use mpvar_extract::{extract_track, RelativeVariation};
 use mpvar_litho::{apply_draw, sample_draw, Draw};
-use mpvar_sram::{simulate_read_batch, BitcellGeometry, FormulaParams, ReadConfig};
+use mpvar_sram::{
+    simulate_read_batch_in, BitcellGeometry, FormulaParams, ReadBatchScratch, ReadConfig,
+};
 use mpvar_stats::RngStream;
 use mpvar_tech::{PatterningOption, TechDb, VariationBudget};
 
@@ -284,7 +286,14 @@ fn spice_tds(
         let draws: Vec<Draw> = std::iter::once(Draw::nominal(PatterningOption::Euv))
             .chain(indices.iter().map(|&i| cases[i].draw))
             .collect();
-        match simulate_read_batch(tech, cell, read_config, *n, &draws) {
+        match simulate_read_batch_in(
+            tech,
+            cell,
+            read_config,
+            *n,
+            &draws,
+            &mut ReadBatchScratch::new(),
+        ) {
             Ok(lanes) => lanes
                 .into_iter()
                 .map(|lane| lane.map(|out| out.td_s).map_err(analysis))

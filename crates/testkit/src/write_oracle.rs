@@ -6,7 +6,7 @@
 //!    ([`mpvar_sram::FormulaParams::derive_write`] driving
 //!    [`mpvar_core::AnalyticalModel`] at the flip-fraction level);
 //! 2. the SPICE write transient ([`mpvar_sram::simulate_write`]) and
-//!    its batched SoA twin ([`mpvar_sram::simulate_write_batch`]).
+//!    its batched SoA twin ([`mpvar_sram::simulate_write_batch_in`]).
 //!
 //! They share nothing below the extracted parasitics, so on randomized
 //! small columns (random patterning option, random sampled draw,
@@ -31,7 +31,8 @@ use mpvar_core::AnalyticalModel;
 use mpvar_exec::ExecConfig;
 use mpvar_litho::Draw;
 use mpvar_sram::{
-    simulate_write, simulate_write_batch, BitcellGeometry, FormulaParams, WriteConfig,
+    simulate_write, simulate_write_batch_in, BitcellGeometry, FormulaParams, WriteBatchScratch,
+    WriteConfig,
 };
 use mpvar_tech::{PatterningOption, TechDb};
 
@@ -186,11 +187,13 @@ fn batched_flip_times(
     let groups = group_by_height(cases);
     let per_group = mpvar_exec::try_par_map_indexed(&groups, threads, |_, (n, indices)| {
         let draws: Vec<Draw> = indices.iter().map(|&i| cases[i].draw).collect();
-        let lanes = simulate_write_batch(tech, cell, wc, *n, &draws).map_err(|e| {
-            TestkitError::Analysis {
-                message: e.to_string(),
-            }
-        })?;
+        let mut scratch = WriteBatchScratch::new();
+        let lanes =
+            simulate_write_batch_in(tech, cell, wc, *n, &draws, &mut scratch).map_err(|e| {
+                TestkitError::Analysis {
+                    message: e.to_string(),
+                }
+            })?;
         lanes
             .into_iter()
             .map(|lane| {

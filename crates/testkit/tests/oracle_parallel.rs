@@ -12,8 +12,8 @@ use mpvar_exec::ExecConfig;
 use mpvar_extract::{extract_track, RelativeVariation};
 use mpvar_litho::{apply_draw, sample_draw, Draw};
 use mpvar_sram::{
-    simulate_read, simulate_write, simulate_write_batch, BitcellGeometry, FormulaParams,
-    ReadConfig, WriteConfig,
+    simulate_read, simulate_write, simulate_write_batch_in, BitcellGeometry, FormulaParams,
+    ReadConfig, WriteBatchScratch, WriteConfig,
 };
 use mpvar_stats::RngStream;
 use mpvar_tech::preset::n10;
@@ -166,7 +166,9 @@ fn reference_write(
     }
     for (n, indices) in by_n {
         let draws: Vec<Draw> = indices.iter().map(|&i| cases[i].3).collect();
-        let lanes = simulate_write_batch(tech, cell, &wc, n, &draws).unwrap();
+        let lanes =
+            simulate_write_batch_in(tech, cell, &wc, n, &draws, &mut WriteBatchScratch::new())
+                .unwrap();
         for (&i, lane) in indices.iter().zip(lanes) {
             batched[i] = lane.unwrap().t_write_s;
         }
