@@ -64,8 +64,7 @@ pub use batch::{
 };
 pub use error::SpiceError;
 pub use measure::{
-    cross_differential, cross_differential_series, cross_threshold, cross_threshold_series,
-    CrossDirection,
+    cross_differential_series, cross_threshold, cross_threshold_series, CrossDirection,
 };
 pub use mna::OperatingPoint;
 pub use mosfet::{MosfetModel, SmallSignal};
@@ -82,8 +81,7 @@ pub mod prelude {
     };
     pub use crate::error::SpiceError;
     pub use crate::measure::{
-        cross_differential, cross_differential_series, cross_threshold, cross_threshold_series,
-        CrossDirection,
+        cross_differential_series, cross_threshold, cross_threshold_series, CrossDirection,
     };
     pub use crate::mna::OperatingPoint;
     pub use crate::mosfet::MosfetModel;

@@ -75,10 +75,14 @@ pub fn cross_threshold_series(
 /// Time at which the differential `a - b` of two raw sample series first
 /// crosses `threshold` in `direction`, at or after `t_start`.
 ///
+/// The sense-amp criterion of the paper is
+/// `cross_differential_series(times, v(blb), v(bl), 0.07, Rising, t_wl, diff)`:
+/// BLB stays precharged while BL discharges, so the differential rises
+/// through +70mV.
+///
 /// The differential is staged into `diff` (cleared and refilled), so a
 /// caller measuring many trials can reuse one buffer and allocate
-/// nothing in steady state. Bit-identical to [`cross_differential`] on
-/// the same samples.
+/// nothing in steady state.
 pub fn cross_differential_series(
     times: &[f64],
     a: &[f64],
@@ -137,45 +141,6 @@ pub fn cross_threshold(
         message: format!(
             "node `{}` never crossed {threshold} after t = {t_start}",
             result.node_name(node)
-        ),
-    })
-}
-
-/// Time at which the differential `v(a) - v(b)` first crosses `threshold`
-/// in `direction`, at or after `t_start`.
-///
-/// The sense-amp criterion of the paper is
-/// `cross_differential(&r, blb, bl, 0.07, Rising, t_wl)`: BLB stays
-/// precharged while BL discharges, so the differential rises through
-/// +70mV.
-///
-/// # Errors
-///
-/// [`SpiceError::MeasurementNotFound`] when the differential never
-/// crosses within the simulated window.
-pub fn cross_differential(
-    result: &TransientResult,
-    a: NodeId,
-    b: NodeId,
-    threshold: f64,
-    direction: CrossDirection,
-    t_start: f64,
-) -> Result<f64, SpiceError> {
-    let mut diff = Vec::new();
-    cross_differential_series(
-        result.times(),
-        result.waveform(a),
-        result.waveform(b),
-        threshold,
-        direction,
-        t_start,
-        &mut diff,
-    )
-    .ok_or_else(|| SpiceError::MeasurementNotFound {
-        message: format!(
-            "differential `{}` - `{}` never crossed {threshold} after t = {t_start}",
-            result.node_name(a),
-            result.node_name(b)
         ),
     })
 }
@@ -268,7 +233,16 @@ mod tests {
         tran.set_initial_voltage(a, 0.7);
         tran.set_initial_voltage(b, 0.7);
         let r = tran.run(1e-12, 2e-9).unwrap();
-        let t = cross_differential(&r, b, a, 0.07, CrossDirection::Rising, 0.0).unwrap();
+        let t = cross_differential_series(
+            r.times(),
+            r.waveform(b),
+            r.waveform(a),
+            0.07,
+            CrossDirection::Rising,
+            0.0,
+            &mut Vec::new(),
+        )
+        .unwrap();
         // 0.07/0.7 = 10% discharge: t = -ln(0.9) * tau.
         assert!((t - 0.10536e-9).abs() < 2e-12, "t = {t}");
     }

@@ -42,10 +42,6 @@ pub(crate) struct NewtonStats {
     pub lu_symbolic_reuses: u64,
     /// Numeric-only refactorizations into a preallocated workspace.
     pub lu_refactors: u64,
-    /// Adaptive-transient steps accepted by the LTE controller.
-    pub step_accepts: u64,
-    /// Adaptive-transient steps rejected (halved and retried).
-    pub step_rejects: u64,
 }
 
 impl NewtonStats {
@@ -71,8 +67,6 @@ impl NewtonStats {
                 self.lu_symbolic_reuses,
             ),
             (mpvar_trace::names::SPICE_LU_REFACTORS, self.lu_refactors),
-            (mpvar_trace::names::SPICE_STEP_ACCEPTS, self.step_accepts),
-            (mpvar_trace::names::SPICE_STEP_REJECTS, self.step_rejects),
         ] {
             if value > 0 {
                 mpvar_trace::counter_add(name, value);

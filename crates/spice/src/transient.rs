@@ -1,5 +1,5 @@
-//! Transient analysis: backward-Euler and trapezoidal integration, with
-//! fixed or LTE-controlled adaptive stepping.
+//! Transient analysis: backward-Euler and trapezoidal integration on a
+//! fixed step grid.
 //!
 //! Each step solves the nonlinear companion system with Newton iteration
 //! on a per-analysis `MnaWorkspace` (crate-internal): the stamp program and symbolic LU
@@ -24,15 +24,6 @@ use crate::mna::{
     ReactivePolicy,
 };
 use crate::netlist::{Element, Netlist, NodeId};
-
-/// Safety factor of the LTE step controller (classic 0.9).
-const LTE_SAFETY: f64 = 0.9;
-
-/// Largest per-step growth the LTE controller may apply.
-const LTE_GROW_MAX: f64 = 2.5;
-
-/// Smallest per-step shrink the LTE controller may apply.
-const LTE_SHRINK_MIN: f64 = 0.2;
 
 /// Integration method for the transient solver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -116,7 +107,6 @@ impl<'a> Transient<'a> {
             mpvar_trace::names::SPAN_SPICE_TRANSIENT,
             dt = dt,
             t_stop = t_stop,
-            adaptive = false,
         );
         let mut stats = NewtonStats::default();
         let result = self.run_fixed(dt, t_stop, &mut stats);
@@ -274,283 +264,6 @@ impl<'a> Transient<'a> {
         Ok(result)
     }
 
-    /// Runs the analysis with **adaptive** step control until `t_stop`.
-    ///
-    /// Local truncation error is estimated by step doubling: each
-    /// candidate step is computed once with the full step and once with
-    /// two half steps, and the difference bounds the LTE. A standard
-    /// order-2 controller (`dt · 0.9 (tol/err)^{1/3}`, growth and
-    /// shrink clamped) picks the next step; rejected steps are retried
-    /// shorter. Both half-step solutions are stored — **dense output**
-    /// on the half-step grid — so `measure.rs` threshold crossings
-    /// interpolate over intervals the error control actually bounded.
-    /// Source-waveform breakpoints (pulse edges, PWL corners) are never
-    /// stepped over, so sharp word-line edges are resolved regardless
-    /// of the current step size.
-    ///
-    /// # Errors
-    ///
-    /// * [`SpiceError::InvalidAnalysis`] for non-positive inputs, or
-    ///   when error control drives the step below `t_stop / 5e7`;
-    /// * solver failures as in [`Transient::run`].
-    pub fn run_adaptive(
-        &self,
-        dt_initial: f64,
-        t_stop: f64,
-        tol_v: f64,
-    ) -> Result<TransientResult, SpiceError> {
-        let _span = mpvar_trace::span!(
-            mpvar_trace::names::SPAN_SPICE_TRANSIENT,
-            dt = dt_initial,
-            t_stop = t_stop,
-            adaptive = true,
-        );
-        let mut stats = NewtonStats::default();
-        let result = self.run_adaptive_inner(dt_initial, t_stop, tol_v, &mut stats);
-        stats.emit();
-        if result.is_ok() {
-            // Accepted integration steps (each stores two points: the
-            // midpoint and the step end).
-            mpvar_trace::counter_add(
-                mpvar_trace::names::SPICE_TRANSIENT_STEPS,
-                stats.step_accepts,
-            );
-        }
-        result
-    }
-
-    fn run_adaptive_inner(
-        &self,
-        dt_initial: f64,
-        t_stop: f64,
-        tol_v: f64,
-        stats: &mut NewtonStats,
-    ) -> Result<TransientResult, SpiceError> {
-        let valid = dt_initial > 0.0 && t_stop > 0.0 && tol_v > 0.0;
-        if !valid {
-            return Err(SpiceError::InvalidAnalysis {
-                message: format!(
-                    "dt_initial ({dt_initial}), t_stop ({t_stop}) and tol_v ({tol_v}) must be positive"
-                ),
-            });
-        }
-        let net = self.net;
-        let nn = net.num_nodes();
-        let dt_min = t_stop / 5e7;
-        let dt_max = t_stop / 20.0;
-
-        let caps = collect_caps(net);
-        let mut state = self.initial_state(&caps)?;
-        let mut ws = MnaWorkspace::new(net);
-
-        let mut result = TransientResult {
-            times: Vec::new(),
-            voltages: vec![Vec::new(); nn],
-            node_names: (0..nn)
-                .map(|i| net.node_name(NodeId(i)).to_string())
-                .collect(),
-        };
-        result.push_state(0.0, &state.node_v);
-
-        let breaks = self.breakpoints(t_stop);
-        let mut t = 0.0f64;
-        let mut dt = dt_initial.min(dt_max);
-
-        while t < t_stop {
-            // Clamp the step to the next breakpoint and the stop time.
-            let mut dt_eff = dt.min(t_stop - t);
-            if let Some(&bp) = breaks.iter().find(|&&bp| bp > t + 1e-18) {
-                if t + dt_eff > bp {
-                    dt_eff = bp - t;
-                }
-            }
-
-            // One full step...
-            let full = self.advance_once(&caps, &state, t + dt_eff, dt_eff, stats, &mut ws)?;
-            // ...versus two half steps.
-            let half1 = self.advance_once(
-                &caps,
-                &state,
-                t + dt_eff / 2.0,
-                dt_eff / 2.0,
-                stats,
-                &mut ws,
-            )?;
-            let half2 =
-                self.advance_once(&caps, &half1, t + dt_eff, dt_eff / 2.0, stats, &mut ws)?;
-
-            let mut err = 0.0f64;
-            for (a, b) in full.node_v.iter().zip(&half2.node_v) {
-                err = err.max((a - b).abs());
-            }
-
-            // Order-2 LTE controller: the optimal step scales with
-            // (tol/err)^(1/3); the safety factor and clamps are the
-            // standard ones for embedded-error stepping.
-            let scale = if err > 0.0 {
-                LTE_SAFETY * (tol_v / err).powf(1.0 / 3.0)
-            } else {
-                LTE_GROW_MAX
-            };
-
-            if err > tol_v && dt_eff > dt_min {
-                stats.step_rejects += 1;
-                dt = (dt_eff * scale.clamp(LTE_SHRINK_MIN, 1.0)).max(dt_min);
-                continue;
-            }
-            if dt_eff <= dt_min && err > 10.0 * tol_v {
-                return Err(SpiceError::InvalidAnalysis {
-                    message: format!("adaptive step underflow at t = {t:.3e}s (err {err:.3e}V)"),
-                });
-            }
-
-            stats.step_accepts += 1;
-            // Dense output: keep the midpoint sample too, so crossing
-            // interpolation sees the half-step grid the error estimate
-            // was computed on.
-            result.push_state(t + dt_eff / 2.0, &half1.node_v);
-            t += dt_eff;
-            state = half2;
-            result.push_state(t, &state.node_v);
-            dt = (dt_eff * scale.clamp(LTE_SHRINK_MIN, LTE_GROW_MAX)).min(dt_max);
-        }
-        Ok(result)
-    }
-
-    /// Builds the initial integration state (UIC or DC operating point).
-    fn initial_state(&self, caps: &[(NodeId, NodeId, f64)]) -> Result<StepState, SpiceError> {
-        let net = self.net;
-        let nn = net.num_nodes();
-        let size = system_size(net);
-        let mut node_v = vec![0.0; nn];
-        let mut x = vec![0.0; size];
-        if self.uic {
-            for (&node, &v) in &self.initial {
-                node_v[node.index()] = v;
-                if !node.is_ground() {
-                    x[node.index() - 1] = v;
-                }
-            }
-        } else {
-            let op = OperatingPoint::solve(net)?;
-            node_v.copy_from_slice(op.voltages());
-            x[..nn - 1].copy_from_slice(&node_v[1..nn]);
-        }
-        Ok(StepState {
-            node_v,
-            x,
-            cap_i: vec![0.0; caps.len()],
-            bootstrapped: !self.uic,
-        })
-    }
-
-    /// Advances one integration step from `state` to time `t`, step `dt`.
-    fn advance_once(
-        &self,
-        caps: &[(NodeId, NodeId, f64)],
-        state: &StepState,
-        t: f64,
-        dt: f64,
-        stats: &mut NewtonStats,
-        ws: &mut MnaWorkspace,
-    ) -> Result<StepState, SpiceError> {
-        let net = self.net;
-        let nn = net.num_nodes();
-        // First step under UIC starts with backward Euler (no consistent
-        // capacitor currents yet).
-        let use_be = matches!(self.method, Method::BackwardEuler) || !state.bootstrapped;
-        let policy = if use_be {
-            ReactivePolicy::BackwardEuler {
-                dt,
-                prev_v: &state.node_v,
-            }
-        } else {
-            ReactivePolicy::Trapezoidal {
-                dt,
-                prev_v: &state.node_v,
-                prev_ic: &state.cap_i,
-            }
-        };
-        let x_new = solve_nonlinear_ws(net, t, policy, state.x.clone(), stats, ws)?;
-
-        let v_of = |node: NodeId, xs: &[f64]| -> f64 {
-            if node.is_ground() {
-                0.0
-            } else {
-                xs[node.index() - 1]
-            }
-        };
-        let mut cap_i = state.cap_i.clone();
-        for (ci, &(a, b, c)) in caps.iter().enumerate() {
-            let v_new = v_of(a, &x_new) - v_of(b, &x_new);
-            let v_old = state.node_v[a.index()] - state.node_v[b.index()];
-            cap_i[ci] = if use_be {
-                c * (v_new - v_old) / dt
-            } else {
-                2.0 * c * (v_new - v_old) / dt - cap_i[ci]
-            };
-        }
-        let mut node_v = vec![0.0; nn];
-        node_v[1..nn].copy_from_slice(&x_new[..nn - 1]);
-        Ok(StepState {
-            node_v,
-            x: x_new,
-            cap_i,
-            bootstrapped: true,
-        })
-    }
-
-    /// Collects source-waveform breakpoints within `[0, t_stop]`, sorted.
-    fn breakpoints(&self, t_stop: f64) -> Vec<f64> {
-        let mut points = Vec::new();
-        for e in self.net.elements() {
-            let w = match e {
-                Element::VSource { waveform, .. } | Element::ISource { waveform, .. } => waveform,
-                _ => continue,
-            };
-            match w {
-                crate::waveform::Waveform::Dc(_) => {}
-                crate::waveform::Waveform::Pulse {
-                    delay,
-                    rise,
-                    fall,
-                    width,
-                    period,
-                    ..
-                } => {
-                    let mut base = *delay;
-                    // Cap per-source breakpoints so a pathological tiny
-                    // period cannot explode the list.
-                    let mut emitted = 0usize;
-                    loop {
-                        for t in [
-                            base,
-                            base + rise,
-                            base + rise + width,
-                            base + rise + width + fall,
-                        ] {
-                            if t <= t_stop {
-                                points.push(t);
-                                emitted += 1;
-                            }
-                        }
-                        if *period > 0.0 && base + period <= t_stop && emitted < 10_000 {
-                            base += period;
-                        } else {
-                            break;
-                        }
-                    }
-                }
-                crate::waveform::Waveform::Pwl(pts) => {
-                    points.extend(pts.iter().map(|&(t, _)| t).filter(|&t| t <= t_stop));
-                }
-            }
-        }
-        points.sort_by(|a, b| a.partial_cmp(b).expect("finite breakpoints"));
-        points.dedup_by(|a, b| (*a - *b).abs() < 1e-18);
-        points
-    }
-
     fn policy<'b>(&self, dt: f64, prev_v: &'b [f64], prev_ic: &'b [f64]) -> ReactivePolicy<'b> {
         match self.method {
             Method::BackwardEuler => ReactivePolicy::BackwardEuler { dt, prev_v },
@@ -561,28 +274,6 @@ impl<'a> Transient<'a> {
             },
         }
     }
-}
-
-/// Integration state carried between adaptive steps.
-#[derive(Debug, Clone)]
-struct StepState {
-    node_v: Vec<f64>,
-    x: Vec<f64>,
-    cap_i: Vec<f64>,
-    /// `false` until the first accepted step establishes consistent
-    /// capacitor currents (UIC bootstrap).
-    bootstrapped: bool,
-}
-
-/// Capacitor terminal/value list in element order.
-fn collect_caps(net: &Netlist) -> Vec<(NodeId, NodeId, f64)> {
-    net.elements()
-        .iter()
-        .filter_map(|e| match e {
-            Element::Capacitor { a, b, farads, .. } => Some((*a, *b, *farads)),
-            _ => None,
-        })
-        .collect()
 }
 
 /// Sampled node waveforms produced by [`Transient::run`].
@@ -629,10 +320,10 @@ impl TransientResult {
     /// # Errors
     ///
     /// [`SpiceError::InvalidAnalysis`] when `t` lies outside the simulated
-    /// window.
+    /// window or is NaN.
     pub fn sample(&self, node: NodeId, t: f64) -> Result<f64, SpiceError> {
         let times = &self.times;
-        if times.is_empty() || t < times[0] || t > *times.last().expect("nonempty") {
+        if times.is_empty() || !(t >= times[0] && t <= *times.last().expect("nonempty")) {
             return Err(SpiceError::InvalidAnalysis {
                 message: format!("sample time {t} outside simulated window"),
             });
@@ -848,101 +539,10 @@ mod tests {
         let r = tran.run(1e-12, 1e-10).unwrap();
         assert!(r.sample(a, -1e-12).is_err());
         assert!(r.sample(a, 2e-10).is_err());
+        assert!(r.sample(a, f64::NAN).is_err());
         assert!(r.sample(a, 1e-10).is_ok());
         assert!(!r.is_empty());
         assert_eq!(r.node_name(a), "a");
-    }
-
-    #[test]
-    fn adaptive_matches_fixed_step_on_rc() {
-        let mut net = Netlist::new();
-        let n1 = net.node("n1");
-        net.add_resistor("R1", n1, Netlist::GROUND, 1e3).unwrap();
-        net.add_capacitor("C1", n1, Netlist::GROUND, 1e-12).unwrap();
-        let mut tran = Transient::new(&net).unwrap();
-        tran.set_initial_voltage(n1, 1.0);
-        let adaptive = tran.run_adaptive(1e-11, 4e-9, 1e-5).unwrap();
-        let exact = (-2e-9f64 / 1e-9).exp();
-        let sim = adaptive.sample(n1, 2e-9).unwrap();
-        assert!((sim - exact).abs() < 1e-3, "sim {sim} vs {exact}");
-        // Adaptive should take fewer points than a fixed fine grid while
-        // staying accurate.
-        assert!(adaptive.len() < 400, "{} points", adaptive.len());
-    }
-
-    #[test]
-    fn adaptive_resolves_pulse_edges_via_breakpoints() {
-        // A pulse with edges much shorter than the natural step: the
-        // breakpoint clamp must land points on the edges.
-        let mut net = Netlist::new();
-        let a = net.node("a");
-        let out = net.node("out");
-        net.add_vsource(
-            "V1",
-            a,
-            Netlist::GROUND,
-            Waveform::pulse(0.0, 1.0, 1e-9, 1e-12, 1e-12, 0.5e-9, 0.0).unwrap(),
-        )
-        .unwrap();
-        net.add_resistor("R1", a, out, 1e3).unwrap();
-        net.add_capacitor("C1", out, Netlist::GROUND, 5e-14)
-            .unwrap();
-        let tran = Transient::new(&net).unwrap();
-        let r = tran.run_adaptive(2e-10, 3e-9, 1e-4).unwrap();
-        // The source is quiet for 1ns: out must still be near 0 right
-        // before the edge and charge right after the pulse.
-        let before = r.sample(out, 0.99e-9).unwrap();
-        assert!(before.abs() < 1e-6, "before edge: {before}");
-        let during = r.sample(out, 1.45e-9).unwrap();
-        assert!(during > 0.9, "pulse seen: {during}");
-        // A breakpoint-aligned sample exists at the edge start.
-        assert!(r.times().iter().any(|&t| (t - 1e-9).abs() < 1e-15));
-    }
-
-    #[test]
-    fn adaptive_rejects_bad_config() {
-        let mut net = Netlist::new();
-        let a = net.node("a");
-        net.add_resistor("R1", a, Netlist::GROUND, 1e3).unwrap();
-        net.add_capacitor("C1", a, Netlist::GROUND, 1e-15).unwrap();
-        let tran = Transient::new(&net).unwrap();
-        assert!(tran.run_adaptive(0.0, 1e-9, 1e-4).is_err());
-        assert!(tran.run_adaptive(1e-12, 0.0, 1e-4).is_err());
-        assert!(tran.run_adaptive(1e-12, 1e-9, 0.0).is_err());
-    }
-
-    #[test]
-    fn adaptive_handles_nonlinear_discharge() {
-        let tech = n10();
-        let mut net = Netlist::new();
-        let bl = net.node("bl");
-        let wl = net.node("wl");
-        net.add_capacitor("Cbl", bl, Netlist::GROUND, 2e-15)
-            .unwrap();
-        net.add_vsource(
-            "VWL",
-            wl,
-            Netlist::GROUND,
-            Waveform::pulse(0.0, 0.7, 100e-12, 10e-12, 10e-12, 1.0, 0.0).unwrap(),
-        )
-        .unwrap();
-        net.add_mosfet(
-            "M1",
-            bl,
-            wl,
-            Netlist::GROUND,
-            MosfetModel::new(*tech.nmos()),
-        )
-        .unwrap();
-        let mut tran = Transient::new(&net).unwrap();
-        tran.set_initial_voltage(bl, 0.7);
-        let fixed = tran.run(1e-12, 2e-9).unwrap();
-        let adaptive = tran.run_adaptive(5e-12, 2e-9, 1e-4).unwrap();
-        for t in [150e-12, 300e-12, 1e-9, 2e-9] {
-            let vf = fixed.sample(bl, t).unwrap();
-            let va = adaptive.sample(bl, t).unwrap();
-            assert!((vf - va).abs() < 5e-3, "t={t}: {vf} vs {va}");
-        }
     }
 
     #[test]

@@ -46,8 +46,6 @@ pub(crate) struct ColumnSpec {
     pub(crate) steps: usize,
     pub(crate) window_scale: f64,
     pub(crate) max_retries: usize,
-    /// LTE-adaptive stepping tolerance; `None` keeps the fixed grid.
-    pub(crate) lte_tol_v: Option<f64>,
 }
 
 /// The crossing an operation times from the WL mid-edge.
@@ -311,10 +309,7 @@ impl Testbench {
         for _attempt in 0..=spec.max_retries {
             searched = window;
             let dt = window / spec.steps as f64;
-            let result = match spec.lte_tol_v {
-                Some(tol) => tran.run_adaptive(dt, window, tol)?,
-                None => tran.run(dt, window)?,
-            };
+            let result = tran.run(dt, window)?;
             let series: Vec<&[f64]> = probes.iter().map(|&p| result.waveform(p)).collect();
             match self.measure(spec.vdd_v, window, result.times(), &series, &mut diff) {
                 Window::Crossed(timed) => return Ok(timed),
@@ -404,9 +399,7 @@ impl ColumnScratch {
 /// retried window re-run inside the batch would re-pivot with different
 /// companion conductances; the scalar loop, which reuses its first
 /// symbolic analysis across retries, is the bit-exact reference.
-/// Per-draw build failures (shorted prints) stay in their lane, and
-/// LTE-adaptive stepping, whose step grid is per-lane, sends the whole
-/// batch scalar.
+/// Per-draw build failures (shorted prints) stay in their lane.
 pub(crate) fn simulate_batch(
     spec: &ColumnSpec,
     n_cells: usize,
@@ -419,9 +412,6 @@ pub(crate) fn simulate_batch(
         return Ok(Vec::new());
     }
     let scalar = |draw: &Draw| simulate(spec, n_cells, draw, &build);
-    if spec.lte_tol_v.is_some() {
-        return Ok(draws.iter().map(scalar).collect());
-    }
     let _span = mpvar_trace::span!(spec.span, n_cells = n_cells, lanes = draws.len());
 
     // Shorted prints and other per-draw build failures stay in their

@@ -49,11 +49,6 @@ pub struct ReadConfig {
     pub window_scale: f64,
     /// Window doublings attempted before giving up.
     pub max_retries: usize,
-    /// When set, the transient runs with LTE-adaptive stepping at this
-    /// voltage tolerance instead of the fixed `steps` grid (the fixed
-    /// `window / steps` becomes the initial step). `None` (the default)
-    /// keeps the paper-calibrated fixed-step behaviour bit-identical.
-    pub lte_tol_v: Option<f64>,
 }
 
 impl Default for ReadConfig {
@@ -66,7 +61,6 @@ impl Default for ReadConfig {
             steps: 2000,
             window_scale: 25.0,
             max_retries: 3,
-            lte_tol_v: None,
         }
     }
 }
@@ -81,7 +75,6 @@ impl ReadConfig {
             steps: self.steps,
             window_scale: self.window_scale,
             max_retries: self.max_retries,
-            lte_tol_v: self.lte_tol_v,
         }
     }
 }
@@ -341,24 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_stepping_matches_fixed_grid() {
-        // The LTE-adaptive opt-in must reproduce the fixed-step td to
-        // within the sense-measurement tolerance the controller bounds.
-        let (tech, cell) = setup();
-        let d = Draw::nominal(PatterningOption::Euv);
-        let fixed = simulate_read(&tech, &cell, &ReadConfig::default(), 16, &d)
-            .unwrap()
-            .td_s;
-        let cfg = ReadConfig {
-            lte_tol_v: Some(1e-4),
-            ..ReadConfig::default()
-        };
-        let adaptive = simulate_read(&tech, &cell, &cfg, 16, &d).unwrap().td_s;
-        let rel = (adaptive / fixed - 1.0).abs();
-        assert!(rel < 0.02, "fixed {fixed:.4e} adaptive {adaptive:.4e}");
-    }
-
-    #[test]
     fn batched_reads_bit_identical_to_scalar() {
         let (tech, cell) = setup();
         let cfg = ReadConfig::default();
@@ -407,21 +382,10 @@ mod tests {
     }
 
     #[test]
-    fn batched_read_respects_adaptive_fallback_and_empty_batch() {
+    fn batched_read_rejects_zero_cells_and_empty_batch_is_empty() {
         let (tech, cell) = setup();
         let d = [Draw::nominal(PatterningOption::Euv)];
-        let cfg = ReadConfig {
-            lte_tol_v: Some(1e-4),
-            ..ReadConfig::default()
-        };
-        let adaptive_scalar = simulate_read(&tech, &cell, &cfg, 12, &d[0]).unwrap();
-        let adaptive_batch =
-            simulate_read_batch_in(&tech, &cell, &cfg, 12, &d, &mut ReadBatchScratch::new())
-                .unwrap();
-        match &adaptive_batch[0] {
-            Ok(o) => assert_eq!(o.td_s.to_bits(), adaptive_scalar.td_s.to_bits()),
-            Err(e) => panic!("adaptive lane failed: {e}"),
-        }
+        let cfg = ReadConfig::default();
         assert!(
             simulate_read_batch_in(&tech, &cell, &cfg, 12, &[], &mut ReadBatchScratch::new())
                 .unwrap()

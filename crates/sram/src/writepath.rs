@@ -90,7 +90,6 @@ impl WriteConfig {
             steps: self.steps,
             window_scale: self.window_scale,
             max_retries: self.max_retries,
-            lte_tol_v: None,
         }
     }
 }

@@ -53,9 +53,7 @@ pub use importance::{FailureEstimate, Proposal, RoundAccumulator, ZDomain};
 pub use kstest::{ks_test_fitted, ks_test_gaussian, KsTest};
 pub use percentile::{median, quantile};
 pub use rng::RngStream;
-pub use sampler::{
-    erfc, inverse_normal_cdf, normal_tail, Gaussian, TruncatedGaussian, UniformRange,
-};
+pub use sampler::{erfc, inverse_normal_cdf, normal_tail, Gaussian, TruncatedGaussian};
 pub use scratch::StatsScratch;
 
 /// Convenient glob-import surface for downstream crates.
@@ -69,8 +67,6 @@ pub mod prelude {
     pub use crate::kstest::{ks_test_fitted, ks_test_gaussian, KsTest};
     pub use crate::percentile::{median, quantile};
     pub use crate::rng::RngStream;
-    pub use crate::sampler::{
-        erfc, inverse_normal_cdf, normal_tail, Gaussian, TruncatedGaussian, UniformRange,
-    };
+    pub use crate::sampler::{erfc, inverse_normal_cdf, normal_tail, Gaussian, TruncatedGaussian};
     pub use crate::scratch::StatsScratch;
 }

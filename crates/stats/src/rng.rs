@@ -101,19 +101,6 @@ impl RngStream {
         self.stream
     }
 
-    /// Lazily derives the substreams for every index in `indices`.
-    ///
-    /// Combined with [`substream_chunks`], this is the parallel-farming
-    /// surface: worker `w` walks `base.substreams(chunk_w)` and obtains
-    /// exactly the same generators a sequential loop would have built,
-    /// so results stay bit-identical for any worker count.
-    pub fn substreams(
-        &self,
-        indices: std::ops::Range<u64>,
-    ) -> impl Iterator<Item = RngStream> + '_ {
-        indices.map(|k| self.substream(k))
-    }
-
     /// Draws a `f64` uniformly from the half-open interval `[0, 1)`.
     ///
     /// Uses the 53 high bits of a `u64`, the canonical mapping with a
@@ -184,32 +171,6 @@ impl Default for RngStream {
     fn default() -> Self {
         Self::from_seed(0)
     }
-}
-
-/// Partitions the substream index range `0..total` into at most
-/// `chunks` contiguous ranges of near-equal size (the first
-/// `total % chunks` ranges are one index longer).
-///
-/// This is the canonical work split for parallel Monte-Carlo: trial
-/// `k` always consumes substream `k`, workers own contiguous index
-/// ranges, and the partition depends only on `(total, chunks)` — never
-/// on scheduling — so the assembled sample vector is bit-identical to
-/// the sequential run for any worker count.
-pub fn substream_chunks(total: u64, chunks: usize) -> Vec<std::ops::Range<u64>> {
-    let chunks = (chunks.max(1) as u64).min(total.max(1));
-    let base = total / chunks;
-    let extra = total % chunks;
-    let mut out = Vec::with_capacity(chunks as usize);
-    let mut start = 0u64;
-    for c in 0..chunks {
-        let len = base + u64::from(c < extra);
-        if len == 0 {
-            break;
-        }
-        out.push(start..start + len);
-        start += len;
-    }
-    out
 }
 
 #[cfg(test)]

@@ -303,42 +303,6 @@ impl TruncatedGaussian {
     }
 }
 
-/// A uniform distribution over `[lo, hi)`.
-///
-/// Used for parameter sweeps and design-of-experiments sampling.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct UniformRange {
-    lo: f64,
-    hi: f64,
-}
-
-impl UniformRange {
-    /// Creates a uniform distribution over `[lo, hi)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::EmptyInterval`] when `lo >= hi`, and
-    /// [`StatsError::NonFinite`] for NaN/infinite bounds.
-    pub fn new(lo: f64, hi: f64) -> Result<Self, StatsError> {
-        ensure_finite("lo", lo)?;
-        ensure_finite("hi", hi)?;
-        if lo >= hi {
-            return Err(StatsError::EmptyInterval { lo, hi });
-        }
-        Ok(Self { lo, hi })
-    }
-
-    /// Draws one deviate.
-    pub fn sample(&self, rng: &mut RngStream) -> f64 {
-        self.lo + (self.hi - self.lo) * rng.next_f64()
-    }
-
-    /// The interval bounds `(lo, hi)`.
-    pub fn bounds(&self) -> (f64, f64) {
-        (self.lo, self.hi)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -476,20 +440,5 @@ mod tests {
             t.sample(&mut rng),
             Err(StatsError::RejectionBudgetExhausted { .. })
         ));
-    }
-
-    #[test]
-    fn uniform_bounds_and_mean() {
-        let u = UniformRange::new(3.0, 8.0).unwrap();
-        let mut rng = RngStream::from_seed(12);
-        let s: Summary = (0..100_000).map(|_| u.sample(&mut rng)).collect();
-        assert!((s.mean() - 5.5).abs() < 0.02);
-        assert!(s.min() >= 3.0 && s.max() < 8.0);
-    }
-
-    #[test]
-    fn uniform_rejects_inverted_bounds() {
-        assert!(UniformRange::new(1.0, 1.0).is_err());
-        assert!(UniformRange::new(2.0, 1.0).is_err());
     }
 }

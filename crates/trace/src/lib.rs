@@ -80,7 +80,7 @@ pub mod names {
     pub const SPAN_MC_WAVE: &str = "mc_wave";
     /// Span: one ±3σ worst-case corner enumeration.
     pub const SPAN_CORNER_SEARCH: &str = "corner_search";
-    /// Span: one SPICE transient analysis (fixed or adaptive step).
+    /// Span: one SPICE transient analysis.
     pub const SPAN_SPICE_TRANSIENT: &str = "spice_transient";
     /// Span: one SRAM read testbench simulation.
     pub const SPAN_SRAM_READ: &str = "sram_read";
@@ -126,10 +126,6 @@ pub mod names {
     /// Counter: numeric-only refactorizations into preallocated
     /// workspaces.
     pub const SPICE_LU_REFACTORS: &str = "spice.lu_refactors";
-    /// Counter: adaptive-transient steps accepted by the LTE controller.
-    pub const SPICE_STEP_ACCEPTS: &str = "spice.step_accepts";
-    /// Counter: adaptive-transient steps rejected and retried shorter.
-    pub const SPICE_STEP_REJECTS: &str = "spice.step_rejects";
     /// Counter: batched Newton solves (one per timestep of a batched
     /// transient, whatever the lane count).
     pub const SPICE_BATCH_SOLVES: &str = "spice.batch_solves";

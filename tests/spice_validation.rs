@@ -232,12 +232,13 @@ fn uniform(state: &mut u64, lo: f64, hi: f64) -> f64 {
 }
 
 #[test]
-fn adaptive_matches_fine_fixed_step_on_randomized_rc_ladders() {
-    // Differential oracle: LTE-adaptive stepping against a fixed-step
-    // run at dt/64, over randomized ladder dimensions and element
-    // values. The adaptive controller bounds per-step error at 100uV;
-    // agreement within ~1mV catches both controller bugs and
-    // dense-output interpolation bugs.
+fn fixed_step_matches_fine_reference_on_randomized_rc_ladders() {
+    // Differential oracle: the read testbench's step grid (t_stop/2000,
+    // `ReadConfig::default().steps`) against a 6.4x finer fixed-step
+    // reference (t_stop/12800), over randomized ladder dimensions and
+    // element values. Trapezoidal error falls with dt^2, so the
+    // reference is ~40x more accurate than the run under test, and a
+    // 100uV bound catches both integration and interpolation bugs.
     let mut seed = 0x5EED_1234_ABCD_0001u64;
     for trial in 0..6 {
         let n = 3 + (splitmix64(&mut seed) % 6) as usize;
@@ -252,24 +253,23 @@ fn adaptive_matches_fine_fixed_step_on_randomized_rc_ladders() {
         )
         .expect("source");
         let t_stop = 40.0 * n as f64 * r_seg * c_seg + 50e-12;
-        let dt = t_stop / 200.0;
         let tran = Transient::new(&net).expect("tran builds");
-        let adaptive = tran.run_adaptive(dt, t_stop, 1e-4).expect("adaptive runs");
-        let reference = tran.run(dt / 64.0, t_stop).expect("fixed runs");
+        let fixed = tran.run(t_stop / 2000.0, t_stop).expect("fixed runs");
+        let reference = tran.run(t_stop / 12800.0, t_stop).expect("reference runs");
         for k in 1..=8 {
             let t = t_stop * k as f64 / 8.0;
-            let v_a = adaptive.sample(last, t).expect("in window");
+            let v_f = fixed.sample(last, t).expect("in window");
             let v_r = reference.sample(last, t).expect("in window");
             assert!(
-                (v_a - v_r).abs() < 1.5e-3,
-                "trial {trial} t={t:e}: adaptive {v_a} vs dt/64 {v_r}"
+                (v_f - v_r).abs() < 1e-4,
+                "trial {trial} t={t:e}: fixed {v_f} vs reference {v_r}"
             );
         }
     }
 }
 
 #[test]
-fn adaptive_matches_fine_fixed_step_on_randomized_sram_discharge() {
+fn fixed_step_matches_fine_reference_on_randomized_sram_discharge() {
     // Same oracle on the nonlinear FET discharge path: randomized
     // bit-line load and device widths around the N10 SRAM read circuit.
     use mpvar::spice::MosfetModel;
@@ -306,16 +306,15 @@ fn adaptive_matches_fine_fixed_step_on_randomized_sram_discharge() {
         let mut tran = Transient::new(&net).expect("tran builds");
         tran.set_initial_voltage(bl, 0.7);
         let t_stop = 200e-12;
-        let dt = t_stop / 200.0;
-        let adaptive = tran.run_adaptive(dt, t_stop, 1e-4).expect("adaptive runs");
-        let reference = tran.run(dt / 64.0, t_stop).expect("fixed runs");
+        let fixed = tran.run(t_stop / 2000.0, t_stop).expect("fixed runs");
+        let reference = tran.run(t_stop / 12800.0, t_stop).expect("reference runs");
         for k in 1..=8 {
             let t = t_stop * k as f64 / 8.0;
-            let v_a = adaptive.sample(bl, t).expect("in window");
+            let v_f = fixed.sample(bl, t).expect("in window");
             let v_r = reference.sample(bl, t).expect("in window");
             assert!(
-                (v_a - v_r).abs() < 1.5e-3,
-                "trial {trial} t={t:e}: adaptive {v_a} vs dt/64 {v_r}"
+                (v_f - v_r).abs() < 1e-4,
+                "trial {trial} t={t:e}: fixed {v_f} vs reference {v_r}"
             );
         }
     }
