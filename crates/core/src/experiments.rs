@@ -180,15 +180,6 @@ impl ExperimentContextBuilder {
         self
     }
 
-    /// Overrides the technology and matching bitcell geometry together
-    /// (they must agree, so they travel as a pair).
-    #[must_use]
-    pub fn tech_cell(mut self, tech: TechDb, cell: mpvar_sram::BitcellGeometry) -> Self {
-        self.ctx.tech = tech;
-        self.ctx.cell = cell;
-        self
-    }
-
     /// Overrides the read-testbench configuration.
     #[must_use]
     pub fn read_config(mut self, read_config: ReadConfig) -> Self {

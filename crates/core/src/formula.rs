@@ -22,7 +22,6 @@ use crate::error::CoreError;
 pub struct AnalyticalModel {
     params: FormulaParams,
     a: f64,
-    discharge_level: f64,
 }
 
 impl AnalyticalModel {
@@ -45,7 +44,6 @@ impl AnalyticalModel {
         Ok(Self {
             params,
             a: -(1.0 - discharge_level).ln(),
-            discharge_level,
         })
     }
 
@@ -57,11 +55,6 @@ impl AnalyticalModel {
     /// The discharge-level constant `a` of eq. 2.
     pub fn a(&self) -> f64 {
         self.a
-    }
-
-    /// The configured discharge level.
-    pub fn discharge_level(&self) -> f64 {
-        self.discharge_level
     }
 
     /// Eq. 4: analytical `td` in seconds for an `n`-cell column with the
@@ -88,22 +81,6 @@ impl AnalyticalModel {
     pub fn tdp_percent(&self, n: usize, r_var: f64, c_var: f64) -> f64 {
         self.tdp(n, r_var, c_var) * 100.0
     }
-
-    /// Eq. 5's polynomial view: coefficients `(k2, k1, k0)` such that
-    /// `td = k2 n² + k1 n + k0` for fixed multipliers (with the paper's
-    /// linear `C_pre(n)`, the "almost linear" and "almost constant"
-    /// terms of eq. 5 become exact).
-    pub fn polynomial_coefficients(&self, r_var: f64, c_var: f64) -> (f64, f64, f64) {
-        let p = &self.params;
-        let cb = p.cbl_f * c_var + p.cfe_f;
-        let rb = p.rbl_ohm * r_var;
-        // td = a (n rb + RFE)(n cb + n cpre1) with cpre(n) = cpre1 * n:
-        let cp1 = p.cpre_per_cell_f;
-        let k2 = self.a * rb * (cb + cp1);
-        let k1 = self.a * p.rfe_ohm * (cb + cp1);
-        let k0 = 0.0;
-        (k2, k1, k0)
-    }
 }
 
 #[cfg(test)]
@@ -124,7 +101,6 @@ mod tests {
         let m = model();
         // Paper eq. 3: t ≈ 0.105 RC for 10% discharge.
         assert!((m.a() - 0.10536).abs() < 1e-4, "a = {}", m.a());
-        assert!((m.discharge_level() - 0.10).abs() < 1e-12);
     }
 
     #[test]
@@ -194,21 +170,6 @@ mod tests {
         let tdp_short = m.tdp(4, r_var, c_var);
         let tdp_long = m.tdp(4096, r_var, c_var);
         assert!(tdp_short > tdp_long, "penalty falls with n under R drop");
-    }
-
-    #[test]
-    fn polynomial_matches_direct_evaluation() {
-        let m = model();
-        let (k2, k1, k0) = m.polynomial_coefficients(0.9, 1.3);
-        for n in [1usize, 16, 64, 256, 1024] {
-            let nf = n as f64;
-            let poly = k2 * nf * nf + k1 * nf + k0;
-            let direct = m.td_s(n, 0.9, 1.3);
-            assert!(
-                ((poly - direct) / direct).abs() < 1e-12,
-                "n={n}: {poly} vs {direct}"
-            );
-        }
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub use montecarlo::{
     SpiceMcOptions, TdpDistribution,
 };
 pub use mpvar_exec::ExecConfig;
-pub use nominal::{NominalCache, NominalWindow};
+pub use nominal::NominalWindow;
 pub use rareevent::{yield_6sigma, FormulaYieldProblem, YieldRow, YieldSettings, YieldTable, ZMap};
 pub use sensitivity::{sensitivity_profile, SensitivityProfile};
 pub use worst_case::{find_worst_case, find_worst_case_with, WorstCase};
@@ -83,7 +83,7 @@ pub mod prelude {
         tdp_distribution, tdp_distribution_spice, tdp_distribution_with, McConfig, McConfigBuilder,
         SpiceMcOptions, TdpDistribution,
     };
-    pub use crate::nominal::{NominalCache, NominalWindow};
+    pub use crate::nominal::NominalWindow;
     pub use crate::rareevent::{
         yield_6sigma, FormulaYieldProblem, YieldRow, YieldSettings, YieldTable, ZMap,
     };

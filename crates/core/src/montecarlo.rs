@@ -365,7 +365,7 @@ pub fn tdp_distribution_with(
 ///
 /// Propagated tech/extraction/statistics failures, or invalid
 /// `driver_strength`/`flip_fraction`.
-pub fn twp_distribution_with(
+pub(crate) fn twp_distribution_with(
     window: &NominalWindow<'_>,
     budget: &VariationBudget,
     n: usize,

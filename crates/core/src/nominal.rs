@@ -6,7 +6,7 @@
 //! locate the `BL` track, and extract its nominal parasitics. That
 //! setup used to be duplicated in both modules (and re-derived for
 //! every experiment cell); [`NominalWindow`] computes it once and
-//! [`NominalCache`] shares it per patterning option across an entire
+//! `NominalCache` shares it per patterning option across an entire
 //! experiment matrix — trials, corners, and cells all reuse the same
 //! precomputed window.
 
@@ -138,7 +138,7 @@ impl<'t> NominalWindow<'t> {
 /// Per-option [`NominalWindow`]s, computed once and shared across an
 /// experiment matrix.
 #[derive(Debug, Clone)]
-pub struct NominalCache<'t> {
+pub(crate) struct NominalCache<'t> {
     windows: Vec<NominalWindow<'t>>,
 }
 

@@ -18,8 +18,6 @@
 //!   the Monte-Carlo farm and the adaptive yield controller: the
 //!   caller sizes each round from folded state, the driver farms it
 //!   out and folds outcomes back in global index order;
-//! * [`par_argmax_by`] — deterministic parallel argmax with the
-//!   lowest-index tie-break the corner search relies on;
 //! * [`chunk_ranges`] — the contiguous-chunk partition shared by every
 //!   primitive (and mirrored by `mpvar-stats`' substream chunking).
 //!
@@ -459,34 +457,6 @@ where
     }
 }
 
-/// Parallel argmax over `items` by a partial score: returns the index
-/// of the highest score among items where `score` returns `Some`, with
-/// ties broken toward the *lowest index* (exactly what a sequential
-/// scan keeping the first strict maximum would select).
-///
-/// Returns `None` when no item scores.
-pub fn par_argmax_by<T, K, F>(items: &[T], threads: usize, score: F) -> Option<usize>
-where
-    T: Sync,
-    K: PartialOrd + Send,
-    F: Fn(usize, &T) -> Option<K> + Sync,
-{
-    let scores = par_map_indexed(items, threads, |i, item| score(i, item));
-    let mut best: Option<(usize, K)> = None;
-    for (i, s) in scores.into_iter().enumerate() {
-        if let Some(s) = s {
-            let better = match &best {
-                Some((_, b)) => s > *b,
-                None => true,
-            };
-            if better {
-                best = Some((i, s));
-            }
-        }
-    }
-    best.map(|(i, _)| i)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -684,25 +654,6 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, "round 2 failed");
-    }
-
-    #[test]
-    fn argmax_lowest_index_tie_break() {
-        // Three global maxima at indices 2, 5, 9: index 2 must win.
-        let items = [1.0, 3.0, 7.0, 2.0, 0.5, 7.0, 6.0, 1.0, 3.0, 7.0];
-        for threads in [1, 2, 4, 8] {
-            let best = par_argmax_by(&items, threads, |_, &x| Some(x));
-            assert_eq!(best, Some(2), "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn argmax_skips_unscored_items() {
-        let items = [5.0, f64::NAN, 2.0, 9.0];
-        let best = par_argmax_by(&items, 2, |_, &x| if x.is_nan() { None } else { Some(x) });
-        assert_eq!(best, Some(3));
-        let none = par_argmax_by(&items, 2, |_, _| Option::<f64>::None);
-        assert_eq!(none, None);
     }
 
     #[test]

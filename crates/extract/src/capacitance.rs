@@ -24,13 +24,13 @@ use mpvar_tech::MetalSpec;
 use crate::error::ExtractError;
 
 /// Ground-fringe coefficient (per side, per unit `eps`).
-pub const K_GROUND_FRINGE: f64 = 1.0;
+pub(crate) const K_GROUND_FRINGE: f64 = 1.0;
 
 /// Coupling-fringe coefficient (per side, per unit `eps`).
-pub const K_COUPLING_FRINGE: f64 = 1.2;
+pub(crate) const K_COUPLING_FRINGE: f64 = 1.2;
 
 /// Gap used to model an absent neighbour (effectively isolated), nm.
-pub const OPEN_GAP_NM: f64 = 1e9;
+pub(crate) const OPEN_GAP_NM: f64 = 1e9;
 
 fn check_positive(name: &'static str, v: f64) -> Result<f64, ExtractError> {
     if v.is_finite() && v > 0.0 {
@@ -105,7 +105,7 @@ pub fn coupling_cap_f_per_m(spec: &MetalSpec, gap_nm: f64) -> Result<f64, Extrac
 /// # Errors
 ///
 /// [`ExtractError::InvalidGeometry`] for non-positive width or gaps.
-pub fn ground_cap_f_per_m(
+pub(crate) fn ground_cap_f_per_m(
     spec: &MetalSpec,
     width_nm: f64,
     gap_below_nm: f64,

@@ -37,7 +37,7 @@ impl Default for RcDeckSpec {
 
 impl RcDeckSpec {
     /// `true` when `net` is a rail under this spec.
-    pub fn is_rail(&self, net: &str) -> bool {
+    pub(crate) fn is_rail(&self, net: &str) -> bool {
         self.rail_prefixes
             .iter()
             .any(|p| net.starts_with(p.as_str()))
@@ -62,24 +62,9 @@ impl RcDeck {
         &mut self.netlist
     }
 
-    /// Consumes the deck, returning the netlist and the tap table.
-    pub fn into_parts(self) -> (Netlist, BTreeMap<String, Vec<NodeId>>) {
-        (self.netlist, self.taps)
-    }
-
     /// Ladder tap `k` of `net` (0 = near end, `segments` = far end).
     pub fn tap(&self, net: &str, k: usize) -> Option<NodeId> {
         self.taps.get(net).and_then(|v| v.get(k).copied())
-    }
-
-    /// Number of taps on `net` (`segments + 1` for emitted signal nets).
-    pub fn num_taps(&self, net: &str) -> usize {
-        self.taps.get(net).map(Vec::len).unwrap_or(0)
-    }
-
-    /// Signal nets with ladders, in name order.
-    pub fn signal_nets(&self) -> impl Iterator<Item = &str> {
-        self.taps.keys().map(String::as_str)
     }
 }
 
@@ -116,8 +101,8 @@ impl RcDeck {
 ///     segments: 4,
 ///     ..RcDeckSpec::default()
 /// })?;
-/// assert_eq!(deck.num_taps("BL"), 5);
-/// assert_eq!(deck.num_taps("VSS"), 0); // rails are ground
+/// assert!(deck.tap("BL", 4).is_some() && deck.tap("BL", 5).is_none()); // 5 taps
+/// assert!(deck.tap("VSS", 0).is_none()); // rails are ground
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn emit_rc_deck(
@@ -256,13 +241,14 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(deck.num_taps("BL"), 9);
-        assert_eq!(deck.num_taps("BLB"), 9);
-        assert_eq!(deck.num_taps("VSS"), 0);
-        assert!(deck.tap("BL", 0).is_some());
-        assert!(deck.tap("BL", 9).is_none());
-        let nets: Vec<&str> = deck.signal_nets().collect();
-        assert_eq!(nets, vec!["BL", "BLB"]);
+        for net in ["BL", "BLB"] {
+            assert!(deck.tap(net, 0).is_some(), "{net}");
+            assert!(deck.tap(net, 8).is_some(), "{net}");
+            assert!(deck.tap(net, 9).is_none(), "{net}");
+        }
+        // Rails are ground: no ladder.
+        assert!(deck.tap("VSS", 0).is_none());
+        assert!(deck.tap("VDD", 0).is_none());
     }
 
     #[test]
@@ -413,7 +399,7 @@ mod tests {
         };
         let deck = emit_rc_deck(&printed_stack(), &spec(), &deck_spec).unwrap();
         // BLB is now a rail: only BL gets a ladder.
-        let nets: Vec<&str> = deck.signal_nets().collect();
-        assert_eq!(nets, vec!["BL"]);
+        assert!(deck.tap("BL", 0).is_some());
+        assert!(deck.tap("BLB", 0).is_none());
     }
 }

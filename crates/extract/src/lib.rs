@@ -18,7 +18,7 @@
 //! # Example
 //!
 //! ```
-//! use mpvar_extract::prelude::*;
+//! use mpvar_extract::extract_track;
 //! use mpvar_litho::{apply_draw, Draw};
 //! use mpvar_geometry::{Nm, Track, TrackStack};
 //! use mpvar_tech::preset::n10;
@@ -46,19 +46,8 @@ pub mod error;
 pub mod resistance;
 pub mod wire;
 
-pub use capacitance::{coupling_cap_f_per_m, ground_cap_f_per_m, CapacitanceBreakdown};
+pub use capacitance::{coupling_cap_f_per_m, CapacitanceBreakdown};
 pub use deck::{emit_rc_deck, RcDeck, RcDeckSpec};
 pub use error::ExtractError;
-pub use resistance::{cross_section_area_nm2, wire_resistance_ohm};
-pub use wire::{extract_edges, extract_stack, extract_track, RelativeVariation, WireParasitics};
-
-/// Convenient glob-import surface for downstream crates.
-pub mod prelude {
-    pub use crate::capacitance::{coupling_cap_f_per_m, ground_cap_f_per_m};
-    pub use crate::deck::{emit_rc_deck, RcDeck, RcDeckSpec};
-    pub use crate::error::ExtractError;
-    pub use crate::resistance::wire_resistance_ohm;
-    pub use crate::wire::{
-        extract_edges, extract_stack, extract_track, RelativeVariation, WireParasitics,
-    };
-}
+pub use resistance::wire_resistance_ohm;
+pub use wire::{extract_edges, extract_track, RelativeVariation, WireParasitics};

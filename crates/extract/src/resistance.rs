@@ -20,7 +20,7 @@ use crate::error::ExtractError;
 ///
 /// [`ExtractError::InvalidGeometry`] when the width (after etch bias) is
 /// not strictly positive.
-pub fn cross_section_area_nm2(spec: &MetalSpec, width_nm: f64) -> Result<f64, ExtractError> {
+pub(crate) fn cross_section_area_nm2(spec: &MetalSpec, width_nm: f64) -> Result<f64, ExtractError> {
     let w = width_nm + spec.etch_bias_nm();
     if !w.is_finite() || w <= 0.0 {
         return Err(ExtractError::InvalidGeometry {

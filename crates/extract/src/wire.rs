@@ -234,7 +234,7 @@ fn wire_rc(
 /// # Errors
 ///
 /// Propagates the first per-track failure.
-pub fn extract_stack(
+pub(crate) fn extract_stack(
     stack: &PerturbedStack,
     spec: &MetalSpec,
 ) -> Result<Vec<WireParasitics>, ExtractError> {

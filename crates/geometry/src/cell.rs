@@ -56,7 +56,7 @@ impl Instance {
 /// # Example
 ///
 /// ```
-/// use mpvar_geometry::prelude::*;
+/// use mpvar_geometry::{Cell, Instance, Layer, Nm, Point, Rect, Shape};
 ///
 /// let mut bitcell = Cell::new("bitcell");
 /// bitcell.add_shape(Shape::rect(Layer::metal(1), Rect::new(Nm(0), Nm(0), Nm(120), Nm(24))?));
@@ -108,13 +108,6 @@ impl Cell {
     pub fn add_instance(&mut self, instance: Instance) {
         self.instances.push(instance);
     }
-
-    /// Bounding box of local shapes only; `None` for a shapeless cell.
-    pub fn local_bbox(&self) -> Option<Rect> {
-        let mut it = self.shapes.iter().map(Shape::bbox);
-        let first = it.next()?;
-        Some(it.fold(first, |acc, r| acc.union(&r)))
-    }
 }
 
 /// A layout database: a set of named cells.
@@ -150,11 +143,6 @@ impl Layout {
     /// Looks up a cell by name.
     pub fn cell(&self, name: &str) -> Option<&Cell> {
         self.cells.get(name)
-    }
-
-    /// Mutable lookup.
-    pub fn cell_mut(&mut self, name: &str) -> Option<&mut Cell> {
-        self.cells.get_mut(name)
     }
 
     /// Iterates cells in name order.
@@ -356,18 +344,6 @@ mod tests {
         let bb = l.bbox("top").unwrap();
         assert_eq!(bb.y0(), Nm(0));
         assert_eq!(bb.y1(), Nm(12));
-    }
-
-    #[test]
-    fn local_bbox() {
-        let mut c = Cell::new("c");
-        assert!(c.local_bbox().is_none());
-        c.add_shape(rect_shape(0, 0, 4, 4));
-        c.add_shape(rect_shape(10, 10, 14, 14));
-        assert_eq!(
-            c.local_bbox().unwrap(),
-            Rect::new(Nm(0), Nm(0), Nm(14), Nm(14)).unwrap()
-        );
     }
 
     #[test]

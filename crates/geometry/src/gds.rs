@@ -33,8 +33,7 @@ use crate::units::Nm;
 /// # Example
 ///
 /// ```
-/// use mpvar_geometry::prelude::*;
-/// use mpvar_geometry::gds;
+/// use mpvar_geometry::{gds, Cell, Layer, Layout, Nm, Rect, Shape};
 ///
 /// let mut cell = Cell::new("c");
 /// cell.add_shape(Shape::rect(Layer::metal(1), Rect::new(Nm(0), Nm(0), Nm(4), Nm(2))?));

@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// The kind of a process layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 #[non_exhaustive]
-pub enum LayerKind {
+pub(crate) enum LayerKind {
     /// Active/diffusion (FEOL).
     Diffusion,
     /// Gate poly or replacement-metal gate (FEOL).
@@ -34,19 +34,17 @@ impl fmt::Display for LayerKind {
 
 /// A process layer identifier.
 ///
-/// A thin, copyable handle pairing a [`LayerKind`] with a GDS-style
-/// numeric id, so layouts can be round-tripped through the text-GDS
-/// format without a side table.
+/// A thin, copyable handle whose textual name (`metal1`, `via2`, ...)
+/// is what the text-GDS format stores.
 ///
 /// # Example
 ///
 /// ```
-/// use mpvar_geometry::{Layer, LayerKind};
+/// use mpvar_geometry::Layer;
 ///
 /// let m1 = Layer::metal(1);
-/// assert_eq!(m1.kind(), LayerKind::Metal(1));
 /// assert_eq!(m1.to_string(), "metal1");
-/// assert!(m1.is_metal());
+/// assert_eq!(Layer::parse_name("metal1"), Some(m1));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Layer {
@@ -55,7 +53,7 @@ pub struct Layer {
 
 impl Layer {
     /// Creates a layer of the given kind.
-    pub fn new(kind: LayerKind) -> Self {
+    pub(crate) fn new(kind: LayerKind) -> Self {
         Self { kind }
     }
 
@@ -80,49 +78,8 @@ impl Layer {
     }
 
     /// The contact layer.
-    pub fn contact() -> Self {
+    pub(crate) fn contact() -> Self {
         Self::new(LayerKind::Contact)
-    }
-
-    /// This layer's kind.
-    pub fn kind(&self) -> LayerKind {
-        self.kind
-    }
-
-    /// `true` for any metal routing layer.
-    pub fn is_metal(&self) -> bool {
-        matches!(self.kind, LayerKind::Metal(_))
-    }
-
-    /// The metal level if this is a metal layer.
-    pub fn metal_level(&self) -> Option<u8> {
-        match self.kind {
-            LayerKind::Metal(n) => Some(n),
-            _ => None,
-        }
-    }
-
-    /// Numeric GDS-style id used by the text-GDS format.
-    pub fn gds_id(&self) -> u16 {
-        match self.kind {
-            LayerKind::Diffusion => 1,
-            LayerKind::Gate => 2,
-            LayerKind::Contact => 3,
-            LayerKind::Metal(n) => 10 + n as u16 * 2,
-            LayerKind::Via(n) => 11 + n as u16 * 2,
-        }
-    }
-
-    /// Inverse of [`Layer::gds_id`].
-    pub fn from_gds_id(id: u16) -> Option<Layer> {
-        match id {
-            1 => Some(Layer::diffusion()),
-            2 => Some(Layer::gate()),
-            3 => Some(Layer::contact()),
-            n if n >= 12 && n % 2 == 0 => Some(Layer::metal(((n - 10) / 2) as u8)),
-            n if n >= 13 => Some(Layer::via(((n - 11) / 2) as u8)),
-            _ => None,
-        }
     }
 
     /// Parses the textual layer name used by [`fmt::Display`].
@@ -153,35 +110,6 @@ impl fmt::Display for Layer {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn constructors_and_kinds() {
-        assert_eq!(Layer::metal(1).kind(), LayerKind::Metal(1));
-        assert_eq!(Layer::via(2).kind(), LayerKind::Via(2));
-        assert!(Layer::metal(3).is_metal());
-        assert!(!Layer::gate().is_metal());
-        assert_eq!(Layer::metal(4).metal_level(), Some(4));
-        assert_eq!(Layer::contact().metal_level(), None);
-    }
-
-    #[test]
-    fn gds_id_roundtrip() {
-        let layers = [
-            Layer::diffusion(),
-            Layer::gate(),
-            Layer::contact(),
-            Layer::metal(1),
-            Layer::metal(2),
-            Layer::metal(10),
-            Layer::via(1),
-            Layer::via(9),
-        ];
-        for l in layers {
-            assert_eq!(Layer::from_gds_id(l.gds_id()), Some(l), "{l}");
-        }
-        assert_eq!(Layer::from_gds_id(0), None);
-        assert_eq!(Layer::from_gds_id(7), None);
-    }
 
     #[test]
     fn name_roundtrip() {

@@ -6,7 +6,8 @@
 //!
 //! * [`units`] — the [`Nm`] newtype: all coordinates are
 //!   integer nanometres, so geometry is exact and hashable;
-//! * [`point`], [`rect`], [`polygon`] — primitives with exact predicates;
+//! * [`point`], [`rect`] — primitives with exact predicates (polygons
+//!   stay internal to TGDS shapes);
 //! * [`transform`] — the eight GDSII orientations applied to geometry;
 //! * [`layer`] — process layers (metal1, metal2, vias, FEOL);
 //! * [`shape`], [`cell`] — a hierarchical cell/instance layout database
@@ -20,7 +21,7 @@
 //! # Example
 //!
 //! ```
-//! use mpvar_geometry::prelude::*;
+//! use mpvar_geometry::{Cell, Layer, Nm, Rect, Shape};
 //!
 //! let m1 = Layer::metal(1);
 //! let mut cell = Cell::new("bitcell");
@@ -38,7 +39,7 @@ pub mod error;
 pub mod gds;
 pub mod layer;
 pub mod point;
-pub mod polygon;
+pub(crate) mod polygon;
 pub mod rect;
 pub mod shape;
 pub mod track;
@@ -47,25 +48,10 @@ pub mod units;
 
 pub use cell::{Cell, Instance, Layout};
 pub use error::GeometryError;
-pub use layer::{Layer, LayerKind};
+pub use layer::Layer;
 pub use point::Point;
-pub use polygon::Polygon;
 pub use rect::Rect;
-pub use shape::{Geometry, Shape};
+pub use shape::Shape;
 pub use track::{Track, TrackStack};
 pub use transform::Orientation;
 pub use units::Nm;
-
-/// Convenient glob-import surface for downstream crates.
-pub mod prelude {
-    pub use crate::cell::{Cell, Instance, Layout};
-    pub use crate::error::GeometryError;
-    pub use crate::layer::{Layer, LayerKind};
-    pub use crate::point::Point;
-    pub use crate::polygon::Polygon;
-    pub use crate::rect::Rect;
-    pub use crate::shape::{Geometry, Shape};
-    pub use crate::track::{Track, TrackStack};
-    pub use crate::transform::Orientation;
-    pub use crate::units::Nm;
-}

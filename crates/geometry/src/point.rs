@@ -45,11 +45,6 @@ impl Point {
         let dy = (self.y.0 - other.y.0) as i128;
         dx * dx + dy * dy
     }
-
-    /// Manhattan (L1) distance to `other`.
-    pub fn manhattan_distance(self, other: Point) -> Nm {
-        (self.x - other.x).abs() + (self.y - other.y).abs()
-    }
 }
 
 impl fmt::Display for Point {
@@ -95,8 +90,6 @@ mod tests {
         let a: Point = (0, 0).into();
         let b: Point = (3, 4).into();
         assert_eq!(a.distance_sq(b), 25);
-        assert_eq!(a.manhattan_distance(b), Nm(7));
-        assert_eq!(b.manhattan_distance(a), Nm(7));
     }
 
     #[test]

@@ -15,22 +15,8 @@ use crate::units::Nm;
 /// turns rectangular wires into jogged outlines; `Polygon` captures those.
 /// Vertices are stored in the order given; the signed area convention is
 /// positive for counter-clockwise loops.
-///
-/// # Example
-///
-/// ```
-/// use mpvar_geometry::{Nm, Point, Polygon};
-///
-/// let tri = Polygon::new(vec![
-///     Point::new(Nm(0), Nm(0)),
-///     Point::new(Nm(10), Nm(0)),
-///     Point::new(Nm(0), Nm(10)),
-/// ])?;
-/// assert_eq!(tri.area_nm2(), 50);
-/// # Ok::<(), mpvar_geometry::GeometryError>(())
-/// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct Polygon {
+pub(crate) struct Polygon {
     vertices: Vec<Point>,
 }
 
@@ -50,23 +36,13 @@ impl Polygon {
     }
 
     /// The vertex loop.
-    pub fn vertices(&self) -> &[Point] {
+    pub(crate) fn vertices(&self) -> &[Point] {
         &self.vertices
-    }
-
-    /// Number of vertices.
-    pub fn len(&self) -> usize {
-        self.vertices.len()
-    }
-
-    /// Always `false`: construction guarantees at least three vertices.
-    pub fn is_empty(&self) -> bool {
-        false
     }
 
     /// Twice the signed area (shoelace sum), positive when
     /// counter-clockwise. Exposed for orientation tests.
-    pub fn signed_area2(&self) -> i128 {
+    pub(crate) fn signed_area2(&self) -> i128 {
         let n = self.vertices.len();
         let mut acc: i128 = 0;
         for i in 0..n {
@@ -80,11 +56,6 @@ impl Polygon {
     /// Unsigned area in nm² (rounded down for odd shoelace sums).
     pub fn area_nm2(&self) -> i128 {
         self.signed_area2().abs() / 2
-    }
-
-    /// `true` when vertices wind counter-clockwise.
-    pub fn is_ccw(&self) -> bool {
-        self.signed_area2() > 0
     }
 
     /// Axis-aligned bounding box.
@@ -113,18 +84,6 @@ impl Polygon {
     pub fn translate(&self, d: Point) -> Polygon {
         Polygon {
             vertices: self.vertices.iter().map(|&v| v + d).collect(),
-        }
-    }
-
-    /// Builds the rectangle's vertex loop (counter-clockwise).
-    pub fn from_rect(r: &Rect) -> Polygon {
-        Polygon {
-            vertices: vec![
-                r.ll(),
-                Point::new(r.x1(), r.y0()),
-                r.ur(),
-                Point::new(r.x0(), r.y1()),
-            ],
         }
     }
 }
@@ -160,19 +119,8 @@ mod tests {
     fn triangle_area_and_winding() {
         let ccw = Polygon::new(vec![p(0, 0), p(10, 0), p(0, 10)]).unwrap();
         assert_eq!(ccw.area_nm2(), 50);
-        assert!(ccw.is_ccw());
         let cw = Polygon::new(vec![p(0, 0), p(0, 10), p(10, 0)]).unwrap();
         assert_eq!(cw.area_nm2(), 50);
-        assert!(!cw.is_ccw());
-    }
-
-    #[test]
-    fn rect_roundtrip_area() {
-        let r = Rect::new(Nm(0), Nm(0), Nm(100), Nm(24)).unwrap();
-        let poly = Polygon::from_rect(&r);
-        assert_eq!(poly.area_nm2(), r.area_nm2());
-        assert!(poly.is_ccw());
-        assert_eq!(poly.bbox(), r);
     }
 
     #[test]

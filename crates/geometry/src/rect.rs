@@ -59,23 +59,8 @@ impl Rect {
     /// # Errors
     ///
     /// Same as [`Rect::new`].
-    pub fn from_corners(a: Point, b: Point) -> Result<Self, GeometryError> {
+    pub(crate) fn from_corners(a: Point, b: Point) -> Result<Self, GeometryError> {
         Self::new(a.x, a.y, b.x, b.y)
-    }
-
-    /// Creates a rectangle centred at `(cx, cy)` with the given size.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Rect::new`]; note odd sizes lose half a nanometre to
-    /// integer division.
-    pub fn centered(cx: Nm, cy: Nm, width: Nm, height: Nm) -> Result<Self, GeometryError> {
-        Self::new(
-            cx - width / 2,
-            cy - height / 2,
-            cx - width / 2 + width,
-            cy - height / 2 + height,
-        )
     }
 
     /// Lower-left corner.
@@ -99,12 +84,12 @@ impl Rect {
     }
 
     /// Bottom edge y.
-    pub fn y0(&self) -> Nm {
+    pub(crate) fn y0(&self) -> Nm {
         self.ll.y
     }
 
     /// Top edge y.
-    pub fn y1(&self) -> Nm {
+    pub(crate) fn y1(&self) -> Nm {
         self.ur.y
     }
 
@@ -135,7 +120,7 @@ impl Rect {
 
     /// `true` if the two rectangles share interior area (touching edges do
     /// not count as intersection).
-    pub fn intersects(&self, other: &Rect) -> bool {
+    pub(crate) fn intersects(&self, other: &Rect) -> bool {
         self.ll.x < other.ur.x
             && other.ll.x < self.ur.x
             && self.ll.y < other.ur.y
@@ -180,18 +165,6 @@ impl Rect {
         Rect {
             ll: self.ll + d,
             ur: self.ur + d,
-        }
-    }
-
-    /// Vertical gap between this rectangle and `other` (0 if they overlap
-    /// vertically). Useful for track spacing queries.
-    pub fn vertical_gap(&self, other: &Rect) -> Nm {
-        if other.ll.y >= self.ur.y {
-            other.ll.y - self.ur.y
-        } else if self.ll.y >= other.ur.y {
-            self.ll.y - other.ur.y
-        } else {
-            Nm(0)
         }
     }
 }
@@ -275,21 +248,5 @@ mod tests {
     fn translate_moves() {
         let a = r(0, 0, 10, 10).translate((5, -3).into());
         assert_eq!(a, r(5, -3, 15, 7));
-    }
-
-    #[test]
-    fn vertical_gap_between_tracks() {
-        let lower = r(0, 0, 100, 24);
-        let upper = r(0, 48, 100, 72);
-        assert_eq!(lower.vertical_gap(&upper), Nm(24));
-        assert_eq!(upper.vertical_gap(&lower), Nm(24));
-        let overlapping = r(0, 10, 100, 30);
-        assert_eq!(lower.vertical_gap(&overlapping), Nm(0));
-    }
-
-    #[test]
-    fn centered_constructor() {
-        let a = Rect::centered(Nm(0), Nm(0), Nm(10), Nm(4)).unwrap();
-        assert_eq!(a, r(-5, -2, 5, 2));
     }
 }

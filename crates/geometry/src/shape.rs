@@ -13,7 +13,7 @@ use crate::transform::Orientation;
 
 /// The geometric body of a shape.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Geometry {
+pub(crate) enum Geometry {
     /// An axis-aligned rectangle (the common case for wires).
     Rect(Rect),
     /// A simple polygon (distorted wire outlines).
@@ -46,7 +46,7 @@ impl Geometry {
     }
 
     /// Applies an orientation about the origin.
-    pub fn orient(&self, o: Orientation) -> Geometry {
+    pub(crate) fn orient(&self, o: Orientation) -> Geometry {
         match self {
             Geometry::Rect(r) => Geometry::Rect(o.apply_rect(r)),
             Geometry::Polygon(p) => {
@@ -84,7 +84,7 @@ pub struct Shape {
 
 impl Shape {
     /// Creates a shape from any geometry.
-    pub fn new(layer: Layer, geometry: Geometry) -> Self {
+    pub(crate) fn new(layer: Layer, geometry: Geometry) -> Self {
         Self {
             layer,
             geometry,
@@ -102,7 +102,7 @@ impl Shape {
     /// # Errors
     ///
     /// Propagates [`Polygon::new`] vertex-count validation.
-    pub fn polygon(layer: Layer, vertices: Vec<Point>) -> Result<Self, GeometryError> {
+    pub(crate) fn polygon(layer: Layer, vertices: Vec<Point>) -> Result<Self, GeometryError> {
         Ok(Self::new(layer, Geometry::Polygon(Polygon::new(vertices)?)))
     }
 
@@ -119,7 +119,7 @@ impl Shape {
     }
 
     /// The geometric body.
-    pub fn geometry(&self) -> &Geometry {
+    pub(crate) fn geometry(&self) -> &Geometry {
         &self.geometry
     }
 

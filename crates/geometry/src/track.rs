@@ -12,7 +12,6 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use crate::error::GeometryError;
-use crate::rect::Rect;
 use crate::units::Nm;
 
 /// A horizontal wire: net label, centerline `y`, width, and x-span.
@@ -106,12 +105,6 @@ impl Track {
         self.bottom() + self.width
     }
 
-    /// The track outline as a rectangle.
-    pub fn to_rect(&self) -> Rect {
-        Rect::new(self.x0, self.bottom(), self.x1, self.top())
-            .expect("track invariants guarantee positive extent")
-    }
-
     /// Edge-to-edge vertical spacing to a higher track (`other` above
     /// `self`); negative when they overlap.
     pub fn spacing_to(&self, other: &Track) -> Nm {
@@ -151,7 +144,6 @@ impl fmt::Display for Track {
 /// ])?;
 /// assert_eq!(stack.len(), 3);
 /// assert_eq!(stack.index_of_net("BL"), Some(1));
-/// assert_eq!(stack.spacing(0, 1), Nm(23)); // 48-13 - 12-0 ... edge gap
 /// # Ok::<(), mpvar_geometry::GeometryError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -228,15 +220,6 @@ impl TrackStack {
             .collect()
     }
 
-    /// Edge-to-edge spacing between tracks `i` and `j`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    pub fn spacing(&self, i: usize, j: usize) -> Nm {
-        self.tracks[i].spacing_to(&self.tracks[j])
-    }
-
     /// The neighbours of track `i`: `(below, above)`.
     ///
     /// # Panics
@@ -260,30 +243,6 @@ impl TrackStack {
     /// Iterator over tracks.
     pub fn iter(&self) -> std::slice::Iter<'_, Track> {
         self.tracks.iter()
-    }
-
-    /// Replicates this stack `copies` times upward with period `pitch`,
-    /// producing the track pattern of an array of abutted cells.
-    ///
-    /// # Errors
-    ///
-    /// [`GeometryError::TrackOrdering`] if `pitch` is too small, making
-    /// replicas overlap.
-    pub fn tile_vertical(&self, copies: usize, pitch: Nm) -> Result<TrackStack, GeometryError> {
-        let mut out = Vec::with_capacity(self.tracks.len() * copies);
-        for k in 0..copies {
-            let dy = pitch * k as i64;
-            for t in &self.tracks {
-                out.push(Track {
-                    net: t.net.clone(),
-                    y_center: t.y_center + dy,
-                    width: t.width,
-                    x0: t.x0,
-                    x1: t.x1,
-                });
-            }
-        }
-        TrackStack::new(out)
     }
 }
 
@@ -318,8 +277,6 @@ mod tests {
         assert_eq!(tr.bottom(), Nm(35));
         assert_eq!(tr.top(), Nm(61));
         assert_eq!(tr.length(), Nm(1000));
-        let r = tr.to_rect();
-        assert_eq!(r.height(), Nm(26));
     }
 
     #[test]
@@ -371,22 +328,6 @@ mod tests {
     fn pitch_between_tracks() {
         let s = TrackStack::new(vec![t("a", 0, 24), t("b", 48, 24)]).unwrap();
         assert_eq!(s.pitch(0), Nm(48));
-    }
-
-    #[test]
-    fn tiling_replicates_pattern() {
-        let s = TrackStack::new(vec![t("VSS", 0, 24), t("BL", 48, 24)]).unwrap();
-        let tiled = s.tile_vertical(3, Nm(96)).unwrap();
-        assert_eq!(tiled.len(), 6);
-        assert_eq!(tiled.get(2).unwrap().net(), "VSS");
-        assert_eq!(tiled.get(2).unwrap().y_center(), Nm(96));
-        assert_eq!(tiled.get(5).unwrap().y_center(), Nm(240));
-    }
-
-    #[test]
-    fn tiling_rejects_overlapping_period() {
-        let s = TrackStack::new(vec![t("VSS", 0, 24), t("BL", 48, 24)]).unwrap();
-        assert!(s.tile_vertical(2, Nm(50)).is_err());
     }
 
     #[test]

@@ -102,14 +102,6 @@ impl Orientation {
             .expect("every orientation has an inverse")
     }
 
-    /// `true` when the orientation involves a mirror.
-    pub fn is_mirrored(self) -> bool {
-        matches!(
-            self,
-            Orientation::MX | Orientation::MX90 | Orientation::MY | Orientation::MY90
-        )
-    }
-
     /// Parses the textual name used by [`fmt::Display`].
     pub fn parse_name(s: &str) -> Option<Orientation> {
         match s {
@@ -203,11 +195,5 @@ mod tests {
             assert_eq!(Orientation::parse_name(&o.to_string()), Some(o));
         }
         assert_eq!(Orientation::parse_name("R45"), None);
-    }
-
-    #[test]
-    fn mirrored_flag() {
-        assert!(!Orientation::R90.is_mirrored());
-        assert!(Orientation::MY90.is_mirrored());
     }
 }

@@ -11,9 +11,8 @@ use serde::{Deserialize, Serialize};
 /// All layout coordinates in `mpvar` are integer nanometres, which makes
 /// geometric predicates exact (no epsilon comparisons) and types hashable.
 /// Sub-nanometre process-variation deltas (e.g. a 1.5nm spacer 3σ) only
-/// appear *after* variation is applied, at which point geometry is
-/// converted to `f64` metres via [`Nm::to_meters`]; the litho crate works
-/// in `f64` nanometres for perturbed dimensions.
+/// appear *after* variation is applied, at which point the litho crate
+/// works in `f64` nanometres ([`Nm::to_f64`]) for perturbed dimensions.
 ///
 /// # Example
 ///
@@ -24,7 +23,6 @@ use serde::{Deserialize, Serialize};
 /// let half = pitch / 2;
 /// assert_eq!(half, Nm(24));
 /// assert_eq!((pitch * 3).0, 144);
-/// assert!((Nm(1).to_meters() - 1e-9).abs() < 1e-24);
 /// ```
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
@@ -35,25 +33,9 @@ impl Nm {
     /// Zero length.
     pub const ZERO: Nm = Nm(0);
 
-    /// Converts to SI metres.
-    pub fn to_meters(self) -> f64 {
-        self.0 as f64 * 1e-9
-    }
-
-    /// Converts to microns.
-    pub fn to_microns(self) -> f64 {
-        self.0 as f64 * 1e-3
-    }
-
     /// Converts to `f64` nanometres (for variation math).
     pub fn to_f64(self) -> f64 {
         self.0 as f64
-    }
-
-    /// Builds an `Nm` from `f64` nanometres, rounding to the nearest
-    /// integer nanometre.
-    pub fn from_f64_rounded(nm: f64) -> Nm {
-        Nm(nm.round() as i64)
     }
 
     /// Absolute value.
@@ -69,11 +51,6 @@ impl Nm {
     /// The larger of two lengths.
     pub fn max(self, other: Nm) -> Nm {
         Nm(self.0.max(other.0))
-    }
-
-    /// `true` if the length is negative.
-    pub fn is_negative(self) -> bool {
-        self.0 < 0
     }
 }
 
@@ -188,11 +165,6 @@ mod tests {
 
     #[test]
     fn conversions() {
-        assert!((Nm(48).to_meters() - 48e-9).abs() < 1e-22);
-        assert!((Nm(1500).to_microns() - 1.5).abs() < 1e-12);
-        assert_eq!(Nm::from_f64_rounded(23.4), Nm(23));
-        assert_eq!(Nm::from_f64_rounded(23.6), Nm(24));
-        assert_eq!(Nm::from_f64_rounded(-1.5), Nm(-2));
         assert_eq!(i64::from(Nm(9)), 9);
         assert_eq!(Nm::from(9i64), Nm(9));
     }
@@ -203,8 +175,6 @@ mod tests {
         assert_eq!(Nm(3).min(Nm(5)), Nm(3));
         assert_eq!(Nm(3).max(Nm(5)), Nm(5));
         assert_eq!(Nm(-3).abs(), Nm(3));
-        assert!(Nm(-1).is_negative());
-        assert!(!Nm(0).is_negative());
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::fmt;
 /// C are aligned to A, so their overlay errors are independent and A's
 /// overlay is the reference (zero).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum Le3Mask {
+pub(crate) enum Le3Mask {
     /// Reference mask (zero overlay by definition).
     A,
     /// Second mask, aligned to A.
@@ -44,18 +44,7 @@ impl fmt::Display for Le3Mask {
 }
 
 /// The LE3 mask of the track at stack index `i` (round-robin coloring).
-///
-/// # Example
-///
-/// ```
-/// use mpvar_litho::{le3_mask_of, Le3Mask};
-///
-/// assert_eq!(le3_mask_of(0), Le3Mask::A);
-/// assert_eq!(le3_mask_of(1), Le3Mask::B);
-/// assert_eq!(le3_mask_of(2), Le3Mask::C);
-/// assert_eq!(le3_mask_of(3), Le3Mask::A);
-/// ```
-pub fn le3_mask_of(i: usize) -> Le3Mask {
+pub(crate) fn le3_mask_of(i: usize) -> Le3Mask {
     Le3Mask::ALL[i % 3]
 }
 
@@ -70,7 +59,7 @@ pub fn le3_mask_of(i: usize) -> Le3Mask {
 /// even indices are mandrels (rails), odd indices are spacer-defined
 /// (bit lines).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SadpRole {
+pub(crate) enum SadpRole {
     /// Printed directly by the core mask; carries the core CD error.
     MandrelDefined,
     /// Defined by the gap between spacers; width anti-correlates with
@@ -88,16 +77,7 @@ impl fmt::Display for SadpRole {
 }
 
 /// The SADP role of the track at stack index `i` (even = mandrel).
-///
-/// # Example
-///
-/// ```
-/// use mpvar_litho::{sadp_role_of, SadpRole};
-///
-/// assert_eq!(sadp_role_of(0), SadpRole::MandrelDefined); // VSS rail
-/// assert_eq!(sadp_role_of(1), SadpRole::SpacerDefined);  // BL
-/// ```
-pub fn sadp_role_of(i: usize) -> SadpRole {
+pub(crate) fn sadp_role_of(i: usize) -> SadpRole {
     if i.is_multiple_of(2) {
         SadpRole::MandrelDefined
     } else {

@@ -55,11 +55,6 @@ impl LerModel {
         self.sigma_nm
     }
 
-    /// The correlation length, nm.
-    pub fn correlation_length_nm(&self) -> f64 {
-        self.correlation_length_nm
-    }
-
     /// The AR(1) coefficient for segments of `segment_length_nm`.
     pub fn rho(&self, segment_length_nm: f64) -> f64 {
         if self.correlation_length_nm == 0.0 {
@@ -111,7 +106,6 @@ mod tests {
         assert!(LerModel::new(0.0, 0.0).is_ok());
         let m = LerModel::new(1.0, 20.0).unwrap();
         assert_eq!(m.sigma_nm(), 1.0);
-        assert_eq!(m.correlation_length_nm(), 20.0);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!
 //! ```
 //! use mpvar_geometry::{Nm, Track, TrackStack};
-//! use mpvar_litho::prelude::*;
+//! use mpvar_litho::{apply_draw, Draw, EuvDraw};
 //!
 //! let drawn = TrackStack::new(vec![
 //!     Track::new("VSS", Nm(0),   Nm(24), Nm(0), Nm(1000))?,
@@ -45,7 +45,7 @@
 
 pub mod apply;
 pub mod corners;
-pub mod decompose;
+pub(crate) mod decompose;
 pub mod draw;
 pub mod error;
 pub mod ler;
@@ -55,22 +55,8 @@ pub mod sampling;
 pub use apply::apply_draw;
 pub use apply::print_track;
 pub use corners::{corner_draws, CornerSpec};
-pub use decompose::{le3_mask_of, sadp_role_of, Le3Mask, SadpRole};
 pub use draw::{Draw, EuvDraw, Le2Draw, Le3Draw, SadpDraw};
 pub use error::LithoError;
 pub use ler::LerModel;
 pub use perturbed::{PerturbedStack, PerturbedTrack, TrackEdges};
 pub use sampling::{sample_draw, TRUNCATION_SIGMAS};
-
-/// Convenient glob-import surface for downstream crates.
-pub mod prelude {
-    pub use crate::apply::apply_draw;
-    pub use crate::apply::print_track;
-    pub use crate::corners::{corner_draws, CornerSpec};
-    pub use crate::decompose::{le3_mask_of, sadp_role_of, Le3Mask, SadpRole};
-    pub use crate::draw::{Draw, EuvDraw, Le2Draw, Le3Draw, SadpDraw};
-    pub use crate::error::LithoError;
-    pub use crate::ler::LerModel;
-    pub use crate::perturbed::{PerturbedStack, PerturbedTrack, TrackEdges};
-    pub use crate::sampling::{sample_draw, TRUNCATION_SIGMAS};
-}

@@ -31,11 +31,11 @@ use crate::analytics::profile;
 use crate::ObsError;
 
 /// Schema identifier of a perf baseline document.
-pub const BASELINE_SCHEMA_ID: &str = "mpvar-perf-baseline/v1";
+pub(crate) const BASELINE_SCHEMA_ID: &str = "mpvar-perf-baseline/v1";
 
 /// What one named check asserts.
 #[derive(Debug, Clone, PartialEq)]
-pub enum CheckKind {
+pub(crate) enum CheckKind {
     /// The span name's share of total self time must sit in
     /// `[min, max]`. A missing span counts as share 0 — and fails
     /// unless `min` is 0.
@@ -73,7 +73,7 @@ pub struct PerfCheck {
     /// Stable check name, reported on failure.
     pub name: String,
     /// The assertion.
-    pub kind: CheckKind,
+    pub(crate) kind: CheckKind,
 }
 
 /// A parsed perf baseline document.
@@ -209,7 +209,7 @@ impl PerfBaseline {
 
 /// One evaluated check.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PerfCheckResult {
+pub(crate) struct PerfCheckResult {
     /// The check's name.
     pub name: String,
     /// Whether the trace satisfied it.
@@ -222,7 +222,7 @@ pub struct PerfCheckResult {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerfReport {
     /// Results in baseline order.
-    pub checks: Vec<PerfCheckResult>,
+    pub(crate) checks: Vec<PerfCheckResult>,
 }
 
 impl PerfReport {

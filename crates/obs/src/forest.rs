@@ -151,7 +151,7 @@ impl SpanForest {
     /// its direct children's durations, clamped at zero (cross-thread
     /// children can overlap their parent, so the naive difference may
     /// go negative).
-    pub fn self_time_ns(&self, index: usize) -> u64 {
+    pub(crate) fn self_time_ns(&self, index: usize) -> u64 {
         let child_total: u64 = self.children[index]
             .iter()
             .map(|&c| self.spans[c].dur_ns)
@@ -161,7 +161,7 @@ impl SpanForest {
 
     /// The wall-clock extent of the whole trace: latest span end minus
     /// earliest span start (0 for an empty forest).
-    pub fn extent_ns(&self) -> u64 {
+    pub(crate) fn extent_ns(&self) -> u64 {
         let start = self.spans.iter().map(|s| s.start_ns).min();
         let end = self.spans.iter().map(|s| s.start_ns + s.dur_ns).max();
         match (start, end) {

@@ -35,9 +35,7 @@ pub use analytics::{
     folded_stacks, profile, profile_spans, render_profile, CriticalPathNode, SpanAggregate,
     TraceProfile,
 };
-pub use baseline::{
-    check, render_report, CheckKind, PerfBaseline, PerfCheck, PerfCheckResult, PerfReport,
-};
+pub use baseline::{check, render_report, PerfBaseline, PerfCheck, PerfReport};
 pub use forest::{ForestError, SpanForest};
 
 use mpvar_trace::schema::SchemaError;

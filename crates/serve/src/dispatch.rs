@@ -43,7 +43,7 @@ use crate::telemetry::{RequestOutcome, ServeStats, ServeTelemetry};
 /// A submitted job: its cache identity and its event stream (zero or
 /// more [`JobEvent::Progress`], then one [`JobEvent::Done`]).
 #[derive(Debug)]
-pub struct JobHandle {
+pub(crate) struct JobHandle {
     /// Context fingerprint the job was grouped under.
     pub fingerprint: u64,
     /// Event stream for this job.
@@ -129,7 +129,7 @@ impl Dispatcher {
     /// # Errors
     ///
     /// A description when the request's context cannot be built.
-    pub fn submit(self: &Arc<Self>, request: &AnalysisRequest) -> Result<JobHandle, String> {
+    pub(crate) fn submit(self: &Arc<Self>, request: &AnalysisRequest) -> Result<JobHandle, String> {
         let ctx = request.context.build().map_err(|e| {
             self.telemetry.record_error();
             format!("invalid context: {e}")
@@ -217,7 +217,7 @@ impl Dispatcher {
     }
 
     /// Live counters under their canonical `serve.*` names.
-    pub fn stats_snapshot(&self) -> BTreeMap<String, u64> {
+    pub(crate) fn stats_snapshot(&self) -> BTreeMap<String, u64> {
         BTreeMap::from([
             (
                 names::SERVE_REQUESTS.to_string(),
@@ -241,19 +241,13 @@ impl Dispatcher {
     /// The full enriched stats payload: the counters of
     /// [`Dispatcher::stats_snapshot`] plus the telemetry's gauges,
     /// per-outcome latency quantiles, and snapshot-window ring.
-    pub fn full_stats(&self) -> ServeStats {
+    pub(crate) fn full_stats(&self) -> ServeStats {
         self.telemetry.snapshot(self.stats_snapshot())
-    }
-
-    /// The request-outcome telemetry accumulator (tests roll its
-    /// windows deterministically through this).
-    pub fn telemetry(&self) -> &ServeTelemetry {
-        &self.telemetry
     }
 
     /// Blocks until no wave is running (or the timeout passes);
     /// returns whether the dispatcher went idle.
-    pub fn wait_idle(&self, timeout: Duration) -> bool {
+    pub(crate) fn wait_idle(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let mut active = self.active.lock().expect("dispatcher active lock poisoned");
         while *active > 0 {

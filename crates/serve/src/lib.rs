@@ -74,11 +74,11 @@ pub mod server;
 pub mod telemetry;
 
 pub use client::{Client, ClientError};
-pub use dispatch::{Dispatcher, JobHandle};
-pub use progress::{JobEvent, NodeProgress, ProgressRouter};
+pub use dispatch::Dispatcher;
+pub use progress::ProgressRouter;
 pub use protocol::{
     validate_serve_jsonl, AnalysisRequest, ClientMessage, ContextSpec, Preset, ProtocolError,
     RenderedArtifact, ServeLog, ServeMessage, ServerMessage, SCHEMA_ID,
 };
 pub use server::Server;
-pub use telemetry::{LatencyStat, RequestOutcome, ServeStats, ServeTelemetry, StatsWindow};
+pub use telemetry::{LatencyStat, ServeStats, StatsWindow};

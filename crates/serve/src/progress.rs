@@ -21,7 +21,7 @@ use crate::protocol::RenderedArtifact;
 
 /// One artifact-graph node finishing inside a materialization wave.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NodeProgress {
+pub(crate) struct NodeProgress {
     /// Artifact name.
     pub artifact: String,
     /// `computed` or `cache_hit`.
@@ -33,7 +33,7 @@ pub struct NodeProgress {
 /// Everything a submitted job can emit, in delivery order: zero or
 /// more progress events, then exactly one `Done`.
 #[derive(Debug, Clone, PartialEq)]
-pub enum JobEvent {
+pub(crate) enum JobEvent {
     /// A node of the wave serving this job finished.
     Progress(NodeProgress),
     /// The job finished: the requested artifacts in request order, or
@@ -63,7 +63,7 @@ impl ProgressRouter {
     /// Subscribes `tx` to node completions of the wave labelled
     /// `label`. A subscriber joining mid-wave only sees the nodes that
     /// finish after it attaches.
-    pub fn attach(&self, label: &str, tx: Sender<JobEvent>) {
+    pub(crate) fn attach(&self, label: &str, tx: Sender<JobEvent>) {
         self.routes
             .lock()
             .expect("progress routes lock poisoned")

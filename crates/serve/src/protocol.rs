@@ -768,11 +768,6 @@ impl ServeLog {
         self.count(|m| matches!(m, ServeMessage::Server(ServerMessage::Progress { .. })))
     }
 
-    /// Number of server `stats` reply lines.
-    pub fn stats_replies(&self) -> usize {
-        self.count(|m| matches!(m, ServeMessage::Server(ServerMessage::Stats { .. })))
-    }
-
     fn count(&self, pred: impl Fn(&ServeMessage) -> bool) -> usize {
         self.messages.iter().filter(|m| pred(m)).count()
     }

@@ -15,7 +15,7 @@
 //! shared [`HistogramMetric::quantile`]. Two gauges summarize the
 //! cache economics — `serve.cache_hit_rate` (warm hits over answered
 //! waves) and `serve.dedupe_ratio` (deduped over all answered) — and
-//! a ring of the last [`RING_WINDOWS`] per-window count snapshots
+//! a ring of the last `RING_WINDOWS` per-window count snapshots
 //! gives "last N windows" trends without a timer thread: windows roll
 //! lazily whenever the telemetry is touched past the window length.
 //!
@@ -33,20 +33,20 @@ use mpvar_trace::sink::fmt_ns;
 /// Log-scale latency bucket edges, nanoseconds: 1-2-5 per decade from
 /// 1 µs to 100 s. Fine enough that interpolated quantiles are tight,
 /// coarse enough that a snapshot stays one JSON line.
-pub const LATENCY_BOUNDS_NS: [f64; 25] = [
+pub(crate) const LATENCY_BOUNDS_NS: [f64; 25] = [
     1e3, 2e3, 5e3, 1e4, 2e4, 5e4, 1e5, 2e5, 5e5, 1e6, 2e6, 5e6, 1e7, 2e7, 5e7, 1e8, 2e8, 5e8, 1e9,
     2e9, 5e9, 1e10, 2e10, 5e10, 1e11,
 ];
 
 /// How many closed snapshot windows the ring retains.
-pub const RING_WINDOWS: usize = 16;
+pub(crate) const RING_WINDOWS: usize = 16;
 
 /// Default wall-clock length of one snapshot window.
-pub const DEFAULT_WINDOW: Duration = Duration::from_secs(60);
+pub(crate) const DEFAULT_WINDOW: Duration = Duration::from_secs(60);
 
 /// How an answered request was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RequestOutcome {
+pub(crate) enum RequestOutcome {
     /// The wave ran entirely from cache (zero producers).
     WarmHit,
     /// The request rode another request's in-flight wave.
@@ -64,13 +64,6 @@ impl RequestOutcome {
             RequestOutcome::Cold => "cold",
         }
     }
-
-    /// All outcomes, in wire-name order.
-    pub const ALL: [RequestOutcome; 3] = [
-        RequestOutcome::Cold,
-        RequestOutcome::Deduped,
-        RequestOutcome::WarmHit,
-    ];
 }
 
 /// One snapshot window's request counts.
@@ -105,7 +98,7 @@ pub struct LatencyStat {
 
 impl LatencyStat {
     /// Derives the quantile triplet from a histogram.
-    pub fn from_histogram(histogram: HistogramMetric) -> LatencyStat {
+    pub(crate) fn from_histogram(histogram: HistogramMetric) -> LatencyStat {
         let q = |q: f64| histogram.quantile(q).unwrap_or(0.0);
         LatencyStat {
             p50_ns: q(0.50),
@@ -176,7 +169,7 @@ struct TelemetryState {
 }
 
 /// The accumulator one [`crate::Dispatcher`] owns.
-pub struct ServeTelemetry {
+pub(crate) struct ServeTelemetry {
     window_len: Duration,
     inner: Mutex<TelemetryState>,
 }
@@ -195,7 +188,7 @@ impl ServeTelemetry {
 
     /// Telemetry whose snapshot windows roll every `window_len`
     /// (tests use short windows).
-    pub fn with_window(window_len: Duration) -> Self {
+    pub(crate) fn with_window(window_len: Duration) -> Self {
         ServeTelemetry {
             window_len,
             inner: Mutex::new(TelemetryState {
@@ -226,16 +219,17 @@ impl ServeTelemetry {
 
     /// Records one failed request (no latency class — failures are
     /// counted, not timed).
-    pub fn record_error(&self) {
+    pub(crate) fn record_error(&self) {
         let mut state = self.lock();
         self.roll_if_due(&mut state);
         state.current.errors += 1;
     }
 
-    /// Closes the current window into the ring immediately (tests and
-    /// deterministic snapshots; production windows roll lazily by
+    /// Closes the current window into the ring immediately, so tests
+    /// get deterministic snapshots (production windows roll lazily by
     /// wall clock).
-    pub fn roll_window(&self) {
+    #[cfg(test)]
+    pub(crate) fn roll_window(&self) {
         let mut state = self.lock();
         self.roll(&mut state);
     }

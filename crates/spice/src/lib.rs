@@ -14,7 +14,7 @@
 //! * [`sparse`] — the compiled sparse LU kernel (frozen CSR pattern, one
 //!   symbolic analysis, numeric-only refactors), plus a dense reference
 //!   solver for cross-checks;
-//! * [`mna`] — modified nodal analysis assembly and the Newton–Raphson
+//! * `mna` — modified nodal analysis assembly and the Newton–Raphson
 //!   DC operating-point solver;
 //! * [`transient`] — backward-Euler / trapezoidal transient analysis with
 //!   per-step Newton iteration;
@@ -49,7 +49,7 @@
 pub mod batch;
 pub mod error;
 pub mod measure;
-pub mod mna;
+pub(crate) mod mna;
 pub mod mosfet;
 pub mod netlist;
 pub mod parser;
@@ -66,7 +66,6 @@ pub use error::SpiceError;
 pub use measure::{
     cross_differential_series, cross_threshold, cross_threshold_series, CrossDirection,
 };
-pub use mna::OperatingPoint;
 pub use mosfet::{MosfetModel, SmallSignal};
 pub use netlist::{Element, Netlist, NodeId};
 pub use sparse::{CsrMatrix, DenseMatrix, LuWorkspace, SymbolicLu};
@@ -83,7 +82,6 @@ pub mod prelude {
     pub use crate::measure::{
         cross_differential_series, cross_threshold, cross_threshold_series, CrossDirection,
     };
-    pub use crate::mna::OperatingPoint;
     pub use crate::mosfet::MosfetModel;
     pub use crate::netlist::{Element, Netlist, NodeId};
     pub use crate::transient::{Transient, TransientResult};

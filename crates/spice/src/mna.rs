@@ -6,8 +6,6 @@
 //! Norton-equivalent linearization around the current guess and iterated
 //! to convergence.
 
-use std::collections::HashMap;
-
 use crate::error::SpiceError;
 use crate::netlist::{Element, Netlist, NodeId};
 use crate::sparse::{CsrMatrix, LuWorkspace, SymbolicLu};
@@ -100,27 +98,9 @@ pub(crate) enum ReactivePolicy<'a> {
 }
 
 /// A solved DC operating point.
-///
-/// # Example
-///
-/// ```
-/// use mpvar_spice::prelude::*;
-///
-/// // Resistive divider: 0.7V across two equal 10k resistors.
-/// let mut net = Netlist::new();
-/// let vdd = net.node("vdd");
-/// let mid = net.node("mid");
-/// net.add_vsource("VDD", vdd, Netlist::GROUND, Waveform::dc(0.7))?;
-/// net.add_resistor("R1", vdd, mid, 10e3)?;
-/// net.add_resistor("R2", mid, Netlist::GROUND, 10e3)?;
-/// let op = OperatingPoint::solve(&net)?;
-/// assert!((op.voltage(mid) - 0.35).abs() < 1e-6);
-/// # Ok::<(), mpvar_spice::SpiceError>(())
-/// ```
 #[derive(Debug, Clone)]
-pub struct OperatingPoint {
+pub(crate) struct OperatingPoint {
     voltages: Vec<f64>,
-    source_currents: HashMap<String, f64>,
 }
 
 impl OperatingPoint {
@@ -142,38 +122,12 @@ impl OperatingPoint {
         let nn = net.num_nodes();
         let mut voltages = vec![0.0; nn];
         voltages[1..nn].copy_from_slice(&x[..nn - 1]);
-        let mut source_currents = HashMap::new();
-        let mut j = 0;
-        for e in net.elements() {
-            if let Element::VSource { name, .. } = e {
-                source_currents.insert(name.clone(), x[nn - 1 + j]);
-                j += 1;
-            }
-        }
-        OperatingPoint {
-            voltages,
-            source_currents,
-        }
-    }
-
-    /// Voltage at a node, V.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node does not belong to the solved netlist.
-    pub fn voltage(&self, node: NodeId) -> f64 {
-        self.voltages[node.index()]
+        OperatingPoint { voltages }
     }
 
     /// All node voltages, indexed by node id (ground included as 0.0).
     pub fn voltages(&self) -> &[f64] {
         &self.voltages
-    }
-
-    /// Current through a named voltage source, A (positive from + to −
-    /// through the source, SPICE convention).
-    pub fn source_current(&self, name: &str) -> Option<f64> {
-        self.source_currents.get(name).copied()
     }
 }
 
@@ -621,12 +575,8 @@ mod tests {
         net.add_resistor("R1", vdd, mid, 1e3).unwrap();
         net.add_resistor("R2", mid, Netlist::GROUND, 3e3).unwrap();
         let op = OperatingPoint::solve(&net).unwrap();
-        assert!((op.voltage(mid) - 0.75).abs() < 1e-9);
-        assert!((op.voltage(vdd) - 1.0).abs() < 1e-12);
-        // Source current: 1V across 4k, flowing out of + terminal = -0.25mA
-        // by SPICE convention (current into the + node is negative).
-        let i = op.source_current("V1").unwrap();
-        assert!((i + 0.25e-3).abs() < 1e-9, "i = {i}");
+        assert!((op.voltages()[mid.index()] - 0.75).abs() < 1e-9);
+        assert!((op.voltages()[vdd.index()] - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -638,7 +588,7 @@ mod tests {
             .unwrap();
         net.add_resistor("R1", a, Netlist::GROUND, 1e3).unwrap();
         let op = OperatingPoint::solve(&net).unwrap();
-        assert!((op.voltage(a) - 1.0).abs() < 1e-6);
+        assert!((op.voltages()[a.index()] - 1.0).abs() < 1e-6);
     }
 
     #[test]
@@ -653,7 +603,7 @@ mod tests {
             .unwrap();
         let op = OperatingPoint::solve(&net).unwrap();
         // No DC path through the cap: mid floats up to vdd.
-        assert!((op.voltage(mid) - 1.0).abs() < 1e-6);
+        assert!((op.voltages()[mid.index()] - 1.0).abs() < 1e-6);
     }
 
     #[test]
@@ -667,10 +617,8 @@ mod tests {
             .unwrap();
         net.add_resistor("R1", a, b, 1e3).unwrap();
         let op = OperatingPoint::solve(&net).unwrap();
-        assert!((op.voltage(a) - 2.0).abs() < 1e-9);
-        assert!((op.voltage(b) - 1.0).abs() < 1e-9);
-        // 1mA flows a -> b; into VB's + terminal: +1mA.
-        assert!((op.source_current("VB").unwrap() - 1e-3).abs() < 1e-9);
+        assert!((op.voltages()[a.index()] - 2.0).abs() < 1e-9);
+        assert!((op.voltages()[b.index()] - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -696,7 +644,11 @@ mod tests {
         .unwrap();
         let op = OperatingPoint::solve(&net).unwrap();
         // Gate high with a load much weaker than the device: output low.
-        assert!(op.voltage(out) < 0.25, "out = {}", op.voltage(out));
+        assert!(
+            op.voltages()[out.index()] < 0.25,
+            "out = {}",
+            op.voltages()[out.index()]
+        );
 
         // Gate low: output near vdd.
         let mut net2 = Netlist::new();
@@ -717,7 +669,11 @@ mod tests {
         )
         .unwrap();
         let op2 = OperatingPoint::solve(&net2).unwrap();
-        assert!(op2.voltage(out2) > 0.65, "out = {}", op2.voltage(out2));
+        assert!(
+            op2.voltages()[out2.index()] > 0.65,
+            "out = {}",
+            op2.voltages()[out2.index()]
+        );
     }
 
     #[test]
@@ -731,8 +687,8 @@ mod tests {
         net.add_resistor("R1", vdd, mid, 7e3).unwrap();
         net.add_resistor("R2", mid, Netlist::GROUND, 3e3).unwrap();
         let op = OperatingPoint::solve(&net).unwrap();
-        let i1 = (op.voltage(vdd) - op.voltage(mid)) / 7e3;
-        let i2 = op.voltage(mid) / 3e3;
+        let i1 = (op.voltages()[vdd.index()] - op.voltages()[mid.index()]) / 7e3;
+        let i2 = op.voltages()[mid.index()] / 3e3;
         assert!((i1 - i2).abs() < 1e-9);
     }
 
@@ -742,7 +698,7 @@ mod tests {
         let a = net.node("a");
         net.add_capacitor("C1", a, Netlist::GROUND, 1e-15).unwrap();
         let op = OperatingPoint::solve(&net).unwrap();
-        assert!(op.voltage(a).abs() < 1e-6);
+        assert!(op.voltages()[a.index()].abs() < 1e-6);
     }
 
     #[test]

@@ -21,7 +21,7 @@ impl NodeId {
     }
 
     /// `true` for the ground node.
-    pub fn is_ground(self) -> bool {
+    pub(crate) fn is_ground(self) -> bool {
         self.0 == 0
     }
 }
@@ -134,7 +134,6 @@ impl Element {
 /// net.add_vsource("VDD", vdd, Netlist::GROUND, Waveform::dc(0.7))?;
 /// net.add_resistor("R1", vdd, out, 10_000.0)?;
 /// net.add_capacitor("C1", out, Netlist::GROUND, 1e-15)?;
-/// assert_eq!(net.num_nodes(), 3); // ground + vdd + out
 /// assert_eq!(net.elements().len(), 3);
 /// # Ok::<(), mpvar_spice::SpiceError>(())
 /// ```
@@ -200,7 +199,7 @@ impl Netlist {
     }
 
     /// Total node count including ground.
-    pub fn num_nodes(&self) -> usize {
+    pub(crate) fn num_nodes(&self) -> usize {
         self.node_names.len()
     }
 
@@ -214,20 +213,9 @@ impl Netlist {
         self.element_names.get(name).map(|&i| &self.elements[i])
     }
 
-    /// Mutable lookup by name (e.g. to retarget a source for a DC
-    /// sweep). Topology (the element's nodes) must not be changed
-    /// through this reference in ways that violate netlist invariants;
-    /// value/waveform edits are the intended use.
-    pub fn element_mut(&mut self, name: &str) -> Option<&mut Element> {
-        self.element_names
-            .get(name)
-            .copied()
-            .map(move |i| &mut self.elements[i])
-    }
-
     /// Number of independent voltage sources (each adds one MNA branch
     /// unknown).
-    pub fn num_vsources(&self) -> usize {
+    pub(crate) fn num_vsources(&self) -> usize {
         self.elements
             .iter()
             .filter(|e| matches!(e, Element::VSource { .. }))
@@ -334,7 +322,7 @@ impl Netlist {
     /// # Errors
     ///
     /// [`SpiceError::DuplicateElement`] / [`SpiceError::UnknownNode`].
-    pub fn add_isource(
+    pub(crate) fn add_isource(
         &mut self,
         name: &str,
         p: NodeId,
@@ -369,35 +357,6 @@ impl Netlist {
             s,
             model,
         })
-    }
-
-    /// Nodes with no path to ground through R / V / M elements produce a
-    /// singular matrix; this helper reports nodes touched by capacitors
-    /// only, which is the common authoring mistake.
-    pub fn floating_nodes(&self) -> Vec<NodeId> {
-        let mut has_dc_path = vec![false; self.num_nodes()];
-        has_dc_path[0] = true;
-        for e in &self.elements {
-            match e {
-                Element::Resistor { a, b, .. } => {
-                    has_dc_path[a.0] = true;
-                    has_dc_path[b.0] = true;
-                }
-                Element::VSource { p, n, .. } => {
-                    has_dc_path[p.0] = true;
-                    has_dc_path[n.0] = true;
-                }
-                Element::Mosfet { d, g: _, s, .. } => {
-                    has_dc_path[d.0] = true;
-                    has_dc_path[s.0] = true;
-                }
-                _ => {}
-            }
-        }
-        (0..self.num_nodes())
-            .filter(|&i| !has_dc_path[i])
-            .map(NodeId)
-            .collect()
     }
 }
 
@@ -474,30 +433,5 @@ mod tests {
         assert!(n.element("V1").is_some());
         assert!(n.element("R9").is_none());
         assert_eq!(n.elements().len(), 2);
-    }
-
-    #[test]
-    fn floating_node_detection() {
-        let mut n = Netlist::new();
-        let a = n.node("a");
-        let b = n.node("b");
-        n.add_resistor("R1", a, Netlist::GROUND, 1e3).unwrap();
-        n.add_capacitor("C1", b, Netlist::GROUND, 1e-15).unwrap();
-        let floating = n.floating_nodes();
-        assert_eq!(floating, vec![b]);
-    }
-
-    #[test]
-    fn mosfet_nodes_give_dc_path() {
-        use mpvar_tech::preset::n10;
-        let mut n = Netlist::new();
-        let d = n.node("d");
-        let g = n.node("g");
-        let s = n.node("s");
-        n.add_mosfet("M1", d, g, s, MosfetModel::new(*n10().nmos()))
-            .unwrap();
-        // Gate is capacitive only -> floating unless driven.
-        let floating = n.floating_nodes();
-        assert_eq!(floating, vec![g]);
     }
 }

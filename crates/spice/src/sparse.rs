@@ -92,12 +92,12 @@ impl CsrMatrix {
     }
 
     /// Number of structural slots (including value-zero entries).
-    pub fn nnz(&self) -> usize {
+    pub(crate) fn nnz(&self) -> usize {
         self.cols.len()
     }
 
     /// Resets every value to zero, keeping the pattern.
-    pub fn zero_values(&mut self) {
+    pub(crate) fn zero_values(&mut self) {
         self.vals.fill(0.0);
     }
 
@@ -281,11 +281,6 @@ impl SymbolicLu {
         self.n
     }
 
-    /// Total structural nonzeros of `L + U` (fill-in included).
-    pub fn lu_nnz(&self) -> usize {
-        self.l_cols.len() + self.u_cols.len()
-    }
-
     /// Allocates a numeric workspace sized for this analysis.
     pub fn workspace(&self) -> LuWorkspace {
         LuWorkspace {
@@ -368,7 +363,7 @@ impl SymbolicLu {
     /// # Panics
     ///
     /// Panics if `b.len() != dim()`.
-    pub fn solve_into(&self, ws: &LuWorkspace, b: &[f64], x: &mut Vec<f64>) {
+    pub(crate) fn solve_into(&self, ws: &LuWorkspace, b: &[f64], x: &mut Vec<f64>) {
         assert_eq!(b.len(), self.n, "dimension mismatch");
         x.clear();
         x.extend(self.perm.iter().map(|&r| b[r]));

@@ -168,11 +168,6 @@ impl Waveform {
             }
         }
     }
-
-    /// The value at `t = 0` (used to seed the DC operating point).
-    pub fn initial_value(&self) -> f64 {
-        self.eval(0.0)
-    }
 }
 
 #[cfg(test)]
@@ -184,7 +179,6 @@ mod tests {
         let w = Waveform::dc(0.7);
         assert_eq!(w.eval(0.0), 0.7);
         assert_eq!(w.eval(1e9), 0.7);
-        assert_eq!(w.initial_value(), 0.7);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! large enough to consider the simulation results of the central lines
 //! not affected by edge related effects").
 
-use mpvar_geometry::{gds, Cell, Instance, Layer, Layout, Nm, Point, Rect, Shape, TrackStack};
+use mpvar_geometry::{gds, Cell, Instance, Layer, Layout, Nm, Point, Rect, Shape};
 
 use crate::cell::BitcellGeometry;
 use crate::error::SramError;
@@ -26,16 +26,6 @@ pub struct SramArray {
 }
 
 impl SramArray {
-    /// Creates an array of `rows` word lines with the paper's fixed
-    /// 10-pair width.
-    ///
-    /// # Errors
-    ///
-    /// [`SramError::InvalidStructure`] for zero rows.
-    pub fn paper_doe(cell: BitcellGeometry, rows: usize) -> Result<Self, SramError> {
-        Self::new(cell, rows, PAPER_BL_PAIRS)
-    }
-
     /// Creates an array with explicit dimensions.
     ///
     /// # Errors
@@ -65,23 +55,6 @@ impl SramArray {
         self.pairs
     }
 
-    /// Index of the central pair — the measurement target, guaranteed
-    /// free of edge effects per the paper.
-    pub fn central_pair(&self) -> usize {
-        self.pairs / 2
-    }
-
-    /// The drawn metal1 track stack of the array window, with the
-    /// central pair active.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`BitcellGeometry::column_stack`] failures.
-    pub fn drawn_stack(&self) -> Result<TrackStack, SramError> {
-        self.cell
-            .column_stack(self.pairs, self.central_pair(), self.rows)
-    }
-
     /// Builds a hierarchical layout: a `bitcell` cell with its four
     /// metal1 tracks (net-labelled) and FEOL marker shapes, instanced
     /// `rows x pairs` times in an `array` cell. Exportable to TGDS via
@@ -90,7 +63,7 @@ impl SramArray {
     /// # Errors
     ///
     /// [`SramError::Geometry`] on shape-construction failures.
-    pub fn to_layout(&self) -> Result<Layout, SramError> {
+    pub(crate) fn to_layout(&self) -> Result<Layout, SramError> {
         let c = &self.cell;
         let m1 = Layer::metal(1);
         let len = c.cell_len_x();
@@ -153,7 +126,7 @@ impl SramArray {
     ///
     /// # Errors
     ///
-    /// Same as [`SramArray::to_layout`].
+    /// [`SramError::Geometry`] on shape-construction failures.
     pub fn to_tgds(&self) -> Result<String, SramError> {
         Ok(gds::to_text(&self.to_layout()?))
     }
@@ -166,7 +139,7 @@ mod tests {
 
     fn array(rows: usize) -> SramArray {
         let cell = BitcellGeometry::n10_hd(&n10()).unwrap();
-        SramArray::paper_doe(cell, rows).unwrap()
+        SramArray::new(cell, rows, PAPER_BL_PAIRS).unwrap()
     }
 
     #[test]
@@ -174,7 +147,6 @@ mod tests {
         let a = array(64);
         assert_eq!(a.rows(), 64);
         assert_eq!(a.pairs(), 10);
-        assert_eq!(a.central_pair(), 5);
     }
 
     #[test]
@@ -182,15 +154,6 @@ mod tests {
         let cell = BitcellGeometry::n10_hd(&n10()).unwrap();
         assert!(SramArray::new(cell.clone(), 0, 10).is_err());
         assert!(SramArray::new(cell, 4, 0).is_err());
-    }
-
-    #[test]
-    fn drawn_stack_matches_paper_window() {
-        let a = array(16);
-        let stack = a.drawn_stack().unwrap();
-        assert_eq!(stack.len(), 41);
-        let bl = stack.index_of_net("BL").unwrap();
-        assert_eq!(stack.get(bl).unwrap().length(), Nm(16 * 130));
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::error::SramError;
 
 /// Net-name prefix given to bit lines of *inactive* pairs so the deck
 /// emitter treats them as quiet (AC-ground) wires.
-pub const INACTIVE_PREFIX: &str = "X";
+pub(crate) const INACTIVE_PREFIX: &str = "X";
 
 /// Relative drive strengths of the 6T cell devices plus the precharge
 /// PMOS (per paper §II.C, precharge drive scales with array size).
@@ -115,7 +115,7 @@ impl BitcellGeometry {
     }
 
     /// Power-rail drawn width.
-    pub fn rail_width(&self) -> Nm {
+    pub(crate) fn rail_width(&self) -> Nm {
         self.rail_width
     }
 
@@ -130,7 +130,7 @@ impl BitcellGeometry {
     }
 
     /// Cell height (4 metal1 tracks).
-    pub fn cell_height(&self) -> Nm {
+    pub(crate) fn cell_height(&self) -> Nm {
         self.m1_pitch * 4
     }
 
@@ -142,7 +142,7 @@ impl BitcellGeometry {
     /// Builds the drawn metal1 track stack of a column window:
     /// `n_pairs` bit-line pairs (plus a closing VSS rail), each wire
     /// spanning `n_cells` cells. The pair at `active_pair` is named
-    /// `BL`/`BLB`; other pairs get the [`INACTIVE_PREFIX`] so the deck
+    /// `BL`/`BLB`; other pairs get the `INACTIVE_PREFIX` so the deck
     /// emitter grounds them.
     ///
     /// # Errors

@@ -11,11 +11,11 @@
 //! * [`mod@array`] — drawn track stacks for `n`-cell columns inside a
 //!   10-bit-pair array, plus a hierarchical layout (TGDS-exportable)
 //!   for the geometry pipeline;
-//! * [`readout`] — the SPICE read testbench: precharged distributed-RC
+//! * `readout` — the SPICE read testbench: precharged distributed-RC
 //!   bit lines, the accessed cell's pass-gate + pull-down discharge
 //!   path at the far end, a word-line pulse, and the sense criterion
 //!   `|V_bl − V_blb| ≥ 70mV`; returns the paper's figure of merit `td`;
-//! * [`writepath`] — the write testbench on the same column: a WL-gated
+//! * `writepath` — the write testbench on the same column: a WL-gated
 //!   near-end driver flipping a far-end latch, timed to the flip;
 //! * `column` (private) — the column both testbenches share, with the
 //!   one scalar window-retry loop and the one batched driver;
@@ -56,8 +56,8 @@ pub mod cell;
 mod column;
 pub mod error;
 pub mod params;
-pub mod readout;
-pub mod writepath;
+pub(crate) mod readout;
+pub(crate) mod writepath;
 
 pub use array::SramArray;
 pub use cell::{BitcellGeometry, DeviceSizing};

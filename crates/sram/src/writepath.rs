@@ -77,7 +77,7 @@ impl Default for WriteConfig {
 
 impl WriteConfig {
     /// The absolute flip threshold, V.
-    pub fn flip_threshold_v(&self) -> f64 {
+    pub(crate) fn flip_threshold_v(&self) -> f64 {
         self.flip_fraction * self.vdd_v
     }
 

@@ -9,7 +9,6 @@ use crate::descriptive::Summary;
 use crate::error::StatsError;
 use crate::percentile::quantile_sorted;
 use crate::rng::RngStream;
-use crate::scratch::StatsScratch;
 
 /// A bootstrap confidence interval for a statistic.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,56 +45,12 @@ impl BootstrapCi {
 /// * [`StatsError::InvalidHistogram`]-style misuse is prevented by
 ///   construction; bad `confidence` yields
 ///   [`StatsError::QuantileOutOfRange`].
-///
-/// # Example
-///
-/// ```
-/// use mpvar_stats::bootstrap::bootstrap_ci;
-/// use mpvar_stats::Summary;
-///
-/// let data: Vec<f64> = (0..500).map(|k| ((k * 37) % 101) as f64).collect();
-/// let ci = bootstrap_ci(&data, 500, 0.95, 7, |xs| {
-///     let s: Summary = xs.iter().copied().collect();
-///     s.mean()
-/// })?;
-/// assert!(ci.lo <= ci.estimate && ci.estimate <= ci.hi);
-/// # Ok::<(), mpvar_stats::StatsError>(())
-/// ```
-pub fn bootstrap_ci<F>(
+pub(crate) fn bootstrap_ci<F>(
     data: &[f64],
     resamples: usize,
     confidence: f64,
     seed: u64,
     statistic: F,
-) -> Result<BootstrapCi, StatsError>
-where
-    F: Fn(&[f64]) -> f64,
-{
-    bootstrap_ci_with(
-        data,
-        resamples,
-        confidence,
-        seed,
-        statistic,
-        &mut StatsScratch::new(),
-    )
-}
-
-/// [`bootstrap_ci`] with a caller-owned [`StatsScratch`]: bit-identical
-/// results, but the resample buffer, the per-resample statistic vector,
-/// and the final quantile sort all reuse scratch storage so repeated
-/// calls inside MC loops stop allocating.
-///
-/// # Errors
-///
-/// Same as [`bootstrap_ci`].
-pub fn bootstrap_ci_with<F>(
-    data: &[f64],
-    resamples: usize,
-    confidence: f64,
-    seed: u64,
-    statistic: F,
-    scratch: &mut StatsScratch,
 ) -> Result<BootstrapCi, StatsError>
 where
     F: Fn(&[f64]) -> f64,
@@ -116,12 +71,8 @@ where
     let estimate = statistic(data);
     let base = RngStream::from_seed(seed);
     let n = data.len();
-    let stats = &mut scratch.stats;
-    stats.clear();
-    stats.reserve(resamples);
-    let buffer = &mut scratch.resample;
-    buffer.clear();
-    buffer.resize(n, 0.0);
+    let mut stats = Vec::with_capacity(resamples);
+    let mut buffer = vec![0.0; n];
     for k in 0..resamples {
         let mut rng = base.substream(k as u64);
         for slot in buffer.iter_mut() {
@@ -138,9 +89,8 @@ where
     }
     stats.sort_by(|a, b| a.partial_cmp(b).expect("nan screened above"));
     let alpha = 1.0 - confidence;
-    let lo = quantile_sorted(stats, alpha / 2.0)?;
-    let hi = quantile_sorted(stats, 1.0 - alpha / 2.0)?;
-    scratch.publish();
+    let lo = quantile_sorted(&stats, alpha / 2.0)?;
+    let hi = quantile_sorted(&stats, 1.0 - alpha / 2.0)?;
     Ok(BootstrapCi {
         estimate,
         lo,
@@ -155,7 +105,9 @@ where
 ///
 /// # Errors
 ///
-/// Same as [`bootstrap_ci`].
+/// * [`StatsError::InsufficientSamples`] for fewer than 8 samples;
+/// * [`StatsError::ZeroTrials`] for zero resamples;
+/// * [`StatsError::QuantileOutOfRange`] for `confidence` outside `(0, 1)`.
 pub fn bootstrap_sigma_ci(
     data: &[f64],
     resamples: usize,
@@ -166,31 +118,6 @@ pub fn bootstrap_sigma_ci(
         let s: Summary = xs.iter().copied().collect();
         s.std_dev()
     })
-}
-
-/// [`bootstrap_sigma_ci`] with a caller-owned [`StatsScratch`].
-///
-/// # Errors
-///
-/// Same as [`bootstrap_ci`].
-pub fn bootstrap_sigma_ci_with(
-    data: &[f64],
-    resamples: usize,
-    confidence: f64,
-    seed: u64,
-    scratch: &mut StatsScratch,
-) -> Result<BootstrapCi, StatsError> {
-    bootstrap_ci_with(
-        data,
-        resamples,
-        confidence,
-        seed,
-        |xs| {
-            let s: Summary = xs.iter().copied().collect();
-            s.std_dev()
-        },
-        scratch,
-    )
 }
 
 #[cfg(test)]

@@ -16,18 +16,7 @@ use crate::error::StatsError;
 ///   points or different lengths (the length mismatch is reported as the
 ///   shorter length being insufficient for the longer);
 /// * [`StatsError::NonFinite`] if any value is NaN.
-///
-/// # Example
-///
-/// ```
-/// use mpvar_stats::covariance;
-///
-/// let x = [1.0, 2.0, 3.0];
-/// let y = [2.0, 4.0, 6.0];
-/// assert!((covariance(&x, &y)? - 2.0).abs() < 1e-12);
-/// # Ok::<(), mpvar_stats::StatsError>(())
-/// ```
-pub fn covariance(x: &[f64], y: &[f64]) -> Result<f64, StatsError> {
+pub(crate) fn covariance(x: &[f64], y: &[f64]) -> Result<f64, StatsError> {
     if x.len() != y.len() {
         return Err(StatsError::InsufficientSamples {
             needed: x.len().max(y.len()),
@@ -57,9 +46,10 @@ pub fn covariance(x: &[f64], y: &[f64]) -> Result<f64, StatsError> {
 ///
 /// # Errors
 ///
-/// Same as [`covariance`], plus [`StatsError::NonPositiveScale`] when
-/// either series is constant (zero variance makes the coefficient
-/// undefined).
+/// [`StatsError::InsufficientSamples`] for series shorter than two points
+/// or of different lengths, [`StatsError::NonFinite`] for NaN, and
+/// [`StatsError::NonPositiveScale`] when either series is constant (zero
+/// variance makes the coefficient undefined).
 pub fn pearson(x: &[f64], y: &[f64]) -> Result<f64, StatsError> {
     let cov = covariance(x, y)?;
     let vx = covariance(x, x)?;
@@ -103,6 +93,7 @@ mod tests {
         let x = [1.0, 5.0, 2.0, 8.0];
         let y = [0.5, 1.5, -2.0, 4.0];
         assert_eq!(covariance(&x, &y).unwrap(), covariance(&y, &x).unwrap());
+        assert!((covariance(&[1.0, 2.0, 3.0], &[2.0, 4.0, 6.0]).unwrap() - 2.0).abs() < 1e-12);
     }
 
     #[test]

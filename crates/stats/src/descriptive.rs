@@ -2,8 +2,8 @@
 
 use crate::error::StatsError;
 
-/// Online summary statistics: count, mean, variance, extrema, skewness,
-/// excess kurtosis.
+/// Online summary statistics: count, mean, variance, extrema and
+/// skewness.
 ///
 /// Values are accumulated with Welford's numerically stable one-pass
 /// update (extended to third and fourth central moments), so summaries of
@@ -17,7 +17,7 @@ use crate::error::StatsError;
 /// let s: Summary = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0].into_iter().collect();
 /// assert_eq!(s.count(), 8);
 /// assert!((s.mean() - 5.0).abs() < 1e-12);
-/// assert!((s.population_std_dev() - 2.0).abs() < 1e-12);
+/// assert!((s.std_dev() - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Summary {
@@ -141,8 +141,7 @@ impl Summary {
 
     /// Unbiased sample variance (`n - 1` denominator).
     ///
-    /// Returns NaN with fewer than two observations; use
-    /// [`Summary::try_variance`] for a typed error instead.
+    /// Returns NaN with fewer than two observations.
     pub fn variance(&self) -> f64 {
         if self.n < 2 {
             f64::NAN
@@ -156,7 +155,7 @@ impl Summary {
     /// # Errors
     ///
     /// [`StatsError::InsufficientSamples`] if `count < 2`.
-    pub fn try_variance(&self) -> Result<f64, StatsError> {
+    pub(crate) fn try_variance(&self) -> Result<f64, StatsError> {
         if self.n < 2 {
             Err(StatsError::InsufficientSamples {
                 needed: 2,
@@ -167,28 +166,9 @@ impl Summary {
         }
     }
 
-    /// Population variance (`n` denominator).
-    pub fn population_variance(&self) -> f64 {
-        if self.n == 0 {
-            f64::NAN
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
     /// Unbiased sample standard deviation.
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()
-    }
-
-    /// Population standard deviation.
-    pub fn population_std_dev(&self) -> f64 {
-        self.population_variance().sqrt()
-    }
-
-    /// Standard error of the mean, `s / sqrt(n)`.
-    pub fn std_error(&self) -> f64 {
-        self.std_dev() / (self.n as f64).sqrt()
     }
 
     /// Sample skewness (Fisher–Pearson `g1`).
@@ -198,16 +178,6 @@ impl Summary {
         } else {
             let n = self.n as f64;
             (n.sqrt() * self.m3) / self.m2.powf(1.5)
-        }
-    }
-
-    /// Excess kurtosis (`g2`, 0 for a Gaussian).
-    pub fn excess_kurtosis(&self) -> f64 {
-        if self.n < 4 || self.m2 == 0.0 {
-            f64::NAN
-        } else {
-            let n = self.n as f64;
-            n * self.m4 / (self.m2 * self.m2) - 3.0
         }
     }
 
@@ -268,16 +238,14 @@ impl std::fmt::Display for Summary {
 mod tests {
     use super::*;
 
-    fn reference_moments(xs: &[f64]) -> (f64, f64, f64, f64) {
+    fn reference_moments(xs: &[f64]) -> (f64, f64, f64) {
         let n = xs.len() as f64;
         let mean = xs.iter().sum::<f64>() / n;
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
         let m2 = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
         let m3 = xs.iter().map(|x| (x - mean).powi(3)).sum::<f64>() / n;
         let skew = m3 / m2.powf(1.5);
-        let m4 = xs.iter().map(|x| (x - mean).powi(4)).sum::<f64>() / n;
-        let kurt = m4 / (m2 * m2) - 3.0;
-        (mean, var, skew, kurt)
+        (mean, var, skew)
     }
 
     #[test]
@@ -286,11 +254,10 @@ mod tests {
             .map(|i| ((i * 37 % 101) as f64).sin() * 3.0 + 1.0)
             .collect();
         let s: Summary = xs.iter().copied().collect();
-        let (mean, var, skew, kurt) = reference_moments(&xs);
+        let (mean, var, skew) = reference_moments(&xs);
         assert!((s.mean() - mean).abs() < 1e-10);
         assert!((s.variance() - var).abs() < 1e-9);
         assert!((s.skewness() - skew).abs() < 1e-8);
-        assert!((s.excess_kurtosis() - kurt).abs() < 1e-7);
     }
 
     #[test]
@@ -328,7 +295,6 @@ mod tests {
         assert!((a.mean() - seq.mean()).abs() < 1e-12);
         assert!((a.variance() - seq.variance()).abs() < 1e-10);
         assert!((a.skewness() - seq.skewness()).abs() < 1e-9);
-        assert!((a.excess_kurtosis() - seq.excess_kurtosis()).abs() < 1e-8);
         assert_eq!(a.min(), seq.min());
         assert_eq!(a.max(), seq.max());
     }
@@ -351,13 +317,6 @@ mod tests {
         let s: Summary = std::iter::repeat_n(4.2, 100).collect();
         assert!(s.variance().abs() < 1e-24);
         assert!(s.skewness().is_nan());
-    }
-
-    #[test]
-    fn std_error_shrinks_with_n() {
-        let small: Summary = (0..100).map(|i| (i % 7) as f64).collect();
-        let large: Summary = (0..10_000).map(|i| (i % 7) as f64).collect();
-        assert!(large.std_error() < small.std_error());
     }
 
     #[test]

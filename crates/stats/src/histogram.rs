@@ -17,7 +17,7 @@ use crate::error::StatsError;
 /// for x in [0.5, 1.5, 2.5, 2.6, 9.9, -1.0, 11.0] {
 ///     h.record(x);
 /// }
-/// assert_eq!(h.bin_count(1), 2); // [2,4) holds 2.5 and 2.6
+/// assert_eq!(h.iter().nth(1), Some((3.0, 2))); // [2,4) holds 2.5 and 2.6
 /// assert_eq!(h.underflow(), 1);
 /// assert_eq!(h.overflow(), 1);
 /// assert_eq!(h.total(), 7);
@@ -114,26 +114,12 @@ impl Histogram {
         }
     }
 
-    /// Number of bins.
-    pub fn num_bins(&self) -> usize {
-        self.bins.len()
-    }
-
-    /// Count stored in bin `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= num_bins()`.
-    pub fn bin_count(&self, i: usize) -> u64 {
-        self.bins[i]
-    }
-
     /// Half-open range `[lo, hi)` covered by bin `i`.
     ///
     /// # Panics
     ///
-    /// Panics if `i >= num_bins()`.
-    pub fn bin_range(&self, i: usize) -> (f64, f64) {
+    /// Panics if `i` is not a bin index.
+    pub(crate) fn bin_range(&self, i: usize) -> (f64, f64) {
         assert!(i < self.bins.len(), "bin index out of range");
         let w = (self.hi - self.lo) / self.bins.len() as f64;
         (self.lo + w * i as f64, self.lo + w * (i + 1) as f64)
@@ -143,8 +129,8 @@ impl Histogram {
     ///
     /// # Panics
     ///
-    /// Panics if `i >= num_bins()`.
-    pub fn bin_center(&self, i: usize) -> f64 {
+    /// Panics if `i` is not a bin index.
+    pub(crate) fn bin_center(&self, i: usize) -> f64 {
         let (a, b) = self.bin_range(i);
         0.5 * (a + b)
     }
@@ -274,8 +260,8 @@ mod tests {
         h.record(0.0); // first bin, inclusive lower edge
         h.record(9.999); // last bin
         h.record(10.0); // overflow (half-open upper edge)
-        assert_eq!(h.bin_count(0), 1);
-        assert_eq!(h.bin_count(9), 1);
+        let counts: Vec<u64> = h.iter().map(|(_, c)| c).collect();
+        assert_eq!((counts[0], counts[9]), (1, 1));
         assert_eq!(h.overflow(), 1);
     }
 
@@ -324,7 +310,7 @@ mod tests {
         d.record(0.1);
         d.record(2.0);
         c.merge(&d).unwrap();
-        assert_eq!(c.bin_count(0), 2);
+        assert_eq!(c.iter().next().map(|(_, n)| n), Some(2));
         assert_eq!(c.overflow(), 1);
     }
 

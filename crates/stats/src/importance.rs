@@ -113,7 +113,7 @@ impl ZDomain {
     }
 
     /// `true` when `z` lies inside the (possibly truncated) support.
-    pub fn in_support(&self, z: &[f64]) -> bool {
+    pub(crate) fn in_support(&self, z: &[f64]) -> bool {
         match self.truncation {
             None => true,
             Some(t) => z.iter().all(|zi| zi.abs() <= t),

@@ -6,7 +6,6 @@
 
 use crate::error::StatsError;
 use crate::sampler::Gaussian;
-use crate::scratch::StatsScratch;
 
 /// Result of a one-sample KS test.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -20,13 +19,7 @@ pub struct KsTest {
     pub p_value: f64,
 }
 
-impl KsTest {
-    /// `true` when normality is rejected at the given significance
-    /// level (e.g. 0.01).
-    pub fn rejects_at(&self, alpha: f64) -> bool {
-        self.p_value < alpha
-    }
-}
+impl KsTest {}
 
 /// Kolmogorov asymptotic survival function
 /// `Q(λ) = 2 Σ_{k≥1} (−1)^{k−1} e^{−2 k² λ²}`.
@@ -58,33 +51,17 @@ fn kolmogorov_q(lambda: f64) -> f64 {
 /// # Example
 ///
 /// ```
-/// use mpvar_stats::kstest::ks_test_gaussian;
+/// use mpvar_stats::ks_test_gaussian;
 /// use mpvar_stats::{Gaussian, RngStream};
 ///
 /// let g = Gaussian::new(0.0, 1.0)?;
 /// let mut rng = RngStream::from_seed(5);
 /// let data: Vec<f64> = (0..2000).map(|_| g.sample(&mut rng)).collect();
 /// let ks = ks_test_gaussian(&data, 0.0, 1.0)?;
-/// assert!(!ks.rejects_at(0.01)); // truly Gaussian data passes
+/// assert!(ks.p_value >= 0.01); // truly Gaussian data passes
 /// # Ok::<(), mpvar_stats::StatsError>(())
 /// ```
 pub fn ks_test_gaussian(data: &[f64], mean: f64, sigma: f64) -> Result<KsTest, StatsError> {
-    ks_test_gaussian_with(data, mean, sigma, &mut StatsScratch::new())
-}
-
-/// [`ks_test_gaussian`] with a caller-owned [`StatsScratch`]:
-/// bit-identical results, but the sorted copy reuses the scratch buffer
-/// so repeated calls inside MC loops stop allocating.
-///
-/// # Errors
-///
-/// Same as [`ks_test_gaussian`].
-pub fn ks_test_gaussian_with(
-    data: &[f64],
-    mean: f64,
-    sigma: f64,
-    scratch: &mut StatsScratch,
-) -> Result<KsTest, StatsError> {
     if data.len() < 8 {
         return Err(StatsError::InsufficientSamples {
             needed: 8,
@@ -98,7 +75,8 @@ pub fn ks_test_gaussian_with(
         });
     }
     let dist = Gaussian::new(mean, sigma)?;
-    let sorted = scratch.sorted_from(data);
+    let mut sorted = data.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("nan screened above"));
     let n = sorted.len();
     let nf = n as f64;
 
@@ -113,7 +91,6 @@ pub fn ks_test_gaussian_with(
     let sqrt_n = nf.sqrt();
     // Stephens' small-sample correction.
     let lambda = (sqrt_n + 0.12 + 0.11 / sqrt_n) * d;
-    scratch.publish();
     Ok(KsTest {
         statistic: d,
         n,
@@ -130,18 +107,9 @@ pub fn ks_test_gaussian_with(
 /// Same as [`ks_test_gaussian`], plus insufficient samples for a
 /// standard deviation.
 pub fn ks_test_fitted(data: &[f64]) -> Result<KsTest, StatsError> {
-    ks_test_fitted_with(data, &mut StatsScratch::new())
-}
-
-/// [`ks_test_fitted`] with a caller-owned [`StatsScratch`].
-///
-/// # Errors
-///
-/// Same as [`ks_test_fitted`].
-pub fn ks_test_fitted_with(data: &[f64], scratch: &mut StatsScratch) -> Result<KsTest, StatsError> {
     let summary: crate::descriptive::Summary = data.iter().copied().collect();
     let sigma = summary.try_variance()?.sqrt();
-    ks_test_gaussian_with(data, summary.mean(), sigma, scratch)
+    ks_test_gaussian(data, summary.mean(), sigma)
 }
 
 #[cfg(test)]
@@ -156,7 +124,7 @@ mod tests {
         let data: Vec<f64> = (0..5000).map(|_| g.sample(&mut rng)).collect();
         let ks = ks_test_gaussian(&data, 3.0, 2.0).unwrap();
         assert!(ks.statistic < 0.03, "D = {}", ks.statistic);
-        assert!(!ks.rejects_at(0.01), "p = {}", ks.p_value);
+        assert!(ks.p_value >= 0.01, "p = {}", ks.p_value);
     }
 
     #[test]
@@ -165,7 +133,7 @@ mod tests {
         let data: Vec<f64> = (0..2000).map(|_| rng.next_f64() * 4.0 - 2.0).collect();
         // Compare against N(0,1): clearly wrong shape.
         let ks = ks_test_gaussian(&data, 0.0, 1.0).unwrap();
-        assert!(ks.rejects_at(0.001), "p = {}", ks.p_value);
+        assert!(ks.p_value < 0.001, "p = {}", ks.p_value);
     }
 
     #[test]
@@ -175,7 +143,7 @@ mod tests {
         let mut rng = RngStream::from_seed(4);
         let data: Vec<f64> = (0..3000).map(|_| g.sample(&mut rng).powi(2)).collect();
         let ks = ks_test_fitted(&data).unwrap();
-        assert!(ks.rejects_at(0.001), "p = {}", ks.p_value);
+        assert!(ks.p_value < 0.001, "p = {}", ks.p_value);
     }
 
     #[test]
@@ -184,7 +152,7 @@ mod tests {
         let mut rng = RngStream::from_seed(2);
         let data: Vec<f64> = (0..2000).map(|_| g.sample(&mut rng)).collect();
         let ks = ks_test_gaussian(&data, 0.5, 1.0).unwrap();
-        assert!(ks.rejects_at(0.001));
+        assert!(ks.p_value < 0.001);
     }
 
     #[test]

@@ -7,19 +7,26 @@
 //!
 //! * [`rng`] — reproducible, splittable random-number streams so every
 //!   experiment is seed-stable across runs and thread counts;
-//! * [`sampler`] — Gaussian, truncated-Gaussian and uniform samplers built
-//!   on the polar Box–Muller transform (no external distribution crate);
-//! * [`descriptive`] — single-pass (Welford) summary statistics;
+//! * [`sampler`] — Gaussian and truncated-Gaussian samplers built on the
+//!   polar Box–Muller transform, plus the normal tail and its inverse (no
+//!   external distribution crate);
+//! * [`Summary`] — single-pass (Welford) summary statistics;
 //! * [`histogram`] — fixed-bin histograms with CSV and ASCII rendering,
 //!   used to regenerate the paper's Fig. 5;
 //! * [`percentile`] — quantile estimation with linear interpolation;
-//! * [`correlation`] — covariance / Pearson correlation, used by the
-//!   SADP R_bl/R_VSS anti-correlation ablation.
+//! * [`correlation`] — Pearson correlation, used by the SADP
+//!   R_bl/R_VSS anti-correlation ablation;
+//! * [`bootstrap`] — percentile-bootstrap confidence intervals, the error
+//!   bars on Table IV's σ;
+//! * [`ks_test_gaussian`] / [`ks_test_fitted`] — one-sample
+//!   Kolmogorov–Smirnov normality tests of tdp distributions;
+//! * [`importance`] — importance-sampling proposals, log-weights and the
+//!   mergeable round accumulator behind the rare-event yield engine.
 //!
 //! # Example
 //!
 //! ```
-//! use mpvar_stats::prelude::*;
+//! use mpvar_stats::{Gaussian, RngStream, Summary};
 //!
 //! let mut rng = RngStream::from_seed(42);
 //! let gauss = Gaussian::new(0.0, 1.0)?;
@@ -34,18 +41,17 @@
 
 pub mod bootstrap;
 pub mod correlation;
-pub mod descriptive;
+pub(crate) mod descriptive;
 pub mod error;
 pub mod histogram;
 pub mod importance;
-pub mod kstest;
+pub(crate) mod kstest;
 pub mod percentile;
 pub mod rng;
 pub mod sampler;
-pub mod scratch;
 
-pub use bootstrap::{bootstrap_ci, bootstrap_ci_with, bootstrap_sigma_ci, BootstrapCi};
-pub use correlation::{covariance, pearson};
+pub use bootstrap::{bootstrap_sigma_ci, BootstrapCi};
+pub use correlation::pearson;
 pub use descriptive::Summary;
 pub use error::StatsError;
 pub use histogram::Histogram;
@@ -53,20 +59,4 @@ pub use importance::{FailureEstimate, Proposal, RoundAccumulator, ZDomain};
 pub use kstest::{ks_test_fitted, ks_test_gaussian, KsTest};
 pub use percentile::{median, quantile};
 pub use rng::RngStream;
-pub use sampler::{erfc, inverse_normal_cdf, normal_tail, Gaussian, TruncatedGaussian};
-pub use scratch::StatsScratch;
-
-/// Convenient glob-import surface for downstream crates.
-pub mod prelude {
-    pub use crate::bootstrap::{bootstrap_ci, bootstrap_ci_with, bootstrap_sigma_ci, BootstrapCi};
-    pub use crate::correlation::{covariance, pearson};
-    pub use crate::descriptive::Summary;
-    pub use crate::error::StatsError;
-    pub use crate::histogram::Histogram;
-    pub use crate::importance::{FailureEstimate, Proposal, RoundAccumulator, ZDomain};
-    pub use crate::kstest::{ks_test_fitted, ks_test_gaussian, KsTest};
-    pub use crate::percentile::{median, quantile};
-    pub use crate::rng::RngStream;
-    pub use crate::sampler::{erfc, inverse_normal_cdf, normal_tail, Gaussian, TruncatedGaussian};
-    pub use crate::scratch::StatsScratch;
-}
+pub use sampler::{inverse_normal_cdf, normal_tail, Gaussian, TruncatedGaussian};

@@ -1,7 +1,6 @@
 //! Quantile and median estimation.
 
 use crate::error::StatsError;
-use crate::scratch::StatsScratch;
 
 /// Computes the `q`-quantile (`0 <= q <= 1`) of `data` with linear
 /// interpolation between order statistics (type-7 estimator, the default
@@ -45,31 +44,6 @@ pub fn quantile(data: &[f64], q: f64) -> Result<f64, StatsError> {
     Ok(quantile_sorted_unchecked(&sorted, q))
 }
 
-/// [`quantile`] with a caller-owned [`StatsScratch`]: bit-identical
-/// results, but the sorted copy reuses the scratch buffer so repeated
-/// calls inside MC loops stop allocating.
-///
-/// # Errors
-///
-/// Same as [`quantile`].
-pub fn quantile_with(data: &[f64], q: f64, scratch: &mut StatsScratch) -> Result<f64, StatsError> {
-    if !(0.0..=1.0).contains(&q) {
-        return Err(StatsError::QuantileOutOfRange { q });
-    }
-    if data.is_empty() {
-        return Err(StatsError::InsufficientSamples { needed: 1, got: 0 });
-    }
-    if data.iter().any(|x| x.is_nan()) {
-        return Err(StatsError::NonFinite {
-            name: "data",
-            value: f64::NAN,
-        });
-    }
-    let value = quantile_sorted_unchecked(scratch.sorted_from(data), q);
-    scratch.publish();
-    Ok(value)
-}
-
 /// Quantile of data already sorted ascending; skips the sort and NaN scan.
 ///
 /// # Errors
@@ -96,7 +70,16 @@ fn quantile_sorted_unchecked(sorted: &[f64], q: f64) -> f64 {
     let lo = h.floor() as usize;
     let hi = (lo + 1).min(n - 1);
     let frac = h - lo as f64;
-    sorted[lo] + frac * (sorted[hi] - sorted[lo])
+    let (a, b) = (sorted[lo], sorted[hi]);
+    if a.is_finite() && b.is_finite() {
+        a + frac * (b - a)
+    } else if frac == 0.0 || a.is_infinite() {
+        // Interpolating towards or away from ±∞ would give `∞ − ∞` or
+        // `0 · ∞`, both NaN; the limit is the infinite order statistic.
+        a
+    } else {
+        b
+    }
 }
 
 /// Median of `data` (the 0.5 quantile).
@@ -106,15 +89,6 @@ fn quantile_sorted_unchecked(sorted: &[f64], q: f64) -> f64 {
 /// Same as [`quantile`].
 pub fn median(data: &[f64]) -> Result<f64, StatsError> {
     quantile(data, 0.5)
-}
-
-/// Interquartile range `Q3 - Q1`.
-///
-/// # Errors
-///
-/// Same as [`quantile`].
-pub fn iqr(data: &[f64]) -> Result<f64, StatsError> {
-    Ok(quantile(data, 0.75)? - quantile(data, 0.25)?)
 }
 
 #[cfg(test)]
@@ -168,12 +142,6 @@ mod tests {
         d.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let q2 = quantile_sorted(&d, 0.37).unwrap();
         assert_eq!(q1, q2);
-    }
-
-    #[test]
-    fn iqr_of_uniform_grid() {
-        let d: Vec<f64> = (0..101).map(|i| i as f64).collect();
-        assert!((iqr(&d).unwrap() - 50.0).abs() < 1e-12);
     }
 
     #[test]

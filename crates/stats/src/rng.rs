@@ -59,7 +59,7 @@ impl RngStream {
     ///
     /// `RngStream::with_substream(s, k)` equals
     /// `RngStream::from_seed(s).substream(k)`.
-    pub fn with_substream(seed: u64, stream: u64) -> Self {
+    pub(crate) fn with_substream(seed: u64, stream: u64) -> Self {
         // Mix seed and stream id so that nearby (seed, stream) pairs give
         // uncorrelated state.
         let mut sm = seed ^ splitmix64(&mut { stream.wrapping_mul(0xA076_1D64_78BD_642F) });
@@ -96,29 +96,12 @@ impl RngStream {
         self.seed
     }
 
-    /// The substream index of this stream.
-    pub fn stream_id(&self) -> u64 {
-        self.stream
-    }
-
     /// Draws a `f64` uniformly from the half-open interval `[0, 1)`.
     ///
     /// Uses the 53 high bits of a `u64`, the canonical mapping with a
     /// uniform mantissa.
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Draws a `f64` uniformly from the open interval `(0, 1)`.
-    ///
-    /// Useful for logs and Box–Muller where 0 must be excluded.
-    pub fn next_f64_open(&mut self) -> f64 {
-        loop {
-            let x = self.next_f64();
-            if x > 0.0 {
-                return x;
-            }
-        }
     }
 }
 
@@ -222,15 +205,6 @@ mod tests {
         for _ in 0..10_000 {
             let x = rng.next_f64();
             assert!((0.0..1.0).contains(&x));
-        }
-    }
-
-    #[test]
-    fn open_unit_doubles_exclude_zero() {
-        let mut rng = RngStream::from_seed(5);
-        for _ in 0..10_000 {
-            let x = rng.next_f64_open();
-            assert!(x > 0.0 && x < 1.0);
         }
     }
 

@@ -28,8 +28,8 @@ fn ensure_finite(name: &'static str, value: f64) -> Result<(), StatsError> {
 /// ```
 /// use mpvar_stats::{Gaussian, RngStream};
 ///
-/// // A 3nm 3-sigma CD error, as assumed for LE3 and EUV in the paper.
-/// let cd = Gaussian::from_three_sigma(0.0, 3.0)?;
+/// // A 3nm 3-sigma CD error (σ = 1nm), as assumed for LE3 and EUV in the paper.
+/// let cd = Gaussian::new(0.0, 1.0)?;
 /// let mut rng = RngStream::from_seed(1);
 /// let draw = cd.sample(&mut rng);
 /// assert!(draw.abs() < 15.0); // loose sanity bound
@@ -57,17 +57,6 @@ impl Gaussian {
         Ok(Self { mean, sigma })
     }
 
-    /// Creates a Gaussian from a mean and a **3σ** spread, the convention
-    /// used for all variation budgets in the paper (e.g. "3σ CD variation
-    /// of 3nm").
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Gaussian::new`] applied to `three_sigma / 3`.
-    pub fn from_three_sigma(mean: f64, three_sigma: f64) -> Result<Self, StatsError> {
-        Self::new(mean, three_sigma / 3.0)
-    }
-
     /// The distribution mean.
     pub fn mean(&self) -> f64 {
         self.mean
@@ -83,14 +72,8 @@ impl Gaussian {
         self.mean + self.sigma * standard_normal(rng)
     }
 
-    /// Probability density function at `x`.
-    pub fn pdf(&self, x: f64) -> f64 {
-        let z = (x - self.mean) / self.sigma;
-        (-0.5 * z * z).exp() / (self.sigma * (2.0 * std::f64::consts::PI).sqrt())
-    }
-
     /// Cumulative distribution function at `x`, via `erf`.
-    pub fn cdf(&self, x: f64) -> f64 {
+    pub(crate) fn cdf(&self, x: f64) -> f64 {
         let z = (x - self.mean) / (self.sigma * std::f64::consts::SQRT_2);
         0.5 * (1.0 + erf(z))
     }
@@ -113,7 +96,7 @@ pub fn standard_normal(rng: &mut RngStream) -> f64 {
 }
 
 /// Error function approximation (Abramowitz & Stegun 7.1.26, |ε| < 1.5e-7).
-pub fn erf(x: f64) -> f64 {
+pub(crate) fn erf(x: f64) -> f64 {
     let sign = if x < 0.0 { -1.0 } else { 1.0 };
     let x = x.abs();
     let t = 1.0 / (1.0 + 0.3275911 * x);
@@ -133,7 +116,7 @@ pub fn erf(x: f64) -> f64 {
 /// magnitude larger than the answer. Rare-event yield estimation needs tail
 /// masses down to 1e-9 and beyond, so this variant keeps ~7 significant
 /// digits at any argument.
-pub fn erfc(x: f64) -> f64 {
+pub(crate) fn erfc(x: f64) -> f64 {
     let t = 1.0 / (1.0 + 0.5 * x.abs());
     let ans = t
         * (-x * x - 1.265_512_23
@@ -155,7 +138,7 @@ pub fn erfc(x: f64) -> f64 {
 
 /// Upper-tail probability `Q(z) = P[Z > z]` of the standard normal,
 /// accurate in a **relative** sense arbitrarily deep in the tail
-/// (via [`erfc`]).
+/// (via `erfc`).
 pub fn normal_tail(z: f64) -> f64 {
     0.5 * erfc(z / std::f64::consts::SQRT_2)
 }
@@ -163,9 +146,9 @@ pub fn normal_tail(z: f64) -> f64 {
 /// Inverse CDF (quantile function) of the standard normal.
 ///
 /// Acklam's rational approximation (|relative ε| < 1.15e-9) followed by one
-/// Halley refinement step against the [`erfc`]-based CDF, which makes the
+/// Halley refinement step against the `erfc`-based CDF, which makes the
 /// result self-consistent with [`normal_tail`] (round-trips agree to the
-/// ~1e-7 relative accuracy of [`erfc`]). Used to plant analytically-known
+/// ~1e-7 relative accuracy of `erfc`). Used to plant analytically-known
 /// failure thresholds (`z = Φ⁻¹(1 − P_fail)`) and to turn confidence levels
 /// into normal critical values.
 ///
@@ -325,12 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn three_sigma_constructor_divides() {
-        let g = Gaussian::from_three_sigma(0.0, 3.0).unwrap();
-        assert!((g.sigma() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn gaussian_moments_match() {
         let g = Gaussian::new(2.0, 0.5).unwrap();
         let mut rng = RngStream::from_seed(17);
@@ -348,14 +325,6 @@ mod tests {
         // ~99.73% within 3 sigma.
         let p3 = g.cdf(7.0) - g.cdf(-5.0);
         assert!((p3 - 0.9973).abs() < 1e-3);
-    }
-
-    #[test]
-    fn pdf_peaks_at_mean() {
-        let g = Gaussian::new(0.0, 1.0).unwrap();
-        assert!(g.pdf(0.0) > g.pdf(0.5));
-        assert!(g.pdf(0.5) > g.pdf(1.5));
-        assert!((g.pdf(0.0) - 0.3989422804014327).abs() < 1e-9);
     }
 
     #[test]

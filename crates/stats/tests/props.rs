@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use mpvar_stats::percentile::{iqr, quantile_sorted};
+use mpvar_stats::percentile::quantile_sorted;
 use mpvar_stats::{ks_test_fitted, ks_test_gaussian, median, quantile};
 
 fn finite() -> impl Strategy<Value = f64> {
@@ -17,31 +17,36 @@ proptest! {
     fn single_sample_is_every_quantile(x in finite(), q in 0.0..=1.0) {
         prop_assert_eq!(quantile(&[x], q).unwrap(), x);
         prop_assert_eq!(median(&[x]).unwrap(), x);
-        prop_assert_eq!(iqr(&[x]).unwrap(), 0.0);
     }
 
-    /// All-equal data collapses every quantile to the common value and
-    /// the IQR to zero, for any length.
+    /// All-equal data collapses every quantile to the common value, for
+    /// any length.
     #[test]
     fn all_equal_data_collapses(x in finite(), n in 1usize..50, q in 0.0..=1.0) {
         let data = vec![x; n];
         prop_assert_eq!(quantile(&data, q).unwrap(), x);
-        prop_assert_eq!(iqr(&data).unwrap(), 0.0);
     }
 
     /// Quantiles are bounded by the extremes, monotone in `q`, and
-    /// permutation-invariant — including under heavy ties.
+    /// permutation-invariant — including under heavy ties and next to
+    /// an infinite order statistic.
     #[test]
     fn quantile_order_laws(
         mut data in prop::collection::vec(finite(), 1..40),
         q1 in 0.0..=1.0,
         q2 in 0.0..=1.0,
+        infinity in prop::sample::select(vec![None, Some(f64::INFINITY), Some(f64::NEG_INFINITY)]),
+        slot in 0usize..40,
     ) {
         // Inject ties: duplicate the first element over the first half.
         let half = data.len() / 2;
         let tie = data[0];
         for slot in data.iter_mut().take(half) {
             *slot = tie;
+        }
+        if let Some(inf) = infinity {
+            let i = slot % data.len();
+            data[i] = inf;
         }
         let (lo, hi) = (q1.min(q2), q1.max(q2));
         let vlo = quantile(&data, lo).unwrap();

@@ -60,7 +60,7 @@ pub fn context_fingerprint(ctx: &ExperimentContext) -> u64 {
 }
 
 /// The content key of one graph node under one context fingerprint.
-pub fn node_key(ctx_fingerprint: u64, id: ArtifactId, dep_keys: &[CacheKey]) -> CacheKey {
+pub(crate) fn node_key(ctx_fingerprint: u64, id: ArtifactId, dep_keys: &[CacheKey]) -> CacheKey {
     let mut state = fnv1a(&ctx_fingerprint.to_le_bytes());
     state = fnv1a_step(id.name().as_bytes(), state);
     for dep in dep_keys {

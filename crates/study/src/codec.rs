@@ -12,7 +12,7 @@
 //! ([`f64::to_bits`]), so round-trips are exact — including infinities
 //! (`rel_half_width` of a zero-probability yield row) and negative
 //! zero. No field names, no self-description: the payload is only
-//! meaningful under [`CODEC_VERSION`], which the disk envelope pins.
+//! meaningful under `CODEC_VERSION`, which the disk envelope pins.
 //! Bumping the codec (any layout change!) orphans old entries — they
 //! fail the envelope check and are recomputed, never misread.
 //!
@@ -44,7 +44,7 @@ use crate::value::{ArtifactValue, SensitivityMatrix};
 /// Version of the payload layout. Any change to the encoding — field
 /// added, type widened, order shuffled — must bump this; the disk
 /// envelope stores it and refuses to decode a mismatch.
-pub const CODEC_VERSION: u32 = 2;
+pub(crate) const CODEC_VERSION: u32 = 2;
 
 /// A decode failure: the payload is truncated, structurally invalid,
 /// or from an incompatible producer.
@@ -353,31 +353,31 @@ fn intern_estimator(r: &Reader<'_>, name: &str) -> Result<&'static str, CodecErr
 // ---------------------------------------------------------------------
 
 /// Variant tags, fixed forever once assigned (tags 1–14 date from
-/// [`CODEC_VERSION`] 1; 15–19 joined with version 2, which also added
+/// `CODEC_VERSION` 1; 15–19 joined with version 2, which also added
 /// the `failed_reads` field to the FIG5 distribution layout).
 mod tag {
-    pub const TABLE1: u8 = 1;
-    pub const FIG4: u8 = 2;
-    pub const TABLE2: u8 = 3;
-    pub const TABLE3: u8 = 4;
-    pub const FIG5: u8 = 5;
-    pub const TABLE4: u8 = 6;
-    pub const ABLATION_DELAY: u8 = 7;
-    pub const ABLATION_BL_WIDTH: u8 = 8;
-    pub const ABLATION_SADP_VSS: u8 = 9;
-    pub const EXTENSION_LE2: u8 = 10;
-    pub const EXTENSION_LER: u8 = 11;
-    pub const EXTENSION_SENSITIVITY: u8 = 12;
-    pub const EXTENSION_SCALING: u8 = 13;
-    pub const YIELD_6SIGMA: u8 = 14;
-    pub const WRITE_TIME: u8 = 15;
-    pub const WRITE_MARGIN: u8 = 16;
-    pub const SENSE_MARGIN: u8 = 17;
-    pub const WL_DELAY: u8 = 18;
-    pub const WRITE_YIELD: u8 = 19;
+    pub(crate) const TABLE1: u8 = 1;
+    pub(crate) const FIG4: u8 = 2;
+    pub(crate) const TABLE2: u8 = 3;
+    pub(crate) const TABLE3: u8 = 4;
+    pub(crate) const FIG5: u8 = 5;
+    pub(crate) const TABLE4: u8 = 6;
+    pub(crate) const ABLATION_DELAY: u8 = 7;
+    pub(crate) const ABLATION_BL_WIDTH: u8 = 8;
+    pub(crate) const ABLATION_SADP_VSS: u8 = 9;
+    pub(crate) const EXTENSION_LE2: u8 = 10;
+    pub(crate) const EXTENSION_LER: u8 = 11;
+    pub(crate) const EXTENSION_SENSITIVITY: u8 = 12;
+    pub(crate) const EXTENSION_SCALING: u8 = 13;
+    pub(crate) const YIELD_6SIGMA: u8 = 14;
+    pub(crate) const WRITE_TIME: u8 = 15;
+    pub(crate) const WRITE_MARGIN: u8 = 16;
+    pub(crate) const SENSE_MARGIN: u8 = 17;
+    pub(crate) const WL_DELAY: u8 = 18;
+    pub(crate) const WRITE_YIELD: u8 = 19;
 }
 
-/// Encodes one artifact value into its [`CODEC_VERSION`] payload.
+/// Encodes one artifact value into its `CODEC_VERSION` payload.
 pub fn encode_value(value: &ArtifactValue) -> Vec<u8> {
     let mut out = Vec::with_capacity(256);
     match value {
@@ -611,7 +611,7 @@ fn put_option_rows(out: &mut Vec<u8>, rows: &[(PatterningOption, f64, f64, f64)]
 // Decode
 // ---------------------------------------------------------------------
 
-/// Decodes a [`CODEC_VERSION`] payload back into the typed value.
+/// Decodes a `CODEC_VERSION` payload back into the typed value.
 ///
 /// # Errors
 ///

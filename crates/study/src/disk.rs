@@ -49,11 +49,11 @@ use crate::store::{ArtifactStore, StoreStats};
 use crate::value::ArtifactValue;
 
 /// Magic prefix of every committed envelope.
-pub const ENVELOPE_MAGIC: [u8; 8] = *b"MPVARART";
+pub(crate) const ENVELOPE_MAGIC: [u8; 8] = *b"MPVARART";
 
 /// Version of the envelope framing itself (independent of the payload
 /// codec version, which has its own field).
-pub const ENVELOPE_VERSION: u32 = 1;
+pub(crate) const ENVELOPE_VERSION: u32 = 1;
 
 const HEADER_LEN: usize = 8 + 4 + 4 + 8 + 8 + 8;
 

@@ -53,8 +53,8 @@ pub mod session;
 pub mod store;
 pub mod value;
 
-pub use cache::{context_fingerprint, node_key, CacheKey};
-pub use codec::{decode_value, encode_value, CodecError, CODEC_VERSION};
+pub use cache::{context_fingerprint, CacheKey};
+pub use codec::{decode_value, encode_value, CodecError};
 pub use disk::{DiskStore, WriteFault};
 pub use graph::{plan, ArtifactId};
 pub use session::{NodeStats, Study};

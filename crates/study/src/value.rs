@@ -53,7 +53,7 @@ pub struct SensitivityMatrix {
 
 impl SensitivityMatrix {
     /// Renders the concatenated per-option report tables.
-    pub fn report_text(&self) -> String {
+    pub(crate) fn report_text(&self) -> String {
         let mut text = String::new();
         for profile in &self.profiles {
             text.push_str(&profile.report().render());

@@ -82,7 +82,7 @@ impl TechDb {
     }
 
     /// Adds (or replaces) a metal layer spec.
-    pub fn add_metal(&mut self, spec: MetalSpec) {
+    pub(crate) fn add_metal(&mut self, spec: MetalSpec) {
         self.metals.insert(spec.level(), spec);
     }
 
@@ -92,7 +92,7 @@ impl TechDb {
     }
 
     /// Iterates metal specs in increasing level order.
-    pub fn metals(&self) -> impl Iterator<Item = &MetalSpec> {
+    pub(crate) fn metals(&self) -> impl Iterator<Item = &MetalSpec> {
         self.metals.values()
     }
 
@@ -107,7 +107,7 @@ impl TechDb {
     }
 
     /// Sets the variation budget for a patterning option.
-    pub fn set_budget(&mut self, option: PatterningOption, budget: VariationBudget) {
+    pub(crate) fn set_budget(&mut self, option: PatterningOption, budget: VariationBudget) {
         self.budgets.insert(option, budget);
     }
 

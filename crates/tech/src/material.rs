@@ -51,12 +51,12 @@ impl Conductor {
     }
 
     /// Bulk resistivity in Ω·m.
-    pub fn rho_bulk_ohm_m(&self) -> f64 {
+    pub(crate) fn rho_bulk_ohm_m(&self) -> f64 {
         self.rho_bulk_ohm_m
     }
 
     /// Size-effect calibration length in nm.
-    pub fn k_size_nm(&self) -> f64 {
+    pub(crate) fn k_size_nm(&self) -> f64 {
         self.k_size_nm
     }
 
@@ -89,7 +89,7 @@ pub struct Dielectric {
 }
 
 /// Vacuum permittivity in F/m.
-pub const EPSILON_0: f64 = 8.854_187_812_8e-12;
+pub(crate) const EPSILON_0: f64 = 8.854_187_812_8e-12;
 
 impl Dielectric {
     /// Creates a dielectric from its relative permittivity.
@@ -110,7 +110,7 @@ impl Dielectric {
     }
 
     /// Relative permittivity.
-    pub fn k_rel(&self) -> f64 {
+    pub(crate) fn k_rel(&self) -> f64 {
         self.k_rel
     }
 

@@ -32,7 +32,7 @@ use crate::material::{Conductor, Dielectric};
 ///     .conductor(Conductor::new(1.9e-8, 30.0)?)
 ///     .dielectric(Dielectric::new(2.9)?)
 ///     .build()?;
-/// assert_eq!(m1.min_space(), Nm(24));
+/// assert_eq!(m1.pitch() - m1.min_width(), Nm(24));
 /// # Ok::<(), mpvar_tech::TechError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -69,11 +69,6 @@ impl MetalSpec {
     /// Minimum drawn linewidth.
     pub fn min_width(&self) -> Nm {
         self.min_width
-    }
-
-    /// Minimum space at minimum width (`pitch - min_width`).
-    pub fn min_space(&self) -> Nm {
-        self.pitch - self.min_width
     }
 
     /// Metal thickness in nm.
@@ -310,7 +305,7 @@ mod tests {
     fn builds_valid_spec() {
         let m = base_builder().build().unwrap();
         assert_eq!(m.level(), 1);
-        assert_eq!(m.min_space(), Nm(24));
+        assert_eq!(m.pitch() - m.min_width(), Nm(24));
         assert_eq!(m.effective_thickness_nm(), 42.0);
     }
 

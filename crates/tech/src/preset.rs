@@ -186,7 +186,7 @@ mod tests {
         let t = n10();
         let m1 = t.metal(1).unwrap();
         assert_eq!(m1.pitch(), Nm(48));
-        assert_eq!(m1.min_space(), Nm(24));
+        assert_eq!(m1.pitch() - m1.min_width(), Nm(24));
         // Damascene AR (thickness/width) in the 1.5-2 range.
         let ar = m1.thickness_nm() / m1.min_width().0 as f64;
         assert!(ar > 1.4 && ar < 2.1, "AR {ar}");

@@ -97,7 +97,7 @@ impl fmt::Display for PatterningOption {
 ///
 /// // The paper's LE3 worst case: 3nm CD, 8nm overlay.
 /// let le3 = VariationBudget::new(3.0, 8.0, 0.0)?;
-/// assert!((le3.cd_sigma_nm() - 1.0).abs() < 1e-12); // 3nm / 3
+/// assert_eq!(le3.cd_three_sigma_nm(), 3.0);
 /// # Ok::<(), mpvar_tech::TechError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -138,34 +138,6 @@ impl VariationBudget {
     /// 3σ spacer-thickness variation, nm.
     pub fn spacer_three_sigma_nm(&self) -> f64 {
         self.spacer_three_sigma_nm
-    }
-
-    /// 1σ CD variation, nm.
-    pub fn cd_sigma_nm(&self) -> f64 {
-        self.cd_three_sigma_nm / 3.0
-    }
-
-    /// 1σ overlay error, nm.
-    pub fn overlay_sigma_nm(&self) -> f64 {
-        self.overlay_three_sigma_nm / 3.0
-    }
-
-    /// 1σ spacer variation, nm.
-    pub fn spacer_sigma_nm(&self) -> f64 {
-        self.spacer_three_sigma_nm / 3.0
-    }
-
-    /// Returns a copy with a different overlay budget — the paper sweeps
-    /// LE3 overlay over 3–8nm (Table IV).
-    ///
-    /// # Errors
-    ///
-    /// [`TechError::InvalidParameter`] for a negative/non-finite value.
-    pub fn with_overlay_three_sigma_nm(&self, ol: f64) -> Result<Self, TechError> {
-        Ok(Self {
-            overlay_three_sigma_nm: non_negative("overlay_three_sigma_nm", ol)?,
-            ..*self
-        })
     }
 
     /// The paper's default budget for `option` at the given LE3 overlay
@@ -213,14 +185,6 @@ mod tests {
     }
 
     #[test]
-    fn sigma_conversion() {
-        let b = VariationBudget::new(3.0, 8.0, 1.5).unwrap();
-        assert!((b.cd_sigma_nm() - 1.0).abs() < 1e-12);
-        assert!((b.overlay_sigma_nm() - 8.0 / 3.0).abs() < 1e-12);
-        assert!((b.spacer_sigma_nm() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn paper_defaults_match_section_2a() {
         let le3 = VariationBudget::paper_default(PatterningOption::Le3, 8.0).unwrap();
         assert_eq!(le3.cd_three_sigma_nm(), 3.0);
@@ -235,14 +199,5 @@ mod tests {
         assert_eq!(euv.cd_three_sigma_nm(), 3.0);
         assert_eq!(euv.overlay_three_sigma_nm(), 0.0);
         assert_eq!(euv.spacer_three_sigma_nm(), 0.0);
-    }
-
-    #[test]
-    fn overlay_sweep_helper() {
-        let b = VariationBudget::paper_default(PatterningOption::Le3, 8.0).unwrap();
-        let swept = b.with_overlay_three_sigma_nm(5.0).unwrap();
-        assert_eq!(swept.overlay_three_sigma_nm(), 5.0);
-        assert_eq!(swept.cd_three_sigma_nm(), 3.0);
-        assert!(b.with_overlay_three_sigma_nm(-2.0).is_err());
     }
 }

@@ -56,12 +56,6 @@ impl CsvTable {
             .position(|h| h.trim().to_ascii_lowercase() == want)
     }
 
-    /// The values of one named column, if present.
-    pub fn column_values(&self, name: &str) -> Option<Vec<&str>> {
-        let i = self.column(name)?;
-        Some(self.rows.iter().map(|r| r[i].as_str()).collect())
-    }
-
     /// The join key of a row: the trimmed cells of `key_columns`
     /// (already resolved to indices), tab-joined.
     pub fn key_of(&self, row: &[String], key_indices: &[usize]) -> String {
@@ -151,7 +145,7 @@ fn parse_records(text: &str) -> Result<Vec<Vec<String>>, TestkitError> {
 /// `"6.84 ps"` cell parses to `6.84`, not seconds) — comparisons are
 /// always golden-vs-fresh in identical units, so no conversion is
 /// needed or wanted.
-pub fn parse_number(cell: &str) -> Option<f64> {
+pub(crate) fn parse_number(cell: &str) -> Option<f64> {
     let mut s = cell.trim();
     for suffix in ["%", "ps", "ns", "nm", "ohm", "fF"] {
         if let Some(stripped) = s.strip_suffix(suffix) {
@@ -168,7 +162,7 @@ pub fn parse_number(cell: &str) -> Option<f64> {
 
 /// Parses an interval cell `[lo, hi]` (the bootstrap-CI rendering)
 /// into its bounds.
-pub fn parse_interval(cell: &str) -> Option<(f64, f64)> {
+pub(crate) fn parse_interval(cell: &str) -> Option<(f64, f64)> {
     let s = cell.trim().strip_prefix('[')?.strip_suffix(']')?;
     let (lo, hi) = s.split_once(',')?;
     let lo = parse_number(lo)?;
@@ -200,10 +194,7 @@ mod tests {
     fn quoted_header_with_comma() {
         let t = CsvTable::parse("option,\"tdp sigma, MP only\"\nLELELE,2.498%\n").unwrap();
         assert_eq!(t.column("tdp sigma, MP only"), Some(1));
-        assert_eq!(
-            t.column_values("tdp sigma, MP only").unwrap(),
-            vec!["2.498%"]
-        );
+        assert_eq!(t.rows[0][1], "2.498%");
     }
 
     #[test]

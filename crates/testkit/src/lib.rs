@@ -41,7 +41,7 @@ pub mod report;
 pub mod write_oracle;
 
 pub use compare::{compare_tables, ColumnSpec, Policy, TableSpec};
-pub use csv::{parse_interval, parse_number, CsvTable};
+pub use csv::CsvTable;
 pub use oracle::{run_delay_oracles, OracleConfig, OracleReport};
 pub use report::{CheckItem, CheckReport};
 pub use write_oracle::{run_write_oracles, WriteOracleConfig, WriteOracleReport};

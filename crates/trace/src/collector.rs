@@ -1,7 +1,7 @@
 //! Collector installation and the global dispatch fan-out.
 //!
 //! A [`Collector`] bundles a set of sinks with one
-//! [`MetricsRegistry`]. Installing it ([`Collector::install`]) makes
+//! `MetricsRegistry`. Installing it ([`Collector::install`]) makes
 //! tracing globally *enabled*; dropping the returned
 //! [`CollectorGuard`] removes it again and flushes the accumulated
 //! metrics snapshot into every sink. Multiple collectors may be active

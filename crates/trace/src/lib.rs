@@ -58,10 +58,10 @@ pub mod sink;
 pub mod span;
 
 pub use collector::{counter_add, enabled, gauge_set, histogram_record, Collector, CollectorGuard};
-pub use metrics::{Metric, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{Metric, MetricsSnapshot};
 pub use schema::{validate_jsonl, SchemaError, TraceLog};
 pub use sink::{JsonlSink, NullSink, RecordingSink, TraceSink};
-pub use span::{current_span, FieldValue, Fields, SpanGuard, SpanId, SpanRecord};
+pub use span::{FieldValue, Fields, SpanGuard, SpanId, SpanRecord};
 
 /// Canonical span and metric names emitted by the workspace crates.
 ///
@@ -172,12 +172,6 @@ pub mod names {
     pub const YIELD_ZERO_WEIGHT: &str = "yield.zero_weight_trials";
     /// Gauge: effective sample size of the last completed yield run.
     pub const YIELD_ESS: &str = "yield.ess";
-
-    /// Gauge: capacity bytes held by the reusable statistics sort
-    /// scratch (quantile/KS/bootstrap paths) — steady-state MC loops
-    /// must hold this flat, mirroring the batched-solver workspace
-    /// discipline.
-    pub const STATS_SCRATCH_BYTES: &str = "stats.scratch_bytes";
 
     /// Counter: artifact-store lookups answered by decoding a
     /// persisted on-disk entry (a "disk-warm" hit).

@@ -1,6 +1,6 @@
 //! The metrics registry: counters, gauges, fixed-bucket histograms.
 //!
-//! Each [`crate::Collector`] owns one [`MetricsRegistry`]; the free
+//! Each [`crate::Collector`] owns one `MetricsRegistry`; the free
 //! functions in [`crate::collector`] fan updates out to every active
 //! collector. Metrics are cumulative over a collector's lifetime and
 //! are delivered to sinks as one [`MetricsSnapshot`] when the collector
@@ -172,7 +172,7 @@ pub type MetricsSnapshot = BTreeMap<String, Metric>;
 
 /// A registry of named metrics, safe for concurrent update.
 #[derive(Debug, Default)]
-pub struct MetricsRegistry {
+pub(crate) struct MetricsRegistry {
     inner: Mutex<BTreeMap<&'static str, Metric>>,
 }
 

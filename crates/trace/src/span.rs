@@ -175,7 +175,7 @@ pub(crate) fn thread_ordinal() -> u64 {
 ///
 /// Capture this before handing work to another thread, then parent the
 /// worker's spans with [`SpanGuard::enter_with_parent`].
-pub fn current_span() -> Option<SpanId> {
+pub(crate) fn current_span() -> Option<SpanId> {
     STACK.with(|stack| stack.borrow().last().copied().map(SpanId))
 }
 

@@ -117,16 +117,6 @@ impl YieldConfig {
         &self.proposal
     }
 
-    /// The CI confidence level.
-    pub fn confidence_level(&self) -> f64 {
-        self.confidence
-    }
-
-    /// The soft trial budget.
-    pub fn trial_budget(&self) -> usize {
-        self.max_trials
-    }
-
     /// Trial count of round `round` — a pure function of the index.
     fn round_trials(&self, round: usize) -> usize {
         self.base_round << round.min(MAX_ROUND_SHIFT)

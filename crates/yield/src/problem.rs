@@ -1,7 +1,7 @@
 //! The failure-problem abstraction the controller estimates over, plus
 //! an analytic planted-failure problem for statistical verification.
 
-use mpvar_stats::{inverse_normal_cdf, normal_tail, StatsError};
+use mpvar_stats::{inverse_normal_cdf, StatsError};
 
 use crate::YieldError;
 
@@ -88,12 +88,6 @@ impl PlantedThreshold {
     pub fn threshold(&self) -> f64 {
         self.threshold
     }
-
-    /// The exact failure probability `P[Z > threshold] = Q(threshold)`
-    /// under the untruncated standard-normal target.
-    pub fn failure_probability(&self) -> f64 {
-        normal_tail(self.threshold)
-    }
 }
 
 impl FailureProblem for PlantedThreshold {
@@ -121,12 +115,13 @@ impl FailureProblem for PlantedThreshold {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpvar_stats::normal_tail;
 
     #[test]
     fn planted_probability_round_trips() {
         for p in [1e-2, 1e-4, 1e-6, 1e-9] {
             let problem = PlantedThreshold::for_failure_probability(3, p).unwrap();
-            let back = problem.failure_probability();
+            let back = normal_tail(problem.threshold());
             assert!(
                 (back - p).abs() / p < 1e-5,
                 "p = {p}, threshold = {}, back = {back}",
