@@ -441,6 +441,63 @@ mod tests {
         );
     }
 
+    /// The committed baseline checks properties, so each of its checks
+    /// fails on the regression it guards whatever the run costs: the
+    /// counters below are a traced quick `all`, then that trace with
+    /// the transient stop or the symbolic LU reuse switched off.
+    #[test]
+    fn committed_baseline_fails_on_the_regressions_it_guards() {
+        let baseline = PerfBaseline::parse(include_str!(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../results/perf_baseline.json"
+        )))
+        .expect("committed baseline parses");
+        let honest = [
+            ("spice.lu_symbolic_reuses", 11_538),
+            ("spice.lu_symbolic_builds", 24),
+            ("spice.lu_refactors", 11_562),
+            ("spice.nr_failures", 0),
+            ("spice.nr_iterations", 11_562),
+            ("spice.transient_steps", 5_547),
+            ("spice.transients", 24),
+            ("mc.trials", 97_500),
+            ("yield.rounds", 123),
+            ("yield.evaluated_trials", 837_632),
+            ("yield.trials", 1_970_176),
+        ];
+        let failed = |changes: &[(&str, u64)]| {
+            let mut counters = honest.to_vec();
+            for &(name, value) in changes {
+                match counters.iter_mut().find(|(n, _)| *n == name) {
+                    Some(entry) => entry.1 = value,
+                    None => counters.push((name, value)),
+                }
+            }
+            let report = check(&baseline, &trace_with(80, 20, &counters)).expect("check");
+            report
+                .failed_names()
+                .iter()
+                .map(|n| n.to_string())
+                .collect::<Vec<_>>()
+        };
+        assert!(failed(&[]).is_empty(), "honest trace passes");
+        // Every scalar transient runs its whole 2000-step window.
+        assert_eq!(
+            failed(&[("spice.transient_steps", 48_000)]),
+            ["steps-per-transient"]
+        );
+        // A trace that lost the run counter cannot pass either.
+        assert_eq!(failed(&[("spice.transients", 0)]), ["steps-per-transient"]);
+        // Every factor rebuilds its symbolic analysis.
+        assert_eq!(
+            failed(&[
+                ("spice.lu_symbolic_reuses", 0),
+                ("spice.lu_symbolic_builds", 11_562)
+            ]),
+            ["lu-symbolic-reuse", "symbolic-rebuild-rate"]
+        );
+    }
+
     #[test]
     fn counter_checks_fail_on_missing_and_zero_denominator() {
         let baseline = sample_baseline();

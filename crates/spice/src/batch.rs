@@ -107,7 +107,9 @@ pub enum LaneFalloutReason {
 /// Per-lane result of a batched transient.
 #[derive(Debug, Clone)]
 pub enum BatchLaneOutcome {
-    /// The lane ran to `t_stop` inside the batch.
+    /// The lane stayed in the batch to its end: `t_stop`, or the step
+    /// at which every lane still in it had stopped
+    /// ([`run_transient_batch_until`]).
     Completed {
         /// One waveform per entry of [`BatchTransientSpec::probes`], on
         /// the shared time grid.
@@ -632,6 +634,9 @@ fn same_structure(reference: &Netlist, net: &Netlist) -> bool {
 /// lanes the batch cannot carry fall out ([`BatchLaneOutcome::FellOut`])
 /// and should be re-run through the scalar path.
 ///
+/// The same as [`run_transient_batch_until`] with a stop that never
+/// fires.
+///
 /// # Errors
 ///
 /// [`SpiceError::InvalidAnalysis`] for an empty batch, an empty
@@ -642,6 +647,30 @@ pub fn run_transient_batch(
     nets: &[&Netlist],
     spec: &BatchTransientSpec<'_>,
     ws: &mut BatchedMnaWorkspace,
+) -> Result<BatchTransientResult, SpiceError> {
+    run_transient_batch_until(nets, spec, ws, |_, _, _| false)
+}
+
+/// Runs [`run_transient_batch`], but asks `stop(lane, times, probes)`
+/// after every accepted step whether that lane's record so far (the
+/// shared time grid and the lane's probe waveforms) is enough. A lane
+/// is asked until it first answers `true`; the batch ends after the
+/// first step at which every lane still in it has answered `true`.
+///
+/// Every lane's record is a bit-identical prefix of what
+/// [`run_transient_batch`] returns (and so of the scalar
+/// [`crate::transient::Transient::run`]), because each step depends
+/// only on earlier ones: a measurement that reads nothing after the
+/// step where the lane's `stop` fired gives the same answer on either.
+///
+/// # Errors
+///
+/// As [`run_transient_batch`].
+pub fn run_transient_batch_until(
+    nets: &[&Netlist],
+    spec: &BatchTransientSpec<'_>,
+    ws: &mut BatchedMnaWorkspace,
+    mut stop: impl FnMut(usize, &[f64], &[Vec<f64>]) -> bool,
 ) -> Result<BatchTransientResult, SpiceError> {
     if nets.is_empty() {
         return Err(SpiceError::InvalidAnalysis {
@@ -795,6 +824,8 @@ pub fn run_transient_batch(
     let mut compiled: Option<CompiledBatch> = None;
     let mut current_key: Option<(bool, f64)> = None;
     let mut live = vec![false; lanes];
+    // Lanes whose `stop` has fired; they keep stepping with the batch.
+    let mut done = vec![false; lanes];
     let mut first_step = true;
     let mut t_prev = 0.0f64;
 
@@ -1002,6 +1033,16 @@ pub fn run_transient_batch(
             }
         }
         times.push(t);
+        let mut all_done = true;
+        for l in 0..lanes {
+            if fallout[l].is_none() && !done[l] {
+                done[l] = stop(l, &times, &probe_series[l]);
+                all_done &= done[l];
+            }
+        }
+        if all_done {
+            break 'steps;
+        }
         t_prev = t;
         first_step = false;
     }
@@ -1802,6 +1843,84 @@ mod tests {
             // Sanity: the cap actually discharged through the device.
             let last = *scalar.waveform(bl).last().unwrap();
             assert!(last < 0.65, "bl never discharged: {last}");
+        }
+    }
+
+    #[test]
+    fn batch_until_stops_when_every_lane_has_and_keeps_bit_identical_prefixes() {
+        let mut nets: Vec<Netlist> = [(1.0, 1.0), (1.3, 0.8), (0.7, 1.4)]
+            .iter()
+            .map(|&(s, c)| nmos_lane(s, c))
+            .collect();
+        // A lane that falls out at admission is never asked and does not
+        // hold the batch open.
+        let mut odd = nmos_lane(1.0, 1.0);
+        let bl_odd = odd.find_node("bl").unwrap();
+        odd.add_resistor("REXTRA", bl_odd, Netlist::GROUND, 1e6)
+            .unwrap();
+        nets.push(odd);
+        let refs: Vec<&Netlist> = nets.iter().collect();
+        let bl = nets[0].find_node("bl").unwrap();
+        let gate = nets[0].find_node("gate").unwrap();
+        let initial = [(bl, 0.7), (gate, 0.0)];
+        // 0.2 ps does not divide 20.5 ps: step 103 is shortened.
+        let (dt, t_stop) = (2e-13, 2.05e-11);
+        let spec = BatchTransientSpec {
+            method: Method::Trapezoidal,
+            dt,
+            t_stop,
+            initial: &initial,
+            probes: &[bl, gate],
+        };
+        let mut ws = BatchedMnaWorkspace::new();
+        let full = run_transient_batch(&refs, &spec, &mut ws).unwrap();
+        assert_eq!(full.times.len(), 104);
+        let full_probes = |l: usize| match &full.lanes[l] {
+            BatchLaneOutcome::Completed { probes } => probes.clone(),
+            other => panic!("lane {l} fell out: {other:?}"),
+        };
+
+        // `stop_at[l]`: the step at which lane l answers `true` (None:
+        // never).
+        let run = |stop_at: [Option<usize>; 3], ws: &mut BatchedMnaWorkspace| {
+            let mut calls = [0usize; 4];
+            let out = run_transient_batch_until(&refs, &spec, ws, |l, times, probes| {
+                calls[l] += 1;
+                assert_eq!(times.len(), probes[0].len(), "lane {l} record in step");
+                Some(times.len() - 1) == stop_at[l]
+            })
+            .unwrap();
+            (out, calls)
+        };
+        for stop_at in [
+            [Some(5), Some(17), Some(9)],
+            [Some(103), Some(1), Some(40)],
+            [None, Some(2), Some(3)],
+        ] {
+            let (out, calls) = run(stop_at, &mut ws);
+            let end = stop_at.iter().map(|s| s.unwrap_or(103)).max().unwrap();
+            assert_eq!(out.times.len(), end + 1, "batch ends at step {end}");
+            assert_bits_eq(&out.times, &full.times[..end + 1], "times");
+            for l in 0..3 {
+                let asked = stop_at[l].unwrap_or(end);
+                assert_eq!(calls[l], asked, "lane {l} asked until it stopped");
+                let BatchLaneOutcome::Completed { probes } = &out.lanes[l] else {
+                    panic!("lane {l} fell out");
+                };
+                let reference = full_probes(l);
+                for (p, r) in probes.iter().zip(&reference) {
+                    assert_bits_eq(p, &r[..end + 1], "probe prefix");
+                }
+                let scalar = scalar_reference(&nets[l], &initial, dt, t_stop);
+                assert_bits_eq(&probes[0], &scalar.waveform(bl)[..end + 1], "scalar prefix");
+            }
+            assert_eq!(calls[3], 0, "a fallen-out lane is never asked");
+            assert!(matches!(
+                out.lanes[3],
+                BatchLaneOutcome::FellOut {
+                    reason: LaneFalloutReason::StructureMismatch
+                }
+            ));
         }
     }
 

@@ -96,6 +96,8 @@ impl<'a> Transient<'a> {
     /// tail (and any threshold crossing in the last interval) is
     /// integrated over the actual interval, not a full `dt`.
     ///
+    /// The same as [`Self::run_until`] with a stop that never fires.
+    ///
     /// # Errors
     ///
     /// * [`SpiceError::InvalidAnalysis`] for non-positive `dt`/`t_stop`
@@ -103,15 +105,38 @@ impl<'a> Transient<'a> {
     /// * [`SpiceError::SingularMatrix`] / [`SpiceError::NoConvergence`]
     ///   from the per-step solves.
     pub fn run(&self, dt: f64, t_stop: f64) -> Result<TransientResult, SpiceError> {
+        self.run_until(dt, t_stop, |_| false)
+    }
+
+    /// Runs the analysis as [`Self::run`] does, but asks `stop` after
+    /// every accepted step whether the record so far is enough, and
+    /// ends the run after the first step for which it answers `true`.
+    ///
+    /// The step grid does not depend on `stop`: the record returned is
+    /// a bit-identical prefix of what [`Self::run`] returns for the same
+    /// `dt` and `t_stop`, since each step depends only on earlier ones.
+    /// A measurement that reads nothing after the step where `stop`
+    /// fired therefore gives the same answer on either record.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::run`], for the steps actually taken.
+    pub fn run_until(
+        &self,
+        dt: f64,
+        t_stop: f64,
+        stop: impl FnMut(&TransientResult) -> bool,
+    ) -> Result<TransientResult, SpiceError> {
         let _span = mpvar_trace::span!(
             mpvar_trace::names::SPAN_SPICE_TRANSIENT,
             dt = dt,
             t_stop = t_stop,
         );
         let mut stats = NewtonStats::default();
-        let result = self.run_fixed(dt, t_stop, &mut stats);
+        let result = self.run_fixed(dt, t_stop, &mut stats, stop);
         stats.emit();
         if let Ok(r) = &result {
+            mpvar_trace::counter_add(mpvar_trace::names::SPICE_TRANSIENTS, 1);
             // Accepted integration steps (the stored t = 0 point is not
             // a step).
             mpvar_trace::counter_add(
@@ -127,6 +152,7 @@ impl<'a> Transient<'a> {
         dt: f64,
         t_stop: f64,
         stats: &mut NewtonStats,
+        mut stop: impl FnMut(&TransientResult) -> bool,
     ) -> Result<TransientResult, SpiceError> {
         let valid = dt > 0.0 && t_stop > 0.0;
         if !valid {
@@ -184,8 +210,8 @@ impl<'a> Transient<'a> {
         let mut cap_i = vec![0.0; caps.len()];
 
         let mut result = TransientResult {
-            times: Vec::with_capacity(steps + 1),
-            voltages: vec![Vec::with_capacity(steps + 1); nn],
+            times: Vec::new(),
+            voltages: vec![Vec::new(); nn],
             node_names: (0..nn)
                 .map(|i| net.node_name(NodeId(i)).to_string())
                 .collect(),
@@ -257,6 +283,9 @@ impl<'a> Transient<'a> {
             node_v[1..nn].copy_from_slice(&x_new[..nn - 1]);
             x = x_new;
             result.push_state(t, &node_v);
+            if stop(&result) {
+                break;
+            }
             t_prev = t;
             first_step = false;
         }
@@ -276,7 +305,8 @@ impl<'a> Transient<'a> {
     }
 }
 
-/// Sampled node waveforms produced by [`Transient::run`].
+/// Sampled node waveforms produced by [`Transient::run`], or the prefix
+/// of them up to the step where [`Transient::run_until`] stopped.
 #[derive(Debug, Clone)]
 pub struct TransientResult {
     times: Vec<f64>,
@@ -543,6 +573,86 @@ mod tests {
         assert!(r.sample(a, 1e-10).is_ok());
         assert!(!r.is_empty());
         assert_eq!(r.node_name(a), "a");
+    }
+
+    /// An NMOS discharging a precharged cap after a gate edge: the
+    /// Newton path, under UIC (BE bootstrap, then trapezoidal).
+    fn gated_discharge() -> (Netlist, NodeId) {
+        let tech = n10();
+        let mut net = Netlist::new();
+        let bl = net.node("bl");
+        let gate = net.node("gate");
+        net.add_vsource(
+            "VG",
+            gate,
+            Netlist::GROUND,
+            Waveform::pulse(0.0, 0.7, 20e-12, 10e-12, 10e-12, 1.0, 0.0).unwrap(),
+        )
+        .unwrap();
+        net.add_capacitor("CBL", bl, Netlist::GROUND, 2e-15)
+            .unwrap();
+        net.add_mosfet(
+            "M1",
+            bl,
+            gate,
+            Netlist::GROUND,
+            MosfetModel::new(*tech.nmos()),
+        )
+        .unwrap();
+        (net, bl)
+    }
+
+    fn assert_prefix(stopped: &TransientResult, full: &TransientResult, nn: usize) {
+        let k = stopped.len();
+        assert!(k <= full.len());
+        let bits = |w: &[f64]| w.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(stopped.times()), bits(&full.times()[..k]), "times");
+        for i in 0..nn {
+            let node = NodeId(i);
+            assert_eq!(
+                bits(stopped.waveform(node)),
+                bits(&full.waveform(node)[..k]),
+                "node {}",
+                full.node_name(node)
+            );
+        }
+    }
+
+    #[test]
+    fn run_until_returns_a_bit_identical_prefix_of_run() {
+        let (net, bl) = gated_discharge();
+        let mut tran = Transient::new(&net).unwrap();
+        tran.set_initial_voltage(bl, 0.7);
+        // 3 ps does not divide 200 ps: the 67th step is shortened.
+        let (dt, t_stop) = (3e-12, 200e-12);
+        let full = tran.run(dt, t_stop).unwrap();
+        assert_eq!(full.len(), 68);
+        let last_dt = full.times()[67] - full.times()[66];
+        assert!(last_dt < dt * 0.9, "final step is shortened: {last_dt}");
+
+        for k in [1, 2, 9, 40] {
+            let mut calls = 0;
+            let stopped = tran
+                .run_until(dt, t_stop, |r| {
+                    calls += 1;
+                    r.len() == k + 1
+                })
+                .unwrap();
+            assert_eq!(stopped.len(), k + 1, "stops right after step {k}");
+            assert_eq!(calls, k, "asked once per accepted step");
+            assert_prefix(&stopped, &full, net.num_nodes());
+        }
+
+        // A stop on the shortened final step, and one that never fires,
+        // both return the whole run.
+        let on_last = tran
+            .run_until(dt, t_stop, |r| *r.times().last().unwrap() == t_stop)
+            .unwrap();
+        assert_eq!(on_last.len(), full.len());
+        assert_prefix(&on_last, &full, net.num_nodes());
+        let never = tran.run_until(dt, t_stop, |_| false).unwrap();
+        assert_eq!(never.len(), full.len());
+        assert_prefix(&never, &full, net.num_nodes());
     }
 
     #[test]

@@ -25,7 +25,7 @@
 use mpvar_extract::{emit_rc_deck, RcDeck, RcDeckSpec};
 use mpvar_litho::{apply_draw, Draw};
 use mpvar_spice::{
-    cross_differential_series, cross_threshold_series, run_transient_batch, BatchLaneOutcome,
+    cross_differential_series, cross_threshold_series, run_transient_batch_until, BatchLaneOutcome,
     BatchTransientSpec, BatchedMnaWorkspace, CrossDirection, Method, MosfetModel, Netlist, NodeId,
     SpiceError, Transient, TransientResult, Waveform,
 };
@@ -295,8 +295,56 @@ impl Testbench {
         }
     }
 
-    /// The scalar window-retry loop: simulate, time the crossing, and
-    /// double the window until it is seen or the retries run out.
+    /// The stop predicate of both drivers: whether the record so far
+    /// (`times`, and `probe(i)` the waveform of [`Self::probes`]`[i]`)
+    /// already holds the crossing [`Self::measure`] finds in the full
+    /// window.
+    ///
+    /// `measure` returns the *first* crossing at or after the *first* WL
+    /// edge, so on a growing record it turns `Crossed` at the step whose
+    /// newest interval holds the WL edge or the operation's crossing,
+    /// and its answer never changes after that. The O(1) test of the
+    /// newest interval (the very comparisons `measure` makes there)
+    /// passes once or twice per run; only then does `measure` run on the
+    /// prefix to confirm.
+    fn crossed<'s>(
+        &self,
+        vdd_v: f64,
+        times: &[f64],
+        probe: impl Fn(usize) -> &'s [f64],
+        diff: &mut Vec<f64>,
+    ) -> bool {
+        let newest = |i: usize| {
+            let w = probe(i);
+            (w[w.len() - 2], w[w.len() - 1])
+        };
+        let wl_mid = vdd_v / 2.0;
+        let (w0, w1) = newest(0);
+        let wl_edge = w0 < wl_mid && w1 >= wl_mid;
+        let op_edge = match self.crossing {
+            Crossing::Differential { dv, .. } => {
+                let ((a0, a1), (b0, b1)) = (newest(1), newest(2));
+                a0 - b0 < dv && a1 - b1 >= dv
+            }
+            Crossing::Falling { v, .. } => {
+                let (v0, v1) = newest(1);
+                v0 > v && v1 <= v
+            }
+        };
+        if !(wl_edge || op_edge) {
+            return false;
+        }
+        let series: Vec<&[f64]> = (0..self.probes().len()).map(probe).collect();
+        // The window only labels the `Timed`, which is dropped here.
+        matches!(
+            self.measure(vdd_v, 0.0, times, &series, diff),
+            Window::Crossed(_)
+        )
+    }
+
+    /// The scalar window-retry loop: simulate until the crossing (or the
+    /// end of the window), time it, and double the window until it is
+    /// seen or the retries run out.
     fn run(&self, spec: &ColumnSpec) -> Result<Timed, SramError> {
         let mut tran = Transient::new(self.deck.netlist())?;
         for &(node, v) in &self.initial {
@@ -309,7 +357,9 @@ impl Testbench {
         for _attempt in 0..=spec.max_retries {
             searched = window;
             let dt = window / spec.steps as f64;
-            let result = tran.run(dt, window)?;
+            let result = tran.run_until(dt, window, |r| {
+                self.crossed(spec.vdd_v, r.times(), |i| r.waveform(probes[i]), &mut diff)
+            })?;
             let series: Vec<&[f64]> = probes.iter().map(|&p| result.waveform(p)).collect();
             match self.measure(spec.vdd_v, window, result.times(), &series, &mut diff) {
                 Window::Crossed(timed) => return Ok(timed),
@@ -389,7 +439,8 @@ impl ColumnScratch {
 
 /// Simulates one access per draw through the batched trial solver: one
 /// shared symbolic analysis and stamp program, with the draws as
-/// vector-friendly value lanes.
+/// vector-friendly value lanes. The batch stops once every lane in it
+/// has crossed ([`Testbench::crossed`], the scalar loop's stop too).
 ///
 /// Lanes the batch cannot carry re-run through [`simulate`], which
 /// reproduces the scalar result (its error included) by definition:
@@ -437,7 +488,11 @@ pub(crate) fn simulate_batch(
                 initial: &first.initial,
                 probes: &probes,
             };
-            match run_transient_batch(&nets, &batch_spec, &mut scratch.ws) {
+            let ColumnScratch { ws, diff } = &mut *scratch;
+            let stop = |l: usize, times: &[f64], probes: &[Vec<f64>]| {
+                lanes[l].1.crossed(spec.vdd_v, times, |i| &probes[i], diff)
+            };
+            match run_transient_batch_until(&nets, &batch_spec, ws, stop) {
                 Ok(batch) => lanes
                     .iter()
                     .zip(&batch.lanes)
@@ -478,7 +533,105 @@ pub(crate) fn simulate_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::readout::{build_read_testbench, ReadConfig};
+    use crate::writepath::{build_write_testbench, WriteConfig};
+    use mpvar_litho::{EuvDraw, Le3Draw};
     use mpvar_spice::cross_threshold;
+    use mpvar_tech::preset::n10;
+    use mpvar_tech::PatterningOption;
+
+    /// The driver without the stop: full-window runs, measured
+    /// afterwards, the window doubling until the crossing is seen.
+    fn full_window(tb: &Testbench, spec: &ColumnSpec) -> Timed {
+        let mut tran = Transient::new(tb.deck.netlist()).unwrap();
+        for &(node, v) in &tb.initial {
+            tran.set_initial_voltage(node, v);
+        }
+        let probes = tb.probes();
+        let mut window = tb.window0_s;
+        for _ in 0..=spec.max_retries {
+            let r = tran.run(window / spec.steps as f64, window).unwrap();
+            let series: Vec<&[f64]> = probes.iter().map(|&p| r.waveform(p)).collect();
+            match tb.measure(spec.vdd_v, window, r.times(), &series, &mut Vec::new()) {
+                Window::Crossed(timed) => return timed,
+                Window::NoCrossing => window *= 2.0,
+                Window::NoWlEdge => panic!("word line never rose"),
+            }
+        }
+        panic!("no window crossed")
+    }
+
+    /// For every draw, the early-stopped scalar and batched drivers
+    /// return the bits `measure` gives on the full window, and the
+    /// scalar run ends at the first step whose record holds the crossing.
+    fn assert_stop_is_exact(
+        spec: &ColumnSpec,
+        n_cells: usize,
+        build: impl Fn(&Draw) -> Result<Testbench, SramError>,
+    ) {
+        let draws = [
+            Draw::nominal(PatterningOption::Euv),
+            Draw::Euv(EuvDraw { cd_nm: 2.0 }),
+            Draw::Euv(EuvDraw { cd_nm: -1.5 }),
+            Draw::nominal(PatterningOption::Le3),
+            Draw::Le3(Le3Draw {
+                cd_nm: [3.0, -2.0, 1.0],
+                overlay_nm: [5.0, 0.0, -5.0],
+            }),
+        ];
+        let mut scratch = ColumnScratch::new();
+        let batched = simulate_batch(spec, n_cells, &draws, &mut scratch, &build).unwrap();
+        for (draw, lane) in draws.iter().zip(batched) {
+            let tb = build(draw).unwrap();
+            let reference = full_window(&tb, spec);
+            let bits = |t: &Timed| [t.t_s, t.t_wl_s, t.window_s].map(f64::to_bits);
+            let scalar = tb.run(spec).unwrap();
+            assert_eq!(bits(&scalar), bits(&reference), "scalar, {draw:?}");
+            assert_eq!(bits(&lane.unwrap()), bits(&reference), "batched, {draw:?}");
+
+            let mut tran = Transient::new(tb.deck.netlist()).unwrap();
+            for &(node, v) in &tb.initial {
+                tran.set_initial_voltage(node, v);
+            }
+            let probes = tb.probes();
+            let window = reference.window_s;
+            let mut diff = Vec::new();
+            let r = tran
+                .run_until(window / spec.steps as f64, window, |r| {
+                    tb.crossed(spec.vdd_v, r.times(), |i| r.waveform(probes[i]), &mut diff)
+                })
+                .unwrap();
+            assert!(r.len() <= spec.steps, "stopped early, {draw:?}");
+            let k = r.len();
+            let prefix =
+                |m: usize| -> Vec<&[f64]> { probes.iter().map(|&p| &r.waveform(p)[..m]).collect() };
+            let measure = |m: usize, diff: &mut Vec<f64>| {
+                tb.measure(spec.vdd_v, window, &r.times()[..m], &prefix(m), diff)
+            };
+            assert!(matches!(measure(k, &mut diff), Window::Crossed(_)));
+            assert!(
+                !matches!(measure(k - 1, &mut diff), Window::Crossed(_)),
+                "one step earlier holds no crossing, {draw:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn early_stopped_reads_and_writes_equal_the_full_window() {
+        let tech = n10();
+        let cell = BitcellGeometry::n10_hd(&tech).unwrap();
+        let (read, write) = (ReadConfig::default(), WriteConfig::default());
+        for n in [8, 64] {
+            let spec = read.column_spec();
+            assert_stop_is_exact(&spec, n, |d| {
+                build_read_testbench(&tech, &cell, &read, &spec, n, d)
+            });
+            let spec = write.column_spec();
+            assert_stop_is_exact(&spec, n, |d| {
+                build_write_testbench(&tech, &cell, &write, &spec, n, d)
+            });
+        }
+    }
 
     #[test]
     fn wl_error_matches_cross_threshold_text() {

@@ -66,7 +66,7 @@ impl Default for ReadConfig {
 }
 
 impl ReadConfig {
-    fn column_spec(&self) -> ColumnSpec {
+    pub(crate) fn column_spec(&self) -> ColumnSpec {
         ColumnSpec {
             span: mpvar_trace::names::SPAN_SRAM_READ,
             vdd_v: self.vdd_v,
@@ -165,7 +165,7 @@ pub fn simulate_read_batch_in(
 /// Builds the §II.C read testbench for one printed draw: the shared
 /// column with the accessed cell (pass gate and pull-down on BL, pass
 /// gate and pull-up on BLB) at the far end.
-fn build_read_testbench(
+pub(crate) fn build_read_testbench(
     tech: &TechDb,
     cell: &BitcellGeometry,
     config: &ReadConfig,

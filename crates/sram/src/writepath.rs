@@ -81,7 +81,7 @@ impl WriteConfig {
         self.flip_fraction * self.vdd_v
     }
 
-    fn column_spec(&self) -> ColumnSpec {
+    pub(crate) fn column_spec(&self) -> ColumnSpec {
         ColumnSpec {
             span: mpvar_trace::names::SPAN_SRAM_WRITE,
             vdd_v: self.vdd_v,
@@ -178,7 +178,7 @@ pub fn simulate_write_batch_in(
 /// Builds the write testbench for one printed draw: the shared column
 /// with the write driver at the near end and a cross-coupled latch
 /// storing a 1 at the far end.
-fn build_write_testbench(
+pub(crate) fn build_write_testbench(
     tech: &TechDb,
     cell: &BitcellGeometry,
     config: &WriteConfig,

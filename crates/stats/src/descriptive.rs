@@ -6,7 +6,7 @@ use crate::error::StatsError;
 /// skewness.
 ///
 /// Values are accumulated with Welford's numerically stable one-pass
-/// update (extended to third and fourth central moments), so summaries of
+/// update (extended to the third central moment), so summaries of
 /// millions of Monte-Carlo trials never need to buffer samples.
 ///
 /// # Example
@@ -25,7 +25,6 @@ pub struct Summary {
     mean: f64,
     m2: f64,
     m3: f64,
-    m4: f64,
     min: f64,
     max: f64,
 }
@@ -38,33 +37,29 @@ impl Summary {
             mean: 0.0,
             m2: 0.0,
             m3: 0.0,
-            m4: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
     }
 
-    /// The raw accumulator state `(n, mean, m2, m3, m4, min, max)` —
+    /// The raw accumulator state `(n, mean, m2, m3, min, max)` —
     /// the exact running-moment internals, exposed so persistence
     /// layers can store a summary bit-exactly instead of re-pushing
     /// samples (whose accumulation order would have to be replayed).
-    pub fn raw_moments(&self) -> (u64, f64, f64, f64, f64, f64, f64) {
-        (
-            self.n, self.mean, self.m2, self.m3, self.m4, self.min, self.max,
-        )
+    pub fn raw_moments(&self) -> (u64, f64, f64, f64, f64, f64) {
+        (self.n, self.mean, self.m2, self.m3, self.min, self.max)
     }
 
     /// Rebuilds a summary from [`Summary::raw_moments`] output. Values
     /// are taken verbatim (no validation), so feed this only state that
     /// came from a real summary.
-    pub fn from_raw_moments(parts: (u64, f64, f64, f64, f64, f64, f64)) -> Summary {
-        let (n, mean, m2, m3, m4, min, max) = parts;
+    pub fn from_raw_moments(parts: (u64, f64, f64, f64, f64, f64)) -> Summary {
+        let (n, mean, m2, m3, min, max) = parts;
         Summary {
             n,
             mean,
             m2,
             m3,
-            m4,
             min,
             max,
         }
@@ -77,11 +72,8 @@ impl Summary {
         let n = self.n as f64;
         let delta = x - self.mean;
         let delta_n = delta / n;
-        let delta_n2 = delta_n * delta_n;
         let term1 = delta * delta_n * n1;
         self.mean += delta_n;
-        self.m4 += term1 * delta_n2 * (n * n - 3.0 * n + 3.0) + 6.0 * delta_n2 * self.m2
-            - 4.0 * delta_n * self.m3;
         self.m3 += term1 * delta_n * (n - 2.0) - 3.0 * delta_n * self.m2;
         self.m2 += term1;
         self.min = self.min.min(x);
@@ -103,23 +95,16 @@ impl Summary {
         let delta = other.mean - self.mean;
         let delta2 = delta * delta;
         let delta3 = delta2 * delta;
-        let delta4 = delta2 * delta2;
 
         let m2 = self.m2 + other.m2 + delta2 * na * nb / n;
         let m3 = self.m3
             + other.m3
             + delta3 * na * nb * (na - nb) / (n * n)
             + 3.0 * delta * (na * other.m2 - nb * self.m2) / n;
-        let m4 = self.m4
-            + other.m4
-            + delta4 * na * nb * (na * na - na * nb + nb * nb) / (n * n * n)
-            + 6.0 * delta2 * (na * na * other.m2 + nb * nb * self.m2) / (n * n)
-            + 4.0 * delta * (na * other.m3 - nb * self.m3) / n;
 
         self.mean += delta * nb / n;
         self.m2 = m2;
         self.m3 = m3;
-        self.m4 = m4;
         self.n += other.n;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);

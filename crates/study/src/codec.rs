@@ -44,7 +44,7 @@ use crate::value::{ArtifactValue, SensitivityMatrix};
 /// Version of the payload layout. Any change to the encoding — field
 /// added, type widened, order shuffled — must bump this; the disk
 /// envelope stores it and refuses to decode a mismatch.
-pub(crate) const CODEC_VERSION: u32 = 2;
+pub(crate) const CODEC_VERSION: u32 = 3;
 
 /// A decode failure: the payload is truncated, structurally invalid,
 /// or from an incompatible producer.
@@ -305,9 +305,9 @@ fn read_parasitics(r: &mut Reader<'_>) -> Result<WireParasitics, CodecError> {
 }
 
 fn put_summary(out: &mut Vec<u8>, s: &Summary) {
-    let (n, mean, m2, m3, m4, min, max) = s.raw_moments();
+    let (n, mean, m2, m3, min, max) = s.raw_moments();
     put_u64(out, n);
-    for v in [mean, m2, m3, m4, min, max] {
+    for v in [mean, m2, m3, min, max] {
         put_f64(out, v);
     }
 }
@@ -315,7 +315,6 @@ fn put_summary(out: &mut Vec<u8>, s: &Summary) {
 fn read_summary(r: &mut Reader<'_>) -> Result<Summary, CodecError> {
     Ok(Summary::from_raw_moments((
         r.u64()?,
-        r.f64()?,
         r.f64()?,
         r.f64()?,
         r.f64()?,
@@ -354,7 +353,9 @@ fn intern_estimator(r: &Reader<'_>, name: &str) -> Result<&'static str, CodecErr
 
 /// Variant tags, fixed forever once assigned (tags 1–14 date from
 /// `CODEC_VERSION` 1; 15–19 joined with version 2, which also added
-/// the `failed_reads` field to the FIG5 distribution layout).
+/// the `failed_reads` field to the FIG5 distribution layout; version 3
+/// dropped the unread fourth moment from every `Summary`, which is now
+/// `n, mean, m2, m3, min, max`).
 mod tag {
     pub(crate) const TABLE1: u8 = 1;
     pub(crate) const FIG4: u8 = 2;

@@ -117,6 +117,9 @@ pub mod names {
     pub const SPICE_NR_FAILURES: &str = "spice.nr_failures";
     /// Counter: accepted transient integration steps.
     pub const SPICE_TRANSIENT_STEPS: &str = "spice.transient_steps";
+    /// Counter: completed scalar transient runs (the denominator of the
+    /// steps-per-transient check).
+    pub const SPICE_TRANSIENTS: &str = "spice.transients";
     /// Counter: symbolic LU analyses (first factor of a structure, or a
     /// pivot-drift rebuild).
     pub const SPICE_LU_SYMBOLIC_BUILDS: &str = "spice.lu_symbolic_builds";
