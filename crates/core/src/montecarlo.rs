@@ -412,20 +412,39 @@ fn penalty_distribution_with(
 
     let base = RngStream::from_seed(config.seed);
     // Trial k consumes substream k: a sample, a shorted draw (yield
-    // loss, skipped), or a hard error.
-    let eval = |k: u64| -> TrialResult {
-        let mut rng = base.substream(k);
-        let draw = sample_draw(option, budget, &mut rng)?;
-        Ok(match window.variation(&draw)? {
-            Some(var) => TrialResolution::Sample(model.tdp_percent(n, var.r_var, var.c_var)),
-            None => TrialResolution::Shorted,
-        })
+    // loss, skipped), or a hard error. A chunk samples all its draws,
+    // then prints them as one batch.
+    let eval_chunk = |range: std::ops::Range<usize>| -> Vec<TrialResult> {
+        let sampled: Vec<Result<Draw, CoreError>> = range
+            .map(|k| {
+                sample_draw(option, budget, &mut base.substream(k as u64)).map_err(CoreError::from)
+            })
+            .collect();
+        let draws: Vec<Draw> = sampled
+            .iter()
+            .filter_map(|d| d.as_ref().ok())
+            .copied()
+            .collect();
+        let mut vars = Vec::with_capacity(draws.len());
+        window.variation_batch(&draws, &mut vars);
+        let mut vars = vars.into_iter();
+        sampled
+            .into_iter()
+            .map(|draw| {
+                draw?;
+                let var = vars.next().expect("one variation per sampled draw");
+                Ok(match var? {
+                    Some(var) => {
+                        TrialResolution::Sample(model.tdp_percent(n, var.r_var, var.c_var))
+                    }
+                    None => TrialResolution::Shorted,
+                })
+            })
+            .collect()
     };
 
     let threads = config.exec.effective_threads();
-    let (samples, shorted, failed) = farm_trials(option, config.trials, threads, |range| {
-        range.map(|k| eval(k as u64)).collect()
-    })?;
+    let (samples, shorted, failed) = farm_trials(option, config.trials, threads, eval_chunk)?;
 
     if traced {
         mpvar_trace::counter_add(names::MC_TRIALS, samples.len() as u64);

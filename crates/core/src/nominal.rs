@@ -12,20 +12,21 @@
 
 use mpvar_extract::{extract_edges, extract_track, RelativeVariation, WireParasitics};
 use mpvar_geometry::TrackStack;
-use mpvar_litho::{apply_draw, print_track, Draw, LithoError};
+use mpvar_litho::{apply_draw, print_track, Draw, LithoError, PrintPlan, TrackEdges};
 use mpvar_sram::BitcellGeometry;
 use mpvar_tech::{MetalSpec, PatterningOption, TechDb};
+use mpvar_trace::names;
 
 use crate::error::CoreError;
 
 /// The precomputed nominal bit-line window of one patterning option.
 ///
 /// Holds everything the per-draw inner loops need: the drawn column
-/// stack, the metal-1 spec, the index of the `BL` track in the printed
-/// stack, and the nominal parasitics that variation multipliers are
-/// taken against. A one-cell window is enough because R and C scale
-/// linearly with length, so the variation multipliers are
-/// length-independent.
+/// stack and its print plan, the metal-1 spec, the index of the `BL`
+/// track in the printed stack, and the nominal parasitics that
+/// variation multipliers are taken against. A one-cell window is
+/// enough because R and C scale linearly with length, so the variation
+/// multipliers are length-independent.
 #[derive(Debug, Clone)]
 pub struct NominalWindow<'t> {
     tech: &'t TechDb,
@@ -33,13 +34,15 @@ pub struct NominalWindow<'t> {
     m1: &'t MetalSpec,
     option: PatterningOption,
     stack: TrackStack,
+    plan: PrintPlan,
     bl_index: usize,
     nominal: WireParasitics,
 }
 
 impl<'t> NominalWindow<'t> {
     /// Builds the window: column stack → nominal print → `BL` track →
-    /// nominal parasitics.
+    /// nominal parasitics, and the stack's print plan for the `BL`
+    /// track.
     ///
     /// # Errors
     ///
@@ -64,6 +67,7 @@ impl<'t> NominalWindow<'t> {
             cell,
             m1,
             option,
+            plan: PrintPlan::new(&stack, bl_index),
             stack,
             bl_index,
             nominal,
@@ -109,7 +113,8 @@ impl<'t> NominalWindow<'t> {
     /// draw prints a shorted or collapsed line anywhere in the window
     /// (a hard yield loss).
     ///
-    /// This is the formula route's per-trial kernel: it prints and
+    /// This is the formula route's per-trial kernel for one draw, and
+    /// the reference of [`Self::variation_batch`]: it prints and
     /// extracts only the bit line and its two gaps, allocates nothing
     /// on the `Some` path, and equals [`apply_draw`] +
     /// [`extract_track`] + [`RelativeVariation::between`] bit for bit.
@@ -127,11 +132,46 @@ impl<'t> NominalWindow<'t> {
             }
             Err(e) => return Err(e.into()),
         };
-        let (resistance_ohm, c_total_f) = extract_edges(self.m1, &edges)?;
-        Ok(Some(RelativeVariation {
+        self.relative(&edges).map(Some)
+    }
+
+    /// [`Self::variation`] of every draw, in order, into `out` (cleared
+    /// first): each result, error text included, is the one
+    /// `variation` gives for that draw, bit for bit.
+    ///
+    /// The bit line is printed through the window's [`PrintPlan`],
+    /// eight draws per pass over the tracks; draws the lane walk cannot
+    /// take go through `print_track` one by one. Allocates nothing
+    /// when `out` has room for every draw and no draw errs. When
+    /// tracing, adds the lane-printed and fallen-back draw counts to
+    /// `formula.lane_trials` and `formula.lane_fallbacks`, once per
+    /// call.
+    pub fn variation_batch(
+        &self,
+        draws: &[Draw],
+        out: &mut Vec<Result<Option<RelativeVariation>, CoreError>>,
+    ) {
+        out.clear();
+        let laned = self.plan.print_batch(draws, |printed| {
+            out.push(match printed {
+                Ok(Some(edges)) => self.relative(&edges).map(Some),
+                Ok(None) => Ok(None),
+                Err(e) => Err(e.into()),
+            });
+        });
+        if mpvar_trace::enabled() {
+            mpvar_trace::counter_add(names::FORMULA_LANE_TRIALS, laned as u64);
+            mpvar_trace::counter_add(names::FORMULA_LANE_FALLBACKS, (draws.len() - laned) as u64);
+        }
+    }
+
+    /// The multipliers of a printed bit line against the nominal one.
+    fn relative(&self, edges: &TrackEdges) -> Result<RelativeVariation, CoreError> {
+        let (resistance_ohm, c_total_f) = extract_edges(self.m1, edges)?;
+        Ok(RelativeVariation {
             r_var: resistance_ohm / self.nominal.resistance_ohm(),
             c_var: c_total_f / self.nominal.c_total_f(),
-        }))
+        })
     }
 }
 

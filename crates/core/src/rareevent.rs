@@ -250,13 +250,15 @@ impl FailureProblem for FormulaYieldProblem<'_> {
                 reason: format!("batch length {} not a multiple of dims {dims}", zs.len()),
             });
         }
-        let mut out = Vec::with_capacity(zs.len() / dims * self.criteria.len());
-        for z in zs.chunks_exact(dims) {
-            let var = self
-                .window
-                .variation(&self.map.draw_from_z(z))
-                .map_err(|e| YieldError::Problem(Box::new(e)))?;
-            match var {
+        let draws: Vec<Draw> = zs
+            .chunks_exact(dims)
+            .map(|z| self.map.draw_from_z(z))
+            .collect();
+        let mut vars = Vec::with_capacity(draws.len());
+        self.window.variation_batch(&draws, &mut vars);
+        let mut out = Vec::with_capacity(draws.len() * self.criteria.len());
+        for var in vars {
+            match var.map_err(|e| YieldError::Problem(Box::new(e)))? {
                 Some(var) => out.extend(self.criteria.iter().map(|(model, margin)| {
                     model.tdp_percent(self.n, var.r_var, var.c_var) > *margin
                 })),

@@ -347,6 +347,9 @@ pub struct SenseMargin {
 /// up on a budget whose prints keep shorting.
 const SENSE_ATTEMPTS_PER_TRIAL: usize = 64;
 
+/// Most attempts `sense_margin` samples and prints as one batch.
+const SENSE_BLOCK: usize = 1024;
+
 /// Runs the sense-margin Monte-Carlo: per trial, the MP draw fixes the
 /// bit-line RC (so the differential developed inside the fixed sense
 /// window), the offset is an independent Gaussian, and the read fails
@@ -383,6 +386,7 @@ pub fn sense_margin(ctx: &ExperimentContext) -> Result<SenseMargin, CoreError> {
         let mut consumed = 0usize;
         let mut k = 0u64;
         let max_attempts = s.sense_trials.saturating_mul(SENSE_ATTEMPTS_PER_TRIAL) as u64;
+        let (mut draws, mut rngs, mut vars) = (Vec::new(), Vec::new(), Vec::new());
         // Shorted prints are screened out (they are hard yield losses,
         // counted by the read/write yield studies, not sense failures);
         // the trial budget counts evaluated columns, and the attempt cap
@@ -395,21 +399,46 @@ pub fn sense_margin(ctx: &ExperimentContext) -> Result<SenseMargin, CoreError> {
                     evaluated: consumed,
                 });
             }
-            let mut rng = base.substream(k);
-            k += 1;
-            let draw = sample_draw(option, &budget, &mut rng)?;
-            let Some(var) = window.variation(&draw)? else {
-                continue;
-            };
-            let tau_s = model.td_s(n, var.r_var, var.c_var) / a;
-            let dv_v = ctx.read_config.vdd_v * (1.0 - (-window_s / tau_s).exp());
-            let offset_v = s.sense_offset_sigma_v * standard_normal(&mut rng);
-            let margin_v = dv_v - ctx.read_config.sense_dv_v - offset_v;
-            if margin_v < 0.0 {
-                failures += 1;
+            // Each attempt consumes at most one trial, so a block of the
+            // trials still missing samples no attempt the one-by-one
+            // loop would not reach. Each draw keeps its substream, which
+            // then draws the sense-amp offset.
+            let size = (s.sense_trials - consumed).min(SENSE_BLOCK) as u64;
+            draws.clear();
+            rngs.clear();
+            let mut sample_error = None;
+            for j in k..(k + size).min(max_attempts) {
+                let mut rng = base.substream(j);
+                match sample_draw(option, &budget, &mut rng) {
+                    Ok(draw) => {
+                        draws.push(draw);
+                        rngs.push(rng);
+                    }
+                    Err(e) => {
+                        sample_error = Some(e);
+                        break;
+                    }
+                }
             }
-            margins.push(margin_v);
-            consumed += 1;
+            window.variation_batch(&draws, &mut vars);
+            k += draws.len() as u64;
+            for (rng, var) in rngs.iter_mut().zip(vars.drain(..)) {
+                let Some(var) = var? else {
+                    continue;
+                };
+                let tau_s = model.td_s(n, var.r_var, var.c_var) / a;
+                let dv_v = ctx.read_config.vdd_v * (1.0 - (-window_s / tau_s).exp());
+                let offset_v = s.sense_offset_sigma_v * standard_normal(rng);
+                let margin_v = dv_v - ctx.read_config.sense_dv_v - offset_v;
+                if margin_v < 0.0 {
+                    failures += 1;
+                }
+                margins.push(margin_v);
+                consumed += 1;
+            }
+            if let Some(e) = sample_error {
+                return Err(e.into());
+            }
         }
         let summary: mpvar_stats::Summary = margins.iter().copied().collect();
         Ok::<_, CoreError>((

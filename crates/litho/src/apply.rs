@@ -1,10 +1,14 @@
 //! Applying a variation draw to drawn geometry: the patterning physics.
 //!
 //! `edges_of` is the one copy of the per-option patterning
-//! arithmetic. [`apply_draw`] collects its edges into a whole
-//! [`PerturbedStack`]; [`print_track`] walks the same edges without
-//! allocating and keeps only one track and its two gaps, which is all
-//! the analytical formula route reads per trial.
+//! arithmetic, generic over one `f64` or a row of lanes. [`apply_draw`]
+//! collects its edges into a whole [`PerturbedStack`]; [`print_track`]
+//! walks the same edges without allocating and keeps only one track and
+//! its two gaps, which is all the analytical formula route reads per
+//! trial; [`PrintPlan`](crate::PrintPlan) walks them for a batch of
+//! draws at once.
+
+use std::ops::{Add, Div, Sub};
 
 use mpvar_geometry::{Track, TrackStack};
 
@@ -42,11 +46,12 @@ use crate::perturbed::{check_edges, check_gap, PerturbedStack, PerturbedTrack, T
 pub fn apply_draw(stack: &TrackStack, draw: &Draw) -> Result<PerturbedStack, LithoError> {
     check_draw(stack, draw)?;
     let tracks = stack.tracks();
+    let knobs = Knobs::of(draw);
     let printed = tracks
         .iter()
         .enumerate()
         .map(|(i, t)| {
-            let (bottom, top) = edges_of(tracks, i, draw);
+            let (bottom, top) = edges_of(tracks, i, &knobs);
             PerturbedTrack::new(t.net(), bottom, top, t.length().to_f64())
         })
         .collect::<Result<Vec<_>, _>>()?;
@@ -96,12 +101,13 @@ pub fn print_track(
 ) -> Result<TrackEdges, LithoError> {
     check_draw(stack, draw)?;
     let tracks = stack.tracks();
+    let knobs = Knobs::of(draw);
     // `apply_draw` rejects a bad track before any short, so a short is
     // only reported once every track has printed cleanly.
     let mut first_short: Option<usize> = None;
     let mut prev_top = f64::NEG_INFINITY;
     for (i, t) in tracks.iter().enumerate() {
-        let (bottom, top) = edges_of(tracks, i, draw);
+        let (bottom, top) = edges_of(tracks, i, &knobs);
         check_edges(t.net(), bottom, top, t.length().to_f64())?;
         if bottom - prev_top <= 0.0 && first_short.is_none() {
             first_short = Some(i);
@@ -109,7 +115,7 @@ pub fn print_track(
         prev_top = top;
     }
     if let Some(upper) = first_short {
-        let gap = edges_of(tracks, upper, draw).0 - edges_of(tracks, upper - 1, draw).1;
+        let gap = edges_of(tracks, upper, &knobs).0 - edges_of(tracks, upper - 1, &knobs).1;
         check_gap(tracks[upper - 1].net(), tracks[upper].net(), gap)?;
     }
     let Some(t) = tracks.get(index) else {
@@ -120,16 +126,16 @@ pub fn print_track(
     };
     // The walk checked every track; re-deriving the three the caller
     // needs is the same arithmetic, so the same bits.
-    let (bottom_nm, top_nm) = edges_of(tracks, index, draw);
+    let (bottom_nm, top_nm) = edges_of(tracks, index, &knobs);
     Ok(TrackEdges {
         bottom_nm,
         top_nm,
         length_nm: t.length().to_f64(),
         gap_below_nm: index
             .checked_sub(1)
-            .map(|below| bottom_nm - edges_of(tracks, below, draw).1),
+            .map(|below| bottom_nm - edges_of(tracks, below, &knobs).1),
         gap_above_nm: (index + 1 < tracks.len())
-            .then(|| edges_of(tracks, index + 1, draw).0 - top_nm),
+            .then(|| edges_of(tracks, index + 1, &knobs).0 - top_nm),
     })
 }
 
@@ -144,77 +150,187 @@ fn check_draw(stack: &TrackStack, draw: &Draw) -> Result<(), LithoError> {
     Ok(())
 }
 
-/// Printed edges `(bottom, top)` of track `i` of `tracks` under `draw`:
-/// the per-option patterning arithmetic of [`apply_draw`]. It and its
-/// SADP helpers are forced inline into the per-track loops, which
+/// The drawn geometry [`edges_of`] reads, as `f64` nm: straight from
+/// the tracks, or precomputed once by a [`PrintPlan`](crate::PrintPlan)
+/// with the very same expressions, so both read the same bits.
+pub(crate) trait Drawn {
+    /// Number of tracks.
+    fn len(&self) -> usize;
+    /// Drawn width of track `i`.
+    fn width(&self, i: usize) -> f64;
+    /// Drawn centerline of track `i`.
+    fn center(&self, i: usize) -> f64;
+    /// Drawn spacing between track `i` and the track below it.
+    fn spacing_below(&self, i: usize) -> f64;
+    /// Drawn spacing between track `i` and the track above it.
+    fn spacing_above(&self, i: usize) -> f64;
+    /// SADP periodic image above the top track `i`: the center of the
+    /// mandrel below reflected about track `i`'s center, and the
+    /// drawn spacing from track `i` to that mandrel.
+    fn image(&self, i: usize) -> (f64, f64);
+}
+
+impl Drawn for [Track] {
+    #[inline(always)]
+    fn len(&self) -> usize {
+        <[Track]>::len(self)
+    }
+
+    #[inline(always)]
+    fn width(&self, i: usize) -> f64 {
+        self[i].width().to_f64()
+    }
+
+    #[inline(always)]
+    fn center(&self, i: usize) -> f64 {
+        self[i].y_center().to_f64()
+    }
+
+    #[inline(always)]
+    fn spacing_below(&self, i: usize) -> f64 {
+        self[i - 1].spacing_to(&self[i]).to_f64()
+    }
+
+    #[inline(always)]
+    fn spacing_above(&self, i: usize) -> f64 {
+        self[i].spacing_to(&self[i + 1]).to_f64()
+    }
+
+    #[inline(always)]
+    fn image(&self, i: usize) -> (f64, f64) {
+        let (t, below) = (&self[i], &self[i - 1]);
+        let center = 2.0 * t.y_center().to_f64() - below.y_center().to_f64();
+        (center, t.spacing_to(below).to_f64())
+    }
+}
+
+/// The values [`edges_of`] computes with: one `f64`, or one `f64` per
+/// lane of the batched walk. Every operation is the `f64` operation
+/// (lane by lane), so a lane's result has the bits of the scalar one.
+pub(crate) trait Lane:
+    Copy + Add<Output = Self> + Sub<Output = Self> + Div<Output = Self>
+{
+    /// The same value in every lane.
+    fn splat(v: f64) -> Self;
+}
+
+impl Lane for f64 {
+    #[inline(always)]
+    fn splat(v: f64) -> f64 {
+        v
+    }
+}
+
+/// A draw's variation parameters in the form [`edges_of`] reads them,
+/// generic over the lane type: `Knobs<f64>` is one [`Draw`], and the
+/// lane walk gathers a chunk of draws into one `Knobs` of lanes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Knobs<T> {
+    /// LE3: CD and overlay per mask (A, B, C).
+    Le3 { cd: [T; 3], overlay: [T; 3] },
+    /// SADP: core CD and spacer thickness errors.
+    Sadp { core_cd: T, spacer: T },
+    /// EUV: the single mask's CD error.
+    Euv { cd: T },
+    /// LE2: CD per mask (A, B) and mask B's overlay.
+    Le2 { cd: [T; 2], overlay: T },
+}
+
+impl Knobs<f64> {
+    /// The parameters of one draw.
+    #[inline(always)]
+    pub(crate) fn of(draw: &Draw) -> Self {
+        match *draw {
+            Draw::Le3(d) => Knobs::Le3 {
+                cd: d.cd_nm,
+                overlay: d.overlay_nm,
+            },
+            Draw::Sadp(d) => Knobs::Sadp {
+                core_cd: d.core_cd_nm,
+                spacer: d.spacer_nm,
+            },
+            Draw::Euv(d) => Knobs::Euv { cd: d.cd_nm },
+            Draw::Le2(d) => Knobs::Le2 {
+                cd: d.cd_nm,
+                overlay: d.overlay_nm,
+            },
+        }
+    }
+}
+
+/// Printed edges `(bottom, top)` of track `i` of `g` under `knobs`:
+/// the one copy of the per-option patterning arithmetic, shared by
+/// [`apply_draw`], [`print_track`] (`T = f64`) and the lane walk of
+/// [`PrintPlan::print_batch`](crate::PrintPlan::print_batch). It and
+/// its SADP helpers are forced inline into the per-track loops, which
 /// measured 15–25% faster per `print_track` call than leaving the
 /// choice to the compiler.
 #[inline(always)]
-fn edges_of(tracks: &[Track], i: usize, draw: &Draw) -> (f64, f64) {
-    let t = &tracks[i];
-    let (width, center) = match draw {
-        Draw::Le3(d) => {
+pub(crate) fn edges_of<G: Drawn + ?Sized, T: Lane>(g: &G, i: usize, knobs: &Knobs<T>) -> (T, T) {
+    let (width, center) = match knobs {
+        Knobs::Le3 { cd, overlay } => {
             let mask = le3_mask_of(i);
             (
-                t.width().to_f64() + d.cd_nm[mask.index()],
-                t.y_center().to_f64() + d.overlay_nm[mask.index()],
+                T::splat(g.width(i)) + cd[mask.index()],
+                T::splat(g.center(i)) + overlay[mask.index()],
             )
         }
-        Draw::Euv(d) => (t.width().to_f64() + d.cd_nm, t.y_center().to_f64()),
-        Draw::Le2(d) => {
+        Knobs::Euv { cd } => (T::splat(g.width(i)) + *cd, T::splat(g.center(i))),
+        Knobs::Le2 { cd, overlay } => {
             // Two-mask coloring: track i is on mask i mod 2; only mask B
             // carries an overlay error (A is the reference).
             let mask = i % 2;
-            let shift = if mask == 1 { d.overlay_nm } else { 0.0 };
+            let shift = if mask == 1 { *overlay } else { T::splat(0.0) };
             (
-                t.width().to_f64() + d.cd_nm[mask],
-                t.y_center().to_f64() + shift,
+                T::splat(g.width(i)) + cd[mask],
+                T::splat(g.center(i)) + shift,
             )
         }
-        Draw::Sadp(d) => return sadp_edges_of(tracks, i, d.core_cd_nm, d.spacer_nm),
+        Knobs::Sadp { core_cd, spacer } => return sadp_edges_of(g, i, *core_cd, *spacer),
     };
-    (center - width / 2.0, center + width / 2.0)
+    centered(width, center)
+}
+
+/// Edges `(center - width/2, center + width/2)`.
+#[inline(always)]
+fn centered<T: Lane>(width: T, center: T) -> (T, T) {
+    let half = width / T::splat(2.0);
+    (center - half, center + half)
 }
 
 /// Printed edges `(bottom, top)` of the mandrel at index `i` (center
 /// fixed, width grown by the core CD error).
 #[inline(always)]
-fn mandrel_edges(t: &Track, core_cd_nm: f64) -> (f64, f64) {
-    let width = t.width().to_f64() + core_cd_nm;
-    let center = t.y_center().to_f64();
-    (center - width / 2.0, center + width / 2.0)
+fn mandrel_edges<G: Drawn + ?Sized, T: Lane>(g: &G, i: usize, core_cd: T) -> (T, T) {
+    centered(T::splat(g.width(i)) + core_cd, T::splat(g.center(i)))
 }
 
 /// SADP edges of track `i`: a mandrel prints around its own center; a
 /// spacer-defined track fills the space between the spacers of the
 /// mandrels on either side.
 #[inline(always)]
-fn sadp_edges_of(tracks: &[Track], i: usize, core_cd_nm: f64, spacer_nm: f64) -> (f64, f64) {
-    let t = &tracks[i];
+fn sadp_edges_of<G: Drawn + ?Sized, T: Lane>(g: &G, i: usize, core_cd: T, spacer: T) -> (T, T) {
     match sadp_role_of(i) {
-        SadpRole::MandrelDefined => mandrel_edges(t, core_cd_nm),
+        SadpRole::MandrelDefined => mandrel_edges(g, i, core_cd),
         SadpRole::SpacerDefined => {
             // Edge from the mandrel below (always exists: index 0 is a
             // mandrel).
-            let below = &tracks[i - 1];
-            let spacer_below = below.spacing_to(t).to_f64() + spacer_nm;
-            let (_, below_top) = mandrel_edges(below, core_cd_nm);
+            let spacer_below = T::splat(g.spacing_below(i)) + spacer;
+            let (_, below_top) = mandrel_edges(g, i - 1, core_cd);
             let bottom = below_top + spacer_below;
 
             // Edge from the mandrel above, real or periodic image.
-            let top = if let Some(above) = tracks.get(i + 1) {
-                let spacer_above = t.spacing_to(above).to_f64() + spacer_nm;
-                let (above_bottom, _) = mandrel_edges(above, core_cd_nm);
+            let top = if i + 1 < g.len() {
+                let spacer_above = T::splat(g.spacing_above(i)) + spacer;
+                let (above_bottom, _) = mandrel_edges(g, i + 1, core_cd);
                 above_bottom - spacer_above
             } else {
                 // Periodic image: reflect the mandrel below about this
                 // track's drawn center.
-                let t_center = t.y_center().to_f64();
-                let below_center = below.y_center().to_f64();
-                let image_center = 2.0 * t_center - below_center;
-                let image_width = below.width().to_f64() + core_cd_nm;
-                let image_bottom = image_center - image_width / 2.0;
-                let spacer_above = t.spacing_to(below).to_f64() + spacer_nm;
+                let (image_center, image_spacing) = g.image(i);
+                let image_width = T::splat(g.width(i - 1)) + core_cd;
+                let image_bottom = T::splat(image_center) - image_width / T::splat(2.0);
+                let spacer_above = T::splat(image_spacing) + spacer;
                 image_bottom - spacer_above
             };
             (bottom, top)

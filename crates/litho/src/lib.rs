@@ -17,6 +17,9 @@
 //!   thickness.
 //! * **EUV** — a single mask; one CD error common to every line.
 //!
+//! [`PrintPlan`] prints one track under a whole batch of draws, eight
+//! per pass, with the same arithmetic and checks as [`print_track`].
+//!
 //! [`corners`] enumerates worst-case ±3σ corner combinations (Table I);
 //! [`sampling`] draws Gaussian Monte-Carlo samples (§III.B).
 //!
@@ -50,6 +53,7 @@ pub mod draw;
 pub mod error;
 pub mod ler;
 pub mod perturbed;
+pub(crate) mod plan;
 pub mod sampling;
 
 pub use apply::apply_draw;
@@ -59,4 +63,5 @@ pub use draw::{Draw, EuvDraw, Le2Draw, Le3Draw, SadpDraw};
 pub use error::LithoError;
 pub use ler::LerModel;
 pub use perturbed::{PerturbedStack, PerturbedTrack, TrackEdges};
+pub use plan::PrintPlan;
 pub use sampling::{sample_draw, TRUNCATION_SIGMAS};

@@ -464,6 +464,8 @@ mod tests {
             ("yield.rounds", 123),
             ("yield.evaluated_trials", 837_632),
             ("yield.trials", 1_970_176),
+            ("formula.lane_trials", 667_216),
+            ("formula.lane_fallbacks", 173),
         ];
         let failed = |changes: &[(&str, u64)]| {
             let mut counters = honest.to_vec();
@@ -495,6 +497,14 @@ mod tests {
                 ("spice.lu_symbolic_builds", 11_562)
             ]),
             ["lu-symbolic-reuse", "symbolic-rebuild-rate"]
+        );
+        // Every formula-route trial printed one draw at a time.
+        assert_eq!(
+            failed(&[
+                ("formula.lane_trials", 0),
+                ("formula.lane_fallbacks", 667_389)
+            ]),
+            ["formula-lane-trials", "formula-lane-fallback-rate"]
         );
     }
 

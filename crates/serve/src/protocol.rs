@@ -44,7 +44,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use mpvar_core::experiments::ExperimentContext;
-use mpvar_core::CoreError;
+use mpvar_core::{CoreError, ExecConfig};
 use mpvar_study::ArtifactId;
 use mpvar_trace::json::{
     get_f64, get_f64_array, get_str, get_str_array, get_u64, get_u64_array, parse_json,
@@ -108,8 +108,15 @@ pub struct ContextSpec {
     pub trials: Option<usize>,
     /// Monte-Carlo seed override.
     pub seed: Option<u64>,
-    /// Worker-thread count for this materialization.
+    /// Worker-thread count for this materialization, capped at the
+    /// host's available parallelism when the context is built.
     pub threads: Option<usize>,
+}
+
+/// The cores the OS lets this process use: the worker count of an
+/// [`ExecConfig`] left at its default.
+fn host_parallelism() -> usize {
+    ExecConfig::default().effective_threads()
 }
 
 impl ContextSpec {
@@ -135,7 +142,11 @@ impl ContextSpec {
             builder = builder.seed(seed);
         }
         if let Some(threads) = self.threads {
-            builder = builder.threads(threads);
+            // A client names a worker count, not a thread budget: more
+            // workers than cores only adds OS threads (each map spawns
+            // up to `threads` of them), and results are bit-identical at
+            // any count.
+            builder = builder.threads(threads.min(host_parallelism()));
         }
         Ok(builder.build())
     }
@@ -1033,6 +1044,23 @@ mod tests {
         assert_eq!(ctx.sizes, vec![8]);
         assert_eq!(ctx.mc.trials, 200);
         assert_eq!(ctx.mc.seed, 9);
+    }
+
+    #[test]
+    fn context_spec_caps_threads_at_the_host_parallelism() {
+        // Builds the context only: nothing here spawns a thread.
+        let cap = host_parallelism();
+        for requested in [1, cap, cap + 1, 1_000_000, usize::MAX] {
+            let spec = ContextSpec {
+                threads: Some(requested),
+                ..ContextSpec::default()
+            };
+            let ctx = spec.build().expect("context builds");
+            for exec in [ctx.exec, ctx.mc.exec] {
+                assert!(exec.effective_threads() <= cap, "{requested} threads");
+                assert_eq!(exec.effective_threads(), requested.min(cap));
+            }
+        }
     }
 
     #[test]

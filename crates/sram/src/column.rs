@@ -423,6 +423,8 @@ fn check_cells(n_cells: usize) -> Result<(), SramError> {
 pub struct ColumnScratch {
     ws: BatchedMnaWorkspace,
     diff: Vec<f64>,
+    /// Time points the last batch recorded: where its stop ended it.
+    points: usize,
 }
 
 impl ColumnScratch {
@@ -488,11 +490,13 @@ pub(crate) fn simulate_batch(
                 initial: &first.initial,
                 probes: &probes,
             };
-            let ColumnScratch { ws, diff } = &mut *scratch;
+            let ColumnScratch { ws, diff, points } = &mut *scratch;
             let stop = |l: usize, times: &[f64], probes: &[Vec<f64>]| {
                 lanes[l].1.crossed(spec.vdd_v, times, |i| &probes[i], diff)
             };
-            match run_transient_batch_until(&nets, &batch_spec, ws, stop) {
+            let run = run_transient_batch_until(&nets, &batch_spec, ws, stop);
+            *points = run.as_ref().map_or(0, |batch| batch.times.len());
+            match run {
                 Ok(batch) => lanes
                     .iter()
                     .zip(&batch.lanes)
@@ -628,6 +632,71 @@ mod tests {
             });
             let spec = write.column_spec();
             assert_stop_is_exact(&spec, n, |d| {
+                build_write_testbench(&tech, &cell, &write, &spec, n, d)
+            });
+        }
+    }
+
+    /// Points of the scalar run of `tb`'s first window up to its stop.
+    fn scalar_stop_points(tb: &Testbench, spec: &ColumnSpec) -> usize {
+        let mut tran = Transient::new(tb.deck.netlist()).unwrap();
+        for &(node, v) in &tb.initial {
+            tran.set_initial_voltage(node, v);
+        }
+        let probes = tb.probes();
+        let mut diff = Vec::new();
+        tran.run_until(tb.window0_s / spec.steps as f64, tb.window0_s, |r| {
+            tb.crossed(spec.vdd_v, r.times(), |i| r.waveform(probes[i]), &mut diff)
+        })
+        .unwrap()
+        .len()
+    }
+
+    /// The batch ends at the first step where every lane has crossed:
+    /// its record is as long as the slowest lane's early-stopped scalar
+    /// run, and shorter than the full window's `steps + 1` points.
+    fn assert_batch_stops_at_last_crossing(
+        spec: &ColumnSpec,
+        n_cells: usize,
+        build: impl Fn(&Draw) -> Result<Testbench, SramError>,
+    ) {
+        let draws = [
+            Draw::nominal(PatterningOption::Le3),
+            Draw::Euv(EuvDraw { cd_nm: 2.0 }),
+            Draw::Le3(Le3Draw {
+                cd_nm: [3.0, -2.0, 1.0],
+                overlay_nm: [5.0, 0.0, -5.0],
+            }),
+            Draw::Euv(EuvDraw { cd_nm: -1.5 }),
+        ];
+        let slowest = draws
+            .iter()
+            .map(|d| scalar_stop_points(&build(d).unwrap(), spec))
+            .max()
+            .unwrap();
+        assert!(
+            slowest <= spec.steps,
+            "every lane crosses in the first window"
+        );
+        let mut scratch = ColumnScratch::new();
+        let lanes = simulate_batch(spec, n_cells, &draws, &mut scratch, &build).unwrap();
+        assert!(lanes.iter().all(Result::is_ok));
+        assert_eq!(scratch.points, slowest, "n = {n_cells}");
+        assert!(scratch.points < spec.steps + 1, "n = {n_cells}");
+    }
+
+    #[test]
+    fn batched_reads_and_writes_stop_at_the_last_lane_crossing() {
+        let tech = n10();
+        let cell = BitcellGeometry::n10_hd(&tech).unwrap();
+        let (read, write) = (ReadConfig::default(), WriteConfig::default());
+        for n in [8, 64] {
+            let spec = read.column_spec();
+            assert_batch_stops_at_last_crossing(&spec, n, |d| {
+                build_read_testbench(&tech, &cell, &read, &spec, n, d)
+            });
+            let spec = write.column_spec();
+            assert_batch_stops_at_last_crossing(&spec, n, |d| {
                 build_write_testbench(&tech, &cell, &write, &spec, n, d)
             });
         }

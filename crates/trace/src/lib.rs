@@ -196,6 +196,14 @@ pub mod names {
     /// compatible requests (same context fingerprint).
     pub const SERVE_BATCHED: &str = "serve.batched";
 
+    /// Counter: formula-route trials whose bit line the lane walk of
+    /// `NominalWindow::variation_batch` printed.
+    pub const FORMULA_LANE_TRIALS: &str = "formula.lane_trials";
+    /// Counter: formula-route trials `NominalWindow::variation_batch`
+    /// left to the one-draw print (chunk remainders, mixed or
+    /// non-finite draws).
+    pub const FORMULA_LANE_FALLBACKS: &str = "formula.lane_fallbacks";
+
     /// Counter: worker chunks dispatched by the exec pool.
     pub const EXEC_CHUNKS: &str = "exec.chunks";
     /// Gauge: worker imbalance of the last parallel map

@@ -6,11 +6,10 @@
 //! trial the batch cannot carry (pivot drift, non-convergence,
 //! structural divergence) is transparently re-run through the scalar
 //! path. These tests drive that contract end to end: randomized SRAM
-//! read decks through `tdp_distribution_spice`, a deck engineered to
-//! force a mid-transient lane eviction, and the steady-state
-//! no-allocation guarantee of the reusable workspace.
-
-use std::sync::Arc;
+//! read decks through `tdp_distribution_spice` and a deck engineered to
+//! force a mid-transient lane eviction. The steady-state no-allocation
+//! guarantee of the reusable workspace is `tests/batch_telemetry.rs`,
+//! alone in its binary because its collector is process-global.
 
 use mpvar::core::montecarlo::{tdp_distribution_spice, McConfig, SpiceMcOptions, TdpDistribution};
 use mpvar::spice::{
@@ -20,7 +19,6 @@ use mpvar::spice::{
 use mpvar::sram::BitcellGeometry;
 use mpvar::tech::preset::n10;
 use mpvar::tech::{PatterningOption, TechDb, VariationBudget};
-use mpvar::trace::{names, Collector, Metric, RecordingSink};
 
 fn setup() -> (TechDb, BitcellGeometry, VariationBudget) {
     let tech = n10();
@@ -185,65 +183,4 @@ fn forced_pivot_drift_evicts_lane_and_scalar_owns_it() {
             other => panic!("healthy lane {l} fell out: {other:?}"),
         }
     }
-}
-
-/// Reads the gauge/counter map of one traced `tdp_distribution_spice`
-/// run. Collector sessions are process-global, so both sessions live in
-/// this single test.
-fn traced_run(
-    tech: &TechDb,
-    cell: &BitcellGeometry,
-    budget: &VariationBudget,
-    trials: usize,
-) -> std::collections::BTreeMap<String, Metric> {
-    let sink = Arc::new(RecordingSink::new());
-    let collector = Collector::new(vec![sink.clone()]);
-    {
-        let _session = collector.install();
-        spice_dist(tech, cell, budget, 4, 1, trials);
-    }
-    sink.metrics().expect("metrics flushed on session drop")
-}
-
-#[test]
-fn batch_telemetry_counts_and_workspace_stays_flat() {
-    let (tech, cell, budget) = setup();
-    // One 4-wide batch vs three consecutive 4-wide batches through the
-    // same per-chunk workspace.
-    let short = traced_run(&tech, &cell, &budget, 4);
-    let long = traced_run(&tech, &cell, &budget, 12);
-
-    for m in [&short, &long] {
-        let Metric::Counter(solves) = m[names::SPICE_BATCH_SOLVES] else {
-            panic!("batch_solves missing");
-        };
-        assert!(solves > 0, "no batched solves recorded");
-        let Metric::Counter(refactors) = m[names::SPICE_BATCH_REFACTORS] else {
-            panic!("batch_refactors missing");
-        };
-        assert!(refactors > 0, "no batched refactors recorded");
-    }
-    let Metric::Counter(lanes_short) = short[names::SPICE_BATCH_LANE_TRIALS] else {
-        panic!("lane_trials missing");
-    };
-    let Metric::Counter(lanes_long) = long[names::SPICE_BATCH_LANE_TRIALS] else {
-        panic!("lane_trials missing");
-    };
-    assert!(lanes_short >= 4 && lanes_long >= 12, "lanes under-counted");
-
-    // Steady state: the workspace after the third batch of the long run
-    // holds exactly the bytes it held after the first (and only) batch
-    // of the short run — nothing allocated in the solve loop once the
-    // buffers reach batch size.
-    let Metric::Gauge(bytes_short) = short[names::SPICE_BATCH_WORKSPACE_BYTES] else {
-        panic!("workspace gauge missing");
-    };
-    let Metric::Gauge(bytes_long) = long[names::SPICE_BATCH_WORKSPACE_BYTES] else {
-        panic!("workspace gauge missing");
-    };
-    assert!(bytes_short > 0.0);
-    assert_eq!(
-        bytes_short, bytes_long,
-        "batched workspace grew across waves"
-    );
 }
