@@ -16,13 +16,11 @@
 //! ablation-bl-width ablation-sadp-vss. `--quick` uses the down-scaled
 //! context (small arrays, fewer Monte-Carlo trials); the default is the
 //! paper's full design of experiments. CSV artefacts land in `--out`
-//! (default `results/`). The extra `bench-parallel` target measures
-//! Monte-Carlo throughput per thread count and writes the
-//! `BENCH_parallel.json` snapshot tracked across PRs;
-//! `bench-batch-smoke` times the batched SoA trial solver against the
-//! per-trial scalar path on a reduced SPICE-backed workload and fails
-//! unless the batched path holds a 2x floor (CI runs it traced and
-//! then validates the `spice.batch_*` counters from the trace);
+//! (default `results/`). The extra `bench-batch-smoke` target times
+//! 16-lane batched SPICE reads against per-draw scalar reads of the
+//! same 64 draws and fails unless the batched path holds a 2x floor
+//! (CI runs it traced and then validates the `spice.batch_*` counters
+//! from the trace);
 //! `bench-yield-smoke` runs the adaptive importance-sampling yield
 //! engine on the planted `P_fail = 1e-6` problem and fails unless the
 //! run converges with a truth-covering CI, holds the 50x
@@ -87,10 +85,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use mpvar_bench::check::{check_context, run_check_in, CheckOptions};
-use mpvar_bench::{
-    parallel_bench_snapshot, spice_batch_bench, yield_bench, yield_threads_identical,
-    EXPERIMENT_IDS,
-};
+use mpvar_bench::{spice_batch_bench, yield_bench, yield_threads_identical, EXPERIMENT_IDS};
 use mpvar_core::experiments::ExperimentContext;
 use mpvar_obs::{
     check as run_perf_check, folded_stacks, profile as profile_trace, render_profile,
@@ -186,7 +181,7 @@ impl Telemetry {
 fn usage() -> String {
     format!(
         "usage: repro [--quick] [--out DIR] [--trace FILE] [--metrics] [--timings] \
-         <experiment | all | bench-parallel | bench-batch-smoke | bench-yield-smoke>\n\
+         <experiment | all | bench-batch-smoke | bench-yield-smoke>\n\
          \x20      repro check [--fast] [--golden DIR] [--oracle-cases N] [--trace FILE] \
          [--metrics] [--timings]\n\
          \x20      repro validate-trace [--require-counter NAME]... [--require-span NAME]... FILE\n\
@@ -934,31 +929,9 @@ fn main() -> ExitCode {
         ctx.mc.trials
     );
 
-    if target == "bench-parallel" {
-        // No collector here: the bench measures traced vs untraced
-        // Monte-Carlo throughput itself, so the baseline must run with
-        // tracing genuinely disabled.
-        let json = match parallel_bench_snapshot(&ctx) {
-            Ok(j) => j,
-            Err(e) => {
-                eprintln!("bench failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        print!("{json}");
-        let path = PathBuf::from("BENCH_parallel.json");
-        if let Err(e) = std::fs::write(&path, &json) {
-            eprintln!("cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {}", path.display());
-        return ExitCode::SUCCESS;
-    }
-
     if target == "bench-batch-smoke" {
-        // CI floor for the batched SoA trial solver: the reduced
-        // workload must hold at least 2x over the per-trial scalar
-        // path (the snapshot tracks the full workload against 3x).
+        // CI floor for the batched SoA trial solver: 64 reads must
+        // hold at least 2x over the per-draw scalar path.
         // Telemetry is allowed here — it loads both paths equally and
         // lets CI validate the spice.batch_* counters from the trace.
         let telemetry = Telemetry::install(trace, metrics, timings);
@@ -970,11 +943,11 @@ fn main() -> ExitCode {
             }
         };
         println!(
-            "batch smoke: n = {}, {} trials, width {}: scalar {:.1} trials/s, \
+            "batch smoke: n = {}, {} trials, {} lanes: scalar {:.1} trials/s, \
              batched {:.1} trials/s, speedup {:.2}x",
             bench.n_cells,
             bench.trials,
-            bench.batch_width,
+            bench.lanes,
             bench.scalar_tps(),
             bench.batched_tps(),
             bench.speedup()

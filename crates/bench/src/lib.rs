@@ -2,12 +2,12 @@
 //!
 //! The artifact-graph engine in [`mpvar_study`] is the single entry
 //! point for evaluating experiments: the `repro` binary, the `check`
-//! verdict pass, and the Criterion benches all drive a
+//! verdict pass, and the serve dispatcher all drive a
 //! [`Study`](mpvar_study::Study) session, which memoizes shared prework
 //! (the Table I corner search, the Fig. 4 simulations) in a
 //! content-keyed cache and reports per-node timings. This crate adds
-//! the CLI around it and the timing workloads behind the
-//! `BENCH_parallel.json` snapshot.
+//! the CLI around it and the workloads behind its two smoke floors
+//! (`bench-batch-smoke`, `bench-yield-smoke`).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -15,11 +15,13 @@
 pub mod check;
 
 use mpvar_core::experiments::ExperimentContext;
-use mpvar_core::{
-    tdp_distribution_spice, tdp_distribution_with, CoreError, ExecConfig, McConfig, NominalWindow,
-    SpiceMcOptions,
-};
+use mpvar_core::CoreError;
+use mpvar_litho::{sample_draw, Draw};
 use mpvar_spice::{MosfetModel, Netlist, NodeId, SolverKernel, Transient, Waveform};
+use mpvar_sram::{
+    simulate_read, simulate_read_batch_in, ReadBatchScratch, ReadConfig, ReadOutcome, SramError,
+};
+use mpvar_stats::RngStream;
 use mpvar_tech::PatterningOption;
 
 pub use mpvar_study::Artifact;
@@ -108,17 +110,17 @@ pub fn solver_workload_once(kernel: SolverKernel) -> f64 {
         .expect("in window")
 }
 
-/// One measured configuration of the SPICE-backed Monte-Carlo
-/// workload: scalar (per-trial compiled kernel) versus the batched SoA
-/// trial solver on the same seed.
+/// One measured configuration of the batched SPICE read: per-draw
+/// scalar [`simulate_read`] versus the batched SoA trial solver on the
+/// same draws.
 #[derive(Debug, Clone, Copy)]
 pub struct SpiceBatchBench {
-    /// Monte-Carlo trials per measured run.
+    /// Reads per measured run.
     pub trials: usize,
     /// Array height (cells on the bit line) of the read deck.
     pub n_cells: usize,
-    /// Lanes per batch in the batched configuration.
-    pub batch_width: usize,
+    /// Draws per batched solver call.
+    pub lanes: usize,
     /// Best-of-three wall-clock of the scalar path, seconds.
     pub scalar_seconds: f64,
     /// Best-of-three wall-clock of the batched path, seconds.
@@ -145,19 +147,21 @@ impl SpiceBatchBench {
     }
 }
 
-/// Measures the batched SoA trial solver against the per-trial scalar
-/// path on the SPICE-backed Fig. 5 Monte-Carlo workload (full 6T read
-/// transients at the paper's 64-cell array height regardless of
-/// profile, single thread so the number isolates the batching win
-/// from scheduling and stays comparable across quick/paper runs).
+/// Measures the batched SoA trial solver against the per-draw scalar
+/// path on full 6T read transients: `trials` LE3 draws (draw `k` from
+/// RNG substream `k` of the context seed) at the paper's 64-cell array
+/// height regardless of profile, on the calling thread, so the number
+/// isolates the batching win from scheduling and stays comparable
+/// across quick/paper runs. The batched path runs 16-lane calls of
+/// [`simulate_read_batch_in`] through one reused scratch.
 ///
-/// Both paths run the same seed; the sample vectors are asserted
-/// bit-identical before timing, so the speedup compares genuinely
-/// equivalent work. Best of three repetitions per path.
+/// Both paths read the same draws; their per-draw `td` bits (or error
+/// text) are asserted identical before timing, so the speedup compares
+/// genuinely equivalent work. Best of three repetitions per path.
 ///
 /// # Errors
 ///
-/// Propagates Monte-Carlo failures.
+/// Propagates draw-sampling failures and structural read failures.
 pub fn spice_batch_bench(
     ctx: &ExperimentContext,
     trials: usize,
@@ -169,68 +173,68 @@ pub fn spice_batch_bench(
     // Pinned to the paper's Fig. 5 array height so the recorded metric
     // is the paper-faithful workload in every profile.
     let n_cells = 64;
-    let batch_width = SpiceMcOptions::default().batch_width;
-    let mc = McConfig::builder()
-        .trials(trials)
-        .seed(ctx.mc.seed)
-        .exec(ExecConfig::SERIAL)
-        .build();
-    let run = |width: usize| {
-        tdp_distribution_spice(
-            &ctx.tech,
-            &ctx.cell,
-            option,
-            &budget,
-            n_cells,
-            &mc,
-            &SpiceMcOptions {
-                batch_width: width,
-                ..SpiceMcOptions::default()
-            },
-        )
+    let lanes = 16;
+    let read = ReadConfig::default();
+    let base = RngStream::from_seed(ctx.mc.seed);
+    let draws = (0..trials)
+        .map(|k| sample_draw(option, &budget, &mut base.substream(k as u64)))
+        .collect::<Result<Vec<Draw>, _>>()?;
+
+    let scalar = || -> Vec<Result<ReadOutcome, SramError>> {
+        draws
+            .iter()
+            .map(|d| simulate_read(&ctx.tech, &ctx.cell, &read, n_cells, d))
+            .collect()
+    };
+    let mut scratch = ReadBatchScratch::new();
+    let mut batched = || -> Result<Vec<Result<ReadOutcome, SramError>>, SramError> {
+        let mut out = Vec::with_capacity(draws.len());
+        for chunk in draws.chunks(lanes) {
+            out.extend(simulate_read_batch_in(
+                &ctx.tech,
+                &ctx.cell,
+                &read,
+                n_cells,
+                chunk,
+                &mut scratch,
+            )?);
+        }
+        Ok(out)
     };
 
     // Warm-up both paths and prove bit-identity before the clock runs.
-    let scalar_samples = run(0)?;
-    let batched_samples = run(batch_width)?;
+    let key = |r: &Result<ReadOutcome, SramError>| match r {
+        Ok(o) => Ok(o.td_s.to_bits()),
+        Err(e) => Err(e.to_string()),
+    };
     assert_eq!(
-        scalar_samples
-            .samples_percent()
-            .iter()
-            .map(|s| s.to_bits())
-            .collect::<Vec<_>>(),
-        batched_samples
-            .samples_percent()
-            .iter()
-            .map(|s| s.to_bits())
-            .collect::<Vec<_>>(),
-        "batched SPICE MC diverged from scalar"
+        scalar().iter().map(key).collect::<Vec<_>>(),
+        batched()?.iter().map(key).collect::<Vec<_>>(),
+        "batched SPICE read diverged from scalar"
     );
 
     let mut scalar_seconds = f64::INFINITY;
     let mut batched_seconds = f64::INFINITY;
     for _ in 0..3 {
         let t0 = Instant::now();
-        let d = run(0)?;
+        std::hint::black_box(scalar());
         scalar_seconds = scalar_seconds.min(t0.elapsed().as_secs_f64());
-        debug_assert_eq!(d.samples_percent().len(), trials);
         let t0 = Instant::now();
-        let d = run(batch_width)?;
+        std::hint::black_box(batched()?);
         batched_seconds = batched_seconds.min(t0.elapsed().as_secs_f64());
-        debug_assert_eq!(d.samples_percent().len(), trials);
     }
     Ok(SpiceBatchBench {
         trials,
         n_cells,
-        batch_width,
+        lanes,
         scalar_seconds,
         batched_seconds,
     })
 }
 
 /// Deterministic metrics of the adaptive importance-sampling yield
-/// engine on the analytic planted problem — the snapshot's `yield`
-/// section. No wall clock involved: trial counts and estimates are a
+/// engine on the analytic planted problem — the `bench-yield-smoke`
+/// workload. No wall clock involved: trial counts and estimates are a
 /// pure function of the seed, so the recorded speedup is exactly
 /// reproducible.
 #[derive(Debug, Clone, Copy)]
@@ -344,246 +348,6 @@ pub const EXPERIMENT_IDS: [&str; 19] = [
     "wl_delay",
     "write_yield",
 ];
-
-/// Measures Monte-Carlo trial throughput at 1, 2, and all-cores worker
-/// threads and renders the `BENCH_parallel.json` snapshot the `repro`
-/// binary emits, so the perf trajectory is tracked across PRs.
-///
-/// Each thread count runs the same seed against one cached nominal
-/// window; the best of three repetitions is reported (wall-clock
-/// minimum is the standard noise-robust choice for throughput
-/// tracking). Sample vectors are bit-identical across the sweep, so
-/// the numbers measure scheduling only.
-///
-/// The snapshot also measures **instrumentation overhead**: the
-/// all-cores configuration is repeated with an `mpvar-trace` collector
-/// installed (a [`mpvar_trace::NullSink`], so only the span/metric
-/// machinery itself is on the clock) and the traced-versus-untraced
-/// delta is reported as `overhead_percent` — the number the `<2%`
-/// hot-path budget is tracked against.
-///
-/// A `batch` section records the batched SoA trial solver's
-/// speedup over the per-trial scalar path on the SPICE-backed Fig. 5
-/// Monte-Carlo workload (see [`spice_batch_bench`]); its acceptance
-/// floor is 3x, and CI smoke-tests a 2x floor on the reduced workload.
-/// A `yield` section records the adaptive importance-sampling
-/// controller's trials-to-converge on the planted `P_fail = 1e-6`
-/// problem and its brute-force-equivalent speedup (floor 50x); unlike
-/// the wall-clock sections it is exactly reproducible (see
-/// [`yield_bench`]).
-///
-/// An `obs` section profiles one traced repetition of the same
-/// Monte-Carlo workload through `mpvar-obs`: span/name counts, the
-/// dominant span by self time and its share, and the fraction of the
-/// wall clock the critical path explains — a standing smoke test that
-/// the trace-analytics pipeline digests a real production trace.
-///
-/// # Errors
-///
-/// Propagates Monte-Carlo failures.
-pub fn parallel_bench_snapshot(ctx: &ExperimentContext) -> Result<String, CoreError> {
-    use std::fmt::Write as _;
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    let option = PatterningOption::Le3;
-    let budget = ctx.budget(option)?;
-    let window = NominalWindow::build(&ctx.tech, &ctx.cell, option)?;
-    let trials = ctx.mc.trials.clamp(500, 4_000);
-
-    // Only benchmark thread counts the host can actually run in
-    // parallel: oversubscribing a small machine measures scheduler
-    // thrash, not scaling, and has produced misleading sub-1.0
-    // "speedups" in past snapshots.
-    let max_threads = ExecConfig::default().effective_threads();
-    let mut counts = vec![1usize, 2, max_threads];
-    counts.sort_unstable();
-    counts.dedup();
-    counts.retain(|&t| t <= max_threads);
-
-    // Warm-up so allocator/cache state doesn't bias the first entry.
-    let warm = McConfig::builder()
-        .trials(trials)
-        .seed(ctx.mc.seed)
-        .exec(ExecConfig::SERIAL)
-        .build();
-    let _ = tdp_distribution_with(&window, &budget, 64, &warm)?;
-
-    let mut entries = Vec::with_capacity(counts.len());
-    for &threads in &counts {
-        let mc = McConfig::builder()
-            .trials(trials)
-            .seed(ctx.mc.seed)
-            .threads(threads)
-            .build();
-        let mut best_s = f64::INFINITY;
-        for _ in 0..3 {
-            let t0 = Instant::now();
-            let d = tdp_distribution_with(&window, &budget, 64, &mc)?;
-            let dt = t0.elapsed().as_secs_f64();
-            debug_assert_eq!(d.samples_percent().len(), trials);
-            best_s = best_s.min(dt);
-        }
-        entries.push((threads, best_s, trials as f64 / best_s));
-    }
-
-    // Instrumentation overhead: same workload at all cores with a
-    // collector installed (NullSink — only the trace machinery runs).
-    let traced_threads = *counts.last().expect("at least one thread count");
-    let untraced_s = entries
-        .iter()
-        .find(|&&(t, _, _)| t == traced_threads)
-        .map(|&(_, s, _)| s)
-        .unwrap_or(f64::NAN);
-    let traced_s = {
-        let collector = mpvar_trace::Collector::new(vec![Arc::new(mpvar_trace::NullSink)]);
-        let _session = collector.install();
-        let mc = McConfig::builder()
-            .trials(trials)
-            .seed(ctx.mc.seed)
-            .threads(traced_threads)
-            .build();
-        let mut best_s = f64::INFINITY;
-        for _ in 0..3 {
-            let t0 = Instant::now();
-            let d = tdp_distribution_with(&window, &budget, 64, &mc)?;
-            let dt = t0.elapsed().as_secs_f64();
-            debug_assert_eq!(d.samples_percent().len(), trials);
-            best_s = best_s.min(dt);
-        }
-        best_s
-    };
-    let overhead_percent = (traced_s / untraced_s - 1.0) * 100.0;
-
-    // Batched SoA trial solver: scalar vs batched SPICE-backed MC,
-    // single thread, bit-identity asserted inside the bench. SPICE
-    // trials are ~100x the cost of formula trials, so the count is
-    // fixed at 64 — the same 64-cell, 64-trial deck the smoke target
-    // and the docs quote, and a whole number of 16-lane batches so the
-    // headline is not diluted by one ragged final batch.
-    let batch = spice_batch_bench(ctx, 64)?;
-
-    // Adaptive IS yield engine on the planted 1e-6 problem: trial
-    // counts, not wall clock, so the section is exactly reproducible.
-    let yb = yield_bench()?;
-
-    // Observability smoke: one traced rep of the same MC workload,
-    // captured as `mpvar-trace/v1` JSONL and profiled with mpvar-obs.
-    // A trace this process just emitted always validates and always
-    // forms a forest, so failures here are bugs, not inputs.
-    let obs = {
-        let sink = Arc::new(mpvar_trace::JsonlSink::new());
-        let collector =
-            mpvar_trace::Collector::new(vec![Arc::clone(&sink) as Arc<dyn mpvar_trace::TraceSink>]);
-        let session = collector.install();
-        let mc = McConfig::builder()
-            .trials(trials)
-            .seed(ctx.mc.seed)
-            .threads(traced_threads)
-            .build();
-        let d = tdp_distribution_with(&window, &budget, 64, &mc)?;
-        debug_assert_eq!(d.samples_percent().len(), trials);
-        drop(session);
-        let log = mpvar_trace::schema::validate_jsonl(&sink.contents())
-            .expect("self-emitted trace validates");
-        let profile = mpvar_obs::profile(&log).expect("self-emitted trace profiles");
-        let dominant = profile
-            .aggregates
-            .first()
-            .expect("traced run emits spans")
-            .clone();
-        let coverage_percent = if profile.wall_ns == 0 {
-            0.0
-        } else {
-            profile.critical_path_ns() as f64 / profile.wall_ns as f64 * 100.0
-        };
-        (
-            log.spans.len(),
-            profile.aggregates.len(),
-            dominant,
-            profile.critical_path.len(),
-            coverage_percent,
-        )
-    };
-
-    let t1 = entries
-        .iter()
-        .find(|&&(t, _, _)| t == 1)
-        .map(|&(_, s, _)| s)
-        .unwrap_or(f64::NAN);
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"parallel_mc\",");
-    let _ = writeln!(
-        json,
-        "  \"workload\": \"tdp_distribution LELELE 8nm OL, n = 64\","
-    );
-    let _ = writeln!(json, "  \"trials\": {trials},");
-    let _ = writeln!(json, "  \"seed\": {},", ctx.mc.seed);
-    let _ = writeln!(json, "  \"available_parallelism\": {max_threads},");
-    let _ = writeln!(
-        json,
-        "  \"instrumentation\": {{ \"threads\": {traced_threads}, \
-         \"untraced_seconds\": {untraced_s:.6}, \"traced_seconds\": {traced_s:.6}, \
-         \"overhead_percent\": {overhead_percent:.2} }},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"batch\": {{ \"workload\": \"SPICE-backed Fig. 5 MC read, n = {}\", \
-         \"trials\": {}, \"batch_width\": {}, \"scalar_seconds\": {:.6}, \
-         \"batched_seconds\": {:.6}, \"scalar_trials_per_sec\": {:.1}, \
-         \"batched_trials_per_sec\": {:.1}, \"speedup\": {:.2} }},",
-        batch.n_cells,
-        batch.trials,
-        batch.batch_width,
-        batch.scalar_seconds,
-        batch.batched_seconds,
-        batch.scalar_tps(),
-        batch.batched_tps(),
-        batch.speedup()
-    );
-    let _ = writeln!(
-        json,
-        "  \"yield\": {{ \"workload\": \"planted P_fail = 1e-6, scaled-sigma IS, \
-         target rel half-width 0.3\", \"trials_to_converge\": {}, \"p_fail\": {:.6e}, \
-         \"rel_half_width\": {:.4}, \"converged\": {}, \"ci_covers_truth\": {}, \
-         \"brute_equivalent_trials\": {:.0}, \"speedup\": {:.1} }},",
-        yb.trials,
-        yb.p_fail,
-        yb.rel_half_width,
-        yb.converged,
-        yb.ci_covers_truth,
-        yb.brute_equivalent_trials,
-        yb.speedup()
-    );
-    {
-        let (spans, names, dominant, path_len, coverage) = &obs;
-        let mut dominant_name = String::new();
-        mpvar_trace::json::push_json_str(&mut dominant_name, &dominant.name);
-        let _ = writeln!(
-            json,
-            "  \"obs\": {{ \"workload\": \"traced tdp_distribution rep, {traced_threads} \
-             threads\", \"spans\": {spans}, \"distinct_names\": {names}, \
-             \"dominant_span\": {dominant_name}, \"dominant_share\": {:.4}, \
-             \"critical_path_nodes\": {path_len}, \
-             \"critical_path_coverage_percent\": {coverage:.1} }},",
-            dominant.share
-        );
-    }
-    let _ = writeln!(json, "  \"entries\": [");
-    for (i, &(threads, seconds, tps)) in entries.iter().enumerate() {
-        let comma = if i + 1 < entries.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{ \"threads\": {threads}, \"seconds\": {seconds:.6}, \
-             \"trials_per_sec\": {tps:.1}, \"speedup\": {:.3} }}{comma}",
-            t1 / seconds
-        );
-    }
-    let _ = writeln!(json, "  ]");
-    json.push('}');
-    json.push('\n');
-    Ok(json)
-}
 
 #[cfg(test)]
 mod tests {

@@ -59,8 +59,7 @@ pub use error::CoreError;
 pub use experiments::{ExperimentContext, ExperimentContextBuilder};
 pub use formula::AnalyticalModel;
 pub use montecarlo::{
-    tdp_distribution, tdp_distribution_spice, tdp_distribution_with, McConfig, McConfigBuilder,
-    SpiceMcOptions, TdpDistribution,
+    tdp_distribution, tdp_distribution_with, McConfig, McConfigBuilder, TdpDistribution,
 };
 pub use mpvar_exec::ExecConfig;
 pub use nominal::NominalWindow;
@@ -80,8 +79,7 @@ pub mod prelude {
     pub use crate::experiments::{ExperimentContext, ExperimentContextBuilder};
     pub use crate::formula::AnalyticalModel;
     pub use crate::montecarlo::{
-        tdp_distribution, tdp_distribution_spice, tdp_distribution_with, McConfig, McConfigBuilder,
-        SpiceMcOptions, TdpDistribution,
+        tdp_distribution, tdp_distribution_with, McConfig, McConfigBuilder, TdpDistribution,
     };
     pub use crate::nominal::NominalWindow;
     pub use crate::rareevent::{

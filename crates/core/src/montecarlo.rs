@@ -19,10 +19,7 @@
 
 use mpvar_exec::ExecConfig;
 use mpvar_litho::{sample_draw, Draw};
-use mpvar_sram::{
-    simulate_read, simulate_read_batch_in, BitcellGeometry, ReadBatchScratch, ReadConfig,
-    ReadOutcome, SramError,
-};
+use mpvar_sram::BitcellGeometry;
 use mpvar_stats::{Histogram, RngStream, Summary};
 use mpvar_tech::{PatterningOption, TechDb, VariationBudget};
 use mpvar_trace::names;
@@ -124,7 +121,6 @@ pub struct TdpDistribution {
     samples_percent: Vec<f64>,
     summary: Summary,
     shorted_draws: usize,
-    failed_reads: usize,
 }
 
 impl TdpDistribution {
@@ -140,7 +136,6 @@ impl TdpDistribution {
         samples_percent: Vec<f64>,
         summary: Summary,
         shorted_draws: usize,
-        failed_reads: usize,
     ) -> TdpDistribution {
         TdpDistribution {
             option,
@@ -148,7 +143,6 @@ impl TdpDistribution {
             samples_percent,
             summary,
             shorted_draws,
-            failed_reads,
         }
     }
 
@@ -180,14 +174,6 @@ impl TdpDistribution {
     /// Sampled draws that printed shorted geometry and were excluded.
     pub fn shorted_draws(&self) -> usize {
         self.shorted_draws
-    }
-
-    /// Trials whose read never tripped the sense threshold — *measured
-    /// failures* that consumed a trial slot without contributing a `td`
-    /// sample. Always 0 on the formula route; on the SPICE route a
-    /// pathological trial lands here instead of aborting the wave.
-    pub fn failed_reads(&self) -> usize {
-        self.failed_reads
     }
 
     /// Histogram of the distribution (Fig. 5).
@@ -227,11 +213,6 @@ enum TrialResolution {
     /// The draw printed shorted geometry: a yield loss, excluded from
     /// the trial count entirely (mirrors inspection screening).
     Shorted,
-    /// The simulated operation never completed (e.g. the sense never
-    /// tripped): a *measured failure* that consumes its trial slot but
-    /// contributes no sample — one pathological trial must not abort
-    /// the other lanes of its wave.
-    Failed,
 }
 
 /// The outcome of evaluating one trial index.
@@ -243,7 +224,6 @@ struct Farm {
     threads: usize,
     samples: Vec<f64>,
     shorted: usize,
-    failed: usize,
     /// Earliest per-trial hard error, surfaced after the dispatch loop
     /// (kept out of the chunk error channel so an error *after* the
     /// final accepted sample is ignored, exactly like a sequential
@@ -251,19 +231,11 @@ struct Farm {
     error: Option<CoreError>,
 }
 
-impl Farm {
-    /// Trial slots consumed so far (samples plus measured failures).
-    fn consumed(&self) -> usize {
-        self.samples.len() + self.failed
-    }
-}
-
 /// Farms trial indices through [`mpvar_exec::dispatch_rounds`] until
-/// `trials` slots are consumed by non-shorted trials (samples plus
-/// measured failures): each round's size is the current deficit (at
-/// least one index per worker), outcomes merge in global index order,
-/// and indices past the final consumed slot are discarded — so samples,
-/// shorted/failed counts, and surfaced errors are bit-identical to a
+/// `trials` samples are collected: each round's size is the current
+/// deficit (at least one index per worker), outcomes merge in global
+/// index order, and indices past the final sample are discarded — so
+/// samples, shorted counts, and surfaced errors are bit-identical to a
 /// sequential scan for any thread count.
 ///
 /// `eval_chunk` receives **global** trial-index ranges; trial `k` must
@@ -273,7 +245,7 @@ fn farm_trials<F>(
     trials: usize,
     threads: usize,
     eval_chunk: F,
-) -> Result<(Vec<f64>, usize, usize), CoreError>
+) -> Result<(Vec<f64>, usize), CoreError>
 where
     F: Fn(std::ops::Range<usize>) -> Vec<TrialResult> + Sync,
 {
@@ -286,7 +258,6 @@ where
         threads,
         samples: Vec::with_capacity(trials),
         shorted: 0,
-        failed: 0,
         error: None,
     };
     mpvar_exec::dispatch_rounds(
@@ -295,10 +266,10 @@ where
         limit,
         threads,
         |farm, _round, _consumed| {
-            if farm.consumed() >= farm.trials {
+            if farm.samples.len() >= farm.trials {
                 0
             } else {
-                (farm.trials - farm.consumed()).max(farm.threads)
+                (farm.trials - farm.samples.len()).max(farm.threads)
             }
         },
         |range| Ok::<Vec<TrialResult>, std::convert::Infallible>(eval_chunk(range)),
@@ -309,13 +280,12 @@ where
                     farm.shorted += 1;
                     return std::ops::ControlFlow::Continue(());
                 }
-                Ok(TrialResolution::Failed) => farm.failed += 1,
                 Err(e) => {
                     farm.error = Some(e);
                     return std::ops::ControlFlow::Break(());
                 }
             }
-            if farm.consumed() == farm.trials {
+            if farm.samples.len() == farm.trials {
                 std::ops::ControlFlow::Break(())
             } else {
                 std::ops::ControlFlow::Continue(())
@@ -326,13 +296,13 @@ where
     if let Some(e) = farm.error {
         return Err(e);
     }
-    if farm.consumed() < farm.trials {
+    if farm.samples.len() < farm.trials {
         // The dispatcher exhausted `limit` indices first.
         return Err(CoreError::NoFeasibleCorner {
             option: option.to_string(),
         });
     }
-    Ok((farm.samples, farm.shorted, farm.failed))
+    Ok((farm.samples, farm.shorted))
 }
 
 /// [`tdp_distribution`] against a precomputed [`NominalWindow`] — the
@@ -444,7 +414,7 @@ fn penalty_distribution_with(
     };
 
     let threads = config.exec.effective_threads();
-    let (samples, shorted, failed) = farm_trials(option, config.trials, threads, eval_chunk)?;
+    let (samples, shorted) = farm_trials(option, config.trials, threads, eval_chunk)?;
 
     if traced {
         mpvar_trace::counter_add(names::MC_TRIALS, samples.len() as u64);
@@ -468,186 +438,6 @@ fn penalty_distribution_with(
         samples_percent: samples,
         summary,
         shorted_draws: shorted,
-        failed_reads: failed,
-    })
-}
-
-/// Options for the SPICE-backed Monte-Carlo distribution.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SpiceMcOptions {
-    /// Read-testbench configuration used for every trial and for the
-    /// nominal reference read.
-    pub read: ReadConfig,
-    /// Trials per batched solver call inside each worker chunk. `0`
-    /// runs the per-trial scalar solver; every width produces the same
-    /// bits, because the batched kernel is lane-exact and evicts
-    /// divergent trials to the scalar path.
-    pub batch_width: usize,
-}
-
-impl Default for SpiceMcOptions {
-    /// Default read testbench with 16-wide solver batches.
-    fn default() -> Self {
-        Self {
-            read: ReadConfig::default(),
-            batch_width: 16,
-        }
-    }
-}
-
-/// Classifies one SPICE read result as a trial outcome: a `tdp` sample,
-/// a shorted-draw exclusion, or a hard error.
-fn read_to_outcome(r: Result<ReadOutcome, SramError>, td_nom_s: f64) -> TrialResult {
-    match r {
-        Ok(o) => Ok(TrialResolution::Sample((o.td_s / td_nom_s - 1.0) * 100.0)),
-        // A shorted print is a yield loss — excluded and counted, the
-        // same screening the formula path applies in
-        // `NominalWindow::variation`.
-        Err(SramError::Litho(_)) => Ok(TrialResolution::Shorted),
-        // A sense that never trips is a *measured failure* of this one
-        // trial — recorded, not escalated, so the rest of the wave's
-        // lanes keep their results.
-        Err(SramError::SenseNeverTripped { .. }) => Ok(TrialResolution::Failed),
-        Err(e) => Err(e.into()),
-    }
-}
-
-/// Samples the `tdp` distribution of `option` at column depth `n_cells`
-/// with **full SPICE read simulations** per trial (the methodology
-/// behind Fig. 5) instead of the analytical formula: each trial prints
-/// one sampled draw, builds the §II.C read testbench, and measures `td`
-/// against the nominal read.
-///
-/// Worker threads receive contiguous chunks of trial indices
-/// ([`mpvar_exec::try_par_chunk_map`]) and push them through the
-/// batched trial solver in [`SpiceMcOptions::batch_width`]-wide lanes,
-/// reusing one solver workspace per chunk so steady-state waves
-/// allocate nothing in the solve loop. Trial `k` always consumes RNG
-/// substream `k`, so results are **bit-identical for a given seed at
-/// any thread count and any batch width**.
-///
-/// # Errors
-///
-/// Propagated tech/litho/SPICE failures (shorted draws are yield
-/// losses — excluded and counted, not errors), or
-/// [`CoreError::NoFeasibleCorner`] when the budget shorts essentially
-/// every draw.
-pub fn tdp_distribution_spice(
-    tech: &TechDb,
-    cell: &BitcellGeometry,
-    option: PatterningOption,
-    budget: &VariationBudget,
-    n_cells: usize,
-    config: &McConfig,
-    opts: &SpiceMcOptions,
-) -> Result<TdpDistribution, CoreError> {
-    if config.trials == 0 {
-        return Err(CoreError::InvalidParameter {
-            name: "trials",
-            value: 0.0,
-            constraint: "must be at least 1",
-        });
-    }
-
-    let _dist_span = mpvar_trace::span!(
-        names::SPAN_MC_DISTRIBUTION,
-        option = option.to_string(),
-        n = n_cells,
-        trials = config.trials,
-    );
-    let traced = mpvar_trace::enabled();
-    let started = traced.then(std::time::Instant::now);
-
-    // Nominal reference read: the denominator of every trial's penalty.
-    let td_nom_s = simulate_read(tech, cell, &opts.read, n_cells, &Draw::nominal(option))?.td_s;
-
-    let base = RngStream::from_seed(config.seed);
-
-    // One worker chunk of global trial indices: sample draws by
-    // substream index, run them in `batch_width`-wide sub-batches
-    // through one reusable workspace.
-    let eval_chunk = |range: std::ops::Range<usize>| -> Vec<TrialResult> {
-        let width = opts.batch_width;
-        let mut outcomes: Vec<TrialResult> = Vec::with_capacity(range.len());
-        if width == 0 {
-            for i in range {
-                let mut rng = base.substream(i as u64);
-                outcomes.push(match sample_draw(option, budget, &mut rng) {
-                    Ok(d) => read_to_outcome(
-                        simulate_read(tech, cell, &opts.read, n_cells, &d),
-                        td_nom_s,
-                    ),
-                    Err(e) => Err(e.into()),
-                });
-            }
-            return outcomes;
-        }
-        let mut scratch = ReadBatchScratch::new();
-        let mut draws: Vec<Draw> = Vec::with_capacity(width);
-        let mut lane_slots: Vec<usize> = Vec::with_capacity(width);
-        let mut idx = range.start;
-        while idx < range.end {
-            let stop = (idx + width).min(range.end);
-            draws.clear();
-            lane_slots.clear();
-            for i in idx..stop {
-                let mut rng = base.substream(i as u64);
-                match sample_draw(option, budget, &mut rng) {
-                    Ok(d) => {
-                        lane_slots.push(outcomes.len());
-                        draws.push(d);
-                        // Placeholder; overwritten with the lane result.
-                        outcomes.push(Ok(TrialResolution::Shorted));
-                    }
-                    Err(e) => outcomes.push(Err(e.into())),
-                }
-            }
-            match simulate_read_batch_in(tech, cell, &opts.read, n_cells, &draws, &mut scratch) {
-                Ok(lane_results) => {
-                    for (&slot, r) in lane_slots.iter().zip(lane_results) {
-                        outcomes[slot] = read_to_outcome(r, td_nom_s);
-                    }
-                }
-                Err(e) => {
-                    // Structural failure — impossible for the n_cells the
-                    // nominal read above already simulated, but if it
-                    // surfaces, park it on the sub-batch's first lane so
-                    // the in-order merge reports it before any later
-                    // outcome.
-                    if let Some(&slot) = lane_slots.first() {
-                        outcomes[slot] = Err(e.into());
-                    }
-                }
-            }
-            idx = stop;
-        }
-        outcomes
-    };
-
-    let threads = config.exec.effective_threads();
-    let (samples, shorted, failed) = farm_trials(option, config.trials, threads, eval_chunk)?;
-
-    if traced {
-        mpvar_trace::counter_add(names::MC_TRIALS, samples.len() as u64);
-        mpvar_trace::counter_add(names::MC_SHORTED, shorted as u64);
-        if let Some(started) = started {
-            let secs = started.elapsed().as_secs_f64();
-            if secs > 0.0 {
-                mpvar_trace::gauge_set(names::MC_TRIALS_PER_SEC, samples.len() as f64 / secs);
-            }
-        }
-        let bounds: Vec<f64> = (-10..=10).map(|i| f64::from(i) * 5.0).collect();
-        mpvar_trace::histogram_record(names::MC_TDP_PERCENT, &bounds, &samples);
-    }
-
-    let summary = samples.iter().copied().collect();
-    Ok(TdpDistribution {
-        option,
-        n: n_cells,
-        samples_percent: samples,
-        summary,
-        shorted_draws: shorted,
-        failed_reads: failed,
     })
 }
 
@@ -746,50 +536,11 @@ mod tests {
     }
 
     #[test]
-    fn spice_distribution_identical_across_widths_and_threads() {
-        let (tech, cell) = setup();
-        let budget = VariationBudget::paper_default(PatterningOption::Le3, 8.0).unwrap();
-        let run = |width: usize, threads: usize| {
-            tdp_distribution_spice(
-                &tech,
-                &cell,
-                PatterningOption::Le3,
-                &budget,
-                8,
-                &McConfig::builder()
-                    .trials(10)
-                    .seed(11)
-                    .threads(threads)
-                    .build(),
-                &SpiceMcOptions {
-                    batch_width: width,
-                    ..SpiceMcOptions::default()
-                },
-            )
-            .unwrap()
-        };
-        let scalar = run(0, 1);
-        assert_eq!(scalar.samples_percent().len(), 10);
-        // SPICE tdp values are percent-scale, like the formula path's.
-        assert!(scalar.summary().std_dev() > 0.01);
-        for (width, threads) in [(4, 1), (10, 2), (3, 2)] {
-            let batched = run(width, threads);
-            assert_eq!(
-                scalar.samples_percent(),
-                batched.samples_percent(),
-                "width {width}, {threads} threads"
-            );
-            assert_eq!(scalar.shorted_draws(), batched.shorted_draws());
-        }
-    }
-
-    #[test]
     fn accessors() {
         let d = dist(PatterningOption::Euv, 8.0, 100);
         assert_eq!(d.option(), PatterningOption::Euv);
         assert_eq!(d.n(), 64);
         assert_eq!(d.shorted_draws(), 0);
-        assert_eq!(d.failed_reads(), 0, "formula route never fails a read");
     }
 
     #[test]
@@ -813,79 +564,5 @@ mod tests {
         // Determinism: same seed, same bits.
         let again = twp_distribution_with(&window, &budget, 64, &cfg, 4.0, 0.5).unwrap();
         assert_eq!(write.samples_percent(), again.samples_percent());
-    }
-
-    #[test]
-    fn sense_never_tripped_is_a_recorded_failure_not_a_wave_abort() {
-        // Plant never-tripping trials: a tight simulation window
-        // (window_scale 0.6, no retries) that the nominal read clears
-        // but roughly half the Le3 draws at this seed do not. Before
-        // the fix, the first such trial aborted the whole farm with
-        // SramError::SenseNeverTripped, killing the wave's other lanes;
-        // now each failure consumes its trial slot as a measured
-        // failure and the distribution completes.
-        let (tech, cell) = setup();
-        let budget = VariationBudget::paper_default(PatterningOption::Le3, 8.0).unwrap();
-        let run = |width: usize, threads: usize| {
-            tdp_distribution_spice(
-                &tech,
-                &cell,
-                PatterningOption::Le3,
-                &budget,
-                64,
-                &McConfig::builder()
-                    .trials(6)
-                    .seed(11)
-                    .threads(threads)
-                    .build(),
-                &SpiceMcOptions {
-                    read: ReadConfig {
-                        window_scale: 0.6,
-                        max_retries: 0,
-                        ..ReadConfig::default()
-                    },
-                    batch_width: width,
-                },
-            )
-        };
-        let scalar = run(0, 1).expect("per-trial failures must not abort the farm");
-        assert!(scalar.failed_reads() > 0, "the plant produced no failure");
-        assert!(
-            !scalar.samples_percent().is_empty(),
-            "good lanes must survive alongside the failing ones"
-        );
-        assert_eq!(
-            scalar.failed_reads() + scalar.samples_percent().len(),
-            6,
-            "failures consume trial slots"
-        );
-        // Bit-identical accounting for any batch width / thread count:
-        // the batched path resolves failing lanes through the scalar
-        // fallback without killing the other lanes of the wave.
-        for (width, threads) in [(4, 1), (3, 2)] {
-            let batched = run(width, threads).unwrap();
-            assert_eq!(batched.failed_reads(), scalar.failed_reads());
-            assert_eq!(batched.shorted_draws(), scalar.shorted_draws());
-            assert_eq!(batched.samples_percent(), scalar.samples_percent());
-        }
-    }
-
-    #[test]
-    fn nominal_read_failure_still_surfaces_as_an_error() {
-        // The nominal reference read runs outside the farm; if *it*
-        // cannot trip the sense there is no denominator and the whole
-        // distribution is meaningless — that stays a hard error.
-        let (tech, cell) = setup();
-        let budget = VariationBudget::paper_default(PatterningOption::Euv, 8.0).unwrap();
-        let err = tdp_distribution_spice(
-            &tech,
-            &cell,
-            PatterningOption::Euv,
-            &budget,
-            0, // structural error path
-            &McConfig::builder().trials(2).seed(1).threads(1).build(),
-            &SpiceMcOptions::default(),
-        );
-        assert!(err.is_err());
     }
 }

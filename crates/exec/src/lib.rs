@@ -14,6 +14,8 @@
 //!   placed by index so the output never depends on scheduling;
 //! * [`try_par_map_range`] — the same over an index range, used to
 //!   farm RNG-substream indices in chunks;
+//! * [`try_par_chunk_map`] — the one fork-join under all of them: each
+//!   worker maps its whole contiguous chunk at once;
 //! * [`dispatch_rounds`] — the round-based dispatch engine shared by
 //!   the Monte-Carlo farm and the adaptive yield controller: the
 //!   caller sizes each round from folded state, the driver farms it
@@ -190,89 +192,7 @@ where
     E: Send,
     F: Fn(usize) -> Result<U, E> + Sync,
 {
-    let threads = threads.max(1).min(n.max(1));
-    let traced = mpvar_trace::enabled();
-    let map_span = mpvar_trace::span!(names::SPAN_EXEC_PAR_MAP, n = n, threads = threads);
-    if threads <= 1 {
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            out.push(f(i)?);
-        }
-        return Ok(out);
-    }
-
-    // One worker's output: its chunk's result buffer (or the first
-    // failing index + error) paired with the chunk's wall time in ns
-    // (0 untraced) — observation only, it never feeds back into the
-    // computation.
-    type ChunkOutcome<U, E> = (Result<Vec<U>, (usize, E)>, u64);
-
-    let ranges = chunk_ranges(n, threads);
-    let parent = map_span.id();
-    // Per-worker result buffers; chunk c owns output indices ranges[c].
-    let results: Vec<ChunkOutcome<U, E>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .enumerate()
-            .map(|(c, range)| {
-                let range = range.clone();
-                let f = &f;
-                scope.spawn(move || {
-                    let _chunk_span = if traced {
-                        SpanGuard::enter_with_parent(
-                            parent,
-                            names::SPAN_EXEC_CHUNK,
-                            vec![
-                                ("chunk", c.into()),
-                                ("start", range.start.into()),
-                                ("len", range.len().into()),
-                            ],
-                        )
-                    } else {
-                        SpanGuard::disabled()
-                    };
-                    let started = traced.then(std::time::Instant::now);
-                    let result = (|| {
-                        let mut buf = Vec::with_capacity(range.len());
-                        for i in range.clone() {
-                            match f(i) {
-                                Ok(v) => buf.push(v),
-                                Err(e) => return Err((i, e)),
-                            }
-                        }
-                        Ok(buf)
-                    })();
-                    let dur_ns = started.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                    (result, dur_ns)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("mpvar-exec worker panicked"))
-            .collect()
-    });
-
-    if traced {
-        mpvar_trace::counter_add(names::EXEC_CHUNKS, results.len() as u64);
-        let slowest = results.iter().map(|(_, d)| *d).max().unwrap_or(0) as f64;
-        let mean =
-            results.iter().map(|(_, d)| *d).sum::<u64>() as f64 / results.len().max(1) as f64;
-        if mean > 0.0 {
-            mpvar_trace::gauge_set(names::EXEC_IMBALANCE, slowest / mean);
-        }
-    }
-
-    // Chunks are in index order, so the first failed chunk holds the
-    // lowest-index error (each worker stops at its first failure).
-    let mut out = Vec::with_capacity(n);
-    for (result, _) in results {
-        match result {
-            Ok(buf) => out.extend(buf),
-            Err((_, e)) => return Err(e),
-        }
-    }
-    Ok(out)
+    try_par_chunk_map(n, threads, |range| range.map(&f).collect())
 }
 
 /// Maps a fallible *chunk* function over the index range `0..n` on
@@ -282,10 +202,11 @@ where
 /// This is the batched-solver dispatch primitive: handing a worker its
 /// entire chunk at once lets it run the indices through shared
 /// per-chunk state (a reusable solver workspace, sub-batched SIMD
-/// lanes) instead of paying per-index setup. Because the partition
-/// depends only on `(n, threads)` and results are concatenated in chunk
-/// order, output placement is identical to [`try_par_map_range`] — what
-/// `f` computes per index is the caller's determinism obligation.
+/// lanes) instead of paying per-index setup. The partition depends
+/// only on `(n, threads)` and results are concatenated in chunk order,
+/// so output placement never depends on scheduling — what `f` computes
+/// per index is the caller's determinism obligation. [`try_par_map_range`]
+/// is this map with a per-index `f`.
 ///
 /// # Panics
 ///

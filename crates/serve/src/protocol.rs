@@ -1032,6 +1032,14 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_line_is_an_error_not_a_stack_overflow() {
+        // 60 KB fits under the 64 KiB line cap; unbounded recursion
+        // would need far more stack than a connection thread has.
+        let err = ClientMessage::parse(&"[".repeat(60_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+    }
+
+    #[test]
     fn context_spec_builds_the_context_it_names() {
         let spec = ContextSpec {
             preset: Preset::Quick,

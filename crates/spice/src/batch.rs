@@ -866,7 +866,7 @@ pub fn run_transient_batch_until(
                     stage_step_constants(nets, ws, c, &live, t, dt_k, use_be, geom);
                     assemble_compiled(ws, c, &live, geom);
                 } else {
-                    record_key(nets, ws, &mut compiled, &mut fallout, t, dt_k, use_be, geom);
+                    compiled = compile_batch(nets, ws, &mut fallout, t, dt_k, use_be, geom);
                     for l in 0..lanes {
                         if fallout[l].is_some() {
                             live[l] = false;
@@ -1085,128 +1085,121 @@ struct BatchGeom {
     ncaps: usize,
 }
 
-/// Records one full scalar assembly per admitted lane under the current
-/// key (this *is* that iteration's assembly — values **and** RHS), then
-/// rebuilds the static base image, and — on the first call only —
-/// compiles the shared structure: CSR pattern, stamp program,
-/// static/dynamic classification, RHS program, and the shared symbolic
+/// Compiles the shared structure of a batch at its first companion
+/// key. Records one full scalar assembly per admitted lane under that
+/// key (this *is* that iteration's assembly — values **and** RHS),
+/// seeds the value image, and builds the CSR pattern, stamp program,
+/// static/dynamic classification, RHS program and the shared symbolic
 /// analysis (evicting lanes whose own analysis fails or disagrees).
+/// Returns `None` when every lane fell out before a shared analysis
+/// existed.
 #[allow(clippy::too_many_arguments)]
-fn record_key(
+fn compile_batch(
     nets: &[&Netlist],
     ws: &mut BatchedMnaWorkspace,
-    compiled: &mut Option<CompiledBatch>,
     fallout: &mut [Option<LaneFalloutReason>],
     t: f64,
     dt_k: f64,
     use_be: bool,
     geom: BatchGeom,
-) {
+) -> Option<CompiledBatch> {
     let BatchGeom { lanes, size, .. } = geom;
     let net0 = nets[0];
 
-    // ---- First call: compile the shared structure --------------------
-    if compiled.is_none() {
-        let cls = classify(net0);
-        let (pattern, program) = CsrMatrix::from_coords(size, &cls.coords);
-        let nnz = pattern.nnz();
-        let mut slot_has_dyn = vec![false; nnz];
-        for (p, d) in cls.dyn_of.iter().enumerate() {
-            if d.is_some() {
-                slot_has_dyn[program[p] as usize] = true;
-            }
+    let cls = classify(net0);
+    let (pattern, program) = CsrMatrix::from_coords(size, &cls.coords);
+    let nnz = pattern.nnz();
+    let mut slot_has_dyn = vec![false; nnz];
+    for (p, d) in cls.dyn_of.iter().enumerate() {
+        if d.is_some() {
+            slot_has_dyn[program[p] as usize] = true;
         }
-        let mut iter_prog = Vec::new();
-        for (p, &slot) in program.iter().enumerate() {
-            if slot_has_dyn[slot as usize] {
-                iter_prog.push(match cls.dyn_of[p] {
-                    Some(k) => IterStamp::Dyn { slot, k },
-                    None => IterStamp::Stat { slot, p: p as u32 },
-                });
-            }
-        }
-        ws.vals.clear();
-        ws.vals.resize(nnz * lanes, 0.0);
-        ws.stamp_vals.clear();
-        ws.stamp_vals.resize(program.len() * lanes, 0.0);
-        ws.dyn_vals.clear();
-        ws.dyn_vals.resize(cls.n_dyn * lanes, 0.0);
-        ws.mos_ieq.clear();
-        ws.mos_ieq.resize(cls.mosfets.len() * lanes, 0.0);
-
-        record_lanes(nets, ws, &cls.coords, fallout, t, dt_k, use_be, geom);
-        seed_vals(ws, &program, lanes);
-
-        // Per-lane symbolic analysis: the first surviving lane's pivot
-        // order becomes the batch's shared order; lanes that disagree
-        // (or cannot be analyzed at all) fall out to the scalar path.
-        let mut scratch = pattern.clone();
-        let mut shared: Option<SymbolicLu> = None;
-        for (l, f) in fallout.iter_mut().enumerate() {
-            if f.is_some() {
-                continue;
-            }
-            {
-                let vals = scratch.values_mut();
-                for (s, v) in vals.iter_mut().enumerate() {
-                    *v = ws.vals[s * lanes + l];
-                }
-            }
-            match SymbolicLu::analyze(&scratch) {
-                Ok(sym) => match &shared {
-                    None => shared = Some(sym),
-                    Some(r) if r.perm() == sym.perm() => {}
-                    Some(_) => *f = Some(LaneFalloutReason::SymbolicMismatch),
-                },
-                Err(_) => *f = Some(LaneFalloutReason::SymbolicMismatch),
-            }
-        }
-        let Some(sym) = shared else {
-            // Every lane fell out before a shared analysis existed.
-            return;
-        };
-        ws.lu.prepare(&sym, lanes);
-        let dyn_slots: Vec<u32> = (0..nnz)
-            .filter(|&s| slot_has_dyn[s])
-            .map(|s| s as u32)
-            .collect();
-        let mut models = Vec::with_capacity(cls.mosfets.len() * lanes);
-        for info in &cls.mosfets {
-            for net in nets {
-                match &net.elements()[info.elem] {
-                    Element::Mosfet { model, .. } => models.push(*model),
-                    _ => unreachable!("lane structure verified at admission"),
-                }
-            }
-        }
-        // Capture the key-independent stamp values once; every future
-        // key reseeds from these plus the recomputed cap companions —
-        // no scalar assembly ever runs again for this batch.
-        let mut fixed_vals = vec![0.0; cls.n_fixed * lanes];
-        for (p, src) in cls.static_src.iter().enumerate() {
-            if let StaticSrc::Fixed(fi) = *src {
-                fixed_vals[fi as usize * lanes..(fi as usize + 1) * lanes]
-                    .copy_from_slice(&ws.stamp_vals[p * lanes..(p + 1) * lanes]);
-            }
-        }
-        *compiled = Some(CompiledBatch {
-            pattern,
-            program,
-            iter_prog,
-            dyn_slots,
-            rhs_ops: cls.rhs_ops,
-            mosfets: cls.mosfets,
-            models,
-            static_src: cls.static_src,
-            fixed_vals,
-            n_vsrc: net0.num_vsources(),
-            n_isrc: cls.n_isrc,
-            sym,
-        });
-        return;
     }
+    let mut iter_prog = Vec::new();
+    for (p, &slot) in program.iter().enumerate() {
+        if slot_has_dyn[slot as usize] {
+            iter_prog.push(match cls.dyn_of[p] {
+                Some(k) => IterStamp::Dyn { slot, k },
+                None => IterStamp::Stat { slot, p: p as u32 },
+            });
+        }
+    }
+    ws.vals.clear();
+    ws.vals.resize(nnz * lanes, 0.0);
+    ws.stamp_vals.clear();
+    ws.stamp_vals.resize(program.len() * lanes, 0.0);
+    ws.dyn_vals.clear();
+    ws.dyn_vals.resize(cls.n_dyn * lanes, 0.0);
+    ws.mos_ieq.clear();
+    ws.mos_ieq.resize(cls.mosfets.len() * lanes, 0.0);
 
-    unreachable!("record_key is only called before the structure is compiled");
+    record_lanes(nets, ws, &cls.coords, fallout, t, dt_k, use_be, geom);
+    seed_vals(ws, &program, lanes);
+
+    // Per-lane symbolic analysis: the first surviving lane's pivot
+    // order becomes the batch's shared order; lanes that disagree
+    // (or cannot be analyzed at all) fall out to the scalar path.
+    let mut scratch = pattern.clone();
+    let mut shared: Option<SymbolicLu> = None;
+    for (l, f) in fallout.iter_mut().enumerate() {
+        if f.is_some() {
+            continue;
+        }
+        {
+            let vals = scratch.values_mut();
+            for (s, v) in vals.iter_mut().enumerate() {
+                *v = ws.vals[s * lanes + l];
+            }
+        }
+        match SymbolicLu::analyze(&scratch) {
+            Ok(sym) => match &shared {
+                None => shared = Some(sym),
+                Some(r) if r.perm() == sym.perm() => {}
+                Some(_) => *f = Some(LaneFalloutReason::SymbolicMismatch),
+            },
+            Err(_) => *f = Some(LaneFalloutReason::SymbolicMismatch),
+        }
+    }
+    // `None`: every lane fell out before a shared analysis existed.
+    let sym = shared?;
+    ws.lu.prepare(&sym, lanes);
+    let dyn_slots: Vec<u32> = (0..nnz)
+        .filter(|&s| slot_has_dyn[s])
+        .map(|s| s as u32)
+        .collect();
+    let mut models = Vec::with_capacity(cls.mosfets.len() * lanes);
+    for info in &cls.mosfets {
+        for net in nets {
+            match &net.elements()[info.elem] {
+                Element::Mosfet { model, .. } => models.push(*model),
+                _ => unreachable!("lane structure verified at admission"),
+            }
+        }
+    }
+    // Capture the key-independent stamp values once; every future
+    // key reseeds from these plus the recomputed cap companions —
+    // no scalar assembly ever runs again for this batch.
+    let mut fixed_vals = vec![0.0; cls.n_fixed * lanes];
+    for (p, src) in cls.static_src.iter().enumerate() {
+        if let StaticSrc::Fixed(fi) = *src {
+            fixed_vals[fi as usize * lanes..(fi as usize + 1) * lanes]
+                .copy_from_slice(&ws.stamp_vals[p * lanes..(p + 1) * lanes]);
+        }
+    }
+    Some(CompiledBatch {
+        pattern,
+        program,
+        iter_prog,
+        dyn_slots,
+        rhs_ops: cls.rhs_ops,
+        mosfets: cls.mosfets,
+        models,
+        static_src: cls.static_src,
+        fixed_vals,
+        n_vsrc: net0.num_vsources(),
+        n_isrc: cls.n_isrc,
+        sym,
+    })
 }
 
 /// Builds the static images (`stamp_vals`, seeded `vals`) for a
@@ -1432,12 +1425,12 @@ fn record_lanes(
     }
 }
 
-/// Rebuilds the full value image (`vals`) and the static base image
-/// (`base_vals`) from the freshly recorded stamp stream, in program
-/// order — the same `+=` accumulation sequence the scalar replayer
-/// performs, so per-slot sums are bit-identical. Slots touched by any
-/// MOSFET stamp are left out of the base (their whole accumulation runs
-/// per iteration instead, preserving mixed static/dynamic ordering).
+/// Rebuilds the value image (`vals`) from the freshly recorded stamp
+/// stream, in program order — the same `+=` accumulation sequence the
+/// scalar replayer performs, so per-slot sums are bit-identical. Slots
+/// touched by any MOSFET stamp are seeded too, but every iteration's
+/// [`assemble_compiled`] zeroes and re-accumulates them, preserving
+/// mixed static/dynamic ordering.
 fn seed_vals(ws: &mut BatchedMnaWorkspace, program: &[u32], lanes: usize) {
     ws.vals.fill(0.0);
     for (p, &slot) in program.iter().enumerate() {

@@ -44,7 +44,7 @@ use crate::value::{ArtifactValue, SensitivityMatrix};
 /// Version of the payload layout. Any change to the encoding — field
 /// added, type widened, order shuffled — must bump this; the disk
 /// envelope stores it and refuses to decode a mismatch.
-pub(crate) const CODEC_VERSION: u32 = 3;
+pub(crate) const CODEC_VERSION: u32 = 4;
 
 /// A decode failure: the payload is truncated, structurally invalid,
 /// or from an incompatible producer.
@@ -353,9 +353,10 @@ fn intern_estimator(r: &Reader<'_>, name: &str) -> Result<&'static str, CodecErr
 
 /// Variant tags, fixed forever once assigned (tags 1–14 date from
 /// `CODEC_VERSION` 1; 15–19 joined with version 2, which also added
-/// the `failed_reads` field to the FIG5 distribution layout; version 3
+/// a per-distribution failed-read count to the FIG5 layout; version 3
 /// dropped the unread fourth moment from every `Summary`, which is now
-/// `n, mean, m2, m3, min, max`).
+/// `n, mean, m2, m3, min, max`; version 4 dropped that failed-read
+/// count again, which only the deleted SPICE Monte-Carlo route set).
 mod tag {
     pub(crate) const TABLE1: u8 = 1;
     pub(crate) const FIG4: u8 = 2;
@@ -434,7 +435,6 @@ pub fn encode_value(value: &ArtifactValue) -> Vec<u8> {
                 put_f64s(&mut out, d.samples_percent());
                 put_summary(&mut out, d.summary());
                 put_usize(&mut out, d.shorted_draws());
-                put_usize(&mut out, d.failed_reads());
             }
         }
         ArtifactValue::Table4(v) => {
@@ -693,7 +693,6 @@ fn decode_inner(r: &mut Reader<'_>) -> Result<ArtifactValue, CodecError> {
                     r.usize()?,
                     r.f64s()?,
                     read_summary(r)?,
-                    r.usize()?,
                     r.usize()?,
                 ));
             }
@@ -959,7 +958,6 @@ mod tests {
                     vec![1.0, 2.5, -0.75, 9.25],
                     summary,
                     7,
-                    2,
                 )],
             }),
             ArtifactValue::Table4(Table4 {

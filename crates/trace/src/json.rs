@@ -7,9 +7,15 @@
 //! instead of three. It is a *subset* of JSON sufficient for
 //! machine-produced line protocols — not a general-purpose document
 //! parser: numbers are `f64`, object keys are unique (last wins), and
-//! `\u` escapes outside the BMP are replaced, not paired.
+//! `\u` escapes outside the BMP are replaced, not paired. Arrays and
+//! objects nest at most 64 levels deep, so a hostile line cannot
+//! recurse the parser off its thread's stack.
 
 use std::collections::BTreeMap;
+
+/// Deepest array/object nesting the parser accepts. The deepest
+/// document the workspace writes nests about 5 levels.
+const MAX_DEPTH: usize = 64;
 
 /// A JSON object: string-keyed, insertion order not preserved.
 pub type Obj = BTreeMap<String, Json>;
@@ -58,6 +64,7 @@ pub fn parse_json(text: &str) -> Result<Json, String> {
     let mut parser = Parser {
         chars: text.chars().collect(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_ws();
     let value = parser.value()?;
@@ -211,6 +218,8 @@ pub fn push_json_f64(out: &mut String, v: f64) {
 struct Parser {
     chars: Vec<char>,
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser {
@@ -248,8 +257,22 @@ impl Parser {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek().ok_or("unexpected end of input")? {
-            '{' => self.object(),
-            '[' => self.array(),
+            open @ ('{' | '[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at offset {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let value = if open == '{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             '"' => Ok(Json::Str(self.string()?)),
             't' => self.literal("true", Json::Bool(true)),
             'f' => self.literal("false", Json::Bool(false)),
@@ -373,6 +396,20 @@ mod tests {
         let mut out = String::new();
         push_json_str(&mut out, nasty);
         assert_eq!(parse_json(&out), Ok(Json::Str(nasty.to_string())));
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_json(&at_limit).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse_json(&over)
+            .unwrap_err()
+            .contains("nesting deeper than"));
+        let err = parse_json(&"[".repeat(65_536)).unwrap_err();
+        assert!(err.contains("nesting deeper than 64 levels"), "{err}");
+        let err = parse_json(&r#"{"a":"#.repeat(65_536)).unwrap_err();
+        assert!(err.contains("nesting deeper than 64 levels"), "{err}");
     }
 
     #[test]

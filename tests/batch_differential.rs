@@ -1,86 +1,100 @@
 //! Differential suite for the batched SoA trial solver.
 //!
-//! The batch contract is *bit-identity*: for a given seed, the
-//! SPICE-backed Monte-Carlo distribution must not depend on batch
-//! width or thread count — lanes never mix arithmetically, and any
-//! trial the batch cannot carry (pivot drift, non-convergence,
+//! The batch contract is *bit-identity*: every lane of a batched read
+//! or write must reproduce the scalar simulation of its draw bit for
+//! bit, whatever the batch width — lanes never mix arithmetically, and
+//! any trial the batch cannot carry (pivot drift, non-convergence,
 //! structural divergence) is transparently re-run through the scalar
-//! path. These tests drive that contract end to end: randomized SRAM
-//! read decks through `tdp_distribution_spice` and a deck engineered to
-//! force a mid-transient lane eviction. The steady-state no-allocation
-//! guarantee of the reusable workspace is `tests/batch_telemetry.rs`,
-//! alone in its binary because its collector is process-global.
+//! path. These tests drive that contract through the entry points
+//! `repro check` runs: seeded SRAM read and write draws through
+//! `simulate_read_batch_in` / `simulate_write_batch_in`, and a deck
+//! engineered to force a mid-transient lane eviction. The steady-state
+//! no-allocation guarantee of the reusable workspace is
+//! `tests/batch_telemetry.rs`, alone in its binary because its
+//! collector is process-global.
 
-use mpvar::core::montecarlo::{tdp_distribution_spice, McConfig, SpiceMcOptions, TdpDistribution};
+use std::fmt::Display;
+
+use mpvar::litho::{sample_draw, Draw};
 use mpvar::spice::{
     run_transient_batch, BatchLaneOutcome, BatchTransientSpec, BatchedMnaWorkspace,
     LaneFalloutReason, Method, MosfetModel, Netlist, Transient, Waveform,
 };
-use mpvar::sram::BitcellGeometry;
+use mpvar::sram::{
+    simulate_read, simulate_read_batch_in, simulate_write, simulate_write_batch_in,
+    BitcellGeometry, ReadBatchScratch, ReadConfig, WriteBatchScratch, WriteConfig,
+};
+use mpvar::stats::RngStream;
 use mpvar::tech::preset::n10;
-use mpvar::tech::{PatterningOption, TechDb, VariationBudget};
+use mpvar::tech::{PatterningOption, VariationBudget};
 
-fn setup() -> (TechDb, BitcellGeometry, VariationBudget) {
+/// Column height of every differential read and write.
+const N_CELLS: usize = 8;
+
+/// Draw `k` comes from substream `k` of seed 42.
+fn le3_draws(count: usize) -> Vec<Draw> {
+    let le3 = PatterningOption::Le3;
+    let budget = VariationBudget::paper_default(le3, 8.0).unwrap();
+    let base = RngStream::from_seed(42);
+    (0..count)
+        .map(|k| sample_draw(le3, &budget, &mut base.substream(k as u64)).unwrap())
+        .collect()
+}
+
+/// A lane's comparable result: the time's bits, or the error text.
+fn key<E: Display>(r: Result<f64, E>) -> Result<u64, String> {
+    r.map(f64::to_bits).map_err(|e| e.to_string())
+}
+
+/// Widths {1, 3, 8} over 11 draws cover the 1-lane degenerate batch,
+/// non-divisor remainders (11 = 3·3+2 = 8+3) and a full 8-wide batch.
+/// Every width, through one reused scratch per direction, must
+/// reproduce the scalar read and write of each draw bit for bit.
+#[test]
+fn read_and_write_batches_bit_identical_across_widths() {
     let tech = n10();
     let cell = BitcellGeometry::n10_hd(&tech).unwrap();
-    let budget = VariationBudget::paper_default(PatterningOption::Le3, 8.0).unwrap();
-    (tech, cell, budget)
-}
+    let draws = le3_draws(11);
+    let (read, write) = (ReadConfig::default(), WriteConfig::default());
+    let scalar_reads: Vec<_> = draws
+        .iter()
+        .map(|d| key(simulate_read(&tech, &cell, &read, N_CELLS, d).map(|o| o.td_s)))
+        .collect();
+    let scalar_writes: Vec<_> = draws
+        .iter()
+        .map(|d| key(simulate_write(&tech, &cell, &write, N_CELLS, d).map(|o| o.t_write_s)))
+        .collect();
+    assert!(
+        scalar_reads.iter().all(Result::is_ok) && scalar_writes.iter().all(Result::is_ok),
+        "every seed-42 draw reads and writes"
+    );
+    assert!(
+        scalar_reads.windows(2).any(|w| w[0] != w[1]),
+        "degenerate draws: every read took the same time"
+    );
 
-fn spice_dist(
-    tech: &TechDb,
-    cell: &BitcellGeometry,
-    budget: &VariationBudget,
-    width: usize,
-    threads: usize,
-    trials: usize,
-) -> TdpDistribution {
-    tdp_distribution_spice(
-        tech,
-        cell,
-        PatterningOption::Le3,
-        budget,
-        8,
-        &McConfig::builder()
-            .trials(trials)
-            .seed(42)
-            .threads(threads)
-            .build(),
-        &SpiceMcOptions {
-            batch_width: width,
-            ..SpiceMcOptions::default()
-        },
-    )
-    .unwrap()
-}
-
-/// Widths {1, 3, 8} at 11 trials cover the 1-lane degenerate batch,
-/// non-divisor remainders (11 = 3·3+2 = 8+3), and a full 8-wide batch;
-/// each at 1 and 4 threads. Every combination must reproduce the
-/// scalar (width 0) samples bit-for-bit, including the shorted-draw
-/// tally.
-#[test]
-fn spice_mc_bit_identical_across_widths_and_threads() {
-    let (tech, cell, budget) = setup();
-    let scalar = spice_dist(&tech, &cell, &budget, 0, 1, 11);
-    assert_eq!(scalar.samples_percent().len(), 11);
-    assert!(scalar.summary().std_dev() > 0.01, "degenerate distribution");
+    let mut read_scratch = ReadBatchScratch::new();
+    let mut write_scratch = WriteBatchScratch::new();
     for width in [1usize, 3, 8] {
-        for threads in [1usize, 4] {
-            let batched = spice_dist(&tech, &cell, &budget, width, threads, 11);
-            let pairs = scalar
-                .samples_percent()
-                .iter()
-                .zip(batched.samples_percent());
-            for (k, (s, b)) in pairs.enumerate() {
-                assert_eq!(
-                    s.to_bits(),
-                    b.to_bits(),
-                    "trial {k} diverged at width {width}, {threads} threads: {s} vs {b}"
-                );
-            }
-            assert_eq!(scalar.shorted_draws(), batched.shorted_draws());
+        let mut reads = Vec::new();
+        let mut writes = Vec::new();
+        for chunk in draws.chunks(width) {
+            let lanes =
+                simulate_read_batch_in(&tech, &cell, &read, N_CELLS, chunk, &mut read_scratch)
+                    .unwrap();
+            reads.extend(lanes.into_iter().map(|r| key(r.map(|o| o.td_s))));
+            let lanes =
+                simulate_write_batch_in(&tech, &cell, &write, N_CELLS, chunk, &mut write_scratch)
+                    .unwrap();
+            writes.extend(lanes.into_iter().map(|r| key(r.map(|o| o.t_write_s))));
         }
+        for (k, (s, b)) in scalar_reads.iter().zip(&reads).enumerate() {
+            assert_eq!(s, b, "read {k} diverged at width {width}");
+        }
+        for (k, (s, b)) in scalar_writes.iter().zip(&writes).enumerate() {
+            assert_eq!(s, b, "write {k} diverged at width {width}");
+        }
+        assert_eq!((reads.len(), writes.len()), (11, 11));
     }
 }
 

@@ -8,71 +8,49 @@
 
 use std::sync::Arc;
 
-use mpvar::core::montecarlo::{tdp_distribution_spice, McConfig, SpiceMcOptions, TdpDistribution};
-use mpvar::sram::BitcellGeometry;
+use mpvar::litho::{sample_draw, Draw};
+use mpvar::sram::{simulate_read_batch_in, BitcellGeometry, ReadBatchScratch, ReadConfig};
+use mpvar::stats::RngStream;
 use mpvar::tech::preset::n10;
 use mpvar::tech::{PatterningOption, TechDb, VariationBudget};
 use mpvar::trace::{names, Collector, Metric, RecordingSink};
 
-fn setup() -> (TechDb, BitcellGeometry, VariationBudget) {
-    let tech = n10();
-    let cell = BitcellGeometry::n10_hd(&tech).unwrap();
-    let budget = VariationBudget::paper_default(PatterningOption::Le3, 8.0).unwrap();
-    (tech, cell, budget)
-}
-
-fn spice_dist(
+/// Reads the gauge/counter map of one traced session that pushes
+/// `batches` 4-wide batches of seed-42 LE3 reads (draw `k` from
+/// substream `k`) through one scratch. Collector sessions are
+/// process-global, so both sessions live in this single test.
+fn traced_batches(
     tech: &TechDb,
     cell: &BitcellGeometry,
-    budget: &VariationBudget,
-    width: usize,
-    threads: usize,
-    trials: usize,
-) -> TdpDistribution {
-    tdp_distribution_spice(
-        tech,
-        cell,
-        PatterningOption::Le3,
-        budget,
-        8,
-        &McConfig::builder()
-            .trials(trials)
-            .seed(42)
-            .threads(threads)
-            .build(),
-        &SpiceMcOptions {
-            batch_width: width,
-            ..SpiceMcOptions::default()
-        },
-    )
-    .unwrap()
-}
-
-/// Reads the gauge/counter map of one traced `tdp_distribution_spice`
-/// run. Collector sessions are process-global, so both sessions live in
-/// this single test.
-fn traced_run(
-    tech: &TechDb,
-    cell: &BitcellGeometry,
-    budget: &VariationBudget,
-    trials: usize,
+    batches: usize,
 ) -> std::collections::BTreeMap<String, Metric> {
+    let le3 = PatterningOption::Le3;
+    let budget = VariationBudget::paper_default(le3, 8.0).unwrap();
+    let base = RngStream::from_seed(42);
+    let draws: Vec<Draw> = (0..4 * batches)
+        .map(|k| sample_draw(le3, &budget, &mut base.substream(k as u64)).unwrap())
+        .collect();
     let sink = Arc::new(RecordingSink::new());
     let collector = Collector::new(vec![sink.clone()]);
     {
         let _session = collector.install();
-        spice_dist(tech, cell, budget, 4, 1, trials);
+        let mut scratch = ReadBatchScratch::new();
+        for chunk in draws.chunks(4) {
+            simulate_read_batch_in(tech, cell, &ReadConfig::default(), 8, chunk, &mut scratch)
+                .unwrap();
+        }
     }
     sink.metrics().expect("metrics flushed on session drop")
 }
 
 #[test]
 fn batch_telemetry_counts_and_workspace_stays_flat() {
-    let (tech, cell, budget) = setup();
+    let tech = n10();
+    let cell = BitcellGeometry::n10_hd(&tech).unwrap();
     // One 4-wide batch vs three consecutive 4-wide batches through the
-    // same per-chunk workspace.
-    let short = traced_run(&tech, &cell, &budget, 4);
-    let long = traced_run(&tech, &cell, &budget, 12);
+    // same scratch.
+    let short = traced_batches(&tech, &cell, 1);
+    let long = traced_batches(&tech, &cell, 3);
 
     for m in [&short, &long] {
         let Metric::Counter(solves) = m[names::SPICE_BATCH_SOLVES] else {
