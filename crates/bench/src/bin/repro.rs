@@ -16,9 +16,11 @@
 //! ablation-bl-width ablation-sadp-vss. `--quick` uses the down-scaled
 //! context (small arrays, fewer Monte-Carlo trials); the default is the
 //! paper's full design of experiments. CSV artefacts land in `--out`
-//! (default `results/`). The extra `bench-batch-smoke` target times
-//! 16-lane batched SPICE reads against per-draw scalar reads of the
-//! same 64 draws and fails unless the batched path holds a 2x floor
+//! (default `target/repro/`, so no run overwrites the committed goldens;
+//! regenerating them takes an explicit `--out results`). The extra
+//! `bench-batch-smoke` target times 16-lane batched SPICE reads against
+//! per-draw scalar reads of the same 64 draws and fails unless the
+//! batched path holds a 2x floor
 //! (CI runs it traced and then validates the `spice.batch_*` counters
 //! from the trace);
 //! `bench-yield-smoke` runs the adaptive importance-sampling yield
@@ -191,6 +193,7 @@ fn usage() -> String {
          \x20      repro client [--addr HOST:PORT] [--quick] <artifact>... | --stats | --shutdown\n\
          \x20      repro validate-serve FILE\n\
          \x20      repro serve-smoke [--store DIR]\n\
+         CSVs go to --out DIR (default target/repro); --out results regenerates the goldens\n\
          experiments: {}",
         EXPERIMENT_IDS.join(" ")
     )
@@ -363,7 +366,7 @@ fn main() -> ExitCode {
     let mut timings = false;
     let mut metrics = false;
     let mut trace: Option<PathBuf> = None;
-    let mut out_dir = PathBuf::from("results");
+    let mut out_dir = PathBuf::from("target/repro");
     let mut golden_dir = PathBuf::from("results");
     let mut oracle_cases = 128usize;
     let mut target: Option<String> = None;

@@ -7,19 +7,27 @@
 //! `Study::get::<T>()` keep working across process restarts.
 //!
 //! The format is a deliberately boring length-prefixed little-endian
-//! encoding: one variant tag byte, then the struct fields in
-//! declaration order. Floats travel as raw IEEE-754 bits
-//! ([`f64::to_bits`]), so round-trips are exact — including infinities
-//! (`rel_half_width` of a zero-probability yield row) and negative
-//! zero. No field names, no self-description: the payload is only
-//! meaningful under `CODEC_VERSION`, which the disk envelope pins.
-//! Bumping the codec (any layout change!) orphans old entries — they
-//! fail the envelope check and are recomputed, never misread.
+//! encoding: one variant tag byte, then the struct fields in the order
+//! their `codec_struct!` entry lists them. That list is the layout, and
+//! the only place it is written: one `Codec` impl both encodes and
+//! decodes it, and the list may differ from the declaration order
+//! (`ExtensionLe2` and `ExtensionScaling` declare `rows, n` but travel
+//! as `n, rows`). Floats travel as raw IEEE-754 bits ([`f64::to_bits`]),
+//! so round-trips are exact — including infinities (`rel_half_width`
+//! of a zero-probability yield row) and negative zero. No field names,
+//! no self-description: the payload is only meaningful under
+//! `CODEC_VERSION`, which the disk envelope pins. Bumping the codec
+//! (any layout change!) orphans old entries — they fail the envelope
+//! check and are recomputed, never misread.
 //!
 //! Statically-interned strings (`ParameterSensitivity::name`,
 //! `YieldRow::estimator`) are written as text and re-interned against
 //! the known vocabulary on decode, so the decoded value is
 //! indistinguishable from a freshly computed one.
+//!
+//! A payload that decodes must also render: `decode_value` rejects the
+//! shapes the renderers index by but the layout cannot express (see
+//! `check_shape`).
 
 use std::fmt;
 
@@ -68,63 +76,12 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-// ---------------------------------------------------------------------
-// Primitive writer / reader
-// ---------------------------------------------------------------------
-
-fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_i64(out: &mut Vec<u8>, v: i64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_usize(out: &mut Vec<u8>, v: usize) {
-    put_u64(out, v as u64);
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
-}
-
-fn put_bool(out: &mut Vec<u8>, v: bool) {
-    put_u8(out, u8::from(v));
-}
-
-fn put_str(out: &mut Vec<u8>, v: &str) {
-    put_usize(out, v.len());
-    out.extend_from_slice(v.as_bytes());
-}
-
-fn put_f64s(out: &mut Vec<u8>, vs: &[f64]) {
-    put_usize(out, vs.len());
-    for &v in vs {
-        put_f64(out, v);
-    }
-}
-
-fn put_usizes(out: &mut Vec<u8>, vs: &[usize]) {
-    put_usize(out, vs.len());
-    for &v in vs {
-        put_usize(out, v);
-    }
-}
-
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
     fn err(&self, message: impl Into<String>) -> CodecError {
         CodecError {
             offset: self.pos,
@@ -143,27 +100,10 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
-    fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn i64(&mut self) -> Result<i64, CodecError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn usize(&mut self) -> Result<usize, CodecError> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| self.err(format!("length {v} exceeds usize")))
-    }
-
     /// A collection length, sanity-bounded so a corrupt length prefix
     /// fails cleanly instead of attempting a huge allocation.
     fn len(&mut self) -> Result<usize, CodecError> {
-        let n = self.usize()?;
+        let n = usize::get(self)?;
         let remaining = self.buf.len() - self.pos;
         if n > remaining {
             return Err(self.err(format!(
@@ -171,34 +111,6 @@ impl<'a> Reader<'a> {
             )));
         }
         Ok(n)
-    }
-
-    fn f64(&mut self) -> Result<f64, CodecError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn bool(&mut self) -> Result<bool, CodecError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(self.err(format!("invalid bool byte {other}"))),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, CodecError> {
-        let n = self.len()?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| self.err("invalid utf-8 string"))
-    }
-
-    fn f64s(&mut self) -> Result<Vec<f64>, CodecError> {
-        let n = self.len()?;
-        (0..n).map(|_| self.f64()).collect()
-    }
-
-    fn usizes(&mut self) -> Result<Vec<usize>, CodecError> {
-        let n = self.len()?;
-        (0..n).map(|_| self.usize()).collect()
     }
 
     fn finish(&self) -> Result<(), CodecError> {
@@ -213,114 +125,288 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// One layout, read and written by the same impl.
+trait Codec: Sized {
+    fn put(&self, out: &mut Vec<u8>);
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError>;
+}
+
 // ---------------------------------------------------------------------
-// Domain pieces
+// Primitives
 // ---------------------------------------------------------------------
 
-fn put_option(out: &mut Vec<u8>, option: PatterningOption) {
-    put_u8(
-        out,
-        match option {
+impl Codec for u64 {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_le_bytes());
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let mut bytes = [0; 8];
+        bytes.copy_from_slice(r.take(8)?);
+        Ok(u64::from_le_bytes(bytes))
+    }
+}
+
+/// Two's-complement bits as a `u64`.
+impl Codec for i64 {
+    fn put(&self, out: &mut Vec<u8>) {
+        (*self as u64).put(out);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(u64::get(r)? as i64)
+    }
+}
+
+impl Codec for usize {
+    fn put(&self, out: &mut Vec<u8>) {
+        (*self as u64).put(out);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let v = u64::get(r)?;
+        usize::try_from(v).map_err(|_| r.err(format!("length {v} exceeds usize")))
+    }
+}
+
+impl Codec for f64 {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.to_bits().put(out);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(f64::from_bits(u64::get(r)?))
+    }
+}
+
+impl Codec for bool {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        match r.take(1)?[0] {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(r.err(format!("invalid bool byte {other}"))),
+        }
+    }
+}
+
+impl Codec for String {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.len().put(out);
+        out.extend_from_slice(self.as_bytes());
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let n = r.len()?;
+        let bytes = r.take(n)?;
+        String::from_utf8(bytes.to_vec()).map_err(|_| r.err("invalid utf-8 string"))
+    }
+}
+
+/// Length-prefixed.
+impl<T: Codec> Codec for Vec<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.len().put(out);
+        for v in self {
+            v.put(out);
+        }
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let n = r.len()?;
+        let mut values = Vec::with_capacity(n);
+        for _ in 0..n {
+            values.push(T::get(r)?);
+        }
+        Ok(values)
+    }
+}
+
+/// Fixed width, so no length prefix.
+impl<const N: usize> Codec for [f64; N] {
+    fn put(&self, out: &mut Vec<u8>) {
+        for v in self {
+            v.put(out);
+        }
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let mut values = [0.0; N];
+        for v in &mut values {
+            *v = f64::get(r)?;
+        }
+        Ok(values)
+    }
+}
+
+/// Elements in order; a tuple expression evaluates left to right.
+macro_rules! codec_tuple {
+    ($($t:ident . $i:tt),+) => {
+        impl<$($t: Codec),+> Codec for ($($t,)+) {
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$i.put(out);)+
+            }
+
+            fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                Ok(($($t::get(r)?,)+))
+            }
+        }
+    };
+}
+
+codec_tuple!(A.0, B.1);
+codec_tuple!(A.0, B.1, C.2);
+codec_tuple!(A.0, B.1, C.2, D.3);
+codec_tuple!(A.0, B.1, C.2, D.3, E.4);
+codec_tuple!(A.0, B.1, C.2, D.3, E.4, F.5);
+
+// ---------------------------------------------------------------------
+// Layouts
+// ---------------------------------------------------------------------
+
+/// Structs as their fields in the listed order, which is the layout.
+/// The decoder is a struct literal in the same order, and Rust
+/// evaluates struct-literal fields as written, so the list need not
+/// follow the declaration. `field in VOCAB` travels as text and is
+/// re-interned against `VOCAB` on decode. The `default` form fills a
+/// `#[non_exhaustive]` struct field by field from its `Default`, so a
+/// field added later keeps its default under this codec version.
+macro_rules! codec_struct {
+    (default $ty:ident { $($field:ident),+ $(,)? }) => {
+        impl Codec for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$field.put(out);)+
+            }
+
+            fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                let mut value = $ty::default();
+                $(value.$field = Codec::get(r)?;)+
+                Ok(value)
+            }
+        }
+    };
+    ($($ty:ident { $($field:ident $(in $vocab:ident)?),+ $(,)? })+) => {$(
+        impl Codec for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                $(codec_struct!(@put self.$field, out $(, $vocab)?);)+
+            }
+
+            fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                Ok($ty {
+                    $($field: codec_struct!(@get r, $field $(, $vocab)?),)+
+                })
+            }
+        }
+    )+};
+    (@put $value:expr, $out:ident) => { $value.put($out) };
+    (@put $value:expr, $out:ident, $vocab:ident) => { String::from($value).put($out) };
+    (@get $r:ident, $field:ident) => { Codec::get($r)? };
+    (@get $r:ident, $field:ident, $vocab:ident) => {{
+        let text = String::get($r)?;
+        $vocab.iter().find(|&&known| known == text).copied().ok_or_else(|| {
+            $r.err(format!("unknown {} `{text}`", stringify!($field)))
+        })?
+    }};
+}
+
+/// An enum of one-field variants as a tag byte, then the variant's
+/// field. Tags are fixed forever once assigned.
+macro_rules! codec_tagged {
+    ($what:literal $ty:ident { $($tag:literal => $variant:ident),+ $(,)? }) => {
+        impl Codec for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($ty::$variant(v) => {
+                        out.push($tag);
+                        v.put(out);
+                    })+
+                }
+            }
+
+            fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                Ok(match r.take(1)?[0] {
+                    $($tag => $ty::$variant(Codec::get(r)?),)+
+                    other => return Err(r.err(format!("unknown {} tag {other}", $what))),
+                })
+            }
+        }
+    };
+}
+
+impl Codec for PatterningOption {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(match self {
             PatterningOption::Le3 => 0,
             PatterningOption::Sadp => 1,
             PatterningOption::Euv => 2,
             PatterningOption::Le2 => 3,
-        },
-    );
-}
+        });
+    }
 
-fn read_option(r: &mut Reader<'_>) -> Result<PatterningOption, CodecError> {
-    Ok(match r.u8()? {
-        0 => PatterningOption::Le3,
-        1 => PatterningOption::Sadp,
-        2 => PatterningOption::Euv,
-        3 => PatterningOption::Le2,
-        other => return Err(r.err(format!("unknown patterning option tag {other}"))),
-    })
-}
-
-fn put_draw(out: &mut Vec<u8>, draw: &Draw) {
-    match draw {
-        Draw::Le3(d) => {
-            put_u8(out, 0);
-            for v in d.cd_nm.iter().chain(&d.overlay_nm) {
-                put_f64(out, *v);
-            }
-        }
-        Draw::Sadp(d) => {
-            put_u8(out, 1);
-            put_f64(out, d.core_cd_nm);
-            put_f64(out, d.spacer_nm);
-        }
-        Draw::Euv(d) => {
-            put_u8(out, 2);
-            put_f64(out, d.cd_nm);
-        }
-        Draw::Le2(d) => {
-            put_u8(out, 3);
-            put_f64(out, d.cd_nm[0]);
-            put_f64(out, d.cd_nm[1]);
-            put_f64(out, d.overlay_nm);
-        }
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(match r.take(1)?[0] {
+            0 => PatterningOption::Le3,
+            1 => PatterningOption::Sadp,
+            2 => PatterningOption::Euv,
+            3 => PatterningOption::Le2,
+            other => return Err(r.err(format!("unknown patterning option tag {other}"))),
+        })
     }
 }
 
-fn read_draw(r: &mut Reader<'_>) -> Result<Draw, CodecError> {
-    Ok(match r.u8()? {
-        0 => Draw::Le3(Le3Draw {
-            cd_nm: [r.f64()?, r.f64()?, r.f64()?],
-            overlay_nm: [r.f64()?, r.f64()?, r.f64()?],
-        }),
-        1 => Draw::Sadp(SadpDraw {
-            core_cd_nm: r.f64()?,
-            spacer_nm: r.f64()?,
-        }),
-        2 => Draw::Euv(EuvDraw { cd_nm: r.f64()? }),
-        3 => Draw::Le2(Le2Draw {
-            cd_nm: [r.f64()?, r.f64()?],
-            overlay_nm: r.f64()?,
-        }),
-        other => return Err(r.err(format!("unknown draw tag {other}"))),
-    })
-}
+/// `net, length, R, C_ground, C_below, C_above` through the accessors.
+impl Codec for WireParasitics {
+    fn put(&self, out: &mut Vec<u8>) {
+        String::from(self.net()).put(out);
+        (
+            self.length_nm(),
+            self.resistance_ohm(),
+            self.c_ground_f(),
+            self.c_couple_below_f(),
+            self.c_couple_above_f(),
+        )
+            .put(out);
+    }
 
-fn put_parasitics(out: &mut Vec<u8>, w: &WireParasitics) {
-    put_str(out, w.net());
-    put_f64(out, w.length_nm());
-    put_f64(out, w.resistance_ohm());
-    put_f64(out, w.c_ground_f());
-    put_f64(out, w.c_couple_below_f());
-    put_f64(out, w.c_couple_above_f());
-}
-
-fn read_parasitics(r: &mut Reader<'_>) -> Result<WireParasitics, CodecError> {
-    Ok(WireParasitics::from_parts(
-        r.string()?,
-        r.f64()?,
-        r.f64()?,
-        r.f64()?,
-        r.f64()?,
-        r.f64()?,
-    ))
-}
-
-fn put_summary(out: &mut Vec<u8>, s: &Summary) {
-    let (n, mean, m2, m3, min, max) = s.raw_moments();
-    put_u64(out, n);
-    for v in [mean, m2, m3, min, max] {
-        put_f64(out, v);
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let net = String::get(r)?;
+        let (length, resistance, c_ground, c_below, c_above) = Codec::get(r)?;
+        Ok(WireParasitics::from_parts(
+            net, length, resistance, c_ground, c_below, c_above,
+        ))
     }
 }
 
-fn read_summary(r: &mut Reader<'_>) -> Result<Summary, CodecError> {
-    Ok(Summary::from_raw_moments((
-        r.u64()?,
-        r.f64()?,
-        r.f64()?,
-        r.f64()?,
-        r.f64()?,
-        r.f64()?,
-    )))
+/// The raw-moments tuple `n, mean, m2, m3, min, max`.
+impl Codec for Summary {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.raw_moments().put(out);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(Summary::from_raw_moments(Codec::get(r)?))
+    }
+}
+
+/// `option, n, samples, summary, shorted draws` through the accessors.
+impl Codec for TdpDistribution {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.option().put(out);
+        self.n().put(out);
+        self.samples_percent().to_vec().put(out);
+        self.summary().put(out);
+        self.shorted_draws().put(out);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let (option, n, samples, summary, shorted) = Codec::get(r)?;
+        Ok(TdpDistribution::from_parts(
+            option, n, samples, summary, shorted,
+        ))
+    }
 }
 
 /// The interned vocabulary of [`Draw::parameters`] names.
@@ -328,577 +414,160 @@ const PARAMETER_NAMES: [&str; 9] = [
     "cd_a", "cd_b", "cd_c", "ol_a", "ol_b", "ol_c", "cd_core", "spacer", "cd",
 ];
 
-fn intern_parameter(r: &Reader<'_>, name: &str) -> Result<&'static str, CodecError> {
-    PARAMETER_NAMES
-        .iter()
-        .find(|&&known| known == name)
-        .copied()
-        .ok_or_else(|| r.err(format!("unknown sensitivity parameter `{name}`")))
-}
-
 /// The interned vocabulary of [`YieldRow::estimator`] labels.
 const ESTIMATORS: [&str; 2] = ["scaled-sigma", "brute-force"];
 
-fn intern_estimator(r: &Reader<'_>, name: &str) -> Result<&'static str, CodecError> {
-    ESTIMATORS
-        .iter()
-        .find(|&&known| known == name)
-        .copied()
-        .ok_or_else(|| r.err(format!("unknown yield estimator `{name}`")))
+codec_tagged!("draw" Draw { 0 => Le3, 1 => Sadp, 2 => Euv, 3 => Le2 });
+
+codec_struct!(default YieldSettings {
+    sigma_margins, common_margins_percent, agreement_margin_percent, agreement_option,
+    sigma_scale, seed, confidence, target_rel_half_width, min_failures, base_round,
+    max_trials, brute_max_trials, fit_trials,
+});
+
+codec_struct! {
+    Le3Draw { cd_nm, overlay_nm }
+    SadpDraw { core_cd_nm, spacer_nm }
+    EuvDraw { cd_nm }
+    Le2Draw { cd_nm, overlay_nm }
+    RelativeVariation { r_var, c_var }
+    WorstCase { option, draw, nominal, worst, variation, infeasible_corners }
+    ParameterSensitivity { name in PARAMETER_NAMES, slope_pp_per_nm, curvature_pp_per_nm2 }
+    SensitivityProfile { option, n, step_nm, parameters }
+    YieldRow {
+        option, estimator in ESTIMATORS, margin_percent, p_fail, ci_lo, ci_hi, rel_half_width,
+        trials, converged, mean_weight, gaussian_fit_p,
+    }
+    WriteYieldRow {
+        option, margin_percent, write_p_fail, ci_lo, ci_hi, trials, converged, read_p_fail,
+    }
+
+    Table1 { worst_cases }
+    Fig4 { sizes, td_nominal_s, td_worst_s }
+    Table2 { rows }
+    Table3 { sizes, simulation, formula }
+    Fig5 { n, distributions }
+    Table4 { n, rows }
+    AblationDelayModels { rows }
+    AblationBlWidth { rows }
+    AblationSadpAnticorrelation { pearson_r, worst_rbl_percent, worst_rvss_percent }
+    ExtensionLe2 { n, rows }
+    ExtensionLer { n, ler_sigma_nm, rows }
+    SensitivityMatrix { n, profiles }
+    ExtensionScaling { n, rows }
+    YieldTable { n, settings, rows }
+    WriteTime { sizes, t_write_sim_s, t_write_formula_s, penalty_percent }
+    WriteMargin { n, rows }
+    SenseMargin { n, window_s, offset_sigma_v, rows }
+    WlDelay { columns, near_nominal_s, far_nominal_s, rows }
+    WriteYieldTable { n, rows }
 }
 
-// ---------------------------------------------------------------------
-// Encode
-// ---------------------------------------------------------------------
-
-/// Variant tags, fixed forever once assigned (tags 1–14 date from
-/// `CODEC_VERSION` 1; 15–19 joined with version 2, which also added
-/// a per-distribution failed-read count to the FIG5 layout; version 3
-/// dropped the unread fourth moment from every `Summary`, which is now
-/// `n, mean, m2, m3, min, max`; version 4 dropped that failed-read
-/// count again, which only the deleted SPICE Monte-Carlo route set).
-mod tag {
-    pub(crate) const TABLE1: u8 = 1;
-    pub(crate) const FIG4: u8 = 2;
-    pub(crate) const TABLE2: u8 = 3;
-    pub(crate) const TABLE3: u8 = 4;
-    pub(crate) const FIG5: u8 = 5;
-    pub(crate) const TABLE4: u8 = 6;
-    pub(crate) const ABLATION_DELAY: u8 = 7;
-    pub(crate) const ABLATION_BL_WIDTH: u8 = 8;
-    pub(crate) const ABLATION_SADP_VSS: u8 = 9;
-    pub(crate) const EXTENSION_LE2: u8 = 10;
-    pub(crate) const EXTENSION_LER: u8 = 11;
-    pub(crate) const EXTENSION_SENSITIVITY: u8 = 12;
-    pub(crate) const EXTENSION_SCALING: u8 = 13;
-    pub(crate) const YIELD_6SIGMA: u8 = 14;
-    pub(crate) const WRITE_TIME: u8 = 15;
-    pub(crate) const WRITE_MARGIN: u8 = 16;
-    pub(crate) const SENSE_MARGIN: u8 = 17;
-    pub(crate) const WL_DELAY: u8 = 18;
-    pub(crate) const WRITE_YIELD: u8 = 19;
-}
+// Tags 1–14 date from `CODEC_VERSION` 1; 15–19 joined with version 2,
+// which also added a per-distribution failed-read count to the FIG5
+// layout; version 3 dropped the unread fourth moment from every
+// `Summary`, which is now `n, mean, m2, m3, min, max`; version 4
+// dropped that failed-read count again, which only the deleted SPICE
+// Monte-Carlo route set.
+codec_tagged!("artifact" ArtifactValue {
+    1 => Table1,
+    2 => Fig4,
+    3 => Table2,
+    4 => Table3,
+    5 => Fig5,
+    6 => Table4,
+    7 => AblationDelay,
+    8 => AblationBlWidth,
+    9 => AblationSadpVss,
+    10 => ExtensionLe2,
+    11 => ExtensionLer,
+    12 => ExtensionSensitivity,
+    13 => ExtensionScaling,
+    14 => Yield6Sigma,
+    15 => WriteTime,
+    16 => WriteMargin,
+    17 => SenseMargin,
+    18 => WlDelay,
+    19 => WriteYield,
+});
 
 /// Encodes one artifact value into its `CODEC_VERSION` payload.
 pub fn encode_value(value: &ArtifactValue) -> Vec<u8> {
     let mut out = Vec::with_capacity(256);
-    match value {
-        ArtifactValue::Table1(v) => {
-            put_u8(&mut out, tag::TABLE1);
-            put_usize(&mut out, v.worst_cases.len());
-            for w in &v.worst_cases {
-                put_option(&mut out, w.option);
-                put_draw(&mut out, &w.draw);
-                put_parasitics(&mut out, &w.nominal);
-                put_parasitics(&mut out, &w.worst);
-                put_f64(&mut out, w.variation.r_var);
-                put_f64(&mut out, w.variation.c_var);
-                put_usize(&mut out, w.infeasible_corners);
-            }
-        }
-        ArtifactValue::Fig4(v) => {
-            put_u8(&mut out, tag::FIG4);
-            put_usizes(&mut out, &v.sizes);
-            put_f64s(&mut out, &v.td_nominal_s);
-            put_usize(&mut out, v.td_worst_s.len());
-            for (option, tds) in &v.td_worst_s {
-                put_option(&mut out, *option);
-                put_f64s(&mut out, tds);
-            }
-        }
-        ArtifactValue::Table2(v) => {
-            put_u8(&mut out, tag::TABLE2);
-            put_usize(&mut out, v.rows.len());
-            for &(n, sim, formula) in &v.rows {
-                put_usize(&mut out, n);
-                put_f64(&mut out, sim);
-                put_f64(&mut out, formula);
-            }
-        }
-        ArtifactValue::Table3(v) => {
-            put_u8(&mut out, tag::TABLE3);
-            put_usizes(&mut out, &v.sizes);
-            for series in [&v.simulation, &v.formula] {
-                put_usize(&mut out, series.len());
-                for row in series {
-                    put_f64s(&mut out, row);
-                }
-            }
-        }
-        ArtifactValue::Fig5(v) => {
-            put_u8(&mut out, tag::FIG5);
-            put_usize(&mut out, v.n);
-            put_usize(&mut out, v.distributions.len());
-            for d in &v.distributions {
-                put_option(&mut out, d.option());
-                put_usize(&mut out, d.n());
-                put_f64s(&mut out, d.samples_percent());
-                put_summary(&mut out, d.summary());
-                put_usize(&mut out, d.shorted_draws());
-            }
-        }
-        ArtifactValue::Table4(v) => {
-            put_u8(&mut out, tag::TABLE4);
-            put_usize(&mut out, v.n);
-            put_usize(&mut out, v.rows.len());
-            for (label, a, b, c) in &v.rows {
-                put_str(&mut out, label);
-                put_f64(&mut out, *a);
-                put_f64(&mut out, *b);
-                put_f64(&mut out, *c);
-            }
-        }
-        ArtifactValue::AblationDelay(v) => {
-            put_u8(&mut out, tag::ABLATION_DELAY);
-            put_usize(&mut out, v.rows.len());
-            for &(n, a, b, c) in &v.rows {
-                put_usize(&mut out, n);
-                put_f64(&mut out, a);
-                put_f64(&mut out, b);
-                put_f64(&mut out, c);
-            }
-        }
-        ArtifactValue::AblationBlWidth(v) => {
-            put_u8(&mut out, tag::ABLATION_BL_WIDTH);
-            put_usize(&mut out, v.rows.len());
-            for (delta, tdps) in &v.rows {
-                put_i64(&mut out, *delta);
-                put_f64s(&mut out, tdps);
-            }
-        }
-        ArtifactValue::AblationSadpVss(v) => {
-            put_u8(&mut out, tag::ABLATION_SADP_VSS);
-            put_f64(&mut out, v.pearson_r);
-            put_f64(&mut out, v.worst_rbl_percent);
-            put_f64(&mut out, v.worst_rvss_percent);
-        }
-        ArtifactValue::ExtensionLe2(v) => {
-            put_u8(&mut out, tag::EXTENSION_LE2);
-            put_usize(&mut out, v.n);
-            put_option_rows(&mut out, &v.rows);
-        }
-        ArtifactValue::ExtensionLer(v) => {
-            put_u8(&mut out, tag::EXTENSION_LER);
-            put_usize(&mut out, v.n);
-            put_f64(&mut out, v.ler_sigma_nm);
-            put_option_rows(&mut out, &v.rows);
-        }
-        ArtifactValue::ExtensionSensitivity(v) => {
-            put_u8(&mut out, tag::EXTENSION_SENSITIVITY);
-            put_usize(&mut out, v.n);
-            put_usize(&mut out, v.profiles.len());
-            for p in &v.profiles {
-                put_option(&mut out, p.option);
-                put_usize(&mut out, p.n);
-                put_f64(&mut out, p.step_nm);
-                put_usize(&mut out, p.parameters.len());
-                for param in &p.parameters {
-                    put_str(&mut out, param.name);
-                    put_f64(&mut out, param.slope_pp_per_nm);
-                    put_f64(&mut out, param.curvature_pp_per_nm2);
-                }
-            }
-        }
-        ArtifactValue::ExtensionScaling(v) => {
-            put_u8(&mut out, tag::EXTENSION_SCALING);
-            put_usize(&mut out, v.n);
-            put_usize(&mut out, v.rows.len());
-            for (node, option, a, b) in &v.rows {
-                put_str(&mut out, node);
-                put_option(&mut out, *option);
-                put_f64(&mut out, *a);
-                put_f64(&mut out, *b);
-            }
-        }
-        ArtifactValue::Yield6Sigma(v) => {
-            put_u8(&mut out, tag::YIELD_6SIGMA);
-            put_usize(&mut out, v.n);
-            let s = &v.settings;
-            put_f64s(&mut out, &s.sigma_margins);
-            put_f64s(&mut out, &s.common_margins_percent);
-            put_f64(&mut out, s.agreement_margin_percent);
-            put_option(&mut out, s.agreement_option);
-            put_f64(&mut out, s.sigma_scale);
-            put_u64(&mut out, s.seed);
-            put_f64(&mut out, s.confidence);
-            put_f64(&mut out, s.target_rel_half_width);
-            put_u64(&mut out, s.min_failures);
-            put_usize(&mut out, s.base_round);
-            put_usize(&mut out, s.max_trials);
-            put_usize(&mut out, s.brute_max_trials);
-            put_usize(&mut out, s.fit_trials);
-            put_usize(&mut out, v.rows.len());
-            for row in &v.rows {
-                put_option(&mut out, row.option);
-                put_str(&mut out, row.estimator);
-                put_f64(&mut out, row.margin_percent);
-                put_f64(&mut out, row.p_fail);
-                put_f64(&mut out, row.ci_lo);
-                put_f64(&mut out, row.ci_hi);
-                put_f64(&mut out, row.rel_half_width);
-                put_u64(&mut out, row.trials);
-                put_bool(&mut out, row.converged);
-                put_f64(&mut out, row.mean_weight);
-                put_f64(&mut out, row.gaussian_fit_p);
-            }
-        }
-        ArtifactValue::WriteTime(v) => {
-            put_u8(&mut out, tag::WRITE_TIME);
-            put_usizes(&mut out, &v.sizes);
-            put_f64s(&mut out, &v.t_write_sim_s);
-            put_f64s(&mut out, &v.t_write_formula_s);
-            put_usize(&mut out, v.penalty_percent.len());
-            for (option, penalties) in &v.penalty_percent {
-                put_option(&mut out, *option);
-                put_f64s(&mut out, penalties);
-            }
-        }
-        ArtifactValue::WriteMargin(v) => {
-            put_u8(&mut out, tag::WRITE_MARGIN);
-            put_usize(&mut out, v.n);
-            put_usize(&mut out, v.rows.len());
-            for &(option, a, b, c, d) in &v.rows {
-                put_option(&mut out, option);
-                put_f64(&mut out, a);
-                put_f64(&mut out, b);
-                put_f64(&mut out, c);
-                put_f64(&mut out, d);
-            }
-        }
-        ArtifactValue::SenseMargin(v) => {
-            put_u8(&mut out, tag::SENSE_MARGIN);
-            put_usize(&mut out, v.n);
-            put_f64(&mut out, v.window_s);
-            put_f64(&mut out, v.offset_sigma_v);
-            put_option_rows(&mut out, &v.rows);
-        }
-        ArtifactValue::WlDelay(v) => {
-            put_u8(&mut out, tag::WL_DELAY);
-            put_usize(&mut out, v.columns);
-            put_f64(&mut out, v.near_nominal_s);
-            put_f64(&mut out, v.far_nominal_s);
-            put_option_rows(&mut out, &v.rows);
-        }
-        ArtifactValue::WriteYield(v) => {
-            put_u8(&mut out, tag::WRITE_YIELD);
-            put_usize(&mut out, v.n);
-            put_usize(&mut out, v.rows.len());
-            for row in &v.rows {
-                put_option(&mut out, row.option);
-                put_f64(&mut out, row.margin_percent);
-                put_f64(&mut out, row.write_p_fail);
-                put_f64(&mut out, row.ci_lo);
-                put_f64(&mut out, row.ci_hi);
-                put_u64(&mut out, row.trials);
-                put_bool(&mut out, row.converged);
-                put_f64(&mut out, row.read_p_fail);
-            }
-        }
-    }
+    value.put(&mut out);
     out
 }
-
-fn put_option_rows(out: &mut Vec<u8>, rows: &[(PatterningOption, f64, f64, f64)]) {
-    put_usize(out, rows.len());
-    for &(option, a, b, c) in rows {
-        put_option(out, option);
-        put_f64(out, a);
-        put_f64(out, b);
-        put_f64(out, c);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Decode
-// ---------------------------------------------------------------------
 
 /// Decodes a `CODEC_VERSION` payload back into the typed value.
 ///
 /// # Errors
 ///
 /// [`CodecError`] when the payload is truncated, has trailing bytes,
-/// or contains an unknown tag / interned string.
+/// contains an unknown tag / interned string, or holds a shape its
+/// renderer cannot index (see `check_shape`).
 pub fn decode_value(bytes: &[u8]) -> Result<ArtifactValue, CodecError> {
-    let mut r = Reader::new(bytes);
-    let value = decode_inner(&mut r)?;
+    let mut r = Reader { buf: bytes, pos: 0 };
+    let value = ArtifactValue::get(&mut r)?;
     r.finish()?;
+    check_shape(&value).map_err(|message| r.err(format!("{}: {message}", value.id().name())))?;
     Ok(value)
 }
 
-fn decode_inner(r: &mut Reader<'_>) -> Result<ArtifactValue, CodecError> {
-    Ok(match r.u8()? {
-        tag::TABLE1 => {
-            let n = r.len()?;
-            let mut worst_cases = Vec::with_capacity(n);
-            for _ in 0..n {
-                worst_cases.push(WorstCase {
-                    option: read_option(r)?,
-                    draw: read_draw(r)?,
-                    nominal: read_parasitics(r)?,
-                    worst: read_parasitics(r)?,
-                    variation: RelativeVariation {
-                        r_var: r.f64()?,
-                        c_var: r.f64()?,
-                    },
-                    infeasible_corners: r.usize()?,
-                });
-            }
-            ArtifactValue::Table1(Table1 { worst_cases })
+// ---------------------------------------------------------------------
+// Shape checks (input validation, not layout)
+// ---------------------------------------------------------------------
+
+/// The shapes the renderers index by: every per-option list holds
+/// LELELE, SADP and EUV, every per-option table has exactly those three
+/// rows or columns, and every series has one value per array size.
+fn check_shape(value: &ArtifactValue) -> Result<(), String> {
+    let options = PatterningOption::ALL.len();
+    match value {
+        ArtifactValue::Fig4(v) => {
+            per_size(v.sizes.len(), [&v.td_nominal_s])?;
+            per_option(v.sizes.len(), &v.td_worst_s)
         }
-        tag::FIG4 => {
-            let sizes = r.usizes()?;
-            let td_nominal_s = r.f64s()?;
-            let n = r.len()?;
-            let mut td_worst_s = Vec::with_capacity(n);
-            for _ in 0..n {
-                td_worst_s.push((read_option(r)?, r.f64s()?));
-            }
-            ArtifactValue::Fig4(Fig4 {
-                sizes,
-                td_nominal_s,
-                td_worst_s,
-            })
+        ArtifactValue::WriteTime(v) => {
+            per_size(v.sizes.len(), [&v.t_write_sim_s, &v.t_write_formula_s])?;
+            per_option(v.sizes.len(), &v.penalty_percent)
         }
-        tag::TABLE2 => {
-            let n = r.len()?;
-            let mut rows = Vec::with_capacity(n);
-            for _ in 0..n {
-                rows.push((r.usize()?, r.f64()?, r.f64()?));
-            }
-            ArtifactValue::Table2(Table2 { rows })
-        }
-        tag::TABLE3 => {
-            let sizes = r.usizes()?;
-            let mut series = [Vec::new(), Vec::new()];
-            for s in &mut series {
-                let n = r.len()?;
-                for _ in 0..n {
-                    s.push(r.f64s()?);
+        ArtifactValue::Table3(v) => {
+            for series in [&v.simulation, &v.formula] {
+                if series.len() != options {
+                    return Err(format!("{} option rows, not {options}", series.len()));
                 }
+                per_size(v.sizes.len(), series)?;
             }
-            let [simulation, formula] = series;
-            ArtifactValue::Table3(Table3 {
-                sizes,
-                simulation,
-                formula,
-            })
+            Ok(())
         }
-        tag::FIG5 => {
-            let n = r.usize()?;
-            let count = r.len()?;
-            let mut distributions = Vec::with_capacity(count);
-            for _ in 0..count {
-                distributions.push(TdpDistribution::from_parts(
-                    read_option(r)?,
-                    r.usize()?,
-                    r.f64s()?,
-                    read_summary(r)?,
-                    r.usize()?,
-                ));
+        ArtifactValue::AblationBlWidth(v) => {
+            match v.rows.iter().find(|(_, d)| d.len() != options) {
+                Some((_, d)) => Err(format!("{} option columns, not {options}", d.len())),
+                None => Ok(()),
             }
-            ArtifactValue::Fig5(Fig5 { n, distributions })
         }
-        tag::TABLE4 => {
-            let n = r.usize()?;
-            let count = r.len()?;
-            let mut rows = Vec::with_capacity(count);
-            for _ in 0..count {
-                rows.push((r.string()?, r.f64()?, r.f64()?, r.f64()?));
-            }
-            ArtifactValue::Table4(Table4 { n, rows })
-        }
-        tag::ABLATION_DELAY => {
-            let count = r.len()?;
-            let mut rows = Vec::with_capacity(count);
-            for _ in 0..count {
-                rows.push((r.usize()?, r.f64()?, r.f64()?, r.f64()?));
-            }
-            ArtifactValue::AblationDelay(AblationDelayModels { rows })
-        }
-        tag::ABLATION_BL_WIDTH => {
-            let count = r.len()?;
-            let mut rows = Vec::with_capacity(count);
-            for _ in 0..count {
-                rows.push((r.i64()?, r.f64s()?));
-            }
-            ArtifactValue::AblationBlWidth(AblationBlWidth { rows })
-        }
-        tag::ABLATION_SADP_VSS => ArtifactValue::AblationSadpVss(AblationSadpAnticorrelation {
-            pearson_r: r.f64()?,
-            worst_rbl_percent: r.f64()?,
-            worst_rvss_percent: r.f64()?,
-        }),
-        tag::EXTENSION_LE2 => {
-            let n = r.usize()?;
-            let rows = read_option_rows(r)?;
-            ArtifactValue::ExtensionLe2(ExtensionLe2 { rows, n })
-        }
-        tag::EXTENSION_LER => {
-            let n = r.usize()?;
-            let ler_sigma_nm = r.f64()?;
-            let rows = read_option_rows(r)?;
-            ArtifactValue::ExtensionLer(ExtensionLer {
-                n,
-                ler_sigma_nm,
-                rows,
-            })
-        }
-        tag::EXTENSION_SENSITIVITY => {
-            let n = r.usize()?;
-            let count = r.len()?;
-            let mut profiles = Vec::with_capacity(count);
-            for _ in 0..count {
-                let option = read_option(r)?;
-                let profile_n = r.usize()?;
-                let step_nm = r.f64()?;
-                let param_count = r.len()?;
-                let mut parameters = Vec::with_capacity(param_count);
-                for _ in 0..param_count {
-                    let name = r.string()?;
-                    parameters.push(ParameterSensitivity {
-                        name: intern_parameter(r, &name)?,
-                        slope_pp_per_nm: r.f64()?,
-                        curvature_pp_per_nm2: r.f64()?,
-                    });
-                }
-                profiles.push(SensitivityProfile {
-                    option,
-                    n: profile_n,
-                    step_nm,
-                    parameters,
-                });
-            }
-            ArtifactValue::ExtensionSensitivity(SensitivityMatrix { n, profiles })
-        }
-        tag::EXTENSION_SCALING => {
-            let n = r.usize()?;
-            let count = r.len()?;
-            let mut rows = Vec::with_capacity(count);
-            for _ in 0..count {
-                rows.push((r.string()?, read_option(r)?, r.f64()?, r.f64()?));
-            }
-            ArtifactValue::ExtensionScaling(ExtensionScaling { rows, n })
-        }
-        tag::YIELD_6SIGMA => {
-            let n = r.usize()?;
-            // `YieldSettings` is #[non_exhaustive]; populate a default
-            // field-by-field so a future knob gets its default value
-            // under this codec version.
-            let mut settings = YieldSettings::default();
-            settings.sigma_margins = r.f64s()?;
-            settings.common_margins_percent = r.f64s()?;
-            settings.agreement_margin_percent = r.f64()?;
-            settings.agreement_option = read_option(r)?;
-            settings.sigma_scale = r.f64()?;
-            settings.seed = r.u64()?;
-            settings.confidence = r.f64()?;
-            settings.target_rel_half_width = r.f64()?;
-            settings.min_failures = r.u64()?;
-            settings.base_round = r.usize()?;
-            settings.max_trials = r.usize()?;
-            settings.brute_max_trials = r.usize()?;
-            settings.fit_trials = r.usize()?;
-            let count = r.len()?;
-            let mut rows = Vec::with_capacity(count);
-            for _ in 0..count {
-                let option = read_option(r)?;
-                let estimator_name = r.string()?;
-                rows.push(YieldRow {
-                    option,
-                    estimator: intern_estimator(r, &estimator_name)?,
-                    margin_percent: r.f64()?,
-                    p_fail: r.f64()?,
-                    ci_lo: r.f64()?,
-                    ci_hi: r.f64()?,
-                    rel_half_width: r.f64()?,
-                    trials: r.u64()?,
-                    converged: r.bool()?,
-                    mean_weight: r.f64()?,
-                    gaussian_fit_p: r.f64()?,
-                });
-            }
-            ArtifactValue::Yield6Sigma(YieldTable { n, settings, rows })
-        }
-        tag::WRITE_TIME => {
-            let sizes = r.usizes()?;
-            let t_write_sim_s = r.f64s()?;
-            let t_write_formula_s = r.f64s()?;
-            let count = r.len()?;
-            let mut penalty_percent = Vec::with_capacity(count);
-            for _ in 0..count {
-                penalty_percent.push((read_option(r)?, r.f64s()?));
-            }
-            ArtifactValue::WriteTime(WriteTime {
-                sizes,
-                t_write_sim_s,
-                t_write_formula_s,
-                penalty_percent,
-            })
-        }
-        tag::WRITE_MARGIN => {
-            let n = r.usize()?;
-            let count = r.len()?;
-            let mut rows = Vec::with_capacity(count);
-            for _ in 0..count {
-                rows.push((read_option(r)?, r.f64()?, r.f64()?, r.f64()?, r.f64()?));
-            }
-            ArtifactValue::WriteMargin(WriteMargin { n, rows })
-        }
-        tag::SENSE_MARGIN => {
-            let n = r.usize()?;
-            let window_s = r.f64()?;
-            let offset_sigma_v = r.f64()?;
-            let rows = read_option_rows(r)?;
-            ArtifactValue::SenseMargin(SenseMargin {
-                n,
-                window_s,
-                offset_sigma_v,
-                rows,
-            })
-        }
-        tag::WL_DELAY => {
-            let columns = r.usize()?;
-            let near_nominal_s = r.f64()?;
-            let far_nominal_s = r.f64()?;
-            let rows = read_option_rows(r)?;
-            ArtifactValue::WlDelay(WlDelay {
-                columns,
-                near_nominal_s,
-                far_nominal_s,
-                rows,
-            })
-        }
-        tag::WRITE_YIELD => {
-            let n = r.usize()?;
-            let count = r.len()?;
-            let mut rows = Vec::with_capacity(count);
-            for _ in 0..count {
-                rows.push(WriteYieldRow {
-                    option: read_option(r)?,
-                    margin_percent: r.f64()?,
-                    write_p_fail: r.f64()?,
-                    ci_lo: r.f64()?,
-                    ci_hi: r.f64()?,
-                    trials: r.u64()?,
-                    converged: r.bool()?,
-                    read_p_fail: r.f64()?,
-                });
-            }
-            ArtifactValue::WriteYield(WriteYieldTable { n, rows })
-        }
-        other => return Err(r.err(format!("unknown artifact tag {other}"))),
-    })
+        _ => Ok(()),
+    }
 }
 
-fn read_option_rows(
-    r: &mut Reader<'_>,
-) -> Result<Vec<(PatterningOption, f64, f64, f64)>, CodecError> {
-    let count = r.len()?;
-    let mut rows = Vec::with_capacity(count);
-    for _ in 0..count {
-        rows.push((read_option(r)?, r.f64()?, r.f64()?, r.f64()?));
+fn per_size<'a>(
+    sizes: usize,
+    series: impl IntoIterator<Item = &'a Vec<f64>>,
+) -> Result<(), String> {
+    match series.into_iter().find(|s| s.len() != sizes) {
+        Some(s) => Err(format!("a series of {} values for {sizes} sizes", s.len())),
+        None => Ok(()),
     }
-    Ok(rows)
+}
+
+fn per_option(sizes: usize, lists: &[(PatterningOption, Vec<f64>)]) -> Result<(), String> {
+    if let Some(missing) = PatterningOption::ALL
+        .iter()
+        .find(|&&option| lists.iter().all(|(o, _)| *o != option))
+    {
+        return Err(format!("no {missing} series"));
+    }
+    per_size(sizes, lists.iter().map(|(_, s)| s))
 }
 
 #[cfg(test)]
@@ -1071,6 +740,49 @@ mod tests {
         }
     }
 
+    /// `(id, payload length, FNV-1a of the payload)` of every
+    /// `sample_values()` entry under `CODEC_VERSION` 4. Encode and
+    /// decode can drift together without failing the round trip; this
+    /// pins the bytes themselves, so any layout change fails here and
+    /// must bump `CODEC_VERSION` along with these constants.
+    const PINNED_LAYOUT: [(&str, usize, u64); 19] = [
+        ("table1", 151, 0x1483_9113_3a39_5be5),
+        ("fig4", 132, 0x231e_d2df_54ff_df66),
+        ("table2", 57, 0xaf83_b378_64a7_e8ca),
+        ("table3", 185, 0x2678_8970_a3da_2edb),
+        ("fig5", 122, 0xc653_2753_084f_07e7),
+        ("table4", 64, 0x902f_77d6_2787_67f7),
+        ("ablation-delay", 41, 0xc5e5_df76_17f8_618e),
+        ("ablation-bl-width", 89, 0xec1b_88c2_c235_412e),
+        ("ablation-sadp-vss", 25, 0x8926_f4ef_b693_2c5d),
+        ("extension-le2", 42, 0xd24f_6059_819a_1f78),
+        ("extension-ler", 50, 0xea26_3af6_aca6_2c2f),
+        ("extension-sensitivity", 70, 0x85fc_523f_5422_0b56),
+        ("extension-scaling", 44, 0xf615_4af8_e173_c8f2),
+        ("yield_6sigma", 231, 0xf5d8_acaa_9eb7_7458),
+        ("write_time", 156, 0x1c82_0e8c_d869_5902),
+        ("write_margin", 50, 0xf7d7_6ec9_d78f_9b1b),
+        ("sense_margin", 58, 0x530b_8a33_3db1_3333),
+        ("wl_delay", 58, 0x1b3f_6cf7_6a46_3b9e),
+        ("write_yield", 67, 0x4bf4_bf5b_8979_0a0c),
+    ];
+
+    #[test]
+    fn encoded_bytes_match_the_pinned_layout() {
+        assert_eq!(CODEC_VERSION, 4, "a new version needs new pins");
+        let values = sample_values();
+        assert_eq!(values.len(), PINNED_LAYOUT.len());
+        for (value, &(id, len, digest)) in values.iter().zip(&PINNED_LAYOUT) {
+            let bytes = encode_value(value);
+            assert_eq!(value.id().name(), id);
+            assert_eq!(
+                (bytes.len(), crate::cache::fnv1a(&bytes)),
+                (len, digest),
+                "{id} payload moved"
+            );
+        }
+    }
+
     #[test]
     fn infinity_and_interned_strings_survive() {
         let values = sample_values();
@@ -1096,6 +808,94 @@ mod tests {
         extended.push(0);
         assert!(decode_value(&extended).is_err());
         assert!(decode_value(&[99]).is_err(), "unknown tag rejected");
+    }
+
+    /// Every strict prefix of a payload is rejected, and every
+    /// single-byte flip either is rejected or decodes to a value that
+    /// renders: a store entry written by anyone must never panic the
+    /// reader or the renderer behind it.
+    #[test]
+    fn truncated_or_flipped_payloads_never_panic() {
+        let mut panics = Vec::new();
+        for value in sample_values() {
+            let id = value.id().name();
+            let bytes = encode_value(&value);
+            for end in 0..bytes.len() {
+                assert!(decode_value(&bytes[..end]).is_err(), "{id} prefix {end}");
+            }
+            for i in 0..bytes.len() {
+                for mask in [0x01u8, 0x80, 0xff] {
+                    let mut mutant = bytes.clone();
+                    mutant[i] ^= mask;
+                    if let Ok(decoded) = decode_value(&mutant) {
+                        if std::panic::catch_unwind(move || decoded.render()).is_err() {
+                            panics.push(format!("{id} byte {i} ^ {mask:#04x}"));
+                        }
+                    }
+                }
+            }
+        }
+        assert!(panics.is_empty(), "decoded but render panicked: {panics:?}");
+    }
+
+    /// Values that encode fine but that a renderer would index out of
+    /// range or look up a missing option in: decode names them.
+    #[test]
+    fn shapes_the_renderers_index_by_are_rejected() {
+        let values = sample_values();
+        let edited = |index: usize, edit: fn(&mut ArtifactValue)| {
+            let mut value = values[index].clone();
+            edit(&mut value);
+            value
+        };
+        let bad = [
+            edited(1, |v| {
+                if let ArtifactValue::Fig4(f) = v {
+                    f.td_nominal_s.pop();
+                }
+            }),
+            edited(1, |v| {
+                if let ArtifactValue::Fig4(f) = v {
+                    f.td_worst_s[0].0 = PatterningOption::Sadp;
+                }
+            }),
+            edited(1, |v| {
+                if let ArtifactValue::Fig4(f) = v {
+                    f.td_worst_s[2].1.pop();
+                }
+            }),
+            edited(3, |v| {
+                if let ArtifactValue::Table3(t) = v {
+                    t.simulation.pop();
+                }
+            }),
+            edited(3, |v| {
+                if let ArtifactValue::Table3(t) = v {
+                    t.formula[1].pop();
+                }
+            }),
+            edited(7, |v| {
+                if let ArtifactValue::AblationBlWidth(a) = v {
+                    a.rows[1].1.pop();
+                }
+            }),
+            edited(14, |v| {
+                if let ArtifactValue::WriteTime(w) = v {
+                    w.penalty_percent.truncate(2);
+                }
+            }),
+            edited(14, |v| {
+                if let ArtifactValue::WriteTime(w) = v {
+                    w.t_write_formula_s.pop();
+                }
+            }),
+        ];
+        for value in bad {
+            let id = value.id().name();
+            assert!(std::panic::catch_unwind(|| value.render()).is_err(), "{id}");
+            let err = decode_value(&encode_value(&value)).expect_err(id);
+            assert!(err.message.starts_with(id), "{err}");
+        }
     }
 
     #[test]
