@@ -87,7 +87,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use mpvar_bench::check::{check_context, run_check_in, CheckOptions};
-use mpvar_bench::{spice_batch_bench, yield_bench, yield_threads_identical, EXPERIMENT_IDS};
+use mpvar_bench::{spice_batch_bench, yield_bench, yield_threads_identical};
 use mpvar_core::experiments::ExperimentContext;
 use mpvar_obs::{
     check as run_perf_check, folded_stacks, profile as profile_trace, render_profile,
@@ -195,7 +195,7 @@ fn usage() -> String {
          \x20      repro serve-smoke [--store DIR]\n\
          CSVs go to --out DIR (default target/repro); --out results regenerates the goldens\n\
          experiments: {}",
-        EXPERIMENT_IDS.join(" ")
+        ArtifactId::ALL.map(ArtifactId::name).join(" ")
     )
 }
 

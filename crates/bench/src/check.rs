@@ -26,14 +26,14 @@
 use std::path::PathBuf;
 
 use mpvar_core::experiments::{
-    AblationBlWidth, AblationDelayModels, AblationSadpAnticorrelation, ExperimentContext,
-    ExtensionLe2, ExtensionLer, ExtensionScaling, Fig4, Fig5, Table1, Table2, Table3, Table4,
+    AblationSadpAnticorrelation, ExperimentContext, ExtensionLe2, ExtensionLer, ExtensionScaling,
+    Fig4, Fig5, Table1, Table2, Table3, Table4,
 };
 use mpvar_core::rareevent::YieldTable;
 use mpvar_core::writeexp::{SenseMargin, WlDelay, WriteMargin, WriteTime, WriteYieldTable};
 use mpvar_core::{CoreError, ExecConfig};
 use mpvar_sram::WriteConfig;
-use mpvar_study::{SensitivityMatrix, Study};
+use mpvar_study::{ArtifactId, Study};
 use mpvar_testkit::compare::{compare_tables, Policy, TableSpec};
 use mpvar_testkit::csv::CsvTable;
 use mpvar_testkit::invariants;
@@ -423,13 +423,10 @@ fn matrix_items(opts: &CheckOptions, study: &Study) -> Result<Vec<CheckItem>, Co
     let t3 = study.get::<Table3>()?;
     let f5 = study.get::<Fig5>()?;
     let t4 = study.get::<Table4>()?;
-    let a1 = study.get::<AblationDelayModels>()?;
-    let a2 = study.get::<AblationBlWidth>()?;
     let a3 = study.get::<AblationSadpAnticorrelation>()?;
     let e1 = study.get::<ExtensionLe2>()?;
     let e2 = study.get::<ExtensionLer>()?;
     let e3 = study.get::<ExtensionScaling>()?;
-    let sensitivity = study.get::<SensitivityMatrix>()?;
     let yt = study.get::<YieldTable>()?;
     let wt = study.get::<WriteTime>()?;
     let wm = study.get::<WriteMargin>()?;
@@ -438,33 +435,9 @@ fn matrix_items(opts: &CheckOptions, study: &Study) -> Result<Vec<CheckItem>, Co
     let wy = study.get::<WriteYieldTable>()?;
 
     // Golden gate: fresh CSV vs committed artefact, value-wise.
-    let fresh: Vec<(&str, String)> = vec![
-        ("table1", t1.report().to_csv()),
-        ("fig4", f4.report().to_csv()),
-        ("table2", t2.report().to_csv()),
-        ("table3", t3.report().to_csv()),
-        ("table4", t4.report().to_csv()),
-        ("ablation-delay", a1.report().to_csv()),
-        ("ablation-bl-width", a2.report().to_csv()),
-        ("ablation-sadp-vss", a3.report().to_csv()),
-        ("extension-le2", e1.report().to_csv()),
-        ("extension-ler", e2.report().to_csv()),
-        ("extension-sensitivity", sensitivity.to_csv()),
-        ("extension-scaling", e3.report().to_csv()),
-        ("yield_6sigma", yt.report().to_csv()),
-        ("write_time", wt.report().to_csv()),
-        ("write_margin", wm.report().to_csv()),
-        ("sense_margin", sm.report().to_csv()),
-        ("wl_delay", wl.report().to_csv()),
-        ("write_yield", wy.report().to_csv()),
-    ];
     for spec in table_specs(opts.fast) {
-        let csv = fresh
-            .iter()
-            .find(|(id, _)| *id == spec.id)
-            .map(|(_, csv)| csv.as_str())
-            .expect("every spec id has a fresh artefact");
-        report.push(golden_gate_item(&spec, &opts.golden_dir, csv));
+        let fresh = study.artifact(ArtifactId::try_parse(&spec.id)?)?.render();
+        report.push(golden_gate_item(&spec, &opts.golden_dir, &fresh.csv));
     }
 
     // Shape invariants on the structured outputs.
@@ -547,7 +520,7 @@ mod tests {
         for fast in [false, true] {
             for spec in table_specs(fast) {
                 assert!(
-                    crate::EXPERIMENT_IDS.contains(&spec.id.as_str()),
+                    ArtifactId::parse(&spec.id).is_some(),
                     "spec id `{}` is not an experiment id",
                     spec.id
                 );

@@ -325,42 +325,10 @@ pub fn yield_threads_identical() -> Result<bool, CoreError> {
     Ok(runs.windows(2).all(|w| w[0] == w[1]))
 }
 
-/// Identifiers of every reproducible artefact, in canonical report
-/// order (mirrors [`mpvar_study::ArtifactId::ALL`]).
-pub const EXPERIMENT_IDS: [&str; 19] = [
-    "table1",
-    "fig4",
-    "table2",
-    "table3",
-    "fig5",
-    "table4",
-    "ablation-delay",
-    "ablation-bl-width",
-    "ablation-sadp-vss",
-    "extension-le2",
-    "extension-ler",
-    "extension-sensitivity",
-    "extension-scaling",
-    "yield_6sigma",
-    "write_time",
-    "write_margin",
-    "sense_margin",
-    "wl_delay",
-    "write_yield",
-];
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpvar_study::{ArtifactId, Study};
-
-    #[test]
-    fn experiment_ids_mirror_the_artifact_graph() {
-        assert_eq!(EXPERIMENT_IDS.len(), ArtifactId::ALL.len());
-        for (name, id) in EXPERIMENT_IDS.iter().zip(ArtifactId::ALL) {
-            assert_eq!(*name, id.name());
-        }
-    }
+    use mpvar_study::Study;
 
     #[test]
     fn yield_bench_meets_the_speedup_floor() {

@@ -1,10 +1,9 @@
 //! End-to-end smoke test of the reproduction harness: a `Study` run of
 //! every artefact on a tiny context must produce sane content.
 
-use mpvar_bench::EXPERIMENT_IDS;
 use mpvar_core::experiments::ExperimentContext;
 use mpvar_core::montecarlo::McConfig;
-use mpvar_study::Study;
+use mpvar_study::{ArtifactId, Study};
 
 fn tiny_ctx() -> ExperimentContext {
     let mut ctx = ExperimentContext::quick().expect("context builds");
@@ -17,8 +16,9 @@ fn tiny_ctx() -> ExperimentContext {
 fn run_all_produces_every_artifact() {
     let ctx = tiny_ctx();
     let artifacts = Study::new(ctx).run_all().expect("harness runs");
-    assert_eq!(artifacts.len(), EXPERIMENT_IDS.len());
-    for (artifact, &id) in artifacts.iter().zip(EXPERIMENT_IDS.iter()) {
+    assert_eq!(artifacts.len(), ArtifactId::ALL.len());
+    for (artifact, id) in artifacts.iter().zip(ArtifactId::ALL) {
+        let id = id.name();
         assert_eq!(artifact.id, id);
         assert!(!artifact.text.is_empty(), "{id} text");
         assert!(!artifact.csv.is_empty(), "{id} csv");

@@ -24,8 +24,9 @@
 //!     "max":0.1}]}
 //! ```
 
-use mpvar_trace::json::{get_f64, get_str, get_u64, parse_json, push_json_str, Json};
+use mpvar_trace::json::{get_str, parse_json, JsonCodec};
 use mpvar_trace::schema::TraceLog;
+use mpvar_trace::{json_record, json_tagged};
 
 use crate::analytics::profile;
 use crate::ObsError;
@@ -85,6 +86,40 @@ pub struct PerfBaseline {
     pub checks: Vec<PerfCheck>,
 }
 
+json_tagged! {
+    CheckKind, "kind", "kind" {
+        "share_window" => ShareWindow { span, min, max },
+        "counter_min" => CounterMin { counter, min },
+        "counter_ratio_max" => CounterRatioMax { num, den, max },
+    }
+}
+
+json_record! { PerfCheck { name, #[flatten] kind }, check PerfCheck::check }
+
+json_record! { PerfBaseline { workload, checks }, check PerfBaseline::check }
+
+impl PerfCheck {
+    fn check(&self) -> Result<(), String> {
+        let name = &self.name;
+        if name.is_empty() {
+            return Err("check has an empty name".to_string());
+        }
+        match self.kind {
+            CheckKind::ShareWindow { min, max, .. }
+                if !(0.0..=1.0).contains(&min) || !(0.0..=1.0).contains(&max) || min > max =>
+            {
+                Err(format!(
+                    "check `{name}`: share window [{min}, {max}] is not a sub-interval of [0, 1]"
+                ))
+            }
+            CheckKind::CounterRatioMax { max, .. } if !max.is_finite() || max < 0.0 => Err(
+                format!("check `{name}`: ratio max {max} must be finite and >= 0"),
+            ),
+            _ => Ok(()),
+        }
+    }
+}
+
 impl PerfBaseline {
     /// Parses a `mpvar-perf-baseline/v1` JSON document.
     ///
@@ -92,118 +127,24 @@ impl PerfBaseline {
     ///
     /// [`ObsError::Baseline`] describing the first problem.
     pub fn parse(text: &str) -> Result<PerfBaseline, ObsError> {
-        let err = |m: String| ObsError::Baseline(m);
-        let value = parse_json(text.trim()).map_err(&err)?;
+        let value = parse_json(text.trim()).map_err(ObsError::Baseline)?;
         let obj = value
             .as_object()
-            .ok_or_else(|| err("document is not a JSON object".into()))?;
-        let schema = get_str(obj, "schema").map_err(&err)?;
+            .ok_or_else(|| ObsError::Baseline("document is not a JSON object".into()))?;
+        let schema = get_str(obj, "schema").map_err(ObsError::Baseline)?;
         if schema != BASELINE_SCHEMA_ID {
-            return Err(err(format!(
+            return Err(ObsError::Baseline(format!(
                 "unsupported schema `{schema}` (expected `{BASELINE_SCHEMA_ID}`)"
             )));
         }
-        let workload = get_str(obj, "workload").map_err(&err)?.to_string();
-        let Some(Json::Arr(items)) = obj.get("checks") else {
-            return Err(err("`checks` must be an array".into()));
-        };
-        if items.is_empty() {
-            return Err(err("`checks` must not be empty".into()));
-        }
-        let mut checks = Vec::with_capacity(items.len());
-        for (i, item) in items.iter().enumerate() {
-            let check = item
-                .as_object()
-                .ok_or_else(|| err(format!("check #{i} is not an object")))
-                .and_then(|entry| {
-                    let name = get_str(entry, "name").map_err(&err)?.to_string();
-                    if name.is_empty() {
-                        return Err(err(format!("check #{i} has an empty name")));
-                    }
-                    let within = |m: String| err(format!("check `{name}`: {m}"));
-                    let kind = match get_str(entry, "kind").map_err(&err)? {
-                        "share_window" => {
-                            let min = get_f64(entry, "min").map_err(within)?;
-                            let max = get_f64(entry, "max").map_err(within)?;
-                            if !(0.0..=1.0).contains(&min)
-                                || !(0.0..=1.0).contains(&max)
-                                || min > max
-                            {
-                                return Err(err(format!(
-                                    "check `{name}`: share window [{min}, {max}] is not a \
-                                     sub-interval of [0, 1]"
-                                )));
-                            }
-                            CheckKind::ShareWindow {
-                                span: get_str(entry, "span").map_err(within)?.to_string(),
-                                min,
-                                max,
-                            }
-                        }
-                        "counter_min" => CheckKind::CounterMin {
-                            counter: get_str(entry, "counter").map_err(within)?.to_string(),
-                            min: get_u64(entry, "min").map_err(within)?,
-                        },
-                        "counter_ratio_max" => {
-                            let max = get_f64(entry, "max").map_err(within)?;
-                            if !max.is_finite() || max < 0.0 {
-                                return Err(err(format!(
-                                    "check `{name}`: ratio max {max} must be finite and >= 0"
-                                )));
-                            }
-                            CheckKind::CounterRatioMax {
-                                num: get_str(entry, "num").map_err(within)?.to_string(),
-                                den: get_str(entry, "den").map_err(within)?.to_string(),
-                                max,
-                            }
-                        }
-                        other => {
-                            return Err(err(format!("check `{name}`: unknown kind `{other}`")))
-                        }
-                    };
-                    Ok(PerfCheck { name, kind })
-                })?;
-            checks.push(check);
-        }
-        Ok(PerfBaseline { workload, checks })
+        PerfBaseline::get(&value).map_err(ObsError::Baseline)
     }
 
-    /// Serializes the baseline back to its canonical JSON form
-    /// (pretty-printed, one check per line — the committed format).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\"schema\":");
-        push_json_str(&mut out, BASELINE_SCHEMA_ID);
-        out.push_str(",\n \"workload\":");
-        push_json_str(&mut out, &self.workload);
-        out.push_str(",\n \"checks\":[");
-        for (i, check) in self.checks.iter().enumerate() {
-            out.push_str(if i == 0 { "\n  " } else { ",\n  " });
-            out.push_str("{\"name\":");
-            push_json_str(&mut out, &check.name);
-            match &check.kind {
-                CheckKind::ShareWindow { span, min, max } => {
-                    out.push_str(",\"kind\":\"share_window\",\"span\":");
-                    push_json_str(&mut out, span);
-                    out.push_str(&format!(",\"min\":{min},\"max\":{max}"));
-                }
-                CheckKind::CounterMin { counter, min } => {
-                    out.push_str(",\"kind\":\"counter_min\",\"counter\":");
-                    push_json_str(&mut out, counter);
-                    out.push_str(&format!(",\"min\":{min}"));
-                }
-                CheckKind::CounterRatioMax { num, den, max } => {
-                    out.push_str(",\"kind\":\"counter_ratio_max\",\"num\":");
-                    push_json_str(&mut out, num);
-                    out.push_str(",\"den\":");
-                    push_json_str(&mut out, den);
-                    out.push_str(&format!(",\"max\":{max}"));
-                }
-            }
-            out.push('}');
+    fn check(&self) -> Result<(), String> {
+        if self.checks.is_empty() {
+            return Err("`checks` must not be empty".to_string());
         }
-        out.push_str("\n ]}\n");
-        out
+        Ok(())
     }
 }
 
@@ -366,10 +307,13 @@ mod tests {
     }
 
     #[test]
-    fn baseline_round_trips_through_json() {
-        let baseline = sample_baseline();
-        let parsed = PerfBaseline::parse(&baseline.to_json()).expect("parse");
-        assert_eq!(parsed, baseline);
+    fn baseline_parses_every_check_kind() {
+        let text = r#"{"schema":"mpvar-perf-baseline/v1","workload":"test","checks":[
+            {"name":"solver-share","kind":"share_window","span":"work","min":0.5,"max":0.95},
+            {"name":"reuse-present","kind":"counter_min","counter":"reuses","min":1},
+            {"name":"rebuild-rate","kind":"counter_ratio_max","num":"builds","den":"solves","max":0.5}
+        ]}"#;
+        assert_eq!(PerfBaseline::parse(text), Ok(sample_baseline()));
     }
 
     #[test]
@@ -505,6 +449,41 @@ mod tests {
                 ("formula.lane_fallbacks", 667_389)
             ]),
             ["formula-lane-trials", "formula-lane-fallback-rate"]
+        );
+    }
+
+    /// The `check --fast` baseline watches the batched solver: its
+    /// counters below are a traced `check --fast`, then that trace with
+    /// the batch's crossing stop never firing.
+    #[test]
+    fn check_fast_baseline_fails_when_the_batch_runs_whole_windows() {
+        let baseline = PerfBaseline::parse(include_str!(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../results/perf_baseline_check_fast.json"
+        )))
+        .expect("committed baseline parses");
+        let failed = |counters: &[(&str, u64)]| {
+            let report = check(&baseline, &trace_with(80, 20, counters)).expect("check");
+            report
+                .failed_names()
+                .iter()
+                .map(|n| n.to_string())
+                .collect::<Vec<_>>()
+        };
+        let lanes = ("spice.batch_lane_trials", 341);
+        assert!(failed(&[("spice.batch_solves", 12_575), lanes]).is_empty());
+        assert_eq!(
+            failed(&[("spice.batch_solves", 110_000), lanes]),
+            ["batch-solves-per-lane-trial"]
+        );
+        assert_eq!(failed(&[]), ["batch-solver-ran"]);
+        assert_eq!(
+            failed(&[
+                ("spice.batch_solves", 12_575),
+                lanes,
+                ("spice.batch_fallouts", 40)
+            ]),
+            ["batch-fallout-rate"]
         );
     }
 

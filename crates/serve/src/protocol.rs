@@ -35,24 +35,23 @@
 //!  "deduped":0,"cold":1,"errors":0}]}
 //! ```
 //!
+//! Each layout is declared once, as a field list
+//! ([`mpvar_trace::json_record!`] / [`mpvar_trace::json_tagged!`]) that
+//! both writes and reads it; the shape checks run on what was read.
 //! Parsing is strict where it matters (unknown artifact names, bad
 //! types, wrong schema are errors) and closed-world: an unknown
 //! message `type` is rejected, so a v2 speaker fails loudly instead of
 //! being half-understood.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use mpvar_core::experiments::ExperimentContext;
 use mpvar_core::{CoreError, ExecConfig};
 use mpvar_study::ArtifactId;
-use mpvar_trace::json::{
-    get_f64, get_f64_array, get_str, get_str_array, get_u64, get_u64_array, parse_json,
-    push_json_f64, push_json_str, Json, Obj,
-};
-use mpvar_trace::metrics::HistogramMetric;
+use mpvar_trace::json::{get_str, parse_json, push_json_str, Json, JsonCodec, Obj};
+use mpvar_trace::{json_record, json_tagged};
 
-use crate::telemetry::{LatencyStat, ServeStats, StatsWindow};
+use crate::telemetry::ServeStats;
 
 /// Schema identifier carried by every `mpvar-serve/v1` message.
 pub const SCHEMA_ID: &str = "mpvar-serve/v1";
@@ -94,6 +93,27 @@ pub enum Preset {
     Paper,
 }
 
+impl JsonCodec for Preset {
+    fn put(&self, out: &mut String) {
+        push_json_str(
+            out,
+            match self {
+                Preset::Quick => "quick",
+                Preset::Paper => "paper",
+            },
+        );
+    }
+
+    fn get(value: &Json) -> Result<Self, String> {
+        match value.as_str() {
+            Some("quick") => Ok(Preset::Quick),
+            Some("paper") => Ok(Preset::Paper),
+            Some(other) => Err(format!("unknown preset `{other}`")),
+            None => Err("must be a string".to_string()),
+        }
+    }
+}
+
 /// The context knobs a request may override, applied on top of the
 /// preset. Everything here is part of the server-side cache identity
 /// except `threads` (results are bit-identical at any thread count, so
@@ -113,6 +133,26 @@ pub struct ContextSpec {
     pub threads: Option<usize>,
 }
 
+json_record! {
+    ContextSpec {
+        #[optional] preset, #[optional] sizes, #[optional] trials, #[optional] seed,
+        #[optional] threads,
+    },
+    unknown "context knob"
+}
+
+/// Most Monte-Carlo trials one request may ask for: 50x the paper's
+/// 20,000. Each trial index is allocated up front, so this bounds a
+/// request's memory.
+const MAX_TRIALS: usize = 1_000_000;
+
+/// Tallest array a request may size: 4x the paper's 1,024 rows. Each
+/// size builds a SPICE column of that many cells.
+const MAX_ROWS: usize = 4_096;
+
+/// Most array sizes one request may list.
+const MAX_SIZES: usize = 64;
+
 /// The cores the OS lets this process use: the worker count of an
 /// [`ExecConfig`] left at its default.
 fn host_parallelism() -> usize {
@@ -120,22 +160,39 @@ fn host_parallelism() -> usize {
 }
 
 impl ContextSpec {
-    /// Builds the [`ExperimentContext`] this spec describes.
+    /// Builds the [`ExperimentContext`] this spec describes. Every
+    /// request passes through here before any run starts.
     ///
     /// # Errors
     ///
-    /// Propagates context-construction failures (bad technology
-    /// presets).
+    /// [`CoreError::InvalidParameter`] naming the knob when `trials`
+    /// is outside 1..=1,000,000, a size is outside 1..=4,096 rows, or
+    /// the sizes number more than 64 (or none); otherwise propagates
+    /// context-construction failures (bad technology presets).
     pub fn build(&self) -> Result<ExperimentContext, CoreError> {
+        let out_of = |name, value: usize, constraint| CoreError::InvalidParameter {
+            name,
+            value: value as f64,
+            constraint,
+        };
         let mut builder = ExperimentContext::builder()?;
         builder = match self.preset {
             Preset::Quick => builder.quick_preset(),
             Preset::Paper => builder.paper_preset(),
         };
         if let Some(sizes) = &self.sizes {
+            if !(1..=MAX_SIZES).contains(&sizes.len()) {
+                return Err(out_of("sizes", sizes.len(), "list 1 to 64 array sizes"));
+            }
+            if let Some(&rows) = sizes.iter().find(|n| !(1..=MAX_ROWS).contains(*n)) {
+                return Err(out_of("sizes", rows, "each size must be 1 to 4096 rows"));
+            }
             builder = builder.sizes(sizes.clone());
         }
         if let Some(trials) = self.trials {
+            if !(1..=MAX_TRIALS).contains(&trials) {
+                return Err(out_of("trials", trials, "must be 1 to 1000000"));
+            }
             builder = builder.trials(trials);
         }
         if let Some(seed) = self.seed {
@@ -149,78 +206,6 @@ impl ContextSpec {
             builder = builder.threads(threads.min(host_parallelism()));
         }
         Ok(builder.build())
-    }
-
-    fn encode(&self, out: &mut String) {
-        out.push_str("{\"preset\":");
-        push_json_str(
-            out,
-            match self.preset {
-                Preset::Quick => "quick",
-                Preset::Paper => "paper",
-            },
-        );
-        if let Some(sizes) = &self.sizes {
-            out.push_str(",\"sizes\":[");
-            for (i, n) in sizes.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&n.to_string());
-            }
-            out.push(']');
-        }
-        if let Some(trials) = self.trials {
-            out.push_str(&format!(",\"trials\":{trials}"));
-        }
-        if let Some(seed) = self.seed {
-            out.push_str(&format!(",\"seed\":{seed}"));
-        }
-        if let Some(threads) = self.threads {
-            out.push_str(&format!(",\"threads\":{threads}"));
-        }
-        out.push('}');
-    }
-
-    fn decode(obj: &Obj) -> Result<ContextSpec, String> {
-        for key in obj.keys() {
-            if !matches!(
-                key.as_str(),
-                "preset" | "sizes" | "trials" | "seed" | "threads"
-            ) {
-                return Err(format!("unknown context knob `{key}`"));
-            }
-        }
-        let preset = match obj.get("preset") {
-            None => Preset::Quick,
-            Some(Json::Str(s)) if s == "quick" => Preset::Quick,
-            Some(Json::Str(s)) if s == "paper" => Preset::Paper,
-            Some(Json::Str(s)) => return Err(format!("unknown preset `{s}`")),
-            Some(_) => return Err("`preset` must be a string".to_string()),
-        };
-        let sizes = match obj.get("sizes") {
-            None => None,
-            Some(_) => {
-                let raw = mpvar_trace::json::get_u64_array(obj, "sizes")?;
-                if raw.is_empty() {
-                    return Err("`sizes` must not be empty".to_string());
-                }
-                Some(raw.into_iter().map(|n| n as usize).collect())
-            }
-        };
-        let opt_u64 = |key: &str| -> Result<Option<u64>, String> {
-            match obj.get(key) {
-                None => Ok(None),
-                Some(_) => get_u64(obj, key).map(Some),
-            }
-        };
-        Ok(ContextSpec {
-            preset,
-            sizes,
-            trials: opt_u64("trials")?.map(|n| n as usize),
-            seed: opt_u64("seed")?,
-            threads: opt_u64("threads")?.map(|n| n as usize),
-        })
     }
 }
 
@@ -242,6 +227,44 @@ pub struct AnalysisRequest {
     pub progress: bool,
 }
 
+json_record! {
+    AnalysisRequest {
+        id, #[with(artifact_names)] artifacts, #[optional] context, #[optional] progress,
+    },
+    check AnalysisRequest::check
+}
+
+impl AnalysisRequest {
+    fn check(&self) -> Result<(), String> {
+        if self.id.is_empty() {
+            return Err("request `id` must not be empty".to_string());
+        }
+        if self.artifacts.is_empty() {
+            return Err("`artifacts` must not be empty".to_string());
+        }
+        Ok(())
+    }
+}
+
+/// Artifact ids on the wire: their names, checked against the artifact
+/// graph as they are read. (`ArtifactId` lives in `mpvar-study`, so it
+/// cannot implement [`JsonCodec`] itself.)
+mod artifact_names {
+    use super::*;
+
+    pub(super) fn put(ids: &[ArtifactId], out: &mut String) {
+        let names: Vec<String> = ids.iter().map(|id| id.name().to_string()).collect();
+        names.put(out);
+    }
+
+    pub(super) fn get(obj: &Obj, key: &str) -> Result<Vec<ArtifactId>, String> {
+        Vec::<String>::member(obj, key)?
+            .iter()
+            .map(|name| ArtifactId::parse(name).ok_or_else(|| format!("unknown artifact `{name}`")))
+            .collect()
+    }
+}
+
 /// A client → server message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ClientMessage {
@@ -253,6 +276,14 @@ pub enum ClientMessage {
     Shutdown,
 }
 
+json_tagged! {
+    ClientMessage, "type", "client message type" {
+        "request" => Request(AnalysisRequest),
+        "stats" => Stats {},
+        "shutdown" => Shutdown {},
+    }
+}
+
 /// One rendered artifact in a result message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RenderedArtifact {
@@ -262,6 +293,17 @@ pub struct RenderedArtifact {
     pub text: String,
     /// Rendered CSV.
     pub csv: String,
+}
+
+json_record! { RenderedArtifact { id, text, csv }, check RenderedArtifact::check }
+
+impl RenderedArtifact {
+    fn check(&self) -> Result<(), String> {
+        match ArtifactId::parse(&self.id) {
+            Some(_) => Ok(()),
+            None => Err(format!("unknown artifact `{}`", self.id)),
+        }
+    }
 }
 
 /// A server → client message.
@@ -312,185 +354,21 @@ pub enum ServerMessage {
     },
 }
 
-impl ClientMessage {
-    /// Encodes the message as one newline-terminated JSON line.
-    pub fn to_line(&self) -> String {
-        let mut out = String::with_capacity(128);
-        out.push_str("{\"schema\":");
-        push_json_str(&mut out, SCHEMA_ID);
-        match self {
-            ClientMessage::Request(req) => {
-                out.push_str(",\"type\":\"request\",\"id\":");
-                push_json_str(&mut out, &req.id);
-                out.push_str(",\"artifacts\":[");
-                for (i, a) in req.artifacts.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    push_json_str(&mut out, a.name());
-                }
-                out.push_str("],\"context\":");
-                req.context.encode(&mut out);
-                out.push_str(&format!(",\"progress\":{}", req.progress));
-            }
-            ClientMessage::Stats => out.push_str(",\"type\":\"stats\""),
-            ClientMessage::Shutdown => out.push_str(",\"type\":\"shutdown\""),
-        }
-        out.push_str("}\n");
-        out
-    }
-
-    /// Parses one client line.
-    ///
-    /// # Errors
-    ///
-    /// A description of the first syntax or schema problem.
-    pub fn parse(line: &str) -> Result<ClientMessage, String> {
-        let obj = parse_object(line)?;
-        match get_str(&obj, "type")? {
-            "request" => {
-                let id = get_str(&obj, "id")?.to_string();
-                if id.is_empty() {
-                    return Err("request `id` must not be empty".to_string());
-                }
-                let names = get_str_array(&obj, "artifacts")?;
-                if names.is_empty() {
-                    return Err("`artifacts` must not be empty".to_string());
-                }
-                let artifacts = names
-                    .iter()
-                    .map(|name| {
-                        ArtifactId::try_parse(name)
-                            .map_err(|_| format!("unknown artifact `{name}`"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                let context = match obj.get("context") {
-                    None => ContextSpec::default(),
-                    Some(Json::Obj(ctx)) => ContextSpec::decode(ctx)?,
-                    Some(_) => return Err("`context` must be an object".to_string()),
-                };
-                let progress = match obj.get("progress") {
-                    None => false,
-                    Some(Json::Bool(b)) => *b,
-                    Some(_) => return Err("`progress` must be a boolean".to_string()),
-                };
-                Ok(ClientMessage::Request(AnalysisRequest {
-                    id,
-                    artifacts,
-                    context,
-                    progress,
-                }))
-            }
-            "stats" => Ok(ClientMessage::Stats),
-            "shutdown" => Ok(ClientMessage::Shutdown),
-            other => Err(format!("unknown client message type `{other}`")),
-        }
-    }
+json_tagged! {
+    ServerMessage, "type", "server message type" {
+        "ack" => Ack { id, fingerprint },
+        "progress" => Progress { id, artifact, outcome, dur_ns },
+        "result" => Result { id, artifacts },
+        "error" => Error { id, message },
+        "stats" => Stats { #[flatten] stats },
+    },
+    check ServerMessage::check
 }
 
 impl ServerMessage {
     /// Encodes the message as one newline-terminated JSON line.
     pub fn to_line(&self) -> String {
-        let mut out = String::with_capacity(128);
-        out.push_str("{\"schema\":");
-        push_json_str(&mut out, SCHEMA_ID);
-        match self {
-            ServerMessage::Ack { id, fingerprint } => {
-                out.push_str(",\"type\":\"ack\",\"id\":");
-                push_json_str(&mut out, id);
-                out.push_str(",\"fingerprint\":");
-                push_json_str(&mut out, fingerprint);
-            }
-            ServerMessage::Progress {
-                id,
-                artifact,
-                outcome,
-                dur_ns,
-            } => {
-                out.push_str(",\"type\":\"progress\",\"id\":");
-                push_json_str(&mut out, id);
-                out.push_str(",\"artifact\":");
-                push_json_str(&mut out, artifact);
-                out.push_str(",\"outcome\":");
-                push_json_str(&mut out, outcome);
-                out.push_str(&format!(",\"dur_ns\":{dur_ns}"));
-            }
-            ServerMessage::Result { id, artifacts } => {
-                out.push_str(",\"type\":\"result\",\"id\":");
-                push_json_str(&mut out, id);
-                out.push_str(",\"artifacts\":[");
-                for (i, a) in artifacts.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str("{\"id\":");
-                    push_json_str(&mut out, &a.id);
-                    out.push_str(",\"text\":");
-                    push_json_str(&mut out, &a.text);
-                    out.push_str(",\"csv\":");
-                    push_json_str(&mut out, &a.csv);
-                    out.push('}');
-                }
-                out.push(']');
-            }
-            ServerMessage::Error { id, message } => {
-                out.push_str(",\"type\":\"error\",\"id\":");
-                push_json_str(&mut out, id);
-                out.push_str(",\"message\":");
-                push_json_str(&mut out, message);
-            }
-            ServerMessage::Stats { stats } => {
-                out.push_str(",\"type\":\"stats\",\"counters\":{");
-                for (i, (name, value)) in stats.counters.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    push_json_str(&mut out, name);
-                    out.push_str(&format!(":{value}"));
-                }
-                out.push('}');
-                if !stats.gauges.is_empty() {
-                    out.push_str(",\"gauges\":{");
-                    for (i, (name, value)) in stats.gauges.iter().enumerate() {
-                        if i > 0 {
-                            out.push(',');
-                        }
-                        push_json_str(&mut out, name);
-                        out.push(':');
-                        push_json_f64(&mut out, *value);
-                    }
-                    out.push('}');
-                }
-                if !stats.latencies.is_empty() {
-                    out.push_str(",\"latencies\":{");
-                    for (i, (outcome, stat)) in stats.latencies.iter().enumerate() {
-                        if i > 0 {
-                            out.push(',');
-                        }
-                        push_json_str(&mut out, outcome);
-                        out.push(':');
-                        encode_latency(&mut out, stat);
-                    }
-                    out.push('}');
-                }
-                if !stats.windows.is_empty() {
-                    out.push_str(",\"windows\":[");
-                    for (i, w) in stats.windows.iter().enumerate() {
-                        if i > 0 {
-                            out.push(',');
-                        }
-                        out.push_str(&format!(
-                            "{{\"seq\":{},\"requests\":{},\"warm_hit\":{},\
-                             \"deduped\":{},\"cold\":{},\"errors\":{}}}",
-                            w.seq, w.requests, w.warm_hit, w.deduped, w.cold, w.errors
-                        ));
-                    }
-                    out.push(']');
-                }
-            }
-        }
-        out.push_str("}\n");
-        out
+        to_line(self)
     }
 
     /// Parses one server line.
@@ -499,247 +377,57 @@ impl ServerMessage {
     ///
     /// A description of the first syntax or schema problem.
     pub fn parse(line: &str) -> Result<ServerMessage, String> {
-        let obj = parse_object(line)?;
-        match get_str(&obj, "type")? {
-            "ack" => Ok(ServerMessage::Ack {
-                id: get_str(&obj, "id")?.to_string(),
-                fingerprint: get_str(&obj, "fingerprint")?.to_string(),
-            }),
-            "progress" => {
-                let outcome = get_str(&obj, "outcome")?.to_string();
-                if outcome != "computed" && outcome != "cache_hit" {
-                    return Err(format!("unknown progress outcome `{outcome}`"));
-                }
-                Ok(ServerMessage::Progress {
-                    id: get_str(&obj, "id")?.to_string(),
-                    artifact: get_str(&obj, "artifact")?.to_string(),
-                    outcome,
-                    dur_ns: get_u64(&obj, "dur_ns")?,
-                })
+        from_line(line)
+    }
+
+    fn check(&self) -> Result<(), String> {
+        match self {
+            ServerMessage::Progress { outcome, .. }
+                if outcome != "computed" && outcome != "cache_hit" =>
+            {
+                Err(format!("unknown progress outcome `{outcome}`"))
             }
-            "result" => {
-                let Some(Json::Arr(items)) = obj.get("artifacts") else {
-                    return Err("`artifacts` must be an array".to_string());
-                };
-                let artifacts = items
-                    .iter()
-                    .map(|item| {
-                        let entry = item.as_object().ok_or("result artifacts must be objects")?;
-                        let id = get_str(entry, "id")?;
-                        ArtifactId::try_parse(id)
-                            .map_err(|_| format!("unknown artifact `{id}`"))?;
-                        Ok(RenderedArtifact {
-                            id: id.to_string(),
-                            text: get_str(entry, "text")?.to_string(),
-                            csv: get_str(entry, "csv")?.to_string(),
-                        })
-                    })
-                    .collect::<Result<Vec<_>, String>>()?;
-                Ok(ServerMessage::Result {
-                    id: get_str(&obj, "id")?.to_string(),
-                    artifacts,
-                })
-            }
-            "error" => Ok(ServerMessage::Error {
-                id: get_str(&obj, "id")?.to_string(),
-                message: get_str(&obj, "message")?.to_string(),
-            }),
-            "stats" => decode_stats(&obj).map(|stats| ServerMessage::Stats { stats }),
-            other => Err(format!("unknown server message type `{other}`")),
+            _ => Ok(()),
         }
     }
 }
 
-fn encode_latency(out: &mut String, stat: &LatencyStat) {
-    let h = &stat.histogram;
-    out.push_str("{\"bounds\":[");
-    for (i, b) in h.bounds.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_json_f64(out, *b);
+impl ClientMessage {
+    /// Encodes the message as one newline-terminated JSON line.
+    pub fn to_line(&self) -> String {
+        to_line(self)
     }
-    out.push_str("],\"counts\":[");
-    for (i, c) in h.counts.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&c.to_string());
+
+    /// Parses one client line.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first syntax or schema problem.
+    pub fn parse(line: &str) -> Result<ClientMessage, String> {
+        from_line(line)
     }
-    out.push_str(&format!(
-        "],\"underflow\":{},\"overflow\":{},\"sum\":",
-        h.underflow, h.overflow
-    ));
-    push_json_f64(out, h.sum);
-    out.push_str(&format!(",\"count\":{},\"p50_ns\":", h.count));
-    push_json_f64(out, stat.p50_ns);
-    out.push_str(",\"p95_ns\":");
-    push_json_f64(out, stat.p95_ns);
-    out.push_str(",\"p99_ns\":");
-    push_json_f64(out, stat.p99_ns);
-    out.push('}');
 }
 
-fn decode_stats(obj: &Obj) -> Result<ServeStats, String> {
-    let Some(Json::Obj(raw)) = obj.get("counters") else {
-        return Err("`counters` must be an object".to_string());
-    };
-    let mut counters = BTreeMap::new();
-    for (name, value) in raw {
-        let Json::Num(n) = value else {
-            return Err(format!("counter `{name}` must be a number"));
-        };
-        counters.insert(
-            name.clone(),
-            mpvar_trace::json::to_u64(*n).map_err(|m| format!("counter `{name}`: {m}"))?,
-        );
-    }
-    let mut gauges = BTreeMap::new();
-    match obj.get("gauges") {
-        None => {}
-        Some(Json::Obj(raw)) => {
-            for (name, value) in raw {
-                let Json::Num(n) = value else {
-                    return Err(format!("gauge `{name}` must be a finite number"));
-                };
-                if !n.is_finite() {
-                    return Err(format!("gauge `{name}` must be a finite number"));
-                }
-                gauges.insert(name.clone(), *n);
-            }
-        }
-        Some(_) => return Err("`gauges` must be an object".to_string()),
-    }
-    let mut latencies = BTreeMap::new();
-    match obj.get("latencies") {
-        None => {}
-        Some(Json::Obj(raw)) => {
-            for (outcome, value) in raw {
-                let entry = value
-                    .as_object()
-                    .ok_or_else(|| format!("latency `{outcome}` must be an object"))?;
-                let stat =
-                    decode_latency(entry).map_err(|m| format!("latency `{outcome}`: {m}"))?;
-                latencies.insert(outcome.clone(), stat);
-            }
-        }
-        Some(_) => return Err("`latencies` must be an object".to_string()),
-    }
-    let mut windows = Vec::new();
-    match obj.get("windows") {
-        None => {}
-        Some(Json::Arr(items)) => {
-            for (i, item) in items.iter().enumerate() {
-                let entry = item
-                    .as_object()
-                    .ok_or_else(|| format!("window {i} must be an object"))?;
-                windows.push(decode_window(entry).map_err(|m| format!("window {i}: {m}"))?);
-            }
-        }
-        Some(_) => return Err("`windows` must be an array".to_string()),
-    }
-    Ok(ServeStats {
-        counters,
-        gauges,
-        latencies,
-        windows,
-    })
+/// One message as a line: the schema, then the message's own members.
+fn to_line(message: &impl JsonCodec) -> String {
+    let mut out = String::with_capacity(128);
+    out.push_str("{\"schema\":");
+    push_json_str(&mut out, SCHEMA_ID);
+    message.put_fields(&mut out);
+    out.push_str("}\n");
+    out
 }
 
-fn decode_latency(entry: &Obj) -> Result<LatencyStat, String> {
-    let bounds = get_f64_array(entry, "bounds")?;
-    if bounds.len() < 2 {
-        return Err("`bounds` needs at least two edges".to_string());
-    }
-    if bounds.iter().any(|b| !b.is_finite()) || bounds.windows(2).any(|w| w[0] >= w[1]) {
-        return Err("`bounds` must be finite and strictly ascending".to_string());
-    }
-    let counts = get_u64_array(entry, "counts")?;
-    if bounds.len() != counts.len() + 1 {
-        return Err(format!(
-            "{} bounds do not frame {} counts (need counts + 1)",
-            bounds.len(),
-            counts.len()
-        ));
-    }
-    let underflow = get_u64(entry, "underflow")?;
-    let overflow = get_u64(entry, "overflow")?;
-    let count = get_u64(entry, "count")?;
-    let bucketed: u64 = counts.iter().sum();
-    if count != bucketed + underflow + overflow {
-        return Err(format!(
-            "`count` {count} disagrees with buckets + under/overflow \
-             ({bucketed} + {underflow} + {overflow})"
-        ));
-    }
-    let sum = get_f64(entry, "sum")?;
-    if !sum.is_finite() {
-        return Err("`sum` must be finite".to_string());
-    }
-    let quantile = |key: &str| -> Result<f64, String> {
-        let v = get_f64(entry, key)?;
-        if v.is_finite() {
-            Ok(v)
-        } else {
-            Err(format!("`{key}` must be finite"))
-        }
-    };
-    let (p50_ns, p95_ns, p99_ns) = (
-        quantile("p50_ns")?,
-        quantile("p95_ns")?,
-        quantile("p99_ns")?,
-    );
-    if !(p50_ns <= p95_ns && p95_ns <= p99_ns) {
-        return Err(format!(
-            "quantiles out of order: p50 {p50_ns} / p95 {p95_ns} / p99 {p99_ns}"
-        ));
-    }
-    Ok(LatencyStat {
-        histogram: HistogramMetric {
-            bounds,
-            counts,
-            underflow,
-            overflow,
-            sum,
-            count,
-        },
-        p50_ns,
-        p95_ns,
-        p99_ns,
-    })
-}
-
-fn decode_window(entry: &Obj) -> Result<StatsWindow, String> {
-    let window = StatsWindow {
-        seq: get_u64(entry, "seq")?,
-        requests: get_u64(entry, "requests")?,
-        warm_hit: get_u64(entry, "warm_hit")?,
-        deduped: get_u64(entry, "deduped")?,
-        cold: get_u64(entry, "cold")?,
-        errors: get_u64(entry, "errors")?,
-    };
-    if window.warm_hit + window.deduped + window.cold != window.requests {
-        return Err(format!(
-            "`requests` {} disagrees with outcome counts ({} + {} + {})",
-            window.requests, window.warm_hit, window.deduped, window.cold
-        ));
-    }
-    Ok(window)
-}
-
-fn parse_object(line: &str) -> Result<Obj, String> {
+fn from_line<T: JsonCodec>(line: &str) -> Result<T, String> {
     let value = parse_json(line.trim())?;
-    let obj = value
-        .as_object()
-        .ok_or("line is not a JSON object")?
-        .clone();
-    let schema = get_str(&obj, "schema")?;
+    let obj = value.as_object().ok_or("line is not a JSON object")?;
+    let schema = get_str(obj, "schema")?;
     if schema != SCHEMA_ID {
         return Err(format!(
             "unsupported schema `{schema}` (expected `{SCHEMA_ID}`)"
         ));
     }
-    Ok(obj)
+    T::get(&value)
 }
 
 /// Either side's message, as it appears in a transcript.
@@ -849,6 +537,7 @@ pub fn validate_serve_jsonl(text: &str) -> Result<ServeLog, ProtocolError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn sample_request() -> AnalysisRequest {
         AnalysisRequest {
@@ -943,6 +632,150 @@ mod tests {
         };
         let line = message.to_line();
         assert_eq!(ServerMessage::parse(&line), Ok(message), "{line}");
+    }
+
+    /// One of each client message: a request with every context knob
+    /// set, one with none, and the two bare commands.
+    fn pinned_client_messages() -> Vec<ClientMessage> {
+        vec![
+            ClientMessage::Request(AnalysisRequest {
+                id: "full".into(),
+                artifacts: vec![ArtifactId::Fig4, ArtifactId::WriteYield],
+                context: ContextSpec {
+                    preset: Preset::Paper,
+                    sizes: Some(vec![8, 1024]),
+                    trials: Some(20_000),
+                    seed: Some(2015),
+                    threads: Some(4),
+                },
+                progress: true,
+            }),
+            ClientMessage::Request(AnalysisRequest {
+                id: "bare".into(),
+                artifacts: vec![ArtifactId::Table1],
+                context: ContextSpec::default(),
+                progress: false,
+            }),
+            ClientMessage::Stats,
+            ClientMessage::Shutdown,
+        ]
+    }
+
+    /// One of each server message, with a counters-only and an
+    /// enriched `stats` line.
+    fn pinned_server_messages() -> Vec<ServerMessage> {
+        vec![
+            ServerMessage::Ack {
+                id: "r1".into(),
+                fingerprint: "00ab3f".into(),
+            },
+            ServerMessage::Progress {
+                id: "r1".into(),
+                artifact: "table1".into(),
+                outcome: "cache_hit".into(),
+                dur_ns: 0,
+            },
+            ServerMessage::Result {
+                id: "r1".into(),
+                artifacts: vec![
+                    RenderedArtifact {
+                        id: "table1".into(),
+                        text: "line1\nline2 \"quoted\"\t\\ ctrl\u{1} uni\u{e9}".into(),
+                        csv: "a,b\n1,2.5\n".into(),
+                    },
+                    RenderedArtifact {
+                        id: "fig5".into(),
+                        text: String::new(),
+                        csv: String::new(),
+                    },
+                ],
+            },
+            ServerMessage::Error {
+                id: String::new(),
+                message: "unknown artifact `tableX`".into(),
+            },
+            ServerMessage::Stats {
+                stats: ServeStats {
+                    counters: BTreeMap::from([("serve.requests".to_string(), 4)]),
+                    ..ServeStats::default()
+                },
+            },
+            ServerMessage::Stats {
+                stats: sample_stats(),
+            },
+        ]
+    }
+
+    /// FNV-1a, 64-bit: a digest for the lines too long to pin verbatim.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Every line this module writes, in the order the pins list them.
+    fn pinned_lines() -> Vec<String> {
+        let client = pinned_client_messages().into_iter().map(|m| m.to_line());
+        let server = pinned_server_messages().into_iter().map(|m| m.to_line());
+        client.chain(server).collect()
+    }
+
+    #[test]
+    fn wire_bytes_are_pinned() {
+        let lines = pinned_lines();
+        let verbatim = [
+            r#"{"schema":"mpvar-serve/v1","type":"request","id":"full","artifacts":["fig4","write_yield"],"context":{"preset":"paper","sizes":[8,1024],"trials":20000,"seed":2015,"threads":4},"progress":true}"#,
+            r#"{"schema":"mpvar-serve/v1","type":"request","id":"bare","artifacts":["table1"],"context":{"preset":"quick"},"progress":false}"#,
+            r#"{"schema":"mpvar-serve/v1","type":"stats"}"#,
+            r#"{"schema":"mpvar-serve/v1","type":"shutdown"}"#,
+            r#"{"schema":"mpvar-serve/v1","type":"ack","id":"r1","fingerprint":"00ab3f"}"#,
+            r#"{"schema":"mpvar-serve/v1","type":"progress","id":"r1","artifact":"table1","outcome":"cache_hit","dur_ns":0}"#,
+            r#"{"schema":"mpvar-serve/v1","type":"result","id":"r1","artifacts":[{"id":"table1","text":"line1\nline2 \"quoted\"\t\\ ctrl\u0001 unié","csv":"a,b\n1,2.5\n"},{"id":"fig5","text":"","csv":""}]}"#,
+            r#"{"schema":"mpvar-serve/v1","type":"error","id":"","message":"unknown artifact `tableX`"}"#,
+            r#"{"schema":"mpvar-serve/v1","type":"stats","counters":{"serve.requests":4}}"#,
+        ];
+        assert_eq!(lines.len(), verbatim.len() + 1);
+        for (line, expected) in lines.iter().zip(verbatim) {
+            assert_eq!(line.strip_suffix('\n'), Some(expected));
+        }
+        // The enriched stats line: counters, gauges, three latency
+        // histograms with quantiles, two windows.
+        let enriched = &lines[verbatim.len()];
+        assert_eq!(enriched.len(), 1556);
+        assert_eq!(fnv1a(enriched.as_bytes()), 0x9937_5a4e_afb9_ad12);
+    }
+
+    /// Parses `line` as whichever side's message it is and, when it
+    /// parses, requires that its re-encoding parse back equal.
+    fn reparses_or_errs(line: &str) -> bool {
+        match ClientMessage::parse(line) {
+            Ok(m) => ClientMessage::parse(&m.to_line()) == Ok(m),
+            Err(_) => match ServerMessage::parse(line) {
+                Ok(m) => ServerMessage::parse(&m.to_line()) == Ok(m),
+                Err(_) => true,
+            },
+        }
+    }
+
+    #[test]
+    fn reader_never_panics_on_cut_or_flipped_lines() {
+        for line in pinned_lines() {
+            let bytes = line.trim_end().as_bytes();
+            let mut variants: Vec<Vec<u8>> =
+                (0..bytes.len()).map(|n| bytes[..n].to_vec()).collect();
+            for i in 0..bytes.len() {
+                for mask in [0x01, 0x80, 0xff] {
+                    let mut flipped = bytes.to_vec();
+                    flipped[i] ^= mask;
+                    variants.push(flipped);
+                }
+            }
+            for variant in variants {
+                let text = String::from_utf8_lossy(&variant);
+                let outcome = std::panic::catch_unwind(|| reparses_or_errs(&text));
+                assert_eq!(outcome.ok(), Some(true), "{text}");
+            }
+        }
     }
 
     #[test]
@@ -1069,6 +902,49 @@ mod tests {
                 assert_eq!(exec.effective_threads(), requested.min(cap));
             }
         }
+    }
+
+    /// Builds the context only: no bound below starts a run, so none
+    /// allocates what it names.
+    #[test]
+    fn context_spec_bounds_what_one_request_may_allocate() {
+        let build_err = |spec: ContextSpec| match spec.build() {
+            Err(CoreError::InvalidParameter { name, .. }) => name,
+            other => panic!("expected a named error, got {other:?}"),
+        };
+        for trials in [0, MAX_TRIALS + 1, 1_000_000_000_000] {
+            let spec = ContextSpec {
+                trials: Some(trials),
+                ..ContextSpec::default()
+            };
+            assert_eq!(build_err(spec), "trials", "{trials} trials");
+        }
+        for sizes in [
+            vec![],
+            vec![8, 0],
+            vec![MAX_ROWS + 1],
+            vec![8; MAX_SIZES + 1],
+        ] {
+            let spec = ContextSpec {
+                sizes: Some(sizes.clone()),
+                ..ContextSpec::default()
+            };
+            assert_eq!(build_err(spec), "sizes", "{sizes:?}");
+        }
+        // The edges themselves are allowed.
+        let edge = ContextSpec {
+            sizes: Some(vec![MAX_ROWS; MAX_SIZES]),
+            trials: Some(MAX_TRIALS),
+            ..ContextSpec::default()
+        };
+        let ctx = edge.build().expect("edges build");
+        assert_eq!((ctx.sizes.len(), ctx.mc.trials), (MAX_SIZES, MAX_TRIALS));
+        let low = ContextSpec {
+            sizes: Some(vec![1]),
+            trials: Some(1),
+            ..ContextSpec::default()
+        };
+        assert!(low.build().is_ok());
     }
 
     #[test]

@@ -27,6 +27,7 @@ use std::fmt::Write as _;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use mpvar_trace::json_record;
 use mpvar_trace::metrics::HistogramMetric;
 use mpvar_trace::sink::fmt_ns;
 
@@ -83,6 +84,24 @@ pub struct StatsWindow {
     pub errors: u64,
 }
 
+json_record! {
+    StatsWindow { seq, requests, warm_hit, deduped, cold, errors },
+    check StatsWindow::check
+}
+
+impl StatsWindow {
+    fn check(&self) -> Result<(), String> {
+        let (w, d, c) = (self.warm_hit, self.deduped, self.cold);
+        if u128::from(w) + u128::from(d) + u128::from(c) == u128::from(self.requests) {
+            return Ok(());
+        }
+        let requests = self.requests;
+        Err(format!(
+            "`requests` {requests} disagrees with outcome counts ({w} + {d} + {c})"
+        ))
+    }
+}
+
 /// One outcome's latency distribution plus derived quantiles.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LatencyStat {
@@ -96,7 +115,46 @@ pub struct LatencyStat {
     pub p99_ns: f64,
 }
 
+json_record! {
+    LatencyStat { #[flatten] histogram, p50_ns, p95_ns, p99_ns },
+    check LatencyStat::check
+}
+
 impl LatencyStat {
+    fn check(&self) -> Result<(), String> {
+        let (h, p50, p95, p99) = (&self.histogram, self.p50_ns, self.p95_ns, self.p99_ns);
+        if h.bounds.len() < 2 || h.bounds.len() != h.counts.len() + 1 {
+            let (edges, counts) = (h.bounds.len(), h.counts.len());
+            return Err(format!(
+                "{edges} bounds do not frame {counts} counts (need counts + 1 >= 2)"
+            ));
+        }
+        if h.bounds.iter().any(|b| !b.is_finite()) || h.bounds.windows(2).any(|w| w[0] >= w[1]) {
+            return Err("`bounds` must be finite and strictly ascending".to_string());
+        }
+        let tallied: u128 = h
+            .counts
+            .iter()
+            .chain([&h.underflow, &h.overflow])
+            .map(|&c| u128::from(c))
+            .sum();
+        if u128::from(h.count) != tallied {
+            return Err(format!(
+                "`count` {} disagrees with buckets + under/overflow ({tallied})",
+                h.count
+            ));
+        }
+        if ![h.sum, p50, p95, p99].iter().all(|v| v.is_finite()) {
+            return Err("`sum` and the quantiles must be finite".to_string());
+        }
+        if !(p50 <= p95 && p95 <= p99) {
+            return Err(format!(
+                "quantiles out of order: p50 {p50} / p95 {p95} / p99 {p99}"
+            ));
+        }
+        Ok(())
+    }
+
     /// Derives the quantile triplet from a histogram.
     pub(crate) fn from_histogram(histogram: HistogramMetric) -> LatencyStat {
         let q = |q: f64| histogram.quantile(q).unwrap_or(0.0);
@@ -126,7 +184,19 @@ pub struct ServeStats {
     pub windows: Vec<StatsWindow>,
 }
 
+json_record! {
+    ServeStats { counters, #[optional] gauges, #[optional] latencies, #[optional] windows },
+    check ServeStats::check
+}
+
 impl ServeStats {
+    fn check(&self) -> Result<(), String> {
+        match self.gauges.iter().find(|(_, v)| !v.is_finite()) {
+            Some((name, _)) => Err(format!("gauge `{name}` must be a finite number")),
+            None => Ok(()),
+        }
+    }
+
     /// Renders the human report `repro client --stats` prints.
     pub fn render(&self) -> String {
         let mut out = String::new();

@@ -12,6 +12,7 @@
 //! recurse the parser off its thread's stack.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// Deepest array/object nesting the parser accepts. The deepest
 /// document the workspace writes nests about 5 levels.
@@ -99,12 +100,7 @@ pub fn get_str<'a>(obj: &'a Obj, key: &str) -> Result<&'a str, String> {
 ///
 /// When the key is missing or not a number.
 pub fn get_f64(obj: &Obj, key: &str) -> Result<f64, String> {
-    match obj.get(key) {
-        Some(Json::Num(n)) => Ok(*n),
-        Some(Json::Null) => Ok(f64::NAN),
-        Some(_) => Err(format!("`{key}` must be a number")),
-        None => Err(format!("missing `{key}`")),
-    }
+    f64::member(obj, key)
 }
 
 /// A required non-negative integer field.
@@ -114,75 +110,7 @@ pub fn get_f64(obj: &Obj, key: &str) -> Result<f64, String> {
 /// When the key is missing, not a number, or not a non-negative
 /// integer.
 pub fn get_u64(obj: &Obj, key: &str) -> Result<u64, String> {
-    let n = match obj.get(key) {
-        Some(Json::Num(n)) => *n,
-        Some(_) => return Err(format!("`{key}` must be a number")),
-        None => return Err(format!("missing `{key}`")),
-    };
-    to_u64(n).map_err(|m| format!("`{key}`: {m}"))
-}
-
-/// Converts an `f64` that must hold a non-negative integer.
-///
-/// # Errors
-///
-/// When the value is negative, fractional, or out of `u64` range.
-pub fn to_u64(n: f64) -> Result<u64, String> {
-    if n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64 {
-        Ok(n as u64)
-    } else {
-        Err(format!("{n} is not a non-negative integer"))
-    }
-}
-
-/// A required array-of-numbers field (`null` elements read as NaN).
-///
-/// # Errors
-///
-/// When the key is missing, not an array, or holds non-numbers.
-pub fn get_f64_array(obj: &Obj, key: &str) -> Result<Vec<f64>, String> {
-    let Some(Json::Arr(items)) = obj.get(key) else {
-        return Err(format!("`{key}` must be an array"));
-    };
-    items
-        .iter()
-        .map(|v| match v {
-            Json::Num(n) => Ok(*n),
-            Json::Null => Ok(f64::NAN),
-            _ => Err(format!("`{key}` must contain numbers")),
-        })
-        .collect()
-}
-
-/// A required array-of-non-negative-integers field.
-///
-/// # Errors
-///
-/// When the key is missing, not an array, or holds anything that is
-/// not a non-negative integer.
-pub fn get_u64_array(obj: &Obj, key: &str) -> Result<Vec<u64>, String> {
-    get_f64_array(obj, key)?
-        .into_iter()
-        .map(|n| to_u64(n).map_err(|m| format!("`{key}`: {m}")))
-        .collect()
-}
-
-/// A required array-of-strings field.
-///
-/// # Errors
-///
-/// When the key is missing, not an array, or holds non-strings.
-pub fn get_str_array(obj: &Obj, key: &str) -> Result<Vec<String>, String> {
-    let Some(Json::Arr(items)) = obj.get(key) else {
-        return Err(format!("`{key}` must be an array"));
-    };
-    items
-        .iter()
-        .map(|v| match v {
-            Json::Str(s) => Ok(s.clone()),
-            _ => Err(format!("`{key}` must contain strings")),
-        })
-        .collect()
+    u64::member(obj, key)
 }
 
 /// Appends `text` to `out` as a JSON string literal (quotes included),
@@ -205,14 +133,350 @@ pub fn push_json_str(out: &mut String, text: &str) {
     out.push('"');
 }
 
-/// Appends `v` to `out` as a JSON number (`null` for non-finite
-/// values, which JSON cannot represent).
+/// Appends `v` to `out` as a JSON number: the shortest spelling that
+/// parses back to the same bits (`1` for `1.0`, `-0` for `-0.0`), or
+/// `null` for a non-finite value, which JSON cannot represent.
 pub fn push_json_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        out.push_str(&format!("{v}"));
+        let _ = write!(out, "{v}");
     } else {
         out.push_str("null");
     }
+}
+
+// ---------------------------------------------------------------------
+// One layout per record
+// ---------------------------------------------------------------------
+
+/// A value with one JSON layout: `put` writes it and `get` reads it
+/// back. [`json_record!`](crate::json_record) and
+/// [`json_tagged!`](crate::json_tagged) derive both from one list of a
+/// struct's fields or an enum's variants.
+pub trait JsonCodec: Sized {
+    /// Appends the value's JSON spelling to `out`.
+    fn put(&self, out: &mut String);
+
+    /// Reads the value back from parsed JSON.
+    ///
+    /// # Errors
+    ///
+    /// The first shape or range problem, led by the keys on the way to
+    /// it (`` `latencies`: `cold`: `count`: must be a number ``).
+    fn get(value: &Json) -> Result<Self, String>;
+
+    /// Whether an `#[optional]` field holding this value is left off
+    /// the line: `None` and empty collections are.
+    fn omitted(&self) -> bool {
+        false
+    }
+
+    /// Reads the required member `key` of `obj`: an error when it is
+    /// missing or [`get`](JsonCodec::get) fails.
+    fn member(obj: &Obj, key: &str) -> Result<Self, String> {
+        let value = obj.get(key).ok_or_else(|| format!("missing `{key}`"))?;
+        Self::get(value).map_err(|e| format!("`{key}`: {e}"))
+    }
+
+    /// Appends the members of this value's JSON object, each led by a
+    /// comma, to an object already open in `out`.
+    fn put_fields(&self, out: &mut String) {
+        let start = out.len();
+        self.put(out);
+        out.pop(); // the `}`: the enclosing object closes itself
+        if out.len() == start + 1 {
+            out.truncate(start); // `{}` has no members
+        } else {
+            out.replace_range(start..=start, ",");
+        }
+    }
+}
+
+macro_rules! integer_codec {
+    ($($ty:ty),+) => {$(
+        impl JsonCodec for $ty {
+            fn put(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+
+            fn get(value: &Json) -> Result<Self, String> {
+                match value {
+                    Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= <$ty>::MAX as f64 => {
+                        Ok(*n as $ty)
+                    }
+                    Json::Num(n) => Err(format!("{n} is not a non-negative integer")),
+                    _ => Err("must be a number".to_string()),
+                }
+            }
+        }
+    )+};
+}
+
+integer_codec!(u64, usize);
+
+impl JsonCodec for f64 {
+    fn put(&self, out: &mut String) {
+        push_json_f64(out, *self);
+    }
+
+    fn get(value: &Json) -> Result<Self, String> {
+        match value {
+            Json::Num(n) => Ok(*n),
+            Json::Null => Ok(f64::NAN), // how a non-finite value is written
+            _ => Err("must be a number".to_string()),
+        }
+    }
+}
+
+impl JsonCodec for bool {
+    fn put(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+
+    fn get(value: &Json) -> Result<Self, String> {
+        match value {
+            Json::Bool(b) => Ok(*b),
+            _ => Err("must be a boolean".to_string()),
+        }
+    }
+}
+
+impl JsonCodec for String {
+    fn put(&self, out: &mut String) {
+        push_json_str(out, self);
+    }
+
+    fn get(value: &Json) -> Result<Self, String> {
+        let text = value.as_str().ok_or("must be a string")?;
+        Ok(text.to_string())
+    }
+}
+
+impl<T: JsonCodec> JsonCodec for Option<T> {
+    fn put(&self, out: &mut String) {
+        match self {
+            Some(v) => v.put(out),
+            None => out.push_str("null"),
+        }
+    }
+
+    fn get(value: &Json) -> Result<Self, String> {
+        match value {
+            Json::Null => Ok(None),
+            v => T::get(v).map(Some),
+        }
+    }
+
+    fn omitted(&self) -> bool {
+        self.is_none()
+    }
+}
+
+impl<T: JsonCodec> JsonCodec for Vec<T> {
+    fn put(&self, out: &mut String) {
+        out.push('[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.put(out);
+        }
+        out.push(']');
+    }
+
+    fn get(value: &Json) -> Result<Self, String> {
+        let Json::Arr(items) = value else {
+            return Err("must be an array".to_string());
+        };
+        let item = |(i, v)| T::get(v).map_err(|e| format!("item {i}: {e}"));
+        items.iter().enumerate().map(item).collect()
+    }
+
+    fn omitted(&self) -> bool {
+        self.is_empty()
+    }
+}
+
+impl<T: JsonCodec> JsonCodec for BTreeMap<String, T> {
+    fn put(&self, out: &mut String) {
+        out.push('{');
+        for (i, (key, item)) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            push_json_str(out, key);
+            out.push(':');
+            item.put(out);
+        }
+        out.push('}');
+    }
+
+    fn get(value: &Json) -> Result<Self, String> {
+        let members = value.as_object().ok_or("must be an object")?;
+        let member = |(key, v): (&String, _)| match T::get(v) {
+            Ok(item) => Ok((key.clone(), item)),
+            Err(e) => Err(format!("`{key}`: {e}")),
+        };
+        members.iter().map(member).collect()
+    }
+
+    fn omitted(&self) -> bool {
+        self.is_empty()
+    }
+}
+
+/// Implements [`JsonCodec`] for a struct from one list of its fields,
+/// in wire order:
+///
+/// ```
+/// # use mpvar_trace::json::{parse_json, JsonCodec};
+/// struct Window { seq: u64, tag: Option<String>, busy: bool }
+/// mpvar_trace::json_record!(Window { seq, #[optional] tag, #[optional] busy });
+///
+/// let mut line = String::new();
+/// Window { seq: 3, tag: None, busy: false }.put(&mut line);
+/// assert_eq!(line, r#"{"seq":3,"busy":false}"#);
+/// let back = Window::get(&parse_json(r#"{"seq":3}"#).unwrap()).unwrap();
+/// assert!(back.tag.is_none() && !back.busy);
+/// ```
+///
+/// A bare field is required. `#[optional]` leaves a field off when
+/// [`JsonCodec::omitted`] and reads its `Default` when absent;
+/// `#[flatten]` writes a record's members into this object and reads
+/// them from it; `#[with(m)]` writes with `m::put(&value, out)` and
+/// reads with `m::get(obj, key)`, for a type from a crate that cannot
+/// implement this one's trait. A trailing `, unknown "what"` rejects a
+/// member not in the list (so no field may be flattened), and
+/// `, check path` runs `path(&record) -> Result<(), String>` on each
+/// record read.
+#[macro_export]
+macro_rules! json_record {
+    (@put $out:ident, $v:expr, $field:ident) => {{
+        $out.push_str(concat!(",\"", stringify!($field), "\":"));
+        $crate::json::JsonCodec::put(&$v, $out);
+    }};
+    (@put $out:ident, $v:expr, $field:ident, optional) => {
+        if !$crate::json::JsonCodec::omitted(&$v) {
+            $crate::json_record!(@put $out, $v, $field);
+        }
+    };
+    (@put $out:ident, $v:expr, $field:ident, flatten) => {
+        $crate::json::JsonCodec::put_fields(&$v, $out)
+    };
+    (@put $out:ident, $v:expr, $field:ident, with($m:ident)) => {{
+        $out.push_str(concat!(",\"", stringify!($field), "\":"));
+        $m::put(&$v, $out);
+    }};
+    (@get $obj:ident, $value:ident, $field:ident) => {
+        $crate::json::JsonCodec::member($obj, stringify!($field))
+    };
+    (@get $obj:ident, $value:ident, $field:ident, optional) => {
+        match $obj.get(stringify!($field)) {
+            Some(_) => $crate::json::JsonCodec::member($obj, stringify!($field)),
+            None => Ok(Default::default()),
+        }
+    };
+    (@get $obj:ident, $value:ident, $field:ident, flatten) => {
+        $crate::json::JsonCodec::get($value)
+    };
+    (@get $obj:ident, $value:ident, $field:ident, with($m:ident)) => {
+        $m::get($obj, stringify!($field))
+    };
+    (
+        $ty:ident { $( $(#[$($mode:tt)+])? $field:ident ),* $(,)? }
+        $(, unknown $what:literal)?
+        $(, check $check:expr)?
+    ) => {
+        impl $crate::json::JsonCodec for $ty {
+            fn put(&self, out: &mut String) {
+                let start = out.len();
+                $( $crate::json_record!(@put out, self.$field, $field $(, $($mode)+)?); )*
+                // Each member is led by a comma; the first one's opens.
+                if out.len() == start {
+                    out.push('{');
+                } else {
+                    out.replace_range(start..=start, "{");
+                }
+                out.push('}');
+            }
+
+            fn get(value: &$crate::json::Json) -> Result<Self, String> {
+                let obj = value.as_object().ok_or("must be an object")?;
+                let _members: &[&str] = &[$(stringify!($field)),*];
+                $(
+                    if let Some(key) = obj.keys().find(|k| !_members.contains(&k.as_str())) {
+                        return Err(format!(concat!("unknown ", $what, " `{}`"), key));
+                    }
+                )?
+                let record = $ty {
+                    $( $field: $crate::json_record!(@get obj, value, $field $(, $($mode)+)?)?, )*
+                };
+                $( $check(&record)?; )?
+                Ok(record)
+            }
+        }
+    };
+}
+
+/// Implements [`JsonCodec`] for an enum written as one object whose
+/// `key` member names the variant and whose other members are the
+/// variant's: a `V(Record)` variant's are its record's, and a
+/// `V { fields }` variant lists them as
+/// [`json_record!`](crate::json_record) does (`V {}` for a unit
+/// variant), invoked as `json_tagged! { Ty, "key", "what" { "tag" =>
+/// Variant .., } }`. An unknown name reads as ``unknown what `name` ``,
+/// and a trailing `, check path` runs on each value read.
+#[macro_export]
+macro_rules! json_tagged {
+    (@put $self:ident, $out:ident, $variant:ident ($inner:ty)) => {
+        if let Self::$variant(inner) = $self {
+            $crate::json::JsonCodec::put_fields(inner, $out);
+        }
+    };
+    (@put $self:ident, $out:ident, $variant:ident { $( $(#[$($mode:tt)+])? $field:ident ),* }) => {
+        if let Self::$variant { $($field),* } = $self {
+            $( $crate::json_record!(@put $out, (*$field), $field $(, $($mode)+)?); )*
+        }
+    };
+    (@get $obj:ident, $value:ident, $variant:ident ($inner:ty)) => {
+        <$inner as $crate::json::JsonCodec>::get($value).map(Self::$variant)
+    };
+    (@get $obj:ident, $value:ident, $variant:ident { $( $(#[$($mode:tt)+])? $field:ident ),* }) => {
+        Ok(Self::$variant {
+            $( $field: $crate::json_record!(@get $obj, $value, $field $(, $($mode)+)?)?, )*
+        })
+    };
+    (
+        $ty:ident, $key:literal, $what:literal {
+            $( $tag:literal => $variant:ident $(($inner:ty))? $({ $($body:tt)* })? ),+ $(,)?
+        }
+        $(, check $check:expr)?
+    ) => {
+        impl $crate::json::JsonCodec for $ty {
+            fn put(&self, out: &mut String) {
+                let tag = match self {
+                    $( Self::$variant { .. } => $tag, )+
+                };
+                out.push_str(concat!("{\"", $key, "\":"));
+                $crate::json::push_json_str(out, tag);
+                $( $crate::json_tagged!(@put self, out, $variant $(($inner))? $({ $($body)* })?); )+
+                out.push('}');
+            }
+
+            fn get(value: &$crate::json::Json) -> Result<Self, String> {
+                let obj = value.as_object().ok_or("must be an object")?;
+                let read: Self = match $crate::json::get_str(obj, $key)? {
+                    $(
+                        $tag => $crate::json_tagged!(
+                            @get obj, value, $variant $(($inner))? $({ $($body)* })?
+                        ),
+                    )+
+                    other => Err(format!(concat!("unknown ", $what, " `{}`"), other)),
+                }?;
+                $( $check(&read)?; )?
+                Ok(read)
+            }
+        }
+    };
 }
 
 struct Parser {
@@ -418,7 +682,91 @@ mod tests {
         let obj = value.as_object().expect("object");
         assert!(get_u64(obj, "n").unwrap_err().contains("`n`"));
         assert!(get_str(obj, "missing").unwrap_err().contains("missing"));
-        assert_eq!(get_str_array(obj, "a"), Ok(vec!["y".to_string()]));
-        assert!(get_f64_array(obj, "a").is_err());
+        assert_eq!(Vec::<String>::get(&obj["a"]), Ok(vec!["y".to_string()]));
+        assert!(Vec::<f64>::get(&obj["a"]).is_err());
+    }
+
+    #[test]
+    fn the_float_writer_round_trips_every_bit() {
+        for v in [
+            1.0,
+            -0.0,
+            1e-300,
+            5e-324,
+            1e300,
+            f64::MAX,
+            0.1,
+            92_499.999_999_999_99,
+        ] {
+            let mut out = String::new();
+            v.put(&mut out);
+            let back = f64::get(&parse_json(&out).expect("parses")).expect("a number");
+            assert_eq!(back.to_bits(), v.to_bits(), "{v:?} written as {out}");
+        }
+        let mut out = String::new();
+        f64::NAN.put(&mut out);
+        assert_eq!(out, "null");
+    }
+
+    #[test]
+    fn integers_reject_fractions_signs_and_overflow() {
+        for bad in ["-1", "1.5", "1e30", "\"7\"", "null"] {
+            let value = parse_json(bad).expect("parses");
+            assert!(u64::get(&value).is_err(), "{bad}");
+        }
+        assert_eq!(u64::get(&Json::Num(9.0)), Ok(9));
+    }
+
+    struct Inner {
+        a: u64,
+        b: Option<String>,
+    }
+    crate::json_record!(Inner {
+        a,
+        #[optional]
+        b
+    });
+
+    struct Outer {
+        tag: String,
+        inner: Inner,
+        list: Vec<u64>,
+    }
+    crate::json_record!(Outer {
+        tag,
+        #[flatten]
+        inner,
+        #[optional]
+        list
+    });
+
+    struct Closed {
+        a: u64,
+    }
+    crate::json_record!(Closed { a }, unknown "member");
+
+    #[test]
+    fn records_write_their_list_once_and_read_it_back() {
+        let mut out = String::new();
+        let outer = Outer {
+            tag: "x".into(),
+            inner: Inner { a: 1, b: None },
+            list: vec![],
+        };
+        outer.put(&mut out);
+        assert_eq!(out, r#"{"tag":"x","a":1}"#);
+        let back = Outer::get(&parse_json(r#"{"tag":"y","a":2,"b":"z","list":[3]}"#).unwrap())
+            .expect("reads");
+        assert_eq!((back.inner.a, back.inner.b.as_deref()), (2, Some("z")));
+        assert_eq!(back.list, vec![3]);
+        let err = Closed::get(&parse_json(r#"{"a":2,"c":1}"#).unwrap()).err();
+        assert_eq!(err.as_deref(), Some("unknown member `c`"));
+        let err = Outer::get(&parse_json(r#"{"a":2}"#).unwrap()).err();
+        assert_eq!(err.as_deref(), Some("missing `tag`"));
+        let err = Outer::get(&parse_json(r#"{"tag":"y","a":-2}"#).unwrap()).err();
+        assert_eq!(
+            err.as_deref(),
+            Some("`a`: -2 is not a non-negative integer")
+        );
     }
 }

@@ -57,10 +57,6 @@ impl HistogramMetric {
         }
     }
 
-    fn new(bounds: &[f64]) -> Self {
-        Self::with_bounds(bounds)
-    }
-
     /// Records one value into its bucket (or the under/overflow tally).
     pub fn record(&mut self, value: f64) {
         self.sum += value;
@@ -118,54 +114,46 @@ impl HistogramMetric {
     /// buckets are walked in ascending-edge order, and interpolation
     /// inside a bucket is monotone (clamped to the bucket).
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        interpolated_quantile(&self.bounds, &self.counts, self.underflow, self.count, q)
+        let (bounds, counts, underflow, count) =
+            (&self.bounds, &self.counts, self.underflow, self.count);
+        if count == 0 || bounds.len() < 2 || q.is_nan() {
+            return None;
+        }
+        let q = q.clamp(0.0, 1.0);
+        let target = q * count as f64;
+        let mut cum = underflow as f64;
+        if underflow > 0 && target <= cum {
+            return Some(bounds[0]);
+        }
+        let mut last_upper = None;
+        for (i, &c) in counts.iter().enumerate() {
+            if c == 0 {
+                continue;
+            }
+            let next = cum + c as f64;
+            if target <= next {
+                // Clamped so an inconsistent `count` (parsed entries) can't
+                // extrapolate past the bucket.
+                let frac = ((target - cum) / c as f64).clamp(0.0, 1.0);
+                return Some(bounds[i] + frac * (bounds[i + 1] - bounds[i]));
+            }
+            cum = next;
+            last_upper = Some(bounds[i + 1]);
+        }
+        // The walk is exhausted. The remaining rank lives in the overflow
+        // tally only if one actually exists (implied by the tallies, which
+        // keeps parsed entries honest); otherwise the top of the last
+        // populated bucket is the tightest defensible answer, falling back
+        // to the first edge for all-underflow histograms.
+        let in_buckets: u64 = counts.iter().sum();
+        if count > underflow.saturating_add(in_buckets) {
+            return bounds.last().copied();
+        }
+        last_upper.or(Some(bounds[0]))
     }
 }
 
-/// Shared quantile walk for [`HistogramMetric`] and the parsed
-/// [`crate::schema::HistogramEntry`] (same bucket layout).
-pub(crate) fn interpolated_quantile(
-    bounds: &[f64],
-    counts: &[u64],
-    underflow: u64,
-    count: u64,
-    q: f64,
-) -> Option<f64> {
-    if count == 0 || bounds.len() < 2 || q.is_nan() {
-        return None;
-    }
-    let q = q.clamp(0.0, 1.0);
-    let target = q * count as f64;
-    let mut cum = underflow as f64;
-    if underflow > 0 && target <= cum {
-        return Some(bounds[0]);
-    }
-    let mut last_upper = None;
-    for (i, &c) in counts.iter().enumerate() {
-        if c == 0 {
-            continue;
-        }
-        let next = cum + c as f64;
-        if target <= next {
-            // Clamped so an inconsistent `count` (parsed entries) can't
-            // extrapolate past the bucket.
-            let frac = ((target - cum) / c as f64).clamp(0.0, 1.0);
-            return Some(bounds[i] + frac * (bounds[i + 1] - bounds[i]));
-        }
-        cum = next;
-        last_upper = Some(bounds[i + 1]);
-    }
-    // The walk is exhausted. The remaining rank lives in the overflow
-    // tally only if one actually exists (implied by the tallies, which
-    // keeps parsed entries honest); otherwise the top of the last
-    // populated bucket is the tightest defensible answer, falling back
-    // to the first edge for all-underflow histograms.
-    let in_buckets: u64 = counts.iter().sum();
-    if count > underflow.saturating_add(in_buckets) {
-        return bounds.last().copied();
-    }
-    last_upper.or(Some(bounds[0]))
-}
+crate::json_record! { HistogramMetric { bounds, counts, underflow, overflow, sum, count } }
 
 /// The cumulative metrics of one collector session, name-keyed.
 pub type MetricsSnapshot = BTreeMap<String, Metric>;
@@ -208,7 +196,7 @@ impl MetricsRegistry {
         let mut inner = self.lock();
         if let Metric::Histogram(h) = inner
             .entry(name)
-            .or_insert_with(|| Metric::Histogram(HistogramMetric::new(bounds)))
+            .or_insert_with(|| Metric::Histogram(HistogramMetric::with_bounds(bounds)))
         {
             for &v in values {
                 h.record(v);
@@ -340,11 +328,14 @@ mod tests {
         // A hand-built (parsed) entry whose `count` exceeds its tallies:
         // the leftover rank implies overflow, so the walk pins to the
         // last edge instead of running off the end or extrapolating.
-        let q = interpolated_quantile(&[0.0, 1.0, 2.0], &[1, 0], 0, 5, 1.0);
-        assert_eq!(q, Some(2.0));
+        let parsed = HistogramMetric {
+            counts: vec![1, 0],
+            count: 5,
+            ..HistogramMetric::with_bounds(&[0.0, 1.0, 2.0])
+        };
+        assert_eq!(parsed.quantile(1.0), Some(2.0));
         // And mid-bucket ranks stay clamped inside their bucket.
-        let q = interpolated_quantile(&[0.0, 1.0, 2.0], &[1, 0], 0, 5, 0.2);
-        assert_eq!(q, Some(1.0));
+        assert_eq!(parsed.quantile(0.2), Some(1.0));
     }
 
     #[test]

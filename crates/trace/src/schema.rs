@@ -31,9 +31,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use crate::json::{
-    get_f64, get_f64_array, get_str, get_u64, get_u64_array, parse_json, to_u64, Json, Obj,
-};
+use crate::json::{get_f64, get_str, get_u64, parse_json, Json, JsonCodec, Obj};
+use crate::metrics::HistogramMetric;
 
 /// A validation or parse failure, with the 1-based line number.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,38 +85,6 @@ pub enum FieldScalar {
     Bool(bool),
 }
 
-/// One histogram entry of a parsed trace document.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistogramEntry {
-    /// Ascending bucket edges.
-    pub bounds: Vec<f64>,
-    /// Per-bucket tallies (`bounds.len() - 1` entries).
-    pub counts: Vec<u64>,
-    /// Values below the first edge.
-    pub underflow: u64,
-    /// Values at or above the last edge.
-    pub overflow: u64,
-    /// Sum of recorded values.
-    pub sum: f64,
-    /// Number of recorded values.
-    pub count: u64,
-}
-
-impl HistogramEntry {
-    /// The `q`-quantile of the recorded distribution — same
-    /// interpolation and edge semantics as
-    /// [`crate::metrics::HistogramMetric::quantile`].
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        crate::metrics::interpolated_quantile(
-            &self.bounds,
-            &self.counts,
-            self.underflow,
-            self.count,
-            q,
-        )
-    }
-}
-
 /// A fully parsed and validated trace document.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceLog {
@@ -130,7 +97,7 @@ pub struct TraceLog {
     /// Final gauge values, name-keyed (`NaN` when exported as null).
     pub gauges: BTreeMap<String, f64>,
     /// Final histograms, name-keyed.
-    pub histograms: BTreeMap<String, HistogramEntry>,
+    pub histograms: BTreeMap<String, HistogramMetric>,
 }
 
 impl TraceLog {
@@ -190,11 +157,8 @@ pub fn validate_jsonl(text: &str) -> Result<TraceLog, SchemaError> {
                     return Err(err(format!("duplicate span id {id}")));
                 }
                 let parent = match obj.get("parent") {
-                    None | Some(Json::Null) => None,
-                    Some(Json::Num(n)) => {
-                        Some(to_u64(*n).map_err(|m| err(format!("parent: {m}")))?)
-                    }
-                    Some(_) => return Err(err("parent must be a number or null".into())),
+                    None => None,
+                    Some(v) => Option::<u64>::get(v).map_err(|m| err(format!("parent: {m}")))?,
                 };
                 let empty = Obj::new();
                 let fields_obj = match obj.get("fields") {
@@ -231,35 +195,20 @@ pub fn validate_jsonl(text: &str) -> Result<TraceLog, SchemaError> {
             }
             "gauge" => {
                 let name = get_str(obj, "name").map_err(&err)?.to_string();
-                let value = match obj.get("value") {
-                    Some(Json::Num(n)) => *n,
-                    Some(Json::Null) => f64::NAN,
-                    _ => return Err(err("gauge value must be a number or null".into())),
-                };
+                let value = get_f64(obj, "value").map_err(&err)?;
                 log.gauges.insert(name, value);
             }
             "histogram" => {
                 let name = get_str(obj, "name").map_err(&err)?.to_string();
-                let bounds = get_f64_array(obj, "bounds").map_err(&err)?;
-                let counts = get_u64_array(obj, "counts").map_err(&err)?;
-                if !bounds.is_empty() && bounds.len() != counts.len() + 1 {
+                let histogram = HistogramMetric::get(&value).map_err(&err)?;
+                let (bounds, counts) = (histogram.bounds.len(), histogram.counts.len());
+                if bounds != 0 && bounds != counts + 1 {
                     return Err(err(format!(
-                        "histogram `{name}`: {} bounds for {} counts (expected counts + 1)",
-                        bounds.len(),
-                        counts.len()
+                        "histogram `{name}`: {bounds} bounds for {counts} counts \
+                         (expected counts + 1)"
                     )));
                 }
-                log.histograms.insert(
-                    name,
-                    HistogramEntry {
-                        bounds,
-                        counts,
-                        underflow: get_u64(obj, "underflow").map_err(&err)?,
-                        overflow: get_u64(obj, "overflow").map_err(&err)?,
-                        sum: get_f64(obj, "sum").map_err(&err)?,
-                        count: get_u64(obj, "count").map_err(&err)?,
-                    },
-                );
+                log.histograms.insert(name, histogram);
             }
             other => return Err(err(format!("unknown record type `{other}`"))),
         }

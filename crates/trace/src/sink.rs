@@ -13,6 +13,7 @@ use std::io::Write as _;
 use std::path::Path;
 use std::sync::Mutex;
 
+use crate::json::{push_json_f64, push_json_str, JsonCodec};
 use crate::metrics::{Metric, MetricsSnapshot};
 use crate::span::{FieldValue, SpanRecord};
 
@@ -139,32 +140,29 @@ impl TraceSink for JsonlSink {
     fn on_span(&self, span: &SpanRecord) {
         let mut line = String::with_capacity(128);
         line.push_str("{\"type\":\"span\",\"id\":");
-        line.push_str(&span.id.to_string());
+        span.id.put(&mut line);
         line.push_str(",\"parent\":");
-        match span.parent {
-            Some(p) => line.push_str(&p.to_string()),
-            None => line.push_str("null"),
-        }
+        span.parent.put(&mut line);
         line.push_str(",\"name\":");
-        write_json_str(&mut line, span.name);
+        push_json_str(&mut line, span.name);
         line.push_str(",\"thread\":");
-        line.push_str(&span.thread.to_string());
+        span.thread.put(&mut line);
         line.push_str(",\"start_ns\":");
-        line.push_str(&span.start_ns.to_string());
+        span.start_ns.put(&mut line);
         line.push_str(",\"dur_ns\":");
-        line.push_str(&span.dur_ns.to_string());
+        span.dur_ns.put(&mut line);
         line.push_str(",\"fields\":{");
         for (i, (key, value)) in span.fields.iter().enumerate() {
             if i > 0 {
                 line.push(',');
             }
-            write_json_str(&mut line, key);
+            push_json_str(&mut line, key);
             line.push(':');
             match value {
-                FieldValue::U64(v) => line.push_str(&v.to_string()),
+                FieldValue::U64(v) => v.put(&mut line),
                 FieldValue::I64(v) => line.push_str(&v.to_string()),
-                FieldValue::F64(v) => write_json_f64(&mut line, *v),
-                FieldValue::Str(s) => write_json_str(&mut line, s),
+                FieldValue::F64(v) => push_json_f64(&mut line, *v),
+                FieldValue::Str(s) => push_json_str(&mut line, s),
                 FieldValue::Bool(b) => line.push_str(if *b { "true" } else { "false" }),
             }
         }
@@ -179,77 +177,27 @@ impl TraceSink for JsonlSink {
             match metric {
                 Metric::Counter(v) => {
                     line.push_str("{\"type\":\"counter\",\"name\":");
-                    write_json_str(&mut line, name);
+                    push_json_str(&mut line, name);
                     line.push_str(",\"value\":");
-                    line.push_str(&v.to_string());
+                    v.put(&mut line);
                     line.push('}');
                 }
                 Metric::Gauge(v) => {
                     line.push_str("{\"type\":\"gauge\",\"name\":");
-                    write_json_str(&mut line, name);
+                    push_json_str(&mut line, name);
                     line.push_str(",\"value\":");
-                    write_json_f64(&mut line, *v);
+                    push_json_f64(&mut line, *v);
                     line.push('}');
                 }
                 Metric::Histogram(h) => {
                     line.push_str("{\"type\":\"histogram\",\"name\":");
-                    write_json_str(&mut line, name);
-                    line.push_str(",\"bounds\":[");
-                    for (i, b) in h.bounds.iter().enumerate() {
-                        if i > 0 {
-                            line.push(',');
-                        }
-                        write_json_f64(&mut line, *b);
-                    }
-                    line.push_str("],\"counts\":[");
-                    for (i, c) in h.counts.iter().enumerate() {
-                        if i > 0 {
-                            line.push(',');
-                        }
-                        line.push_str(&c.to_string());
-                    }
-                    line.push_str("],\"underflow\":");
-                    line.push_str(&h.underflow.to_string());
-                    line.push_str(",\"overflow\":");
-                    line.push_str(&h.overflow.to_string());
-                    line.push_str(",\"sum\":");
-                    write_json_f64(&mut line, h.sum);
-                    line.push_str(",\"count\":");
-                    line.push_str(&h.count.to_string());
+                    push_json_str(&mut line, name);
+                    h.put_fields(&mut line);
                     line.push('}');
                 }
             }
             lines.push(line);
         }
-    }
-}
-
-/// Appends `s` to `out` as a JSON string literal.
-fn write_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Appends `v` as a JSON number (`null` for non-finite values, which
-/// JSON cannot represent).
-fn write_json_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        out.push_str(&format!("{v:?}"));
-    } else {
-        out.push_str("null");
     }
 }
 
