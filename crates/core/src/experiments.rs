@@ -128,13 +128,6 @@ impl ExperimentContext {
         let params = FormulaParams::derive(&self.tech, &self.cell, self.read_config.vdd_v)?;
         AnalyticalModel::new(params, self.read_config.sense_dv_v / self.read_config.vdd_v)
     }
-
-    /// The context's Monte-Carlo settings with the thread budget
-    /// overridden — used when an outer cell dispatch hands each cell an
-    /// inner thread share.
-    fn mc_with(&self, exec: ExecConfig) -> McConfig {
-        McConfig { exec, ..self.mc }
-    }
 }
 
 /// Builder for [`ExperimentContext`].
@@ -271,8 +264,8 @@ pub struct Table1 {
 /// Runs the Table I corner search.
 ///
 /// The three options are independent cells: the nominal windows are
-/// cached per option, the options dispatched in parallel, and the
-/// remaining thread budget handed to each option's corner search.
+/// cached per option, the options dispatched in parallel, and each
+/// option's corner search shares the same thread budget.
 ///
 /// # Errors
 ///
@@ -280,10 +273,10 @@ pub struct Table1 {
 pub fn table1(ctx: &ExperimentContext) -> Result<Table1, CoreError> {
     let cache = NominalCache::build(&ctx.tech, &ctx.cell, &PatterningOption::ALL)?;
     let options = PatterningOption::ALL;
-    let (outer, inner) = ctx.exec.split(options.len());
-    let worst_cases = mpvar_exec::try_par_map_indexed(&options, outer, |_, &option| {
+    let threads = ctx.exec.effective_threads();
+    let worst_cases = mpvar_exec::try_par_map_indexed(&options, threads, |_, &option| {
         let budget = ctx.budget(option)?;
-        find_worst_case_with(cache.window(option)?, &budget, inner)
+        find_worst_case_with(cache.window(option)?, &budget, ctx.exec)
     })?;
     Ok(Table1 { worst_cases })
 }
@@ -555,13 +548,13 @@ pub struct Fig5 {
 pub fn fig5(ctx: &ExperimentContext) -> Result<Fig5, CoreError> {
     let n = ctx.pinned_height();
     // Per-option cells run in parallel against cached nominal windows;
-    // each cell's Monte-Carlo farm gets the remaining thread share.
+    // each cell's Monte-Carlo farm shares the same thread budget.
     let cache = NominalCache::build(&ctx.tech, &ctx.cell, &PatterningOption::ALL)?;
     let options = PatterningOption::ALL;
-    let (outer, inner) = ctx.exec.split(options.len());
-    let distributions = mpvar_exec::try_par_map_indexed(&options, outer, |_, &option| {
+    let threads = ctx.exec.effective_threads();
+    let distributions = mpvar_exec::try_par_map_indexed(&options, threads, |_, &option| {
         let budget = ctx.budget(option)?;
-        tdp_distribution_with(cache.window(option)?, &budget, n, &ctx.mc_with(inner))
+        tdp_distribution_with(cache.window(option)?, &budget, n, &ctx.mc)
     })?;
     Ok(Fig5 { n, distributions })
 }
@@ -637,9 +630,9 @@ pub fn table4(ctx: &ExperimentContext) -> Result<Table4, CoreError> {
         ));
     }
     let cache = NominalCache::build(&ctx.tech, &ctx.cell, &PatterningOption::ALL)?;
-    let (outer, inner) = ctx.exec.split(cells.len());
-    let rows = mpvar_exec::try_par_map_indexed(&cells, outer, |_, (label, option, budget)| {
-        let d = tdp_distribution_with(cache.window(*option)?, budget, n, &ctx.mc_with(inner))?;
+    let threads = ctx.exec.effective_threads();
+    let rows = mpvar_exec::try_par_map_indexed(&cells, threads, |_, (label, option, budget)| {
+        let d = tdp_distribution_with(cache.window(*option)?, budget, n, &ctx.mc)?;
         let ci = mpvar_stats::bootstrap_sigma_ci(d.samples_percent(), 300, 0.95, ctx.mc.seed)?;
         Ok::<_, CoreError>((label.clone(), d.sigma_percent(), ci.lo, ci.hi))
     })?;

@@ -221,7 +221,6 @@ type TrialResult = Result<TrialResolution, CoreError>;
 /// In-order merge state for the round-based trial farm.
 struct Farm {
     trials: usize,
-    threads: usize,
     samples: Vec<f64>,
     shorted: usize,
     /// Earliest per-trial hard error, surfaced after the dispatch loop
@@ -233,10 +232,11 @@ struct Farm {
 
 /// Farms trial indices through [`mpvar_exec::dispatch_rounds`] until
 /// `trials` samples are collected: each round's size is the current
-/// deficit (at least one index per worker), outcomes merge in global
-/// index order, and indices past the final sample are discarded — so
-/// samples, shorted counts, and surfaced errors are bit-identical to a
-/// sequential scan for any thread count.
+/// deficit, so the rounds (and their chunks) do not depend on the
+/// thread count; outcomes merge in global index order, and indices past
+/// the final sample are discarded — so samples, shorted counts, and
+/// surfaced errors are bit-identical to a sequential scan for any
+/// thread count.
 ///
 /// `eval_chunk` receives **global** trial-index ranges; trial `k` must
 /// consume RNG substream `k`.
@@ -255,7 +255,6 @@ where
     let limit = 20usize.saturating_mul(trials).saturating_add(1000);
     let mut farm = Farm {
         trials,
-        threads,
         samples: Vec::with_capacity(trials),
         shorted: 0,
         error: None,
@@ -269,7 +268,7 @@ where
             if farm.samples.len() >= farm.trials {
                 0
             } else {
-                (farm.trials - farm.samples.len()).max(farm.threads)
+                farm.trials - farm.samples.len()
             }
         },
         |range| Ok::<Vec<TrialResult>, std::convert::Infallible>(eval_chunk(range)),

@@ -498,11 +498,11 @@ pub fn yield_6sigma(ctx: &ExperimentContext) -> Result<YieldTable, CoreError> {
     let params = mpvar_sram::FormulaParams::derive(&ctx.tech, &ctx.cell, ctx.read_config.vdd_v)?;
     let model = AnalyticalModel::new(params, ctx.read_config.sense_dv_v / ctx.read_config.vdd_v)?;
 
-    // Options are independent cells; each cell's yield runs get the
-    // remaining thread share (same anti-oversubscription split the MC
-    // experiments use). Results are bit-identical for any split.
-    let (outer, inner) = ctx.exec.split(options.len());
-    let per_option = mpvar_exec::try_par_map_indexed(&options, outer, |_, &option| {
+    // Options are independent cells; each cell's yield runs share the
+    // same thread budget, and results are bit-identical for any thread
+    // count.
+    let threads = ctx.exec.effective_threads();
+    let per_option = mpvar_exec::try_par_map_indexed(&options, threads, |_, &option| {
         let window = cache.window(option)?;
         let budget = ctx.budget(option)?;
 
@@ -514,7 +514,7 @@ pub fn yield_6sigma(ctx: &ExperimentContext) -> Result<YieldTable, CoreError> {
             &McConfig {
                 trials: s.fit_trials,
                 seed: s.seed,
-                exec: inner,
+                exec: ctx.exec,
             },
         )?;
         let (mean, sigma) = (fit.summary().mean(), fit.summary().std_dev());
@@ -537,7 +537,7 @@ pub fn yield_6sigma(ctx: &ExperimentContext) -> Result<YieldTable, CoreError> {
                 .min_failures(s.min_failures)
                 .base_round(s.base_round)
                 .max_trials(max_trials)
-                .exec(inner)
+                .exec(ctx.exec)
         };
         let row = |estimator: &'static str, margin: f64, run: &YieldRun| {
             row_from_run(

@@ -266,8 +266,8 @@ pub fn write_margin(ctx: &ExperimentContext) -> Result<WriteMargin, CoreError> {
     let n = s.margin_n;
     let cache = NominalCache::build(&ctx.tech, &ctx.cell, &PatterningOption::ALL)?;
     let options = PatterningOption::ALL;
-    let (outer, inner) = ctx.exec.split(options.len());
-    let rows = mpvar_exec::try_par_map_indexed(&options, outer, |_, &option| {
+    let threads = ctx.exec.effective_threads();
+    let rows = mpvar_exec::try_par_map_indexed(&options, threads, |_, &option| {
         let budget = s.budget(option)?;
         let d = twp_distribution_with(
             cache.window(option)?,
@@ -276,7 +276,7 @@ pub fn write_margin(ctx: &ExperimentContext) -> Result<WriteMargin, CoreError> {
             &McConfig {
                 trials: s.margin_trials,
                 seed: s.seed,
-                exec: inner,
+                exec: ctx.exec,
             },
             wc.driver_strength,
             wc.flip_fraction,
@@ -376,8 +376,8 @@ pub fn sense_margin(ctx: &ExperimentContext) -> Result<SenseMargin, CoreError> {
     let cache = NominalCache::build(&ctx.tech, &ctx.cell, &PatterningOption::ALL)?;
 
     let options = PatterningOption::ALL;
-    let (outer, _) = ctx.exec.split(options.len());
-    let rows = mpvar_exec::try_par_map_indexed(&options, outer, |_, &option| {
+    let threads = ctx.exec.effective_threads();
+    let rows = mpvar_exec::try_par_map_indexed(&options, threads, |_, &option| {
         let window = cache.window(option)?;
         let budget = s.budget(option)?;
         let base = RngStream::from_seed(s.seed);
@@ -655,8 +655,8 @@ pub fn write_yield(ctx: &ExperimentContext) -> Result<WriteYieldTable, CoreError
     )?;
     let options = PatterningOption::ALL;
     let cache = NominalCache::build(&ctx.tech, &ctx.cell, &options)?;
-    let (outer, inner) = ctx.exec.split(options.len());
-    let per_option = mpvar_exec::try_par_map_indexed(&options, outer, |_, &option| {
+    let threads = ctx.exec.effective_threads();
+    let per_option = mpvar_exec::try_par_map_indexed(&options, threads, |_, &option| {
         let window = cache.window(option)?;
         let budget = s.budget(option)?;
         // One shared draw stream per option: criterion `2i` is the
@@ -680,7 +680,7 @@ pub fn write_yield(ctx: &ExperimentContext) -> Result<WriteYieldTable, CoreError
         .seed(s.seed)
         .base_round(s.yield_base_round)
         .max_trials(s.yield_max_trials)
-        .exec(inner);
+        .exec(ctx.exec);
         let runs = run_yields(&problem, &cfg)?;
         for (&margin, pair) in s.yield_margins_percent.iter().zip(runs.chunks_exact(2)) {
             let (write_run, read_run) = (&pair[0], &pair[1]);

@@ -10,30 +10,46 @@
 //! * [`ExecConfig`] — the single thread-count knob, threaded through
 //!   `McConfig` and `ExperimentContext` in `mpvar-core`;
 //! * [`par_map_indexed`] / [`try_par_map_indexed`] — map a function
-//!   over an indexed domain on a scoped worker pool, with results
-//!   placed by index so the output never depends on scheduling;
+//!   over an indexed domain, with results placed by index so the
+//!   output never depends on scheduling;
 //! * [`try_par_map_range`] — the same over an index range, used to
 //!   farm RNG-substream indices in chunks;
-//! * [`try_par_chunk_map`] — the one fork-join under all of them: each
-//!   worker maps its whole contiguous chunk at once;
+//! * [`try_par_chunk_map`] — the one fork-join under all of them: the
+//!   caller and its helper threads claim whole chunks of the domain;
 //! * [`dispatch_rounds`] — the round-based dispatch engine shared by
 //!   the Monte-Carlo farm and the adaptive yield controller: the
 //!   caller sizes each round from folded state, the driver farms it
 //!   out and folds outcomes back in global index order;
-//! * [`chunk_ranges`] — the contiguous-chunk partition shared by every
-//!   primitive (and mirrored by `mpvar-stats`' substream chunking).
+//! * [`chunk_ranges`] — the fixed partition every map claims from.
 //!
 //! # Determinism contract
 //!
 //! All primitives guarantee: for a pure `f`, the returned vector equals
-//! the sequential `(0..n).map(f).collect()` — workers own disjoint
-//! contiguous output slices, so no result ever moves between indices.
-//! For fallible maps the *lowest-index* error is returned, matching
-//! what a sequential loop would have hit first. `threads == 1` runs
-//! inline on the calling thread with zero overhead.
+//! the sequential `(0..n).map(f).collect()`. A parallel map cuts `0..n`
+//! into [`chunk_ranges`]`(n)`, a partition that depends on `n` alone,
+//! and places each chunk's results by chunk index: neither the thread
+//! count nor which thread claimed which chunk can move a result or
+//! change the ranges `f` sees. For fallible maps the *lowest-index*
+//! error is returned, matching what a sequential loop would have hit
+//! first. `threads == 1` runs `f(0..n)` inline on the calling thread
+//! with zero overhead.
 //!
-//! The pool is a scoped `std::thread` fork-join (no work stealing):
-//! chunk boundaries depend only on `(n, threads)`, never on timing.
+//! # The thread budget
+//!
+//! A top-level map (one called outside any chunk) owns a budget of
+//! `threads` slots, each the right to run chunk code; the calling
+//! thread holds one. The map starts up to `threads - 1` helper
+//! threads that wait for a free slot and then claim chunks from an
+//! atomic counter alongside the caller until none are left. A map
+//! called from inside a chunk borrows the enclosing budget rather
+//! than making its own (its own `threads` only picks the inline path
+//! when it is 1), so at no instant do more than `threads` threads run
+//! chunk code, however deep the maps nest. A thread waiting for its
+//! helpers lends its slot out and waits for a free one before it goes
+//! on, so a map that starts after a sibling chunk has finished gets
+//! the idle core. Slots are given back by drop guards, so a panicking
+//! chunk cannot shrink the budget; the panic reaches the caller once
+//! every claimed chunk has finished.
 //!
 //! The same ownership discipline extends to solver state: the compiled
 //! SPICE kernel's per-netlist workspaces (symbolic LU analysis, CSR
@@ -46,20 +62,26 @@
 //! # Observability
 //!
 //! When an `mpvar-trace` collector is installed, every map emits an
-//! `exec_par_map` span with one `exec_chunk` child per worker chunk
-//! (explicitly parented, since workers start with an empty span
-//! stack), plus an `exec.chunks` counter and an `exec.imbalance` gauge
-//! (slowest-chunk wall over mean-chunk wall). Instrumentation only
-//! observes — chunk boundaries and result placement are unchanged, so
-//! traced runs stay bit-identical to untraced ones.
+//! `exec_par_map` span whose `workers` field is the number of threads
+//! it could use (`min(budget, chunks)`, 1 inline), with one
+//! `exec_chunk` child per chunk (explicitly parented, since helpers
+//! start with an empty span stack), plus an `exec.chunks` counter.
+//! Instrumentation only observes — chunk boundaries and result
+//! placement are unchanged, so traced runs stay bit-identical to
+//! untraced ones.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+use std::any::Any;
+use std::cell::RefCell;
 use std::num::NonZeroUsize;
 use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-use mpvar_trace::{names, SpanGuard};
+use mpvar_trace::{names, SpanGuard, SpanId};
 
 /// Thread-count configuration for the parallel execution layer.
 ///
@@ -93,21 +115,6 @@ impl ExecConfig {
     pub fn effective_threads(&self) -> usize {
         self.threads.unwrap_or_else(available_parallelism).max(1)
     }
-
-    /// Splits the budget between an outer loop of `cells` independent
-    /// cells and the parallel work inside each cell.
-    ///
-    /// Returns `(outer_threads, inner_config)` such that
-    /// `outer * inner <= effective_threads()` (both at least 1). Cell
-    /// results must still be placed by index; because the inner
-    /// primitives are bit-identical for *any* thread count, the split
-    /// never changes results — it only avoids oversubscription.
-    pub fn split(&self, cells: usize) -> (usize, ExecConfig) {
-        let total = self.effective_threads();
-        let outer = total.min(cells.max(1));
-        let inner = (total / outer).max(1);
-        (outer, ExecConfig::with_threads(inner))
-    }
 }
 
 /// The OS-reported core count (1 when unavailable).
@@ -117,23 +124,35 @@ pub fn available_parallelism() -> usize {
         .unwrap_or(1)
 }
 
-/// Partitions `0..n` into at most `chunks` contiguous ranges of
-/// near-equal size (the first `n % chunks` ranges are one longer).
+/// The number of chunks a parallel map is cut into, whatever its
+/// thread count: enough for claiming to even out unequal chunk costs.
+const CHUNKS: usize = 16;
+
+/// Chunk lengths are multiples of this wherever `n` allows: the formula
+/// route prints eight draws per pass and a chunk's shorter tail one
+/// draw at a time.
+const LANES: usize = 8;
+
+/// The fixed partition of `0..n` that every parallel map claims from:
+/// at most 16 contiguous, non-empty ranges of near-equal length, in
+/// order.
 ///
-/// The partition depends only on `(n, chunks)`, never on timing — it is
-/// the unit of work distribution for every primitive in this crate and
-/// for RNG-substream farming in `mpvar-stats`.
-pub fn chunk_ranges(n: usize, chunks: usize) -> Vec<Range<usize>> {
-    let chunks = chunks.max(1).min(n.max(1));
-    let base = n / chunks;
-    let extra = n % chunks;
+/// It depends on `n` alone. Below 128 indices every chunk is one
+/// index or a near-equal share; from 128 on, every chunk but the last
+/// is a whole number of eight-index lanes and the last also takes the
+/// `n % 8` tail.
+pub fn chunk_ranges(n: usize) -> Vec<Range<usize>> {
+    let unit = if n >= CHUNKS * LANES { LANES } else { 1 };
+    let units = n / unit;
+    let chunks = CHUNKS.min(units);
     let mut out = Vec::with_capacity(chunks);
     let mut start = 0;
     for c in 0..chunks {
-        let len = base + usize::from(c < extra);
-        if len == 0 {
-            break;
-        }
+        let len = if c + 1 == chunks {
+            n - start
+        } else {
+            (units / chunks + usize::from(c < units % chunks)) * unit
+        };
         out.push(start..start + len);
         start += len;
     }
@@ -159,8 +178,8 @@ where
 /// On success results are in item order. On failure the error with the
 /// *lowest item index* is returned — the same error a sequential loop
 /// would have surfaced first — regardless of which worker finished
-/// first. Workers in later chunks may still run their items; `f` must
-/// therefore be side-effect free (it is in every mpvar hot path).
+/// first. Chunks claimed before the failure still run their items; `f`
+/// must therefore be side-effect free (it is in every mpvar hot path).
 ///
 /// # Errors
 ///
@@ -196,103 +215,347 @@ where
 }
 
 /// Maps a fallible *chunk* function over the index range `0..n` on
-/// `threads` workers: `f` receives each worker's whole contiguous range
-/// (the [`chunk_ranges`] partition) and returns one result per index.
+/// `threads` workers: `f` receives whole chunks of the [`chunk_ranges`]
+/// partition (or all of `0..n` when `threads == 1`) and returns one
+/// result per index.
 ///
-/// This is the batched-solver dispatch primitive: handing a worker its
-/// entire chunk at once lets it run the indices through shared
+/// This is the batched-solver dispatch primitive: handing a worker a
+/// whole chunk at once lets it run the indices through shared
 /// per-chunk state (a reusable solver workspace, sub-batched SIMD
-/// lanes) instead of paying per-index setup. The partition depends
-/// only on `(n, threads)` and results are concatenated in chunk order,
-/// so output placement never depends on scheduling — what `f` computes
-/// per index is the caller's determinism obligation. [`try_par_map_range`]
-/// is this map with a per-index `f`.
+/// lanes) instead of paying per-index setup. The calling thread and
+/// its helpers claim chunks in index order from one counter, and
+/// results are placed by chunk index, so output placement never
+/// depends on scheduling — what `f` computes per index is the caller's
+/// determinism obligation. A map called from inside a chunk shares the
+/// enclosing map's thread budget (see the crate docs).
+/// [`try_par_map_range`] is this map with a per-index `f`.
 ///
 /// # Panics
 ///
 /// Panics if a chunk's returned vector does not have exactly one
-/// element per index of its range.
+/// element per index of its range, and re-raises the first panic of
+/// any chunk once every claimed chunk has finished.
 ///
 /// # Errors
 ///
-/// The error of the earliest (lowest-range) failed chunk.
+/// The error of the earliest (lowest-range) failed chunk. Chunks not
+/// yet claimed when a chunk fails are skipped: they all lie after it.
 pub fn try_par_chunk_map<U, F, E>(n: usize, threads: usize, f: F) -> Result<Vec<U>, E>
 where
     U: Send,
     E: Send,
     F: Fn(Range<usize>) -> Result<Vec<U>, E> + Sync,
 {
-    let threads = threads.max(1).min(n.max(1));
+    let threads = threads.max(1);
+    let inherited = if threads > 1 {
+        BUDGET.with(|b| b.borrow().clone())
+    } else {
+        None
+    };
+    let ranges = if threads > 1 {
+        chunk_ranges(n)
+    } else {
+        Vec::new()
+    };
+    let workers = if ranges.len() > 1 {
+        inherited
+            .as_ref()
+            .map_or(threads, |b| b.size)
+            .min(ranges.len())
+    } else {
+        1
+    };
     let traced = mpvar_trace::enabled();
-    let map_span = mpvar_trace::span!(names::SPAN_EXEC_PAR_MAP, n = n, threads = threads);
+    let map_span = mpvar_trace::span!(
+        names::SPAN_EXEC_PAR_MAP,
+        n = n,
+        threads = threads,
+        workers = workers
+    );
     if n == 0 {
         return Ok(Vec::new());
     }
-    if threads <= 1 {
+    if workers == 1 {
         let out = f(0..n)?;
         assert_eq!(out.len(), n, "chunk map must return one result per index");
         return Ok(out);
     }
 
-    type ChunkOutcome<U, E> = (Result<Vec<U>, E>, u64);
-
-    let ranges = chunk_ranges(n, threads);
-    let parent = map_span.id();
-    let results: Vec<ChunkOutcome<U, E>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .enumerate()
-            .map(|(c, range)| {
-                let range = range.clone();
-                let f = &f;
-                scope.spawn(move || {
-                    let _chunk_span = if traced {
-                        SpanGuard::enter_with_parent(
-                            parent,
-                            names::SPAN_EXEC_CHUNK,
-                            vec![
-                                ("chunk", c.into()),
-                                ("start", range.start.into()),
-                                ("len", range.len().into()),
-                            ],
-                        )
-                    } else {
-                        SpanGuard::disabled()
-                    };
-                    let started = traced.then(std::time::Instant::now);
-                    let len = range.len();
-                    let result = f(range);
-                    if let Ok(buf) = &result {
-                        assert_eq!(buf.len(), len, "chunk map must return one result per index");
-                    }
-                    let dur_ns = started.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                    (result, dur_ns)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("mpvar-exec worker panicked"))
-            .collect()
-    });
-
+    let (budget, _top_level) = match inherited {
+        Some(budget) => (budget, None),
+        None => (Budget::install(threads), Some(TopLevel)),
+    };
     if traced {
-        mpvar_trace::counter_add(names::EXEC_CHUNKS, results.len() as u64);
-        let slowest = results.iter().map(|(_, d)| *d).max().unwrap_or(0) as f64;
-        let mean =
-            results.iter().map(|(_, d)| *d).sum::<u64>() as f64 / results.len().max(1) as f64;
-        if mean > 0.0 {
-            mpvar_trace::gauge_set(names::EXEC_IMBALANCE, slowest / mean);
+        mpvar_trace::counter_add(names::EXEC_CHUNKS, ranges.len() as u64);
+    }
+    let work = Work {
+        results: ranges.iter().map(|_| Mutex::new(None)).collect(),
+        ranges,
+        next: AtomicUsize::new(0),
+        helping: AtomicUsize::new(0),
+        panic: Mutex::new(None),
+        f: &f,
+        parent: map_span.id(),
+        traced,
+    };
+    let lent = std::thread::scope(|scope| {
+        for _ in 1..workers {
+            let (budget, work) = (&budget, &work);
+            scope.spawn(move || {
+                if let Some(_slot) = budget.helper_slot(|| work.exhausted()) {
+                    BUDGET.with(|b| *b.borrow_mut() = Some(Arc::clone(budget)));
+                    work.helping.fetch_add(1, Ordering::SeqCst);
+                    work.claim_all(Some(budget));
+                    work.helping.fetch_sub(1, Ordering::SeqCst);
+                }
+            });
+        }
+        work.claim_all(None);
+        // Every chunk is claimed. While a helper still runs one, lend
+        // the slot out and take one back before going on; either way
+        // wake the helpers still waiting for a slot to let them exit.
+        if work.helping.load(Ordering::SeqCst) > 0 {
+            Some(Lent::new(&budget))
+        } else {
+            budget.wake();
+            None
+        }
+    });
+    drop(lent);
+
+    if let Some(payload) = work
+        .panic
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+    {
+        resume_unwind(payload);
+    }
+    // Chunks are in index order, so the first failed chunk is the
+    // earliest failure, and every chunk before it has run.
+    let mut out = Vec::with_capacity(n);
+    for result in work.results {
+        let result = result.into_inner().unwrap_or_else(PoisonError::into_inner);
+        out.extend(result.expect("chunks are skipped only after an earlier chunk failed")?);
+    }
+    Ok(out)
+}
+
+thread_local! {
+    /// The budget of the map whose chunks this thread runs, if any.
+    static BUDGET: RefCell<Option<Arc<Budget>>> = const { RefCell::new(None) };
+}
+
+/// Locks `mutex`; no code panics while holding one of this crate's
+/// locks, so a poisoned lock still holds consistent data.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One top-level map's thread budget: `size` slots, each the right to
+/// run chunk code.
+struct Budget {
+    size: usize,
+    slots: Mutex<Slots>,
+    changed: Condvar,
+}
+
+/// The mutable half of a [`Budget`].
+struct Slots {
+    /// Slots no thread holds.
+    free: usize,
+    /// Threads back from a join and waiting for a slot; they go before
+    /// helpers that have not started.
+    resuming: usize,
+}
+
+impl Budget {
+    /// A budget of `size` slots, one held by the calling thread, which
+    /// inherits it for the rest of its map ([`TopLevel`] removes it).
+    fn install(size: usize) -> Arc<Self> {
+        let budget = Arc::new(Self {
+            size,
+            slots: Mutex::new(Slots {
+                free: size - 1,
+                resuming: 0,
+            }),
+            changed: Condvar::new(),
+        });
+        BUDGET.with(|b| *b.borrow_mut() = Some(Arc::clone(&budget)));
+        budget
+    }
+
+    /// Waits for a slot for a helper; `None` once `exhausted` says its
+    /// map has no chunk left to claim.
+    fn helper_slot(self: &Arc<Self>, exhausted: impl Fn() -> bool) -> Option<Slot> {
+        let mut slots = lock(&self.slots);
+        loop {
+            if exhausted() {
+                return None;
+            }
+            if slots.free > slots.resuming {
+                slots.free -= 1;
+                return Some(Slot(Arc::clone(self)));
+            }
+            slots = self
+                .changed
+                .wait(slots)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
-    // Chunks are in index order, so the first failed chunk is the
-    // earliest failure.
-    let mut out = Vec::with_capacity(n);
-    for (result, _) in results {
-        out.extend(result?);
+    /// Takes a slot for a thread going on after a join.
+    fn resume(&self) {
+        let mut slots = lock(&self.slots);
+        slots.resuming += 1;
+        while slots.free == 0 {
+            slots = self
+                .changed
+                .wait(slots)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        slots.resuming -= 1;
+        slots.free -= 1;
     }
-    Ok(out)
+
+    /// Whether a thread back from a join waits for a slot.
+    fn resumer_waiting(&self) -> bool {
+        lock(&self.slots).resuming > 0
+    }
+
+    /// Returns a slot and wakes every waiter.
+    fn give(&self) {
+        lock(&self.slots).free += 1;
+        self.changed.notify_all();
+    }
+
+    /// Wakes every waiter: helpers also wait to see whether their map
+    /// has run out of chunks, which is not a change of `slots`.
+    fn wake(&self) {
+        drop(lock(&self.slots));
+        self.changed.notify_all();
+    }
+}
+
+/// A helper's slot, given back when dropped.
+struct Slot(Arc<Budget>);
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.give();
+    }
+}
+
+/// A calling thread's slot, lent out while it waits for its helpers
+/// and taken back when dropped.
+struct Lent<'a>(&'a Budget);
+
+impl<'a> Lent<'a> {
+    fn new(budget: &'a Budget) -> Self {
+        budget.give();
+        Self(budget)
+    }
+}
+
+impl Drop for Lent<'_> {
+    fn drop(&mut self) {
+        self.0.resume();
+    }
+}
+
+/// Removes a top-level map's budget from the calling thread when the
+/// map returns or unwinds.
+struct TopLevel;
+
+impl Drop for TopLevel {
+    fn drop(&mut self) {
+        BUDGET.with(|b| b.borrow_mut().take());
+    }
+}
+
+/// One chunk's result, once a thread has run it.
+type ChunkSlot<U, E> = Mutex<Option<Result<Vec<U>, E>>>;
+
+/// One parallel map's shared state.
+struct Work<'f, U, E, F> {
+    ranges: Vec<Range<usize>>,
+    /// The next chunk to claim.
+    next: AtomicUsize,
+    /// Helpers holding a slot for this map.
+    helping: AtomicUsize,
+    /// Each chunk's result, by chunk index.
+    results: Vec<ChunkSlot<U, E>>,
+    /// The first panic of any chunk, re-raised by the caller.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+    f: &'f F,
+    parent: Option<SpanId>,
+    traced: bool,
+}
+
+impl<U, E, F> Work<'_, U, E, F>
+where
+    F: Fn(Range<usize>) -> Result<Vec<U>, E>,
+{
+    fn exhausted(&self) -> bool {
+        self.next.load(Ordering::SeqCst) >= self.ranges.len()
+    }
+
+    /// Stops all further claims.
+    fn stop(&self) {
+        self.next.fetch_max(self.ranges.len(), Ordering::SeqCst);
+    }
+
+    /// Claims and runs chunks until none are left, keeping a panic for
+    /// the caller. A helper (`borrowed` is its budget) also stops once
+    /// a thread back from a join waits for a slot: the map's caller
+    /// still claims the rest.
+    fn claim_all(&self, borrowed: Option<&Budget>) {
+        let claim = || self.claim_loop(borrowed);
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(claim)) {
+            self.stop();
+            lock(&self.panic).get_or_insert(payload);
+        }
+    }
+
+    fn claim_loop(&self, borrowed: Option<&Budget>) {
+        loop {
+            if borrowed.is_some_and(Budget::resumer_waiting) {
+                return;
+            }
+            let c = self.next.fetch_add(1, Ordering::SeqCst);
+            let Some(range) = self.ranges.get(c).cloned() else {
+                return;
+            };
+            let result = self.run(c, range);
+            if result.is_err() {
+                // Every chunk not yet claimed lies after this one, so
+                // its result could only be discarded.
+                self.stop();
+            }
+            *lock(&self.results[c]) = Some(result);
+        }
+    }
+
+    fn run(&self, c: usize, range: Range<usize>) -> Result<Vec<U>, E> {
+        let _chunk_span = if self.traced {
+            SpanGuard::enter_with_parent(
+                self.parent,
+                names::SPAN_EXEC_CHUNK,
+                vec![
+                    ("chunk", c.into()),
+                    ("start", range.start.into()),
+                    ("len", range.len().into()),
+                ],
+            )
+        } else {
+            SpanGuard::disabled()
+        };
+        let len = range.len();
+        let result = (self.f)(range);
+        if let Ok(buf) = &result {
+            assert_eq!(buf.len(), len, "chunk map must return one result per index");
+        }
+        result
+    }
 }
 
 /// How a [`dispatch_rounds`] loop ended.
@@ -384,26 +647,27 @@ mod tests {
 
     #[test]
     fn chunk_ranges_cover_exactly() {
-        for n in [0usize, 1, 7, 64, 1000] {
-            for chunks in [1usize, 2, 3, 8, 64] {
-                let ranges = chunk_ranges(n, chunks);
-                let mut next = 0;
-                for r in &ranges {
-                    assert_eq!(r.start, next, "contiguous");
-                    assert!(!r.is_empty(), "no empty chunks");
-                    next = r.end;
-                }
-                assert_eq!(next, n, "covers 0..{n} with {chunks} chunks");
-                assert!(ranges.len() <= chunks.max(1));
+        for n in [0usize, 1, 7, 16, 17, 64, 127, 128, 1000, 1003] {
+            let ranges = chunk_ranges(n);
+            let mut next = 0;
+            for r in &ranges {
+                assert_eq!(r.start, next, "contiguous");
+                assert!(!r.is_empty(), "no empty chunks");
+                next = r.end;
             }
+            assert_eq!(next, n, "covers 0..{n}");
+            assert!(ranges.len() <= CHUNKS);
         }
     }
 
     #[test]
-    fn chunk_ranges_balanced() {
-        let ranges = chunk_ranges(10, 4);
-        let lens: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
-        assert_eq!(lens, vec![3, 3, 2, 2]);
+    fn chunk_ranges_shapes() {
+        let lens = |n| chunk_ranges(n).iter().map(|r| r.len()).collect::<Vec<_>>();
+        assert_eq!(lens(3), vec![1, 1, 1]);
+        assert_eq!(lens(18), [vec![2, 2], vec![1; 14]].concat());
+        // From 128 on, whole lanes; the last chunk takes the tail.
+        assert_eq!(lens(128), vec![8; 16]);
+        assert_eq!(lens(1003), [vec![64; 13], vec![56, 56, 59]].concat());
     }
 
     #[test]
@@ -424,18 +688,26 @@ mod tests {
 
     #[test]
     fn lowest_index_error_wins() {
-        // Items 13 and 77 fail; index 13 must be reported on every
-        // thread count.
-        for threads in [1, 2, 4, 8] {
-            let err = try_par_map_range(100, threads, |i| {
-                if i == 13 || i == 77 {
-                    Err(i)
-                } else {
-                    Ok(i)
-                }
-            })
-            .unwrap_err();
-            assert_eq!(err, 13, "threads = {threads}");
+        // Items 13 and every index 6 mod 7 after it fail; 13 is slow,
+        // so later chunks fail first. Index 13 must be reported on
+        // every thread count, with single-index and lane chunks.
+        for threads in [1, 2, 3, 4, 8] {
+            for n in [40usize, 300] {
+                let err = try_par_map_range(n, threads, |i| {
+                    if i == 13 {
+                        for _ in 0..1000 {
+                            std::thread::yield_now();
+                        }
+                        Err(i)
+                    } else if i > 13 && i % 7 == 6 {
+                        Err(i)
+                    } else {
+                        Ok(i)
+                    }
+                })
+                .unwrap_err();
+                assert_eq!(err, 13, "n = {n}, threads = {threads}");
+            }
         }
     }
 
@@ -583,19 +855,6 @@ mod tests {
         assert_eq!(ExecConfig::with_threads(0).effective_threads(), 1);
         assert_eq!(ExecConfig::with_threads(6).effective_threads(), 6);
         assert!(ExecConfig::default().effective_threads() >= 1);
-    }
-
-    #[test]
-    fn split_never_oversubscribes() {
-        for total in [1usize, 2, 4, 8, 16] {
-            let cfg = ExecConfig::with_threads(total);
-            for cells in [1usize, 2, 3, 5, 100] {
-                let (outer, inner) = cfg.split(cells);
-                assert!(outer >= 1 && inner.effective_threads() >= 1);
-                assert!(outer * inner.effective_threads() <= total);
-                assert!(outer <= cells.max(1));
-            }
-        }
     }
 
     #[test]

@@ -14,13 +14,18 @@
 //!   minus the chosen child's, so the contributions telescope to
 //!   exactly the root's duration — the path provably accounts for the
 //!   run it explains.
+//! * The **idlest map** answers "which parallel map left cores idle":
+//!   the `exec_par_map` with the most idle worker time,
+//!   `workers × dur − Σ exec_chunk`, and the `study_node` it ran in.
 //! * **Folded stacks** (`root;child;leaf self_ns`, one line per
 //!   distinct stack) feed any standard flamegraph renderer
 //!   (`flamegraph.pl`, inferno, speedscope).
 
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
-use mpvar_trace::schema::{SpanEntry, TraceLog};
+use mpvar_trace::names;
+use mpvar_trace::schema::{FieldScalar, SpanEntry, TraceLog};
 use mpvar_trace::sink::fmt_ns;
 
 use crate::forest::SpanForest;
@@ -63,6 +68,23 @@ pub struct CriticalPathNode {
     pub contribution_ns: u64,
 }
 
+/// The parallel map that left the most worker time idle.
+#[derive(Debug, Clone, PartialEq)]
+pub struct IdlestMap {
+    /// Span id of its `exec_par_map` span.
+    pub span_id: u64,
+    /// The size of its index domain (`n`).
+    pub n: u64,
+    /// The threads it could use (`workers`).
+    pub workers: u64,
+    /// Its duration, nanoseconds.
+    pub dur_ns: u64,
+    /// `workers × dur` minus its chunks' durations, nanoseconds.
+    pub idle_ns: u64,
+    /// The `artifact` of the `study_node` it ran in, if any.
+    pub artifact: Option<String>,
+}
+
 /// The complete analytic view of one trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceProfile {
@@ -70,6 +92,9 @@ pub struct TraceProfile {
     pub aggregates: Vec<SpanAggregate>,
     /// The critical path through the longest root, root first.
     pub critical_path: Vec<CriticalPathNode>,
+    /// The map with the most idle worker time, if any map could use
+    /// more than one thread.
+    pub idlest_map: Option<IdlestMap>,
     /// Total self time across every span, nanoseconds.
     pub total_self_ns: u64,
     /// Wall-clock extent of the trace (latest end minus earliest
@@ -165,6 +190,7 @@ pub fn profile_spans(spans: Vec<SpanEntry>) -> Result<TraceProfile, ObsError> {
 
     Ok(TraceProfile {
         critical_path: critical_path(&forest),
+        idlest_map: idlest_map(&forest),
         total_self_ns,
         wall_ns: forest.extent_ns(),
         aggregates,
@@ -204,6 +230,48 @@ fn critical_path(forest: &SpanForest) -> Vec<CriticalPathNode> {
             None => return path,
         }
     }
+}
+
+/// The `exec_par_map` with the most idle worker time (ties go to the
+/// lower span id), found by walking every root down with the nearest
+/// enclosing `study_node`'s artifact in hand. Maps with fewer than two
+/// `workers` ran inline and are skipped.
+fn idlest_map(forest: &SpanForest) -> Option<IdlestMap> {
+    let num = |span: &SpanEntry, key: &str| match span.fields.get(key) {
+        Some(FieldScalar::Num(v)) if *v >= 0.0 => Some(*v as u64),
+        _ => None,
+    };
+    let mut maps = Vec::new();
+    let mut stack: Vec<(usize, Option<&str>)> = forest.roots().iter().map(|&r| (r, None)).collect();
+    while let Some((i, artifact)) = stack.pop() {
+        let span = forest.span(i);
+        let artifact = match span.fields.get("artifact") {
+            Some(FieldScalar::Str(a)) if span.name == names::SPAN_STUDY_NODE => Some(a.as_str()),
+            _ => artifact,
+        };
+        stack.extend(forest.children(i).iter().map(|&c| (c, artifact)));
+        let workers = num(span, "workers").unwrap_or(0);
+        if span.name != names::SPAN_EXEC_PAR_MAP || workers < 2 {
+            continue;
+        }
+        let chunk_ns: u64 = forest
+            .children(i)
+            .iter()
+            .map(|&c| forest.span(c))
+            .filter(|c| c.name == names::SPAN_EXEC_CHUNK)
+            .map(|c| c.dur_ns)
+            .sum();
+        maps.push(IdlestMap {
+            span_id: span.id,
+            n: num(span, "n").unwrap_or(0),
+            workers,
+            dur_ns: span.dur_ns,
+            idle_ns: workers.saturating_mul(span.dur_ns).saturating_sub(chunk_ns),
+            artifact: artifact.map(str::to_string),
+        });
+    }
+    maps.into_iter()
+        .max_by_key(|m| (m.idle_ns, Reverse(m.span_id)))
 }
 
 /// Folded-stack flamegraph export: one `a;b;c self_ns` line per
@@ -296,6 +364,19 @@ pub fn render_profile(profile: &TraceProfile) -> String {
             fmt_ns(node.contribution_ns),
         ));
     }
+    if let Some(map) = &profile.idlest_map {
+        out.push_str(&format!(
+            "idlest parallel map: span {} (n = {}) in {}: {} idle of {} workers x {}\n",
+            map.span_id,
+            map.n,
+            map.artifact
+                .as_deref()
+                .map_or("no study node".to_string(), |a| format!("`{a}`")),
+            fmt_ns(map.idle_ns),
+            map.workers,
+            fmt_ns(map.dur_ns),
+        ));
+    }
     out
 }
 
@@ -358,6 +439,77 @@ mod tests {
         let folded = folded_stacks(&forest);
         let expect = "root 10\nroot;a 40\nroot;b 10\nroot;b;c 40\n";
         assert_eq!(folded, expect);
+    }
+
+    /// `span` with fields.
+    fn with(mut span: SpanEntry, fields: &[(&str, FieldScalar)]) -> SpanEntry {
+        for (k, v) in fields {
+            span.fields.insert(k.to_string(), v.clone());
+        }
+        span
+    }
+
+    fn map(id: u64, parent: u64, start_ns: u64, dur_ns: u64, workers: f64) -> SpanEntry {
+        with(
+            span(id, Some(parent), names::SPAN_EXEC_PAR_MAP, start_ns, dur_ns),
+            &[
+                ("n", FieldScalar::Num(16.0)),
+                ("workers", FieldScalar::Num(workers)),
+            ],
+        )
+    }
+
+    fn node(id: u64, start_ns: u64, dur_ns: u64, artifact: &str) -> SpanEntry {
+        with(
+            span(id, Some(1), names::SPAN_STUDY_NODE, start_ns, dur_ns),
+            &[("artifact", FieldScalar::Str(artifact.to_string()))],
+        )
+    }
+
+    fn chunk(id: u64, parent: u64, start_ns: u64, dur_ns: u64) -> SpanEntry {
+        span(id, Some(parent), names::SPAN_EXEC_CHUNK, start_ns, dur_ns)
+    }
+
+    #[test]
+    fn idlest_map_names_the_map_and_its_study_node() {
+        let spans = vec![
+            span(1, None, "study_materialize", 0, 1000),
+            // fig5's map: 2 × 100 − (90 + 80) = 30 idle.
+            node(2, 0, 100, "fig5"),
+            map(3, 2, 0, 100, 2.0),
+            chunk(4, 3, 0, 90),
+            chunk(5, 3, 0, 80),
+            // yield_6sigma's map: 2 × 200 − (200 + 50) = 150 idle; the
+            // map nested in its first chunk is 2 × 40 − 80 = 0 idle.
+            node(6, 100, 200, "yield_6sigma"),
+            map(7, 6, 100, 200, 2.0),
+            chunk(8, 7, 100, 200),
+            chunk(9, 7, 100, 50),
+            map(10, 8, 120, 40, 2.0),
+            chunk(11, 10, 120, 40),
+            chunk(12, 10, 120, 40),
+            // An inline map (one worker, no chunks) is never idle.
+            map(13, 1, 300, 700, 1.0),
+        ];
+        let p = profile_spans(spans).expect("profile");
+        assert_eq!(
+            p.idlest_map,
+            Some(IdlestMap {
+                span_id: 7,
+                n: 16,
+                workers: 2,
+                dur_ns: 200,
+                idle_ns: 150,
+                artifact: Some("yield_6sigma".to_string()),
+            })
+        );
+        let text = render_profile(&p);
+        assert!(
+            text.contains("idlest parallel map: span 7 (n = 16) in `yield_6sigma`"),
+            "{text}"
+        );
+        // A trace with no parallel map names none.
+        assert_eq!(profile_spans(sample()).expect("profile").idlest_map, None);
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //!   cross-thread span tree from the flat completion-ordered JSONL
 //!   stream; [`analytics::profile`] aggregates it per span name
 //!   (count, total/self time, p50/p95/p99), walks the **critical
-//!   path** through the dominant root, and exports **folded stacks**
-//!   in the standard flamegraph format.
+//!   path** through the dominant root, names the parallel map that
+//!   left the most worker time idle, and exports **folded stacks** in
+//!   the standard flamegraph format.
 //! * **Did performance regress?** [`baseline::PerfBaseline`] is a
 //!   committed profile of *relative* self-time shares and counter
 //!   invariants (never absolute times, so CI machine noise cannot
@@ -32,8 +33,8 @@ pub mod forest;
 use std::fmt;
 
 pub use analytics::{
-    folded_stacks, profile, profile_spans, render_profile, CriticalPathNode, SpanAggregate,
-    TraceProfile,
+    folded_stacks, profile, profile_spans, render_profile, CriticalPathNode, IdlestMap,
+    SpanAggregate, TraceProfile,
 };
 pub use baseline::{check, render_report, PerfBaseline, PerfCheck, PerfReport};
 pub use forest::{ForestError, SpanForest};

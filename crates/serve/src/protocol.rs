@@ -865,6 +865,26 @@ mod tests {
     }
 
     #[test]
+    fn big_seeds_run_exactly_or_are_refused() {
+        let request = |seed: &str| {
+            ClientMessage::parse(&format!(
+                r#"{{"schema":"mpvar-serve/v1","type":"request","id":"r","artifacts":["table1"],"context":{{"seed":{seed}}}}}"#
+            ))
+        };
+        // 2^53 + 1 used to run as 2^53.
+        match request("9007199254740993") {
+            Ok(ClientMessage::Request(r)) => assert_eq!(r.context.seed, Some((1 << 53) + 1)),
+            other => panic!("{other:?}"),
+        }
+        // 2^64 used to saturate to u64::MAX; now the knob is named.
+        let err = request("18446744073709551616").unwrap_err();
+        assert!(
+            err.contains("seed") && err.contains("out of range"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn deeply_nested_line_is_an_error_not_a_stack_overflow() {
         // 60 KB fits under the 64 KiB line cap; unbounded recursion
         // would need far more stack than a connection thread has.

@@ -9,8 +9,8 @@
 //! * resolves the request into a topologically-ordered plan
 //!   ([`graph::plan`]),
 //! * evaluates independent nodes **in parallel** on `mpvar-exec`,
-//!   splitting the thread budget so nested parallelism never
-//!   oversubscribes,
+//!   whose one thread budget the nodes' own parallel maps share, so
+//!   nested parallelism never oversubscribes,
 //! * **memoizes** every result in a content-keyed [`ArtifactStore`]
 //!   (key = stable hash of the context knobs and the node's dependency
 //!   closure) — in-memory ([`MemoryStore`]) or persisted on disk with

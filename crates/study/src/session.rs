@@ -164,8 +164,8 @@ impl Study {
     ///
     /// Nodes already memoized are served from the cache; the rest are
     /// planned into dependency waves and each wave's producers run in
-    /// parallel, splitting the context's thread budget so nested
-    /// parallelism never oversubscribes.
+    /// parallel; the producers' own parallel maps share the wave's
+    /// thread budget, so nested parallelism never oversubscribes.
     ///
     /// # Errors
     ///
@@ -201,14 +201,8 @@ impl Study {
             if missing.is_empty() {
                 continue;
             }
-            // Hand each producer an equal share of the thread budget;
-            // results are bit-identical for any split (mpvar-exec
-            // contract), so this only avoids oversubscription.
-            let (outer, inner) = self.ctx.exec.split(missing.len());
-            let mut inner_ctx = self.ctx.clone();
-            inner_ctx.exec = inner;
-            inner_ctx.mc.exec = inner;
-            let values = mpvar_exec::try_par_map_indexed(&missing, outer, |_, &id| {
+            let threads = self.ctx.exec.effective_threads();
+            let values = mpvar_exec::try_par_map_indexed(&missing, threads, |_, &id| {
                 // Workers start with an empty span stack; parent their
                 // node spans to this materialize() call explicitly.
                 let _node_span = if traced {
@@ -236,7 +230,7 @@ impl Study {
                     })
                     .collect();
                 let t0 = Instant::now();
-                let value = produce(id, &inner_ctx, &deps)?;
+                let value = produce(id, &self.ctx, &deps)?;
                 self.record(id, NodeOutcome::Computed(t0.elapsed()));
                 Ok::<_, CoreError>(Arc::new(value))
             })?;

@@ -253,27 +253,14 @@ pub(crate) fn group_by_height(cases: &[Case]) -> Vec<(usize, Vec<usize>)> {
     by_n.into_iter().collect()
 }
 
-/// Deals height groups, costliest (`n × lanes`) first, round-robin
-/// across the `threads` contiguous chunks of [`mpvar_exec::chunk_ranges`],
-/// so every worker gets a similar share of the work. Ascending heights
-/// would hand every tall group to the last worker.
-fn deal_by_cost(mut groups: Vec<(usize, Vec<usize>)>, threads: usize) -> Vec<(usize, Vec<usize>)> {
-    groups.sort_by_key(|(n, lanes)| Reverse(n * (lanes.len() + 1)));
-    let chunks = threads.clamp(1, groups.len().max(1));
-    let mut dealt: Vec<Vec<(usize, Vec<usize>)>> = (0..chunks).map(|_| Vec::new()).collect();
-    for (i, group) in groups.into_iter().enumerate() {
-        dealt[i % chunks].push(group);
-    }
-    dealt.into_iter().flatten().collect()
-}
-
 /// A per-case or per-height simulation result.
 type Td = Result<f64, TestkitError>;
 
 /// SPICE `td` of every case, and the nominal `td` of every height the
 /// cases use: one batched read per distinct height (lane 0 the nominal
 /// EUV draw, then the height's cases), the heights spread over
-/// `threads` workers.
+/// `threads` workers. The workers claim the groups costliest
+/// (`n × lanes`) first, so the tallest are not left for last.
 fn spice_tds(
     tech: &TechDb,
     cell: &BitcellGeometry,
@@ -281,7 +268,8 @@ fn spice_tds(
     cases: &[Case],
     threads: usize,
 ) -> (Vec<Td>, BTreeMap<usize, Td>) {
-    let groups = deal_by_cost(group_by_height(cases), threads);
+    let mut groups = group_by_height(cases);
+    groups.sort_by_key(|(n, lanes)| Reverse(n * (lanes.len() + 1)));
     let per_group = mpvar_exec::par_map_indexed(&groups, threads, |_, (n, indices)| {
         let draws: Vec<Draw> = std::iter::once(Draw::nominal(PatterningOption::Euv))
             .chain(indices.iter().map(|&i| cases[i].draw))

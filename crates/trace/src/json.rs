@@ -28,8 +28,12 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number (always held as `f64`).
+    /// Any number an `f64` holds exactly enough: every non-integer,
+    /// and every integer below 2^53.
     Num(f64),
+    /// A plain-digit integer from 2^53 up to `u64::MAX`, which an
+    /// `f64` would round: a `u64` seed keeps every bit.
+    BigUint(u64),
     /// A string.
     Str(String),
     /// An array.
@@ -191,6 +195,11 @@ pub trait JsonCodec: Sized {
     }
 }
 
+/// 2^53: every decimal integer below it parses to itself as an `f64`,
+/// and every one above it rounds to at least it. Plain-digit integers
+/// from here to `u64::MAX` parse as [`Json::BigUint`] instead.
+const EXACT_INTEGERS: u64 = 1 << 53;
+
 macro_rules! integer_codec {
     ($($ty:ty),+) => {$(
         impl JsonCodec for $ty {
@@ -200,6 +209,14 @@ macro_rules! integer_codec {
 
             fn get(value: &Json) -> Result<Self, String> {
                 match value {
+                    Json::BigUint(n) => {
+                        <$ty>::try_from(*n).map_err(|_| format!("{n} is out of range"))
+                    }
+                    // A `Num` this large was rounded: 2^64 and up, or
+                    // written with a fraction or an exponent.
+                    Json::Num(n) if *n >= EXACT_INTEGERS as f64 => Err(format!(
+                        "{n} is out of range: from 2^53 on, an integer must be plain digits up to 18446744073709551615"
+                    )),
                     Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= <$ty>::MAX as f64 => {
                         Ok(*n as $ty)
                     }
@@ -221,6 +238,7 @@ impl JsonCodec for f64 {
     fn get(value: &Json) -> Result<Self, String> {
         match value {
             Json::Num(n) => Ok(*n),
+            Json::BigUint(n) => Ok(*n as f64),
             Json::Null => Ok(f64::NAN), // how a non-finite value is written
             _ => Err("must be a number".to_string()),
         }
@@ -633,6 +651,11 @@ impl Parser {
             self.pos += 1;
         }
         let text: String = self.chars[start..self.pos].iter().collect();
+        if let Ok(n) = text.parse::<u64>() {
+            if n >= EXACT_INTEGERS && text.bytes().all(|b| b.is_ascii_digit()) {
+                return Ok(Json::BigUint(n));
+            }
+        }
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| format!("invalid number `{text}`"))
@@ -715,6 +738,27 @@ mod tests {
             assert!(u64::get(&value).is_err(), "{bad}");
         }
         assert_eq!(u64::get(&Json::Num(9.0)), Ok(9));
+    }
+
+    #[test]
+    fn big_integers_are_exact_or_refused() {
+        let read = |text: &str| u64::get(&parse_json(text).expect("parses"));
+        assert_eq!(read("9007199254740991"), Ok((1 << 53) - 1));
+        assert_eq!(read("9007199254740993"), Ok((1 << 53) + 1));
+        assert_eq!(read("18446744073709551615"), Ok(u64::MAX));
+        // Past u64, or not plain digits: the f64 rounded it.
+        for big in ["18446744073709551616", "9007199254740993.0", "1e300"] {
+            let err = read(big).expect_err(big);
+            assert!(err.contains("out of range"), "{big}: {err}");
+        }
+        assert_eq!(
+            parse_json("9007199254740993"),
+            Ok(Json::BigUint((1 << 53) + 1))
+        );
+        assert_eq!(
+            f64::get(&Json::BigUint(u64::MAX)),
+            Ok(18_446_744_073_709_551_615.0)
+        );
     }
 
     struct Inner {

@@ -70,9 +70,10 @@ pub use span::{FieldValue, Fields, SpanGuard, SpanId, SpanRecord};
 /// The JSONL schema itself does not restrict names; these are the ones
 /// the built-in instrumentation emits.
 pub mod names {
-    /// Span: one parallel map on the `mpvar-exec` pool.
+    /// Span: one parallel map of `mpvar-exec` (`n`, `threads`, and
+    /// `workers`: the threads it could use).
     pub const SPAN_EXEC_PAR_MAP: &str = "exec_par_map";
-    /// Span: one contiguous worker chunk of an `exec_par_map`.
+    /// Span: one claimed chunk of an `exec_par_map`.
     pub const SPAN_EXEC_CHUNK: &str = "exec_chunk";
     /// Span: one full Monte-Carlo `tdp` distribution.
     pub const SPAN_MC_DISTRIBUTION: &str = "mc_distribution";
@@ -204,11 +205,8 @@ pub mod names {
     /// non-finite draws).
     pub const FORMULA_LANE_FALLBACKS: &str = "formula.lane_fallbacks";
 
-    /// Counter: worker chunks dispatched by the exec pool.
+    /// Counter: chunks the parallel maps were cut into.
     pub const EXEC_CHUNKS: &str = "exec.chunks";
-    /// Gauge: worker imbalance of the last parallel map
-    /// (slowest-chunk wall over mean-chunk wall; 1.0 = perfectly even).
-    pub const EXEC_IMBALANCE: &str = "exec.imbalance";
 }
 
 /// Opens a span guard: `span!("name")` or

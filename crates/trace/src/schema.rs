@@ -170,6 +170,7 @@ pub fn validate_jsonl(text: &str) -> Result<TraceLog, SchemaError> {
                 for (key, val) in fields_obj {
                     let scalar = match val {
                         Json::Num(n) => FieldScalar::Num(*n),
+                        Json::BigUint(n) => FieldScalar::Num(*n as f64),
                         Json::Str(s) => FieldScalar::Str(s.clone()),
                         Json::Bool(b) => FieldScalar::Bool(*b),
                         _ => {

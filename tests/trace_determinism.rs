@@ -1,7 +1,9 @@
 //! Instrumentation must observe, never perturb: a fully traced
 //! pipeline run is bit-identical to an untraced one at any thread
 //! count, and the JSONL it emits validates against the
-//! `mpvar-trace/v1` schema with spans from every layer.
+//! `mpvar-trace/v1` schema with spans from every layer. Chunking is
+//! fixed by the domain size, so the chunk and lane counters read the
+//! same at every parallel thread count.
 //!
 //! Everything lives in one `#[test]` on purpose: trace collectors are
 //! process-global, so concurrently installed collectors in sibling
@@ -14,20 +16,23 @@ use mpvar::study::{ArtifactId, Study};
 use mpvar::trace::{names, validate_jsonl, Collector, JsonlSink};
 
 /// A deliberately tiny context so the full dependency chain (table1 →
-/// fig4 → table3) runs in well under a second.
+/// fig4 → table3) runs in well under a second. 203 trials leave a
+/// three-draw tail past the eight-draw lanes, so the lane fallback
+/// counter has something to count.
 fn tiny_ctx(threads: usize) -> ExperimentContext {
     ExperimentContext::builder()
         .expect("context builds")
         .quick_preset()
         .sizes(vec![8])
-        .trials(200)
+        .trials(203)
         .threads(threads)
         .build()
 }
 
 #[test]
 fn traced_run_is_bit_identical_and_emits_valid_jsonl() {
-    for threads in [1usize, 4] {
+    let mut parallel_counters = Vec::new();
+    for threads in [1usize, 2, 4, 8] {
         // Table3 pulls in the corner search and the SPICE read
         // simulations; Fig5 exercises the Monte-Carlo engine.
         let requested = [ArtifactId::Table3, ArtifactId::Fig5];
@@ -82,9 +87,8 @@ fn traced_run_is_bit_identical_and_emits_valid_jsonl() {
             );
         }
         if threads > 1 {
-            // Worker chunks (and the imbalance gauge) only exist on the
-            // parallel path; a 1-thread run stays on the serial
-            // reference path by design.
+            // Worker chunks only exist on the parallel path; a 1-thread
+            // run stays on the serial reference path by design.
             assert!(
                 log.counters.contains_key(names::EXEC_CHUNKS),
                 "chunk counter missing at {threads} threads"
@@ -93,6 +97,15 @@ fn traced_run_is_bit_identical_and_emits_valid_jsonl() {
                 span_names.contains(&names::SPAN_EXEC_CHUNK),
                 "no worker chunk spans at {threads} threads"
             );
+            let counters: Vec<(&str, u64)> = [
+                names::EXEC_CHUNKS,
+                names::FORMULA_LANE_TRIALS,
+                names::FORMULA_LANE_FALLBACKS,
+            ]
+            .into_iter()
+            .map(|name| (name, log.counters.get(name).copied().unwrap_or(0)))
+            .collect();
+            parallel_counters.push((threads, counters));
         }
         assert!(
             log.gauges.contains_key(names::MC_TRIALS_PER_SEC),
@@ -112,5 +125,16 @@ fn traced_run_is_bit_identical_and_emits_valid_jsonl() {
         assert!(log
             .spans_named(names::SPAN_STUDY_NODE)
             .all(|s| s.fields.contains_key("artifact") && s.fields.contains_key("outcome")));
+    }
+    let (_, at2) = &parallel_counters[0];
+    assert!(
+        at2.iter().all(|&(_, v)| v > 0),
+        "every compared counter is populated: {at2:?}"
+    );
+    for (threads, counters) in &parallel_counters {
+        assert_eq!(
+            counters, at2,
+            "chunk and lane counters at {threads} threads"
+        );
     }
 }
