@@ -12,8 +12,8 @@
 //! repro serve-smoke [--store DIR]
 //! ```
 //!
-//! Experiments: table1 fig4 table2 table3 fig5 table4 ablation-delay
-//! ablation-bl-width ablation-sadp-vss. `--quick` uses the down-scaled
+//! The experiments are the artifact table's string ids; `repro --help`
+//! lists all of them, from `ArtifactId::ALL`. `--quick` uses the down-scaled
 //! context (small arrays, fewer Monte-Carlo trials); the default is the
 //! paper's full design of experiments. CSV artefacts land in `--out`
 //! (default `target/repro/`, so no run overwrites the committed goldens;

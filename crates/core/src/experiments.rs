@@ -7,9 +7,12 @@
 //! trials); [`ExperimentContext::quick`] is a down-scaled variant for
 //! CI-speed runs.
 
+use std::fmt::Write as _;
+
 use mpvar_exec::ExecConfig;
 use mpvar_extract::extract_track;
-use mpvar_litho::{apply_draw, sample_draw, Draw};
+use mpvar_geometry::TrackStack;
+use mpvar_litho::{apply_draw, sample_draw, Draw, LithoError, PerturbedStack};
 use mpvar_sram::{simulate_read, BitcellGeometry, FormulaParams, ReadConfig};
 use mpvar_stats::RngStream;
 use mpvar_tech::{preset::n10, PatterningOption, TechDb, VariationBudget};
@@ -587,6 +590,17 @@ impl Fig5 {
         }
         out
     }
+
+    /// The raw samples as CSV: an `option,tdp_percent` row per trial.
+    pub fn to_csv(&self) -> String {
+        let mut csv = String::from("option,tdp_percent\n");
+        for d in &self.distributions {
+            for &s in d.samples_percent() {
+                let _ = writeln!(csv, "{},{s}", d.option());
+            }
+        }
+        csv
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -788,6 +802,19 @@ pub struct AblationSadpAnticorrelation {
     pub worst_rvss_percent: f64,
 }
 
+/// [`apply_draw`], with a shorted or collapsed print (a yield loss the
+/// Monte-Carlo loops skip) as `None`.
+fn print_unless_shorted(
+    stack: &TrackStack,
+    draw: &Draw,
+) -> Result<Option<PerturbedStack>, CoreError> {
+    match apply_draw(stack, draw) {
+        Ok(printed) => Ok(Some(printed)),
+        Err(LithoError::ShortedLines { .. } | LithoError::CollapsedLine { .. }) => Ok(None),
+        Err(e) => Err(e.into()),
+    }
+}
+
 /// Measures the SADP R_bl/R_VSS anti-correlation by Monte-Carlo and at
 /// the worst corner.
 ///
@@ -822,9 +849,8 @@ pub fn ablation_sadp_anticorrelation(
     for k in 0..trials {
         let mut rng = base.substream(k as u64);
         let draw = sample_draw(PatterningOption::Sadp, &budget, &mut rng)?;
-        let printed = match apply_draw(&stack, &draw) {
-            Ok(p) => p,
-            Err(_) => continue,
+        let Some(printed) = print_unless_shorted(&stack, &draw)? else {
+            continue;
         };
         rbl.push(extract_track(&printed, bl, m1)?.resistance_ohm());
         rvss.push(extract_track(&printed, vss, m1)?.resistance_ohm());
@@ -1009,9 +1035,8 @@ pub fn extension_ler(ctx: &ExperimentContext) -> Result<ExtensionLer, CoreError>
         for k in 0..trials {
             let mut rng = base.substream(k as u64);
             let draw = sample_draw(option, &budget, &mut rng)?;
-            let printed = match apply_draw(&stack, &draw) {
-                Ok(p) => p,
-                Err(_) => continue,
+            let Some(printed) = print_unless_shorted(&stack, &draw)? else {
+                continue;
             };
             let t = printed.track(bl);
             let (w_mp, g_lo, g_hi) = (
@@ -1163,6 +1188,24 @@ mod tests {
 
     fn ctx() -> ExperimentContext {
         ExperimentContext::quick().unwrap()
+    }
+
+    #[test]
+    fn only_a_shorted_print_is_skipped() {
+        let c = ctx();
+        let stack = c
+            .cell
+            .column_stack(mpvar_sram::array::PAPER_BL_PAIRS, 5, 1)
+            .unwrap();
+        let nominal = Draw::nominal(PatterningOption::Euv);
+        assert!(print_unless_shorted(&stack, &nominal).unwrap().is_some());
+        let shorted = Draw::Euv(mpvar_litho::EuvDraw { cd_nm: 1e3 });
+        assert_eq!(print_unless_shorted(&stack, &shorted), Ok(None));
+        let non_finite = Draw::Euv(mpvar_litho::EuvDraw { cd_nm: f64::NAN });
+        assert!(matches!(
+            print_unless_shorted(&stack, &non_finite),
+            Err(CoreError::Litho(_))
+        ));
     }
 
     #[test]

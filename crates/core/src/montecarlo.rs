@@ -17,7 +17,10 @@
 //! per index during the deterministic in-order merge, never from racy
 //! shared counters.
 
+use std::ops::ControlFlow;
+
 use mpvar_exec::ExecConfig;
+use mpvar_extract::RelativeVariation;
 use mpvar_litho::{sample_draw, Draw};
 use mpvar_sram::BitcellGeometry;
 use mpvar_stats::{Histogram, RngStream, Summary};
@@ -205,18 +208,11 @@ pub fn tdp_distribution(
     tdp_distribution_with(&window, budget, n, config)
 }
 
-/// How one evaluated trial index resolved, before the in-order merge
-/// decides which indices actually count.
-enum TrialResolution {
-    /// A measured `tdp` sample.
-    Sample(f64),
-    /// The draw printed shorted geometry: a yield loss, excluded from
-    /// the trial count entirely (mirrors inspection screening).
-    Shorted,
-}
-
-/// The outcome of evaluating one trial index.
-type TrialResult = Result<TrialResolution, CoreError>;
+/// The outcome of evaluating one trial index: a sample, `None` when the
+/// draw printed shorted geometry (a yield loss, excluded from the trial
+/// count entirely, which mirrors inspection screening), or a hard
+/// error.
+type TrialResult = Result<Option<f64>, CoreError>;
 
 /// In-order merge state for the round-based trial farm.
 struct Farm {
@@ -238,17 +234,50 @@ struct Farm {
 /// surfaced errors are bit-identical to a sequential scan for any
 /// thread count.
 ///
-/// `eval_chunk` receives **global** trial-index ranges; trial `k` must
-/// consume RNG substream `k`.
-fn farm_trials<F>(
-    option: PatterningOption,
+/// Trial `k` samples its draw from substream `k` of `base`. A chunk
+/// samples all its draws, prints them as one batch through `window`,
+/// and hands each printed trial's variation to `sample` together with
+/// the trial's substream, positioned after the draw. A shorted or
+/// collapsed print is a yield loss: skipped and counted, not a sample.
+///
+/// # Errors
+///
+/// The earliest per-trial error before the final sample, or
+/// [`CoreError::ShortedDrawsExhausted`] when `20 · trials + 1000`
+/// indices leave fewer than `trials` samples.
+pub(crate) fn farm_trials(
+    window: &NominalWindow<'_>,
+    budget: &VariationBudget,
+    base: &RngStream,
     trials: usize,
     threads: usize,
-    eval_chunk: F,
-) -> Result<(Vec<f64>, usize), CoreError>
-where
-    F: Fn(std::ops::Range<usize>) -> Vec<TrialResult> + Sync,
-{
+    sample: impl Fn(RelativeVariation, &mut RngStream) -> f64 + Sync,
+) -> Result<(Vec<f64>, usize), CoreError> {
+    let option = window.option();
+    let eval_chunk = |range: std::ops::Range<usize>| -> Vec<TrialResult> {
+        let mut rngs: Vec<RngStream> = range.map(|k| base.substream(k as u64)).collect();
+        let sampled: Vec<Result<Draw, CoreError>> = rngs
+            .iter_mut()
+            .map(|rng| sample_draw(option, budget, rng).map_err(CoreError::from))
+            .collect();
+        let draws: Vec<Draw> = sampled
+            .iter()
+            .filter_map(|d| d.as_ref().ok())
+            .copied()
+            .collect();
+        let mut vars = Vec::with_capacity(draws.len());
+        window.variation_batch(&draws, &mut vars);
+        let mut vars = vars.into_iter();
+        sampled
+            .into_iter()
+            .zip(&mut rngs)
+            .map(|(draw, rng)| {
+                draw?;
+                let var = vars.next().expect("one variation per sampled draw");
+                Ok(var?.map(|var| sample(var, rng)))
+            })
+            .collect()
+    };
     // Hard stop so a pathological budget cannot loop forever: trial
     // indices beyond this bound mean the budget shorts essentially
     // every draw.
@@ -272,22 +301,22 @@ where
             }
         },
         |range| Ok::<Vec<TrialResult>, std::convert::Infallible>(eval_chunk(range)),
-        |farm, outcome| {
-            match outcome {
-                Ok(TrialResolution::Sample(s)) => farm.samples.push(s),
-                Ok(TrialResolution::Shorted) => {
-                    farm.shorted += 1;
-                    return std::ops::ControlFlow::Continue(());
-                }
-                Err(e) => {
-                    farm.error = Some(e);
-                    return std::ops::ControlFlow::Break(());
+        |farm, outcome| match outcome {
+            Ok(Some(s)) => {
+                farm.samples.push(s);
+                if farm.samples.len() == farm.trials {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
                 }
             }
-            if farm.samples.len() == farm.trials {
-                std::ops::ControlFlow::Break(())
-            } else {
-                std::ops::ControlFlow::Continue(())
+            Ok(None) => {
+                farm.shorted += 1;
+                ControlFlow::Continue(())
+            }
+            Err(e) => {
+                farm.error = Some(e);
+                ControlFlow::Break(())
             }
         },
     )
@@ -296,9 +325,11 @@ where
         return Err(e);
     }
     if farm.samples.len() < farm.trials {
-        // The dispatcher exhausted `limit` indices first.
-        return Err(CoreError::NoFeasibleCorner {
+        // The dispatcher consumed all `limit` indices first.
+        return Err(CoreError::ShortedDrawsExhausted {
             option: option.to_string(),
+            attempts: limit as u64,
+            evaluated: farm.samples.len(),
         });
     }
     Ok((farm.samples, farm.shorted))
@@ -380,40 +411,11 @@ fn penalty_distribution_with(
     let started = traced.then(std::time::Instant::now);
 
     let base = RngStream::from_seed(config.seed);
-    // Trial k consumes substream k: a sample, a shorted draw (yield
-    // loss, skipped), or a hard error. A chunk samples all its draws,
-    // then prints them as one batch.
-    let eval_chunk = |range: std::ops::Range<usize>| -> Vec<TrialResult> {
-        let sampled: Vec<Result<Draw, CoreError>> = range
-            .map(|k| {
-                sample_draw(option, budget, &mut base.substream(k as u64)).map_err(CoreError::from)
-            })
-            .collect();
-        let draws: Vec<Draw> = sampled
-            .iter()
-            .filter_map(|d| d.as_ref().ok())
-            .copied()
-            .collect();
-        let mut vars = Vec::with_capacity(draws.len());
-        window.variation_batch(&draws, &mut vars);
-        let mut vars = vars.into_iter();
-        sampled
-            .into_iter()
-            .map(|draw| {
-                draw?;
-                let var = vars.next().expect("one variation per sampled draw");
-                Ok(match var? {
-                    Some(var) => {
-                        TrialResolution::Sample(model.tdp_percent(n, var.r_var, var.c_var))
-                    }
-                    None => TrialResolution::Shorted,
-                })
-            })
-            .collect()
-    };
-
     let threads = config.exec.effective_threads();
-    let (samples, shorted) = farm_trials(option, config.trials, threads, eval_chunk)?;
+    let (samples, shorted) =
+        farm_trials(window, budget, &base, config.trials, threads, |var, _| {
+            model.tdp_percent(n, var.r_var, var.c_var)
+        })?;
 
     if traced {
         mpvar_trace::counter_add(names::MC_TRIALS, samples.len() as u64);
@@ -467,6 +469,29 @@ mod tests {
             },
         )
         .unwrap()
+    }
+
+    #[test]
+    fn an_always_shorting_budget_exhausts_its_draws() {
+        let (tech, cell) = setup();
+        // A 1 mm overlay 3σ shorts LE3's bit line on every draw.
+        let budget = VariationBudget::paper_default(PatterningOption::Le3, 1e6).unwrap();
+        let config = McConfig {
+            trials: 50,
+            ..McConfig::default()
+        };
+        match tdp_distribution(&tech, &cell, PatterningOption::Le3, &budget, 64, &config) {
+            Err(CoreError::ShortedDrawsExhausted {
+                option,
+                attempts,
+                evaluated,
+            }) => {
+                assert_eq!(option, PatterningOption::Le3.to_string());
+                assert_eq!(attempts, 20 * 50 + 1000);
+                assert!(evaluated < 50, "evaluated {evaluated}");
+            }
+            other => panic!("expected ShortedDrawsExhausted, got {other:?}"),
+        }
     }
 
     #[test]

@@ -12,12 +12,15 @@
 //! second-order (curvature) term is reported as well — for LE3 overlay
 //! the curvature is exactly what drives the Monte-Carlo spread.
 
+use std::fmt::Write as _;
+
 use mpvar_extract::{extract_track, RelativeVariation, WireParasitics};
 use mpvar_litho::{apply_draw, Draw};
 use mpvar_sram::BitcellGeometry;
 use mpvar_tech::{PatterningOption, TechDb};
 
 use crate::error::CoreError;
+use crate::experiments::ExperimentContext;
 use crate::formula::AnalyticalModel;
 use crate::report::TextTable;
 
@@ -139,6 +142,58 @@ pub fn sensitivity_profile(
         step_nm,
         parameters,
     })
+}
+
+/// The per-parameter sensitivity profiles of every implemented
+/// patterning option: the `extension-sensitivity` artefact.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SensitivityMatrix {
+    /// Array size the profiles were evaluated at.
+    pub n: usize,
+    /// One profile per option, in [`PatterningOption::ALL_WITH_EXTENSIONS`] order.
+    pub profiles: Vec<SensitivityProfile>,
+}
+
+/// Profiles every option of [`PatterningOption::ALL_WITH_EXTENSIONS`]
+/// at the context's pinned height with a 0.25 nm step.
+///
+/// # Errors
+///
+/// Propagates [`sensitivity_profile`] failures.
+pub fn extension_sensitivity(ctx: &ExperimentContext) -> Result<SensitivityMatrix, CoreError> {
+    let n = ctx.pinned_height();
+    let profiles = PatterningOption::ALL_WITH_EXTENSIONS
+        .into_iter()
+        .map(|option| sensitivity_profile(&ctx.tech, &ctx.cell, option, n, 0.25))
+        .collect::<Result<_, _>>()?;
+    Ok(SensitivityMatrix { n, profiles })
+}
+
+impl SensitivityMatrix {
+    /// Renders the per-option report tables, one after another.
+    pub fn report(&self) -> String {
+        let mut text = String::new();
+        for profile in &self.profiles {
+            text.push_str(&profile.report().render());
+            text.push('\n');
+        }
+        text
+    }
+
+    /// Renders every option's parameters as one CSV.
+    pub fn to_csv(&self) -> String {
+        let mut csv = String::from("option,parameter,slope_pp_per_nm,curvature_pp_per_nm2\n");
+        for profile in &self.profiles {
+            for p in &profile.parameters {
+                let _ = writeln!(
+                    csv,
+                    "{},{},{},{}",
+                    profile.option, p.name, p.slope_pp_per_nm, p.curvature_pp_per_nm2
+                );
+            }
+        }
+        csv
+    }
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@
 //! CSVs are compared strictly in both `repro check` profiles.
 
 use mpvar_extract::extract_track;
-use mpvar_litho::{apply_draw, sample_draw, Draw};
+use mpvar_litho::{apply_draw, Draw};
 use mpvar_sram::{simulate_write, FormulaParams, WriteConfig};
 use mpvar_stats::sampler::standard_normal;
 use mpvar_stats::RngStream;
@@ -39,7 +39,7 @@ use mpvar_yield::{run_yields, Proposal, YieldConfig};
 use crate::error::CoreError;
 use crate::experiments::{ExperimentContext, Table1};
 use crate::formula::AnalyticalModel;
-use crate::montecarlo::{twp_distribution_with, McConfig};
+use crate::montecarlo::{farm_trials, twp_distribution_with, McConfig};
 use crate::nominal::NominalCache;
 use crate::rareevent::FormulaYieldProblem;
 use crate::report::{pct, ps, TextTable};
@@ -343,26 +343,22 @@ pub struct SenseMargin {
     pub rows: Vec<(PatterningOption, f64, f64, f64)>,
 }
 
-/// Draws [`sense_margin`] may sample per requested trial before it gives
-/// up on a budget whose prints keep shorting.
-const SENSE_ATTEMPTS_PER_TRIAL: usize = 64;
-
-/// Most attempts `sense_margin` samples and prints as one batch.
-const SENSE_BLOCK: usize = 1024;
-
 /// Runs the sense-margin Monte-Carlo: per trial, the MP draw fixes the
 /// bit-line RC (so the differential developed inside the fixed sense
 /// window), the offset is an independent Gaussian, and the read fails
 /// when the differential does not clear `sense_dv + offset`.
 ///
 /// Trial `k` consumes RNG substream `k` (draw first, then offset), so
-/// the result is independent of evaluation order.
+/// the result is independent of evaluation order. Shorted prints are
+/// screened out: they are hard yield losses, counted by the read and
+/// write yield studies, not sense failures.
 ///
 /// # Errors
 ///
 /// [`CoreError::ShortedDrawsExhausted`] when an option's draws print
-/// shorted lines so often that 64 draws per trial do not fill the trial
-/// budget; otherwise propagates sampling/extraction/model failures.
+/// shorted lines so often that the Monte-Carlo farm's draw cap does not
+/// fill the trial budget; otherwise propagates
+/// sampling/extraction/model failures.
 pub fn sense_margin(ctx: &ExperimentContext) -> Result<SenseMargin, CoreError> {
     let s = &ctx.write_settings;
     let n = s.margin_n;
@@ -381,65 +377,20 @@ pub fn sense_margin(ctx: &ExperimentContext) -> Result<SenseMargin, CoreError> {
         let window = cache.window(option)?;
         let budget = s.budget(option)?;
         let base = RngStream::from_seed(s.seed);
-        let mut margins = Vec::with_capacity(s.sense_trials);
-        let mut failures = 0usize;
-        let mut consumed = 0usize;
-        let mut k = 0u64;
-        let max_attempts = s.sense_trials.saturating_mul(SENSE_ATTEMPTS_PER_TRIAL) as u64;
-        let (mut draws, mut rngs, mut vars) = (Vec::new(), Vec::new(), Vec::new());
-        // Shorted prints are screened out (they are hard yield losses,
-        // counted by the read/write yield studies, not sense failures);
-        // the trial budget counts evaluated columns, and the attempt cap
-        // turns a budget that (nearly) always shorts into an error.
-        while consumed < s.sense_trials {
-            if k == max_attempts {
-                return Err(CoreError::ShortedDrawsExhausted {
-                    option: option.to_string(),
-                    attempts: k,
-                    evaluated: consumed,
-                });
-            }
-            // Each attempt consumes at most one trial, so a block of the
-            // trials still missing samples no attempt the one-by-one
-            // loop would not reach. Each draw keeps its substream, which
-            // then draws the sense-amp offset.
-            let size = (s.sense_trials - consumed).min(SENSE_BLOCK) as u64;
-            draws.clear();
-            rngs.clear();
-            let mut sample_error = None;
-            for j in k..(k + size).min(max_attempts) {
-                let mut rng = base.substream(j);
-                match sample_draw(option, &budget, &mut rng) {
-                    Ok(draw) => {
-                        draws.push(draw);
-                        rngs.push(rng);
-                    }
-                    Err(e) => {
-                        sample_error = Some(e);
-                        break;
-                    }
-                }
-            }
-            window.variation_batch(&draws, &mut vars);
-            k += draws.len() as u64;
-            for (rng, var) in rngs.iter_mut().zip(vars.drain(..)) {
-                let Some(var) = var? else {
-                    continue;
-                };
+        let (margins, _) = farm_trials(
+            window,
+            &budget,
+            &base,
+            s.sense_trials,
+            threads,
+            |var, rng| {
                 let tau_s = model.td_s(n, var.r_var, var.c_var) / a;
                 let dv_v = ctx.read_config.vdd_v * (1.0 - (-window_s / tau_s).exp());
                 let offset_v = s.sense_offset_sigma_v * standard_normal(rng);
-                let margin_v = dv_v - ctx.read_config.sense_dv_v - offset_v;
-                if margin_v < 0.0 {
-                    failures += 1;
-                }
-                margins.push(margin_v);
-                consumed += 1;
-            }
-            if let Some(e) = sample_error {
-                return Err(e.into());
-            }
-        }
+                dv_v - ctx.read_config.sense_dv_v - offset_v
+            },
+        )?;
+        let failures = margins.iter().filter(|&&margin_v| margin_v < 0.0).count();
         let summary: mpvar_stats::Summary = margins.iter().copied().collect();
         Ok::<_, CoreError>((
             option,
@@ -830,7 +781,8 @@ mod tests {
                 evaluated,
             }) => {
                 assert_eq!(option, PatterningOption::Le3.to_string());
-                assert_eq!(attempts, 50 * SENSE_ATTEMPTS_PER_TRIAL as u64);
+                // The Monte-Carlo farm's cap: 20 draws per trial + 1000.
+                assert_eq!(attempts, 20 * 50 + 1000);
                 assert!(evaluated < 50, "evaluated {evaluated}");
             }
             other => panic!("expected ShortedDrawsExhausted, got {other:?}"),

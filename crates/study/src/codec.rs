@@ -25,9 +25,9 @@
 //! the known vocabulary on decode, so the decoded value is
 //! indistinguishable from a freshly computed one.
 //!
-//! A payload that decodes must also render: `decode_value` rejects the
-//! shapes the renderers index by but the layout cannot express (see
-//! `check_shape`).
+//! A payload that decodes must also render: a layout marked
+//! `=> check` rejects the shapes the renderers index by but the layout
+//! cannot express.
 
 use std::fmt;
 
@@ -37,7 +37,7 @@ use mpvar_core::experiments::{
 };
 use mpvar_core::montecarlo::TdpDistribution;
 use mpvar_core::rareevent::{YieldRow, YieldSettings, YieldTable};
-use mpvar_core::sensitivity::{ParameterSensitivity, SensitivityProfile};
+use mpvar_core::sensitivity::{ParameterSensitivity, SensitivityMatrix, SensitivityProfile};
 use mpvar_core::worst_case::WorstCase;
 use mpvar_core::writeexp::{
     SenseMargin, WlDelay, WriteMargin, WriteTime, WriteYieldRow, WriteYieldTable,
@@ -47,7 +47,8 @@ use mpvar_litho::{Draw, EuvDraw, Le2Draw, Le3Draw, SadpDraw};
 use mpvar_stats::Summary;
 use mpvar_tech::PatterningOption;
 
-use crate::value::{ArtifactValue, SensitivityMatrix};
+use crate::graph::artifact_table;
+use crate::value::{ArtifactData, ArtifactValue};
 
 /// Version of the payload layout. Any change to the encoding — field
 /// added, type widened, order shuffled — must bump this; the disk
@@ -271,9 +272,12 @@ codec_tuple!(A.0, B.1, C.2, D.3, E.4, F.5);
 /// The decoder is a struct literal in the same order, and Rust
 /// evaluates struct-literal fields as written, so the list need not
 /// follow the declaration. `field in VOCAB` travels as text and is
-/// re-interned against `VOCAB` on decode. The `default` form fills a
-/// `#[non_exhaustive]` struct field by field from its `Default`, so a
-/// field added later keeps its default under this codec version.
+/// re-interned against `VOCAB` on decode. `=> check` runs `check` on
+/// the decoded artifact result and rejects it, prefixed with its
+/// artifact id, when the renderer could not index it. The `default`
+/// form fills a `#[non_exhaustive]` struct field by field from its
+/// `Default`, so a field added later keeps its default under this
+/// codec version.
 macro_rules! codec_struct {
     (default $ty:ident { $($field:ident),+ $(,)? }) => {
         impl Codec for $ty {
@@ -288,16 +292,20 @@ macro_rules! codec_struct {
             }
         }
     };
-    ($($ty:ident { $($field:ident $(in $vocab:ident)?),+ $(,)? })+) => {$(
+    ($($ty:ident { $($field:ident $(in $vocab:ident)?),+ $(,)? } $(=> $check:ident)?)+) => {$(
         impl Codec for $ty {
             fn put(&self, out: &mut Vec<u8>) {
                 $(codec_struct!(@put self.$field, out $(, $vocab)?);)+
             }
 
             fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-                Ok($ty {
+                let value = $ty {
                     $($field: codec_struct!(@get r, $field $(, $vocab)?),)+
-                })
+                };
+                $($check(&value).map_err(|message| {
+                    r.err(format!("{}: {message}", <$ty as ArtifactData>::ID.name()))
+                })?;)?
+                Ok(value)
             }
         }
     )+};
@@ -443,53 +451,42 @@ codec_struct! {
     }
 
     Table1 { worst_cases }
-    Fig4 { sizes, td_nominal_s, td_worst_s }
+    Fig4 { sizes, td_nominal_s, td_worst_s } => fig4_shape
     Table2 { rows }
-    Table3 { sizes, simulation, formula }
+    Table3 { sizes, simulation, formula } => table3_shape
     Fig5 { n, distributions }
     Table4 { n, rows }
     AblationDelayModels { rows }
-    AblationBlWidth { rows }
+    AblationBlWidth { rows } => ablation_bl_width_shape
     AblationSadpAnticorrelation { pearson_r, worst_rbl_percent, worst_rvss_percent }
     ExtensionLe2 { n, rows }
     ExtensionLer { n, ler_sigma_nm, rows }
     SensitivityMatrix { n, profiles }
     ExtensionScaling { n, rows }
     YieldTable { n, settings, rows }
-    WriteTime { sizes, t_write_sim_s, t_write_formula_s, penalty_percent }
+    WriteTime { sizes, t_write_sim_s, t_write_formula_s, penalty_percent } => write_time_shape
     WriteMargin { n, rows }
     SenseMargin { n, window_s, offset_sigma_v, rows }
     WlDelay { columns, near_nominal_s, far_nominal_s, rows }
     WriteYieldTable { n, rows }
 }
 
-// Tags 1–14 date from `CODEC_VERSION` 1; 15–19 joined with version 2,
-// which also added a per-distribution failed-read count to the FIG5
-// layout; version 3 dropped the unread fourth moment from every
-// `Summary`, which is now `n, mean, m2, m3, min, max`; version 4
-// dropped that failed-read count again, which only the deleted SPICE
-// Monte-Carlo route set.
-codec_tagged!("artifact" ArtifactValue {
-    1 => Table1,
-    2 => Fig4,
-    3 => Table2,
-    4 => Table3,
-    5 => Fig5,
-    6 => Table4,
-    7 => AblationDelay,
-    8 => AblationBlWidth,
-    9 => AblationSadpVss,
-    10 => ExtensionLe2,
-    11 => ExtensionLer,
-    12 => ExtensionSensitivity,
-    13 => ExtensionScaling,
-    14 => Yield6Sigma,
-    15 => WriteTime,
-    16 => WriteMargin,
-    17 => SenseMargin,
-    18 => WlDelay,
-    19 => WriteYield,
-});
+// The artifact tags are the table's codec column. Tags 1–14 date from
+// `CODEC_VERSION` 1; 15–19 joined with version 2, which also added a
+// per-distribution failed-read count to the FIG5 layout; version 3
+// dropped the unread fourth moment from every `Summary`, which is now
+// `n, mean, m2, m3, min, max`; version 4 dropped that failed-read count
+// again, which only the deleted SPICE Monte-Carlo route set.
+macro_rules! artifact_tags {
+    ($(
+        $(#[$doc:meta])* $variant:ident, $tag:literal, $name:literal, $ty:ident,
+        $producer:ident($($input:ident),*) $($text:ident)?;
+    )+) => {
+        codec_tagged!("artifact" ArtifactValue { $($tag => $variant),+ });
+    };
+}
+
+artifact_table!(artifact_tags);
 
 /// Encodes one artifact value into its `CODEC_VERSION` payload.
 pub fn encode_value(value: &ArtifactValue) -> Vec<u8> {
@@ -504,49 +501,48 @@ pub fn encode_value(value: &ArtifactValue) -> Vec<u8> {
 ///
 /// [`CodecError`] when the payload is truncated, has trailing bytes,
 /// contains an unknown tag / interned string, or holds a shape its
-/// renderer cannot index (see `check_shape`).
+/// renderer cannot index (see the `=> check` layouts).
 pub fn decode_value(bytes: &[u8]) -> Result<ArtifactValue, CodecError> {
     let mut r = Reader { buf: bytes, pos: 0 };
     let value = ArtifactValue::get(&mut r)?;
     r.finish()?;
-    check_shape(&value).map_err(|message| r.err(format!("{}: {message}", value.id().name())))?;
     Ok(value)
 }
 
 // ---------------------------------------------------------------------
 // Shape checks (input validation, not layout)
 // ---------------------------------------------------------------------
+//
+// The shapes the renderers index by: every per-option list holds
+// LELELE, SADP and EUV, every per-option table has exactly those three
+// rows or columns, and every series has one value per array size.
 
-/// The shapes the renderers index by: every per-option list holds
-/// LELELE, SADP and EUV, every per-option table has exactly those three
-/// rows or columns, and every series has one value per array size.
-fn check_shape(value: &ArtifactValue) -> Result<(), String> {
+fn fig4_shape(v: &Fig4) -> Result<(), String> {
+    per_size(v.sizes.len(), [&v.td_nominal_s])?;
+    per_option(v.sizes.len(), &v.td_worst_s)
+}
+
+fn write_time_shape(v: &WriteTime) -> Result<(), String> {
+    per_size(v.sizes.len(), [&v.t_write_sim_s, &v.t_write_formula_s])?;
+    per_option(v.sizes.len(), &v.penalty_percent)
+}
+
+fn table3_shape(v: &Table3) -> Result<(), String> {
     let options = PatterningOption::ALL.len();
-    match value {
-        ArtifactValue::Fig4(v) => {
-            per_size(v.sizes.len(), [&v.td_nominal_s])?;
-            per_option(v.sizes.len(), &v.td_worst_s)
+    for series in [&v.simulation, &v.formula] {
+        if series.len() != options {
+            return Err(format!("{} option rows, not {options}", series.len()));
         }
-        ArtifactValue::WriteTime(v) => {
-            per_size(v.sizes.len(), [&v.t_write_sim_s, &v.t_write_formula_s])?;
-            per_option(v.sizes.len(), &v.penalty_percent)
-        }
-        ArtifactValue::Table3(v) => {
-            for series in [&v.simulation, &v.formula] {
-                if series.len() != options {
-                    return Err(format!("{} option rows, not {options}", series.len()));
-                }
-                per_size(v.sizes.len(), series)?;
-            }
-            Ok(())
-        }
-        ArtifactValue::AblationBlWidth(v) => {
-            match v.rows.iter().find(|(_, d)| d.len() != options) {
-                Some((_, d)) => Err(format!("{} option columns, not {options}", d.len())),
-                None => Ok(()),
-            }
-        }
-        _ => Ok(()),
+        per_size(v.sizes.len(), series)?;
+    }
+    Ok(())
+}
+
+fn ablation_bl_width_shape(v: &AblationBlWidth) -> Result<(), String> {
+    let options = PatterningOption::ALL.len();
+    match v.rows.iter().find(|(_, d)| d.len() != options) {
+        Some((_, d)) => Err(format!("{} option columns, not {options}", d.len())),
+        None => Ok(()),
     }
 }
 
@@ -573,6 +569,7 @@ fn per_option(sizes: usize, lists: &[(PatterningOption, Vec<f64>)]) -> Result<()
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::ArtifactId;
 
     fn parasitics(net: &str) -> WireParasitics {
         WireParasitics::from_parts(net.to_string(), 1024.0, 812.5, 1.5e-16, 2.5e-17, 3.5e-17)
@@ -780,6 +777,44 @@ mod tests {
                 (len, digest),
                 "{id} payload moved"
             );
+        }
+    }
+
+    /// `(name, codec tag, dependencies)` of every artifact in
+    /// `ArtifactId::ALL` order: the artifact table's columns, pinned so
+    /// an edited row fails here by name.
+    #[test]
+    fn artifact_table_is_pinned() {
+        use ArtifactId as A;
+        let pinned: [(&str, u8, &[ArtifactId]); 19] = [
+            ("table1", 1, &[]),
+            ("fig4", 2, &[A::Table1]),
+            ("table2", 3, &[A::Fig4]),
+            ("table3", 4, &[A::Table1, A::Fig4]),
+            ("fig5", 5, &[]),
+            ("table4", 6, &[]),
+            ("ablation-delay", 7, &[A::Fig4]),
+            ("ablation-bl-width", 8, &[]),
+            ("ablation-sadp-vss", 9, &[]),
+            ("extension-le2", 10, &[]),
+            ("extension-ler", 11, &[]),
+            ("extension-sensitivity", 12, &[]),
+            ("extension-scaling", 13, &[]),
+            ("yield_6sigma", 14, &[]),
+            ("write_time", 15, &[A::Table1]),
+            ("write_margin", 16, &[]),
+            ("sense_margin", 17, &[]),
+            ("wl_delay", 18, &[A::Table1]),
+            ("write_yield", 19, &[]),
+        ];
+        assert_eq!(ArtifactId::ALL.len(), pinned.len());
+        let values = sample_values();
+        for ((id, value), (name, tag, deps)) in ArtifactId::ALL.into_iter().zip(&values).zip(pinned)
+        {
+            assert_eq!(value.id(), id);
+            assert_eq!(id.name(), name);
+            assert_eq!(encode_value(value)[0], tag, "{name} tag");
+            assert_eq!(id.dependencies(), deps, "{name} dependencies");
         }
     }
 

@@ -12,3 +12,14 @@ pub(crate) fn unknown_artifact() -> CoreError {
         constraint: "must be one of the known experiment ids (or `all`)",
     }
 }
+
+/// The error returned when a stored value is not of the variant the
+/// artifact table declares for its id: a producer input, or a value
+/// [`crate::Study::get`] projects.
+pub(crate) fn wrong_variant() -> CoreError {
+    CoreError::InvalidParameter {
+        name: "artifact value",
+        value: f64::NAN,
+        constraint: "must be the variant the artifact table declares for its id",
+    }
+}

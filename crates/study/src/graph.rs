@@ -1,9 +1,10 @@
-//! The artifact dependency graph: typed node identifiers, their
-//! declared inputs, and deterministic evaluation planning.
+//! The artifact dependency graph: the artifact table, the typed node
+//! identifiers it declares, and deterministic evaluation planning.
 //!
 //! The paper's deliverables form a small DAG — Fig. 4 simulates the
 //! Table I worst corners, Tables II/III and ablation A1 re-use the
-//! Fig. 4 delays — and every other artefact is a root. [`plan`] turns
+//! Fig. 4 delays, the write-time and word-line studies re-use the
+//! Table I corners — and every other artefact is a root. [`plan`] turns
 //! a requested artifact set into topologically-ordered *waves*: within
 //! a wave every node's inputs are already available, so the whole wave
 //! can be dispatched in parallel without changing any result.
@@ -11,110 +12,112 @@
 use crate::error::unknown_artifact;
 use mpvar_core::CoreError;
 
-/// Identifier of one paper deliverable (table, figure, ablation, or
-/// extension) in the artifact graph.
+/// The artifact table: one row per graph node, in canonical report
+/// order (the order of `repro all` and of the `results/` goldens).
 ///
-/// The variant order is the canonical report order used by `repro all`
-/// and the committed `results/` goldens.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[non_exhaustive]
-pub enum ArtifactId {
-    /// Table I — worst-case variability corner per patterning option.
-    Table1,
-    /// Fig. 4 — worst-case wire-variability impact on `td`.
-    Fig4,
-    /// Table II — formula versus simulation, nominal `td`.
-    Table2,
-    /// Table III — formula versus simulation, worst-case `tdp`.
-    Table3,
-    /// Fig. 5 — Monte-Carlo `tdp` distributions.
-    Fig5,
-    /// Table IV — `tdp` sigma per option and overlay budget.
-    Table4,
-    /// Ablation A1 — lumped vs Elmore vs simulated delay.
-    AblationDelay,
-    /// Ablation A2 — bit-line drawn-width sensitivity.
-    AblationBlWidth,
-    /// Ablation A3 — SADP R_bl / R_VSS anti-correlation.
-    AblationSadpVss,
-    /// Extension E1 — LELE versus the paper's options.
-    ExtensionLe2,
-    /// Extension E2 — line-edge roughness on top of MP.
-    ExtensionLer,
-    /// Extension — per-parameter tdp sensitivities.
-    ExtensionSensitivity,
-    /// Extension E3 — N10 versus N7 node scaling.
-    ExtensionScaling,
-    /// Extension — rare-event yield: importance-sampled P_fail to 6σ.
-    Yield6Sigma,
-    /// Write path — nominal and worst-corner flip time per height.
-    WriteTime,
-    /// Write path — Monte-Carlo write-time-penalty spread per option.
-    WriteMargin,
-    /// Sense periphery — sense-amp offset against the MP-skewed RC.
-    SenseMargin,
-    /// Word line — near versus far column delay per option.
-    WlDelay,
-    /// Write path — rare-event write-failure probability per option.
-    WriteYield,
+/// ```text
+/// Variant, codec tag, "string id", ResultType, producer(InputType, ...) [text];
+/// ```
+///
+/// The variant names both the [`ArtifactId`] and the
+/// [`ArtifactValue`](crate::ArtifactValue) variant. The codec tag is the
+/// byte that leads the value's payload and is fixed forever once
+/// assigned. The producer is an `mpvar-core` runner called as
+/// `producer(ctx, &input, ...)`; each input is the result type of
+/// another row, and the node's dependencies are those inputs' ids, in
+/// the order listed. A row marked `text` renders its `report()` string
+/// and `to_csv()`; every other result renders its `report()` table.
+///
+/// `artifact_table!(generator)` hands the rows to `generator`, so each
+/// module derives its part from the one table: this module the ids,
+/// `value` the values, inputs and producers, `codec` the tags.
+macro_rules! artifact_table {
+    ($generator:ident) => {
+        $generator! {
+            /// Table I — worst-case variability corner per patterning option.
+            Table1, 1, "table1", Table1, table1();
+            /// Fig. 4 — worst-case wire-variability impact on `td`.
+            Fig4, 2, "fig4", Fig4, fig4(Table1);
+            /// Table II — formula versus simulation, nominal `td`.
+            Table2, 3, "table2", Table2, table2(Fig4);
+            /// Table III — formula versus simulation, worst-case `tdp`.
+            Table3, 4, "table3", Table3, table3(Table1, Fig4);
+            /// Fig. 5 — Monte-Carlo `tdp` distributions.
+            Fig5, 5, "fig5", Fig5, fig5() text;
+            /// Table IV — `tdp` sigma per option and overlay budget.
+            Table4, 6, "table4", Table4, table4();
+            /// Ablation A1 — lumped vs Elmore vs simulated delay.
+            AblationDelay, 7, "ablation-delay", AblationDelayModels, ablation_delay_models(Fig4);
+            /// Ablation A2 — bit-line drawn-width sensitivity.
+            AblationBlWidth, 8, "ablation-bl-width", AblationBlWidth, ablation_bl_width();
+            /// Ablation A3 — SADP R_bl / R_VSS anti-correlation.
+            AblationSadpVss, 9, "ablation-sadp-vss", AblationSadpAnticorrelation,
+                ablation_sadp_anticorrelation();
+            /// Extension E1 — LELE versus the paper's options.
+            ExtensionLe2, 10, "extension-le2", ExtensionLe2, extension_le2();
+            /// Extension E2 — line-edge roughness on top of MP.
+            ExtensionLer, 11, "extension-ler", ExtensionLer, extension_ler();
+            /// Extension — per-parameter tdp sensitivities.
+            ExtensionSensitivity, 12, "extension-sensitivity", SensitivityMatrix,
+                extension_sensitivity() text;
+            /// Extension E3 — N10 versus N7 node scaling.
+            ExtensionScaling, 13, "extension-scaling", ExtensionScaling, extension_scaling();
+            /// Extension — rare-event yield: importance-sampled P_fail to 6σ.
+            Yield6Sigma, 14, "yield_6sigma", YieldTable, yield_6sigma();
+            /// Write path — nominal and worst-corner flip time per height.
+            WriteTime, 15, "write_time", WriteTime, write_time(Table1);
+            /// Write path — Monte-Carlo write-time-penalty spread per option.
+            WriteMargin, 16, "write_margin", WriteMargin, write_margin();
+            /// Sense periphery — sense-amp offset against the MP-skewed RC.
+            SenseMargin, 17, "sense_margin", SenseMargin, sense_margin();
+            /// Word line — near versus far column delay per option.
+            WlDelay, 18, "wl_delay", WlDelay, wl_delay(Table1);
+            /// Write path — rare-event write-failure probability per option.
+            WriteYield, 19, "write_yield", WriteYieldTable, write_yield();
+        }
+    };
 }
 
-impl ArtifactId {
-    /// Every artifact, in canonical report order.
-    pub const ALL: [ArtifactId; 19] = [
-        ArtifactId::Table1,
-        ArtifactId::Fig4,
-        ArtifactId::Table2,
-        ArtifactId::Table3,
-        ArtifactId::Fig5,
-        ArtifactId::Table4,
-        ArtifactId::AblationDelay,
-        ArtifactId::AblationBlWidth,
-        ArtifactId::AblationSadpVss,
-        ArtifactId::ExtensionLe2,
-        ArtifactId::ExtensionLer,
-        ArtifactId::ExtensionSensitivity,
-        ArtifactId::ExtensionScaling,
-        ArtifactId::Yield6Sigma,
-        ArtifactId::WriteTime,
-        ArtifactId::WriteMargin,
-        ArtifactId::SenseMargin,
-        ArtifactId::WlDelay,
-        ArtifactId::WriteYield,
-    ];
+pub(crate) use artifact_table;
 
-    /// The stable string id (e.g. `table1`, `extension-le2`) used by
-    /// the `repro` CLI and the `results/<id>.csv` goldens.
-    pub fn name(self) -> &'static str {
-        match self {
-            ArtifactId::Table1 => "table1",
-            ArtifactId::Fig4 => "fig4",
-            ArtifactId::Table2 => "table2",
-            ArtifactId::Table3 => "table3",
-            ArtifactId::Fig5 => "fig5",
-            ArtifactId::Table4 => "table4",
-            ArtifactId::AblationDelay => "ablation-delay",
-            ArtifactId::AblationBlWidth => "ablation-bl-width",
-            ArtifactId::AblationSadpVss => "ablation-sadp-vss",
-            ArtifactId::ExtensionLe2 => "extension-le2",
-            ArtifactId::ExtensionLer => "extension-ler",
-            ArtifactId::ExtensionSensitivity => "extension-sensitivity",
-            ArtifactId::ExtensionScaling => "extension-scaling",
-            ArtifactId::Yield6Sigma => "yield_6sigma",
-            ArtifactId::WriteTime => "write_time",
-            ArtifactId::WriteMargin => "write_margin",
-            ArtifactId::SenseMargin => "sense_margin",
-            ArtifactId::WlDelay => "wl_delay",
-            ArtifactId::WriteYield => "write_yield",
+macro_rules! artifact_ids {
+    ($(
+        $(#[$doc:meta])* $variant:ident, $tag:literal, $name:literal, $ty:ident,
+        $producer:ident($($input:ident),*) $($text:ident)?;
+    )+) => {
+        /// Identifier of one paper deliverable (table, figure, ablation,
+        /// or extension) in the artifact graph.
+        ///
+        /// The variant order is the canonical report order used by
+        /// `repro all` and the committed `results/` goldens.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        #[non_exhaustive]
+        pub enum ArtifactId {
+            $($(#[$doc])* $variant,)+
         }
-    }
 
+        impl ArtifactId {
+            /// Every artifact, in canonical report order.
+            pub const ALL: [ArtifactId; [$($name),+].len()] = [$(ArtifactId::$variant),+];
+
+            /// The stable string id (e.g. `table1`, `extension-le2`) used
+            /// by the `repro` CLI and the `results/<id>.csv` goldens.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(ArtifactId::$variant => $name,)+
+                }
+            }
+        }
+    };
+}
+
+artifact_table!(artifact_ids);
+
+impl ArtifactId {
     /// Parses a CLI/golden string id (`yield` is accepted as an alias
     /// for `yield_6sigma`).
     pub fn parse(s: &str) -> Option<ArtifactId> {
-        if s == "yield" {
-            return Some(ArtifactId::Yield6Sigma);
-        }
+        let s = if s == "yield" { "yield_6sigma" } else { s };
         ArtifactId::ALL.into_iter().find(|id| id.name() == s)
     }
 
@@ -125,20 +128,6 @@ impl ArtifactId {
     /// [`CoreError::InvalidParameter`] for an unknown id.
     pub fn try_parse(s: &str) -> Result<ArtifactId, CoreError> {
         ArtifactId::parse(s).ok_or_else(unknown_artifact)
-    }
-
-    /// The artifacts this node consumes (its graph inputs).
-    ///
-    /// Producers receive these, already evaluated, in exactly this
-    /// order.
-    pub fn dependencies(self) -> &'static [ArtifactId] {
-        match self {
-            ArtifactId::Fig4 => &[ArtifactId::Table1],
-            ArtifactId::Table2 | ArtifactId::AblationDelay => &[ArtifactId::Fig4],
-            ArtifactId::Table3 => &[ArtifactId::Table1, ArtifactId::Fig4],
-            ArtifactId::WriteTime | ArtifactId::WlDelay => &[ArtifactId::Table1],
-            _ => &[],
-        }
     }
 }
 
@@ -195,6 +184,7 @@ mod tests {
         for id in ArtifactId::ALL {
             assert_eq!(ArtifactId::parse(id.name()), Some(id));
         }
+        assert_eq!(ArtifactId::parse("yield"), Some(ArtifactId::Yield6Sigma));
         assert_eq!(ArtifactId::parse("tableX"), None);
         assert!(ArtifactId::try_parse("tableX").is_err());
     }

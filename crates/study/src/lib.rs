@@ -2,9 +2,10 @@
 //!
 //! The single public entry point for running `mpvar` analyses. The
 //! paper's deliverables (Tables I–IV, Figs. 4/5, ablations, extensions)
-//! form a dependency DAG; this crate models each as a typed node
-//! ([`ArtifactId`] → producer + declared inputs) and evaluates any
-//! requested set through a [`Study`] session that
+//! form a dependency DAG; this crate models each as a typed node,
+//! declared once as a row of the artifact table in [`graph`] (id, codec
+//! tag, name, result type, producer and typed inputs), and evaluates
+//! any requested set through a [`Study`] session that
 //!
 //! * resolves the request into a topologically-ordered plan
 //!   ([`graph::plan`]),
@@ -57,6 +58,7 @@ pub use cache::{context_fingerprint, CacheKey};
 pub use codec::{decode_value, encode_value, CodecError};
 pub use disk::{DiskStore, WriteFault};
 pub use graph::{plan, ArtifactId};
+pub use mpvar_core::sensitivity::SensitivityMatrix;
 pub use session::{NodeStats, Study};
 pub use store::{ArtifactStore, MemoryStore, StoreStats};
-pub use value::{Artifact, ArtifactData, ArtifactValue, SensitivityMatrix, TypedArtifact};
+pub use value::{Artifact, ArtifactData, ArtifactValue, TypedArtifact};

@@ -9,6 +9,7 @@ use mpvar_core::CoreError;
 use mpvar_trace::{names, FieldValue, SpanGuard, SpanRecord};
 
 use crate::cache::{context_fingerprint, node_key, CacheKey};
+use crate::error::wrong_variant;
 use crate::graph::{plan, ArtifactId};
 use crate::store::{ArtifactStore, MemoryStore, StoreStats};
 use crate::value::{produce, Artifact, ArtifactData, ArtifactValue, TypedArtifact};
@@ -277,10 +278,10 @@ impl Study {
     ///
     /// # Errors
     ///
-    /// Propagates producer failures.
+    /// Propagates producer failures; [`CoreError::InvalidParameter`]
+    /// when the store holds a value of another variant under the key.
     pub fn get<T: ArtifactData>(&self) -> Result<TypedArtifact<T>, CoreError> {
-        let value = self.artifact(T::ID)?;
-        Ok(TypedArtifact::new(value).expect("artifact variant matches its id"))
+        TypedArtifact::new(self.artifact(T::ID)?).ok_or_else(wrong_variant)
     }
 
     /// Evaluates `requested` and renders each artifact (text + CSV), in

@@ -33,8 +33,8 @@ use std::collections::BTreeMap;
 
 use mpvar_core::{AnalyticalModel, ElmoreModel, NominalWindow};
 use mpvar_exec::ExecConfig;
-use mpvar_extract::{extract_track, RelativeVariation};
-use mpvar_litho::{apply_draw, sample_draw, Draw};
+use mpvar_extract::RelativeVariation;
+use mpvar_litho::{sample_draw, Draw};
 use mpvar_sram::{
     simulate_read_batch_in, BitcellGeometry, FormulaParams, ReadBatchScratch, ReadConfig,
 };
@@ -195,8 +195,9 @@ pub(crate) struct Case {
 /// Case `k` consumes RNG substream `k` of `seed`: pick an option
 /// round-robin, a height uniformly in `heights`, and a draw from the
 /// option's budget, print the one-cell window, and extract
-/// `R_var`/`C_var`. Shorted draws are skipped and replaced (up to
-/// `4 · cases + 64` attempts). Returns the cases and the number of
+/// `R_var`/`C_var`. Shorted or collapsed prints are skipped and
+/// replaced (up to `4 · cases + 64` attempts); every other print or
+/// extraction error is returned. Returns the cases and the number of
 /// shorted draws skipped.
 pub(crate) fn sample_cases(
     tech: &TechDb,
@@ -225,19 +226,16 @@ pub(crate) fn sample_cases(
         let span = (n_max - n_min + 1) as f64;
         let n = n_min + ((rng.next_f64() * span) as usize).min(n_max - n_min);
         let budget = VariationBudget::paper_default(option, overlay_nm).map_err(analysis)?;
-        let window = &windows[slot];
         let draw = sample_draw(option, &budget, &mut rng)?;
-        let Ok(printed) = apply_draw(window.stack(), &draw) else {
+        let Some(var) = windows[slot].variation(&draw)? else {
             shorted += 1;
             continue;
         };
-        let parasitics =
-            extract_track(&printed, window.bl_index(), window.metal()).map_err(analysis)?;
         out.push(Case {
             option,
             n,
             draw,
-            var: RelativeVariation::between(window.nominal(), &parasitics),
+            var,
             substream: k - 1,
         });
     }
