@@ -2007,6 +2007,100 @@ mod tests {
         ));
     }
 
+    /// One deck with every element kind: a DC and a pulse voltage
+    /// source, a current source, resistors, grounded and floating
+    /// capacitors, and a MOSFET whose drain and source are both off
+    /// ground. `s` scales the lane's values.
+    fn every_kind_lane(s: f64) -> Netlist {
+        let tech = n10();
+        let mut net = Netlist::new();
+        let vdd = net.node("vdd");
+        let vin = net.node("in");
+        let d = net.node("d");
+        let src = net.node("s");
+        let a = net.node("a");
+        net.add_vsource("VDD", vdd, Netlist::GROUND, Waveform::dc(0.7))
+            .unwrap();
+        net.add_vsource(
+            "VIN",
+            vin,
+            Netlist::GROUND,
+            Waveform::pulse(0.0, 0.7, 2e-12, 1e-12, 1e-12, 1.0, 0.0).unwrap(),
+        )
+        .unwrap();
+        net.add_resistor("RL", vdd, d, 10e3 * s).unwrap();
+        net.add_mosfet(
+            "M1",
+            d,
+            vin,
+            src,
+            MosfetModel::new(tech.nmos().scaled(s).unwrap()),
+        )
+        .unwrap();
+        net.add_resistor("RS", src, Netlist::GROUND, 1e3 * s)
+            .unwrap();
+        net.add_capacitor("CD", d, Netlist::GROUND, 1e-15 * s)
+            .unwrap();
+        net.add_capacitor("CDS", d, src, 0.5e-15 / s).unwrap();
+        net.add_isource("IA", Netlist::GROUND, a, Waveform::dc(2e-6 * s))
+            .unwrap();
+        net.add_resistor("RA", a, d, 20e3 / s).unwrap();
+        net.add_capacitor("CA", a, Netlist::GROUND, 1e-15).unwrap();
+        net
+    }
+
+    #[test]
+    fn every_element_kind_batch_bit_identical_to_scalar() {
+        let nets: Vec<Netlist> = [1.0, 1.3, 0.8]
+            .iter()
+            .map(|&s| every_kind_lane(s))
+            .collect();
+        let refs: Vec<&Netlist> = nets.iter().collect();
+        let probes: Vec<NodeId> = ["d", "s", "a", "in"]
+            .iter()
+            .map(|n| nets[0].find_node(n).unwrap())
+            .collect();
+        let (d, src) = (probes[0], probes[1]);
+        // 0.2 ps does not divide 20.5 ps: the final step is shortened.
+        let (dt, t_stop) = (2e-13, 2.05e-11);
+        let mut ws = BatchedMnaWorkspace::new();
+        // UIC and the DC operating-point start, under both methods.
+        let uic = [(d, 0.7), (src, 0.0)];
+        for method in [Method::Trapezoidal, Method::BackwardEuler] {
+            for initial in [&uic[..], &[]] {
+                let spec = BatchTransientSpec {
+                    method,
+                    dt,
+                    t_stop,
+                    initial,
+                    probes: &probes,
+                };
+                let out =
+                    run_transient_batch_until(&refs, &spec, &mut ws, |_, _, _| false).unwrap();
+                for (l, net) in nets.iter().enumerate() {
+                    let mut tran = Transient::new(net).unwrap();
+                    tran.set_method(method);
+                    for &(node, v) in initial {
+                        tran.set_initial_voltage(node, v);
+                    }
+                    let scalar = tran.run(dt, t_stop).unwrap();
+                    assert_bits_eq(&out.times, scalar.times(), "times");
+                    let BatchLaneOutcome::Completed { probes: got } = &out.lanes[l] else {
+                        panic!("lane {l} fell out: {:?}", out.lanes[l]);
+                    };
+                    for (p, &node) in probes.iter().enumerate() {
+                        let what = format!(
+                            "{method:?} uic={} lane {l} {}",
+                            !initial.is_empty(),
+                            net.node_name(node)
+                        );
+                        assert_bits_eq(&got[p], scalar.waveform(node), &what);
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn single_lane_batch_matches_scalar() {
         let net = nmos_lane(1.0, 1.0);
