@@ -31,7 +31,7 @@ use mpvar_core::experiments::{
 };
 use mpvar_core::rareevent::YieldTable;
 use mpvar_core::writeexp::{SenseMargin, WlDelay, WriteMargin, WriteTime, WriteYieldTable};
-use mpvar_core::{CoreError, ExecConfig};
+use mpvar_core::{try_par_map_range, CoreError, ExecConfig};
 use mpvar_sram::WriteConfig;
 use mpvar_study::{ArtifactId, Study};
 use mpvar_testkit::compare::{compare_tables, Policy, TableSpec};
@@ -386,27 +386,28 @@ pub fn run_check(opts: &CheckOptions) -> Result<CheckReport, CoreError> {
 /// cache hits — visible in the session's `timings()` counters and, with
 /// a trace collector installed, as zero-duration `study_node` spans.
 ///
-/// The differential oracles share nothing with the matrix, so they run
-/// alongside it on a thread of their own (under a `check_oracles` root
-/// span), on `opts.exec`'s workers. Their items still come last, in
-/// the same order, so the report does not depend on the overlap.
+/// The differential oracles share nothing with the matrix, so the two
+/// run as the two indices of one parallel map on `opts.exec`'s thread
+/// budget: the oracles (under a `check_oracles` span) first, since they
+/// take longer, and the matrix alongside. Nested maps in either borrow
+/// from that one budget. Their items still come last, in the same
+/// order, so the report does not depend on the overlap.
 ///
 /// # Errors
 ///
 /// Propagates experiment-runner failures.
 pub fn run_check_in(opts: &CheckOptions, study: &Study) -> Result<CheckReport, CoreError> {
     let ctx = study.context();
-    std::thread::scope(|scope| {
-        let oracles = scope.spawn(|| oracle_items(opts, ctx));
-        let matrix = matrix_items(opts, study);
-        let oracles = oracles
-            .join()
-            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-        let mut report = CheckReport::new();
-        report.extend(matrix?);
-        report.extend(oracles);
-        Ok(report)
-    })
+    let mut halves = try_par_map_range(2, opts.exec.effective_threads(), |half| match half {
+        0 => Ok(oracle_items(opts, ctx)),
+        _ => matrix_items(opts, study),
+    })?;
+    let matrix = halves.pop().expect("two halves");
+    let oracles = halves.pop().expect("two halves");
+    let mut report = CheckReport::new();
+    report.extend(matrix);
+    report.extend(oracles);
+    Ok(report)
 }
 
 /// Regenerates the experiment matrix and renders the golden-gate and

@@ -61,6 +61,7 @@ pub use formula::AnalyticalModel;
 pub use montecarlo::{
     tdp_distribution, tdp_distribution_with, McConfig, McConfigBuilder, TdpDistribution,
 };
+pub use mpvar_exec::try_par_map_range;
 pub use mpvar_exec::ExecConfig;
 pub use nominal::NominalWindow;
 pub use rareevent::{yield_6sigma, FormulaYieldProblem, YieldRow, YieldSettings, YieldTable, ZMap};

@@ -32,15 +32,25 @@
 //! (including errors) trivially. Batch composition therefore never
 //! affects any trial's bits.
 //!
+//! # One walk, recorded
+//!
+//! The batch does not know the stamp sequence itself. It records every
+//! lane's walk of the scalar assembly once, at admission: each stamp's
+//! coordinate, value and provenance (key-independent, capacitor
+//! companion `±g`, or MOSFET stamp `j`) and each right-hand-side term.
+//! Lane 0's walk becomes the shared CSR pattern, slot program and RHS
+//! program; a lane whose walk differs falls out as a structure
+//! mismatch. The device and stepping formulas (companion conductance
+//! and history current, the MOSFET linearization, the Newton rule, the
+//! step grid) are the scalar path's own functions, called per lane.
+//!
 //! # Per-iteration assembly
 //!
-//! The first assembly of each (method-phase, step-size) key records the
-//! full stamp stream per lane, exactly like the scalar compiled kernel,
-//! and caches the resulting static value image per key — fixed-step
+//! Each (method-phase, step-size) key gets a static value image built
+//! from the recorded provenance and cached per key — fixed-step
 //! transients flip between a handful of keys (the UIC backward-Euler
 //! bootstrap, the nominal dt and its float-jitter neighbours, the
-//! shortened final step), and re-recording on every flip dominated the
-//! early batch profile. Static stamps (GMIN, resistors, capacitor
+//! shortened final step). Static stamps (GMIN, resistors, capacitor
 //! companions, source incidence) live in CSR slots no MOSFET touches
 //! and keep their seeded values across iterations; slots touched by any
 //! MOSFET stamp are zeroed and have *all* their stamps replayed per
@@ -54,13 +64,13 @@
 
 use crate::error::SpiceError;
 use crate::mna::{
-    assemble_into, is_linear, system_size, ReactivePolicy, StampRecorder, MAX_ITERS, VSTEP_MAX,
-    VTOL,
+    assemble_into, damp, fold_delta, is_linear, newton_damping, row_of, system_size, Companion,
+    MosStamp, OperatingPoint, ReactivePolicy, RhsTerm, Stamp, StampRecorder, MAX_ITERS,
 };
 use crate::mosfet::MosfetModel;
 use crate::netlist::{Element, Netlist, NodeId};
 use crate::sparse::{CsrMatrix, LuBatchWorkspace, SymbolicLu};
-use crate::transient::Method;
+use crate::transient::{Method, StepGrid};
 
 /// What a batched transient should run: the scalar
 /// [`crate::transient::Transient`] configuration, made explicit so one
@@ -122,8 +132,8 @@ pub enum BatchLaneOutcome {
     },
 }
 
-/// Result of [`run_transient_batch`]: the shared time grid plus one
-/// outcome per input netlist, in input order.
+/// Result of [`run_transient_batch_until`]: the shared time grid plus
+/// one outcome per input netlist, in input order.
 #[derive(Debug, Clone)]
 pub struct BatchTransientResult {
     /// Time points, s (`t = 0` first; shared by all completed lanes).
@@ -133,37 +143,34 @@ pub struct BatchTransientResult {
 }
 
 /// Reusable numeric storage for batched transients. One workspace per
-/// worker thread: [`run_transient_batch`] resizes the buffers in place,
-/// so consecutive batches of the same structure allocate nothing in the
-/// solve loop (asserted by the `spice.batch_workspace_bytes` gauge
-/// staying flat across waves).
+/// worker thread: [`run_transient_batch_until`] resizes the buffers in
+/// place, so consecutive batches of the same structure allocate nothing
+/// in the solve loop (asserted by the `spice.batch_workspace_bytes`
+/// gauge staying flat across waves).
 #[derive(Debug, Default)]
 pub struct BatchedMnaWorkspace {
     /// CSR values, `[slot][lane]`.
     vals: Vec<f64>,
-    /// Per-key recorded stamp values, `[program index][lane]`.
+    /// Per-key static stamp values, `[program index][lane]`.
     stamp_vals: Vec<f64>,
     /// Cached static images per companion key. Fixed-step transients
     /// flip between a handful of keys (the UIC backward-Euler step, the
     /// nominal dt, its float-jitter neighbours, the shortened final
-    /// step); re-recording each flip was the single largest batch cost.
+    /// step); rebuilding each flip was once the largest batch cost.
     /// Slots are reused across batches; `key` is `None` when free.
     key_images: Vec<KeyImage>,
     /// Which key the buffers in `stamp_vals` / `vals` currently encode
-    /// (`None` until the first record). Key switches *swap* buffers with
+    /// (`None` until the first key). Key switches *swap* buffers with
     /// the key's pooled image instead of copying them.
     resident_key: Option<(bool, u64)>,
     /// Logical clock driving the key-image LRU.
     key_clock: u64,
-    /// Per-step right-hand-side constants: voltage-source values,
-    /// `[vsource][lane]`.
-    vsrc_vals: Vec<f64>,
-    /// Per-step current-source values, `[isource][lane]`.
-    isrc_vals: Vec<f64>,
+    /// Per-step source waveform values, `[source][lane]`.
+    src_vals: Vec<f64>,
     /// Per-step capacitor companion currents for the RHS,
     /// `[capacitor][lane]`.
     cap_rhs: Vec<f64>,
-    /// Per-iteration MOSFET stamp values, `[dyn index][lane]`.
+    /// Per-iteration MOSFET stamp values, `[mosfet · 6 + j][lane]`.
     dyn_vals: Vec<f64>,
     /// Per-iteration MOSFET Norton currents, `[mosfet][lane]`.
     mos_ieq: Vec<f64>,
@@ -173,10 +180,10 @@ pub struct BatchedMnaWorkspace {
     /// per-op RHS build and the solve's permutation gather are both
     /// contiguous lanes-wide operations.
     rhs: Vec<f64>,
-    /// Scalar scratch RHS for the recording path (one lane at a time).
+    /// Scalar scratch RHS for the admission walks (one lane at a time).
     rec_rhs: Vec<f64>,
-    /// Scalar scratch guess for the recording path.
-    rec_x: Vec<f64>,
+    /// The zero state the admission walks assemble around.
+    rec_zeros: Vec<f64>,
     /// Newton guesses, `[row][lane]` interleaved.
     x: Vec<f64>,
     /// Newton solutions, `[row][lane]` interleaved (the batched solve
@@ -194,16 +201,11 @@ pub struct BatchedMnaWorkspace {
     node_v: Vec<f64>,
     /// Capacitor companion currents, `[capacitor][lane]` interleaved.
     cap_i: Vec<f64>,
-    /// Scalar scratch node voltages / companion currents for the
-    /// recording path (one lane, transposed out of the interleaved
-    /// buffers).
-    rec_nv: Vec<f64>,
-    rec_ic: Vec<f64>,
     /// Batched LU factors and scatter rows.
     lu: LuBatchWorkspace,
     /// Per-lane first failing pivot row of the last refactor.
     fail_row: Vec<Option<usize>>,
-    /// Recording sink reused across key changes and lanes.
+    /// Walk recorder reused across the lanes after the first.
     rec: StampRecorder,
 }
 
@@ -224,8 +226,7 @@ impl BatchedMnaWorkspace {
             .sum();
         8 * (self.vals.capacity()
             + images
-            + self.vsrc_vals.capacity()
-            + self.isrc_vals.capacity()
+            + self.src_vals.capacity()
             + self.cap_rhs.capacity()
             + self.stamp_vals.capacity()
             + self.dyn_vals.capacity()
@@ -233,31 +234,31 @@ impl BatchedMnaWorkspace {
             + self.cap_farads.capacity()
             + self.rhs.capacity()
             + self.rec_rhs.capacity()
-            + self.rec_x.capacity()
+            + self.rec_zeros.capacity()
             + self.x.capacity()
             + self.x_new.capacity()
             + self.conv_delta.capacity()
             + self.conv_scale.capacity()
             + self.node_v.capacity()
-            + self.cap_i.capacity()
-            + self.rec_nv.capacity()
-            + self.rec_ic.capacity())
+            + self.cap_i.capacity())
             + 8 * self.conv_copy.capacity()
             + 8 * self.conv_damp.capacity()
             + 16 * self.fail_row.capacity()
             + 16 * self.rec.coords.capacity()
             + 8 * self.rec.vals.capacity()
+            + std::mem::size_of::<Stamp>() * self.rec.stamps.capacity()
+            + std::mem::size_of::<(usize, RhsTerm)>() * self.rec.rhs.capacity()
             + self.lu.bytes()
     }
 }
 
-/// Cached static images of one companion key: the recorded stamp
-/// stream and the fully seeded value image. Buffers are reused across
-/// batches (`key` is cleared, capacity kept) so the workspace-bytes
-/// gauge stays flat in steady state.
+/// Cached static images of one companion key: the static stamp values
+/// and the fully seeded value image. Buffers are reused across batches
+/// (`key` is cleared, capacity kept) so the workspace-bytes gauge stays
+/// flat in steady state.
 #[derive(Debug, Default)]
 struct KeyImage {
-    /// `(use_be, dt_k bits)`; `None` = slot free.
+    /// `(trapezoidal, dt bits)`; `None` = slot free.
     key: Option<(bool, u64)>,
     /// Logical timestamp of the last hit, for LRU replacement.
     last_used: u64,
@@ -268,14 +269,14 @@ struct KeyImage {
 /// Upper bound on cached key images per batch. Fixed-step transients
 /// produce at most a handful of distinct keys (BE bootstrap, nominal
 /// dt, float-jitter neighbours, shortened final step); anything beyond
-/// the bound falls back to re-recording, which is merely slower.
+/// the bound falls back to rebuilding, which is merely slower.
 const MAX_KEY_IMAGES: usize = 32;
 
-/// One static/dynamic-classified entry of the per-iteration replay
-/// program (only slots touched by a MOSFET stamp appear here).
+/// One entry of the per-iteration replay program (only slots touched by
+/// a MOSFET stamp appear here).
 #[derive(Debug, Clone, Copy)]
 enum IterStamp {
-    /// Replay a recorded static stamp value.
+    /// Replay a static stamp value.
     Stat {
         /// Destination CSR slot.
         slot: u32,
@@ -291,351 +292,77 @@ enum IterStamp {
     },
 }
 
-/// One right-hand-side operation, in element order. The RHS is rebuilt
-/// from scratch every Newton iteration, exactly like the scalar path.
+/// The staged array a right-hand-side term reads.
+#[derive(Debug, Clone, Copy)]
+enum Staged {
+    /// `cap_rhs`: capacitor companion currents.
+    Cap,
+    /// `src_vals`: source waveform values.
+    Src,
+    /// `mos_ieq`: MOSFET Norton currents.
+    Mos,
+}
+
+/// One right-hand-side operation of lane 0's walk, in walk order. The
+/// RHS is rebuilt from scratch every Newton iteration, exactly like the
+/// scalar path.
 #[derive(Debug, Clone, Copy)]
 enum RhsOp {
-    /// Capacitor companion current (form depends on the step's policy).
-    Cap {
-        /// Capacitor index (into `cap_farads` / `cap_i`).
-        cap: usize,
-        /// Matrix row of terminal `a` (`None` = ground).
-        a_row: Option<usize>,
-        /// Matrix row of terminal `b`.
-        b_row: Option<usize>,
-        /// `node_v` index of terminal `a` (ground included).
-        a_nv: usize,
-        /// `node_v` index of terminal `b`.
-        b_nv: usize,
-    },
-    /// Voltage-source row assignment `rhs[row] = waveform(t)`.
-    Vsrc {
-        /// Branch-current row.
+    /// `rhs[row] = src_vals[i]`: a voltage source's branch row.
+    Set { row: usize, i: usize },
+    /// `rhs[row] += staged[i]`, or `-=` when `neg`.
+    Add {
         row: usize,
-        /// Element index (per-lane waveform lookup).
-        elem: usize,
-        /// Index into the staged `vsrc_vals`.
-        vs: usize,
-    },
-    /// Current-source injection.
-    Isrc {
-        /// Matrix row of terminal `p`.
-        p_row: Option<usize>,
-        /// Matrix row of terminal `n`.
-        n_row: Option<usize>,
-        /// Element index.
-        elem: usize,
-        /// Index into the staged `isrc_vals`.
-        is_: usize,
-    },
-    /// MOSFET Norton current (staged by the dynamic evaluation).
-    Mos {
-        /// Matrix row of the drain.
-        d_row: Option<usize>,
-        /// Matrix row of the source.
-        s_row: Option<usize>,
-        /// Mosfet index (into `mos_ieq`).
-        mos: usize,
+        from: Staged,
+        i: usize,
+        neg: bool,
     },
 }
 
-/// Topology of one MOSFET, resolved to matrix rows.
-#[derive(Debug, Clone, Copy)]
-struct MosInfo {
-    elem: usize,
-    d_row: Option<usize>,
-    g_row: Option<usize>,
-    s_row: Option<usize>,
-    /// First index of this device's stamps in the dynamic value stream.
-    dyn_base: usize,
-}
-
-/// The compiled shared structure of one batch.
+/// The compiled shared structure of one batch, taken from lane 0's
+/// recorded walk.
 struct CompiledBatch {
     pattern: CsrMatrix,
     program: Vec<u32>,
+    /// Provenance of each program stamp.
+    stamps: Vec<Stamp>,
     iter_prog: Vec<IterStamp>,
     /// CSR slots touched by any MOSFET stamp: zeroed before each
     /// per-iteration replay (every other slot keeps its seeded value).
     dyn_slots: Vec<u32>,
     rhs_ops: Vec<RhsOp>,
-    mosfets: Vec<MosInfo>,
+    /// Source elements read by the RHS program, in `src_vals` order.
+    sources: Vec<usize>,
+    /// Capacitor terminals, in capacitor order.
+    caps: Vec<(NodeId, NodeId)>,
+    /// Drain, gate and source matrix rows of each MOSFET.
+    mos_rows: Vec<[Option<usize>; 3]>,
     /// Dense per-lane model copies, `[mosfet][lane]` — the staging loop
     /// reads these instead of chasing each lane's `Element` storage.
     models: Vec<MosfetModel>,
-    /// Per-stamp value provenance: how to rebuild `stamp_vals` for a
-    /// companion key that has never been recorded.
-    static_src: Vec<StaticSrc>,
-    /// Key-independent stamp values, `[fixed][lane]`, captured from the
-    /// first (and only) scalar recording pass.
+    /// Key-independent stamp values, `[fixed][lane]`, from each lane's
+    /// admission walk.
     fixed_vals: Vec<f64>,
-    /// Staged-array extents: voltage sources, current sources.
-    n_vsrc: usize,
-    n_isrc: usize,
-    sym: SymbolicLu,
-}
-
-/// Walks the MOSFET matrix-stamp emission sequence of
-/// [`assemble_into`] — the single source of truth shared by structural
-/// classification (coordinates) and the per-iteration value staging, so
-/// the two can never desynchronize.
-fn for_each_mos_stamp(
-    d_row: Option<usize>,
-    g_row: Option<usize>,
-    s_row: Option<usize>,
-    mut f: impl FnMut(usize, usize),
-) {
-    if let Some(id_) = d_row {
-        f(id_, id_);
-        if let Some(ig) = g_row {
-            f(id_, ig);
-        }
-        if let Some(is_) = s_row {
-            f(id_, is_);
-        }
-    }
-    if let Some(is_) = s_row {
-        f(is_, is_);
-        if let Some(ig) = g_row {
-            f(is_, ig);
-        }
-        if let Some(id_) = d_row {
-            f(is_, id_);
-        }
-    }
-}
-
-/// How a static stamp's *value* is produced for a new companion key
-/// without re-running the scalar assembly. Key-independent values
-/// (GMIN, resistor conductances, voltage-source `±1`s) are captured
-/// per lane at the first record; capacitor companion conductances are
-/// recomputed from the stored per-lane farads with the scalar path's
-/// exact expression.
-#[derive(Debug, Clone, Copy)]
-enum StaticSrc {
-    /// Key-independent: `fixed_vals[fi]` captured at first record.
-    Fixed(u32),
-    /// Capacitor companion diagonal: `+g` for cap `ci`.
-    CapDiag(u32),
-    /// Capacitor companion off-diagonal: `-g` for cap `ci`.
-    CapOff(u32),
-    /// MOSFET stamp: staged per iteration, value irrelevant at seed.
-    Dyn,
-}
-
-/// Classification output: per recorded stamp, is it static or the
-/// `k`-th dynamic value; plus the RHS program and MOSFET topology.
-struct Classified {
-    coords: Vec<(usize, usize)>,
-    /// `None` = static stamp, `Some(k)` = k-th dynamic value.
-    dyn_of: Vec<Option<u32>>,
-    /// Per-stamp value provenance for key reseeding.
-    static_src: Vec<StaticSrc>,
-    rhs_ops: Vec<RhsOp>,
-    mosfets: Vec<MosInfo>,
-    n_dyn: usize,
-    n_fixed: usize,
-    n_isrc: usize,
-}
-
-/// Mirrors [`assemble_into`]'s structural (value-independent) branch
-/// sequence, emitting one classified coordinate per stamp call plus the
-/// RHS program. The caller asserts the coordinates against an actual
-/// recorded assembly, so any drift between this walk and the real one
-/// is caught at batch setup, not silently computed wrong.
-fn classify(net: &Netlist) -> Classified {
-    let nn = net.num_nodes();
-    let idx = |node: NodeId| -> Option<usize> {
-        if node.is_ground() {
-            None
-        } else {
-            Some(node.index() - 1)
-        }
-    };
-
-    let mut c = Classified {
-        coords: Vec::new(),
-        dyn_of: Vec::new(),
-        static_src: Vec::new(),
-        rhs_ops: Vec::new(),
-        mosfets: Vec::new(),
-        n_dyn: 0,
-        n_fixed: 0,
-        n_isrc: 0,
-    };
-    let stat = |c: &mut Classified, r: usize, col: usize| {
-        c.coords.push((r, col));
-        c.dyn_of.push(None);
-        c.static_src.push(StaticSrc::Fixed(c.n_fixed as u32));
-        c.n_fixed += 1;
-    };
-    // `cap`: `Some(ci)` when the conductance is a capacitor companion
-    // (key-dependent), `None` for a plain resistor (key-independent).
-    let conductance = |c: &mut Classified, a: NodeId, b: NodeId, cap: Option<u32>| {
-        let diag = |c: &mut Classified| match cap {
-            Some(ci) => c.static_src.push(StaticSrc::CapDiag(ci)),
-            None => {
-                c.static_src.push(StaticSrc::Fixed(c.n_fixed as u32));
-                c.n_fixed += 1;
-            }
-        };
-        let off = |c: &mut Classified| match cap {
-            Some(ci) => c.static_src.push(StaticSrc::CapOff(ci)),
-            None => {
-                c.static_src.push(StaticSrc::Fixed(c.n_fixed as u32));
-                c.n_fixed += 1;
-            }
-        };
-        if let Some(ia) = idx(a) {
-            c.coords.push((ia, ia));
-            c.dyn_of.push(None);
-            diag(c);
-        }
-        if let Some(ib) = idx(b) {
-            c.coords.push((ib, ib));
-            c.dyn_of.push(None);
-            diag(c);
-        }
-        if let (Some(ia), Some(ib)) = (idx(a), idx(b)) {
-            c.coords.push((ia, ib));
-            c.dyn_of.push(None);
-            off(c);
-            c.coords.push((ib, ia));
-            c.dyn_of.push(None);
-            off(c);
-        }
-    };
-
-    for node in 1..nn {
-        stat(&mut c, node - 1, node - 1);
-    }
-
-    let mut vsrc = 0usize;
-    let mut cap_index = 0usize;
-    for (e_idx, e) in net.elements().iter().enumerate() {
-        match e {
-            Element::Resistor { a, b, .. } => conductance(&mut c, *a, *b, None),
-            Element::Capacitor { a, b, .. } => {
-                // Transient policies always stamp the companion
-                // conductance (only DC skips it, and batches never run
-                // a DC policy).
-                conductance(&mut c, *a, *b, Some(cap_index as u32));
-                c.rhs_ops.push(RhsOp::Cap {
-                    cap: cap_index,
-                    a_row: idx(*a),
-                    b_row: idx(*b),
-                    a_nv: a.index(),
-                    b_nv: b.index(),
-                });
-                cap_index += 1;
-            }
-            Element::VSource { p, n, .. } => {
-                let row = nn - 1 + vsrc;
-                if let Some(ip) = idx(*p) {
-                    stat(&mut c, ip, row);
-                    stat(&mut c, row, ip);
-                }
-                if let Some(in_) = idx(*n) {
-                    stat(&mut c, in_, row);
-                    stat(&mut c, row, in_);
-                }
-                c.rhs_ops.push(RhsOp::Vsrc {
-                    row,
-                    elem: e_idx,
-                    vs: vsrc,
-                });
-                vsrc += 1;
-            }
-            Element::ISource { p, n, .. } => {
-                c.rhs_ops.push(RhsOp::Isrc {
-                    p_row: idx(*p),
-                    n_row: idx(*n),
-                    elem: e_idx,
-                    is_: c.n_isrc,
-                });
-                c.n_isrc += 1;
-            }
-            Element::Mosfet { d, g, s, .. } => {
-                let (d_row, g_row, s_row) = (idx(*d), idx(*g), idx(*s));
-                let dyn_base = c.n_dyn;
-                for_each_mos_stamp(d_row, g_row, s_row, |r, col| {
-                    c.coords.push((r, col));
-                    c.dyn_of.push(Some(c.n_dyn as u32));
-                    c.static_src.push(StaticSrc::Dyn);
-                    c.n_dyn += 1;
-                });
-                c.rhs_ops.push(RhsOp::Mos {
-                    d_row,
-                    s_row,
-                    mos: c.mosfets.len(),
-                });
-                c.mosfets.push(MosInfo {
-                    elem: e_idx,
-                    d_row,
-                    g_row,
-                    s_row,
-                    dyn_base,
-                });
-            }
-        }
-    }
-    c
-}
-
-/// `true` when lane `net` is structurally identical to `reference`:
-/// same node count, same source count, same element kind/terminal
-/// sequence. Values (R, C, waveforms, models) are free to differ.
-fn same_structure(reference: &Netlist, net: &Netlist) -> bool {
-    if reference.num_nodes() != net.num_nodes()
-        || reference.num_vsources() != net.num_vsources()
-        || reference.elements().len() != net.elements().len()
-    {
-        return false;
-    }
-    reference
-        .elements()
-        .iter()
-        .zip(net.elements())
-        .all(|(a, b)| match (a, b) {
-            (Element::Resistor { a: a1, b: b1, .. }, Element::Resistor { a: a2, b: b2, .. }) => {
-                a1 == a2 && b1 == b2
-            }
-            (Element::Capacitor { a: a1, b: b1, .. }, Element::Capacitor { a: a2, b: b2, .. }) => {
-                a1 == a2 && b1 == b2
-            }
-            (Element::VSource { p: p1, n: n1, .. }, Element::VSource { p: p2, n: n2, .. }) => {
-                p1 == p2 && n1 == n2
-            }
-            (Element::ISource { p: p1, n: n1, .. }, Element::ISource { p: p2, n: n2, .. }) => {
-                p1 == p2 && n1 == n2
-            }
-            (
-                Element::Mosfet {
-                    d: d1,
-                    g: g1,
-                    s: s1,
-                    ..
-                },
-                Element::Mosfet {
-                    d: d2,
-                    g: g2,
-                    s: s2,
-                    ..
-                },
-            ) => d1 == d2 && g1 == g2 && s1 == s2,
-            _ => false,
-        })
+    /// The shared symbolic analysis; `None` until the first factor.
+    sym: Option<SymbolicLu>,
 }
 
 /// Runs one transient analysis over `nets.len()` structurally identical
 /// netlists at once, sharing one stamp program and one symbolic LU
-/// analysis across all lanes. Per-lane results are **bit-identical** to
-/// the scalar compiled kernel ([`crate::transient::Transient::run`]);
-/// lanes the batch cannot carry fall out ([`BatchLaneOutcome::FellOut`])
-/// and should be re-run through the scalar path.
+/// analysis across all lanes, and asks `stop(lane, times, probes)`
+/// after every accepted step whether that lane's record so far (the
+/// shared time grid and the lane's probe waveforms) is enough. A lane
+/// is asked until it first answers `true`; the batch ends after the
+/// first step at which every lane still in it has answered `true`.
 ///
-/// The same as [`run_transient_batch_until`] with a stop that never
-/// fires.
+/// Per-lane results are **bit-identical** to the scalar compiled kernel
+/// ([`crate::transient::Transient::run_until`] with the same stop);
+/// lanes the batch cannot carry fall out ([`BatchLaneOutcome::FellOut`])
+/// and should be re-run through the scalar path. Every lane's record is
+/// a bit-identical prefix of what a stop that never fires returns,
+/// because each step depends only on earlier ones: a measurement that
+/// reads nothing after the step where the lane's `stop` fired gives the
+/// same answer on either.
 ///
 /// # Errors
 ///
@@ -643,29 +370,6 @@ fn same_structure(reference: &Netlist, net: &Netlist) -> bool {
 /// reference netlist, non-positive `dt`/`t_stop`, or an absurd step
 /// count — conditions shared by every lane. Per-lane failures are
 /// reported per lane, never as a batch error.
-pub fn run_transient_batch(
-    nets: &[&Netlist],
-    spec: &BatchTransientSpec<'_>,
-    ws: &mut BatchedMnaWorkspace,
-) -> Result<BatchTransientResult, SpiceError> {
-    run_transient_batch_until(nets, spec, ws, |_, _, _| false)
-}
-
-/// Runs [`run_transient_batch`], but asks `stop(lane, times, probes)`
-/// after every accepted step whether that lane's record so far (the
-/// shared time grid and the lane's probe waveforms) is enough. A lane
-/// is asked until it first answers `true`; the batch ends after the
-/// first step at which every lane still in it has answered `true`.
-///
-/// Every lane's record is a bit-identical prefix of what
-/// [`run_transient_batch`] returns (and so of the scalar
-/// [`crate::transient::Transient::run`]), because each step depends
-/// only on earlier ones: a measurement that reads nothing after the
-/// step where the lane's `stop` fired gives the same answer on either.
-///
-/// # Errors
-///
-/// As [`run_transient_batch`].
 pub fn run_transient_batch_until(
     nets: &[&Netlist],
     spec: &BatchTransientSpec<'_>,
@@ -682,27 +386,13 @@ pub fn run_transient_batch_until(
             message: "netlist has no elements".into(),
         });
     }
-    let (dt, t_stop) = (spec.dt, spec.t_stop);
-    if !(dt > 0.0 && t_stop > 0.0) {
-        return Err(SpiceError::InvalidAnalysis {
-            message: format!("dt ({dt}) and t_stop ({t_stop}) must be positive"),
-        });
-    }
-    let mut steps = (t_stop / dt).ceil() as usize;
-    if steps > 20_000_000 {
-        return Err(SpiceError::InvalidAnalysis {
-            message: format!("{steps} steps requested; raise dt or lower t_stop"),
-        });
-    }
-    if steps > 1 && t_stop - (steps - 1) as f64 * dt <= dt * 1e-9 {
-        steps -= 1;
-    }
+    let grid = StepGrid::new(spec.dt, spec.t_stop)?;
 
     let _span = mpvar_trace::span!(
         mpvar_trace::names::SPAN_SPICE_BATCH,
         lanes = nets.len(),
-        dt = dt,
-        t_stop = t_stop,
+        dt = spec.dt,
+        t_stop = spec.t_stop,
     );
 
     let lanes = nets.len();
@@ -712,25 +402,12 @@ pub fn run_transient_batch_until(
     let linear = is_linear(net0);
     let uic = !spec.initial.is_empty();
 
-    // --- Lane admission: structural identity with the reference -------
+    // --- Lane admission: every lane's walk must be lane 0's ------------
     let mut fallout: Vec<Option<LaneFalloutReason>> = vec![None; lanes];
-    for (l, net) in nets.iter().enumerate().skip(1) {
-        if !same_structure(net0, net) {
-            fallout[l] = Some(LaneFalloutReason::StructureMismatch);
-        }
-    }
+    let mut c = compile_batch(nets, ws, &mut fallout, spec.dt);
 
     // --- State buffers (reused across batches) ------------------------
-    let caps: Vec<(NodeId, NodeId)> = net0
-        .elements()
-        .iter()
-        .filter_map(|e| match e {
-            Element::Capacitor { a, b, .. } => Some((*a, *b)),
-            _ => None,
-        })
-        .collect();
-    let ncaps = caps.len();
-
+    let ncaps = c.caps.len();
     ws.rhs.clear();
     ws.rhs.resize(lanes * size, 0.0);
     ws.x.clear();
@@ -741,8 +418,6 @@ pub fn run_transient_batch_until(
     ws.node_v.resize(lanes * nn, 0.0);
     ws.cap_i.clear();
     ws.cap_i.resize(lanes * ncaps, 0.0);
-    ws.cap_farads.clear();
-    ws.cap_farads.resize(ncaps * lanes, 0.0);
     ws.fail_row.clear();
     ws.fail_row.resize(lanes, None);
     // Key images from previous batches are stale (different draws mean
@@ -750,19 +425,6 @@ pub fn run_transient_batch_until(
     ws.resident_key = None;
     for img in &mut ws.key_images {
         img.key = None;
-    }
-
-    for (l, net) in nets.iter().enumerate() {
-        if fallout[l].is_some() {
-            continue;
-        }
-        let mut ci = 0usize;
-        for e in net.elements() {
-            if let Element::Capacitor { farads, .. } = e {
-                ws.cap_farads[ci * lanes + l] = *farads;
-                ci += 1;
-            }
-        }
     }
 
     // --- Initial state -------------------------------------------------
@@ -773,8 +435,8 @@ pub fn run_transient_batch_until(
             }
             for &(node, v) in spec.initial {
                 ws.node_v[node.index() * lanes + l] = v;
-                if !node.is_ground() {
-                    ws.x[(node.index() - 1) * lanes + l] = v;
+                if let Some(r) = row_of(node) {
+                    ws.x[r * lanes + l] = v;
                 }
             }
         }
@@ -783,7 +445,7 @@ pub fn run_transient_batch_until(
             if fallout[l].is_some() {
                 continue;
             }
-            match crate::mna::OperatingPoint::solve(net) {
+            match OperatingPoint::solve(net) {
                 Ok(op) => {
                     for (i, &v) in op.voltages().iter().enumerate() {
                         ws.node_v[i * lanes + l] = v;
@@ -798,6 +460,7 @@ pub fn run_transient_batch_until(
     }
 
     // --- Result storage ------------------------------------------------
+    let steps = grid.steps();
     let mut times = Vec::with_capacity(steps + 1);
     times.push(0.0);
     let mut probe_series: Vec<Vec<Vec<f64>>> = (0..lanes)
@@ -821,21 +484,12 @@ pub fn run_transient_batch_until(
     let mut n_refactors = 0u64;
 
     // --- Step loop -------------------------------------------------------
-    let mut compiled: Option<CompiledBatch> = None;
-    let mut current_key: Option<(bool, f64)> = None;
+    let mut current_key: Option<Companion> = None;
     let mut live = vec![false; lanes];
     // Lanes whose `stop` has fired; they keep stepping with the batch.
     let mut done = vec![false; lanes];
-    let mut first_step = true;
-    let mut t_prev = 0.0f64;
 
-    'steps: for k in 1..=steps {
-        let t = if k == steps { t_stop } else { k as f64 * dt };
-        let dt_k = t - t_prev;
-        let use_be = matches!(spec.method, Method::BackwardEuler) || (first_step && uic);
-        let key = (use_be, dt_k);
-        let key_changed = current_key != Some(key);
-
+    'steps: for (t, rule) in grid.iter(spec.method, uic) {
         for l in 0..lanes {
             live[l] = fallout[l].is_none();
         }
@@ -844,62 +498,47 @@ pub fn run_transient_batch_until(
         }
         n_batch_solves += 1;
 
-        for iter in 0..MAX_ITERS {
-            // ---- Assembly -------------------------------------------
-            let geom = BatchGeom {
-                lanes,
-                nn,
-                size,
-                ncaps,
-            };
-            if iter == 0 && key_changed {
-                let kk = (use_be, dt_k.to_bits());
-                if let Some(c) = compiled.as_ref() {
-                    // A previously recorded key swaps its static
-                    // images back in; a known structure under a
-                    // never-seen key rebuilds them analytically — no
-                    // scalar recording pass either way.
-                    if !switch_key_image(ws, kk) {
-                        reseed_key(ws, c, use_be, dt_k, lanes);
-                        adopt_key(ws, kk);
-                    }
-                    stage_step_constants(nets, ws, c, &live, t, dt_k, use_be, geom);
-                    assemble_compiled(ws, c, &live, geom);
-                } else {
-                    compiled = compile_batch(nets, ws, &mut fallout, t, dt_k, use_be, geom);
-                    for l in 0..lanes {
-                        if fallout[l].is_some() {
-                            live[l] = false;
-                        }
-                    }
-                    if compiled.is_none() || !live.iter().any(|&a| a) {
-                        break;
-                    }
-                    adopt_key(ws, kk);
-                    let c = compiled.as_ref().expect("compiled at first key");
-                    stage_step_constants(nets, ws, c, &live, t, dt_k, use_be, geom);
-                }
-                current_key = Some(key);
-            } else {
-                let c = compiled.as_ref().expect("compiled at first key");
-                if iter == 0 {
-                    stage_step_constants(nets, ws, c, &live, t, dt_k, use_be, geom);
-                }
-                assemble_compiled(ws, c, &live, geom);
+        let key_changed = current_key != Some(rule);
+        if key_changed {
+            // A key seen earlier in this batch swaps its static images
+            // back in; a new one rebuilds them from the recorded
+            // provenance — no scalar assembly either way.
+            let key = (rule.trap, rule.dt.to_bits());
+            if !switch_key_image(ws, key) {
+                reseed_key(ws, &c, rule, lanes);
+                ws.resident_key = Some(key);
             }
-            let c = compiled.as_ref().expect("compiled at first key");
+            current_key = Some(rule);
+        }
+        stage_step_constants(nets, ws, &c, &live, t, rule, lanes);
+
+        for _iter in 0..MAX_ITERS {
+            // ---- Assembly -------------------------------------------
+            assemble_compiled(ws, &c, &live, lanes);
 
             // ---- Factor ---------------------------------------------
             // The scalar linear fast path factors only when the
             // companion key changes; the nonlinear path factors every
-            // iteration.
+            // iteration. The first factor runs the shared analysis.
             if !linear || key_changed {
+                if c.sym.is_none() {
+                    c.sym = shared_analysis(&c.pattern, &ws.vals, lanes, &mut fallout);
+                    if let Some(sym) = &c.sym {
+                        ws.lu.prepare(sym, lanes);
+                    }
+                }
+                let Some(sym) = &c.sym else {
+                    // Every lane fell out before a shared analysis existed.
+                    live.fill(false);
+                    break;
+                };
                 ws.fail_row.fill(None);
-                c.sym
-                    .refactor_batch(&c.pattern, &ws.vals, &mut ws.lu, &mut ws.fail_row);
+                sym.refactor_batch(&c.pattern, &ws.vals, &mut ws.lu, &mut ws.fail_row);
                 n_refactors += 1;
                 for l in 0..lanes {
-                    if live[l] && ws.fail_row[l].is_some() {
+                    if fallout[l].is_some() {
+                        live[l] = false;
+                    } else if live[l] && ws.fail_row[l].is_some() {
                         fallout[l] = Some(LaneFalloutReason::PivotDrift);
                         live[l] = false;
                     }
@@ -910,9 +549,10 @@ pub fn run_transient_batch_until(
             }
 
             // ---- Solve ----------------------------------------------
-            c.sym.solve_batch(&mut ws.lu, &ws.rhs, &mut ws.x_new);
+            let sym = c.sym.as_ref().expect("factored before the first solve");
+            sym.solve_batch(&mut ws.lu, &ws.rhs, &mut ws.x_new);
 
-            // ---- Per-lane convergence (mirrors solve_nonlinear_ws) ---
+            // ---- Per-lane convergence (the scalar Newton rule) ------
             // Row sweeps over the `[row][lane]` layout: the per-lane
             // max-delta fold visits rows in the same ascending order as
             // the scalar path, so the `f64::max` chain is bit-identical.
@@ -922,8 +562,7 @@ pub fn run_transient_batch_until(
                 let xr = &ws.x[k * lanes..k * lanes + lanes];
                 let nr = &ws.x_new[k * lanes..k * lanes + lanes];
                 for ((m, &a), &b) in ws.conv_delta.iter_mut().zip(xr).zip(nr) {
-                    let d = (a - b).abs();
-                    *m = m.max(d);
+                    *m = fold_delta(*m, a, b);
                 }
             }
             let mut any_live = false;
@@ -937,25 +576,28 @@ pub fn run_transient_batch_until(
                 if !*alive {
                     continue;
                 }
-                let max_delta = ws.conv_delta[l];
-                if linear || max_delta <= VTOL {
-                    ws.conv_copy[l] = u64::MAX;
-                    *alive = false;
-                    continue;
-                }
-                ws.conv_scale[l] = if max_delta > VSTEP_MAX {
-                    VSTEP_MAX / max_delta
+                let damping = if linear {
+                    None
                 } else {
-                    1.0
+                    newton_damping(ws.conv_delta[l])
                 };
-                ws.conv_damp[l] = u64::MAX;
-                any_live = true;
+                match damping {
+                    None => {
+                        ws.conv_copy[l] = u64::MAX;
+                        *alive = false;
+                    }
+                    Some(scale) => {
+                        ws.conv_scale[l] = scale;
+                        ws.conv_damp[l] = u64::MAX;
+                        any_live = true;
+                    }
+                }
             }
             // Converged lanes take the new solution verbatim (exact
-            // bits), damped lanes apply the scalar path's damping
-            // expression, and dead lanes keep their guess untouched.
-            // The bit-select (not scale-zero arithmetic) keeps NaN/-0.0
-            // garbage out of the result and compiles to vector blends.
+            // bits), damped lanes take the scalar path's damped update,
+            // and dead lanes keep their guess untouched. The bit-select
+            // (not scale-zero arithmetic) keeps NaN/-0.0 garbage out of
+            // the result and compiles to vector blends.
             {
                 let BatchedMnaWorkspace {
                     x,
@@ -974,7 +616,7 @@ pub fn run_transient_batch_until(
                     for ((((xv, &nv), &s), &c), &m) in xr.iter_mut().zip(nr).zip(sc).zip(mc).zip(md)
                     {
                         let xi = *xv;
-                        let d = xi + s * (nv - xi);
+                        let d = damp(xi, nv, s);
                         let keep = !(c | m);
                         *xv = f64::from_bits(
                             (c & nv.to_bits()) | (m & d.to_bits()) | (keep & xi.to_bits()),
@@ -998,29 +640,16 @@ pub fn run_transient_batch_until(
         // Row sweeps over the interleaved layouts: every lane computes,
         // fallen-out lanes just compute garbage that is never read
         // again (their outcome is re-run through the scalar path).
-        for (ci, &(a, b)) in caps.iter().enumerate() {
-            let ar = if a.is_ground() {
-                None
-            } else {
-                Some(a.index() - 1)
-            };
-            let br = if b.is_ground() {
-                None
-            } else {
-                Some(b.index() - 1)
-            };
+        for (ci, &(a, b)) in c.caps.iter().enumerate() {
+            let (ar, br) = (row_of(a), row_of(b));
             let x = &ws.x;
             for l in 0..lanes {
                 let v_new =
                     ar.map_or(0.0, |r| x[r * lanes + l]) - br.map_or(0.0, |r| x[r * lanes + l]);
                 let v_old = ws.node_v[a.index() * lanes + l] - ws.node_v[b.index() * lanes + l];
-                let cval = ws.cap_farads[ci * lanes + l];
+                let farads = ws.cap_farads[ci * lanes + l];
                 let ici = &mut ws.cap_i[ci * lanes + l];
-                *ici = if use_be {
-                    cval * (v_new - v_old) / dt_k
-                } else {
-                    2.0 * cval * (v_new - v_old) / dt_k - *ici
-                };
+                *ici = rule.current(farads, v_new - v_old, *ici);
             }
         }
         ws.node_v[lanes..nn * lanes].copy_from_slice(&ws.x[..(nn - 1) * lanes]);
@@ -1043,8 +672,6 @@ pub fn run_transient_batch_until(
         if all_done {
             break 'steps;
         }
-        t_prev = t;
-        first_step = false;
     }
 
     // --- Emit telemetry --------------------------------------------------
@@ -1076,80 +703,226 @@ pub fn run_transient_batch_until(
     })
 }
 
-/// Batch dimensions threaded through the assembly helpers.
-#[derive(Debug, Clone, Copy)]
-struct BatchGeom {
-    lanes: usize,
-    nn: usize,
-    size: usize,
-    ncaps: usize,
+/// Records `net`'s assembly walk into `rec`, around an all-zero state
+/// under a backward-Euler step of `dt`. The walk's structure and its
+/// key-independent values do not depend on the state, the time or the
+/// step, and every transient step stamps the same structure.
+fn record_walk(
+    net: &Netlist,
+    dt: f64,
+    rec: &mut StampRecorder,
+    rhs: &mut Vec<f64>,
+    zeros: &mut Vec<f64>,
+) {
+    let size = system_size(net);
+    // Long enough for the state, the node voltages and any capacitor.
+    zeros.clear();
+    zeros.resize(size.max(net.num_nodes()).max(net.elements().len()), 0.0);
+    rhs.clear();
+    rhs.resize(size, 0.0);
+    rec.clear();
+    let policy = ReactivePolicy::Step {
+        rule: Companion { trap: false, dt },
+        prev_v: zeros,
+        prev_ic: zeros,
+    };
+    assemble_into(net, 0.0, policy, &zeros[..size], rec, rhs);
 }
 
-/// Compiles the shared structure of a batch at its first companion
-/// key. Records one full scalar assembly per admitted lane under that
-/// key (this *is* that iteration's assembly — values **and** RHS),
-/// seeds the value image, and builds the CSR pattern, stamp program,
-/// static/dynamic classification, RHS program and the shared symbolic
-/// analysis (evicting lanes whose own analysis fails or disagrees).
-/// Returns `None` when every lane fell out before a shared analysis
-/// existed.
-#[allow(clippy::too_many_arguments)]
+/// Admits the lanes and compiles the batch's shared structure from lane
+/// 0's recorded walk: the CSR pattern and slot program, each stamp's
+/// provenance, the per-iteration replay program and the RHS program.
+/// Every other lane records its own walk; a lane whose walk differs
+/// from lane 0's (or whose linearity does) falls out as a structure
+/// mismatch. Each admitted lane's key-independent stamp values,
+/// capacitances and MOSFET models are captured here; no scalar assembly
+/// runs again for this batch.
 fn compile_batch(
     nets: &[&Netlist],
     ws: &mut BatchedMnaWorkspace,
     fallout: &mut [Option<LaneFalloutReason>],
-    t: f64,
-    dt_k: f64,
-    use_be: bool,
-    geom: BatchGeom,
-) -> Option<CompiledBatch> {
-    let BatchGeom { lanes, size, .. } = geom;
+    dt: f64,
+) -> CompiledBatch {
+    let lanes = nets.len();
     let net0 = nets[0];
+    let linear = is_linear(net0);
+    let mut walk0 = StampRecorder::default();
+    record_walk(net0, dt, &mut walk0, &mut ws.rec_rhs, &mut ws.rec_zeros);
 
-    let cls = classify(net0);
-    let (pattern, program) = CsrMatrix::from_coords(size, &cls.coords);
+    let (pattern, program) = CsrMatrix::from_coords(system_size(net0), &walk0.coords);
     let nnz = pattern.nnz();
     let mut slot_has_dyn = vec![false; nnz];
-    for (p, d) in cls.dyn_of.iter().enumerate() {
-        if d.is_some() {
-            slot_has_dyn[program[p] as usize] = true;
+    for (&slot, s) in program.iter().zip(&walk0.stamps) {
+        if let Stamp::Mos { .. } = s {
+            slot_has_dyn[slot as usize] = true;
         }
     }
-    let mut iter_prog = Vec::new();
-    for (p, &slot) in program.iter().enumerate() {
-        if slot_has_dyn[slot as usize] {
-            iter_prog.push(match cls.dyn_of[p] {
-                Some(k) => IterStamp::Dyn { slot, k },
-                None => IterStamp::Stat { slot, p: p as u32 },
-            });
+    let iter_prog = program
+        .iter()
+        .zip(&walk0.stamps)
+        .enumerate()
+        .filter(|&(_, (&slot, _))| slot_has_dyn[slot as usize])
+        .map(|(p, (&slot, s))| match *s {
+            Stamp::Mos { mos, j } => IterStamp::Dyn {
+                slot,
+                k: mos * 6 + u32::from(j),
+            },
+            _ => IterStamp::Stat { slot, p: p as u32 },
+        })
+        .collect();
+    let dyn_slots = (0..nnz as u32)
+        .filter(|&s| slot_has_dyn[s as usize])
+        .collect();
+
+    // A source's terms are consecutive in the walk, so a new element
+    // index is a new staged source.
+    let mut sources: Vec<usize> = Vec::new();
+    let mut source = |elem: u32| {
+        let elem = elem as usize;
+        if sources.last() != Some(&elem) {
+            sources.push(elem);
+        }
+        sources.len() - 1
+    };
+    let rhs_ops = walk0
+        .rhs
+        .iter()
+        .map(|&(row, term)| match term {
+            RhsTerm::Vsrc { elem } => RhsOp::Set {
+                row,
+                i: source(elem),
+            },
+            RhsTerm::Isrc { elem, neg } => RhsOp::Add {
+                row,
+                from: Staged::Src,
+                i: source(elem),
+                neg,
+            },
+            RhsTerm::Cap { cap, neg } => RhsOp::Add {
+                row,
+                from: Staged::Cap,
+                i: cap as usize,
+                neg,
+            },
+            RhsTerm::Mos { mos, neg } => RhsOp::Add {
+                row,
+                from: Staged::Mos,
+                i: mos as usize,
+                neg,
+            },
+        })
+        .collect();
+
+    let caps: Vec<(NodeId, NodeId)> = net0
+        .elements()
+        .iter()
+        .filter_map(|e| match e {
+            Element::Capacitor { a, b, .. } => Some((*a, *b)),
+            _ => None,
+        })
+        .collect();
+    let mos_rows: Vec<[Option<usize>; 3]> = net0
+        .elements()
+        .iter()
+        .filter_map(|e| match e {
+            Element::Mosfet { d, g, s, .. } => Some([*d, *g, *s].map(row_of)),
+            _ => None,
+        })
+        .collect();
+    fn models_of(net: &Netlist) -> impl Iterator<Item = MosfetModel> + '_ {
+        net.elements().iter().filter_map(|e| match e {
+            Element::Mosfet { model, .. } => Some(*model),
+            _ => None,
+        })
+    }
+    let mut models: Vec<MosfetModel> = models_of(net0)
+        .flat_map(|m| std::iter::repeat_n(m, lanes))
+        .collect();
+
+    // Per-lane capture. Equal walks stamp the same capacitors and
+    // MOSFETs; an element the walk never reaches (a device with every
+    // terminal grounded) cannot change a lane's bits.
+    let n_fixed = walk0
+        .stamps
+        .iter()
+        .filter(|s| matches!(s, Stamp::Fixed))
+        .count();
+    let mut fixed_vals = vec![0.0; n_fixed * lanes];
+    ws.cap_farads.clear();
+    ws.cap_farads.resize(caps.len() * lanes, 0.0);
+    for (l, net) in nets.iter().enumerate() {
+        let walk = if l == 0 {
+            &walk0
+        } else {
+            record_walk(net, dt, &mut ws.rec, &mut ws.rec_rhs, &mut ws.rec_zeros);
+            if !ws.rec.same_walk(&walk0) || is_linear(net) != linear {
+                fallout[l] = Some(LaneFalloutReason::StructureMismatch);
+                continue;
+            }
+            &ws.rec
+        };
+        let fixed = walk
+            .stamps
+            .iter()
+            .zip(&walk.vals)
+            .filter(|(s, _)| matches!(s, Stamp::Fixed));
+        for (fi, (_, &v)) in fixed.enumerate() {
+            fixed_vals[fi * lanes + l] = v;
+        }
+        let farads = net.elements().iter().filter_map(|e| match e {
+            Element::Capacitor { farads, .. } => Some(*farads),
+            _ => None,
+        });
+        for (ci, f) in farads.take(caps.len()).enumerate() {
+            ws.cap_farads[ci * lanes + l] = f;
+        }
+        for (k, m) in models_of(net).take(mos_rows.len()).enumerate() {
+            models[k * lanes + l] = m;
         }
     }
-    ws.vals.clear();
-    ws.vals.resize(nnz * lanes, 0.0);
-    ws.stamp_vals.clear();
-    ws.stamp_vals.resize(program.len() * lanes, 0.0);
+
     ws.dyn_vals.clear();
-    ws.dyn_vals.resize(cls.n_dyn * lanes, 0.0);
+    ws.dyn_vals.resize(mos_rows.len() * 6 * lanes, 0.0);
     ws.mos_ieq.clear();
-    ws.mos_ieq.resize(cls.mosfets.len() * lanes, 0.0);
+    ws.mos_ieq.resize(mos_rows.len() * lanes, 0.0);
+    ws.src_vals.clear();
+    ws.src_vals.resize(sources.len() * lanes, 0.0);
+    ws.cap_rhs.clear();
+    ws.cap_rhs.resize(caps.len() * lanes, 0.0);
+    CompiledBatch {
+        pattern,
+        program,
+        stamps: walk0.stamps,
+        iter_prog,
+        dyn_slots,
+        rhs_ops,
+        sources,
+        caps,
+        mos_rows,
+        models,
+        fixed_vals,
+        sym: None,
+    }
+}
 
-    record_lanes(nets, ws, &cls.coords, fallout, t, dt_k, use_be, geom);
-    seed_vals(ws, &program, lanes);
-
-    // Per-lane symbolic analysis: the first surviving lane's pivot
-    // order becomes the batch's shared order; lanes that disagree
-    // (or cannot be analyzed at all) fall out to the scalar path.
+/// The shared symbolic analysis, on the batch's first assembly: the
+/// first surviving lane's pivot order becomes the batch's order; lanes
+/// that disagree (or cannot be analyzed at all) fall out to the scalar
+/// path. `None` when every lane has fallen out.
+fn shared_analysis(
+    pattern: &CsrMatrix,
+    vals: &[f64],
+    lanes: usize,
+    fallout: &mut [Option<LaneFalloutReason>],
+) -> Option<SymbolicLu> {
     let mut scratch = pattern.clone();
     let mut shared: Option<SymbolicLu> = None;
     for (l, f) in fallout.iter_mut().enumerate() {
         if f.is_some() {
             continue;
         }
-        {
-            let vals = scratch.values_mut();
-            for (s, v) in vals.iter_mut().enumerate() {
-                *v = ws.vals[s * lanes + l];
-            }
+        for (s, v) in scratch.values_mut().iter_mut().enumerate() {
+            *v = vals[s * lanes + l];
         }
         match SymbolicLu::analyze(&scratch) {
             Ok(sym) => match &shared {
@@ -1160,108 +933,35 @@ fn compile_batch(
             Err(_) => *f = Some(LaneFalloutReason::SymbolicMismatch),
         }
     }
-    // `None`: every lane fell out before a shared analysis existed.
-    let sym = shared?;
-    ws.lu.prepare(&sym, lanes);
-    let dyn_slots: Vec<u32> = (0..nnz)
-        .filter(|&s| slot_has_dyn[s])
-        .map(|s| s as u32)
-        .collect();
-    let mut models = Vec::with_capacity(cls.mosfets.len() * lanes);
-    for info in &cls.mosfets {
-        for net in nets {
-            match &net.elements()[info.elem] {
-                Element::Mosfet { model, .. } => models.push(*model),
-                _ => unreachable!("lane structure verified at admission"),
-            }
-        }
-    }
-    // Capture the key-independent stamp values once; every future
-    // key reseeds from these plus the recomputed cap companions —
-    // no scalar assembly ever runs again for this batch.
-    let mut fixed_vals = vec![0.0; cls.n_fixed * lanes];
-    for (p, src) in cls.static_src.iter().enumerate() {
-        if let StaticSrc::Fixed(fi) = *src {
-            fixed_vals[fi as usize * lanes..(fi as usize + 1) * lanes]
-                .copy_from_slice(&ws.stamp_vals[p * lanes..(p + 1) * lanes]);
-        }
-    }
-    Some(CompiledBatch {
-        pattern,
-        program,
-        iter_prog,
-        dyn_slots,
-        rhs_ops: cls.rhs_ops,
-        mosfets: cls.mosfets,
-        models,
-        static_src: cls.static_src,
-        fixed_vals,
-        n_vsrc: net0.num_vsources(),
-        n_isrc: cls.n_isrc,
-        sym,
-    })
+    shared
 }
 
 /// Builds the static images (`stamp_vals`, seeded `vals`) for a
-/// companion key that has no pooled image, **without scalar assembly**:
-/// key-independent stamps copy from the captured `fixed_vals`, cap
-/// companions recompute `g` with the scalar path's exact expression
-/// (`farads / dt` for backward Euler, `2.0 * farads / dt` for
-/// trapezoidal — negated for off-diagonals, both exact), and MOSFET
-/// stamps stay zero (every assembly rebuilds them from staging). The
-/// caller runs `stage_step_constants` + `assemble_compiled` afterwards,
-/// the same proven-bit-identical path a restored key takes.
-fn reseed_key(
-    ws: &mut BatchedMnaWorkspace,
-    c: &CompiledBatch,
-    use_be: bool,
-    dt_k: f64,
-    lanes: usize,
-) {
+/// companion key that has no pooled image, from the recorded
+/// provenance: key-independent stamps copy their captured values,
+/// capacitor companions take `±g` from [`Companion::g`] — the scalar
+/// walk's own expression — and MOSFET stamps stay zero (every assembly
+/// rebuilds them from staging).
+fn reseed_key(ws: &mut BatchedMnaWorkspace, c: &CompiledBatch, rule: Companion, lanes: usize) {
     // The resident buffers may have just been swapped out for a pooled
     // image's (possibly empty) vectors — size them before seeding.
     ws.stamp_vals.clear();
     ws.stamp_vals.resize(c.program.len() * lanes, 0.0);
     ws.vals.clear();
     ws.vals.resize(c.pattern.nnz() * lanes, 0.0);
-    {
-        let BatchedMnaWorkspace {
-            stamp_vals,
-            cap_farads,
-            ..
-        } = ws;
-        for (p, src) in c.static_src.iter().enumerate() {
-            let dst = &mut stamp_vals[p * lanes..(p + 1) * lanes];
-            match *src {
-                StaticSrc::Fixed(fi) => {
-                    let fi = fi as usize;
-                    dst.copy_from_slice(&c.fixed_vals[fi * lanes..(fi + 1) * lanes]);
+    let mut fixed = c.fixed_vals.chunks_exact(lanes);
+    for (dst, src) in ws.stamp_vals.chunks_exact_mut(lanes).zip(&c.stamps) {
+        match *src {
+            Stamp::Fixed => dst.copy_from_slice(fixed.next().expect("one row per fixed stamp")),
+            Stamp::Cap { cap, neg } => {
+                let ci = cap as usize;
+                let f = &ws.cap_farads[ci * lanes..(ci + 1) * lanes];
+                for (d, &farads) in dst.iter_mut().zip(f) {
+                    let g = rule.g(farads);
+                    *d = if neg { -g } else { g };
                 }
-                StaticSrc::CapDiag(ci) => {
-                    let ci = ci as usize;
-                    let f = &cap_farads[ci * lanes..(ci + 1) * lanes];
-                    for (d, &farads) in dst.iter_mut().zip(f) {
-                        *d = if use_be {
-                            farads / dt_k
-                        } else {
-                            2.0 * farads / dt_k
-                        };
-                    }
-                }
-                StaticSrc::CapOff(ci) => {
-                    let ci = ci as usize;
-                    let f = &cap_farads[ci * lanes..(ci + 1) * lanes];
-                    for (d, &farads) in dst.iter_mut().zip(f) {
-                        let g = if use_be {
-                            farads / dt_k
-                        } else {
-                            2.0 * farads / dt_k
-                        };
-                        *d = -g;
-                    }
-                }
-                StaticSrc::Dyn => {}
             }
+            Stamp::Mos { .. } => {}
         }
     }
     seed_vals(ws, &c.program, lanes);
@@ -1272,8 +972,9 @@ fn reseed_key(
 /// The outgoing key's buffers are parked in its own image first (its
 /// MOSFET-touched slots are dirty, but every assembly rebuilds those
 /// from scratch, so parked images stay valid). Returns `false` when
-/// `key` has never been recorded in this batch (or was evicted by the
-/// LRU); the caller records it and then claims it via [`adopt_key`].
+/// `key` has not been seen in this batch (or was evicted by the LRU);
+/// the caller then rebuilds it with [`reseed_key`] and makes it
+/// resident.
 fn switch_key_image(ws: &mut BatchedMnaWorkspace, key: (bool, u64)) -> bool {
     park_resident(ws);
     let BatchedMnaWorkspace {
@@ -1303,14 +1004,9 @@ fn switch_key_image(ws: &mut BatchedMnaWorkspace, key: (bool, u64)) -> bool {
     true
 }
 
-/// Marks the freshly recorded buffers as `key`'s resident image.
-fn adopt_key(ws: &mut BatchedMnaWorkspace, key: (bool, u64)) {
-    ws.resident_key = Some(key);
-}
-
 /// Parks the resident buffers into their key's pooled image, growing
 /// the pool up to [`MAX_KEY_IMAGES`] and then evicting the
-/// least-recently-hit image (an evicted key re-records on revisit).
+/// least-recently-hit image (an evicted key is rebuilt on revisit).
 fn park_resident(ws: &mut BatchedMnaWorkspace) {
     let BatchedMnaWorkspace {
         key_images,
@@ -1346,89 +1042,10 @@ fn park_resident(ws: &mut BatchedMnaWorkspace) {
     std::mem::swap(vals, &mut img.vals);
 }
 
-/// Runs the scalar recording assembly for every admitted lane: fills
-/// that lane's RHS, captures the full stamp-value stream into
-/// `stamp_vals`, and asserts the stamp sequence against the shared
-/// classification (any desync between [`classify`] and the real
-/// [`assemble_into`] walk dies here, loudly, at setup).
-#[allow(clippy::too_many_arguments)]
-fn record_lanes(
-    nets: &[&Netlist],
-    ws: &mut BatchedMnaWorkspace,
-    coords: &[(usize, usize)],
-    fallout: &[Option<LaneFalloutReason>],
-    t: f64,
-    dt_k: f64,
-    use_be: bool,
-    geom: BatchGeom,
-) {
-    let BatchGeom {
-        lanes,
-        nn,
-        size,
-        ncaps,
-    } = geom;
-    for (l, net) in nets.iter().enumerate() {
-        if fallout[l].is_some() {
-            continue;
-        }
-        ws.rec.coords.clear();
-        ws.rec.vals.clear();
-        ws.rec_rhs.clear();
-        ws.rec_rhs.resize(size, 0.0);
-        ws.rec_nv.clear();
-        ws.rec_nv.resize(nn, 0.0);
-        for r in 0..nn {
-            ws.rec_nv[r] = ws.node_v[r * lanes + l];
-        }
-        ws.rec_ic.clear();
-        ws.rec_ic.resize(ncaps, 0.0);
-        for r in 0..ncaps {
-            ws.rec_ic[r] = ws.cap_i[r * lanes + l];
-        }
-        let nv = &ws.rec_nv[..];
-        let ic = &ws.rec_ic[..];
-        let policy = if use_be {
-            ReactivePolicy::BackwardEuler {
-                dt: dt_k,
-                prev_v: nv,
-            }
-        } else {
-            ReactivePolicy::Trapezoidal {
-                dt: dt_k,
-                prev_v: nv,
-                prev_ic: ic,
-            }
-        };
-        ws.rec_x.clear();
-        ws.rec_x.resize(size, 0.0);
-        for r in 0..size {
-            ws.rec_x[r] = ws.x[r * lanes + l];
-        }
-        let BatchedMnaWorkspace {
-            rec,
-            rec_rhs,
-            rec_x,
-            ..
-        } = ws;
-        assemble_into(net, t, policy, &rec_x[..], rec, rec_rhs);
-        assert_eq!(
-            ws.rec.coords, coords,
-            "batch stamp classification desynced from assembly (lane {l})"
-        );
-        for (p, &v) in ws.rec.vals.iter().enumerate() {
-            ws.stamp_vals[p * lanes + l] = v;
-        }
-        for (r, &v) in ws.rec_rhs.iter().enumerate() {
-            ws.rhs[r * lanes + l] = v;
-        }
-    }
-}
-
-/// Rebuilds the value image (`vals`) from the freshly recorded stamp
-/// stream, in program order — the same `+=` accumulation sequence the
-/// scalar replayer performs, so per-slot sums are bit-identical. Slots
-/// touched by any MOSFET stamp are seeded too, but every iteration's
+/// Rebuilds the value image (`vals`) from the static stamp values, in
+/// program order — the same `+=` accumulation sequence the scalar
+/// replayer performs, so per-slot sums are bit-identical. Slots touched
+/// by any MOSFET stamp are seeded too, but every iteration's
 /// [`assemble_compiled`] zeroes and re-accumulates them, preserving
 /// mixed static/dynamic ordering.
 fn seed_vals(ws: &mut BatchedMnaWorkspace, program: &[u32], lanes: usize) {
@@ -1443,16 +1060,9 @@ fn seed_vals(ws: &mut BatchedMnaWorkspace, program: &[u32], lanes: usize) {
     }
 }
 
-/// Compiled per-iteration assembly for all live lanes: `memcpy` the
-/// static base, stage MOSFET linearizations, replay the mixed-slot
-/// program, rebuild the RHS.
-fn assemble_compiled(
-    ws: &mut BatchedMnaWorkspace,
-    c: &CompiledBatch,
-    live: &[bool],
-    geom: BatchGeom,
-) {
-    let BatchGeom { lanes, .. } = geom;
+/// Compiled per-iteration assembly for all live lanes: stage MOSFET
+/// linearizations, replay the mixed-slot program, rebuild the RHS.
+fn assemble_compiled(ws: &mut BatchedMnaWorkspace, c: &CompiledBatch, live: &[bool], lanes: usize) {
     // Static slots keep their seeded values; only MOSFET-touched slots
     // are rebuilt, so the per-iteration matrix traffic scales with the
     // device count rather than the full nonzero count.
@@ -1460,42 +1070,21 @@ fn assemble_compiled(
         ws.vals[slot as usize * lanes..slot as usize * lanes + lanes].fill(0.0);
     }
 
-    // Stage every MOSFET's linearization for every live lane, in the
-    // exact emission order of the scalar assembly.
-    for (mi, info) in c.mosfets.iter().enumerate() {
+    // Linearize every MOSFET for every live lane with the scalar
+    // assembly's own expression.
+    for (mi, rows) in c.mos_rows.iter().enumerate() {
         for l in 0..lanes {
             if !live[l] {
                 continue;
             }
             let x = &ws.x;
-            let v = |row: Option<usize>| row.map_or(0.0, |r| x[r * lanes + l]);
-            let model = &c.models[mi * lanes + l];
-            let vgs = v(info.g_row) - v(info.s_row);
-            let vds = v(info.d_row) - v(info.s_row);
-            let ss = model.evaluate(vgs, vds);
-            ws.mos_ieq[mi * lanes + l] = ss.id - ss.gm * vgs - ss.gds * vds;
-            let mut di = info.dyn_base;
-            let mut push = |buf: &mut [f64], val: f64| {
-                buf[di * lanes + l] = val;
-                di += 1;
-            };
-            if info.d_row.is_some() {
-                push(&mut ws.dyn_vals, ss.gds);
-                if info.g_row.is_some() {
-                    push(&mut ws.dyn_vals, ss.gm);
-                }
-                if info.s_row.is_some() {
-                    push(&mut ws.dyn_vals, -(ss.gm + ss.gds));
-                }
-            }
-            if info.s_row.is_some() {
-                push(&mut ws.dyn_vals, ss.gm + ss.gds);
-                if info.g_row.is_some() {
-                    push(&mut ws.dyn_vals, -ss.gm);
-                }
-                if info.d_row.is_some() {
-                    push(&mut ws.dyn_vals, -ss.gds);
-                }
+            let st = MosStamp::at(
+                &c.models[mi * lanes + l],
+                rows.map(|row| row.map_or(0.0, |r| x[r * lanes + l])),
+            );
+            ws.mos_ieq[mi * lanes + l] = st.ieq;
+            for (j, &g) in st.g.iter().enumerate() {
+                ws.dyn_vals[(mi * 6 + j) * lanes + l] = g;
             }
         }
     }
@@ -1522,7 +1111,7 @@ fn assemble_compiled(
         }
     }
 
-    // Rebuild the RHS, ops in element order, from the per-step staged
+    // Rebuild the RHS, ops in walk order, from the per-step staged
     // constants (source values and capacitor companion currents change
     // only between steps, not between Newton iterations). Row-major
     // layout makes every op a contiguous lanes-wide add; lanes that are
@@ -1532,58 +1121,30 @@ fn assemble_compiled(
     let BatchedMnaWorkspace {
         rhs,
         cap_rhs,
-        vsrc_vals,
-        isrc_vals,
+        src_vals,
         mos_ieq,
         ..
     } = ws;
-    fn row(rhs: &mut [f64], lanes: usize, r: usize) -> &mut [f64] {
-        &mut rhs[r * lanes..r * lanes + lanes]
-    }
     for op in &c.rhs_ops {
         match *op {
-            RhsOp::Cap {
-                cap, a_row, b_row, ..
-            } => {
-                let ieq = &cap_rhs[cap * lanes..cap * lanes + lanes];
-                if let Some(r) = a_row {
-                    for (d, &v) in row(rhs, lanes, r).iter_mut().zip(ieq) {
-                        *d += v;
-                    }
-                }
-                if let Some(r) = b_row {
-                    for (d, &v) in row(rhs, lanes, r).iter_mut().zip(ieq) {
-                        *d += -v;
-                    }
-                }
+            RhsOp::Set { row, i } => {
+                rhs[row * lanes..(row + 1) * lanes]
+                    .copy_from_slice(&src_vals[i * lanes..(i + 1) * lanes]);
             }
-            RhsOp::Vsrc { row: r, vs, .. } => {
-                row(rhs, lanes, r).copy_from_slice(&vsrc_vals[vs * lanes..vs * lanes + lanes]);
-            }
-            RhsOp::Isrc {
-                p_row, n_row, is_, ..
-            } => {
-                let iv = &isrc_vals[is_ * lanes..is_ * lanes + lanes];
-                if let Some(r) = p_row {
-                    for (d, &v) in row(rhs, lanes, r).iter_mut().zip(iv) {
-                        *d += -v;
-                    }
-                }
-                if let Some(r) = n_row {
-                    for (d, &v) in row(rhs, lanes, r).iter_mut().zip(iv) {
-                        *d += v;
-                    }
-                }
-            }
-            RhsOp::Mos { d_row, s_row, mos } => {
-                let ieq = &mos_ieq[mos * lanes..mos * lanes + lanes];
-                if let Some(r) = d_row {
-                    for (d, &v) in row(rhs, lanes, r).iter_mut().zip(ieq) {
+            RhsOp::Add { row, from, i, neg } => {
+                let staged = match from {
+                    Staged::Cap => &cap_rhs[..],
+                    Staged::Src => &src_vals[..],
+                    Staged::Mos => &mos_ieq[..],
+                };
+                let dst = rhs[row * lanes..(row + 1) * lanes].iter_mut();
+                let src = &staged[i * lanes..(i + 1) * lanes];
+                if neg {
+                    for (d, &v) in dst.zip(src) {
                         *d -= v;
                     }
-                }
-                if let Some(r) = s_row {
-                    for (d, &v) in row(rhs, lanes, r).iter_mut().zip(ieq) {
+                } else {
+                    for (d, &v) in dst.zip(src) {
                         *d += v;
                     }
                 }
@@ -1594,89 +1155,53 @@ fn assemble_compiled(
 
 /// Stages the right-hand-side terms that are constant within a step:
 /// source waveform values at `t` and capacitor companion currents from
-/// the previous step's state. Every floating-point expression matches
-/// the scalar assembly exactly; only *when* it is evaluated moves (once
-/// per step instead of once per Newton iteration).
-#[allow(clippy::too_many_arguments)]
+/// the previous step's state, each with the scalar assembly's own
+/// expression; only *when* it is evaluated moves (once per step instead
+/// of once per Newton iteration).
 fn stage_step_constants(
     nets: &[&Netlist],
     ws: &mut BatchedMnaWorkspace,
     c: &CompiledBatch,
     live: &[bool],
     t: f64,
-    dt_k: f64,
-    use_be: bool,
-    geom: BatchGeom,
+    rule: Companion,
+    lanes: usize,
 ) {
-    let BatchGeom {
-        lanes, nn, ncaps, ..
-    } = geom;
-    let _ = nn;
-    ws.vsrc_vals.resize(c.n_vsrc * lanes, 0.0);
-    ws.isrc_vals.resize(c.n_isrc * lanes, 0.0);
-    ws.cap_rhs.resize(ncaps * lanes, 0.0);
-    // Op-outer: capacitor staging sweeps all lanes of one row at a time
-    // (the interleaved layouts make every read contiguous); non-live
-    // lanes compute garbage that no consumer reads. Waveform evals stay
-    // per-lane — each lane owns a distinct waveform object.
-    for op in &c.rhs_ops {
-        match *op {
-            RhsOp::Cap {
-                cap, a_nv, b_nv, ..
-            } => {
-                let BatchedMnaWorkspace {
-                    node_v,
-                    cap_i,
-                    cap_farads,
-                    cap_rhs,
-                    ..
-                } = ws;
-                let av = &node_v[a_nv * lanes..a_nv * lanes + lanes];
-                let bv = &node_v[b_nv * lanes..b_nv * lanes + lanes];
-                let f = &cap_farads[cap * lanes..cap * lanes + lanes];
-                let ic = &cap_i[cap * lanes..cap * lanes + lanes];
-                let dst = &mut cap_rhs[cap * lanes..cap * lanes + lanes];
-                if use_be {
-                    for (((d, &a), &b), &farads) in dst.iter_mut().zip(av).zip(bv).zip(f) {
-                        let vprev = a - b;
-                        let g = farads / dt_k;
-                        *d = g * vprev;
-                    }
-                } else {
-                    for ((((d, &a), &b), &farads), &icl) in
-                        dst.iter_mut().zip(av).zip(bv).zip(f).zip(ic)
-                    {
-                        let vprev = a - b;
-                        let g = 2.0 * farads / dt_k;
-                        *d = g * vprev + icl;
-                    }
-                }
+    // Capacitor staging sweeps all lanes of one row at a time (the
+    // interleaved layouts make every read contiguous); non-live lanes
+    // compute garbage that no consumer reads.
+    let BatchedMnaWorkspace {
+        node_v,
+        cap_i,
+        cap_farads,
+        cap_rhs,
+        src_vals,
+        ..
+    } = ws;
+    for (ci, &(a, b)) in c.caps.iter().enumerate() {
+        let lane_row = |i: usize| i * lanes..(i + 1) * lanes;
+        let av = &node_v[lane_row(a.index())];
+        let bv = &node_v[lane_row(b.index())];
+        let f = &cap_farads[lane_row(ci)];
+        let ic = &cap_i[lane_row(ci)];
+        let dst = &mut cap_rhs[lane_row(ci)];
+        for ((((d, &va), &vb), &farads), &i_prev) in dst.iter_mut().zip(av).zip(bv).zip(f).zip(ic) {
+            *d = rule.ieq(rule.g(farads), va - vb, i_prev);
+        }
+    }
+    // Waveform evals stay per lane — each lane owns a distinct waveform
+    // object.
+    for (si, &elem) in c.sources.iter().enumerate() {
+        for l in 0..lanes {
+            if !live[l] {
+                continue;
             }
-            RhsOp::Vsrc { elem, vs, .. } => {
-                for l in 0..lanes {
-                    if !live[l] {
-                        continue;
-                    }
-                    let w = match &nets[l].elements()[elem] {
-                        Element::VSource { waveform, .. } => waveform,
-                        _ => unreachable!("lane structure verified at admission"),
-                    };
-                    ws.vsrc_vals[vs * lanes + l] = w.eval(t);
-                }
-            }
-            RhsOp::Isrc { elem, is_, .. } => {
-                for l in 0..lanes {
-                    if !live[l] {
-                        continue;
-                    }
-                    let w = match &nets[l].elements()[elem] {
-                        Element::ISource { waveform, .. } => waveform,
-                        _ => unreachable!("lane structure verified at admission"),
-                    };
-                    ws.isrc_vals[is_ * lanes + l] = w.eval(t);
-                }
-            }
-            RhsOp::Mos { .. } => {}
+            let (Element::VSource { waveform, .. } | Element::ISource { waveform, .. }) =
+                &nets[l].elements()[elem]
+            else {
+                unreachable!("an admitted lane walks lane 0's sources");
+            };
+            src_vals[si * lanes + l] = waveform.eval(t);
         }
     }
 }
@@ -1688,6 +1213,15 @@ mod tests {
     use crate::transient::Transient;
     use crate::waveform::Waveform;
     use mpvar_tech::preset::n10;
+
+    /// The batch with a stop that never fires.
+    fn run_to_end(
+        nets: &[&Netlist],
+        spec: &BatchTransientSpec<'_>,
+        ws: &mut BatchedMnaWorkspace,
+    ) -> Result<BatchTransientResult, SpiceError> {
+        run_transient_batch_until(nets, spec, ws, |_, _, _| false)
+    }
 
     /// Linear RC ladder driven by a pulse; per-lane R/C values differ.
     fn rc_lane(scale: f64) -> Netlist {
@@ -1776,7 +1310,7 @@ mod tests {
             initial: &initial,
             probes: &[n1, n2],
         };
-        let out = run_transient_batch(&refs, &spec, &mut ws).unwrap();
+        let out = run_to_end(&refs, &spec, &mut ws).unwrap();
         let bytes_after_first = ws.bytes();
 
         for (l, net) in nets.iter().enumerate() {
@@ -1792,7 +1326,7 @@ mod tests {
         }
 
         // Re-running the same structure must not grow the workspace.
-        let out2 = run_transient_batch(&refs, &spec, &mut ws).unwrap();
+        let out2 = run_to_end(&refs, &spec, &mut ws).unwrap();
         assert_eq!(ws.bytes(), bytes_after_first, "workspace grew on reuse");
         match (&out.lanes[0], &out2.lanes[0]) {
             (
@@ -1823,7 +1357,7 @@ mod tests {
             initial: &initial,
             probes: &[bl],
         };
-        let out = run_transient_batch(&refs, &spec, &mut ws).unwrap();
+        let out = run_to_end(&refs, &spec, &mut ws).unwrap();
 
         for (l, net) in nets.iter().enumerate() {
             let scalar = scalar_reference(net, &initial, dt, t_stop);
@@ -1866,7 +1400,7 @@ mod tests {
             probes: &[bl, gate],
         };
         let mut ws = BatchedMnaWorkspace::new();
-        let full = run_transient_batch(&refs, &spec, &mut ws).unwrap();
+        let full = run_to_end(&refs, &spec, &mut ws).unwrap();
         assert_eq!(full.times.len(), 104);
         let full_probes = |l: usize| match &full.lanes[l] {
             BatchLaneOutcome::Completed { probes } => probes.clone(),
@@ -1932,7 +1466,7 @@ mod tests {
             initial: &initial,
             probes: &[n2],
         };
-        let out = run_transient_batch(&refs, &spec, &mut ws).unwrap();
+        let out = run_to_end(&refs, &spec, &mut ws).unwrap();
         for (l, net) in nets.iter().enumerate() {
             let mut tran = Transient::new(net).unwrap();
             tran.set_method(Method::BackwardEuler);
@@ -1965,7 +1499,7 @@ mod tests {
             initial: &initial,
             probes: &[n1a],
         };
-        let out = run_transient_batch(&nets, &spec, &mut ws).unwrap();
+        let out = run_to_end(&nets, &spec, &mut ws).unwrap();
         assert!(matches!(
             out.lanes[1],
             BatchLaneOutcome::FellOut {
@@ -1984,6 +1518,54 @@ mod tests {
     }
 
     #[test]
+    fn lanes_with_other_node_or_capacitor_counts_fall_out() {
+        let a = rc_lane(1.0);
+        // One more node, hung off the ladder's end.
+        let mut more_nodes = rc_lane(1.1);
+        let n2 = more_nodes.find_node("n2").unwrap();
+        let n3 = more_nodes.node("n3");
+        more_nodes.add_resistor("R3", n2, n3, 1e3).unwrap();
+        more_nodes
+            .add_capacitor("C3", n3, Netlist::GROUND, 1e-15)
+            .unwrap();
+        // The same nodes with one more capacitor.
+        let mut more_caps = rc_lane(0.9);
+        let n1 = more_caps.find_node("n1").unwrap();
+        more_caps.add_capacitor("C4", n1, n2, 1e-15).unwrap();
+        let nets = [&a, &more_nodes, &more_caps];
+        let n1 = a.find_node("n1").unwrap();
+        let uic = [(n1, 0.2)];
+        let mut ws = BatchedMnaWorkspace::new();
+        for initial in [&uic[..], &[]] {
+            let spec = BatchTransientSpec {
+                method: Method::Trapezoidal,
+                dt: 1e-12,
+                t_stop: 5e-12,
+                initial,
+                probes: &[n1],
+            };
+            let out = run_to_end(&nets, &spec, &mut ws).unwrap();
+            for l in [1, 2] {
+                assert!(
+                    matches!(
+                        out.lanes[l],
+                        BatchLaneOutcome::FellOut {
+                            reason: LaneFalloutReason::StructureMismatch
+                        }
+                    ),
+                    "lane {l}: {:?}",
+                    out.lanes[l]
+                );
+            }
+            let scalar = scalar_reference(&a, initial, 1e-12, 5e-12);
+            let BatchLaneOutcome::Completed { probes } = &out.lanes[0] else {
+                panic!("the reference lane fell out");
+            };
+            assert_bits_eq(&probes[0], scalar.waveform(n1), "n1");
+        }
+    }
+
+    #[test]
     fn batch_spec_validation() {
         let net = rc_lane(1.0);
         let n1 = net.find_node("n1").unwrap();
@@ -1997,20 +1579,21 @@ mod tests {
             probes: &[],
         };
         assert!(matches!(
-            run_transient_batch(&[&net], &spec, &mut ws),
+            run_to_end(&[&net], &spec, &mut ws),
             Err(SpiceError::InvalidAnalysis { .. })
         ));
         spec.dt = 1e-12;
         assert!(matches!(
-            run_transient_batch(&[], &spec, &mut ws),
+            run_to_end(&[], &spec, &mut ws),
             Err(SpiceError::InvalidAnalysis { .. })
         ));
     }
 
     /// One deck with every element kind: a DC and a pulse voltage
-    /// source, a current source, resistors, grounded and floating
-    /// capacitors, and a MOSFET whose drain and source are both off
-    /// ground. `s` scales the lane's values.
+    /// source, a current source between two nodes off ground,
+    /// resistors, grounded and floating capacitors, and a MOSFET whose
+    /// drain and source are both off ground. `s` scales the lane's
+    /// values.
     fn every_kind_lane(s: f64) -> Netlist {
         let tech = n10();
         let mut net = Netlist::new();
@@ -2042,7 +1625,7 @@ mod tests {
         net.add_capacitor("CD", d, Netlist::GROUND, 1e-15 * s)
             .unwrap();
         net.add_capacitor("CDS", d, src, 0.5e-15 / s).unwrap();
-        net.add_isource("IA", Netlist::GROUND, a, Waveform::dc(2e-6 * s))
+        net.add_isource("IA", src, a, Waveform::dc(2e-6 * s))
             .unwrap();
         net.add_resistor("RA", a, d, 20e3 / s).unwrap();
         net.add_capacitor("CA", a, Netlist::GROUND, 1e-15).unwrap();
@@ -2116,7 +1699,7 @@ mod tests {
             initial: &initial,
             probes: &[bl],
         };
-        let out = run_transient_batch(&[&net], &spec, &mut ws).unwrap();
+        let out = run_to_end(&[&net], &spec, &mut ws).unwrap();
         let scalar = scalar_reference(&net, &initial, dt, t_stop);
         match &out.lanes[0] {
             BatchLaneOutcome::Completed { probes } => {

@@ -59,8 +59,8 @@ pub mod value;
 pub mod waveform;
 
 pub use batch::{
-    run_transient_batch, run_transient_batch_until, BatchLaneOutcome, BatchTransientResult,
-    BatchTransientSpec, BatchedMnaWorkspace, LaneFalloutReason,
+    run_transient_batch_until, BatchLaneOutcome, BatchTransientResult, BatchTransientSpec,
+    BatchedMnaWorkspace, LaneFalloutReason,
 };
 pub use error::SpiceError;
 pub use measure::{
@@ -75,8 +75,8 @@ pub use waveform::Waveform;
 /// Convenient glob-import surface for downstream crates.
 pub mod prelude {
     pub use crate::batch::{
-        run_transient_batch, BatchLaneOutcome, BatchTransientResult, BatchTransientSpec,
-        BatchedMnaWorkspace, LaneFalloutReason,
+        BatchLaneOutcome, BatchTransientResult, BatchTransientSpec, BatchedMnaWorkspace,
+        LaneFalloutReason,
     };
     pub use crate::error::SpiceError;
     pub use crate::measure::{

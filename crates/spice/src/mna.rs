@@ -7,6 +7,7 @@
 //! to convergence.
 
 use crate::error::SpiceError;
+use crate::mosfet::MosfetModel;
 use crate::netlist::{Element, Netlist, NodeId};
 use crate::sparse::{CsrMatrix, LuWorkspace, SymbolicLu};
 
@@ -15,10 +16,10 @@ use crate::sparse::{CsrMatrix, LuWorkspace, SymbolicLu};
 pub const GMIN: f64 = 1e-12;
 
 /// Absolute Newton convergence tolerance on voltage updates, V.
-pub(crate) const VTOL: f64 = 1e-9;
+const VTOL: f64 = 1e-9;
 
 /// Maximum voltage change applied per Newton iteration, V (damping).
-pub(crate) const VSTEP_MAX: f64 = 0.3;
+const VSTEP_MAX: f64 = 0.3;
 
 /// Maximum Newton iterations before reporting non-convergence.
 pub(crate) const MAX_ITERS: usize = 200;
@@ -78,23 +79,119 @@ impl NewtonStats {
 pub(crate) enum ReactivePolicy<'a> {
     /// DC: capacitors are open circuits.
     Dc,
-    /// Backward-Euler companion: `G = C/dt`, `Ieq = (C/dt) v_prev`.
-    BackwardEuler {
-        /// Time step, s.
-        dt: f64,
+    /// One transient step: every capacitor is its companion under `rule`.
+    Step {
+        /// The step's integration rule and span.
+        rule: Companion,
         /// Node voltages at the previous step (indexed by node, incl. ground).
         prev_v: &'a [f64],
-    },
-    /// Trapezoidal companion: `G = 2C/dt`,
-    /// `Ieq = (2C/dt) v_prev + i_prev`.
-    Trapezoidal {
-        /// Time step, s.
-        dt: f64,
-        /// Node voltages at the previous step.
-        prev_v: &'a [f64],
-        /// Capacitor currents at the previous step, in capacitor order.
+        /// Capacitor currents at the previous step, in capacitor order
+        /// (backward Euler ignores them).
         prev_ic: &'a [f64],
     },
+}
+
+/// The integration rule of one transient step over its span `dt`:
+/// backward Euler or trapezoidal. Every capacitor formula of both
+/// transient solvers is a method here, so the scalar and batched paths
+/// share one expression for each.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Companion {
+    /// `true` for the trapezoidal rule, `false` for backward Euler.
+    pub(crate) trap: bool,
+    /// The step's span, s.
+    pub(crate) dt: f64,
+}
+
+impl Companion {
+    /// The charge coefficient of the rule: `C` (backward Euler) or `2C`
+    /// (trapezoidal).
+    fn charge(self, farads: f64) -> f64 {
+        if self.trap {
+            2.0 * farads
+        } else {
+            farads
+        }
+    }
+
+    /// Companion conductance: `C/dt` or `2C/dt`.
+    pub(crate) fn g(self, farads: f64) -> f64 {
+        self.charge(farads) / self.dt
+    }
+
+    /// Companion history current from the conductance `g`, the previous
+    /// branch voltage `v_prev` and the previous current `i_prev`:
+    /// `g·v_prev`, plus `i_prev` under the trapezoidal rule.
+    pub(crate) fn ieq(self, g: f64, v_prev: f64, i_prev: f64) -> f64 {
+        let i = g * v_prev;
+        if self.trap {
+            i + i_prev
+        } else {
+            i
+        }
+    }
+
+    /// Capacitor current after a step that moved its branch voltage by
+    /// `dv`: `C·dv/dt`, or `2C·dv/dt − i_prev` under the trapezoidal rule.
+    pub(crate) fn current(self, farads: f64, dv: f64, i_prev: f64) -> f64 {
+        let i = self.charge(farads) * dv / self.dt;
+        if self.trap {
+            i - i_prev
+        } else {
+            i
+        }
+    }
+}
+
+/// A MOSFET linearized around a guess: the Norton current `ieq` of
+/// `id ≈ ieq + gm·vgs + gds·vds` and its six conductance stamps, in
+/// [`MOS_STAMPS`] order.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MosStamp {
+    pub(crate) ieq: f64,
+    pub(crate) g: [f64; 6],
+}
+
+/// `(row, column)` terminals of [`MosStamp::g`], as indices into
+/// `[drain, gate, source]`. A stamp is made when both are off ground.
+const MOS_STAMPS: [(usize, usize); 6] = [(0, 0), (0, 1), (0, 2), (2, 2), (2, 1), (2, 0)];
+
+impl MosStamp {
+    /// Linearizes `model` at drain, gate and source voltages `v`.
+    pub(crate) fn at(model: &MosfetModel, [vd, vg, vs]: [f64; 3]) -> Self {
+        let vgs = vg - vs;
+        let vds = vd - vs;
+        let ss = model.evaluate(vgs, vds);
+        let (gm, gds) = (ss.gm, ss.gds);
+        MosStamp {
+            ieq: ss.id - gm * vgs - gds * vds,
+            g: [gds, gm, -(gm + gds), gm + gds, -gm, -gds],
+        }
+    }
+}
+
+/// The Newton rule for an iterate whose largest update was
+/// `max_delta`: `None` once it has converged (within [`VTOL`]), else
+/// the scale that limits the damped update to [`VSTEP_MAX`].
+pub(crate) fn newton_damping(max_delta: f64) -> Option<f64> {
+    if max_delta <= VTOL {
+        None
+    } else if max_delta > VSTEP_MAX {
+        Some(VSTEP_MAX / max_delta)
+    } else {
+        Some(1.0)
+    }
+}
+
+/// Folds one unknown's update `x → x_new` into the running largest
+/// update (rows are folded in ascending order).
+pub(crate) fn fold_delta(max_delta: f64, x: f64, x_new: f64) -> f64 {
+    max_delta.max((x - x_new).abs())
+}
+
+/// The damped Newton update of one unknown.
+pub(crate) fn damp(x: f64, x_new: f64, scale: f64) -> f64 {
+    x + scale * (x_new - x)
 }
 
 /// A solved DC operating point.
@@ -129,6 +226,11 @@ impl OperatingPoint {
     pub fn voltages(&self) -> &[f64] {
         &self.voltages
     }
+}
+
+/// Matrix row (and column) of a node's voltage; `None` for ground.
+pub(crate) fn row_of(node: NodeId) -> Option<usize> {
+    node.index().checked_sub(1)
 }
 
 /// Size of the MNA unknown vector for `net`.
@@ -175,27 +277,18 @@ pub(crate) fn solve_nonlinear_ws(
         ws.factor(stats)?;
         ws.solve_into(&mut x_new);
 
-        let mut max_delta = 0.0f64;
-        for (a, b) in x.iter().zip(&x_new) {
-            max_delta = max_delta.max((a - b).abs());
-        }
-
         if linear {
             return Ok(x_new);
         }
-
-        if max_delta <= VTOL {
+        let max_delta = x
+            .iter()
+            .zip(&x_new)
+            .fold(0.0, |m, (&a, &b)| fold_delta(m, a, b));
+        let Some(scale) = newton_damping(max_delta) else {
             return Ok(x_new);
-        }
-
-        // Damped update: limit the largest component change to VSTEP_MAX.
-        let scale = if max_delta > VSTEP_MAX {
-            VSTEP_MAX / max_delta
-        } else {
-            1.0
         };
-        for (xi, xn) in x.iter_mut().zip(&x_new) {
-            *xi += scale * (xn - *xi);
+        for (xi, &xn) in x.iter_mut().zip(&x_new) {
+            *xi = damp(*xi, xn, scale);
         }
         last_delta = max_delta;
     }
@@ -343,6 +436,34 @@ pub(crate) fn is_linear(net: &Netlist) -> bool {
         .any(|e| matches!(e, Element::Mosfet { .. }))
 }
 
+/// What a matrix stamp's value is made of: the provenance the batched
+/// solver uses to rebuild a stamp without running [`assemble_into`]
+/// again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Stamp {
+    /// A value no step, time or guess changes: GMIN, a resistor's
+    /// conductance, a voltage source's incidence.
+    Fixed,
+    /// Capacitor `cap`'s companion conductance, negated when `neg`.
+    Cap { cap: u32, neg: bool },
+    /// Entry `j` of MOSFET `mos`'s [`MosStamp::g`].
+    Mos { mos: u32, j: u8 },
+}
+
+/// What a right-hand-side entry receives, in the same terms as
+/// [`Stamp`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RhsTerm {
+    /// Capacitor `cap`'s history current, negated when `neg`.
+    Cap { cap: u32, neg: bool },
+    /// Voltage source element `elem`'s value, assigned to its branch row.
+    Vsrc { elem: u32 },
+    /// Current source element `elem`'s value, negated when `neg`.
+    Isrc { elem: u32, neg: bool },
+    /// MOSFET `mos`'s Norton current, negated when `neg`.
+    Mos { mos: u32, neg: bool },
+}
+
 /// Where assembled matrix entries go: the discovery pass targets a
 /// pattern recorder, the hot path replays into frozen CSR slots, and
 /// tests feed the [`DenseMatrix`](crate::sparse::DenseMatrix) oracle. The *sequence* of `add` calls for a given netlist
@@ -350,32 +471,61 @@ pub(crate) fn is_linear(net: &Netlist) -> bool {
 /// topology (ground-ness of nodes, element order), never on values or
 /// time — which is what makes the recorded stamp program replayable.
 pub(crate) trait MatrixSink {
-    /// Accumulates `v` into entry `(r, c)`.
-    fn add(&mut self, r: usize, c: usize, v: f64);
+    /// Accumulates `v`, made as `src` says, into entry `(r, c)`.
+    fn add(&mut self, r: usize, c: usize, v: f64, src: Stamp);
+
+    /// Notes that `rhs[row]` has just received `term`. Only the
+    /// recorder keeps these.
+    fn rhs(&mut self, _row: usize, _term: RhsTerm) {}
 }
 
 #[cfg(test)]
 impl MatrixSink for crate::sparse::DenseMatrix {
-    fn add(&mut self, r: usize, c: usize, v: f64) {
+    fn add(&mut self, r: usize, c: usize, v: f64, _src: Stamp) {
         crate::sparse::DenseMatrix::add(self, r, c, v);
     }
 }
 
-/// Discovery-pass sink: records the structural coordinate sequence and
-/// the values of one assembly, from which the frozen [`CsrMatrix`] and
-/// the replayable slot program are compiled.
+/// Discovery-pass sink: records one assembly's walk — the stamp
+/// coordinates, values and provenance, and the right-hand-side terms —
+/// from which the frozen [`CsrMatrix`], the replayable slot program and
+/// the batched solver's structure are compiled.
 #[derive(Debug, Default)]
 pub(crate) struct StampRecorder {
     pub(crate) coords: Vec<(usize, usize)>,
     pub(crate) vals: Vec<f64>,
+    pub(crate) stamps: Vec<Stamp>,
+    pub(crate) rhs: Vec<(usize, RhsTerm)>,
+}
+
+impl StampRecorder {
+    /// Empties the record, keeping its capacity.
+    pub(crate) fn clear(&mut self) {
+        self.coords.clear();
+        self.vals.clear();
+        self.stamps.clear();
+        self.rhs.clear();
+    }
+
+    /// `true` when both records walk the same structure: the same
+    /// stamps at the same coordinates and the same right-hand-side
+    /// terms, whatever their values.
+    pub(crate) fn same_walk(&self, other: &StampRecorder) -> bool {
+        self.coords == other.coords && self.stamps == other.stamps && self.rhs == other.rhs
+    }
 }
 
 impl MatrixSink for StampRecorder {
-    fn add(&mut self, r: usize, c: usize, v: f64) {
+    fn add(&mut self, r: usize, c: usize, v: f64, src: Stamp) {
         // Zero values are recorded too: the program must have one slot
         // per structural stamp or later replays would desynchronize.
         self.coords.push((r, c));
         self.vals.push(v);
+        self.stamps.push(src);
+    }
+
+    fn rhs(&mut self, row: usize, term: RhsTerm) {
+        self.rhs.push((row, term));
     }
 }
 
@@ -390,7 +540,7 @@ pub(crate) struct StampReplayer<'a> {
 }
 
 impl MatrixSink for StampReplayer<'_> {
-    fn add(&mut self, r: usize, c: usize, v: f64) {
+    fn add(&mut self, r: usize, c: usize, v: f64, _src: Stamp) {
         #[cfg(debug_assertions)]
         debug_assert_eq!(
             self.coords[self.cursor],
@@ -423,6 +573,11 @@ impl StampReplayer<'_> {
 
 /// Assembles the linearized MNA system around guess `x` at time `t`
 /// into any [`MatrixSink`] and a caller-zeroed right-hand side.
+///
+/// This walk is the one definition of the stamp sequence: the scalar
+/// workspace compiles its slot program from it, and the batched solver
+/// records it per lane ([`StampRecorder`]) to take its structure, each
+/// stamp's provenance and its right-hand-side program from it.
 pub(crate) fn assemble_into<S: MatrixSink>(
     net: &Netlist,
     t: f64,
@@ -433,126 +588,99 @@ pub(crate) fn assemble_into<S: MatrixSink>(
 ) {
     let nn = net.num_nodes();
 
+    let idx = row_of;
     // Node voltage lookup from the current guess (ground = 0).
-    let v_of = |node: NodeId| -> f64 {
-        if node.is_ground() {
-            0.0
-        } else {
-            x[node.index() - 1]
-        }
-    };
-    // Matrix row/col of a node (None for ground).
-    let idx = |node: NodeId| -> Option<usize> {
-        if node.is_ground() {
-            None
-        } else {
-            Some(node.index() - 1)
-        }
-    };
+    let v_of = |node: NodeId| -> f64 { idx(node).map_or(0.0, |i| x[i]) };
 
-    let stamp_conductance = |m: &mut S, a: NodeId, b: NodeId, g: f64| {
+    let stamp_conductance = |m: &mut S, a: NodeId, b: NodeId, g: f64, diag: Stamp, off: Stamp| {
         if let Some(ia) = idx(a) {
-            m.add(ia, ia, g);
+            m.add(ia, ia, g, diag);
         }
         if let Some(ib) = idx(b) {
-            m.add(ib, ib, g);
+            m.add(ib, ib, g, diag);
         }
         if let (Some(ia), Some(ib)) = (idx(a), idx(b)) {
-            m.add(ia, ib, -g);
-            m.add(ib, ia, -g);
+            m.add(ia, ib, -g, off);
+            m.add(ib, ia, -g, off);
         }
     };
-    // Current `i` injected INTO node `into` (from node `from`).
-    let stamp_current = |rhs: &mut [f64], into: NodeId, i: f64| {
+    // Current `i` injected INTO node `into`.
+    let inject = |m: &mut S, rhs: &mut [f64], into: NodeId, i: f64, term: RhsTerm| {
         if let Some(ii) = idx(into) {
             rhs[ii] += i;
+            m.rhs(ii, term);
         }
     };
 
     // GMIN to ground on every node keeps floating subcircuits solvable.
     for node in 1..nn {
-        m.add(node - 1, node - 1, GMIN);
+        m.add(node - 1, node - 1, GMIN, Stamp::Fixed);
     }
 
     let mut vsrc = 0usize;
-    let mut cap_index = 0usize;
-    for e in net.elements() {
+    let mut cap = 0u32;
+    let mut mos = 0u32;
+    for (elem, e) in net.elements().iter().enumerate() {
+        let elem = elem as u32;
         match e {
             Element::Resistor { a, b, ohms, .. } => {
-                stamp_conductance(m, *a, *b, 1.0 / ohms);
+                stamp_conductance(m, *a, *b, 1.0 / ohms, Stamp::Fixed, Stamp::Fixed);
             }
             Element::Capacitor { a, b, farads, .. } => {
-                match policy {
-                    ReactivePolicy::Dc => {}
-                    ReactivePolicy::BackwardEuler { dt, prev_v } => {
-                        let g = farads / dt;
-                        let vprev = prev_v[a.index()] - prev_v[b.index()];
-                        stamp_conductance(m, *a, *b, g);
-                        stamp_current(rhs, *a, g * vprev);
-                        stamp_current(rhs, *b, -g * vprev);
-                    }
-                    ReactivePolicy::Trapezoidal {
-                        dt,
-                        prev_v,
-                        prev_ic,
-                    } => {
-                        let g = 2.0 * farads / dt;
-                        let vprev = prev_v[a.index()] - prev_v[b.index()];
-                        let ieq = g * vprev + prev_ic[cap_index];
-                        stamp_conductance(m, *a, *b, g);
-                        stamp_current(rhs, *a, ieq);
-                        stamp_current(rhs, *b, -ieq);
-                    }
+                if let ReactivePolicy::Step {
+                    rule,
+                    prev_v,
+                    prev_ic,
+                } = policy
+                {
+                    let g = rule.g(*farads);
+                    let ieq = rule.ieq(
+                        g,
+                        prev_v[a.index()] - prev_v[b.index()],
+                        prev_ic[cap as usize],
+                    );
+                    let (plus, minus) = (
+                        Stamp::Cap { cap, neg: false },
+                        Stamp::Cap { cap, neg: true },
+                    );
+                    stamp_conductance(m, *a, *b, g, plus, minus);
+                    inject(m, rhs, *a, ieq, RhsTerm::Cap { cap, neg: false });
+                    inject(m, rhs, *b, -ieq, RhsTerm::Cap { cap, neg: true });
                 }
-                cap_index += 1;
+                cap += 1;
             }
             Element::VSource { p, n, waveform, .. } => {
                 let row = nn - 1 + vsrc;
                 if let Some(ip) = idx(*p) {
-                    m.add(ip, row, 1.0);
-                    m.add(row, ip, 1.0);
+                    m.add(ip, row, 1.0, Stamp::Fixed);
+                    m.add(row, ip, 1.0, Stamp::Fixed);
                 }
                 if let Some(in_) = idx(*n) {
-                    m.add(in_, row, -1.0);
-                    m.add(row, in_, -1.0);
+                    m.add(in_, row, -1.0, Stamp::Fixed);
+                    m.add(row, in_, -1.0, Stamp::Fixed);
                 }
                 rhs[row] = waveform.eval(t);
+                m.rhs(row, RhsTerm::Vsrc { elem });
                 vsrc += 1;
             }
             Element::ISource { p, n, waveform, .. } => {
                 let i = waveform.eval(t);
                 // Positive source current flows p -> n through the source,
                 // i.e. it is pulled out of p and injected into n.
-                stamp_current(rhs, *p, -i);
-                stamp_current(rhs, *n, i);
+                inject(m, rhs, *p, -i, RhsTerm::Isrc { elem, neg: true });
+                inject(m, rhs, *n, i, RhsTerm::Isrc { elem, neg: false });
             }
             Element::Mosfet { d, g, s, model, .. } => {
-                let vgs = v_of(*g) - v_of(*s);
-                let vds = v_of(*d) - v_of(*s);
-                let ss = model.evaluate(vgs, vds);
-                // Norton linearization: id ≈ Ieq + gm*vgs + gds*vds.
-                let ieq = ss.id - ss.gm * vgs - ss.gds * vds;
-
-                if let Some(id_) = idx(*d) {
-                    m.add(id_, id_, ss.gds);
-                    if let Some(ig) = idx(*g) {
-                        m.add(id_, ig, ss.gm);
+                let st = MosStamp::at(model, [v_of(*d), v_of(*g), v_of(*s)]);
+                let rows = [idx(*d), idx(*g), idx(*s)];
+                for (j, &(r, c)) in MOS_STAMPS.iter().enumerate() {
+                    if let (Some(r), Some(c)) = (rows[r], rows[c]) {
+                        m.add(r, c, st.g[j], Stamp::Mos { mos, j: j as u8 });
                     }
-                    if let Some(is_) = idx(*s) {
-                        m.add(id_, is_, -(ss.gm + ss.gds));
-                    }
-                    rhs[id_] -= ieq;
                 }
-                if let Some(is_) = idx(*s) {
-                    m.add(is_, is_, ss.gm + ss.gds);
-                    if let Some(ig) = idx(*g) {
-                        m.add(is_, ig, -ss.gm);
-                    }
-                    if let Some(id_) = idx(*d) {
-                        m.add(is_, id_, -ss.gds);
-                    }
-                    rhs[is_] += ieq;
-                }
+                inject(m, rhs, *d, -st.ieq, RhsTerm::Mos { mos, neg: true });
+                inject(m, rhs, *s, st.ieq, RhsTerm::Mos { mos, neg: false });
+                mos += 1;
             }
         }
     }
@@ -729,18 +857,12 @@ mod tests {
             let max_delta = x
                 .iter()
                 .zip(&x_new)
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0, f64::max);
-            if max_delta <= VTOL {
+                .fold(0.0, |m, (&a, &b)| fold_delta(m, a, b));
+            let Some(scale) = newton_damping(max_delta) else {
                 return x_new;
-            }
-            let scale = if max_delta > VSTEP_MAX {
-                VSTEP_MAX / max_delta
-            } else {
-                1.0
             };
-            for (xi, xn) in x.iter_mut().zip(&x_new) {
-                *xi += scale * (xn - *xi);
+            for (xi, &xn) in x.iter_mut().zip(&x_new) {
+                *xi = damp(*xi, xn, scale);
             }
         }
         panic!("dense Newton did not converge");
@@ -798,9 +920,13 @@ mod tests {
         prev_v[1..].copy_from_slice(&dc[..net.num_nodes() - 1]);
         prev_v[bl0.index()] = 0.7;
         prev_v[bl1.index()] = 0.7;
-        let policy = ReactivePolicy::BackwardEuler {
-            dt: 1e-12,
+        let policy = ReactivePolicy::Step {
+            rule: Companion {
+                trap: false,
+                dt: 1e-12,
+            },
             prev_v: &prev_v,
+            prev_ic: &[0.0; 2],
         };
         let x0: Vec<f64> = dc.clone();
         let step = solve_nonlinear(&net, 0.0, policy, x0.clone(), &mut stats).unwrap();

@@ -20,8 +20,8 @@ use std::collections::HashMap;
 
 use crate::error::SpiceError;
 use crate::mna::{
-    is_linear, solve_nonlinear_ws, system_size, MnaWorkspace, NewtonStats, OperatingPoint,
-    ReactivePolicy,
+    is_linear, row_of, solve_nonlinear_ws, system_size, Companion, MnaWorkspace, NewtonStats,
+    OperatingPoint, ReactivePolicy,
 };
 use crate::netlist::{Element, Netlist, NodeId};
 
@@ -154,27 +154,7 @@ impl<'a> Transient<'a> {
         stats: &mut NewtonStats,
         mut stop: impl FnMut(&TransientResult) -> bool,
     ) -> Result<TransientResult, SpiceError> {
-        let valid = dt > 0.0 && t_stop > 0.0;
-        if !valid {
-            return Err(SpiceError::InvalidAnalysis {
-                message: format!("dt ({dt}) and t_stop ({t_stop}) must be positive"),
-            });
-        }
-        let mut steps = (t_stop / dt).ceil() as usize;
-        if steps > 20_000_000 {
-            return Err(SpiceError::InvalidAnalysis {
-                message: format!("{steps} steps requested; raise dt or lower t_stop"),
-            });
-        }
-        // When dt does not divide t_stop the final step is shortened to
-        // land exactly on t_stop (integrating a full dt but stamping the
-        // sample at t_stop would corrupt the waveform tail). If ceil()
-        // manufactured a degenerate sliver out of rounding (t_stop/dt
-        // just past an integer), fold it into the previous step instead
-        // of taking a ~0-length step.
-        if steps > 1 && t_stop - (steps - 1) as f64 * dt <= dt * 1e-9 {
-            steps -= 1;
-        }
+        let grid = StepGrid::new(dt, t_stop)?;
 
         let net = self.net;
         let nn = net.num_nodes();
@@ -224,34 +204,21 @@ impl<'a> Transient<'a> {
         // the one-off BE bootstrap under trapezoidal each refactor for
         // *their* step size — the companion of the nominal dt would be
         // wrong for them.
-        let mut factored_for: Option<(bool, f64)> = None;
+        let mut factored_for: Option<Companion> = None;
 
-        let mut first_step = true;
-        let mut t_prev = 0.0f64;
-        for k in 1..=steps {
-            let t = if k == steps { t_stop } else { k as f64 * dt };
-            let dt_k = t - t_prev;
-            // The trapezoidal rule needs consistent capacitor currents at
-            // the previous point. In UIC mode they are unknown at t=0, so
-            // take the first step with backward Euler (standard practice);
-            // that BE step also seeds `cap_i` below.
-            let use_be = matches!(self.method, Method::BackwardEuler) || (first_step && self.uic);
-            let policy = if use_be {
-                ReactivePolicy::BackwardEuler {
-                    dt: dt_k,
-                    prev_v: &node_v,
-                }
-            } else {
-                self.policy(dt_k, &node_v, &cap_i)
+        for (t, rule) in grid.iter(self.method, self.uic) {
+            let policy = ReactivePolicy::Step {
+                rule,
+                prev_v: &node_v,
+                prev_ic: &cap_i,
             };
-
             let x_new = if linear {
                 // Linear fast path: replay the RHS assembly; refactor
                 // only when the companion values changed.
                 ws.assemble(net, t, policy, &x);
-                if factored_for != Some((use_be, dt_k)) {
+                if factored_for != Some(rule) {
                     ws.factor(stats)?;
-                    factored_for = Some((use_be, dt_k));
+                    factored_for = Some(rule);
                 }
                 let mut out = Vec::new();
                 ws.solve_into(&mut out);
@@ -262,22 +229,11 @@ impl<'a> Transient<'a> {
 
             // Update capacitor currents (needed by trapezoidal memory),
             // using this step's actual size.
-            let v_of = |node: NodeId, state: &[f64]| -> f64 {
-                if node.is_ground() {
-                    0.0
-                } else {
-                    state[node.index() - 1]
-                }
-            };
+            let v_of = |node: NodeId, state: &[f64]| row_of(node).map_or(0.0, |r| state[r]);
             for (ci, &(a, b, c)) in caps.iter().enumerate() {
                 let v_new = v_of(a, &x_new) - v_of(b, &x_new);
                 let v_old = node_v[a.index()] - node_v[b.index()];
-                cap_i[ci] = if use_be {
-                    c * (v_new - v_old) / dt_k
-                } else {
-                    // Trapezoidal: i_new = 2C/dt (v_new - v_old) - i_old.
-                    2.0 * c * (v_new - v_old) / dt_k - cap_i[ci]
-                };
+                cap_i[ci] = rule.current(c, v_new - v_old, cap_i[ci]);
             }
 
             node_v[1..nn].copy_from_slice(&x_new[..nn - 1]);
@@ -286,22 +242,79 @@ impl<'a> Transient<'a> {
             if stop(&result) {
                 break;
             }
-            t_prev = t;
-            first_step = false;
         }
 
         Ok(result)
     }
+}
 
-    fn policy<'b>(&self, dt: f64, prev_v: &'b [f64], prev_ic: &'b [f64]) -> ReactivePolicy<'b> {
-        match self.method {
-            Method::BackwardEuler => ReactivePolicy::BackwardEuler { dt, prev_v },
-            Method::Trapezoidal => ReactivePolicy::Trapezoidal {
-                dt,
-                prev_v,
-                prev_ic,
-            },
+/// The fixed step grid both transient solvers walk, scalar and batched.
+///
+/// Step `k` of `steps` ends at `k·dt`, except the last, which lands
+/// exactly on `t_stop`: when `dt` does not divide `t_stop` the final
+/// step is shortened (integrating a full `dt` but stamping the sample
+/// at `t_stop` would corrupt the waveform tail), and a degenerate
+/// sliver that `ceil` made out of rounding (`t_stop/dt` just past an
+/// integer) is folded into the step before it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StepGrid {
+    dt: f64,
+    t_stop: f64,
+    steps: usize,
+}
+
+impl StepGrid {
+    /// The grid of `dt` steps up to `t_stop`.
+    ///
+    /// # Errors
+    ///
+    /// [`SpiceError::InvalidAnalysis`] for non-positive `dt`/`t_stop`
+    /// or more than 20 million steps.
+    pub(crate) fn new(dt: f64, t_stop: f64) -> Result<Self, SpiceError> {
+        if !(dt > 0.0 && t_stop > 0.0) {
+            return Err(SpiceError::InvalidAnalysis {
+                message: format!("dt ({dt}) and t_stop ({t_stop}) must be positive"),
+            });
         }
+        let mut steps = (t_stop / dt).ceil() as usize;
+        if steps > 20_000_000 {
+            return Err(SpiceError::InvalidAnalysis {
+                message: format!("{steps} steps requested; raise dt or lower t_stop"),
+            });
+        }
+        if steps > 1 && t_stop - (steps - 1) as f64 * dt <= dt * 1e-9 {
+            steps -= 1;
+        }
+        Ok(Self { dt, t_stop, steps })
+    }
+
+    /// Number of steps (the stored `t = 0` point is not one).
+    pub(crate) fn steps(&self) -> usize {
+        self.steps
+    }
+
+    /// Each step's end time and integration rule, in order. The rule
+    /// spans the step's true length `t_k − t_{k−1}`. It is `method`'s,
+    /// except that a trapezoidal run from initial conditions (`uic`)
+    /// takes its first step with backward Euler: the trapezoidal rule
+    /// needs consistent capacitor currents at the previous point, which
+    /// are unknown at `t = 0`, and that step seeds them.
+    pub(crate) fn iter(self, method: Method, uic: bool) -> impl Iterator<Item = (f64, Companion)> {
+        let mut t_prev = 0.0f64;
+        (1..=self.steps).map(move |k| {
+            let t = if k == self.steps {
+                self.t_stop
+            } else {
+                k as f64 * self.dt
+            };
+            let trap = method == Method::Trapezoidal && !(k == 1 && uic);
+            let rule = Companion {
+                trap,
+                dt: t - t_prev,
+            };
+            t_prev = t;
+            (t, rule)
+        })
     }
 }
 

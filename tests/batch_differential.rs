@@ -17,7 +17,7 @@ use std::fmt::Display;
 
 use mpvar::litho::{sample_draw, Draw};
 use mpvar::spice::{
-    run_transient_batch, BatchLaneOutcome, BatchTransientSpec, BatchedMnaWorkspace,
+    run_transient_batch_until, BatchLaneOutcome, BatchTransientSpec, BatchedMnaWorkspace,
     LaneFalloutReason, Method, MosfetModel, Netlist, Transient, Waveform,
 };
 use mpvar::sram::{
@@ -154,7 +154,7 @@ fn forced_pivot_drift_evicts_lane_and_scalar_owns_it() {
         probes: &[d],
     };
     let mut ws = BatchedMnaWorkspace::new();
-    let out = run_transient_batch(&nets, &spec, &mut ws).unwrap();
+    let out = run_transient_batch_until(&nets, &spec, &mut ws, |_, _, _| false).unwrap();
 
     // The engineered lane must leave the batch mid-transient — via the
     // pivot check, or via Newton giving up on the near-singular system.
