@@ -69,7 +69,7 @@ use crate::mna::{
 };
 use crate::mosfet::MosfetModel;
 use crate::netlist::{Element, Netlist, NodeId};
-use crate::sparse::{CsrMatrix, LuBatchWorkspace, SymbolicLu};
+use crate::sparse::{CsrMatrix, LuWorkspace, SymbolicLu};
 use crate::transient::{Method, StepGrid};
 
 /// What a batched transient should run: the scalar
@@ -202,7 +202,7 @@ pub struct BatchedMnaWorkspace {
     /// Capacitor companion currents, `[capacitor][lane]` interleaved.
     cap_i: Vec<f64>,
     /// Batched LU factors and scatter rows.
-    lu: LuBatchWorkspace,
+    lu: LuWorkspace,
     /// Per-lane first failing pivot row of the last refactor.
     fail_row: Vec<Option<usize>>,
     /// Walk recorder reused across the lanes after the first.
@@ -550,7 +550,7 @@ pub fn run_transient_batch_until(
 
             // ---- Solve ----------------------------------------------
             let sym = c.sym.as_ref().expect("factored before the first solve");
-            sym.solve_batch(&mut ws.lu, &ws.rhs, &mut ws.x_new);
+            sym.solve_batch(&ws.lu, &ws.rhs, &mut ws.x_new);
 
             // ---- Per-lane convergence (the scalar Newton rule) ------
             // Row sweeps over the `[row][lane]` layout: the per-lane

@@ -406,14 +406,13 @@ impl MnaWorkspace {
             }
         }
         // Pivot drift under the frozen order: one re-analysis with the
-        // current values, then hard failure.
-        let sym = SymbolicLu::analyze(&c.csr)?;
-        let mut lu = sym.workspace();
+        // current values into the same workspace, then hard failure.
+        let (sym, lu) = c.symbolic.as_mut().expect("just ensured");
+        *sym = SymbolicLu::analyze(&c.csr)?;
+        lu.prepare(sym, 1);
         stats.lu_symbolic_builds += 1;
         stats.lu_refactors += 1;
-        let result = sym.refactor(&c.csr, &mut lu);
-        c.symbolic = Some((sym, lu));
-        result
+        sym.refactor(&c.csr, lu)
     }
 
     /// Back-substitutes the workspace right-hand side through the last

@@ -14,6 +14,13 @@
 //! one factorization serves any number of right-hand sides, so a linear
 //! circuit at a fixed step factors once and back-substitutes per step.
 //!
+//! One refactor body and one solve body serve one lane and many: they
+//! work on a group of `G` ∈ {16, 8, 4, 2, 1} lanes of `[slot][lane]`
+//! storage in `[f64; G]` locals. The one-lane [`SymbolicLu::refactor`]
+//! is the `G = 1` group; a batch runs its lanes in groups, widest first.
+//! Per lane the floating-point operations and their order never change,
+//! so a batched lane is bit-identical to the same matrix factored alone.
+//!
 //! [`DenseMatrix`] is the O(n³) reference solver: tests feed it the same
 //! stamp stream as the compiled kernel and compare solutions.
 
@@ -122,6 +129,32 @@ impl CsrMatrix {
             })
             .collect()
     }
+}
+
+/// Calls `$sym.$body::<G, FULL>(.., g0)` for each group of `G` lanes of
+/// a `$lanes`-lane batch, widest first (5 = 4 + 1, 12 = 8 + 4, 20 =
+/// 16 + 4); `FULL` when the one group spans every lane.
+macro_rules! for_each_group {
+    ($lanes:expr, $g0:ident => $sym:ident.$body:ident($($arg:expr),*)) => {
+        let lanes: usize = $lanes;
+        let mut $g0 = 0;
+        while $g0 < lanes {
+            let g = [16, 8, 4, 2, 1].into_iter().find(|&g| g <= lanes - $g0).expect("lanes left");
+            match (g, g == lanes) {
+                (16, true) => $sym.$body::<16, true>($($arg),*),
+                (16, false) => $sym.$body::<16, false>($($arg),*),
+                (8, true) => $sym.$body::<8, true>($($arg),*),
+                (8, false) => $sym.$body::<8, false>($($arg),*),
+                (4, true) => $sym.$body::<4, true>($($arg),*),
+                (4, false) => $sym.$body::<4, false>($($arg),*),
+                (2, true) => $sym.$body::<2, true>($($arg),*),
+                (2, false) => $sym.$body::<2, false>($($arg),*),
+                (_, true) => $sym.$body::<1, true>($($arg),*),
+                (_, false) => $sym.$body::<1, false>($($arg),*),
+            }
+            $g0 += g;
+        }
+    };
 }
 
 /// The symbolic phase of a compiled LU factorization: a pivot order and
@@ -281,14 +314,17 @@ impl SymbolicLu {
         self.n
     }
 
-    /// Allocates a numeric workspace sized for this analysis.
+    /// The pivot permutation: `perm()[k]` = original row eliminated at
+    /// step `k` (the batch checks each lane's analysis against it).
+    pub(crate) fn perm(&self) -> &[usize] {
+        &self.perm
+    }
+
+    /// Allocates a one-lane numeric workspace sized for this analysis.
     pub fn workspace(&self) -> LuWorkspace {
-        LuWorkspace {
-            l_vals: vec![0.0; self.l_cols.len()],
-            u_vals: vec![0.0; self.u_cols.len()],
-            inv_diag: vec![0.0; self.n],
-            work: vec![0.0; self.n],
-        }
+        let mut ws = LuWorkspace::default();
+        ws.prepare(self, 1);
+        ws
     }
 
     /// Numeric-only refactorization: recomputes `L`/`U` values from the
@@ -306,44 +342,9 @@ impl SymbolicLu {
     ///
     /// Panics if `a` or `ws` do not match this analysis' dimensions.
     pub fn refactor(&self, a: &CsrMatrix, ws: &mut LuWorkspace) -> Result<(), SpiceError> {
-        assert_eq!(a.n, self.n, "dimension mismatch");
-        assert_eq!(ws.inv_diag.len(), self.n, "workspace mismatch");
-        let max_abs = a.vals.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-        let tol = (max_abs * PIVOT_RTOL).max(f64::MIN_POSITIVE);
-
-        for k in 0..self.n {
-            // Scatter row perm[k] of A into the dense work row. Every A
-            // position is inside this row's static L∪U pattern.
-            let r = self.perm[k];
-            for p in a.row_ptr[r]..a.row_ptr[r + 1] {
-                ws.work[a.cols[p]] = a.vals[p];
-            }
-            // Eliminate with every earlier pivot row in the L pattern
-            // (ascending, so updates only touch columns still ahead).
-            for idx in self.l_ptr[k]..self.l_ptr[k + 1] {
-                let j = self.l_cols[idx];
-                let m = ws.work[j] * ws.inv_diag[j];
-                ws.l_vals[idx] = m;
-                ws.work[j] = 0.0;
-                if m != 0.0 {
-                    for t in self.u_ptr[j] + 1..self.u_ptr[j + 1] {
-                        ws.work[self.u_cols[t]] -= m * ws.u_vals[t];
-                    }
-                }
-            }
-            // Gather the U row (clearing the work row as we go).
-            for t in self.u_ptr[k]..self.u_ptr[k + 1] {
-                let c = self.u_cols[t];
-                ws.u_vals[t] = ws.work[c];
-                ws.work[c] = 0.0;
-            }
-            let diag = ws.u_vals[self.u_ptr[k]];
-            if diag.abs() <= tol {
-                return Err(SpiceError::SingularMatrix { row: k });
-            }
-            ws.inv_diag[k] = 1.0 / diag;
-        }
-        Ok(())
+        let mut fail_row = [None];
+        self.refactor_group::<1, true>(a, &a.vals, ws, 0, &mut fail_row);
+        fail_row[0].map_or(Ok(()), |row| Err(SpiceError::SingularMatrix { row }))
     }
 
     /// Solves `A x = b` with the factors last computed into `ws`.
@@ -359,281 +360,193 @@ impl SymbolicLu {
 
     /// Allocation-free variant of [`SymbolicLu::solve`]: writes the
     /// solution into `x` (resized as needed).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != dim()`.
     pub(crate) fn solve_into(&self, ws: &LuWorkspace, b: &[f64], x: &mut Vec<f64>) {
-        assert_eq!(b.len(), self.n, "dimension mismatch");
-        x.clear();
-        x.extend(self.perm.iter().map(|&r| b[r]));
-        // Forward: L is unit-lower, rows in elimination order.
-        for k in 0..self.n {
-            let mut acc = x[k];
-            for idx in self.l_ptr[k]..self.l_ptr[k + 1] {
-                acc -= ws.l_vals[idx] * x[self.l_cols[idx]];
-            }
-            x[k] = acc;
-        }
-        // Backward: U rows store the diagonal first.
-        for k in (0..self.n).rev() {
-            let mut acc = x[k];
-            for t in self.u_ptr[k] + 1..self.u_ptr[k + 1] {
-                acc -= ws.u_vals[t] * x[self.u_cols[t]];
-            }
-            x[k] = acc * ws.inv_diag[k];
-        }
-    }
-}
-
-impl SymbolicLu {
-    /// The pivot permutation: `perm()[k]` = original row eliminated at
-    /// step `k`. Used by the batched solver to verify that every lane's
-    /// own analysis agrees with the batch's shared one.
-    pub(crate) fn perm(&self) -> &[usize] {
-        &self.perm
+        x.resize(self.n, 0.0);
+        self.solve_group::<1, true>(ws, b, x, 0);
     }
 
-    /// Batched numeric refactorization: the structure-of-arrays
-    /// counterpart of [`SymbolicLu::refactor`]. `vals` holds `lanes`
-    /// matrices sharing `pattern`, laid out `[slot][lane]`
-    /// (`vals[slot * lanes + lane]`), and the factors land in `ws` with
-    /// the same interleaving. Per lane, the floating-point operation
-    /// sequence is *exactly* the scalar `refactor`'s — the skipped
-    /// `m == 0` update becomes a per-lane select — so each lane's
-    /// factors are bit-identical to a scalar refactor of that lane.
-    ///
-    /// Instead of failing on the first drifted pivot, every lane runs to
-    /// completion and `fail_row[lane]` records the first step whose
-    /// pivot fell below that lane's relative threshold (`None` = clean).
-    /// Failed lanes keep computing garbage harmlessly — lanes never mix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pattern`, `vals`, `ws`, or `fail_row` disagree with
-    /// this analysis' dimensions or the lane count.
+    /// [`SymbolicLu::refactor`] of every lane of a batch: `vals` holds
+    /// `ws`'s lane count of matrices sharing `pattern`, `[slot][lane]`,
+    /// and the factors land in `ws` alike. A `None` in `fail_row[lane]`
+    /// becomes the first row whose pivot fell below that lane's
+    /// threshold; a failed lane computes garbage harmlessly.
     pub(crate) fn refactor_batch(
         &self,
         pattern: &CsrMatrix,
         vals: &[f64],
-        ws: &mut LuBatchWorkspace,
+        ws: &mut LuWorkspace,
         fail_row: &mut [Option<usize>],
     ) {
-        // Monomorphize the hot widths: with `L` const the lane count
-        // folds into every subslice length below, so the per-slot loops
-        // compile to straight-line SIMD with no bounds checks.
-        match ws.lanes {
-            8 => self.refactor_batch_lanes::<8>(pattern, vals, ws, fail_row),
-            4 => self.refactor_batch_lanes::<4>(pattern, vals, ws, fail_row),
-            2 => self.refactor_batch_lanes::<2>(pattern, vals, ws, fail_row),
-            _ => self.refactor_batch_lanes::<0>(pattern, vals, ws, fail_row),
-        }
+        assert_eq!(fail_row.len(), ws.lanes, "fail_row lane mismatch");
+        for_each_group!(ws.lanes, g0 => self.refactor_group(pattern, vals, ws, g0, fail_row));
     }
 
-    fn refactor_batch_lanes<const L: usize>(
+    /// [`SymbolicLu::solve`] of every lane with the factors of
+    /// [`SymbolicLu::refactor_batch`]; `rhs` and `out` are `[row][lane]`.
+    pub(crate) fn solve_batch(&self, ws: &LuWorkspace, rhs: &[f64], out: &mut [f64]) {
+        for_each_group!(ws.lanes, g0 => self.solve_group(ws, rhs, out, g0));
+    }
+
+    /// The one refactor body, for lanes `g0..g0 + G` of `ws`'s lanes at
+    /// `slot * stride + lane`; a group spanning every lane (`FULL`) has
+    /// the constant stride `G`. A lane whose multiplier is exactly `0.0`
+    /// skips that row update (`0 * inf` would be NaN), and when every
+    /// lane's is, the whole update is skipped. A failed pivot sets the
+    /// lane's `fail_row` and the sweep goes on.
+    fn refactor_group<const G: usize, const FULL: bool>(
         &self,
         pattern: &CsrMatrix,
         vals: &[f64],
-        ws: &mut LuBatchWorkspace,
+        ws: &mut LuWorkspace,
+        g0: usize,
         fail_row: &mut [Option<usize>],
     ) {
-        let lanes = if L > 0 { L } else { ws.lanes };
+        let fail_row = &mut fail_row[g0..g0 + G];
+        let (stride, g0) = if FULL { (G, 0) } else { (ws.lanes, g0) };
         assert_eq!(pattern.n, self.n, "dimension mismatch");
-        assert_eq!(vals.len(), pattern.nnz() * lanes, "vals layout mismatch");
-        assert_eq!(ws.inv_diag.len(), self.n * lanes, "workspace mismatch");
-        assert_eq!(fail_row.len(), lanes, "fail_row lane mismatch");
+        assert_eq!(ws.inv_diag.len(), self.n * stride, "workspace mismatch");
+        assert_eq!(vals.len(), pattern.nnz() * stride, "vals layout mismatch");
+        // Slices keep pointers and lengths in registers across stores.
+        let (l_vals, u_vals) = (&mut ws.l_vals[..], &mut ws.u_vals[..]);
+        let (inv_diag, work) = (&mut ws.inv_diag[..], &mut ws.work[..]);
+        let at = |i: usize| i * stride + g0;
+        let tol = lane_max::<G>(vals, stride, g0).map(|m| (m * PIVOT_RTOL).max(f64::MIN_POSITIVE));
 
-        // Per-lane relative pivot tolerance, mirroring the scalar fold
-        // over the value array in slot order.
-        ws.tol.clear();
-        ws.tol.resize(lanes, 0.0);
-        for slot in 0..pattern.nnz() {
-            let v = &vals[slot * lanes..slot * lanes + lanes];
-            for (m, x) in ws.tol.iter_mut().zip(v) {
-                *m = m.max(x.abs());
-            }
-        }
-        for t in ws.tol.iter_mut() {
-            *t = (*t * PIVOT_RTOL).max(f64::MIN_POSITIVE);
-        }
-
-        // Every inner loop below runs on `lanes`-long subslices via
-        // iterator zips: no bounds checks survive, so the compiler
-        // vectorizes the lane dimension.
         for k in 0..self.n {
-            // Scatter row perm[k] of every lane's A into the dense rows.
+            // Scatter row perm[k] of A into the dense work row. Every A
+            // position is inside this row's static L∪U pattern.
             let r = self.perm[k];
             for p in pattern.row_ptr[r]..pattern.row_ptr[r + 1] {
-                let c = pattern.cols[p];
-                let src = &vals[p * lanes..p * lanes + lanes];
-                ws.work[c * lanes..c * lanes + lanes].copy_from_slice(src);
+                *group_mut(work, at(pattern.cols[p])) = *group::<G>(vals, at(p));
             }
-            // Eliminate with every earlier pivot row in the L pattern.
+            // Eliminate with every earlier pivot row in the L pattern
+            // (ascending, so updates only touch columns still ahead).
             for idx in self.l_ptr[k]..self.l_ptr[k + 1] {
                 let j = self.l_cols[idx];
-                {
-                    let wrow = &mut ws.work[j * lanes..j * lanes + lanes];
-                    let drow = &ws.inv_diag[j * lanes..j * lanes + lanes];
-                    let mrow = &mut ws.l_vals[idx * lanes..idx * lanes + lanes];
-                    for ((m, w), d) in mrow.iter_mut().zip(wrow.iter_mut()).zip(drow) {
-                        *m = *w * *d;
-                        *w = 0.0;
-                    }
+                let w = std::mem::replace(group_mut::<G>(work, at(j)), [0.0; G]);
+                let d = group::<G>(inv_diag, at(j));
+                let m: [f64; G] = std::array::from_fn(|l| w[l] * d[l]);
+                *group_mut(l_vals, at(idx)) = m;
+                if m.iter().all(|&m| m == 0.0) {
+                    continue;
                 }
                 for t in self.u_ptr[j] + 1..self.u_ptr[j + 1] {
-                    let c = self.u_cols[t];
-                    let u = &ws.u_vals[t * lanes..t * lanes + lanes];
-                    let m = &ws.l_vals[idx * lanes..idx * lanes + lanes];
-                    let w = &mut ws.work[c * lanes..c * lanes + lanes];
-                    for ((w, &m), &u) in w.iter_mut().zip(m).zip(u) {
-                        // Scalar skips the update when m == 0; the select
-                        // preserves those bit-exact semantics (0 * u may
-                        // be -0.0 or NaN) while letting lanes vectorize.
-                        let wi = *w;
-                        *w = if m != 0.0 { wi - m * u } else { wi };
+                    let u = group::<G>(u_vals, at(t));
+                    let w = group_mut::<G>(work, at(self.u_cols[t]));
+                    for ((w, &m), &u) in w.iter_mut().zip(&m).zip(u) {
+                        // A select, not a branch, so the lanes vectorize.
+                        *w = if m != 0.0 { *w - m * u } else { *w };
                     }
                 }
             }
-            // Gather the U row, clearing the work rows as we go.
+            // Gather the U row (clearing the work row as we go).
             for t in self.u_ptr[k]..self.u_ptr[k + 1] {
-                let c = self.u_cols[t];
-                let src = &mut ws.work[c * lanes..c * lanes + lanes];
-                let dst = &mut ws.u_vals[t * lanes..t * lanes + lanes];
-                for (d, s) in dst.iter_mut().zip(src.iter_mut()) {
-                    *d = *s;
-                    *s = 0.0;
-                }
+                let w = std::mem::replace(group_mut(work, at(self.u_cols[t])), [0.0; G]);
+                *group_mut(u_vals, at(t)) = w;
             }
-            let dpos = self.u_ptr[k] * lanes;
-            let urow = &ws.u_vals[dpos..dpos + lanes];
-            let inv = &mut ws.inv_diag[k * lanes..k * lanes + lanes];
-            for (i, &d) in inv.iter_mut().zip(urow) {
-                *i = 1.0 / d;
-            }
-            for (l, (&d, &tol)) in urow.iter().zip(&ws.tol).enumerate() {
-                if d.abs() <= tol && fail_row[l].is_none() {
-                    fail_row[l] = Some(k);
+            let diag = *group::<G>(u_vals, at(self.u_ptr[k]));
+            *group_mut(inv_diag, at(k)) = diag.map(|d| 1.0 / d);
+            for ((f, d), tol) in fail_row.iter_mut().zip(diag).zip(tol) {
+                if d.abs() <= tol && f.is_none() {
+                    *f = Some(k);
                 }
             }
         }
     }
 
-    /// Batched counterpart of [`SymbolicLu::solve_into`]: solves every
-    /// lane's system with the factors last computed by
-    /// [`SymbolicLu::refactor_batch`]. Both `rhs` and `out` are
-    /// `[row][lane]` interleaved, matching the assembled values layout:
-    /// the permutation gather is a contiguous row copy and — because
-    /// `x[k]` already *is* the solution for variable `k` (columns stay
-    /// in natural order; only rows are permuted, on the gather) — the
-    /// output is a single contiguous copy, no transpose.
-    /// Per-lane operation order is exactly the scalar `solve_into`'s.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rhs`/`out` are not `lanes * dim()` long.
-    pub(crate) fn solve_batch(&self, ws: &mut LuBatchWorkspace, rhs: &[f64], out: &mut [f64]) {
-        match ws.lanes {
-            8 => self.solve_batch_lanes::<8>(ws, rhs, out),
-            4 => self.solve_batch_lanes::<4>(ws, rhs, out),
-            2 => self.solve_batch_lanes::<2>(ws, rhs, out),
-            _ => self.solve_batch_lanes::<0>(ws, rhs, out),
-        }
-    }
-
-    fn solve_batch_lanes<const L: usize>(
+    /// The one solve body, for lanes `g0..g0 + G`; strides as in
+    /// [`SymbolicLu::refactor_group`].
+    fn solve_group<const G: usize, const FULL: bool>(
         &self,
-        ws: &mut LuBatchWorkspace,
+        ws: &LuWorkspace,
         rhs: &[f64],
         out: &mut [f64],
+        g0: usize,
     ) {
-        let lanes = if L > 0 { L } else { ws.lanes };
-        let n = self.n;
-        assert_eq!(rhs.len(), n * lanes, "rhs layout mismatch");
-        assert_eq!(out.len(), n * lanes, "out layout mismatch");
+        let (stride, g0) = if FULL { (G, 0) } else { (ws.lanes, g0) };
+        assert_eq!(ws.inv_diag.len(), self.n * stride, "workspace mismatch");
+        assert_eq!(rhs.len(), self.n * stride, "dimension mismatch");
+        assert_eq!(out.len(), self.n * stride, "dimension mismatch");
+        let at = |i: usize| i * stride + g0;
         for (k, &r) in self.perm.iter().enumerate() {
-            ws.x[k * lanes..k * lanes + lanes].copy_from_slice(&rhs[r * lanes..r * lanes + lanes]);
+            *group_mut(out, at(k)) = *group::<G>(rhs, at(r));
         }
-        // Forward: L is unit-lower, rows in elimination order; splitting
-        // at `k * lanes` proves to the compiler that row k and its
-        // earlier dependencies `j < k` never alias, so the lane loops
-        // vectorize without bounds checks.
-        for k in 0..n {
-            let (lo, hi) = ws.x.split_at_mut(k * lanes);
-            let xk = &mut hi[..lanes];
+        // Forward: L is unit-lower, rows in elimination order.
+        for k in 0..self.n {
+            let mut acc = *group::<G>(out, at(k));
             for idx in self.l_ptr[k]..self.l_ptr[k + 1] {
-                let j = self.l_cols[idx];
-                let xj = &lo[j * lanes..j * lanes + lanes];
-                let lv = &ws.l_vals[idx * lanes..idx * lanes + lanes];
-                for ((x, &a), &b) in xk.iter_mut().zip(lv).zip(xj) {
-                    *x -= a * b;
-                }
+                let l = group::<G>(&ws.l_vals, at(idx));
+                let x = group::<G>(out, at(self.l_cols[idx]));
+                acc = std::array::from_fn(|i| acc[i] - l[i] * x[i]);
             }
+            *group_mut(out, at(k)) = acc;
         }
-        // Backward: U rows store the diagonal first; off-diagonal
-        // columns satisfy `c > k`, so split just past row k.
-        for k in (0..n).rev() {
-            let (lo, hi) = ws.x.split_at_mut((k + 1) * lanes);
-            let xk = &mut lo[k * lanes..];
+        // Backward: U rows store the diagonal first.
+        for k in (0..self.n).rev() {
+            let mut acc = *group::<G>(out, at(k));
             for t in self.u_ptr[k] + 1..self.u_ptr[k + 1] {
-                let off = (self.u_cols[t] - k - 1) * lanes;
-                let xc = &hi[off..off + lanes];
-                let uv = &ws.u_vals[t * lanes..t * lanes + lanes];
-                for ((x, &a), &b) in xk.iter_mut().zip(uv).zip(xc) {
-                    *x -= a * b;
-                }
+                let u = group::<G>(&ws.u_vals, at(t));
+                let x = group::<G>(out, at(self.u_cols[t]));
+                acc = std::array::from_fn(|i| acc[i] - u[i] * x[i]);
             }
-            let inv = &ws.inv_diag[k * lanes..k * lanes + lanes];
-            for (x, &i) in xk.iter_mut().zip(inv) {
-                *x *= i;
-            }
+            let inv = group::<G>(&ws.inv_diag, at(k));
+            *group_mut::<G>(out, at(k)) = std::array::from_fn(|i| acc[i] * inv[i]);
         }
-        out.copy_from_slice(&ws.x);
     }
 }
 
-/// Preallocated numeric buffers for [`SymbolicLu::refactor`] /
-/// [`SymbolicLu::solve`]: the `L`/`U` value arrays, inverted pivots, and
-/// the dense scatter row. One workspace per thread — workspaces are
-/// plain owned data, created inside each `mpvar-exec` worker closure, so
-/// parallel trials never alias each other's buffers.
-#[derive(Debug, Clone)]
-pub struct LuWorkspace {
-    l_vals: Vec<f64>,
-    u_vals: Vec<f64>,
-    inv_diag: Vec<f64>,
-    work: Vec<f64>,
+/// The `G` lanes of one slot starting at `at`.
+fn group<const G: usize>(buf: &[f64], at: usize) -> &[f64; G] {
+    buf[at..at + G].try_into().expect("G lanes")
 }
 
-/// Structure-of-arrays numeric buffers for [`SymbolicLu::refactor_batch`]
-/// / [`SymbolicLu::solve_batch`]: every scalar buffer widened by the lane
-/// count, `[slot][lane]` interleaved. [`LuBatchWorkspace::prepare`]
-/// resizes in place, so one workspace amortizes across every trial batch
-/// a worker processes — steady-state batches allocate nothing here.
+fn group_mut<const G: usize>(buf: &mut [f64], at: usize) -> &mut [f64; G] {
+    (&mut buf[at..at + G]).try_into().expect("G lanes")
+}
+
+/// Each lane's largest `|a|` over every slot, for the relative pivot
+/// tolerance. One contiguous lane folds the plain value array; every
+/// `|a|` is at least `+0`, so the max does not depend on the order and
+/// both spellings give the same bits.
+fn lane_max<const G: usize>(vals: &[f64], stride: usize, g0: usize) -> [f64; G] {
+    if stride == 1 {
+        return [vals.iter().fold(0.0f64, |m, v| m.max(v.abs())); G];
+    }
+    vals.chunks_exact(stride).fold([0.0; G], |m, slot| {
+        let v = group::<G>(slot, g0).map(f64::abs);
+        std::array::from_fn(|l| if v[l] > m[l] { v[l] } else { m[l] })
+    })
+}
+
+/// Preallocated numeric buffers for the LU kernel: the `L`/`U` value
+/// arrays, inverted pivots and the dense scatter row, each holding
+/// `lanes` interleaved lanes (`[slot][lane]`). [`SymbolicLu::workspace`]
+/// makes a one-lane workspace; the batched solver prepares one for its
+/// lane count and reuses its capacity across batches. One workspace per
+/// thread: workspaces are plain owned data, created inside each
+/// `mpvar-exec` worker closure, so parallel trials never alias.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct LuBatchWorkspace {
+pub struct LuWorkspace {
     lanes: usize,
     l_vals: Vec<f64>,
     u_vals: Vec<f64>,
     inv_diag: Vec<f64>,
     work: Vec<f64>,
-    tol: Vec<f64>,
-    x: Vec<f64>,
 }
 
-impl LuBatchWorkspace {
+impl LuWorkspace {
     /// Sizes the buffers for `sym` at `lanes` lanes, reusing capacity.
+    /// The scatter row starts zeroed; every refactor leaves it zeroed.
     pub(crate) fn prepare(&mut self, sym: &SymbolicLu, lanes: usize) {
         self.lanes = lanes;
-        self.l_vals.clear();
-        self.l_vals.resize(sym.l_cols.len() * lanes, 0.0);
-        self.u_vals.clear();
-        self.u_vals.resize(sym.u_cols.len() * lanes, 0.0);
-        self.inv_diag.clear();
-        self.inv_diag.resize(sym.n * lanes, 0.0);
-        self.work.clear();
-        self.work.resize(sym.n * lanes, 0.0);
-        self.x.clear();
-        self.x.resize(sym.n * lanes, 0.0);
+        let zeroed = |buf: &mut Vec<f64>, len: usize| {
+            buf.clear();
+            buf.resize(len * lanes, 0.0);
+        };
+        zeroed(&mut self.l_vals, sym.l_cols.len());
+        zeroed(&mut self.u_vals, sym.u_cols.len());
+        zeroed(&mut self.inv_diag, sym.n);
+        zeroed(&mut self.work, sym.n);
     }
 
     /// Capacity bytes currently held (for the workspace-stability gauge).
@@ -641,9 +554,7 @@ impl LuBatchWorkspace {
         8 * (self.l_vals.capacity()
             + self.u_vals.capacity()
             + self.inv_diag.capacity()
-            + self.work.capacity()
-            + self.tol.capacity()
-            + self.x.capacity())
+            + self.work.capacity())
     }
 }
 
@@ -1032,7 +943,6 @@ mod tests {
         // A fill-heavy asymmetric system: each lane scales the values
         // differently, so lanes exercise genuinely distinct arithmetic.
         let n = 24;
-        let lanes = 5;
         let mut e = Vec::new();
         for i in 0..n {
             e.push((i, i, 4.0 + (i % 5) as f64));
@@ -1045,57 +955,61 @@ mod tests {
         let (csr, _) = build(n, &e);
         let sym = SymbolicLu::analyze(&csr).unwrap();
         let nnz = csr.nnz();
-
-        // Per-lane value sets sharing the pattern, plus per-lane RHS.
-        let lane_scale = |l: usize| 1.0 + 0.37 * l as f64;
-        let mut soa = vec![0.0f64; nnz * lanes];
-        for (slot, v) in csr.vals.iter().enumerate() {
+        // Every split into lane groups of 16/8/4/2/1, with the full-stride
+        // (one group spans every lane) and the strided instances, through
+        // one workspace prepared for each lane count in turn.
+        let mut bws = LuWorkspace::default();
+        for lanes in [1, 2, 3, 4, 5, 7, 8, 9, 12, 16, 20] {
+            // Per-lane value sets sharing the pattern, plus per-lane RHS.
+            let lane_scale = |l: usize| 1.0 + 0.37 * l as f64;
+            let mut soa = vec![0.0f64; nnz * lanes];
+            for (slot, v) in csr.vals.iter().enumerate() {
+                for l in 0..lanes {
+                    soa[slot * lanes + l] = v * lane_scale(l);
+                }
+            }
+            // Row-major `[row][lane]` RHS for the batch; lane-major copy for
+            // the scalar reference solves.
+            let mut rhs = vec![0.0f64; n * lanes];
+            let mut rhs_lanes = vec![0.0f64; n * lanes];
             for l in 0..lanes {
-                soa[slot * lanes + l] = v * lane_scale(l);
+                for i in 0..n {
+                    let v = ((i * (l + 2)) as f64).sin();
+                    rhs[i * lanes + l] = v;
+                    rhs_lanes[l * n + i] = v;
+                }
             }
-        }
-        // Row-major `[row][lane]` RHS for the batch; lane-major copy for
-        // the scalar reference solves.
-        let mut rhs = vec![0.0f64; n * lanes];
-        let mut rhs_lanes = vec![0.0f64; n * lanes];
-        for l in 0..lanes {
-            for i in 0..n {
-                let v = ((i * (l + 2)) as f64).sin();
-                rhs[i * lanes + l] = v;
-                rhs_lanes[l * n + i] = v;
+
+            // Scalar reference: refactor+solve each lane independently.
+            let mut expected = Vec::new();
+            for l in 0..lanes {
+                let mut lane_csr = csr.clone();
+                for (slot, v) in lane_csr.values_mut().iter_mut().enumerate() {
+                    *v = soa[slot * lanes + l];
+                }
+                let mut ws = sym.workspace();
+                sym.refactor(&lane_csr, &mut ws).unwrap();
+                let mut x = Vec::new();
+                sym.solve_into(&ws, &rhs_lanes[l * n..(l + 1) * n], &mut x);
+                expected.push(x);
             }
-        }
 
-        // Scalar reference: refactor+solve each lane independently.
-        let mut expected = Vec::new();
-        for l in 0..lanes {
-            let mut lane_csr = csr.clone();
-            for (slot, v) in lane_csr.values_mut().iter_mut().enumerate() {
-                *v = soa[slot * lanes + l];
-            }
-            let mut ws = sym.workspace();
-            sym.refactor(&lane_csr, &mut ws).unwrap();
-            let mut x = Vec::new();
-            sym.solve_into(&ws, &rhs_lanes[l * n..(l + 1) * n], &mut x);
-            expected.push(x);
-        }
+            // Batched path.
+            bws.prepare(&sym, lanes);
+            let mut fail = vec![None; lanes];
+            sym.refactor_batch(&csr, &soa, &mut bws, &mut fail);
+            assert!(fail.iter().all(Option::is_none), "{fail:?}");
+            let mut out = vec![0.0f64; n * lanes];
+            sym.solve_batch(&bws, &rhs, &mut out);
 
-        // Batched path.
-        let mut bws = LuBatchWorkspace::default();
-        bws.prepare(&sym, lanes);
-        let mut fail = vec![None; lanes];
-        sym.refactor_batch(&csr, &soa, &mut bws, &mut fail);
-        assert!(fail.iter().all(Option::is_none), "{fail:?}");
-        let mut out = vec![0.0f64; n * lanes];
-        sym.solve_batch(&mut bws, &rhs, &mut out);
-
-        for l in 0..lanes {
-            for i in 0..n {
-                assert_eq!(
-                    out[i * lanes + l].to_bits(),
-                    expected[l][i].to_bits(),
-                    "lane {l} entry {i}"
-                );
+            for l in 0..lanes {
+                for i in 0..n {
+                    assert_eq!(
+                        out[i * lanes + l].to_bits(),
+                        expected[l][i].to_bits(),
+                        "lane {l} entry {i}"
+                    );
+                }
             }
         }
     }
@@ -1116,7 +1030,7 @@ mod tests {
             soa[slot * lanes + 1] = 0.0;
             soa[slot * lanes + 2] = v * 2.0;
         }
-        let mut bws = LuBatchWorkspace::default();
+        let mut bws = LuWorkspace::default();
         bws.prepare(&sym, lanes);
         let mut fail = vec![None; lanes];
         sym.refactor_batch(&csr, &soa, &mut bws, &mut fail);
@@ -1131,7 +1045,7 @@ mod tests {
             rhs[i * lanes..(i + 1) * lanes].fill(v);
         }
         let mut out = vec![0.0f64; n * lanes];
-        sym.solve_batch(&mut bws, &rhs, &mut out);
+        sym.solve_batch(&bws, &rhs, &mut out);
         for &l in &[0usize, 2] {
             let mut lane_csr = csr.clone();
             for (slot, v) in lane_csr.values_mut().iter_mut().enumerate() {
@@ -1145,6 +1059,138 @@ mod tests {
                 assert_eq!(out[i * lanes + l].to_bits(), x[i].to_bits(), "lane {l}");
             }
         }
+    }
+
+    /// Factors and solves `lane_vals` (each a value array over `csr`'s
+    /// slots) as one batch and each lane alone on a one-lane workspace:
+    /// every lane's failing pivot row and solution bits must agree.
+    fn assert_batch_matches_one_lane(
+        sym: &SymbolicLu,
+        csr: &CsrMatrix,
+        lane_vals: &[Vec<f64>],
+        b: &[f64],
+    ) {
+        let (n, lanes) = (sym.dim(), lane_vals.len());
+        let soa: Vec<f64> = (0..csr.nnz())
+            .flat_map(|slot| lane_vals.iter().map(move |v| v[slot]))
+            .collect();
+        let rhs: Vec<f64> = b.iter().flat_map(|&v| vec![v; lanes]).collect();
+        let mut bws = LuWorkspace::default();
+        bws.prepare(sym, lanes);
+        let mut fail = vec![None; lanes];
+        sym.refactor_batch(csr, &soa, &mut bws, &mut fail);
+        let mut out = vec![0.0; n * lanes];
+        sym.solve_batch(&bws, &rhs, &mut out);
+        for (l, vals) in lane_vals.iter().enumerate() {
+            let mut lane_csr = csr.clone();
+            lane_csr.values_mut().copy_from_slice(vals);
+            let mut ws = sym.workspace();
+            let row = match sym.refactor(&lane_csr, &mut ws) {
+                Ok(()) => None,
+                Err(SpiceError::SingularMatrix { row }) => Some(row),
+                Err(e) => panic!("{e}"),
+            };
+            assert_eq!(fail[l], row, "lane {l} failing row");
+            let x = sym.solve(&ws, b);
+            for i in 0..n {
+                assert_eq!(
+                    out[i * lanes + l].to_bits(),
+                    x[i].to_bits(),
+                    "lane {l} entry {i}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn zero_multiplier_lanes_ignore_inf_and_nan_in_u() {
+        // Pivot row 1's U picks up +inf (1.5e308 + 1.5e308), -inf or NaN
+        // at column 2; row 2's multiplier on it is A[2][1] / 1e300, so a
+        // lane with A[2][1] = 0 must skip the update (0 * inf is NaN).
+        let coords = [(0, 0), (0, 2), (1, 0), (1, 1), (1, 2), (2, 1), (2, 2)];
+        let (mut csr, slots) = CsrMatrix::from_coords(3, &coords);
+        let nnz = csr.nnz();
+        let lane = |u02: f64, u12: f64, a21: f64| {
+            let mut v = vec![0.0; nnz];
+            let vals = [1e300, u02, -1e300, 1e300, u12, a21, 1e300];
+            for (&slot, x) in slots.iter().zip(vals) {
+                v[slot as usize] = x;
+            }
+            v
+        };
+        let (big, nan) = (1.5e308, f64::NAN);
+        csr.values_mut().copy_from_slice(&lane(1.0, 1.0, 1.0));
+        let sym = SymbolicLu::analyze(&csr).unwrap();
+        assert_eq!(sym.perm(), [0, 1, 2]);
+        let b = [1.0, -2.0, 3.0];
+        // One group of four mixes zero and nonzero multipliers (lane 1
+        // takes the inf), then a strided fifth lane.
+        let mixed = [
+            lane(big, big, 0.0),
+            lane(big, big, 1e290),
+            lane(1.0, nan, 0.0),
+            lane(-big, -big, 0.0),
+            lane(1.0, nan, 1e290),
+        ];
+        assert_batch_matches_one_lane(&sym, &csr, &mixed, &b);
+        // Every lane's multiplier on row 1 is zero: the whole row update
+        // is skipped.
+        let zeros = [
+            lane(big, big, 0.0),
+            lane(1.0, nan, 0.0),
+            lane(-big, -big, 0.0),
+        ];
+        assert_batch_matches_one_lane(&sym, &csr, &zeros, &b);
+        // The skip keeps the unit-lower row exact: x_2 = b_2 / 1e300.
+        let mut ws = sym.workspace();
+        csr.values_mut().copy_from_slice(&zeros[0]);
+        sym.refactor(&csr, &mut ws).unwrap();
+        assert_eq!(sym.solve(&ws, &b)[2], 3.0 * (1.0 / 1e300));
+    }
+
+    #[test]
+    fn workspace_after_singular_refactor_matches_a_fresh_one() {
+        let coords = [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (2, 2)];
+        let (mut csr, slots) = CsrMatrix::from_coords(3, &coords);
+        let mut set = |vs: [f64; 7]| {
+            for (&slot, v) in slots.iter().zip(vs) {
+                csr.values_mut()[slot as usize] = v;
+            }
+            csr.clone()
+        };
+        let healthy = set([4.0, 1.0, 2.0, 5.0, 1.0, 1.0, 3.0]);
+        // Row 1 is twice row 0 on the first two columns: pivot 1 is 0.
+        let singular = set([1.0, 2.0, 2.0, 4.0, 1.0, 1.0, 3.0]);
+        // Row 0's pivot is 0: the analysis must swap rows 0 and 1.
+        let swapped = set([0.0, 1.0, 2.0, 5.0, 1.0, 1.0, 3.0]);
+        let b = [1.0, -2.0, 0.5];
+        let fresh = |a: &CsrMatrix| {
+            let sym = SymbolicLu::analyze(a).unwrap();
+            let mut ws = sym.workspace();
+            sym.refactor(a, &mut ws).unwrap();
+            sym.solve(&ws, &b)
+        };
+        let bits = |x: Vec<f64>| x.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+
+        let sym = SymbolicLu::analyze(&healthy).unwrap();
+        let mut ws = sym.workspace();
+        assert!(matches!(
+            sym.refactor(&singular, &mut ws),
+            Err(SpiceError::SingularMatrix { row: 1 })
+        ));
+        // The same analysis on the same workspace: the failed sweep ran
+        // to the end and left nothing behind that the next one reads.
+        sym.refactor(&healthy, &mut ws).unwrap();
+        assert_eq!(bits(sym.solve(&ws, &b)), bits(fresh(&healthy)));
+
+        // A re-analysis prepared into the same workspace, as
+        // `MnaWorkspace::factor` does on pivot drift.
+        assert!(sym.refactor(&swapped, &mut ws).is_err());
+        let sym = SymbolicLu::analyze(&swapped).unwrap();
+        assert_ne!(sym.perm(), [0, 1, 2]);
+        ws.prepare(&sym, 1);
+        sym.refactor(&swapped, &mut ws).unwrap();
+        assert_eq!(bits(sym.solve(&ws, &b)), bits(fresh(&swapped)));
     }
 
     #[test]
