@@ -360,6 +360,10 @@ impl SymbolicLu {
 
     /// Allocation-free variant of [`SymbolicLu::solve`]: writes the
     /// solution into `x` (resized as needed).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len() != dim()`.
     pub(crate) fn solve_into(&self, ws: &LuWorkspace, b: &[f64], x: &mut Vec<f64>) {
         x.resize(self.n, 0.0);
         self.solve_group::<1, true>(ws, b, x, 0);
@@ -468,12 +472,9 @@ impl SymbolicLu {
         assert_eq!(rhs.len(), self.n * stride, "dimension mismatch");
         assert_eq!(out.len(), self.n * stride, "dimension mismatch");
         let at = |i: usize| i * stride + g0;
+        // Forward from the permuted right-hand side; L is unit-lower.
         for (k, &r) in self.perm.iter().enumerate() {
-            *group_mut(out, at(k)) = *group::<G>(rhs, at(r));
-        }
-        // Forward: L is unit-lower, rows in elimination order.
-        for k in 0..self.n {
-            let mut acc = *group::<G>(out, at(k));
+            let mut acc = *group::<G>(rhs, at(r));
             for idx in self.l_ptr[k]..self.l_ptr[k + 1] {
                 let l = group::<G>(&ws.l_vals, at(idx));
                 let x = group::<G>(out, at(self.l_cols[idx]));
