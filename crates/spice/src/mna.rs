@@ -246,48 +246,53 @@ pub(crate) fn solve_nonlinear(
     net: &Netlist,
     t: f64,
     policy: ReactivePolicy<'_>,
-    x: Vec<f64>,
+    mut x: Vec<f64>,
     stats: &mut NewtonStats,
 ) -> Result<Vec<f64>, SpiceError> {
     let mut ws = MnaWorkspace::new(net);
-    solve_nonlinear_ws(net, t, policy, x, stats, &mut ws)
+    let mut x_new = Vec::new();
+    solve_nonlinear_ws(net, t, policy, &mut x, &mut x_new, stats, &mut ws)?;
+    Ok(x_new)
 }
 
 /// [`solve_nonlinear`] with an explicit, reusable [`MnaWorkspace`]:
 /// repeated calls against the same netlist structure (Newton iterations,
 /// timesteps, sweep points, MC trials) pay for assembly-pattern
-/// compilation and symbolic factorization exactly once.
+/// compilation and symbolic factorization exactly once. Starts from the
+/// guess in `x`, which the damped iterations overwrite, and writes the
+/// solution into `x_new` (resized as needed), so a caller that keeps
+/// both buffers allocates nothing per solve.
 pub(crate) fn solve_nonlinear_ws(
     net: &Netlist,
     t: f64,
     policy: ReactivePolicy<'_>,
-    mut x: Vec<f64>,
+    x: &mut [f64],
+    x_new: &mut Vec<f64>,
     stats: &mut NewtonStats,
     ws: &mut MnaWorkspace,
-) -> Result<Vec<f64>, SpiceError> {
+) -> Result<(), SpiceError> {
     debug_assert_eq!(x.len(), ws.size);
     let linear = is_linear(net);
     let mut last_delta = f64::INFINITY;
     stats.solves += 1;
 
-    let mut x_new = Vec::new();
     for _iter in 0..MAX_ITERS {
         stats.iterations += 1;
-        ws.assemble(net, t, policy, &x);
+        ws.assemble(net, t, policy, x);
         ws.factor(stats)?;
-        ws.solve_into(&mut x_new);
+        ws.solve_into(x_new);
 
         if linear {
-            return Ok(x_new);
+            return Ok(());
         }
         let max_delta = x
             .iter()
-            .zip(&x_new)
+            .zip(x_new.iter())
             .fold(0.0, |m, (&a, &b)| fold_delta(m, a, b));
         let Some(scale) = newton_damping(max_delta) else {
-            return Ok(x_new);
+            return Ok(());
         };
-        for (xi, &xn) in x.iter_mut().zip(&x_new) {
+        for (xi, &xn) in x.iter_mut().zip(x_new.iter()) {
             *xi = damp(*xi, xn, scale);
         }
         last_delta = max_delta;

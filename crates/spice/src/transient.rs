@@ -165,6 +165,8 @@ impl<'a> Transient<'a> {
         // --- Initial state -------------------------------------------------
         let mut node_v = vec![0.0; nn];
         let mut x = vec![0.0; size];
+        // The next step's solution; swapped with `x` after each step.
+        let mut x_new = Vec::with_capacity(size);
         if self.uic {
             for (&node, &v) in &self.initial {
                 node_v[node.index()] = v;
@@ -212,7 +214,7 @@ impl<'a> Transient<'a> {
                 prev_v: &node_v,
                 prev_ic: &cap_i,
             };
-            let x_new = if linear {
+            if linear {
                 // Linear fast path: replay the RHS assembly; refactor
                 // only when the companion values changed.
                 ws.assemble(net, t, policy, &x);
@@ -220,12 +222,11 @@ impl<'a> Transient<'a> {
                     ws.factor(stats)?;
                     factored_for = Some(rule);
                 }
-                let mut out = Vec::new();
-                ws.solve_into(&mut out);
-                out
+                ws.solve_into(&mut x_new);
             } else {
-                solve_nonlinear_ws(net, t, policy, x.clone(), stats, &mut ws)?
-            };
+                // `x` is only the Newton guess from here on.
+                solve_nonlinear_ws(net, t, policy, &mut x, &mut x_new, stats, &mut ws)?;
+            }
 
             // Update capacitor currents (needed by trapezoidal memory),
             // using this step's actual size.
@@ -237,7 +238,7 @@ impl<'a> Transient<'a> {
             }
 
             node_v[1..nn].copy_from_slice(&x_new[..nn - 1]);
-            x = x_new;
+            std::mem::swap(&mut x, &mut x_new);
             result.push_state(t, &node_v);
             if stop(&result) {
                 break;

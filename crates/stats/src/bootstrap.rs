@@ -4,11 +4,31 @@
 //! no error bars. The nonparametric bootstrap supplies them: resample
 //! the tdp samples with replacement, recompute σ per resample, and take
 //! percentile bounds of the resampled statistic.
+//!
+//! Resample `k` draws its `n` indices from substream `k` of the seed,
+//! so the interval is a function of `(data, resamples, confidence,
+//! seed)` alone. The resamples run in groups of eight lanes: the
+//! `LaneStreams` generator steps substreams `k0..k0 + 8` together, and
+//! each lane keeps only the `mean` and `m2` that σ reads, through the
+//! same Welford step as [`Summary::push`]. Every σ therefore has the
+//! bits of `Summary::std_dev` over its resample, and the CI does not
+//! depend on the group width. A last group that is not full draws its
+//! spare lanes from the next substreams and drops them.
+//!
+//! The lane generator holds its xoshiro256** state word-major
+//! (`[[u64; 8]; 4]`: word 0 of every lane, then word 1, ...), so each
+//! step and each Welford update is one operation across eight
+//! independent lanes that the compiler vectorizes, and eight `mean`
+//! chains hide the divide's latency. The same lanes held as eight
+//! generators, each with its four words together, did not vectorize.
+//! For the same reason the resample indices are truncated by
+//! `trunc_index`, not by an `as usize` cast, which compiles to one
+//! scalar conversion per lane.
 
-use crate::descriptive::Summary;
+use crate::descriptive::{welford_step, Summary};
 use crate::error::StatsError;
 use crate::percentile::quantile_sorted;
-use crate::rng::RngStream;
+use crate::rng::{LaneStreams, RngStream};
 
 /// A bootstrap confidence interval for a statistic.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,24 +57,25 @@ impl BootstrapCi {
     }
 }
 
-/// Percentile-bootstrap CI for an arbitrary statistic of `data`.
+/// Resamples drawn together, one per lane of a [`LaneStreams`] group.
+const LANES: usize = 8;
+
+/// Percentile-bootstrap CI for the sample standard deviation — Table
+/// IV's statistic.
 ///
 /// # Errors
 ///
 /// * [`StatsError::InsufficientSamples`] for fewer than 8 samples;
-/// * [`StatsError::InvalidHistogram`]-style misuse is prevented by
-///   construction; bad `confidence` yields
-///   [`StatsError::QuantileOutOfRange`].
-pub(crate) fn bootstrap_ci<F>(
+/// * [`StatsError::ZeroTrials`] for zero resamples;
+/// * [`StatsError::QuantileOutOfRange`] for `confidence` outside `(0, 1)`;
+/// * [`StatsError::NonFinite`] when a resampled σ is NaN (non-finite
+///   data).
+pub fn bootstrap_sigma_ci(
     data: &[f64],
     resamples: usize,
     confidence: f64,
     seed: u64,
-    statistic: F,
-) -> Result<BootstrapCi, StatsError>
-where
-    F: Fn(&[f64]) -> f64,
-{
+) -> Result<BootstrapCi, StatsError> {
     if data.len() < 8 {
         return Err(StatsError::InsufficientSamples {
             needed: 8,
@@ -67,19 +88,18 @@ where
     if !(0.0 < confidence && confidence < 1.0) {
         return Err(StatsError::QuantileOutOfRange { q: confidence });
     }
+    let _span = mpvar_trace::span!(
+        mpvar_trace::names::SPAN_STATS_BOOTSTRAP,
+        n = data.len(),
+        resamples = resamples,
+    );
 
-    let estimate = statistic(data);
+    let estimate = data.iter().copied().collect::<Summary>().std_dev();
     let base = RngStream::from_seed(seed);
-    let n = data.len();
     let mut stats = Vec::with_capacity(resamples);
-    let mut buffer = vec![0.0; n];
-    for k in 0..resamples {
-        let mut rng = base.substream(k as u64);
-        for slot in buffer.iter_mut() {
-            let idx = (rng.next_f64() * n as f64) as usize;
-            *slot = data[idx.min(n - 1)];
-        }
-        stats.push(statistic(buffer.as_slice()));
+    for k0 in (0..resamples).step_by(LANES) {
+        let sigmas = resample_sigmas(data, &base, k0 as u64);
+        stats.extend_from_slice(&sigmas[..LANES.min(resamples - k0)]);
     }
     if stats.iter().any(|x| x.is_nan()) {
         return Err(StatsError::NonFinite {
@@ -100,24 +120,36 @@ where
     })
 }
 
-/// Convenience: percentile-bootstrap CI for the sample standard
-/// deviation — Table IV's statistic.
-///
-/// # Errors
-///
-/// * [`StatsError::InsufficientSamples`] for fewer than 8 samples;
-/// * [`StatsError::ZeroTrials`] for zero resamples;
-/// * [`StatsError::QuantileOutOfRange`] for `confidence` outside `(0, 1)`.
-pub fn bootstrap_sigma_ci(
-    data: &[f64],
-    resamples: usize,
-    confidence: f64,
-    seed: u64,
-) -> Result<BootstrapCi, StatsError> {
-    bootstrap_ci(data, resamples, confidence, seed, |xs| {
-        let s: Summary = xs.iter().copied().collect();
-        s.std_dev()
-    })
+/// The σ of resamples `k0..k0 + LANES` of `data` (`len() >= 2`):
+/// resample `k` draws its indices from substream `k` of `base`, and
+/// each lane runs [`Summary::push`]'s `mean`/`m2` steps, so lane `l`
+/// holds the bits of `Summary::std_dev` over resample `k0 + l`.
+fn resample_sigmas(data: &[f64], base: &RngStream, k0: u64) -> [f64; LANES] {
+    let n = data.len();
+    let nf = n as f64;
+    let mut rng = LaneStreams::<LANES>::new(base, k0);
+    let mut mean = [0.0; LANES];
+    let mut m2 = [0.0; LANES];
+    for i in 0..n {
+        let idx = rng.next_f64().map(|u| trunc_index(u * nf).min(n - 1));
+        let (n1, count) = (i as f64, (i + 1) as f64);
+        for l in 0..LANES {
+            let (_, term1) = welford_step(&mut mean[l], data[idx[l]], n1, count);
+            m2[l] += term1;
+        }
+    }
+    m2.map(|m2| (m2 / (nf - 1.0)).sqrt())
+}
+
+/// `x as usize` for `0 <= x < 2^52` (a resample index lies below
+/// `data.len()`), in operations that vectorize: the saturating `as
+/// usize` cast compiles to one scalar conversion per lane. `floor(x)`
+/// is an integer below 2^52, so adding 2^52 is exact and leaves it in
+/// the mantissa bits.
+#[inline]
+fn trunc_index(x: f64) -> usize {
+    const TWO_52: f64 = (1u64 << 52) as f64;
+    ((x.floor() + TWO_52).to_bits() - TWO_52.to_bits()) as usize
 }
 
 #[cfg(test)]
@@ -165,22 +197,30 @@ mod tests {
     }
 
     #[test]
+    fn trunc_index_is_the_cast_below_2_pow_52() {
+        let top = (1u64 << 52) as f64;
+        let mut rng = RngStream::from_seed(12);
+        let edges = [
+            0.0,
+            0.5,
+            1.0 - f64::EPSILON,
+            1.0,
+            2999.999,
+            top - 1.0,
+            top - 0.5,
+        ];
+        let random = (0..10_000).map(|k| rng.next_f64() * 10f64.powi(k % 16));
+        for x in edges.into_iter().chain(random) {
+            assert_eq!(trunc_index(x), x as usize, "{x}");
+        }
+    }
+
+    #[test]
     fn validation() {
         let data = gaussian_data(100, 1.0, 1);
         assert!(bootstrap_sigma_ci(&data[..4], 100, 0.95, 1).is_err());
         assert!(bootstrap_sigma_ci(&data, 0, 0.95, 1).is_err());
         assert!(bootstrap_sigma_ci(&data, 100, 0.0, 1).is_err());
         assert!(bootstrap_sigma_ci(&data, 100, 1.0, 1).is_err());
-    }
-
-    #[test]
-    fn generic_statistic_mean() {
-        let data: Vec<f64> = (0..200).map(|k| k as f64).collect();
-        let ci = bootstrap_ci(&data, 300, 0.95, 8, |xs| {
-            let s: Summary = xs.iter().copied().collect();
-            s.mean()
-        })
-        .unwrap();
-        assert!(ci.contains(99.5), "CI [{}, {}]", ci.lo, ci.hi);
     }
 }

@@ -70,10 +70,7 @@ impl Summary {
         let n1 = self.n as f64;
         self.n += 1;
         let n = self.n as f64;
-        let delta = x - self.mean;
-        let delta_n = delta / n;
-        let term1 = delta * delta_n * n1;
-        self.mean += delta_n;
+        let (delta_n, term1) = welford_step(&mut self.mean, x, n1, n);
         self.m3 += term1 * delta_n * (n - 2.0) - 3.0 * delta_n * self.m2;
         self.m2 += term1;
         self.min = self.min.min(x);
@@ -185,6 +182,20 @@ impl Summary {
     pub fn is_empty(&self) -> bool {
         self.n == 0
     }
+}
+
+/// The mean update of Welford's algorithm for the `n`-th observation
+/// `x` (`n1 = n - 1` came before): moves `mean` and returns
+/// `(delta_n, term1)`, where `term1` is the observation's `m2`
+/// increment. [`Summary::push`] and the bootstrap's lane loop both step
+/// through here, so their `mean` and `m2` cannot drift apart.
+#[inline]
+pub(crate) fn welford_step(mean: &mut f64, x: f64, n1: f64, n: f64) -> (f64, f64) {
+    let delta = x - *mean;
+    let delta_n = delta / n;
+    let term1 = delta * delta_n * n1;
+    *mean += delta_n;
+    (delta_n, term1)
 }
 
 impl FromIterator<f64> for Summary {

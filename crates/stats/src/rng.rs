@@ -22,6 +22,29 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// One xoshiro256** step of the state words `s0..s3`: advances them
+/// and returns the scrambled output. [`RngStream`] and [`LaneStreams`]
+/// both step through here, so a lane cannot drift from its scalar
+/// stream.
+#[inline]
+fn xoshiro_step(s0: &mut u64, s1: &mut u64, s2: &mut u64, s3: &mut u64) -> u64 {
+    let result = s1.wrapping_mul(5).rotate_left(7).wrapping_mul(9);
+    let t = *s1 << 17;
+    *s2 ^= *s0;
+    *s3 ^= *s1;
+    *s1 ^= *s2;
+    *s0 ^= *s3;
+    *s2 ^= t;
+    *s3 = s3.rotate_left(45);
+    result
+}
+
+/// The 53 high bits of `u` as a double in `[0, 1)`.
+#[inline]
+fn unit_f64(u: u64) -> f64 {
+    (u >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
 /// A reproducible random stream based on xoshiro256**.
 ///
 /// `RngStream` implements [`rand::RngCore`], so it can drive any `rand`
@@ -101,7 +124,43 @@ impl RngStream {
     /// Uses the 53 high bits of a `u64`, the canonical mapping with a
     /// uniform mantissa.
     pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit_f64(self.next_u64())
+    }
+}
+
+/// `L` consecutive substreams of one seed, stepped together.
+///
+/// Lane `l` of [`LaneStreams::new(base, k0)`](LaneStreams::new) yields
+/// exactly the sequence of `base.substream(k0 + l)`. The xoshiro256**
+/// state is held word by word across lanes (`s[word][lane]`), so each
+/// step is four `L`-wide operations that vectorize, where an array of
+/// `L` [`RngStream`]s would interleave each lane's four words in memory.
+pub(crate) struct LaneStreams<const L: usize> {
+    s: [[u64; L]; 4],
+}
+
+impl<const L: usize> LaneStreams<L> {
+    /// Substreams `k0..k0 + L` of `base`'s seed.
+    pub(crate) fn new(base: &RngStream, k0: u64) -> Self {
+        let mut s = [[0u64; L]; 4];
+        for lane in 0..L {
+            let one = base.substream(k0 + lane as u64);
+            for (word, &v) in s.iter_mut().zip(&one.s) {
+                word[lane] = v;
+            }
+        }
+        Self { s }
+    }
+
+    /// The next [`RngStream::next_f64`] of every lane.
+    #[inline]
+    pub(crate) fn next_f64(&mut self) -> [f64; L] {
+        let [s0, s1, s2, s3] = &mut self.s;
+        let mut out = [0.0; L];
+        for l in 0..L {
+            out[l] = unit_f64(xoshiro_step(&mut s0[l], &mut s1[l], &mut s2[l], &mut s3[l]));
+        }
+        out
     }
 }
 
@@ -111,16 +170,8 @@ impl RngCore for RngStream {
     }
 
     fn next_u64(&mut self) -> u64 {
-        // xoshiro256** scrambler.
-        let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
-        let t = self.s[1] << 17;
-        self.s[2] ^= self.s[0];
-        self.s[3] ^= self.s[1];
-        self.s[1] ^= self.s[2];
-        self.s[0] ^= self.s[3];
-        self.s[2] ^= t;
-        self.s[3] = self.s[3].rotate_left(45);
-        result
+        let [s0, s1, s2, s3] = &mut self.s;
+        xoshiro_step(s0, s1, s2, s3)
     }
 
     fn fill_bytes(&mut self, dest: &mut [u8]) {
@@ -229,5 +280,20 @@ mod tests {
         let a = <RngStream as SeedableRng>::from_seed(42u64.to_le_bytes());
         let b = RngStream::from_seed(42);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn lane_l_is_substream_k0_plus_l() {
+        for (seed, k0) in [(7u64, 0u64), (2015, 37 * 8), (u64::MAX, 1)] {
+            let base = RngStream::from_seed(seed);
+            let mut lanes = LaneStreams::<8>::new(&base, k0);
+            let mut scalar: Vec<RngStream> = (0..8).map(|l| base.substream(k0 + l)).collect();
+            for _ in 0..1000 {
+                let drawn = lanes.next_f64();
+                for (l, one) in scalar.iter_mut().enumerate() {
+                    assert_eq!(drawn[l].to_bits(), one.next_f64().to_bits(), "lane {l}");
+                }
+            }
+        }
     }
 }

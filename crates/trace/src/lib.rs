@@ -100,6 +100,9 @@ pub mod names {
     pub const SPAN_ORACLE_DELAY: &str = "oracle_delay";
     /// Span: the differential write oracle, under `check_oracles`.
     pub const SPAN_ORACLE_WRITE: &str = "oracle_write";
+    /// Span: one percentile-bootstrap CI of a σ (`n` samples,
+    /// `resamples`).
+    pub const SPAN_STATS_BOOTSTRAP: &str = "stats_bootstrap";
 
     /// Counter: Monte-Carlo samples accepted into distributions.
     pub const MC_TRIALS: &str = "mc.trials";
