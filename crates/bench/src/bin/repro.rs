@@ -211,6 +211,9 @@ fn usage() -> String {
 /// Phase 2 (warm): a fresh server over the same store answers the
 /// same request bit-identically without opening a single solver span,
 /// proved by a recording trace sink and the store's disk-hit counter.
+/// The same holds for table3 under another Monte-Carlo seed, which no
+/// node of its closure reads; fig5 reads the seed, so under the new
+/// seed it is computed.
 fn serve_smoke(root: &Path) -> Result<(), String> {
     let spec = ContextSpec {
         preset: Preset::Quick,
@@ -219,11 +222,18 @@ fn serve_smoke(root: &Path) -> Result<(), String> {
         seed: Some(11),
         threads: Some(2),
     };
-    let request = |id: &str, artifacts: Vec<ArtifactId>, progress: bool| AnalysisRequest {
-        id: id.to_string(),
-        artifacts,
-        context: spec.clone(),
-        progress,
+    let request_at =
+        |id: &str, artifacts: Vec<ArtifactId>, progress: bool, seed: u64| AnalysisRequest {
+            id: id.to_string(),
+            artifacts,
+            context: ContextSpec {
+                seed: Some(seed),
+                ..spec.clone()
+            },
+            progress,
+        };
+    let request = |id: &str, artifacts: Vec<ArtifactId>, progress: bool| {
+        request_at(id, artifacts, progress, 11)
     };
     let start = |root: &Path| -> Result<(Server, Arc<RecordingSink>, CollectorGuard), String> {
         let sink = Arc::new(RecordingSink::new());
@@ -335,13 +345,15 @@ fn serve_smoke(root: &Path) -> Result<(), String> {
             "expected >= 3 disk hits on warm replay, got {disk:?}"
         ));
     }
-    client
-        .shutdown()
-        .map_err(|e| format!("shutdown warm: {e}"))?;
-    if !server.join(Duration::from_secs(300)) {
-        return Err("warm server waves did not drain".into());
+    let reseeded = client
+        .request(
+            request_at("w2", vec![ArtifactId::Table3], false, 12),
+            |_| {},
+        )
+        .map_err(|e| format!("reseeded request: {e}"))?;
+    if reseeded != results["r1"] {
+        return Err("table3 under another seed differs from the cold answer".into());
     }
-    drop(warm_guard);
     for span in [
         names::SPAN_SPICE_TRANSIENT,
         names::SPAN_SPICE_BATCH,
@@ -350,11 +362,32 @@ fn serve_smoke(root: &Path) -> Result<(), String> {
         names::SPAN_CORNER_SEARCH,
     ] {
         if warm_sink.spans().iter().any(|s| s.name == span) {
-            return Err(format!("warm replay opened solver span `{span}`"));
+            return Err(format!(
+                "warm or reseeded replay opened solver span `{span}`"
+            ));
         }
     }
+    client
+        .request(request_at("w3", vec![ArtifactId::Fig5], false, 12), |_| {})
+        .map_err(|e| format!("reseeded fig5 request: {e}"))?;
+    let fig5_computed = warm_sink.spans().iter().any(|s| {
+        s.name == names::SPAN_STUDY_NODE
+            && s.str_field("artifact") == Some("fig5")
+            && s.str_field("outcome") == Some("computed")
+    });
+    if !fig5_computed {
+        return Err("fig5 reads the seed, yet a reseeded request did not compute it".into());
+    }
+    client
+        .shutdown()
+        .map_err(|e| format!("shutdown warm: {e}"))?;
+    if !server.join(Duration::from_secs(300)) {
+        return Err("warm server waves did not drain".into());
+    }
+    drop(warm_guard);
     eprintln!(
-        "[smoke] warm replay: bit-identical, {} disk hits, zero solver spans",
+        "[smoke] warm replay: bit-identical, {} disk hits, zero solver spans; \
+         reseeded table3 shared, reseeded fig5 computed",
         disk.disk_hits
     );
     Ok(())

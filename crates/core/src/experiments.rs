@@ -1004,26 +1004,46 @@ pub fn extension_ler(ctx: &ExperimentContext) -> Result<ExtensionLer, CoreError>
         .ok_or_else(|| CoreError::Sram("column stack lost its BL track".to_string()))?;
     let nom = extract_track(&nominal_printed, bl, m1)?;
 
+    // One segment's R and C at width `w` between gaps `lo` and `hi`.
+    let segment = |w: f64, lo: f64, hi: f64| -> Result<(f64, f64), CoreError> {
+        Ok((
+            wire_resistance_ohm(m1, w, seg_len_nm)?,
+            capacitance_breakdown(m1, w, Some(lo), Some(hi))?.total_f_per_m() * seg_len_nm * 1e-9,
+        ))
+    };
+    // Per-cell multipliers: segment sums against k nominal cells.
+    let multipliers = |r_total: f64, c_total: f64, k: usize| {
+        let k = k as f64;
+        (
+            r_total / (k * nom.resistance_ohm()),
+            c_total / (k * nom.c_total_f()),
+        )
+    };
     // Segment-summed multipliers for one (draw, profile) realization.
     let realize =
         |w_mp: f64, g_lo: f64, g_hi: f64, profile: &[f64]| -> Result<(f64, f64), CoreError> {
             let mut r_total = 0.0;
             let mut c_total = 0.0;
             for &d in profile {
-                let w = w_mp + d;
-                let (lo, hi) = (g_lo - d / 2.0, g_hi - d / 2.0);
-                r_total += wire_resistance_ohm(m1, w, seg_len_nm)?;
-                c_total += capacitance_breakdown(m1, w, Some(lo), Some(hi))?.total_f_per_m()
-                    * seg_len_nm
-                    * 1e-9;
+                let (r, c) = segment(w_mp + d, g_lo - d / 2.0, g_hi - d / 2.0)?;
+                r_total += r;
+                c_total += c;
             }
-            let k = profile.len() as f64;
-            // Per-cell multipliers: segment sums against k nominal cells.
-            Ok((
-                r_total / (k * nom.resistance_ohm()),
-                c_total / (k * nom.c_total_f()),
-            ))
+            Ok(multipliers(r_total, c_total, profile.len()))
         };
+    // The flat (MP-only) profile's n segments are all the same one:
+    // evaluate it once and add it n times in order, so the sums carry
+    // the bits of the segment loop.
+    let realize_flat = |w_mp: f64, g_lo: f64, g_hi: f64| -> Result<(f64, f64), CoreError> {
+        let (r, c) = segment(w_mp, g_lo, g_hi)?;
+        let mut r_total = 0.0;
+        let mut c_total = 0.0;
+        for _ in 0..n {
+            r_total += r;
+            c_total += c;
+        }
+        Ok(multipliers(r_total, c_total, n))
+    };
 
     let base = RngStream::from_seed(ctx.mc.seed ^ 0x004C_4552);
     let mut rows = Vec::new();
@@ -1045,9 +1065,8 @@ pub fn extension_ler(ctx: &ExperimentContext) -> Result<ExtensionLer, CoreError>
                 printed.gap_above_nm(bl).expect("interior track"),
             );
             let profile = ler.sample_profile(n, seg_len_nm, &mut rng)?;
-            let flat = vec![0.0; n];
 
-            let (r_mp, c_mp) = realize(w_mp, g_lo, g_hi, &flat)?;
+            let (r_mp, c_mp) = realize_flat(w_mp, g_lo, g_hi)?;
             let (r_both, c_both) = realize(w_mp, g_lo, g_hi, &profile)?;
             tdp_mp.push(model.tdp_percent(n, r_mp, c_mp));
             tdp_both.push(model.tdp_percent(n, r_both, c_both));

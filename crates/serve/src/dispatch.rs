@@ -1,12 +1,16 @@
 //! The job dispatcher: one shared [`ArtifactStore`], request dedupe,
 //! and wave batching.
 //!
-//! Requests are grouped by **context fingerprint** (the same
-//! content-keyed identity the store itself uses, so "compatible" here
-//! means *provably result-identical*). Per fingerprint the dispatcher
-//! keeps at most one **running wave** — a single `Study::materialize`
-//! call on a worker thread — plus a **pending wave** accumulating the
-//! requests that arrived too late to join it:
+//! Requests are grouped by **context fingerprint** (a hash of every
+//! result-affecting knob, so "compatible" here means *provably
+//! result-identical*). The fingerprint is not the store's identity:
+//! each artifact's key covers only the knobs its producer reads, so
+//! waves on different fingerprints still share the entries of
+//! artifacts that read none of the knobs they differ in. Per
+//! fingerprint the dispatcher keeps at most one **running wave** — a
+//! single `Study::materialize` call on a worker thread — plus a
+//! **pending wave** accumulating the requests that arrived too late to
+//! join it:
 //!
 //! * A request whose artifact set is a subset of the running wave's
 //!   joins it as an extra waiter (**dedupe** — no second

@@ -13,7 +13,10 @@
 //!    is running merge into one shared follow-up wave.
 //! 3. **The store** — everything else is answered by the
 //!    content-addressed cache (in-memory or on-disk), so a restarted
-//!    server replays warm requests without touching a solver.
+//!    server replays warm requests without touching a solver. An
+//!    artifact's key covers only the context knobs its producer reads,
+//!    so requests that differ only in, say, the Monte-Carlo seed share
+//!    Fig. 4, Tables I–III and the write ladder across waves.
 //!
 //! Progress streams live: each wave's `Study` is tagged with a unique
 //! session label, a [`ProgressRouter`] trace sink routes the

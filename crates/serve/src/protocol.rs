@@ -313,7 +313,9 @@ pub enum ServerMessage {
     Ack {
         /// Echoed request id.
         id: String,
-        /// Hex context fingerprint governing cache identity.
+        /// Hex context fingerprint: the dispatcher groups waves by it.
+        /// It is not the cache identity, which is per artifact and
+        /// covers only the knobs that artifact reads.
         fingerprint: String,
     },
     /// One artifact-graph node finished (or was served from cache)

@@ -480,7 +480,7 @@ codec_struct! {
 macro_rules! artifact_tags {
     ($(
         $(#[$doc:meta])* $variant:ident, $tag:literal, $name:literal, $ty:ident,
-        $producer:ident($($input:ident),*) $($text:ident)?;
+        $producer:ident($($input:ident),*) $reads:tt $($text:ident)?;
     )+) => {
         codec_tagged!("artifact" ArtifactValue { $($tag => $variant),+ });
     };

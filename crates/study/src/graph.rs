@@ -16,7 +16,7 @@ use mpvar_core::CoreError;
 /// order (the order of `repro all` and of the `results/` goldens).
 ///
 /// ```text
-/// Variant, codec tag, "string id", ResultType, producer(InputType, ...) [text];
+/// Variant, codec tag, "string id", ResultType, producer(InputType, ...) [Knob, ...] text?;
 /// ```
 ///
 /// The variant names both the [`ArtifactId`] and the
@@ -25,55 +25,68 @@ use mpvar_core::CoreError;
 /// assigned. The producer is an `mpvar-core` runner called as
 /// `producer(ctx, &input, ...)`; each input is the result type of
 /// another row, and the node's dependencies are those inputs' ids, in
-/// the order listed. A row marked `text` renders its `report()` string
-/// and `to_csv()`; every other result renders its `report()` table.
+/// the order listed. The bracketed list names the context knob groups
+/// the producer and its helpers read (`cache::Knob`); the node's cache
+/// key covers those groups, technology and cell, and its inputs' keys,
+/// so listing a group a producer reads is mandatory and listing one it
+/// does not read only costs a needless miss. A row marked `text`
+/// renders its `report()` string and `to_csv()`; every other result
+/// renders its `report()` table.
 ///
 /// `artifact_table!(generator)` hands the rows to `generator`, so each
 /// module derives its part from the one table: this module the ids,
-/// `value` the values, inputs and producers, `codec` the tags.
+/// `value` the values, inputs and producers, `codec` the tags, `cache`
+/// the knob groups.
 macro_rules! artifact_table {
     ($generator:ident) => {
         $generator! {
             /// Table I — worst-case variability corner per patterning option.
-            Table1, 1, "table1", Table1, table1();
+            Table1, 1, "table1", Table1, table1() [Overlay];
             /// Fig. 4 — worst-case wire-variability impact on `td`.
-            Fig4, 2, "fig4", Fig4, fig4(Table1);
+            Fig4, 2, "fig4", Fig4, fig4(Table1) [Read, Sizes];
             /// Table II — formula versus simulation, nominal `td`.
-            Table2, 3, "table2", Table2, table2(Fig4);
+            Table2, 3, "table2", Table2, table2(Fig4) [Read];
             /// Table III — formula versus simulation, worst-case `tdp`.
-            Table3, 4, "table3", Table3, table3(Table1, Fig4);
+            Table3, 4, "table3", Table3, table3(Table1, Fig4) [Read];
             /// Fig. 5 — Monte-Carlo `tdp` distributions.
-            Fig5, 5, "fig5", Fig5, fig5() text;
+            Fig5, 5, "fig5", Fig5, fig5() [Sizes, Overlay, Mc] text;
             /// Table IV — `tdp` sigma per option and overlay budget.
-            Table4, 6, "table4", Table4, table4();
+            Table4, 6, "table4", Table4, table4() [Sizes, Sweep, Overlay, Mc];
             /// Ablation A1 — lumped vs Elmore vs simulated delay.
-            AblationDelay, 7, "ablation-delay", AblationDelayModels, ablation_delay_models(Fig4);
+            AblationDelay, 7, "ablation-delay", AblationDelayModels,
+                ablation_delay_models(Fig4) [Read];
             /// Ablation A2 — bit-line drawn-width sensitivity.
-            AblationBlWidth, 8, "ablation-bl-width", AblationBlWidth, ablation_bl_width();
+            AblationBlWidth, 8, "ablation-bl-width", AblationBlWidth,
+                ablation_bl_width() [Overlay];
             /// Ablation A3 — SADP R_bl / R_VSS anti-correlation.
             AblationSadpVss, 9, "ablation-sadp-vss", AblationSadpAnticorrelation,
-                ablation_sadp_anticorrelation();
+                ablation_sadp_anticorrelation() [Overlay, Mc];
             /// Extension E1 — LELE versus the paper's options.
-            ExtensionLe2, 10, "extension-le2", ExtensionLe2, extension_le2();
+            ExtensionLe2, 10, "extension-le2", ExtensionLe2,
+                extension_le2() [Sizes, Overlay, Mc];
             /// Extension E2 — line-edge roughness on top of MP.
-            ExtensionLer, 11, "extension-ler", ExtensionLer, extension_ler();
+            ExtensionLer, 11, "extension-ler", ExtensionLer,
+                extension_ler() [Read, Sizes, Overlay, Mc];
             /// Extension — per-parameter tdp sensitivities.
             ExtensionSensitivity, 12, "extension-sensitivity", SensitivityMatrix,
-                extension_sensitivity() text;
+                extension_sensitivity() [Sizes] text;
             /// Extension E3 — N10 versus N7 node scaling.
-            ExtensionScaling, 13, "extension-scaling", ExtensionScaling, extension_scaling();
+            ExtensionScaling, 13, "extension-scaling", ExtensionScaling,
+                extension_scaling() [Sizes, Overlay, Mc];
             /// Extension — rare-event yield: importance-sampled P_fail to 6σ.
-            Yield6Sigma, 14, "yield_6sigma", YieldTable, yield_6sigma();
+            Yield6Sigma, 14, "yield_6sigma", YieldTable,
+                yield_6sigma() [Read, Sizes, Overlay, Yield];
             /// Write path — nominal and worst-corner flip time per height.
-            WriteTime, 15, "write_time", WriteTime, write_time(Table1);
+            WriteTime, 15, "write_time", WriteTime, write_time(Table1) [Write];
             /// Write path — Monte-Carlo write-time-penalty spread per option.
-            WriteMargin, 16, "write_margin", WriteMargin, write_margin();
+            WriteMargin, 16, "write_margin", WriteMargin, write_margin() [Write];
             /// Sense periphery — sense-amp offset against the MP-skewed RC.
-            SenseMargin, 17, "sense_margin", SenseMargin, sense_margin();
+            SenseMargin, 17, "sense_margin", SenseMargin, sense_margin() [Read, Write];
             /// Word line — near versus far column delay per option.
-            WlDelay, 18, "wl_delay", WlDelay, wl_delay(Table1);
+            WlDelay, 18, "wl_delay", WlDelay, wl_delay(Table1) [Read, Write];
             /// Write path — rare-event write-failure probability per option.
-            WriteYield, 19, "write_yield", WriteYieldTable, write_yield();
+            WriteYield, 19, "write_yield", WriteYieldTable,
+                write_yield() [Read, Write];
         }
     };
 }
@@ -83,7 +96,7 @@ pub(crate) use artifact_table;
 macro_rules! artifact_ids {
     ($(
         $(#[$doc:meta])* $variant:ident, $tag:literal, $name:literal, $ty:ident,
-        $producer:ident($($input:ident),*) $($text:ident)?;
+        $producer:ident($($input:ident),*) $reads:tt $($text:ident)?;
     )+) => {
         /// Identifier of one paper deliverable (table, figure, ablation,
         /// or extension) in the artifact graph.

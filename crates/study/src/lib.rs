@@ -13,9 +13,11 @@
 //!   whose one thread budget the nodes' own parallel maps share, so
 //!   nested parallelism never oversubscribes,
 //! * **memoizes** every result in a content-keyed [`ArtifactStore`]
-//!   (key = stable hash of the context knobs and the node's dependency
-//!   closure) — in-memory ([`MemoryStore`]) or persisted on disk with
-//!   a checksummed, crash-safe binary envelope ([`DiskStore`]) — so
+//!   (key = stable hash of the context knobs the node's producer reads
+//!   and of its dependency closure, so sessions that differ only in
+//!   knobs a node does not read share its entry) — in-memory
+//!   ([`MemoryStore`]) or persisted on disk with a checksummed,
+//!   crash-safe binary envelope ([`DiskStore`]) — so
 //!   Table I computed for Fig. 4 is reused by Table III and by
 //!   `repro check` without re-running the corner search, even across
 //!   process restarts, and

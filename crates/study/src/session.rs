@@ -8,7 +8,7 @@ use mpvar_core::experiments::ExperimentContext;
 use mpvar_core::CoreError;
 use mpvar_trace::{names, FieldValue, SpanGuard, SpanRecord};
 
-use crate::cache::{context_fingerprint, node_key, CacheKey};
+use crate::cache::{CacheKey, KnobHashes};
 use crate::error::wrong_variant;
 use crate::graph::{plan, ArtifactId};
 use crate::store::{ArtifactStore, MemoryStore, StoreStats};
@@ -81,6 +81,7 @@ fn encode_event(id: ArtifactId, outcome: NodeOutcome) -> SpanRecord {
 pub struct Study {
     ctx: ExperimentContext,
     fingerprint: u64,
+    keys: [CacheKey; ArtifactId::ALL.len()],
     store: Arc<dyn ArtifactStore>,
     span_label: Option<String>,
     stats: Mutex<BTreeMap<ArtifactId, NodeStats>>,
@@ -107,13 +108,17 @@ impl Study {
     ///
     /// Because keys are content-derived, sharing a store across
     /// sessions (and, for a disk store, across processes) is always
-    /// sound: a session only sees entries whose context fingerprint
-    /// (and dependency closure) matches its own.
+    /// sound: a session only sees entries whose knobs (those the node's
+    /// producer reads) and dependency closure match its own. Sessions
+    /// that differ only in knobs a node does not read share its entry.
+    /// The context is rendered once here; every key is derived from
+    /// those hashes.
     pub fn with_store(ctx: ExperimentContext, store: Arc<dyn ArtifactStore>) -> Self {
-        let fingerprint = context_fingerprint(&ctx);
+        let knobs = KnobHashes::of(&ctx);
         Self {
             ctx,
-            fingerprint,
+            fingerprint: knobs.fingerprint(),
+            keys: knobs.node_keys(),
             store,
             span_label: None,
             stats: Mutex::new(BTreeMap::new()),
@@ -149,15 +154,15 @@ impl Study {
         self.store.stats()
     }
 
-    /// The stable fingerprint of this session's context knobs.
+    /// The stable fingerprint of this session's context knobs
+    /// ([`context_fingerprint`](crate::context_fingerprint)).
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
 
     /// The content key of one node under this session's context.
     pub fn key_of(&self, id: ArtifactId) -> CacheKey {
-        let dep_keys: Vec<CacheKey> = id.dependencies().iter().map(|&d| self.key_of(d)).collect();
-        node_key(self.fingerprint, id, &dep_keys)
+        self.keys[id as usize]
     }
 
     /// Evaluates `requested` (plus its dependency closure) and returns

@@ -105,7 +105,7 @@ macro_rules! render_pair {
 macro_rules! artifact_values {
     ($(
         $(#[$doc:meta])* $variant:ident, $tag:literal, $name:literal, $ty:ident,
-        $producer:ident($($input:ident),*) $($text:ident)?;
+        $producer:ident($($input:ident),*) $reads:tt $($text:ident)?;
     )+) => {
         /// A structured experiment result, tagged by its graph node.
         #[derive(Debug, Clone, PartialEq)]

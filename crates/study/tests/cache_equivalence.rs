@@ -5,13 +5,15 @@
 //! compute, at any worker-thread count and against any
 //! [`ArtifactStore`] (in-memory or on-disk); a warm run over the same
 //! store answers bit-identically without recomputation — including a
-//! warm run in a *fresh process* against a re-opened disk store; and
-//! any perturbed context knob changes the fingerprint so stale entries
-//! can never be served.
+//! warm run in a *fresh process* against a re-opened disk store; a
+//! perturbed knob that an artifact reads changes its key, so stale
+//! entries can never be served; and a knob it does not read leaves the
+//! key alone, so reseeded sessions share every seed-independent entry.
 
 use std::sync::Arc;
 
 use mpvar_core::experiments::{fig4, table1, table3, ExperimentContext};
+use mpvar_core::writeexp::WriteMargin;
 use mpvar_core::ExecConfig;
 use mpvar_study::{context_fingerprint, ArtifactId, ArtifactStore, DiskStore, Study};
 
@@ -83,15 +85,16 @@ fn perturbed_context_misses_the_cache() {
         .run(&[ArtifactId::Table1])
         .expect("baseline evaluates");
 
-    let mut reseeded = base.clone();
-    reseeded.mc.seed += 1;
+    // Table I reads the overlay budget through `ExperimentContext::budget`.
+    let mut perturbed = base.clone();
+    perturbed.le3_overlay_nm = 5.0;
     assert_ne!(
         context_fingerprint(&base),
-        context_fingerprint(&reseeded),
-        "seed must be part of the fingerprint"
+        context_fingerprint(&perturbed),
+        "the overlay budget must be part of the fingerprint"
     );
 
-    let miss = Study::with_store(reseeded, Arc::clone(study.store()));
+    let miss = Study::with_store(perturbed, Arc::clone(study.store()));
     miss.run(&[ArtifactId::Table1])
         .expect("perturbed run evaluates");
     assert_eq!(
@@ -174,7 +177,7 @@ fn disk_warm_restart_is_hit_only_and_bit_identical() {
 }
 
 #[test]
-fn disk_store_rejects_perturbed_seed() {
+fn disk_store_rejects_perturbed_overlay() {
     let root = scratch_store("perturb");
     let base = tiny_ctx(1);
     let store = Arc::new(DiskStore::open(&root).expect("open"));
@@ -182,9 +185,9 @@ fn disk_store_rejects_perturbed_seed() {
         .run(&[ArtifactId::Table1])
         .expect("baseline evaluates");
 
-    let mut reseeded = base;
-    reseeded.mc.seed += 1;
-    let miss = Study::with_store(reseeded, Arc::clone(&store) as Arc<dyn ArtifactStore>);
+    let mut perturbed = base;
+    perturbed.le3_overlay_nm = 5.0;
+    let miss = Study::with_store(perturbed, Arc::clone(&store) as Arc<dyn ArtifactStore>);
     miss.run(&[ArtifactId::Table1])
         .expect("perturbed run evaluates");
     assert_eq!(
@@ -210,5 +213,76 @@ fn exec_knobs_are_excluded_from_the_fingerprint() {
         context_fingerprint(&serial),
         context_fingerprint(&parallel),
         "thread count must not change cache identity: results are bit-identical"
+    );
+}
+
+/// [`tiny_ctx`] with write settings small enough for a debug build.
+fn tiny_write_ctx() -> ExperimentContext {
+    let mut ctx = tiny_ctx(2);
+    ctx.write_settings.sizes = vec![4];
+    ctx.write_settings.margin_n = 8;
+    ctx.write_settings.margin_trials = 200;
+    ctx
+}
+
+#[test]
+fn reseeded_session_shares_every_seed_independent_artifact() {
+    let base = tiny_write_ctx();
+    let seed_free = [
+        ArtifactId::Table1,
+        ArtifactId::Fig4,
+        ArtifactId::Table3,
+        ArtifactId::WriteTime,
+    ];
+    let requested = [seed_free.as_slice(), &[ArtifactId::Table4]].concat();
+    let cold = Study::new(base.clone());
+    let first = cold.run(&requested).expect("cold run evaluates");
+
+    let mut reseeded = base;
+    reseeded.mc.seed += 1;
+    let warm = Study::with_store(reseeded, Arc::clone(cold.store()));
+    let second = warm.run(&requested).expect("reseeded run evaluates");
+    let timings = warm.timings();
+    for id in seed_free {
+        assert_eq!(
+            timings[&id].computed, 0,
+            "{id} reads no seed yet recomputed"
+        );
+    }
+    assert_eq!(first[..4], second[..4], "shared entries render identically");
+    assert_eq!(
+        timings[&ArtifactId::Table4].computed,
+        1,
+        "table4 reads the seed, so a reseeded session computes it"
+    );
+    assert_ne!(first[4], second[4], "table4 follows the seed");
+}
+
+#[test]
+fn write_settings_are_part_of_the_cache_identity() {
+    let base = tiny_write_ctx();
+    let cold = Study::new(base.clone());
+    cold.get::<WriteMargin>().expect("baseline write_margin");
+
+    let mut reseeded = base;
+    reseeded.write_settings.seed += 1;
+    let shared = Study::with_store(reseeded.clone(), Arc::clone(cold.store()));
+    let got = shared.get::<WriteMargin>().expect("reseeded write_margin");
+    assert_eq!(
+        shared.timings()[&ArtifactId::WriteMargin].computed,
+        1,
+        "write_margin reads write_settings.seed, so it must be recomputed"
+    );
+    let fresh = Study::new(reseeded)
+        .get::<WriteMargin>()
+        .expect("fresh write_margin");
+    assert_eq!(
+        *got, *fresh,
+        "the shared store answers what a fresh session computes"
+    );
+    assert_ne!(
+        context_fingerprint(cold.context()),
+        context_fingerprint(shared.context()),
+        "write settings must be part of the fingerprint"
     );
 }
