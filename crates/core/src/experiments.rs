@@ -20,10 +20,10 @@ use mpvar_tech::{preset::n10, PatterningOption, TechDb, VariationBudget};
 use crate::elmore::ElmoreModel;
 use crate::error::CoreError;
 use crate::formula::AnalyticalModel;
-use crate::montecarlo::{tdp_distribution, tdp_distribution_with, McConfig, TdpDistribution};
-use crate::nominal::NominalCache;
+use crate::montecarlo::{tdp_distribution_with, McConfig, TdpDistribution};
+use crate::nominal::{NominalCache, NominalWindow};
 use crate::report::{pct, ps, TextTable};
-use crate::worst_case::{find_worst_case, find_worst_case_with, WorstCase};
+use crate::worst_case::{find_worst_case_with, WorstCase};
 
 /// Everything an experiment needs: technology, cell, DOE sizes, and
 /// Monte-Carlo settings.
@@ -759,7 +759,8 @@ pub fn ablation_bl_width(ctx: &ExperimentContext) -> Result<AblationBlWidth, Cor
         let mut deltas = Vec::new();
         for option in PatterningOption::ALL {
             let budget = ctx.budget(option)?;
-            let wc = find_worst_case(&ctx.tech, &cell, option, &budget)?;
+            let window = NominalWindow::build(&ctx.tech, &cell, option)?;
+            let wc = find_worst_case_with(&window, &budget, ctx.exec)?;
             deltas.push(wc.variation.c_percent());
         }
         rows.push((width, deltas));
@@ -824,21 +825,12 @@ fn print_unless_shorted(
 pub fn ablation_sadp_anticorrelation(
     ctx: &ExperimentContext,
 ) -> Result<AblationSadpAnticorrelation, CoreError> {
-    let m1 = ctx
-        .tech
-        .metal(1)
-        .ok_or_else(|| CoreError::Tech("technology lacks metal1".to_string()))?;
-    let stack = ctx
-        .cell
-        .column_stack(mpvar_sram::array::PAPER_BL_PAIRS, 5, 1)?;
-    let nominal = apply_draw(&stack, &Draw::nominal(PatterningOption::Sadp))?;
-    let bl = nominal
-        .index_of_net("BL")
-        .ok_or_else(|| CoreError::Sram("no BL track".to_string()))?;
+    let window = NominalWindow::build(&ctx.tech, &ctx.cell, PatterningOption::Sadp)?;
+    let (stack, bl, m1) = (window.stack(), window.bl_index(), window.metal());
+    let nominal = apply_draw(stack, &Draw::nominal(PatterningOption::Sadp))?;
     let vss = nominal
         .index_of_net("VSS5")
         .ok_or_else(|| CoreError::Sram("no VSS5 track".to_string()))?;
-    let nom_bl = extract_track(&nominal, bl, m1)?;
     let nom_vss = extract_track(&nominal, vss, m1)?;
 
     let budget = ctx.budget(PatterningOption::Sadp)?;
@@ -849,7 +841,7 @@ pub fn ablation_sadp_anticorrelation(
     for k in 0..trials {
         let mut rng = base.substream(k as u64);
         let draw = sample_draw(PatterningOption::Sadp, &budget, &mut rng)?;
-        let Some(printed) = print_unless_shorted(&stack, &draw)? else {
+        let Some(printed) = print_unless_shorted(stack, &draw)? else {
             continue;
         };
         rbl.push(extract_track(&printed, bl, m1)?.resistance_ohm());
@@ -857,14 +849,15 @@ pub fn ablation_sadp_anticorrelation(
     }
     let pearson_r = mpvar_stats::pearson(&rbl, &rvss)?;
 
-    let wc = find_worst_case(&ctx.tech, &ctx.cell, PatterningOption::Sadp, &budget)?;
-    let printed = apply_draw(&stack, &wc.draw)?;
-    let worst_rbl = extract_track(&printed, bl, m1)?.resistance_ohm();
+    // The search extracts the worst corner's bit line from this window,
+    // so its R change is the worst-corner dR_bl.
+    let wc = find_worst_case_with(&window, &budget, ctx.exec)?;
+    let printed = apply_draw(stack, &wc.draw)?;
     let worst_rvss = extract_track(&printed, vss, m1)?.resistance_ohm();
 
     Ok(AblationSadpAnticorrelation {
         pearson_r,
-        worst_rbl_percent: (worst_rbl / nom_bl.resistance_ohm() - 1.0) * 100.0,
+        worst_rbl_percent: wc.variation.r_percent(),
         worst_rvss_percent: (worst_rvss / nom_vss.resistance_ohm() - 1.0) * 100.0,
     })
 }
@@ -910,8 +903,9 @@ pub fn extension_le2(ctx: &ExperimentContext) -> Result<ExtensionLe2, CoreError>
     let mut rows = Vec::new();
     for option in PatterningOption::ALL_WITH_EXTENSIONS {
         let budget = VariationBudget::paper_default(option, ctx.le3_overlay_nm)?;
-        let wc = find_worst_case(&ctx.tech, &ctx.cell, option, &budget)?;
-        let dist = tdp_distribution(&ctx.tech, &ctx.cell, option, &budget, n, &ctx.mc)?;
+        let window = NominalWindow::build(&ctx.tech, &ctx.cell, option)?;
+        let wc = find_worst_case_with(&window, &budget, ctx.exec)?;
+        let dist = tdp_distribution_with(&window, &budget, n, &ctx.mc)?;
         rows.push((
             option,
             wc.variation.c_percent(),
@@ -1155,8 +1149,9 @@ pub fn extension_scaling(ctx: &ExperimentContext) -> Result<ExtensionScaling, Co
         let cell = BitcellGeometry::hd(&tech)?;
         for option in PatterningOption::ALL {
             let budget = VariationBudget::paper_default(option, ctx.le3_overlay_nm)?;
-            let wc = find_worst_case(&tech, &cell, option, &budget)?;
-            let dist = tdp_distribution(&tech, &cell, option, &budget, n, &ctx.mc)?;
+            let window = NominalWindow::build(&tech, &cell, option)?;
+            let wc = find_worst_case_with(&window, &budget, ctx.exec)?;
+            let dist = tdp_distribution_with(&window, &budget, n, &ctx.mc)?;
             rows.push((
                 tech.name().to_string(),
                 option,

@@ -66,7 +66,7 @@ pub use mpvar_exec::ExecConfig;
 pub use nominal::NominalWindow;
 pub use rareevent::{yield_6sigma, FormulaYieldProblem, YieldRow, YieldSettings, YieldTable, ZMap};
 pub use sensitivity::{sensitivity_profile, SensitivityProfile};
-pub use worst_case::{find_worst_case, find_worst_case_with, WorstCase};
+pub use worst_case::{find_worst_case_with, WorstCase};
 pub use writeexp::{
     sense_margin, wl_delay, write_margin, write_time, write_yield, SenseMargin, WlDelay,
     WriteMargin, WriteStudySettings, WriteTime, WriteYieldRow, WriteYieldTable,
@@ -87,7 +87,7 @@ pub mod prelude {
         yield_6sigma, FormulaYieldProblem, YieldRow, YieldSettings, YieldTable, ZMap,
     };
     pub use crate::sensitivity::{sensitivity_profile, SensitivityProfile};
-    pub use crate::worst_case::{find_worst_case, find_worst_case_with, WorstCase};
+    pub use crate::worst_case::{find_worst_case_with, WorstCase};
     pub use crate::writeexp::{
         sense_margin, wl_delay, write_margin, write_time, write_yield, SenseMargin, WlDelay,
         WriteMargin, WriteStudySettings, WriteTime, WriteYieldRow, WriteYieldTable,

@@ -43,8 +43,8 @@ pub struct McConfig {
     /// RNG seed (every run with the same seed is bit-identical).
     pub seed: u64,
     /// Thread-count knob for the parallel trial farm. Results are
-    /// bit-identical for any setting; `ExecConfig::SERIAL` recovers the
-    /// sequential code path exactly.
+    /// bit-identical for any setting; `ExecConfig::SERIAL` runs the
+    /// same chunks on the calling thread alone.
     pub exec: ExecConfig,
 }
 

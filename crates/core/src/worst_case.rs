@@ -33,36 +33,16 @@ pub struct WorstCase {
     pub infeasible_corners: usize,
 }
 
-/// Searches all ±3σ corner combinations of `option` for the one that
-/// maximizes the central bit line's total capacitance — the paper's
-/// worst-case criterion ("the worst case scenario for each option with
-/// respect to C_bl increase", §II.B).
+/// Searches all ±3σ corner combinations of `window`'s option for the
+/// one that maximizes the central bit line's total capacitance — the
+/// paper's worst-case criterion ("the worst case scenario for each
+/// option with respect to C_bl increase", §II.B).
 ///
 /// Corners whose printed geometry is physically infeasible (shorted or
-/// collapsed lines) are skipped and counted.
-///
-/// # Errors
-///
-/// * [`CoreError::NoFeasibleCorner`] when every corner shorts;
-/// * propagated tech/extraction failures.
-pub fn find_worst_case(
-    tech: &TechDb,
-    cell: &BitcellGeometry,
-    option: PatterningOption,
-    budget: &VariationBudget,
-) -> Result<WorstCase, CoreError> {
-    let window = NominalWindow::build(tech, cell, option)?;
-    find_worst_case_with(&window, budget, ExecConfig::default())
-}
-
-/// [`find_worst_case`] against a precomputed [`NominalWindow`] and an
-/// explicit thread-count knob — the cache-aware entry point used by the
-/// experiment matrix.
-///
-/// The corner scores are computed in parallel, then reduced by one
-/// in-order scan keeping the first strict maximum, so the winning
-/// corner has the lowest index among ties and is identical for every
-/// thread count.
+/// collapsed lines) are skipped and counted. The corner scores are
+/// computed on `exec`'s threads, then reduced by one in-order scan
+/// keeping the first strict maximum, so the winning corner has the
+/// lowest index among ties and is identical for every thread count.
 ///
 /// # Errors
 ///
@@ -189,10 +169,15 @@ mod tests {
         (tech, cell)
     }
 
-    fn worst(option: PatterningOption, ol: f64) -> WorstCase {
+    fn search(option: PatterningOption, budget: &VariationBudget) -> Result<WorstCase, CoreError> {
         let (tech, cell) = setup();
+        let window = NominalWindow::build(&tech, &cell, option)?;
+        find_worst_case_with(&window, budget, ExecConfig::default())
+    }
+
+    fn worst(option: PatterningOption, ol: f64) -> WorstCase {
         let budget = VariationBudget::paper_default(option, ol).unwrap();
-        find_worst_case(&tech, &cell, option, &budget).unwrap()
+        search(option, &budget).unwrap()
     }
 
     #[test]
@@ -259,19 +244,17 @@ mod tests {
     fn infeasible_corners_counted_not_fatal() {
         // An absurd overlay budget shorts many corners but the search
         // still returns the best feasible one.
-        let (tech, cell) = setup();
         let budget = VariationBudget::new(3.0, 20.0, 0.0).unwrap();
-        let wc = find_worst_case(&tech, &cell, PatterningOption::Le3, &budget).unwrap();
+        let wc = search(PatterningOption::Le3, &budget).unwrap();
         assert!(wc.infeasible_corners > 0);
     }
 
     #[test]
     fn all_corners_infeasible_is_an_error() {
-        let (tech, cell) = setup();
         // 60nm overlay shorts every +/- corner.
         let budget = VariationBudget::new(3.0, 60.0, 0.0).unwrap();
         assert!(matches!(
-            find_worst_case(&tech, &cell, PatterningOption::Le3, &budget),
+            search(PatterningOption::Le3, &budget),
             Err(CoreError::NoFeasibleCorner { .. })
         ));
     }

@@ -25,26 +25,25 @@
 //! # Determinism contract
 //!
 //! All primitives guarantee: for a pure `f`, the returned vector equals
-//! the sequential `(0..n).map(f).collect()`. A parallel map cuts `0..n`
-//! into [`chunk_ranges`]`(n)`, a partition that depends on `n` alone,
-//! and places each chunk's results by chunk index: neither the thread
-//! count nor which thread claimed which chunk can move a result or
-//! change the ranges `f` sees. For fallible maps the *lowest-index*
-//! error is returned, matching what a sequential loop would have hit
-//! first. `threads == 1` runs `f(0..n)` inline on the calling thread
-//! with zero overhead.
+//! the sequential `(0..n).map(f).collect()`. Every map, at every thread
+//! count, cuts `0..n` into [`chunk_ranges`]`(n)`, a partition that
+//! depends on `n` alone, and places each chunk's results by chunk
+//! index: neither the thread count nor which thread claimed which chunk
+//! can move a result or change the ranges `f` sees. For fallible maps
+//! the *lowest-index* error is returned, matching what a sequential
+//! loop would have hit first.
 //!
 //! # The thread budget
 //!
 //! A top-level map (one called outside any chunk) owns a budget of
 //! `threads` slots, each the right to run chunk code; the calling
 //! thread holds one. The map starts up to `threads - 1` helper
-//! threads that wait for a free slot and then claim chunks from an
-//! atomic counter alongside the caller until none are left. A map
-//! called from inside a chunk borrows the enclosing budget rather
-//! than making its own (its own `threads` only picks the inline path
-//! when it is 1), so at no instant do more than `threads` threads run
-//! chunk code, however deep the maps nest. A thread waiting for its
+//! threads (none at one thread) that wait for a free slot and then
+//! claim chunks from an atomic counter alongside the caller until none
+//! are left. A map called from inside a chunk borrows the enclosing
+//! budget rather than making its own, and its own `threads` is not
+//! read, so at no instant do more than `threads` threads run chunk
+//! code, however deep the maps nest. A thread waiting for its
 //! helpers lends its slot out and waits for a free one before it goes
 //! on, so a map that starts after a sibling chunk has finished gets
 //! the idle core. Slots are given back by drop guards, so a panicking
@@ -63,9 +62,9 @@
 //!
 //! When an `mpvar-trace` collector is installed, every map emits an
 //! `exec_par_map` span whose `workers` field is the number of threads
-//! it could use (`min(budget, chunks)`, 1 inline), with one
-//! `exec_chunk` child per chunk (explicitly parented, since helpers
-//! start with an empty span stack), plus an `exec.chunks` counter.
+//! it could use (`min(budget, chunks)`), with one `exec_chunk` child
+//! per chunk (explicitly parented, since helpers start with an empty
+//! span stack), plus an `exec.chunks` counter.
 //! Instrumentation only observes — chunk boundaries and result
 //! placement are unchanged, so traced runs stay bit-identical to
 //! untraced ones.
@@ -83,10 +82,11 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use mpvar_trace::{names, SpanGuard, SpanId};
 
-/// Thread-count configuration for the parallel execution layer.
+/// Thread-count configuration for the parallel execution layer: the
+/// size of a top-level map's thread budget.
 ///
-/// `None` (the default) uses every core the OS reports;
-/// `Some(1)` recovers the exact sequential code path.
+/// `None` (the default) uses every core the OS reports; `Some(1)` runs
+/// every chunk on the calling thread and starts no helper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ExecConfig {
     /// Worker-thread count; `None` means [`available_parallelism`].
@@ -215,9 +215,8 @@ where
 }
 
 /// Maps a fallible *chunk* function over the index range `0..n` on
-/// `threads` workers: `f` receives whole chunks of the [`chunk_ranges`]
-/// partition (or all of `0..n` when `threads == 1`) and returns one
-/// result per index.
+/// `threads` workers: `f` receives the chunks of the [`chunk_ranges`]
+/// partition, at every thread count, and returns one result per index.
 ///
 /// This is the batched-solver dispatch primitive: handing a worker a
 /// whole chunk at once lets it run the indices through shared
@@ -226,8 +225,9 @@ where
 /// its helpers claim chunks in index order from one counter, and
 /// results are placed by chunk index, so output placement never
 /// depends on scheduling — what `f` computes per index is the caller's
-/// determinism obligation. A map called from inside a chunk shares the
-/// enclosing map's thread budget (see the crate docs).
+/// determinism obligation. `threads` sizes the budget of a top-level
+/// map; a map called from inside a chunk shares the enclosing map's
+/// budget instead (see the crate docs).
 /// [`try_par_map_range`] is this map with a per-index `f`.
 ///
 /// # Panics
@@ -247,24 +247,13 @@ where
     F: Fn(Range<usize>) -> Result<Vec<U>, E> + Sync,
 {
     let threads = threads.max(1);
-    let inherited = if threads > 1 {
-        BUDGET.with(|b| b.borrow().clone())
-    } else {
-        None
-    };
-    let ranges = if threads > 1 {
-        chunk_ranges(n)
-    } else {
-        Vec::new()
-    };
-    let workers = if ranges.len() > 1 {
-        inherited
-            .as_ref()
-            .map_or(threads, |b| b.size)
-            .min(ranges.len())
-    } else {
-        1
-    };
+    let inherited = BUDGET.with(|b| b.borrow().clone());
+    let ranges = chunk_ranges(n);
+    let workers = inherited
+        .as_ref()
+        .map_or(threads, |b| b.size)
+        .min(ranges.len())
+        .max(1);
     let traced = mpvar_trace::enabled();
     let map_span = mpvar_trace::span!(
         names::SPAN_EXEC_PAR_MAP,
@@ -272,15 +261,6 @@ where
         threads = threads,
         workers = workers
     );
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    if workers == 1 {
-        let out = f(0..n)?;
-        assert_eq!(out.len(), n, "chunk map must return one result per index");
-        return Ok(out);
-    }
-
     let (budget, _top_level) = match inherited {
         Some(budget) => (budget, None),
         None => (Budget::install(threads), Some(TopLevel)),
@@ -745,9 +725,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "one result per index")]
     fn chunk_map_rejects_short_chunks() {
-        let _ = try_par_chunk_map::<usize, _, ()>(10, 1, |_| Ok(vec![1]));
+        // n = 40 cuts into chunks of two or three indices, so a chunk
+        // one result short is never empty.
+        for threads in [1, 2] {
+            let short = std::panic::catch_unwind(|| {
+                try_par_chunk_map::<usize, _, ()>(40, threads, |r| Ok(vec![0; r.len() - 1]))
+            });
+            let payload = short.expect_err("a short chunk must panic");
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .unwrap_or_default();
+            assert!(
+                message.contains("one result per index"),
+                "threads = {threads}: {message}"
+            );
+        }
     }
 
     #[test]

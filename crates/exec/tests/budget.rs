@@ -45,18 +45,15 @@ fn ranges_seen(n: usize, threads: usize) -> Vec<Range<usize>> {
 }
 
 #[test]
-fn ranges_are_identical_at_every_parallel_thread_count() {
+fn ranges_are_identical_at_every_thread_count() {
     for n in [1usize, 2, 5, 16, 17, 100, 127, 128, 129, 1000, 4099] {
-        let at2 = ranges_seen(n, 2);
-        assert_eq!(at2, chunk_ranges(n), "n = {n}");
-        for threads in [3, 4, 8] {
-            assert_eq!(ranges_seen(n, threads), at2, "n = {n}, threads = {threads}");
+        for threads in [1, 2, 3, 4, 8] {
+            assert_eq!(
+                ranges_seen(n, threads),
+                chunk_ranges(n),
+                "n = {n}, threads = {threads}"
+            );
         }
-        assert_eq!(
-            ranges_seen(n, 1),
-            vec![0..n],
-            "one thread maps 0..{n} inline"
-        );
     }
 }
 
@@ -102,6 +99,21 @@ fn maps_nested_three_deep_never_exceed_the_budget() {
             "{max} threads ran chunk code on a budget of {threads}"
         );
     }
+}
+
+#[test]
+fn a_one_thread_map_starts_no_helper_at_any_depth() {
+    // The nested maps ask for 8 threads; they borrow the one-slot
+    // budget instead, so every chunk runs on the calling thread.
+    let caller = thread::current().id();
+    let on_caller = || assert_eq!(thread::current().id(), caller, "a helper ran a chunk");
+    par_map_indexed(&[0u8; 5], 1, |_, _| {
+        on_caller();
+        par_map_indexed(&[0u8; 40], 8, |_, _| {
+            on_caller();
+            par_map_indexed(&[0u8; 7], 8, |_, _| on_caller());
+        });
+    });
 }
 
 #[test]

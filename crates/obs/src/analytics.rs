@@ -235,7 +235,7 @@ fn critical_path(forest: &SpanForest) -> Vec<CriticalPathNode> {
 /// The `exec_par_map` with the most idle worker time (ties go to the
 /// lower span id), found by walking every root down with the nearest
 /// enclosing `study_node`'s artifact in hand. Maps with fewer than two
-/// `workers` ran inline and are skipped.
+/// `workers` cannot leave a core idle and are skipped.
 fn idlest_map(forest: &SpanForest) -> Option<IdlestMap> {
     let num = |span: &SpanEntry, key: &str| match span.fields.get(key) {
         Some(FieldScalar::Num(v)) if *v >= 0.0 => Some(*v as u64),
@@ -488,7 +488,7 @@ mod tests {
             map(10, 8, 120, 40, 2.0),
             chunk(11, 10, 120, 40),
             chunk(12, 10, 120, 40),
-            // An inline map (one worker, no chunks) is never idle.
+            // A one-worker map cannot leave a core idle.
             map(13, 1, 300, 700, 1.0),
         ];
         let p = profile_spans(spans).expect("profile");

@@ -23,7 +23,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut worst_cases = Vec::new();
     for option in PatterningOption::ALL {
         let budget = VariationBudget::paper_default(option, 8.0)?;
-        let wc = find_worst_case(&tech, &cell, option, &budget)?;
+        let window = NominalWindow::build(&tech, &cell, option)?;
+        let wc = find_worst_case_with(&window, &budget, ExecConfig::default())?;
         let corner: Vec<String> = wc
             .draw
             .parameters()

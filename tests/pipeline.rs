@@ -5,7 +5,18 @@ use mpvar::core::prelude::*;
 use mpvar::extract::{extract_track, RelativeVariation};
 use mpvar::litho::{apply_draw, Draw};
 use mpvar::sram::prelude::*;
-use mpvar::tech::{io as tech_io, preset::n10, PatterningOption, VariationBudget};
+use mpvar::tech::{io as tech_io, preset::n10, PatterningOption, TechDb, VariationBudget};
+
+/// The Table I corner search for `option` on every core.
+fn worst_case(
+    tech: &TechDb,
+    cell: &BitcellGeometry,
+    option: PatterningOption,
+    budget: &VariationBudget,
+) -> WorstCase {
+    let window = NominalWindow::build(tech, cell, option).expect("window builds");
+    find_worst_case_with(&window, budget, ExecConfig::default()).expect("search runs")
+}
 
 #[test]
 fn tech_file_roundtrip_preserves_experiment_results() {
@@ -18,10 +29,8 @@ fn tech_file_roundtrip_preserves_experiment_results() {
     let cell_a = BitcellGeometry::n10_hd(&original).expect("cell builds");
     let cell_b = BitcellGeometry::n10_hd(&parsed).expect("cell builds");
     let budget = VariationBudget::paper_default(PatterningOption::Le3, 8.0).expect("budget");
-    let wc_a =
-        find_worst_case(&original, &cell_a, PatterningOption::Le3, &budget).expect("search runs");
-    let wc_b =
-        find_worst_case(&parsed, &cell_b, PatterningOption::Le3, &budget).expect("search runs");
+    let wc_a = worst_case(&original, &cell_a, PatterningOption::Le3, &budget);
+    let wc_b = worst_case(&parsed, &cell_b, PatterningOption::Le3, &budget);
     assert_eq!(wc_a.draw, wc_b.draw);
     assert_eq!(wc_a.variation, wc_b.variation);
 }
@@ -54,7 +63,7 @@ fn worst_case_draw_actually_slows_the_simulated_read() {
     let cell = BitcellGeometry::n10_hd(&tech).expect("cell builds");
     let config = ReadConfig::default();
     let budget = VariationBudget::paper_default(PatterningOption::Le3, 8.0).expect("budget");
-    let wc = find_worst_case(&tech, &cell, PatterningOption::Le3, &budget).expect("search runs");
+    let wc = worst_case(&tech, &cell, PatterningOption::Le3, &budget);
 
     let nominal = simulate_read(
         &tech,
@@ -110,7 +119,7 @@ fn per_option_variation_ordering_through_full_chain() {
     let mut tdp = Vec::new();
     for option in PatterningOption::ALL {
         let budget = VariationBudget::paper_default(option, 8.0).expect("budget");
-        let wc = find_worst_case(&tech, &cell, option, &budget).expect("search runs");
+        let wc = worst_case(&tech, &cell, option, &budget);
         tdp.push(model.tdp_percent(64, wc.variation.r_var, wc.variation.c_var));
     }
     let (le3, sadp, euv) = (tdp[0], tdp[1], tdp[2]);

@@ -3,16 +3,19 @@
 //! count, and the JSONL it emits validates against the
 //! `mpvar-trace/v1` schema with spans from every layer. Chunking is
 //! fixed by the domain size, so the chunk and lane counters read the
-//! same at every parallel thread count.
+//! same at every thread count, one included, and a one-thread run
+//! starts no helper thread.
 //!
 //! Everything lives in one `#[test]` on purpose: trace collectors are
 //! process-global, so concurrently installed collectors in sibling
 //! tests would see each other's spans mid-tree.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use mpvar::core::experiments::ExperimentContext;
 use mpvar::study::{ArtifactId, Study};
+use mpvar::trace::schema::FieldScalar;
 use mpvar::trace::{names, validate_jsonl, Collector, JsonlSink};
 
 /// A deliberately tiny context so the full dependency chain (table1 →
@@ -31,11 +34,17 @@ fn tiny_ctx(threads: usize) -> ExperimentContext {
 
 #[test]
 fn traced_run_is_bit_identical_and_emits_valid_jsonl() {
-    let mut parallel_counters = Vec::new();
+    let mut chunk_counters = Vec::new();
     for threads in [1usize, 2, 4, 8] {
         // Table3 pulls in the corner search and the SPICE read
-        // simulations; Fig5 exercises the Monte-Carlo engine.
-        let requested = [ArtifactId::Table3, ArtifactId::Fig5];
+        // simulations; Fig5 exercises the Monte-Carlo engine; the
+        // bit-line width ablation runs corner searches nested in its
+        // producer.
+        let requested = [
+            ArtifactId::Table3,
+            ArtifactId::Fig5,
+            ArtifactId::AblationBlWidth,
+        ];
         let baseline = Study::new(tiny_ctx(threads))
             .run(&requested)
             .expect("untraced run evaluates");
@@ -86,26 +95,39 @@ fn traced_run_is_bit_identical_and_emits_valid_jsonl() {
                 "counter `{counter}` missing at {threads} threads"
             );
         }
-        if threads > 1 {
-            // Worker chunks only exist on the parallel path; a 1-thread
-            // run stays on the serial reference path by design.
-            assert!(
-                log.counters.contains_key(names::EXEC_CHUNKS),
-                "chunk counter missing at {threads} threads"
+        assert!(
+            log.counters.contains_key(names::EXEC_CHUNKS),
+            "chunk counter missing at {threads} threads"
+        );
+        assert!(
+            span_names.contains(&names::SPAN_EXEC_CHUNK),
+            "no worker chunk spans at {threads} threads"
+        );
+        let counters: Vec<(&str, u64)> = [
+            names::EXEC_CHUNKS,
+            names::FORMULA_LANE_TRIALS,
+            names::FORMULA_LANE_FALLBACKS,
+        ]
+        .into_iter()
+        .map(|name| (name, log.counters.get(name).copied().unwrap_or(0)))
+        .collect();
+        chunk_counters.push((threads, counters));
+        if threads == 1 {
+            // One thread is a budget of one slot: every map, nested
+            // ones included, runs its chunks on the calling thread.
+            for map in log.spans_named(names::SPAN_EXEC_PAR_MAP) {
+                assert_eq!(
+                    map.fields.get("workers"),
+                    Some(&FieldScalar::Num(1.0)),
+                    "a one-thread map could use more workers: {map:?}"
+                );
+            }
+            let ordinals: BTreeSet<u64> = log.spans.iter().map(|s| s.thread).collect();
+            assert_eq!(
+                ordinals.len(),
+                1,
+                "a one-thread run spans threads {ordinals:?}"
             );
-            assert!(
-                span_names.contains(&names::SPAN_EXEC_CHUNK),
-                "no worker chunk spans at {threads} threads"
-            );
-            let counters: Vec<(&str, u64)> = [
-                names::EXEC_CHUNKS,
-                names::FORMULA_LANE_TRIALS,
-                names::FORMULA_LANE_FALLBACKS,
-            ]
-            .into_iter()
-            .map(|name| (name, log.counters.get(name).copied().unwrap_or(0)))
-            .collect();
-            parallel_counters.push((threads, counters));
         }
         assert!(
             log.gauges.contains_key(names::MC_TRIALS_PER_SEC),
@@ -126,14 +148,14 @@ fn traced_run_is_bit_identical_and_emits_valid_jsonl() {
             .spans_named(names::SPAN_STUDY_NODE)
             .all(|s| s.fields.contains_key("artifact") && s.fields.contains_key("outcome")));
     }
-    let (_, at2) = &parallel_counters[0];
+    let (_, at1) = &chunk_counters[0];
     assert!(
-        at2.iter().all(|&(_, v)| v > 0),
-        "every compared counter is populated: {at2:?}"
+        at1.iter().all(|&(_, v)| v > 0),
+        "every compared counter is populated: {at1:?}"
     );
-    for (threads, counters) in &parallel_counters {
+    for (threads, counters) in &chunk_counters {
         assert_eq!(
-            counters, at2,
+            counters, at1,
             "chunk and lane counters at {threads} threads"
         );
     }
